@@ -154,14 +154,6 @@ fn main() {
     ));
     write_fleet_json(&screening, &suite, threads);
 
-    out.header(
-        "simperf part 4: checkpoint overhead and crash recovery (DESIGN.md 14)",
-        "durable snapshots through the versioned codec; reports identical at every cadence",
-    );
-    let recovery = measure_recovery(&mut out);
-    let fleet_recovery = measure_fleet_recovery(&mut out);
-    write_recovery_json(&recovery, &fleet_recovery);
-
     std::process::exit(finish_figure(out, &errors));
 }
 
@@ -318,391 +310,6 @@ fn measure_sweep(
     }
     out.line(format!("  fleet-vs-solo: {:.2}x", result.ratio()));
     result
-}
-
-/// One kernel's checkpoint-overhead and crash-recovery measurements.
-struct RecoveryRow {
-    kernel: &'static str,
-    total_cycles: u64,
-    base_sec: f64,
-    /// Per cadence: (cadence, checkpoints written, bytes per checkpoint,
-    /// wall seconds, overhead fraction vs `base_sec`).
-    cadences: Vec<(u64, u64, usize, f64, f64)>,
-    /// Crash drill at [`RECOVERY_CADENCE`].
-    crash_cycle: u64,
-    checkpoint_cycle: u64,
-    recover_sec: f64,
-    naive_restart_sec: f64,
-}
-
-const RECOVERY_CADENCE: u64 = 5_000;
-const BEST_OF: usize = 3;
-
-/// Runs the uninterrupted baseline, the cadence sweep (sliced stepping +
-/// a durable snapshot written tmp+rename at every pause, the service's
-/// exact write path), and the crash drill (restore the last checkpoint
-/// before a simulated crash at ~60% progress and finish, vs starting
-/// over). Every variant's final report must equal the baseline's.
-fn measure_recovery(out: &mut FigureOutput) -> Vec<RecoveryRow> {
-    use glsc_sim::SlicedRun;
-    let dir = std::env::temp_dir().join(format!("glsc-simperf-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("checkpoint scratch dir");
-    let cfg = config(1, 1, 4);
-    let ds = datasets()[0];
-
-    let fresh = |kernel: &str| {
-        let w = build_named(kernel, ds, Variant::Glsc, &cfg).expect("known kernel");
-        let mut machine = Machine::new(cfg.clone());
-        w.image.apply(machine.mem_mut().backing_mut());
-        machine.load_program(w.program.clone());
-        machine
-    };
-    let write_ckpt = |machine: &Machine| -> usize {
-        let bytes = machine.snapshot().to_bytes();
-        let path = dir.join("ckpt.snap");
-        let tmp = dir.join("ckpt.snap.tmp");
-        std::fs::write(&tmp, &bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
-            .expect("write checkpoint");
-        bytes.len()
-    };
-
-    out.line(format!(
-        "{:<6} {:>10} {:>9} | {:>8} {:>6} {:>9} {:>9}",
-        "bench", "cycles", "base s", "cadence", "ckpts", "ckpt KiB", "overhead"
-    ));
-    let mut rows = Vec::new();
-    for kernel in ["GBC", "TMS"] {
-        let mut base_sec = f64::INFINITY;
-        let mut total_cycles = 0;
-        for _ in 0..BEST_OF {
-            let mut machine = fresh(kernel);
-            let t0 = Instant::now();
-            let report = machine.run().unwrap_or_else(|e| panic!("{kernel}: {e}"));
-            base_sec = base_sec.min(t0.elapsed().as_secs_f64());
-            total_cycles = report.cycles;
-        }
-
-        let mut cadences = Vec::new();
-        for cadence in [1_000u64, 5_000, 20_000] {
-            let mut wall = f64::INFINITY;
-            let mut ckpts = 0;
-            let mut ckpt_bytes = 0;
-            for _ in 0..BEST_OF {
-                let mut machine = fresh(kernel);
-                let mut run = SlicedRun::new(&machine);
-                let t0 = Instant::now();
-                let (mut n, mut report) = (0, None);
-                while report.is_none() {
-                    report = machine.run_for(&mut run, cadence).unwrap();
-                    if report.is_none() {
-                        ckpt_bytes = write_ckpt(&machine);
-                        n += 1;
-                    }
-                }
-                wall = wall.min(t0.elapsed().as_secs_f64());
-                ckpts = n;
-                assert_eq!(
-                    report.unwrap().cycles,
-                    total_cycles,
-                    "cadence changed timing"
-                );
-            }
-            let overhead = wall / base_sec - 1.0;
-            cadences.push((cadence, ckpts, ckpt_bytes, wall, overhead));
-            out.line(format!(
-                "{:<6} {:>10} {:>9.4} | {:>8} {:>6} {:>9.1} {:>8.0}%",
-                kernel,
-                total_cycles,
-                base_sec,
-                cadence,
-                ckpts,
-                ckpt_bytes as f64 / 1024.0,
-                overhead * 100.0
-            ));
-        }
-
-        // Crash drill: checkpoint at RECOVERY_CADENCE until ~60% of the
-        // run, "crash", then race recovery against a from-scratch rerun.
-        let crash_at = total_cycles * 3 / 5;
-        let mut machine = fresh(kernel);
-        let mut run = SlicedRun::new(&machine);
-        let mut last = (machine.snapshot().to_bytes(), 0u64);
-        while machine.cycle() < crash_at {
-            if machine
-                .run_for(&mut run, RECOVERY_CADENCE)
-                .unwrap()
-                .is_some()
-            {
-                break;
-            }
-            if machine.cycle() < crash_at {
-                last = (machine.snapshot().to_bytes(), machine.cycle());
-            }
-        }
-        let crash_cycle = machine.cycle();
-        drop(machine);
-
-        let mut recover_sec = f64::INFINITY;
-        for _ in 0..BEST_OF {
-            let t0 = Instant::now();
-            let snap = glsc_sim::MachineSnapshot::from_bytes(&last.0).expect("checkpoint decodes");
-            let mut machine = Machine::from_snapshot(&snap);
-            let mut run = SlicedRun::new(&machine);
-            let report = loop {
-                if let Some(r) = machine.run_for(&mut run, u64::MAX / 4).unwrap() {
-                    break r;
-                }
-            };
-            recover_sec = recover_sec.min(t0.elapsed().as_secs_f64());
-            assert_eq!(report.cycles, total_cycles, "recovery changed timing");
-        }
-        let mut naive_restart_sec = f64::INFINITY;
-        for _ in 0..BEST_OF {
-            let mut machine = fresh(kernel);
-            let t0 = Instant::now();
-            machine.run().unwrap();
-            naive_restart_sec = naive_restart_sec.min(t0.elapsed().as_secs_f64());
-        }
-        out.line(format!(
-            "{:<6} crash @{} (ckpt @{}, {} cycles lost): recover {:.4} s vs restart {:.4} s ({:.2}x)",
-            kernel,
-            crash_cycle,
-            last.1,
-            crash_cycle - last.1,
-            recover_sec,
-            naive_restart_sec,
-            naive_restart_sec / recover_sec
-        ));
-
-        rows.push(RecoveryRow {
-            kernel,
-            total_cycles,
-            base_sec,
-            cadences,
-            crash_cycle,
-            checkpoint_cycle: last.1,
-            recover_sec,
-            naive_restart_sec,
-        });
-    }
-    out.blank();
-    out.line(
-        "note: recover beats restart only when the work saved (cycles up to the checkpoint) \
-         outruns one snapshot decode; sub-millisecond tiny jobs sit below that break-even, \
-         which is why the service defaults to a 20k-cycle cadence.",
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    rows
-}
-
-/// One cadence point of the fleet-path checkpoint-overhead sweep.
-struct FleetCkptRow {
-    cadence: u64,
-    jobs: usize,
-    checkpoints: u64,
-    /// Total bytes written across all checkpoints of one sweep.
-    ckpt_bytes: u64,
-    /// Supervised fleet with no-op pause hooks.
-    base_sec: f64,
-    /// Supervised fleet writing a durable snapshot at every pause.
-    ckpt_sec: f64,
-    overhead: f64,
-}
-
-/// Measures checkpoint overhead on the *fleet* path: the same durable
-/// tmp+rename snapshot writes as the solo cadence sweep above, but taken
-/// from [`Fleet::run_each_supervised`] pause hooks at slice boundaries —
-/// the production path of the protocol-facing job service (DESIGN.md
-/// §15). The no-checkpoint baseline runs the identical supervised loop
-/// with hooks that do nothing, so the delta is pure checkpoint cost, and
-/// every job's cycle count must match a one-machine-per-job solo run.
-fn measure_fleet_recovery(out: &mut FigureOutput) -> Vec<FleetCkptRow> {
-    use glsc_sim::{Fleet, FleetJob, PauseCtl};
-    let dir = std::env::temp_dir().join(format!("glsc-simperf-fleet-ckpt-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("fleet checkpoint scratch dir");
-    let ds = datasets()[0];
-    // Two machine shapes → two config-affine fleet groups, so the sweep
-    // exercises pooling and the multi-member pause fan-out, not just one
-    // machine stepped in a loop.
-    let shapes = [(1usize, 2usize), (4, 4)];
-    let params: Vec<(&str, (usize, usize))> = KERNEL_NAMES
-        .iter()
-        .flat_map(|&k| shapes.iter().map(move |&s| (k, s)))
-        .collect();
-    let make_jobs = || -> Vec<FleetJob> {
-        params
-            .iter()
-            .map(|&(kernel, (cores, tpc))| {
-                let cfg = config(cores, tpc, 4);
-                let w = build_named(kernel, ds, Variant::Glsc, &cfg).expect("known kernel");
-                FleetJob::new(cfg, w.program.clone()).with_base(w.image.publish())
-            })
-            .collect()
-    };
-    let solo: Vec<u64> = params
-        .iter()
-        .map(|&(kernel, (cores, tpc))| {
-            let cfg = config(cores, tpc, 4);
-            let w = build_named(kernel, ds, Variant::Glsc, &cfg).expect("known kernel");
-            run_workload(&w, &cfg)
-                .unwrap_or_else(|e| panic!("{kernel}: {e}"))
-                .report
-                .cycles
-        })
-        .collect();
-
-    out.blank();
-    out.line(format!(
-        "fleet path ({} jobs, shapes 1x2+4x4, width 4): durable checkpoint at every pause",
-        params.len()
-    ));
-    out.line(format!(
-        "{:>8} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "cadence", "ckpts", "ckpt KiB", "base s", "ckpt s", "overhead"
-    ));
-    let mut rows = Vec::new();
-    for cadence in [5_000u64, 20_000] {
-        let fleet = || Fleet::new().with_quantum(cadence).with_width(4);
-        let mut base_sec = f64::INFINITY;
-        let mut cycles = vec![0u64; params.len()];
-        for _ in 0..BEST_OF {
-            let jobs = make_jobs();
-            let t0 = Instant::now();
-            fleet().run_each_supervised(
-                jobs,
-                |_, _| PauseCtl::Continue,
-                |i, _, r| {
-                    cycles[i] = r.unwrap_or_else(|e| panic!("fleet job {i}: {e}")).cycles;
-                },
-            );
-            base_sec = base_sec.min(t0.elapsed().as_secs_f64());
-        }
-        assert_eq!(cycles, solo, "supervised fleet path changed timing");
-
-        let mut ckpt_sec = f64::INFINITY;
-        let mut checkpoints = 0u64;
-        let mut ckpt_bytes = 0u64;
-        for _ in 0..BEST_OF {
-            let jobs = make_jobs();
-            let (mut n_ck, mut n_bytes) = (0u64, 0u64);
-            let mut cycles = vec![0u64; params.len()];
-            let t0 = Instant::now();
-            fleet().run_each_supervised(
-                jobs,
-                |i, machine| {
-                    let bytes = machine.snapshot().to_bytes();
-                    let path = dir.join(format!("job{i}.ckpt"));
-                    let tmp = dir.join(format!("job{i}.ckpt.tmp"));
-                    std::fs::write(&tmp, &bytes)
-                        .and_then(|()| std::fs::rename(&tmp, &path))
-                        .expect("write fleet checkpoint");
-                    n_ck += 1;
-                    n_bytes += bytes.len() as u64;
-                    PauseCtl::Continue
-                },
-                |i, _, r| {
-                    cycles[i] = r.unwrap_or_else(|e| panic!("fleet job {i}: {e}")).cycles;
-                },
-            );
-            ckpt_sec = ckpt_sec.min(t0.elapsed().as_secs_f64());
-            checkpoints = n_ck;
-            ckpt_bytes = n_bytes;
-            assert_eq!(cycles, solo, "checkpointing fleet path changed timing");
-        }
-        let overhead = ckpt_sec / base_sec - 1.0;
-        out.line(format!(
-            "{:>8} {:>6} {:>9.1} {:>9.4} {:>9.4} {:>8.0}%",
-            cadence,
-            checkpoints,
-            ckpt_bytes as f64 / 1024.0,
-            base_sec,
-            ckpt_sec,
-            overhead * 100.0
-        ));
-        rows.push(FleetCkptRow {
-            cadence,
-            jobs: params.len(),
-            checkpoints,
-            ckpt_bytes,
-            base_sec,
-            ckpt_sec,
-            overhead,
-        });
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    rows
-}
-
-/// Emits `results/BENCH_recovery.json` — the machine-readable record of
-/// checkpoint overhead vs cadence and time-to-recover vs a naive restart
-/// on both the solo and the fleet (service) paths (same directory and
-/// tiny-suffix rules as [`write_fleet_json`]).
-fn write_recovery_json(rows: &[RecoveryRow], fleet: &[FleetCkptRow]) {
-    let kernels: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let cadences: Vec<String> = r
-                .cadences
-                .iter()
-                .map(|&(cadence, ckpts, bytes, wall, overhead)| {
-                    format!(
-                        "      {{ \"cadence_cycles\": {cadence}, \"checkpoints\": {ckpts}, \"checkpoint_bytes\": {bytes}, \"host_sec\": {wall:.6}, \"overhead_frac\": {overhead:.4} }}"
-                    )
-                })
-                .collect();
-            format!(
-                "  \"{}\": {{\n    \"sim_cycles\": {},\n    \"baseline_sec\": {:.6},\n    \"cadences\": [\n{}\n    ],\n    \"recovery\": {{ \"cadence_cycles\": {}, \"crash_cycle\": {}, \"checkpoint_cycle\": {}, \"lost_cycles\": {}, \"recover_sec\": {:.6}, \"naive_restart_sec\": {:.6}, \"recover_speedup\": {:.3} }}\n  }}",
-                r.kernel,
-                r.total_cycles,
-                r.base_sec,
-                cadences.join(",\n"),
-                RECOVERY_CADENCE,
-                r.crash_cycle,
-                r.checkpoint_cycle,
-                r.crash_cycle - r.checkpoint_cycle,
-                r.recover_sec,
-                r.naive_restart_sec,
-                r.naive_restart_sec / r.recover_sec
-            )
-        })
-        .collect();
-    let fleet_cadences: Vec<String> = fleet
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{ \"cadence_cycles\": {}, \"checkpoints\": {}, \"checkpoint_bytes_total\": {}, \"base_sec\": {:.6}, \"checkpoint_sec\": {:.6}, \"overhead_frac\": {:.4} }}",
-                r.cadence, r.checkpoints, r.ckpt_bytes, r.base_sec, r.ckpt_sec, r.overhead
-            )
-        })
-        .collect();
-    let fleet_json = format!(
-        "  \"fleet_path\": {{\n    \"jobs\": {},\n    \"width\": 4,\n    \"cadences\": [\n{}\n    ]\n  }}",
-        fleet.first().map_or(0, |r| r.jobs),
-        fleet_cadences.join(",\n")
-    );
-    let tiny = std::env::var("GLSC_DATASETS").is_ok_and(|v| v == "tiny");
-    let json = format!(
-        "{{\n  \"bench\": \"simperf part 4\",\n  \"datasets\": \"{}\",\n{},\n{}\n}}\n",
-        if tiny { "tiny" } else { "full" },
-        kernels.join(",\n"),
-        fleet_json
-    );
-    let dir = std::env::var("GLSC_RESULTS_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|_| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
-    let suffix = if tiny { "-tiny" } else { "" };
-    let path = dir.join(format!("BENCH_recovery{suffix}.json"));
-    let write = || -> std::io::Result<()> {
-        std::fs::create_dir_all(&dir)?;
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, &json)?;
-        std::fs::rename(&tmp, &path)
-    };
-    match write() {
-        Ok(()) => println!("recovery record: {}", path.display()),
-        Err(e) => eprintln!("simperf: failed to write {}: {e}", path.display()),
-    }
 }
 
 /// Emits the machine-readable fleet throughput record next to the figure

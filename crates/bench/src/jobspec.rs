@@ -320,8 +320,8 @@ impl WireJobSpec {
     /// job runs under a non-default memory model, plus `-chaos<seed>`).
     /// Pattern jobs
     /// hash the spec string into a short filesystem-safe stem
-    /// (`pat-stride-<fnv16>`); the id keys the journal, checkpoint
-    /// files, and reply frames, so it must never contain `:*@,`.
+    /// (`pat-stride-<fnv16>`); the id keys the journal, the result
+    /// cache, and reply frames, so it must never contain `:*@,`.
     pub fn id(&self) -> String {
         let ds = DATASET_TAGS
             .iter()

@@ -9,15 +9,17 @@
 //! ```
 //!
 //! The journal is the service's source of truth for where every job
-//! stands (`accepted → running{checkpoint} → done | quarantined`, with
-//! `failed` marks in between). Appends are flushed and fsync'd before
-//! the supervisor acts on them, so a `kill -9` at any byte boundary
-//! leaves at worst a torn final frame. Recovery scans from the start,
-//! keeps the longest prefix of intact frames, **truncates the file to
-//! that prefix**, and treats the job as being in whatever state the
-//! surviving records imply — a torn record is indistinguishable from the
-//! crash having happened just before the append, which is exactly the
-//! semantics the kill-drill oracle pins.
+//! stands (`accepted → done | quarantined`, with `failed` marks in
+//! between). A job with no `done` record reruns from its spec on the
+//! next start; a job's progress inside a run is never journaled, since
+//! rerunning a simulation costs less than recording it. Appends are
+//! flushed and fsync'd before the supervisor acts on them, so a
+//! `kill -9` at any byte boundary leaves at worst a torn final frame.
+//! Recovery scans from the start, keeps the longest prefix of intact
+//! frames, **truncates the file to that prefix**, and treats the job as
+//! being in whatever state the surviving records imply — a torn record
+//! is indistinguishable from the crash having happened just before the
+//! append, which is exactly the semantics the kill-drill oracle pins.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -32,7 +34,10 @@ pub enum JournalRecord {
         /// Stable job id (the bench cache key parts joined with `-`).
         job: String,
     },
-    /// The job has a durable checkpoint on disk at this cycle.
+    /// Legacy: older builds announced a mid-run checkpoint with this
+    /// record. It still decodes, so their journals open, but nothing
+    /// writes it any more and [`replay`] ignores it — the job reruns
+    /// from its spec.
     Running {
         /// Stable job id.
         job: String,
@@ -193,8 +198,6 @@ impl JournalRecord {
 pub struct JobLedger {
     /// The job has an `Accepted` record.
     pub accepted: bool,
-    /// Latest checkpoint `(seq, cycle)` announced via `Running`.
-    pub checkpoint: Option<(u64, u64)>,
     /// `Done` record, with its preserved chaos rendering.
     pub done: Option<Option<String>>,
     /// Number of `Failed` records (survives restarts — this is what the
@@ -216,7 +219,7 @@ pub fn replay(records: &[JournalRecord]) -> HashMap<String, JobLedger> {
         let entry = map.entry(rec.job().to_string()).or_default();
         match rec {
             JournalRecord::Accepted { .. } => entry.accepted = true,
-            JournalRecord::Running { seq, cycle, .. } => entry.checkpoint = Some((*seq, *cycle)),
+            JournalRecord::Running { .. } => {}
             JournalRecord::Done { chaos, .. } => {
                 entry.done = Some(chaos.clone());
                 entry.pending = None;
@@ -377,7 +380,6 @@ mod tests {
         let ledgers = replay(&records);
         let a = &ledgers["a"];
         assert!(a.accepted);
-        assert_eq!(a.checkpoint, Some((1, 5_000)));
         assert_eq!(a.done, Some(Some("destructive=3".into())));
         assert_eq!(a.failures, 0);
         let b = &ledgers["b"];
@@ -524,14 +526,44 @@ mod tests {
         for i in 0..5u64 {
             let (mut j, records) = Journal::open(&path).unwrap();
             assert_eq!(records.len() as u64, i);
-            j.append(&JournalRecord::Running {
+            j.append(&JournalRecord::Failed {
                 job: "x".into(),
-                seq: i,
-                cycle: i * 100,
+                reason: format!("attempt {i}"),
             })
             .unwrap();
         }
         let (_, records) = Journal::open(&path).unwrap();
-        assert_eq!(replay(&records)["x"].checkpoint, Some((4, 400)));
+        assert_eq!(replay(&records)["x"].failures, 5);
+    }
+
+    #[test]
+    fn legacy_running_records_decode_and_replay_as_unfinished() {
+        // A journal written by a checkpointing build: the job was
+        // accepted and checkpointed twice, then the process died. The
+        // records still decode, and the job replays as accepted but not
+        // done, so it reruns from its spec.
+        let path = tmp("legacy");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        j.append(&JournalRecord::Accepted { job: "old".into() })
+            .unwrap();
+        for seq in 1..=2u64 {
+            j.append(&JournalRecord::Running {
+                job: "old".into(),
+                seq,
+                cycle: seq * 20_000,
+            })
+            .unwrap();
+        }
+        drop(j);
+        let (_, records) = Journal::open(&path).unwrap();
+        assert_eq!(records.len(), 3);
+        let ledger = &replay(&records)["old"];
+        assert_eq!(
+            *ledger,
+            JobLedger {
+                accepted: true,
+                ..JobLedger::default()
+            }
+        );
     }
 }

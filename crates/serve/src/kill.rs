@@ -4,17 +4,18 @@
 //! `std::process::abort`, which like `kill -9` runs no destructors and
 //! flushes nothing — at a precisely chosen durability boundary:
 //!
-//! * `checkpoint:<n>` — the `n`-th checkpoint write is **torn**: half the
-//!   encoded snapshot lands under the final name (simulating a
-//!   non-atomic filesystem losing the rename guarantee), then the
-//!   process aborts. Recovery must detect the damage via the snapshot
-//!   envelope and fall back to the previous good state.
 //! * `journal:<n>` — the `n`-th journal append is cut mid-frame: half
 //!   the frame is written and fsync'd, then the process aborts. Recovery
 //!   must treat the torn record as if the append never happened.
 //! * `cycles:<c>` — the process aborts at the first supervision pause at
-//!   or after `c` total simulated cycles — a plain mid-run kill that
-//!   loses the work since the last checkpoint.
+//!   which a live machine has simulated `c` cycles or more — a plain
+//!   mid-run kill that loses the whole attempt, which reruns from its
+//!   spec on the next start.
+//!
+//! The variable is parsed once, by [`arm_from_env`] at startup; any
+//! other value is an error the binary reports as a usage error, so a
+//! stale or misspelt drill fails loudly instead of silently not killing.
+//! Without that call (library use) no kill ever fires.
 //!
 //! All counters are process-global; each service invocation is one
 //! worker process, so `<n>` counts events within a single life.
@@ -24,50 +25,45 @@ use std::sync::OnceLock;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum KillSpec {
-    Checkpoint(u64),
     Journal(u64),
     Cycles(u64),
 }
 
-fn spec() -> Option<KillSpec> {
-    static SPEC: OnceLock<Option<KillSpec>> = OnceLock::new();
-    *SPEC.get_or_init(|| {
-        let raw = std::env::var("GLSC_SERVE_KILL").ok()?;
-        let (point, n) = raw.split_once(':')?;
-        let n: u64 = n.parse().ok()?;
-        match point {
-            "checkpoint" => Some(KillSpec::Checkpoint(n)),
-            "journal" => Some(KillSpec::Journal(n)),
-            "cycles" => Some(KillSpec::Cycles(n)),
-            _ => {
-                eprintln!("[kill] ignoring unknown GLSC_SERVE_KILL point {point:?}");
-                None
-            }
-        }
-    })
+static SPEC: OnceLock<Option<KillSpec>> = OnceLock::new();
+
+fn parse(raw: &str) -> Result<KillSpec, String> {
+    let bad =
+        |why: &str| format!("bad GLSC_SERVE_KILL={raw:?}: {why} (want journal:<n> or cycles:<c>)");
+    let (point, n) = raw.split_once(':').ok_or_else(|| bad("no ':'"))?;
+    let n: u64 = n.parse().map_err(|_| bad("not a number"))?;
+    match point {
+        "journal" => Ok(KillSpec::Journal(n)),
+        "cycles" => Ok(KillSpec::Cycles(n)),
+        _ => Err(bad("unknown point")),
+    }
 }
 
-static CHECKPOINTS: AtomicU64 = AtomicU64::new(0);
+/// Reads and validates `GLSC_SERVE_KILL` once. Unset (or empty) arms
+/// nothing; a malformed value or an unknown point is an error.
+pub fn arm_from_env() -> Result<(), String> {
+    let spec = match std::env::var("GLSC_SERVE_KILL") {
+        Ok(raw) if !raw.is_empty() => Some(parse(&raw)?),
+        _ => None,
+    };
+    let _ = SPEC.set(spec);
+    Ok(())
+}
+
+fn spec() -> Option<KillSpec> {
+    SPEC.get().copied().flatten()
+}
+
 static JOURNAL_APPENDS: AtomicU64 = AtomicU64::new(0);
 static ABORT_AFTER_APPEND: AtomicU64 = AtomicU64::new(0);
 
 fn die(what: &str) -> ! {
     eprintln!("[kill] injected crash: {what}");
     std::process::abort();
-}
-
-/// Called once per checkpoint write. Returns `true` when this write must
-/// be torn (the caller writes half the bytes to the final name, syncs,
-/// and then calls [`abort_now`]).
-pub(crate) fn tear_this_checkpoint() -> bool {
-    let n = CHECKPOINTS.fetch_add(1, Ordering::SeqCst) + 1;
-    matches!(spec(), Some(KillSpec::Checkpoint(target)) if n == target)
-}
-
-/// Aborts the process after a torn checkpoint write has been made
-/// durable.
-pub(crate) fn abort_now(what: &str) -> ! {
-    die(what)
 }
 
 /// Journal-append hook: passes the frame through untouched normally; on

@@ -1,35 +1,35 @@
 //! # glsc-serve — crash-durable simulation service
 //!
-//! A supervised job daemon over the simulator: long sweeps checkpoint
-//! every N cycles into versioned, checksummed snapshot files, every job
-//! state transition is write-ahead journaled, and a `kill -9` at *any*
-//! point — mid-checkpoint, mid-journal-append, mid-run — costs at most
-//! the work since the last checkpoint. Restarting the service resumes
-//! where the journal says things stood and produces output
-//! byte-identical to a run that was never interrupted; the kill-drill
-//! oracle in `tests/` proves this for every kernel × Fig. 6 shape,
-//! chaos counters included.
+//! A supervised job daemon over the simulator: every job state
+//! transition is write-ahead journaled, finished reports land in a
+//! result store, and a `kill -9` at *any* point — mid-journal-append,
+//! mid-run — costs at most the runs that were in flight. Restarting the
+//! service serves every journaled-done job from the store and reruns
+//! the rest from their specs; simulations are deterministic, so the
+//! output is byte-identical to a run that was never interrupted. The
+//! kill-drill oracle in `tests/` proves this for every kernel × Fig. 6
+//! shape, chaos counters included.
 //!
 //! Layers (DESIGN.md §14):
 //!
 //! * [`journal`] — append-only WAL with per-record checksums; a torn
 //!   tail decodes as "the append never happened".
 //! * [`service`] — the supervisor: fleet-routed sliced execution
-//!   (config-affine slots), checkpoint cadence, wall/cycle deadlines
+//!   (config-affine slots), wall/cycle deadlines per attempt
 //!   ([`glsc_bench::JobError::Deadline`]), seeded backoff retries,
 //!   poison-job quarantine, SIGTERM drain.
 //! * [`queue`] — bounded, priority-aware admission in front of the
 //!   fleet; overload becomes typed `SHED` decisions, not memory growth.
 //! * [`proto`] — the framed request/reply protocol `serve` speaks over
 //!   stdin or a Unix socket; hostile frames map to typed errors.
-//! * `kill` — deterministic crash injection (`GLSC_SERVE_KILL`) for the
+//! * [`kill`] — deterministic crash injection (`GLSC_SERVE_KILL`) for the
 //!   drill harness.
 //! * [`signal`] — the SIGTERM flag the drain path polls.
 
 #![warn(missing_docs)]
 
 pub mod journal;
-mod kill;
+pub mod kill;
 pub mod proto;
 pub mod queue;
 pub mod service;

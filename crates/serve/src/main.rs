@@ -18,9 +18,8 @@
 //!   --memory-order M       consistency model: sc|tso|relaxed
 //!                          (default: sc; non-SC ids get a -tso/-relaxed
 //!                          suffix so they never alias SC results)
-//!   --checkpoint-every N   checkpoint cadence in cycles (default: 20000)
 //!   --deadline-wall-ms N   per-attempt wall-clock budget
-//!   --deadline-cycles N    absolute simulated-cycle budget per job
+//!   --deadline-cycles N    per-attempt simulated-cycle budget
 //!   --max-failures K       failures before quarantine (default: 3)
 //!   --chaos-seed S         run every job under a seeded fault plan
 //!   --seed S               retry-backoff jitter seed (default: 0)
@@ -35,17 +34,21 @@
 //! or a Unix socket: length-prefixed, FNV-64-checksummed frames carrying
 //! job submissions, with typed shed/reject replies and streamed results.
 //! Exit code 0 on a clean sweep, SIGTERM drain, or client-requested
-//! shutdown; 1 when any sweep job failed or was quarantined. Killing the
-//! process at any moment is safe: rerunning resumes from the journal and
-//! checkpoints, queued-but-unstarted submissions are re-queued, and the
-//! output is byte-identical to what an uninterrupted run would have
-//! printed.
+//! shutdown; 1 when any sweep job failed or was quarantined; 2 on a
+//! usage error. Killing the process at any moment is safe: rerunning
+//! replays the journal, serves finished jobs from the result store,
+//! reruns every unfinished job from its spec (queued-but-unstarted
+//! submissions included), and prints output byte-identical to what an
+//! uninterrupted run would have printed.
+//!
+//! `GLSC_SERVE_KILL=journal:<n>|cycles:<c>` injects a crash for the kill
+//! drills (see `glsc_serve::kill`); any other value is a usage error.
 
 use glsc_bench::jobspec::WireJobSpec;
 use glsc_kernels::{Dataset, Variant, KERNEL_NAMES};
 use glsc_serve::proto::{read_message, write_message, Reply, Request};
 use glsc_serve::session::{run_session, SessionEnd};
-use glsc_serve::{print_sweep, run_sweep, signal, JobSpec, ServiceConfig};
+use glsc_serve::{kill, print_sweep, run_sweep, signal, JobSpec, ServiceConfig};
 use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -73,7 +76,6 @@ struct Args {
     width: usize,
     dataset: Dataset,
     memory_order: glsc_sim::MemoryOrder,
-    checkpoint_every: u64,
     deadline_wall_ms: Option<u64>,
     deadline_cycles: Option<u64>,
     max_failures: u32,
@@ -99,7 +101,6 @@ fn parse_args() -> Args {
         width: 4,
         dataset: Dataset::Tiny,
         memory_order: glsc_sim::MemoryOrder::Sc,
-        checkpoint_every: 20_000,
         deadline_wall_ms: None,
         deadline_cycles: None,
         max_failures: 3,
@@ -187,13 +188,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|e| usage(&format!("{e}")))
             }
-            "--checkpoint-every" => {
-                args.checkpoint_every = value("--checkpoint-every")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("bad --checkpoint-every"))
-            }
             "--deadline-wall-ms" => {
                 args.deadline_wall_ms = Some(
                     value("--deadline-wall-ms")
@@ -261,7 +255,6 @@ fn service_config(args: &Args) -> ServiceConfig {
         usage("--state-dir (or GLSC_SERVE_DIR) is required");
     };
     let mut cfg = ServiceConfig::new(state_dir);
-    cfg.checkpoint_every = args.checkpoint_every;
     cfg.deadline_wall_ms = args.deadline_wall_ms;
     cfg.deadline_cycles = args.deadline_cycles;
     cfg.max_failures = args.max_failures;
@@ -273,6 +266,9 @@ fn service_config(args: &Args) -> ServiceConfig {
 
 fn main() {
     signal::install_term_handler();
+    if let Err(e) = kill::arm_from_env() {
+        usage(&e);
+    }
     let args = parse_args();
     match args.cmd {
         Cmd::Sweep => cmd_sweep(&args),

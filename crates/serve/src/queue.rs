@@ -2,7 +2,7 @@
 //! the fleet (DESIGN.md §15).
 //!
 //! The queue is the service's only elastic buffer — everything behind it
-//! (fleet slots, checkpoints, the journal) is sized by configuration, so
+//! (fleet slots, the journal) is sized by configuration, so
 //! overload pressure must be absorbed *here*, as typed `SHED` decisions,
 //! instead of as unbounded memory growth or latency. The policy:
 //!

@@ -3,17 +3,20 @@
 //! One [`JobSpec`] per simulation; the supervisor routes every round of
 //! attempts through the fleet engine ([`glsc_sim::Fleet`]) — jobs are
 //! grouped into config-affine slots and advance in batched quanta of
-//! `checkpoint_every` cycles, so a sweep amortizes machine construction
-//! and dataset mounting exactly as the bench harness does. At every
-//! quantum boundary the supervisor writes a durable checkpoint
-//! (tmp+rename of the versioned, checksummed snapshot envelope) and
-//! journals every state transition (`accepted → running{checkpoint} →
-//! done | quarantined`). A restart — crash or drain — replays the
-//! journal, resumes every live job from its last intact checkpoint
-//! ([`FleetJob::with_snapshot`]), reprints finished jobs from the result
-//! store, and produces output byte-identical to an uninterrupted run
-//! (the kill-drill oracle in `tests/` pins this for every kernel ×
-//! Fig. 6 shape).
+//! `FLEET_QUANTUM` (1,024) cycles, so a sweep amortizes machine
+//! construction and dataset mounting exactly as the bench harness does.
+//! Every job state transition is write-ahead journaled (`accepted →
+//! done | quarantined`, with `failed` marks in between); a finished
+//! report goes to the result store before its `done` record is appended.
+//!
+//! Recovery is a rerun. A restart — crash or drain — replays the
+//! journal, reprints every `done` job from the result store, and reruns
+//! every other job from its spec (a chaos job from its fault-plan seed).
+//! Simulations are deterministic, so the output is byte-identical to an
+//! uninterrupted run (the kill-drill oracle in `tests/` pins this for
+//! every kernel × Fig. 6 shape). Nothing about a run in flight is
+//! persisted: no job is long enough for a mid-run checkpoint to cost
+//! less than simply simulating it again.
 //!
 //! Failure policy: a panicking, sim-erroring, or deadline-tripping
 //! attempt appends a `Failed` record and retries next round after the
@@ -30,28 +33,31 @@ use glsc_bench::{backoff_jittered_ms, JobError, JobStore};
 use glsc_kernels::{build_named, Dataset, Variant, Workload};
 use glsc_sim::{
     BackingBase, ChaosConfig, FaultPlan, Fleet, FleetFailure, FleetJob, Machine, MachineConfig,
-    MachineSnapshot, PauseCtl, RunReport,
+    PauseCtl, RunReport,
 };
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Simulated cycles each live fleet member advances between supervision
+/// pauses. Results do not depend on it; it only sets how promptly a
+/// drain, a deadline, or an injected `cycles:` kill is noticed — short
+/// enough to land inside the shortest tiny job, long enough that the
+/// pause hook costs nothing measurable.
+const FLEET_QUANTUM: u64 = 1_024;
 
 /// Service-wide knobs.
 #[derive(Debug)]
 pub struct ServiceConfig {
-    /// Root of all durable state: `journal.log`, `checkpoints/`, `cache/`.
+    /// Root of all durable state: `journal.log` and `cache/`.
     pub state_dir: PathBuf,
-    /// Checkpoint cadence in simulated cycles — also the fleet stepping
-    /// quantum. Smaller = less lost work on a crash, more encode/write
-    /// overhead (measured by the `simperf` bench's recovery part).
-    pub checkpoint_every: u64,
     /// Per-attempt wall-clock budget; `None` = unlimited.
     pub deadline_wall_ms: Option<u64>,
-    /// Absolute simulated-cycle budget per job; `None` = unlimited. A
-    /// wedged job trips this on every attempt (resuming past the limit
-    /// re-trips immediately), burns its failure budget, and quarantines.
+    /// Simulated-cycle budget per attempt; `None` = unlimited. Every
+    /// attempt starts at cycle 0, so a wedged job trips this on every
+    /// attempt, burns its failure budget, and quarantines.
     pub deadline_cycles: Option<u64>,
     /// Failures (across restarts) before a job is quarantined.
     pub max_failures: u32,
@@ -65,12 +71,11 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Defaults: checkpoint every 20k cycles, no deadlines, quarantine
-    /// after 3 failures, seed 0, fleet width 4, queue capacity 64.
+    /// Defaults: no deadlines, quarantine after 3 failures, seed 0, fleet
+    /// width 4, queue capacity 64.
     pub fn new(state_dir: PathBuf) -> Self {
         Self {
             state_dir,
-            checkpoint_every: 20_000,
             deadline_wall_ms: None,
             deadline_cycles: None,
             max_failures: 3,
@@ -84,7 +89,7 @@ impl ServiceConfig {
 /// One supervised simulation.
 pub struct JobSpec {
     /// Stable, filesystem-safe id; names the job in the journal, the
-    /// checkpoint file, the result cache, and the sweep table.
+    /// result cache, and the sweep table.
     pub id: String,
     /// What to simulate and how to validate it.
     pub workload: Workload,
@@ -271,9 +276,8 @@ pub fn print_sweep(jobs: &[JobSpec], report: &SweepReport, out: &mut impl std::i
 struct JobState {
     ledger: JobLedger,
     key: String,
-    /// Checkpoint sequence counter, resumed from the journal.
-    seq: u64,
-    /// Wall-deadline clock, armed at the job's first pause this process.
+    /// Wall-deadline clock, armed at the first pause of each attempt and
+    /// cleared when the attempt fails.
     started: Option<Instant>,
     outcome: Option<Result<JobResult, JobError>>,
 }
@@ -290,10 +294,10 @@ struct RoundCtx<'a, F> {
     on_result: &'a mut F,
     /// Jobs that failed this round but still have retry budget.
     retried: Vec<usize>,
-    /// First checkpoint/journal write error; halts the fleet and is
-    /// re-raised once the round unwinds.
+    /// First journal write error; halts the fleet and is re-raised once
+    /// the round unwinds.
     io_err: Option<std::io::Error>,
-    /// A TERM was observed mid-round; in-flight members checkpointed.
+    /// A TERM was observed mid-round; in-flight attempts were dropped.
     drained: bool,
 }
 
@@ -309,6 +313,7 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
             return;
         }
         let st = &mut self.states[gi];
+        st.started = None;
         st.ledger.failures += 1;
         if st.ledger.failures >= self.svc.max_failures {
             if let Err(e) = self.journal.append(&JournalRecord::Quarantined {
@@ -333,85 +338,44 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
         }
     }
 
-    /// The drain path: checkpoint this member and stop the fleet. The
-    /// fleet re-offers every other live member to the pause hook before
-    /// halting, so all in-flight slots checkpoint, and queued-but-unstarted
-    /// jobs are never mounted (their journal state — accepted or pending —
-    /// already promises them a run on restart).
-    fn drain_member(&mut self, gi: usize, machine: &Machine) -> PauseCtl {
-        self.drained = true;
-        let st = &mut self.states[gi];
-        st.seq += 1;
-        let seq = st.seq;
-        match write_checkpoint(self.svc, self.journal, &self.jobs[gi].id, machine, seq) {
-            Ok(()) => {
-                self.states[gi].ledger.checkpoint = Some((seq, machine.cycle()));
-                eprintln!(
-                    "[serve] {}: drained at cycle {} (checkpoint #{seq})",
-                    self.jobs[gi].id,
-                    machine.cycle()
-                );
-            }
-            Err(e) => {
-                self.io_err.get_or_insert(e);
-            }
-        }
-        PauseCtl::Halt
-    }
-
-    /// Quantum-boundary hook: drain signal, deadlines, checkpoint.
+    /// Quantum-boundary hook: injected kill, drain signal, deadlines.
     fn on_pause(&mut self, gi: usize, machine: &mut Machine) -> PauseCtl {
         if self.io_err.is_some() {
             return PauseCtl::Halt;
         }
         kill::check_cycles(machine.cycle());
         if signal::term_requested() {
-            return self.drain_member(gi, machine);
+            // Drop every attempt in flight: the journal still holds them
+            // as not done, so the next start reruns them from their
+            // specs.
+            self.drained = true;
+            return PauseCtl::Halt;
         }
         let job = &self.jobs[gi];
         let failures = self.states[gi].ledger.failures;
-        if let Some(limit) = job.deadline_cycles.or(self.svc.deadline_cycles) {
-            if machine.cycle() >= limit {
-                let e = JobError::Deadline {
-                    index: gi,
-                    attempts: failures + 1,
-                    wall_ms: None,
-                    cycles: Some(limit),
-                };
-                let reason = e.message();
-                eprintln!("[serve] {}: {reason}", job.id);
-                self.record_failure(gi, reason);
-                return PauseCtl::FailJob;
-            }
-        }
         let started = *self.states[gi].started.get_or_insert_with(Instant::now);
-        if let Some(limit) = job.deadline_wall_ms.or(self.svc.deadline_wall_ms) {
-            if started.elapsed().as_millis() as u64 >= limit {
-                let e = JobError::Deadline {
-                    index: gi,
-                    attempts: failures + 1,
-                    wall_ms: Some(limit),
-                    cycles: None,
-                };
-                let reason = e.message();
-                eprintln!("[serve] {}: {reason}", job.id);
-                self.record_failure(gi, reason);
-                return PauseCtl::FailJob;
-            }
-        }
-        let st = &mut self.states[gi];
-        st.seq += 1;
-        let seq = st.seq;
-        match write_checkpoint(self.svc, self.journal, &job.id, machine, seq) {
-            Ok(()) => {
-                self.states[gi].ledger.checkpoint = Some((seq, machine.cycle()));
-                PauseCtl::Continue
-            }
-            Err(e) => {
-                self.io_err.get_or_insert(e);
-                PauseCtl::Halt
-            }
-        }
+        let cycle_limit = job.deadline_cycles.or(self.svc.deadline_cycles);
+        let wall_limit = job.deadline_wall_ms.or(self.svc.deadline_wall_ms);
+        let tripped = if cycle_limit.is_some_and(|limit| machine.cycle() >= limit) {
+            Some((None, cycle_limit))
+        } else if wall_limit.is_some_and(|limit| started.elapsed().as_millis() as u64 >= limit) {
+            Some((wall_limit, None))
+        } else {
+            None
+        };
+        let Some((wall_ms, cycles)) = tripped else {
+            return PauseCtl::Continue;
+        };
+        let e = JobError::Deadline {
+            index: gi,
+            attempts: failures + 1,
+            wall_ms,
+            cycles,
+        };
+        let reason = format!("{} (stopped at cycle {})", e.message(), machine.cycle());
+        eprintln!("[serve] {}: {reason}", job.id);
+        self.record_failure(gi, reason);
+        PauseCtl::FailJob
     }
 
     /// Completion hook: validate, persist, journal, stream the result.
@@ -450,7 +414,6 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
                     self.io_err.get_or_insert(e);
                     return;
                 }
-                let _ = std::fs::remove_file(checkpoint_path(&self.svc.state_dir, &job.id));
                 let outcome = Ok(JobResult { report, chaos });
                 (self.on_result)(gi, &outcome);
                 self.states[gi].outcome = Some(outcome);
@@ -470,9 +433,9 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
 
 /// The fleet-routed supervision engine shared by the sweep CLI
 /// ([`run_sweep`]) and the protocol front-end: every round routes the
-/// still-pending jobs through [`Fleet::run_each_supervised`] with
-/// checkpoints at quantum boundaries, then retries failures with seeded
-/// backoff until each job is done, quarantined, or the service drains.
+/// still-pending jobs through [`Fleet::run_each_supervised`], each from
+/// the start of its spec, then retries failures with seeded backoff
+/// until each job is done, quarantined, or the service drains.
 ///
 /// `on_result(index, outcome)` streams each job's final outcome the
 /// moment it is durable (journaled + cached), in completion order — the
@@ -543,13 +506,9 @@ where
         states.push(JobState {
             ledger,
             key,
-            seq: 0,
             started: None,
             outcome,
         });
-    }
-    for st in &mut states {
-        st.seq = st.ledger.checkpoint.map_or(0, |(seq, _)| seq);
     }
 
     let mut drained = false;
@@ -568,24 +527,19 @@ where
             break;
         }
 
-        // Mount the round: checkpointed jobs resume from their snapshot,
-        // fresh jobs share published copy-on-write dataset bases.
+        // Mount the round: every attempt starts from its spec, sharing
+        // published copy-on-write dataset bases.
         let mut published: HashMap<u64, Arc<BackingBase>> = HashMap::new();
         let mut fleet_jobs = Vec::with_capacity(pending.len());
         for &gi in &pending {
             let job = &jobs[gi];
-            let mut fj = FleetJob::new(job.cfg.clone(), job.workload.program.clone());
-            match load_snapshot(svc, &states[gi].ledger, &job.id) {
-                Some(snap) => fj = fj.with_snapshot(Arc::new(snap)),
-                None => {
-                    let base = published
-                        .entry(job.workload.image.fingerprint())
-                        .or_insert_with(|| job.workload.image.publish());
-                    fj = fj.with_base(Arc::clone(base));
-                    if let Some(seed) = job.chaos {
-                        fj = fj.with_fault_plan(FaultPlan::new(ChaosConfig::from_seed(seed)));
-                    }
-                }
+            let base = published
+                .entry(job.workload.image.fingerprint())
+                .or_insert_with(|| job.workload.image.publish());
+            let mut fj = FleetJob::new(job.cfg.clone(), job.workload.program.clone())
+                .with_base(Arc::clone(base));
+            if let Some(seed) = job.chaos {
+                fj = fj.with_fault_plan(FaultPlan::new(ChaosConfig::from_seed(seed)));
             }
             fleet_jobs.push(fj);
         }
@@ -602,7 +556,7 @@ where
             drained: false,
         });
         Fleet::new()
-            .with_quantum(svc.checkpoint_every)
+            .with_quantum(FLEET_QUANTUM)
             .with_width(svc.fleet_width)
             .run_each_supervised(
                 fleet_jobs,
@@ -638,70 +592,6 @@ where
     Ok((states.into_iter().map(|s| s.outcome).collect(), drained))
 }
 
-fn checkpoint_path(state_dir: &Path, id: &str) -> PathBuf {
-    state_dir.join("checkpoints").join(format!("{id}.ckpt"))
-}
-
-/// Loads the job's checkpoint if one is announced and intact. Any damage
-/// (torn write on a non-atomic filesystem, bit rot, version skew) is a
-/// logged fallback to a fresh run, never a crash or garbage state.
-fn load_snapshot(svc: &ServiceConfig, ledger: &JobLedger, id: &str) -> Option<MachineSnapshot> {
-    let (seq, cycle) = ledger.checkpoint?;
-    let path = checkpoint_path(&svc.state_dir, id);
-    match std::fs::read(&path) {
-        Ok(bytes) => match MachineSnapshot::from_bytes(&bytes) {
-            Ok(snap) => {
-                eprintln!("[serve] {id}: resuming from checkpoint #{seq} at cycle {cycle}");
-                Some(snap)
-            }
-            Err(e) => {
-                eprintln!("[serve] {id}: checkpoint #{seq} unusable ({e}); starting fresh");
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        },
-        Err(e) => {
-            eprintln!("[serve] {id}: checkpoint #{seq} unreadable ({e}); starting fresh");
-            None
-        }
-    }
-}
-
-/// Writes one durable checkpoint: encode, tmp+rename, fsync, journal.
-/// The kill hook may turn this into a torn write + abort (see
-/// [`crate::kill`]).
-fn write_checkpoint(
-    cfg: &ServiceConfig,
-    journal: &mut Journal,
-    id: &str,
-    machine: &Machine,
-    seq: u64,
-) -> std::io::Result<()> {
-    let path = checkpoint_path(&cfg.state_dir, id);
-    // `checkpoint_path` always joins two components, but a hostile id
-    // reaching here must degrade to an IO error, never a panic.
-    let parent = path.parent().ok_or_else(|| {
-        std::io::Error::other(format!("checkpoint path {} has no parent", path.display()))
-    })?;
-    std::fs::create_dir_all(parent)?;
-    let bytes = machine.snapshot().to_bytes();
-    if kill::tear_this_checkpoint() {
-        // Simulate a non-atomic filesystem: half the snapshot lands
-        // under the final name, then the process dies.
-        std::fs::write(&path, &bytes[..bytes.len() / 2])?;
-        kill::abort_now("mid-checkpoint");
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, &path)?;
-    journal.append(&JournalRecord::Running {
-        job: id.to_string(),
-        seq,
-        cycle: machine.cycle(),
-    })?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,9 +608,9 @@ mod tests {
 
     #[test]
     fn sweep_matches_unsupervised_run() {
+        let _flag = signal::term_flag_shared();
         let dir = tmp_dir("clean");
-        let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.checkpoint_every = 2_000;
+        let cfg = ServiceConfig::new(dir.clone());
         let jobs = vec![fig6_job()];
         let report = run_sweep(&cfg, &jobs).unwrap();
         let solo = glsc_kernels::run_workload(&jobs[0].workload, &jobs[0].cfg).unwrap();
@@ -728,6 +618,10 @@ mod tests {
         assert_eq!(got.report, solo.report);
         assert_eq!(got.chaos, None);
         assert_eq!(report.exit_code(), 0);
+        assert!(
+            !dir.join("checkpoints").exists(),
+            "the service must not write mid-run checkpoints"
+        );
 
         // A second sweep over the same state dir serves from the store
         // and prints the same table.
@@ -743,9 +637,9 @@ mod tests {
 
     #[test]
     fn wedged_job_deadlines_then_quarantines_and_sweep_degrades() {
+        let _flag = signal::term_flag_shared();
         let dir = tmp_dir("wedge");
         let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.checkpoint_every = 1_000;
         cfg.max_failures = 3;
         let jobs = vec![JobSpec::wedged(), fig6_job()];
         let report = run_sweep(&cfg, &jobs).unwrap();
@@ -791,10 +685,56 @@ mod tests {
     }
 
     #[test]
-    fn drain_checkpoints_and_next_run_finishes_identically() {
-        let dir = tmp_dir("drain");
+    fn wall_deadline_is_a_per_attempt_budget() {
+        // Regression: the wall clock used to start at a job's first pause
+        // and never restart, so once one attempt had used up the budget
+        // every retry tripped at its own first pause and the job was
+        // quarantined without its retries getting any run time. Each
+        // attempt reruns from cycle 0, so each needs the whole budget.
+        let _flag = signal::term_flag_shared();
+        let dir = tmp_dir("wall");
         let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.checkpoint_every = 1_000;
+        cfg.max_failures = 3;
+        let mut wedge = JobSpec::wedged();
+        wedge.deadline_cycles = None;
+        wedge.deadline_wall_ms = Some(30);
+        let report = run_sweep(&cfg, &[wedge]).unwrap();
+        assert!(
+            matches!(
+                report.outcomes[0],
+                Some(Err(JobError::Quarantined { failures: 3, .. }))
+            ),
+            "{:?}",
+            report.outcomes[0]
+        );
+        let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
+        let stops: Vec<u64> = records
+            .iter()
+            .filter_map(|r| match r {
+                JournalRecord::Failed { reason, .. } => {
+                    assert!(reason.contains("30 ms wall-clock deadline"), "{reason}");
+                    let (_, cycle) = reason.rsplit_once("stopped at cycle ")?;
+                    cycle.trim_end_matches(')').parse().ok()
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stops.len(), 3, "{records:?}");
+        for (attempt, cycle) in stops.iter().enumerate() {
+            assert!(
+                *cycle > FLEET_QUANTUM,
+                "attempt {} tripped at its first pause (cycle {cycle})",
+                attempt + 1
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_drops_in_flight_work_and_next_run_finishes_identically() {
+        let _flag = signal::term_flag_exclusive();
+        let dir = tmp_dir("drain");
+        let cfg = ServiceConfig::new(dir.clone());
         let jobs = vec![fig6_job()];
 
         // First run drains immediately: the TERM flag is set before the
@@ -813,15 +753,15 @@ mod tests {
         let report = run_sweep(&cfg, &jobs).unwrap();
         let got = report.outcomes[0].as_ref().unwrap().as_ref().unwrap();
         let solo = glsc_kernels::run_workload(&jobs[0].workload, &jobs[0].cfg).unwrap();
-        assert_eq!(got.report, solo.report, "resumed-from-drain run diverged");
+        assert_eq!(got.report, solo.report, "rerun after the drain diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn chaos_job_reports_counters_and_resumes_bit_identically() {
+        let _flag = signal::term_flag_shared();
         let dir = tmp_dir("chaos");
-        let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.checkpoint_every = 3_000;
+        let cfg = ServiceConfig::new(dir.clone());
         let jobs =
             vec![
                 JobSpec::kernel("GBC", Dataset::Tiny, Variant::Glsc, (2, 2), 4, Some(0x5EED))
@@ -845,9 +785,9 @@ mod tests {
 
     #[test]
     fn results_stream_as_they_become_durable() {
+        let _flag = signal::term_flag_shared();
         let dir = tmp_dir("stream");
-        let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.checkpoint_every = 2_000;
+        let cfg = ServiceConfig::new(dir.clone());
         let jobs = vec![fig6_job()];
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
         let store = JobStore::at(cfg.state_dir.join("cache"), true);

@@ -21,10 +21,10 @@
 //!   jobs — the run finishes durably, and a reconnecting client
 //!   resubmitting the same specs is served from the result store
 //!   without a single cycle re-simulated;
-//! * a `SIGTERM` drains: in-flight fleet slots checkpoint, and
-//!   queued-but-unstarted jobs stay journaled as `Submitted`-pending, so
-//!   the next service start re-queues and runs them even if the client
-//!   never returns.
+//! * a `SIGTERM` drains: runs in flight are dropped, and every job
+//!   without a `Done` record stays journaled as `Submitted`-pending, so
+//!   the next service start re-queues and runs it from its spec even if
+//!   the client never returns.
 
 use crate::journal::{replay, JobLedger, Journal, JournalRecord};
 use crate::proto::{read_message, write_message, FrameError, Reply, Request};
@@ -51,7 +51,7 @@ pub enum SessionEnd {
 
 /// Runs one session over any byte stream (stdin/stdout or a Unix socket
 /// connection). Returns how the session ended; IO errors from the
-/// *durable* side (journal, checkpoints) are real errors, while client
+/// *durable* side (journal, result store) are real errors, while client
 /// write failures only mark the client gone — accepted jobs always run
 /// to durability.
 pub fn run_session(
@@ -340,7 +340,7 @@ fn spec_to_job(spec: &WireJobSpec) -> Result<JobSpec, String> {
     job.id = spec.id();
     // The consistency model reaches the machine through the config; the
     // wire id already carries the `-tso`/`-relaxed` suffix, so relaxed
-    // jobs key their own journal ledgers, checkpoints, and cache rows.
+    // jobs key their own journal ledgers and cache rows.
     job.cfg = job.cfg.with_memory_order(spec.memory_order);
     job.deadline_cycles = spec.deadline_cycles;
     job.deadline_wall_ms = spec.deadline_wall_ms;
@@ -475,7 +475,6 @@ mod tests {
 
     fn small_cfg(dir: &std::path::Path) -> ServiceConfig {
         let mut cfg = ServiceConfig::new(dir.to_path_buf());
-        cfg.checkpoint_every = 2_000;
         cfg.queue_capacity = 2;
         cfg
     }
@@ -498,6 +497,7 @@ mod tests {
 
     #[test]
     fn submit_run_streams_result_and_summary() {
+        let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("basic");
         let cfg = small_cfg(&dir);
         let mut input = Vec::new();
@@ -542,6 +542,7 @@ mod tests {
 
     #[test]
     fn overflow_is_shed_and_bad_frames_get_typed_errors() {
+        let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("shed");
         let cfg = small_cfg(&dir); // capacity 2
         let mut input = Vec::new();
@@ -606,6 +607,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_still_runs_accepted_jobs_durably() {
+        let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("trunc");
         let cfg = small_cfg(&dir);
         let mut input = Vec::new();
@@ -668,6 +670,7 @@ mod tests {
 
     #[test]
     fn queue_entry_that_no_longer_lowers_streams_a_typed_failure() {
+        let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("lower");
         let cfg = small_cfg(&dir);
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
@@ -719,6 +722,7 @@ mod tests {
 
     #[test]
     fn tso_job_runs_under_tso_and_keys_its_own_id() {
+        let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("tso");
         let cfg = small_cfg(&dir);
         let mut spec = hip_spec();
@@ -755,6 +759,7 @@ mod tests {
 
     #[test]
     fn shutdown_leaves_queued_jobs_pending_for_next_start() {
+        let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("pending");
         let cfg = small_cfg(&dir);
         let mut input = Vec::new();

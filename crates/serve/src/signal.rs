@@ -1,9 +1,9 @@
 //! SIGTERM handling for clean shutdown.
 //!
 //! The handler only sets an atomic flag; the supervisor polls it at
-//! every pause (checkpoint boundary), drains — checkpoints the live
-//! machine, journals the state — and exits 0. No allocation, locking,
-//! or IO happens in signal context.
+//! every fleet pause and drains: it drops the runs in flight (the
+//! journal still holds them as not done, so the next start reruns them)
+//! and exits 0. No allocation, locking, or IO happens in signal context.
 //!
 //! Raw `signal(2)` FFI keeps the crate dependency-free: the function is
 //! in the C library every Rust binary on this platform already links.
@@ -47,4 +47,23 @@ pub fn request_term() {
 /// tests run many sweeps in one process).
 pub fn clear_term_for_tests() {
     TERM.store(false, Ordering::SeqCst);
+}
+
+/// Test-only guard around the process-global flag: tests that run the
+/// supervisor or a session hold it shared, a test that raises the flag
+/// holds it exclusively, so a drain drill never drains a neighbour.
+#[cfg(test)]
+static TERM_FLAG_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+/// Shared hold on the flag (see [`TERM_FLAG_LOCK`]). The guarded value
+/// is `()`, so a lock poisoned by a failed test is safe to reuse.
+#[cfg(test)]
+pub(crate) fn term_flag_shared() -> std::sync::RwLockReadGuard<'static, ()> {
+    TERM_FLAG_LOCK.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Exclusive hold on the flag, for a test that raises it.
+#[cfg(test)]
+pub(crate) fn term_flag_exclusive() -> std::sync::RwLockWriteGuard<'static, ()> {
+    TERM_FLAG_LOCK.write().unwrap_or_else(|e| e.into_inner())
 }

@@ -1,9 +1,9 @@
 //! Process-level drills for the two supervised-shutdown paths that the
 //! kill-drill oracle does not cover:
 //!
-//! * **SIGTERM drain** — a real `kill -TERM` mid-sweep must checkpoint
-//!   live work, exit 0 printing nothing, and a rerun must finish with
-//!   output byte-identical to an uninterrupted run.
+//! * **SIGTERM drain** — a real `kill -TERM` mid-sweep must drop the
+//!   runs in flight, exit 0 printing nothing, and a rerun must finish
+//!   with output byte-identical to an uninterrupted run.
 //! * **Deadline → quarantine** — `--inject-wedged` plants a job that
 //!   never halts; the supervisor must trip its cycle deadline, retry
 //!   with backoff, quarantine it, degrade the sweep table to a `QUAR`
@@ -27,8 +27,6 @@ fn sweep_cmd(state: &std::path::Path, extra: &[&str]) -> Command {
     cmd.arg("sweep")
         .arg("--state-dir")
         .arg(state)
-        .arg("--checkpoint-every")
-        .arg("500")
         .args(extra)
         .env_remove("GLSC_SERVE_KILL");
     cmd

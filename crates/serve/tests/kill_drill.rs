@@ -3,15 +3,25 @@
 //! For every kernel × Fig. 6 shape: run the service worker to completion
 //! undisturbed (solo), then run it again in a fresh state dir while
 //! killing it — `kill -9` semantics via `abort()` — at hostile points
-//! (mid-journal-append, mid-checkpoint with a torn file under the final
-//! name, mid-run), restarting after each death. The final, undisturbed
-//! invocation must exit 0 and print a sweep table **byte-identical** to
-//! the solo run's. A second drill pins the same property for a chaos job
-//! whose injection counters ride the checkpoints.
+//! (mid-journal-append on the `Accepted` and on the `Done` record,
+//! mid-run), restarting after each death. Every injected kill must
+//! actually fire, and the final, undisturbed invocation must exit 0 and
+//! print a sweep table **byte-identical** to the solo run's. Recovery is
+//! a rerun from the journaled spec, so further drills pin that a chaos
+//! job reruns to the same counters, that a multi-job sweep never
+//! re-simulates a job it already finished, and that a state dir left by
+//! a checkpointing build reruns its jobs without reading the old
+//! checkpoint files.
 //!
 //! Set `GLSC_DRILL_KERNELS=HIP,GBC` to bound the matrix (CI smoke).
 
-use std::path::PathBuf;
+use glsc_bench::jobspec::WireJobSpec;
+use glsc_kernels::{Dataset, Variant};
+use glsc_serve::journal::{Journal, JournalRecord};
+use glsc_serve::JobSpec;
+use glsc_sim::{Machine, SlicedRun};
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
@@ -34,12 +44,12 @@ fn kernels() -> Vec<String> {
     }
 }
 
-/// One worker invocation: a single-job sweep over `state`, optionally
-/// with an injected kill.
-fn invoke(
-    state: &PathBuf,
-    kernel: &str,
-    shape: (usize, usize),
+/// One worker invocation: a sweep of `kernels` × `shapes` (the CLI's
+/// comma lists) over `state`, optionally with an injected kill.
+fn invoke_sweep(
+    state: &Path,
+    kernels: &str,
+    shapes: &str,
     extra: &[&str],
     kill: Option<&str>,
 ) -> Output {
@@ -48,11 +58,9 @@ fn invoke(
         .arg("--state-dir")
         .arg(state)
         .arg("--kernels")
-        .arg(kernel)
+        .arg(kernels)
         .arg("--shapes")
-        .arg(format!("{}x{}", shape.0, shape.1))
-        .arg("--checkpoint-every")
-        .arg("500")
+        .arg(shapes)
         .args(extra)
         .env_remove("GLSC_SERVE_KILL");
     if let Some(kill) = kill {
@@ -61,8 +69,47 @@ fn invoke(
     cmd.output().expect("spawn glsc-serve")
 }
 
+/// A single-job sweep.
+fn invoke(
+    state: &Path,
+    kernel: &str,
+    shape: (usize, usize),
+    extra: &[&str],
+    kill: Option<&str>,
+) -> Output {
+    let shape = format!("{}x{}", shape.0, shape.1);
+    invoke_sweep(state, kernel, &shape, extra, kill)
+}
+
 fn stdout_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn stderr_of(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The worker died of the injected kill — not of a usage error, a panic,
+/// or anything else that also exits nonzero.
+fn assert_killed(out: &Output, kill: &str, tag: &str) {
+    let err = stderr_of(out);
+    assert!(
+        !out.status.success() && err.contains("[kill] injected crash"),
+        "{tag}: injected kill {kill} did not kill the worker (status {:?}):\n{err}",
+        out.status
+    );
+}
+
+/// `Done` records per job id in the state dir's journal.
+fn done_counts(state: &Path) -> BTreeMap<String, usize> {
+    let (_, records) = Journal::open(&state.join("journal.log")).expect("journal opens");
+    let mut counts = BTreeMap::new();
+    for r in &records {
+        if let JournalRecord::Done { job, .. } = r {
+            *counts.entry(job.clone()).or_insert(0) += 1;
+        }
+    }
+    counts
 }
 
 /// Runs the solo baseline, then the kill gauntlet, and asserts the
@@ -73,32 +120,34 @@ fn drill(kernel: &str, shape: (usize, usize), extra: &[&str], tag: &str) {
     assert!(
         solo.status.success(),
         "{tag}: solo run failed: {}",
-        String::from_utf8_lossy(&solo.stderr)
+        stderr_of(&solo)
     );
     let solo_out = stdout_of(&solo);
     assert!(solo_out.contains("cycles"), "{tag}: empty solo table");
 
     let drill_dir = tmp_dir(&format!("drill-{tag}"));
-    // Mid-journal-append (first append torn), mid-checkpoint (second
-    // checkpoint torn *under the final name*, so recovery must detect
-    // the damage and degrade), and a plain mid-run kill.
-    for kill in ["journal:1", "checkpoint:2", "cycles:1500"] {
+    // Mid-journal-append on the first record (`Accepted` torn), then on
+    // the second (`Done` torn after the report reached the store, so
+    // recovery must not trust the store without the record), then a
+    // plain mid-run kill that throws the whole attempt away.
+    for kill in ["journal:1", "journal:2", "cycles:1500"] {
         let out = invoke(&drill_dir, kernel, shape, extra, Some(kill));
-        assert!(
-            !out.status.success(),
-            "{tag}: injected kill {kill} did not kill the worker"
-        );
+        assert_killed(&out, kill, tag);
     }
     let recovered = invoke(&drill_dir, kernel, shape, extra, None);
     assert!(
         recovered.status.success(),
         "{tag}: recovery run failed: {}",
-        String::from_utf8_lossy(&recovered.stderr)
+        stderr_of(&recovered)
     );
     assert_eq!(
         stdout_of(&recovered),
         solo_out,
         "{tag}: recovered sweep output differs from the uninterrupted run"
+    );
+    assert!(
+        !drill_dir.join("checkpoints").exists(),
+        "{tag}: the service wrote a checkpoints directory"
     );
     let _ = std::fs::remove_dir_all(&solo_dir);
     let _ = std::fs::remove_dir_all(&drill_dir);
@@ -120,9 +169,9 @@ fn kill_drill_every_kernel_and_shape() {
 
 #[test]
 fn kill_drill_chaos_counters_survive_recovery() {
-    // A fault plan's RNG state and injection counters ride the
-    // checkpoints; the recovered table (which prints the chaos line)
-    // must still match solo bit-for-bit.
+    // A chaos job reruns from its fault-plan seed after every death; the
+    // recovered table (which prints the chaos line) must still match
+    // solo bit-for-bit.
     let extra = ["--chaos-seed", "24333"];
     let solo_dir = tmp_dir("chaos-solo");
     let solo = invoke(&solo_dir, "GBC", (2, 2), &extra, None);
@@ -134,15 +183,17 @@ fn kill_drill_chaos_counters_survive_recovery() {
     );
 
     let drill_dir = tmp_dir("chaos-drill");
-    for kill in ["cycles:2000", "checkpoint:3", "journal:2", "cycles:6000"] {
+    // A life journals `Accepted` only the first time, so `journal:2`
+    // tears the first life's `Done` and `journal:1` a later life's.
+    for kill in ["journal:2", "cycles:2000", "journal:1", "cycles:6000"] {
         let out = invoke(&drill_dir, "GBC", (2, 2), &extra, Some(kill));
-        assert!(!out.status.success(), "kill {kill} did not fire");
+        assert_killed(&out, kill, "chaos");
     }
     let recovered = invoke(&drill_dir, "GBC", (2, 2), &extra, None);
     assert!(
         recovered.status.success(),
         "chaos recovery failed: {}",
-        String::from_utf8_lossy(&recovered.stderr)
+        stderr_of(&recovered)
     );
     assert_eq!(stdout_of(&recovered), solo_out);
     let _ = std::fs::remove_dir_all(&solo_dir);
@@ -164,14 +215,8 @@ fn randomized_kill_points_converge() {
     let mut rng = StdRng::seed_from_u64(0xD211);
     let mut deaths = 0;
     for round in 0..12 {
-        let point = rng.random_range(300..8_300u64);
-        let out = invoke(
-            &drill_dir,
-            "HIP",
-            (4, 4),
-            &[],
-            Some(&format!("cycles:{point}")),
-        );
+        let kill = format!("cycles:{}", rng.random_range(300..8_300u64));
+        let out = invoke(&drill_dir, "HIP", (4, 4), &[], Some(&kill));
         if out.status.success() {
             // The job finished before the kill point — done.
             assert_eq!(stdout_of(&out), solo_out, "round {round}");
@@ -179,6 +224,7 @@ fn randomized_kill_points_converge() {
             let _ = std::fs::remove_dir_all(&drill_dir);
             return;
         }
+        assert_killed(&out, &kill, &format!("round {round}"));
         deaths += 1;
     }
     assert!(deaths > 0);
@@ -187,4 +233,154 @@ fn randomized_kill_points_converge() {
     assert_eq!(stdout_of(&recovered), solo_out);
     let _ = std::fs::remove_dir_all(&solo_dir);
     let _ = std::fs::remove_dir_all(&drill_dir);
+}
+
+#[test]
+fn sweep_drill_never_resimulates_finished_jobs() {
+    // Four jobs in two config groups, stepped side by side: the 4x4 jobs
+    // (3k and 7k cycles) finish long before the 1x1 ones (32k and 39k).
+    // Each `cycles:` kill lands after some jobs are done; the journal
+    // must end with exactly one `Done` per job across every life, so no
+    // finished job was simulated twice.
+    let (kernels, shapes) = ("HIP,GBC", "1x1,4x4");
+    let solo_dir = tmp_dir("sweep-solo");
+    let solo = invoke_sweep(&solo_dir, kernels, shapes, &[], None);
+    assert!(solo.status.success(), "{}", stderr_of(&solo));
+    let solo_out = stdout_of(&solo);
+    assert!(solo_out.contains("== 4 ok, 0 failed =="), "{solo_out}");
+
+    let dir = tmp_dir("sweep-drill");
+    let mut finished = 0;
+    for kill in ["cycles:20000", "cycles:35000"] {
+        let out = invoke_sweep(&dir, kernels, shapes, &[], Some(kill));
+        assert_killed(&out, kill, "sweep");
+        let done = done_counts(&dir);
+        assert!(
+            done.values().all(|&n| n == 1),
+            "{kill}: a job finished twice: {done:?}"
+        );
+        assert!(
+            done.len() > finished && done.len() < 4,
+            "{kill}: expected some but not all jobs done, got {done:?}"
+        );
+        finished = done.len();
+    }
+    let recovered = invoke_sweep(&dir, kernels, shapes, &[], None);
+    assert!(recovered.status.success(), "{}", stderr_of(&recovered));
+    assert_eq!(stdout_of(&recovered), solo_out);
+    let done = done_counts(&dir);
+    assert_eq!(done.len(), 4, "{done:?}");
+    assert!(
+        done.values().all(|&n| n == 1),
+        "a finished job was re-simulated: {done:?}"
+    );
+    let _ = std::fs::remove_dir_all(&solo_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Encoded snapshot of `job` after `cycles` simulated cycles.
+fn snapshot_bytes(job: &JobSpec, cycles: u64) -> Vec<u8> {
+    let mut m = Machine::new(job.cfg.clone());
+    job.workload.image.apply(m.mem_mut().backing_mut());
+    m.load_program(job.workload.program.clone());
+    let mut run = SlicedRun::new(&m);
+    let report = m.run_for(&mut run, cycles).expect("slice runs");
+    assert!(
+        report.is_none(),
+        "{} finished within {cycles} cycles",
+        job.id
+    );
+    m.snapshot().to_bytes()
+}
+
+#[test]
+fn legacy_checkpointing_state_dir_reruns_from_spec() {
+    // A state dir as a checkpointing build left it when it died mid-run:
+    // each job `Accepted`, then `Running{seq,cycle}` three times, no
+    // `Done`, with a checkpoint file per job under `checkpoints/`. HIP's
+    // is stale — a valid snapshot, but of GBC, so resuming from it would
+    // print GBC's cycle count under HIP's name — and GBC's is torn.
+    let (kernels, shapes) = ("HIP,GBC", "4x4");
+    let solo_dir = tmp_dir("legacy-solo");
+    let solo = invoke_sweep(&solo_dir, kernels, shapes, &[], None);
+    assert!(solo.status.success(), "{}", stderr_of(&solo));
+    let solo_out = stdout_of(&solo);
+
+    let job = |kernel: &str| {
+        let mut job =
+            JobSpec::kernel(kernel, Dataset::Tiny, Variant::Glsc, (4, 4), 4, None).expect(kernel);
+        job.id = WireJobSpec::kernel(kernel, Dataset::Tiny, Variant::Glsc, (4, 4), 4).id();
+        job
+    };
+    let (hip, gbc) = (job("HIP"), job("GBC"));
+    let dir = tmp_dir("legacy");
+    let (mut journal, _) = Journal::open(&dir.join("journal.log")).expect("journal");
+    for job in [&hip, &gbc] {
+        journal
+            .append(&JournalRecord::Accepted {
+                job: job.id.clone(),
+            })
+            .expect("append");
+        for seq in 1..=3u64 {
+            journal
+                .append(&JournalRecord::Running {
+                    job: job.id.clone(),
+                    seq,
+                    cycle: seq * 500,
+                })
+                .expect("append");
+        }
+    }
+    drop(journal);
+    let checkpoints = dir.join("checkpoints");
+    std::fs::create_dir_all(&checkpoints).expect("checkpoints dir");
+    let stale = snapshot_bytes(&gbc, 1_500);
+    let torn = stale[..stale.len() / 2].to_vec();
+    let stale_path = checkpoints.join(format!("{}.ckpt", hip.id));
+    let torn_path = checkpoints.join(format!("{}.ckpt", gbc.id));
+    std::fs::write(&stale_path, &stale).expect("write stale checkpoint");
+    std::fs::write(&torn_path, &torn).expect("write torn checkpoint");
+
+    let out = invoke_sweep(&dir, kernels, shapes, &[], None);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        stdout_of(&out),
+        solo_out,
+        "legacy state dir did not rerun to the solo table"
+    );
+    // The old files were never consulted: both are exactly as the old
+    // build left them (it deleted a checkpoint it found damaged, and one
+    // whose job finished), and nothing about them was logged.
+    assert_eq!(std::fs::read(&stale_path).expect("stale file"), stale);
+    assert_eq!(std::fs::read(&torn_path).expect("torn file"), torn);
+    let err = stderr_of(&out);
+    assert!(!err.contains("checkpoint"), "{err}");
+    let done = done_counts(&dir);
+    assert_eq!(done.get(&hip.id), Some(&1), "{done:?}");
+    assert_eq!(done.get(&gbc.id), Some(&1), "{done:?}");
+    let _ = std::fs::remove_dir_all(&solo_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_kill_spec_is_a_usage_error() {
+    // A stale or misspelt drill must fail loudly: exit 2 before touching
+    // the state dir, never run the sweep with no kill armed.
+    for bad in [
+        "checkpoint:2",
+        "journal",
+        "journal:",
+        "cycles:soon",
+        "journal:-1",
+        ":3",
+        "mid-run:1",
+    ] {
+        let dir = tmp_dir("bad-kill");
+        let out = invoke(&dir, "HIP", (1, 1), &[], Some(bad));
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {err}");
+        assert!(err.contains("GLSC_SERVE_KILL"), "{bad}: {err}");
+        assert!(stdout_of(&out).is_empty(), "{bad}: printed a table");
+        assert!(!dir.exists(), "{bad}: touched the state dir");
+    }
 }

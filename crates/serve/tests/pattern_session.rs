@@ -32,8 +32,7 @@ fn read_replies(mut bytes: &[u8]) -> Vec<Reply> {
 #[test]
 fn pattern_job_over_the_wire_returns_job_done() {
     let dir = tmp_dir("done");
-    let mut cfg = ServiceConfig::new(dir.clone());
-    cfg.checkpoint_every = 2_000;
+    let cfg = ServiceConfig::new(dir.clone());
 
     let spec = WireJobSpec::pattern(
         "conflict:p=0.25x64*8",
@@ -87,8 +86,7 @@ fn pattern_job_over_the_wire_returns_job_done() {
 #[test]
 fn hostile_pattern_specs_are_rejected_not_fatal() {
     let dir = tmp_dir("hostile");
-    let mut cfg = ServiceConfig::new(dir.clone());
-    cfg.checkpoint_every = 2_000;
+    let cfg = ServiceConfig::new(dir.clone());
 
     let mut input = Vec::new();
     for bad in ["stride:0x16", "evil:1", "", "stride:4x1024*999999999"] {
@@ -128,8 +126,7 @@ fn pattern_results_resume_from_the_store_bit_identically() {
     // Same state dir, same spec, two sessions: the second serves the
     // cached result and must stream the identical report bytes.
     let dir = tmp_dir("resume");
-    let mut cfg = ServiceConfig::new(dir.clone());
-    cfg.checkpoint_every = 2_000;
+    let cfg = ServiceConfig::new(dir.clone());
 
     let run_once = || {
         let spec = WireJobSpec::pattern("block:8/8*8", Dataset::Tiny, Variant::Glsc, (1, 2), 4);

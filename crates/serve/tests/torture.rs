@@ -58,8 +58,6 @@ fn serve_stdio(state: &Path, extra: &[&str], input: Vec<u8>, kill: Option<&str>)
         .arg("--stdio")
         .arg("--state-dir")
         .arg(state)
-        .arg("--checkpoint-every")
-        .arg("500")
         .args(extra)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -361,8 +359,6 @@ fn dropped_client_mid_stream_keeps_results_durable_without_rerun() {
         .arg(&sock)
         .arg("--state-dir")
         .arg(&dir)
-        .arg("--checkpoint-every")
-        .arg("500")
         .stderr(Stdio::piped())
         .env_remove("GLSC_SERVE_KILL")
         .spawn()
@@ -460,12 +456,12 @@ fn dropped_client_mid_stream_keeps_results_durable_without_rerun() {
 
 #[test]
 fn kill_drill_over_the_protocol_path_matches_solo() {
-    // The PR 7 recovery guarantee, rerun end-to-end through the framed
+    // The kill-drill guarantee, rerun end-to-end through the framed
     // protocol and the fleet-routed engine: kill the server at hostile
-    // points (torn journal append, torn checkpoint under the final
-    // name, mid-run abort), restart, and the final results must be
-    // byte-identical to an uninterrupted session — chaos counters
-    // riding the checkpoints included.
+    // points (torn `Submitted` append, torn `Done` append after the
+    // report reached the store, mid-run aborts), restart, and the final
+    // results must be byte-identical to an uninterrupted session —
+    // chaos counters of the rerun chaos job included.
     let mut chaotic = spec("GBC", (2, 2));
     chaotic.chaos = Some(24_333);
     let jobs = [spec("HIP", (4, 4)), chaotic];
@@ -486,16 +482,15 @@ fn kill_drill_over_the_protocol_path_matches_solo() {
     );
 
     let drill_dir = tmp_dir("kill-drill");
-    for kill in ["journal:1", "checkpoint:2", "cycles:1500", "cycles:5000"] {
+    // The second life journals both `Submitted` records, so its third
+    // append is the first `Done`.
+    for kill in ["journal:1", "journal:3", "cycles:1500", "cycles:5000"] {
         let out = serve_stdio(&drill_dir, &[], input.clone(), Some(kill));
-        if out.status.success() {
-            // Finished before the kill point fired — the recovery
-            // property must already hold.
-            assert_eq!(done_map(&replies(&out)), solo_done, "kill {kill}");
-            let _ = std::fs::remove_dir_all(&solo_dir);
-            let _ = std::fs::remove_dir_all(&drill_dir);
-            return;
-        }
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success() && err.contains("[kill] injected crash"),
+            "injected kill {kill} did not kill the server:\n{err}"
+        );
     }
     let recovered = serve_stdio(&drill_dir, &[], input, None);
     assert_no_panic(&recovered);
@@ -516,9 +511,9 @@ fn kill_drill_over_the_protocol_path_matches_solo() {
 #[test]
 fn sigterm_with_queued_jobs_drains_pending_and_replays() {
     // Drain under load: SIGTERM while the queue still holds unstarted
-    // jobs must checkpoint the in-flight fleet slots, journal the rest
-    // as pending (never quarantined), exit 0, and a restart must finish
-    // the sweep byte-identically to an undisturbed run.
+    // jobs must drop the runs in flight, leave every unfinished job
+    // journaled as pending (never quarantined), exit 0, and a restart
+    // must finish the sweep byte-identically to an undisturbed run.
     let jobs: Vec<WireJobSpec> = KERNEL_NAMES.iter().map(|k| spec(k, (4, 4))).collect();
     let extra = ["--fleet-width", "2"];
     let mut input = Vec::new();
@@ -544,8 +539,6 @@ fn sigterm_with_queued_jobs_drains_pending_and_replays() {
             .arg("--stdio")
             .arg("--state-dir")
             .arg(&drill_dir)
-            .arg("--checkpoint-every")
-            .arg("500")
             .args(extra)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())

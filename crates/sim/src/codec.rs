@@ -15,10 +15,10 @@
 //! Decoding is strict and typed: wrong magic, a version this build does
 //! not speak, a truncated or overlong file, a checksum mismatch and a
 //! malformed payload are each their own [`SnapshotCodecError`] — a stale
-//! or torn checkpoint is *rejected*, never reinterpreted as machine
-//! state. Writers get atomicity from tmp+rename (see `glsc-serve`); this
-//! layer guarantees that whatever does land under the final name is
-//! either the exact captured state or a detectable failure.
+//! or torn snapshot file is *rejected*, never reinterpreted as machine
+//! state. Writers get atomicity from tmp+rename; this layer guarantees
+//! that whatever does land under the final name is either the exact
+//! captured state or a detectable failure.
 
 use crate::machine::MachineSnapshot;
 use std::error::Error;
@@ -29,8 +29,8 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GLSCSNAP";
 
 /// Version tag written into (and required from) every encoded snapshot.
 /// Bump whenever any serialized state struct changes shape — old
-/// checkpoints then decode to [`SnapshotCodecError::VersionMismatch`]
-/// and recovery falls back to a fresh run instead of resuming garbage.
+/// snapshots then decode to [`SnapshotCodecError::VersionMismatch`]
+/// instead of being resumed as garbage.
 /// v2: memory-order axis — `MemConfig.memory_order`, LSU write buffers
 /// and drain counters, oracle state (DESIGN.md §17).
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;

@@ -26,7 +26,7 @@
 //! shape, the Ideal and Ring topologies, and a chaos plan.
 
 use crate::config::MachineConfig;
-use crate::machine::{Machine, MachineSnapshot, RunCtl, SimError, SliceOutcome};
+use crate::machine::{Machine, RunCtl, SimError, SliceOutcome};
 use crate::report::RunReport;
 use glsc_core::MemCompletion;
 use glsc_isa::Program;
@@ -46,12 +46,6 @@ pub struct FleetJob {
     pub base: Option<Arc<BackingBase>>,
     /// Fault-injection plan to install before the run (DESIGN.md §9).
     pub fault_plan: Option<FaultPlan>,
-    /// Resume point: mount this snapshot instead of a fresh program +
-    /// image. A snapshot is self-contained (the CoW base is serialized by
-    /// value), so `program`, `base` and `fault_plan` are ignored when it
-    /// is set; `cfg` must match the snapshot's configuration (it decides
-    /// the job's scheduling group).
-    pub snapshot: Option<Arc<MachineSnapshot>>,
 }
 
 impl FleetJob {
@@ -62,7 +56,6 @@ impl FleetJob {
             program,
             base: None,
             fault_plan: None,
-            snapshot: None,
         }
     }
 
@@ -77,15 +70,6 @@ impl FleetJob {
         self.fault_plan = Some(plan);
         self
     }
-
-    /// Resumes the job from `snap` instead of starting it fresh (the
-    /// crash-recovery path: a checkpointed job re-enters the fleet
-    /// mid-flight and must finish bit-identically to an uninterrupted
-    /// run, which [`Machine::restore`] guarantees).
-    pub fn with_snapshot(mut self, snap: Arc<MachineSnapshot>) -> Self {
-        self.snapshot = Some(snap);
-        self
-    }
 }
 
 /// What a [`Fleet::run_each_supervised`] pause hook tells the fleet to do
@@ -97,9 +81,8 @@ pub enum PauseCtl {
     /// Abandon this job (deadline, policy): the member is retired without
     /// a completion callback — the supervisor already knows why.
     FailJob,
-    /// Stop the whole fleet (drain). Before returning, the hook is called
-    /// once more for every *other* still-active member so the supervisor
-    /// can checkpoint each of them; unstarted jobs are never mounted.
+    /// Stop the whole fleet (drain) at once: no hook runs again, live
+    /// members are dropped mid-run, and unstarted jobs are never mounted.
     Halt,
 }
 
@@ -134,9 +117,8 @@ struct Member {
 }
 
 /// Mounts the next job of `queue` onto `machine` (which is fresh or
-/// reset): either a fresh program + CoW base + fault plan, or — for a
-/// checkpointed job — the snapshot it is resuming from. The detector
-/// state is created *after* mounting, as [`Machine::restore`] requires.
+/// reset): program, CoW base, and fault plan. The detector state is
+/// created *after* mounting, so it sees the job's starting state.
 fn mount_member(
     mut machine: Machine,
     mut queue: std::collections::VecDeque<usize>,
@@ -147,28 +129,14 @@ fn mount_member(
         program,
         base,
         fault_plan,
-        snapshot,
         ..
     } = jobs[idx].take().expect("each job admitted once");
-    match snapshot {
-        Some(snap) => {
-            // A pooled machine of the right shape restores in place; a
-            // shape drift (callers group by `cfg`, so this only happens
-            // if a caller lied about the job's config) falls back to a
-            // fresh build from the snapshot's own config.
-            if machine.restore(&snap).is_err() {
-                machine = Machine::from_snapshot(&snap);
-            }
-        }
-        None => {
-            if let Some(base) = base {
-                machine.mem_mut().backing_mut().set_base(base);
-            }
-            machine.load_program(program);
-            if let Some(plan) = fault_plan {
-                machine.mem_mut().install_fault_plan(plan);
-            }
-        }
+    if let Some(base) = base {
+        machine.mem_mut().backing_mut().set_base(base);
+    }
+    machine.load_program(program);
+    if let Some(plan) = fault_plan {
+        machine.mem_mut().install_fault_plan(plan);
     }
     let ctl = RunCtl::new(&machine);
     Member {
@@ -326,20 +294,16 @@ impl Fleet {
     /// job service needs (DESIGN.md §15).
     ///
     /// * `on_pause(index, machine)` runs at every quantum boundary of
-    ///   every live member — the supervisor's chance to write a
-    ///   cycle-cadenced checkpoint, poll for a drain signal, or enforce a
-    ///   deadline. Returning [`PauseCtl::FailJob`] retires the member
-    ///   with no completion callback; [`PauseCtl::Halt`] stops the fleet
-    ///   after offering every *other* live member one final `on_pause`
-    ///   (so a drain checkpoints all in-flight slots, not just the one
-    ///   that observed the signal).
+    ///   every live member — the supervisor's chance to poll for a drain
+    ///   signal or enforce a deadline. Returning [`PauseCtl::FailJob`]
+    ///   retires the member with no completion callback;
+    ///   [`PauseCtl::Halt`] stops the fleet on the spot, calling no hook
+    ///   again.
     /// * `on_done(index, machine, result)` fires as each job finishes.
     ///   Unlike `run_each`, a panic inside the stepping loop is caught
     ///   and reported as [`FleetFailure::Panicked`]; the panicking
     ///   machine is discarded instead of pooled, and the fleet keeps
     ///   going — one hostile job cannot take down the batch.
-    /// * Jobs carrying a [snapshot](FleetJob::with_snapshot) resume from
-    ///   it bit-identically instead of starting fresh.
     ///
     /// Returns `true` when every job ran to an outcome, `false` when a
     /// hook halted the fleet (jobs not yet mounted never start).
@@ -408,15 +372,7 @@ impl Fleet {
                             PauseCtl::FailJob => {
                                 Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
                             }
-                            PauseCtl::Halt => {
-                                let halted = member.idx;
-                                for other in active.iter_mut() {
-                                    if other.idx != halted {
-                                        let _ = on_pause(other.idx, &mut other.machine);
-                                    }
-                                }
-                                return false;
-                            }
+                            PauseCtl::Halt => return false,
                         }
                     }
                     Ok(Err(e)) => {
@@ -529,42 +485,32 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_resume_is_bit_identical() {
-        let cfg = MachineConfig::paper(2, 2, 4);
-        let program = countdown(300);
-        let solo = solo_report(&cfg, &program);
-
-        // Run supervised, capturing a snapshot at the second pause and
-        // halting right after — the drain path.
-        let mut snap: Option<Arc<MachineSnapshot>> = None;
-        let mut pauses = 0usize;
-        let done = Fleet::new().with_quantum(64).run_each_supervised(
-            vec![FleetJob::new(cfg.clone(), program.clone())],
-            |_, machine| {
-                pauses += 1;
-                if pauses == 2 {
-                    snap = Some(Arc::new(machine.snapshot()));
+    fn halt_stops_the_fleet_without_calling_any_hook_again() {
+        // Three jobs on two configs, two slots: both slots are live when
+        // the first pause halts, and a third job is still queued.
+        let jobs = vec![
+            FleetJob::new(MachineConfig::paper(1, 1, 4), countdown(2_000)),
+            FleetJob::new(MachineConfig::paper(1, 2, 4), countdown(2_000)),
+            FleetJob::new(MachineConfig::paper(1, 1, 4), countdown(100)),
+        ];
+        let mut pauses = Vec::new();
+        let done = Fleet::new()
+            .with_quantum(64)
+            .with_width(2)
+            .run_each_supervised(
+                jobs,
+                |idx, _| {
+                    pauses.push(idx);
                     PauseCtl::Halt
-                } else {
-                    PauseCtl::Continue
-                }
-            },
-            |_, _, _| panic!("job must not finish before the halt"),
-        );
+                },
+                |idx, _, _| panic!("job {idx} must not finish after the halt"),
+            );
         assert!(!done, "halted fleet must report an incomplete run");
-        let snap = snap.expect("snapshot captured at second pause");
-        assert!(snap.cycle() > 0);
-
-        // Resume from the snapshot in a fresh fleet: the final report
-        // must be bit-identical to the uninterrupted solo run.
-        let mut got = None;
-        let done = Fleet::new().with_quantum(64).run_each_supervised(
-            vec![FleetJob::new(cfg, program).with_snapshot(snap)],
-            |_, _| PauseCtl::Continue,
-            |_, _, result| got = Some(result.expect("resumed job completes")),
+        assert_eq!(
+            pauses.len(),
+            1,
+            "Halt must not re-offer members: {pauses:?}"
         );
-        assert!(done);
-        assert_eq!(got.expect("resumed job reported"), solo);
     }
 
     #[test]

@@ -814,8 +814,8 @@ impl Machine {
         Ok(())
     }
 
-    /// Builds a brand-new machine from a snapshot — the crash-recovery
-    /// path, where the original [`Machine`] no longer exists.
+    /// Builds a brand-new machine from a snapshot, for when the original
+    /// [`Machine`] no longer exists (a decoded snapshot file, say).
     pub fn from_snapshot(snap: &MachineSnapshot) -> Self {
         let mut m = Self::try_new(snap.cfg.clone())
             .expect("snapshot was captured from a machine with a validated config");
@@ -923,9 +923,9 @@ impl MachineSnapshot {
 /// Externally-driveable sliced execution: the state
 /// [`Machine::run_for`] threads across calls so a run split into slices
 /// fires the watchdog, starvation and invariant checks on exactly the
-/// cycles an unsliced [`Machine::run`] would. Built for checkpointing
-/// drivers (`glsc-serve`): step a bounded number of cycles, snapshot,
-/// repeat.
+/// cycles an unsliced [`Machine::run`] would. Built for drivers that
+/// step a bounded number of cycles at a time, e.g. to snapshot between
+/// slices (the snapshot-codec oracle does exactly that).
 #[derive(Debug)]
 pub struct SlicedRun {
     ctl: RunCtl,

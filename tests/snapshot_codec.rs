@@ -3,9 +3,9 @@
 //! round trip for every kernel and every Fig. 6 machine shape — the
 //! decoded snapshot re-encodes to the *same bytes*, and a machine
 //! hydrated from the decoded bytes finishes bit-identically to an
-//! uninterrupted run. Also drives the `SlicedRun` checkpoint loop the
-//! crash-durable service uses (encode/decode at every pause) and pins the
-//! typed rejection of version skew and checksum damage.
+//! uninterrupted run. Also drives a `SlicedRun` checkpoint loop (encode,
+//! decode and rebuild the machine at every pause) and pins the typed
+//! rejection of version skew and checksum damage.
 
 use glsc::kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
 use glsc::sim::{
@@ -102,10 +102,10 @@ fn codec_round_trips_on_ring_with_active_fault_plan() {
 
 #[test]
 fn sliced_checkpoint_loop_matches_solo_run() {
-    // The service's supervision loop in miniature: advance in fixed
-    // cycle budgets via `run_for`, and at every pause round-trip the
-    // machine through the byte codec — exactly what a checkpoint-every-N
-    // cadence does. The final report must match an uninterrupted run.
+    // A checkpointing driver in miniature: advance in fixed cycle
+    // budgets via `run_for`, and at every pause round-trip the machine
+    // through the byte codec and rebuild it from the decoded bytes. The
+    // final report must match an uninterrupted run.
     for kernel in ["HIP", "TMS", "GBC"] {
         let cfg = MachineConfig::paper(2, 2, 4);
         let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
