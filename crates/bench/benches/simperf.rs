@@ -137,10 +137,9 @@ fn main() {
         "aggregate simulated cycles per host second over a whole sweep; identical reports",
     );
     // Sweep (a): a 512-job screening grid — short microbenchmark runs at
-    // the paper's machine shapes, the regime where per-job setup
-    // dominates and the fleet's pooling/CoW/batched stepping pays most.
-    // Its parameters are fixed (independent of GLSC_DATASETS) so the
-    // recorded ratio is comparable across runs.
+    // the paper's machine shapes, the regime where per-job setup weighs
+    // most against simulation. Its parameters are fixed (independent of
+    // GLSC_DATASETS) so the recorded ratio is comparable across runs.
     let screening = measure_sweep(&mut out, "screening-512", screening_jobs, 1, 1);
     // Sweep (b): the part-2 figure job set end to end, both paths fanned
     // across the same host threads — the realistic speedup a figure run
@@ -191,8 +190,8 @@ impl SweepResult {
 /// The 512-job screening grid: every §5.2 scenario × Fig. 6 shape ×
 /// width {1,4} × {Base, GLSC} × eight dataset seeds, one iteration per
 /// thread. Eight distinct machine configurations over 512 short jobs —
-/// the parameter-screening regime, where per-job machine construction
-/// dominates the solo path and the fleet's pooling amortizes it 64:1.
+/// the parameter-screening regime, where the fleet builds one machine
+/// per configuration and the solo path one per job.
 fn screening_jobs() -> Vec<FleetJobSpec> {
     let mut jobs = Vec::new();
     for seed in [72, 73, 74, 75, 76, 77, 78, 79] {

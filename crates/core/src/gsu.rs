@@ -228,14 +228,6 @@ impl Gsu {
         self.slots.iter().any(Option::is_some)
     }
 
-    /// The next cycle (relative to `now`) at which this unit changes
-    /// state, or `None` when no instruction is in flight. A busy GSU
-    /// generates/issues/retires every cycle, so its next event is always
-    /// the next cycle.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        self.any_busy().then_some(now + 1)
-    }
-
     /// Inserts an instruction into `tid`'s buffer entry. `elems` holds the
     /// active lanes only, as `(lane, element address, value)` (values are
     /// ignored by loads). `width` is the machine SIMD width, used for the
@@ -376,11 +368,12 @@ impl Gsu {
         now: u64,
     ) {
         let n = self.slots.len();
-        let order: Vec<usize> = match tid_hint {
-            Some(t) => vec![t as usize],
-            None => (0..n).map(|off| (self.rr + off) % n).collect(),
+        let (first, tries) = match tid_hint {
+            Some(t) => (t as usize, 1),
+            None => (self.rr, n),
         };
-        for idx in order {
+        for off in 0..tries {
+            let idx = (first + off) % n;
             let Some(slot) = self.slots[idx].as_mut() else {
                 continue;
             };
@@ -443,15 +436,13 @@ impl Gsu {
             }
             let req = slot.requests[req_idx].clone();
             let line_bytes = mem.cfg().line_bytes;
-            let riders: Vec<usize> = (0..slot.elems.len())
-                .filter(|&e| {
-                    slot.elems[e].generated
-                        && !slot.elems[e].alias_loser
-                        && line_of(slot.elems[e].addr, line_bytes) == req.line
-                })
-                .collect();
-            for e in riders {
-                Self::apply_elem(&mut self.stats, slot, e, &req, core, tid, mem);
+            // Every generated element on this line rides the request.
+            // `apply_elem` never changes which elements those are.
+            for e in 0..slot.elems.len() {
+                let el = &slot.elems[e];
+                if el.generated && !el.alias_loser && line_of(el.addr, line_bytes) == req.line {
+                    Self::apply_elem(&mut self.stats, slot, e, &req, core, tid, mem);
+                }
             }
             return;
         }

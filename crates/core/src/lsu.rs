@@ -286,9 +286,11 @@ impl Lsu {
 
     /// Whether any request is queued or any store is buffered. The
     /// machine must not finish while this holds — buffered stores always
-    /// commit.
+    /// commit. Under [`MemoryOrder::Sc`] the write buffers are never
+    /// used, so only the queue is consulted.
     pub fn is_busy(&self) -> bool {
-        !self.queue.is_empty() || self.wbuf.iter().any(|q| !q.is_empty())
+        !self.queue.is_empty()
+            || (self.order.buffers_stores() && self.wbuf.iter().any(|q| !q.is_empty()))
     }
 
     /// Whether the unit would use the L1 port at cycle `now`: the queue
@@ -296,22 +298,9 @@ impl Lsu {
     /// [`is_busy`](Self::is_busy) this lets the GSU take the port while
     /// buffered stores are merely waiting out their residency delay.
     pub fn wants_port(&self, now: u64) -> bool {
-        !self.queue.is_empty() || self.wbuf.iter().any(|q| q.iter().any(|e| e.ready <= now))
-    }
-
-    /// The next cycle (relative to `now`) at which this unit changes
-    /// state, or `None` when it is drained. A busy queue is serviced every
-    /// cycle; a buffered store's next event is its drain-eligibility
-    /// cycle, so the machine's fast-forward can skip the residency delay.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        if !self.queue.is_empty() {
-            return Some(now + 1);
-        }
-        self.wbuf
-            .iter()
-            .flat_map(|q| q.iter().map(|e| e.ready))
-            .min()
-            .map(|ready| ready.max(now + 1))
+        !self.queue.is_empty()
+            || (self.order.buffers_stores()
+                && self.wbuf.iter().any(|q| q.iter().any(|e| e.ready <= now)))
     }
 
     /// Counts one retired fence instruction (the pipeline enforces fence

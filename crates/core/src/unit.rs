@@ -137,23 +137,6 @@ impl CoreMemUnit {
         self.gsu.start(tid, kind, elems, width);
     }
 
-    /// The next cycle (relative to `now`) at which this unit changes
-    /// state, or `None` when both the LSU and the GSU are drained. Busy
-    /// units make progress every cycle under the latency-at-accept timing
-    /// model, so a busy unit's next event is always the next cycle; the
-    /// machine's fast-forward only skips cycles while every unit returns
-    /// `None`.
-    pub fn next_event_cycle(&self, now: u64) -> Option<u64> {
-        match (
-            self.lsu.next_event_cycle(now),
-            self.gsu.next_event_cycle(now),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
-    }
-
     /// Advances the unit one cycle: releases GSU instructions whose
     /// thread's LSU traffic has drained, generates one GSU address, grants
     /// the single L1 port (LSU first), and collects completions.

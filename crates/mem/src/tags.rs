@@ -32,7 +32,9 @@ struct Slot<P> {
 
 impl<P> TagArray<P> {
     /// Creates a tag array with `sets` sets of `assoc` ways for lines of
-    /// `line_bytes` bytes.
+    /// `line_bytes` bytes. A set's ways are allocated on its first insert,
+    /// so a set no run has touched costs only its empty `Vec` header (the
+    /// paper's 16 MB, 8-way L2 has 32,768 sets across its banks).
     ///
     /// # Panics
     ///
@@ -44,7 +46,7 @@ impl<P> TagArray<P> {
             "line size must be a power of two"
         );
         Self {
-            sets: (0..sets).map(|_| Vec::with_capacity(assoc)).collect(),
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             assoc,
             line_bytes,
             stamp: 0,
@@ -124,6 +126,9 @@ impl<P> TagArray<P> {
             }
         }
         let set = &mut self.sets[idx];
+        if set.capacity() == 0 {
+            set.reserve_exact(assoc);
+        }
         let evicted = if set.len() >= assoc {
             let victim = set
                 .iter()

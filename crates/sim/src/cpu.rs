@@ -9,10 +9,10 @@
 //! operations for all elements are complete").
 
 use crate::config::MachineConfig;
-use crate::exec::{self, StepOutcome};
+use crate::exec::{self, Code, Decoded, Gate, StepOutcome};
 use crate::thread::{Thread, ThreadStatus};
 use glsc_core::{CoreMemUnit, GsuKind, LsuAction, LsuCompletion, MemCompletion};
-use glsc_isa::{Instr, Program, Reg, ELEM_BYTES};
+use glsc_isa::{FenceKind, Instr, Program, Reg, ELEM_BYTES};
 use glsc_mem::line_of;
 
 /// Why a running thread failed to issue this cycle.
@@ -56,7 +56,6 @@ pub struct Core {
     pub memunit: CoreMemUnit,
     records: Vec<IssueRecord>,
     rr: usize,
-    scratch_regs: Vec<Reg>,
     /// Halted threads on this core, maintained incrementally at every
     /// status transition so the machine's end-of-run and barrier checks
     /// are O(1) per core instead of a thread rescan per cycle.
@@ -64,18 +63,19 @@ pub struct Core {
     /// Threads waiting at the global barrier, maintained incrementally.
     pub(crate) at_barrier: usize,
     /// Whether any thread issued during the most recent
-    /// [`issue_stage`](Core::issue_stage). The machine's fast-forward
-    /// uses this as a free "is the core making progress?" signal: while
-    /// instructions are issuing every cycle there is no dead window to
-    /// skip, so the (thread-scanning) fast-forward probe is not worth
-    /// running.
+    /// [`issue_stage`](Core::issue_stage). The watchdog reads it as the
+    /// machine's progress signal, and the stepping loop only probes a core
+    /// for sleep when it is clear: a core that issued is making progress
+    /// and has no dead window ahead.
     pub(crate) issued_any: bool,
-    /// Transient per-cycle issue gate for schedule controllers (bit per
-    /// thread; see [`crate::Machine::step_masked`]). All-ones in normal
-    /// operation. Deliberately excluded from snapshots: it is set and
-    /// cleared around a single step by the litmus harness, never held
-    /// across cycles.
-    pub(crate) issue_mask: u32,
+    /// `Some((since, wake))` while the core sleeps: its memory unit is
+    /// idle and none of its Running threads can issue before `wake`
+    /// (`u64::MAX` while every live thread waits at the barrier), so the
+    /// stepping loop skips its tick, issue stage and classification from
+    /// cycle `since` on. [`settle`](Core::settle) accounts the skipped
+    /// cycles and wakes it. The loop settles every core before it
+    /// returns, so this is never set in a snapshot, a clone or a report.
+    pub(crate) asleep: Option<(u64, u64)>,
 }
 
 /// A point-in-time copy of one [`Core`], captured by [`Core::snapshot`]
@@ -115,11 +115,10 @@ impl Core {
             ),
             records: vec![IssueRecord::NotRunning; n],
             rr: 0,
-            scratch_regs: Vec::with_capacity(4),
             halted: 0,
             at_barrier: 0,
             issued_any: false,
-            issue_mask: u32::MAX,
+            asleep: None,
         }
     }
 
@@ -208,18 +207,15 @@ impl Core {
         }
     }
 
-    /// Returns `None` when the thread can issue now, or the stall reason.
-    fn check_stall(&mut self, t: usize, program: &Program, now: u64) -> Option<StallKind> {
+    /// Returns `None` when thread `t`, whose next instruction is `d`, can
+    /// issue now, or the stall reason.
+    fn check_stall(&self, t: usize, d: Option<&Decoded>, now: u64) -> Option<StallKind> {
         let th = &self.threads[t];
         if now < th.next_issue_at {
             return Some(StallKind::Pipeline);
         }
-        let Some(instr) = program.fetch(th.arch.pc) else {
-            return None; // falls off the end: issue path halts it
-        };
-        exec::src_regs(instr, &mut self.scratch_regs);
-        let th = &self.threads[t];
-        for r in &self.scratch_regs {
+        let d = d?; // falls off the end: issue path halts it
+        for r in d.regs() {
             if !th.reg_is_ready(*r, now) {
                 return Some(if th.reg_from_mem[r.index()] {
                     StallKind::OperandMem
@@ -228,44 +224,38 @@ impl Core {
                 });
             }
         }
-        if let Some(rd) = exec::dst_reg(instr) {
-            if !th.reg_is_ready(rd, now) {
-                return Some(if th.reg_from_mem[rd.index()] {
-                    StallKind::OperandMem
-                } else {
-                    StallKind::Pipeline
-                });
-            }
-        }
-        if matches!(instr, Instr::Store { .. }) && !self.memunit.can_accept_store(t as u8) {
-            return Some(StallKind::StoreBufferFull);
-        }
         // Ordering gates (DESIGN.md §17). Under sequential consistency the
-        // write buffer is never used, so both conditions below are
-        // vacuously false and the SC timing is untouched.
-        if matches!(instr, Instr::Barrier) && self.memunit.lsu_buffered_stores(t as u8) > 0 {
+        // write buffer is never used, so the barrier and fence conditions
+        // are vacuously false and the SC timing is untouched.
+        let tid = t as u8;
+        match d.gate {
+            Gate::Free => None,
+            Gate::Store => {
+                (!self.memunit.can_accept_store(tid)).then_some(StallKind::StoreBufferFull)
+            }
             // A barrier is a synchronization point: the thread's buffered
             // stores must be globally visible before it reports arrival.
-            return Some(StallKind::Fence);
-        }
-        if let Instr::Fence { kind } = instr {
-            let tid = t as u8;
-            let drained = match kind {
-                glsc_isa::FenceKind::Full => self.memunit.lsu_thread_pending(tid) == 0,
-                glsc_isa::FenceKind::Acquire => self.memunit.lsu_thread_entries(tid) == 0,
-                glsc_isa::FenceKind::Release => self.memunit.lsu_buffered_stores(tid) == 0,
-            };
-            if !drained {
-                return Some(StallKind::Fence);
+            Gate::Barrier => {
+                (self.memunit.lsu_buffered_stores(tid) > 0).then_some(StallKind::Fence)
+            }
+            Gate::Fence(kind) => {
+                let pending = match kind {
+                    FenceKind::Full => self.memunit.lsu_thread_pending(tid),
+                    FenceKind::Acquire => self.memunit.lsu_thread_entries(tid),
+                    FenceKind::Release => self.memunit.lsu_buffered_stores(tid),
+                };
+                (pending > 0).then_some(StallKind::Fence)
             }
         }
-        None
     }
 
     /// The issue stage for cycle `now`: selects up to `issue_width` ready
     /// threads (round-robin) and executes one instruction each, recording
-    /// per-thread issue/stall outcomes for later classification.
-    pub fn issue_stage(&mut self, program: &Program, cfg: &MachineConfig, now: u64) {
+    /// per-thread issue/stall outcomes for later classification. Only
+    /// threads whose bit is set in `mask` may issue; the others are
+    /// accounted as losing the issue slot (the litmus schedule controller
+    /// pins the machine to an explicit interleaving this way).
+    pub(crate) fn issue_stage(&mut self, code: &Code, cfg: &MachineConfig, now: u64, mask: u32) {
         let n = self.threads.len();
         let mut slots = cfg.issue_width;
         self.issued_any = false;
@@ -279,17 +269,13 @@ impl Core {
             if self.threads[t].status != ThreadStatus::Running {
                 continue;
             }
-            if self.issue_mask & (1 << t) == 0 {
-                // Externally descheduled this cycle (litmus schedule
-                // controller): accounted like losing the issue slot.
+            if mask & (1 << t) == 0 {
                 self.records[t] = IssueRecord::Stalled(StallKind::NoSlot, false);
                 continue;
             }
-            let sync_at_pc = program
-                .fetch(self.threads[t].arch.pc)
-                .map(|_| program.is_sync(self.threads[t].arch.pc))
-                .unwrap_or(false);
-            match self.check_stall(t, program, now) {
+            let d = code.at(self.threads[t].arch.pc);
+            let sync_at_pc = d.is_some_and(|d| d.sync);
+            match self.check_stall(t, d, now) {
                 Some(kind) => {
                     self.records[t] = IssueRecord::Stalled(kind, sync_at_pc);
                 }
@@ -299,7 +285,7 @@ impl Core {
                 None => {
                     slots -= 1;
                     self.issued_any = true;
-                    self.issue_one(t, program, cfg, now, sync_at_pc);
+                    self.issue_one(t, &code.program, cfg, now, sync_at_pc);
                     self.records[t] = IssueRecord::Issued(sync_at_pc);
                 }
             }
@@ -705,37 +691,50 @@ impl Core {
     /// [`check_stall`](Self::check_stall), assuming no new memory
     /// completions arrive (valid only while this core's memory unit is
     /// idle, so every scoreboard entry is finite).
-    pub(crate) fn earliest_issue(&mut self, t: usize, program: &Program) -> u64 {
+    fn earliest_issue(&self, t: usize, code: &Code) -> u64 {
         let th = &self.threads[t];
-        let mut earliest = th.next_issue_at;
-        let Some(instr) = program.fetch(th.arch.pc) else {
-            return earliest; // falls off the end: halts at next_issue_at
+        let Some(d) = code.at(th.arch.pc) else {
+            return th.next_issue_at; // falls off the end: halts then
         };
-        exec::src_regs(instr, &mut self.scratch_regs);
-        if let Some(rd) = exec::dst_reg(instr) {
-            self.scratch_regs.push(rd);
-        }
-        let th = &self.threads[t];
-        for r in &self.scratch_regs {
+        d.regs().iter().fold(th.next_issue_at, |earliest, r| {
             let ready = th.reg_ready[r.index()];
             debug_assert_ne!(
                 ready,
                 crate::thread::PENDING,
                 "pending memory operand with an idle memory unit"
             );
-            earliest = earliest.max(ready);
+            earliest.max(ready)
+        })
+    }
+
+    /// The earliest cycle at which any Running thread could issue, or
+    /// `u64::MAX` when none is Running (every live thread waits at the
+    /// barrier). Valid only while the memory unit is idle.
+    pub(crate) fn earliest_wake(&self, code: &Code) -> u64 {
+        (0..self.threads.len())
+            .filter(|&t| self.threads[t].status == ThreadStatus::Running)
+            .map(|t| self.earliest_issue(t, code))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Wakes a sleeping core at cycle `now`, first accounting the cycles
+    /// it slept through exactly as stepping them would have. A no-op for
+    /// an awake core.
+    pub(crate) fn settle(&mut self, code: &Code, now: u64) {
+        if let Some((since, _)) = self.asleep.take() {
+            self.attribute_window(code, since, now);
         }
-        earliest
     }
 
     /// Captures a point-in-time copy of this core: every thread (arch
     /// registers, vector/mask registers, status, scoreboard, statistics),
     /// the round-robin pointer and per-thread issue records, the
     /// incremental halted/barrier counters, and the memory unit's
-    /// in-flight state. `scratch_regs` is intentionally excluded — it is
-    /// a transient operand-decode buffer, fully rewritten before every
-    /// read.
+    /// in-flight state. A core is never asleep here: the stepping loop
+    /// settles every core before it returns.
     pub(crate) fn snapshot(&self) -> CoreSnapshot {
+        debug_assert!(self.asleep.is_none(), "snapshot of a sleeping core");
         CoreSnapshot {
             threads: self.threads.clone(),
             memunit: self.memunit.snapshot(),
@@ -757,19 +756,18 @@ impl Core {
         self.halted = snap.halted;
         self.at_barrier = snap.at_barrier;
         self.issued_any = snap.issued_any;
-        self.scratch_regs.clear();
-        self.issue_mask = u32::MAX;
+        self.asleep = None;
     }
 
-    /// Bulk stall attribution for the fast-forwarded window `[from, to)`,
+    /// Bulk stall attribution for the slept window `[from, to)`,
     /// cycle-for-cycle identical to running `issue_stage` +
     /// `classify_cycle` for each skipped cycle. Callable only when no
-    /// thread can issue anywhere in the window (`to` is at most the
-    /// machine-wide minimum [`earliest_issue`](Self::earliest_issue)) and
-    /// the memory unit is idle, so thread state is frozen and each
-    /// thread's per-cycle classification is piecewise constant with
-    /// breakpoints at `next_issue_at` and the scoreboard ready times.
-    pub(crate) fn attribute_window(&mut self, program: &Program, from: u64, to: u64) {
+    /// thread of this core can issue anywhere in the window (`to` is at
+    /// most [`earliest_wake`](Self::earliest_wake)) and the memory unit
+    /// is idle, so thread state is frozen and each thread's per-cycle
+    /// classification is piecewise constant with breakpoints at
+    /// `next_issue_at` and the scoreboard ready times.
+    fn attribute_window(&mut self, code: &Code, from: u64, to: u64) {
         let w = to - from;
         let n = self.threads.len();
         // issue_stage rotates the round-robin start every cycle regardless
@@ -788,17 +786,9 @@ impl Core {
                     unreachable!("blocked thread with an idle memory unit")
                 }
                 ThreadStatus::Running => {
-                    let pc = self.threads[t].arch.pc;
-                    let (sync, has_instr) = match program.fetch(pc) {
-                        Some(instr) => {
-                            exec::src_regs(instr, &mut self.scratch_regs);
-                            if let Some(rd) = exec::dst_reg(instr) {
-                                self.scratch_regs.push(rd);
-                            }
-                            (program.is_sync(pc), true)
-                        }
-                        None => (false, false),
-                    };
+                    let d = code.at(self.threads[t].arch.pc);
+                    let sync = d.is_some_and(|d| d.sync);
+                    let regs = d.map_or(&[][..], Decoded::regs);
                     let th = &mut self.threads[t];
                     th.stats.active_cycles += w;
                     let mut c = from;
@@ -810,11 +800,10 @@ impl Core {
                             (false, th.next_issue_at.min(to))
                         } else {
                             debug_assert!(
-                                has_instr,
+                                d.is_some(),
                                 "pc off the end issues (halts) at next_issue_at"
                             );
-                            let first_unready = self
-                                .scratch_regs
+                            let first_unready = regs
                                 .iter()
                                 .find(|r| th.reg_ready[r.index()] > c)
                                 .expect("thread ready before the window's end");

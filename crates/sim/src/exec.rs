@@ -7,7 +7,8 @@
 
 use crate::arch::ThreadArch;
 use crate::config::LatencyTable;
-use glsc_isa::{AluOp, CmpOp, FpOp, Instr, LaneSel, Operand, Program, Reg, VSrc};
+use glsc_isa::{AluOp, CmpOp, FenceKind, FpOp, Instr, LaneSel, Operand, Program, Reg, VSrc};
+use std::sync::Arc;
 
 /// Outcome of executing one compute instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -533,100 +534,164 @@ pub fn step_compute(
     }
 }
 
-/// Scalar source registers an instruction reads (used for scoreboard
-/// checks before issue). Vector and mask registers need no scoreboard:
-/// their producers either complete immediately or block the thread.
-pub fn src_regs(instr: &Instr, out: &mut Vec<Reg>) {
-    use Instr::*;
-    out.clear();
-    let push_op = |o: &Operand, out: &mut Vec<Reg>| {
-        if let Operand::Reg(r) = o {
-            out.push(*r);
-        }
-    };
-    match instr {
-        Li { .. } | Halt | Barrier | Nop | Fence { .. } | Jump { .. } => {}
-        Alu { rs, src2, .. } | Cmp { rs, src2, .. } => {
-            out.push(*rs);
-            push_op(src2, out);
-        }
-        Fp { rs, rt, .. } | FCmp { rs, rt, .. } => {
-            out.push(*rs);
-            out.push(*rt);
-        }
-        CvtIntToF32 { rs, .. } | CvtF32ToInt { rs, .. } => out.push(*rs),
-        Branch { rs, src2, .. } => {
-            out.push(*rs);
-            push_op(src2, out);
-        }
-        BranchMaskZero { .. } | BranchMaskNotZero { .. } => {}
-        Load { base, .. } | LoadLinked { base, .. } => out.push(*base),
-        Store { rs, base, .. } => {
-            out.push(*rs);
-            out.push(*base);
-        }
-        StoreCond { rs, base, .. } => {
-            out.push(*rs);
-            out.push(*base);
-        }
-        VAlu { src2, .. } => {
-            if let VSrc::Bcast(r) = src2 {
-                out.push(*r);
-            }
-        }
-        VCmp { src2, .. } => {
-            if let VSrc::Bcast(r) = src2 {
-                out.push(*r);
-            }
-        }
-        VFp { .. } | VFCmp { .. } | VIota { .. } => {}
-        VSplat { rs, .. } => out.push(*rs),
-        VExtract { vs: _, lane, .. } => {
-            if let LaneSel::Reg(r) = lane {
-                out.push(*r);
-            }
-        }
-        VInsert { rs, lane, .. } => {
-            out.push(*rs);
-            if let LaneSel::Reg(r) = lane {
-                out.push(*r);
-            }
-        }
-        MSetAll { .. }
-        | MClear { .. }
-        | MNot { .. }
-        | MAnd { .. }
-        | MOr { .. }
-        | MXor { .. }
-        | MMov { .. }
-        | MPopcount { .. }
-        | MToReg { .. } => {}
-        MFromReg { rs, .. } => out.push(*rs),
-        VLoad { base, .. } | VStore { base, .. } => out.push(*base),
-        VGather { base, .. } | VScatter { base, .. } => out.push(*base),
-        VGatherLink { base, .. } | VScatterCond { base, .. } => out.push(*base),
+/// A loaded program together with the issue facts of each instruction,
+/// decoded once per [`Machine::load_program`](crate::Machine::load_program)
+/// or [`Machine::restore`](crate::Machine::restore) instead of on every
+/// cycle a thread looks at its next instruction.
+#[derive(Debug)]
+pub(crate) struct Code {
+    /// The program itself (shared with snapshots).
+    pub(crate) program: Arc<Program>,
+    /// `decoded[pc]` describes `program.fetch(pc)`.
+    decoded: Vec<Decoded>,
+}
+
+impl Code {
+    /// Decodes `program`.
+    pub(crate) fn new(program: Arc<Program>) -> Self {
+        let decoded = program
+            .iter()
+            .enumerate()
+            .map(|(pc, instr)| Decoded::of(instr, program.is_sync(pc)))
+            .collect();
+        Self { program, decoded }
+    }
+
+    /// The issue facts of the instruction at `pc`; `None` past the end
+    /// (a thread that runs off the end halts when it next issues).
+    pub(crate) fn at(&self, pc: usize) -> Option<&Decoded> {
+        self.decoded.get(pc)
     }
 }
 
-/// The scalar destination register an instruction writes at issue time
-/// (for WAW stalls); memory destinations are handled by the pipeline.
-pub fn dst_reg(instr: &Instr) -> Option<Reg> {
-    use Instr::*;
-    match instr {
-        Li { rd, .. }
-        | Alu { rd, .. }
-        | Fp { rd, .. }
-        | Cmp { rd, .. }
-        | FCmp { rd, .. }
-        | CvtIntToF32 { rd, .. }
-        | CvtF32ToInt { rd, .. }
-        | MPopcount { rd, .. }
-        | MToReg { rd, .. }
-        | VExtract { rd, .. }
-        | Load { rd, .. }
-        | LoadLinked { rd, .. }
-        | StoreCond { rd, .. } => Some(*rd),
-        _ => None,
+/// What the issue stage checks before an instruction may issue.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Decoded {
+    /// Scalar registers the scoreboard checks, in check order: the
+    /// sources, then the destination (for WAW stalls). Vector and mask
+    /// registers need no scoreboard: their producers either complete
+    /// immediately or block the thread.
+    regs: [Reg; 3],
+    /// How many entries of `regs` are live.
+    n_regs: u8,
+    /// Whether the instruction is inside a synchronization region.
+    pub(crate) sync: bool,
+    /// The memory-unit condition the instruction also waits on.
+    pub(crate) gate: Gate,
+}
+
+/// The memory-unit condition an instruction waits on at issue, after its
+/// registers are ready (DESIGN.md §17).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Gate {
+    /// Nothing beyond the registers.
+    Free,
+    /// A plain store: a free write-buffer slot.
+    Store,
+    /// A barrier: the thread's buffered stores have drained.
+    Barrier,
+    /// A fence of this kind: its drain condition holds.
+    Fence(FenceKind),
+}
+
+impl Decoded {
+    fn of(instr: &Instr, sync: bool) -> Self {
+        use Instr::*;
+        let mut regs = [Reg::new(0); 3];
+        let mut n = 0;
+        let mut push = |r: Reg| {
+            regs[n] = r;
+            n += 1;
+        };
+        match *instr {
+            Li { .. } | Halt | Barrier | Nop | Fence { .. } | Jump { .. } => {}
+            Alu { rs, src2, .. } | Cmp { rs, src2, .. } | Branch { rs, src2, .. } => {
+                push(rs);
+                if let Operand::Reg(r) = src2 {
+                    push(r);
+                }
+            }
+            Fp { rs, rt, .. } | FCmp { rs, rt, .. } => {
+                push(rs);
+                push(rt);
+            }
+            CvtIntToF32 { rs, .. } | CvtF32ToInt { rs, .. } => push(rs),
+            BranchMaskZero { .. } | BranchMaskNotZero { .. } => {}
+            Load { base, .. } | LoadLinked { base, .. } => push(base),
+            Store { rs, base, .. } | StoreCond { rs, base, .. } => {
+                push(rs);
+                push(base);
+            }
+            VAlu { src2, .. } | VCmp { src2, .. } => {
+                if let VSrc::Bcast(r) = src2 {
+                    push(r);
+                }
+            }
+            VFp { .. } | VFCmp { .. } | VIota { .. } => {}
+            VSplat { rs, .. } => push(rs),
+            VExtract { lane, .. } => {
+                if let LaneSel::Reg(r) = lane {
+                    push(r);
+                }
+            }
+            VInsert { rs, lane, .. } => {
+                push(rs);
+                if let LaneSel::Reg(r) = lane {
+                    push(r);
+                }
+            }
+            MSetAll { .. }
+            | MClear { .. }
+            | MNot { .. }
+            | MAnd { .. }
+            | MOr { .. }
+            | MXor { .. }
+            | MMov { .. }
+            | MPopcount { .. }
+            | MToReg { .. } => {}
+            MFromReg { rs, .. } => push(rs),
+            VLoad { base, .. }
+            | VStore { base, .. }
+            | VGather { base, .. }
+            | VScatter { base, .. }
+            | VGatherLink { base, .. }
+            | VScatterCond { base, .. } => push(base),
+        }
+        // The scalar destination written at issue time; memory
+        // destinations are marked pending by the pipeline.
+        match *instr {
+            Li { rd, .. }
+            | Alu { rd, .. }
+            | Fp { rd, .. }
+            | Cmp { rd, .. }
+            | FCmp { rd, .. }
+            | CvtIntToF32 { rd, .. }
+            | CvtF32ToInt { rd, .. }
+            | MPopcount { rd, .. }
+            | MToReg { rd, .. }
+            | VExtract { rd, .. }
+            | Load { rd, .. }
+            | LoadLinked { rd, .. }
+            | StoreCond { rd, .. } => push(rd),
+            _ => {}
+        }
+        let gate = match *instr {
+            Store { .. } => Gate::Store,
+            Barrier => Gate::Barrier,
+            Fence { kind } => Gate::Fence(kind),
+            _ => Gate::Free,
+        };
+        Self {
+            regs,
+            n_regs: n as u8,
+            sync,
+            gate,
+        }
+    }
+
+    /// The scoreboard registers, in check order.
+    pub(crate) fn regs(&self) -> &[Reg] {
+        &self.regs[..self.n_regs as usize]
     }
 }
 
@@ -801,25 +866,25 @@ mod tests {
 
     #[test]
     fn src_and_dst_extraction() {
-        let mut v = Vec::new();
         let i = Instr::Alu {
             op: AluOp::Add,
             rd: Reg::new(1),
             rs: Reg::new(2),
             src2: Operand::Reg(Reg::new(3)),
         };
-        src_regs(&i, &mut v);
-        assert_eq!(v, vec![Reg::new(2), Reg::new(3)]);
-        assert_eq!(dst_reg(&i), Some(Reg::new(1)));
+        let d = Decoded::of(&i, true);
+        assert_eq!(d.regs(), [Reg::new(2), Reg::new(3), Reg::new(1)]);
+        assert!(d.sync);
+        assert_eq!(d.gate, Gate::Free);
 
         let st = Instr::Store {
             rs: Reg::new(4),
             base: Reg::new(5),
             offset: 8,
         };
-        src_regs(&st, &mut v);
-        assert_eq!(v, vec![Reg::new(4), Reg::new(5)]);
-        assert_eq!(dst_reg(&st), None);
+        let d = Decoded::of(&st, false);
+        assert_eq!(d.regs(), [Reg::new(4), Reg::new(5)]);
+        assert_eq!(d.gate, Gate::Store);
 
         let gl = Instr::VGatherLink {
             fd: MReg::new(0),
@@ -828,9 +893,15 @@ mod tests {
             vidx: VReg::new(1),
             fsrc: MReg::new(1),
         };
-        src_regs(&gl, &mut v);
-        assert_eq!(v, vec![Reg::new(6)]);
-        assert_eq!(dst_reg(&gl), None);
+        assert_eq!(Decoded::of(&gl, false).regs(), [Reg::new(6)]);
+
+        let fence = Instr::Fence {
+            kind: FenceKind::Acquire,
+        };
+        let d = Decoded::of(&fence, false);
+        assert!(d.regs().is_empty());
+        assert_eq!(d.gate, Gate::Fence(FenceKind::Acquire));
+        assert_eq!(Decoded::of(&Instr::Barrier, false).gate, Gate::Barrier);
     }
 
     #[test]

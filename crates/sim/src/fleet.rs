@@ -4,9 +4,10 @@
 //! A sweep over kernels × configurations is the unit of work this
 //! reproduction actually executes (fig5–fig8, table4, the contention
 //! studies), and the solo path pays a fixed tax per job: building a
-//! [`Machine`] allocates megabytes of cache-tag sets, filling the dataset
-//! writes every page of the image, and dropping the machine walks it all
-//! again. A [`Fleet`] amortizes all three:
+//! [`Machine`] allocates every cache's tag array (32,768 sets for the
+//! paper's L2), filling the dataset writes every page of the image, and
+//! dropping the machine walks it all again. A [`Fleet`] amortizes all
+//! three:
 //!
 //! * **machine pooling** — finished machines are [`Machine::reset`] (an
 //!   allocation-preserving return to the pristine state) and reused for
@@ -15,10 +16,9 @@
 //!   copy-on-write [`BackingBase`] instead of writing it word by word
 //!   ([`glsc_mem::Backing::set_base`]);
 //! * **batched stepping** — up to [`width`](Fleet::with_width) live
-//!   machines advance round-robin, one
-//!   [quantum](Fleet::with_quantum) of cycles per pass, through one
-//!   shared completion scratch buffer and a stepping loop with the solo
-//!   loop's per-cycle overhead hoisted out (see `Machine::run_slice`).
+//!   machines advance round-robin, at most one
+//!   [quantum](Fleet::with_quantum) of cycles per pass, each through the
+//!   same stepping loop as [`Machine::run`].
 //!
 //! Every completed job yields a [`RunReport`] **bit-identical** to the
 //! same job run solo through [`Machine::run`] — enforced by the fleet
@@ -26,9 +26,8 @@
 //! shape, the Ideal and Ring topologies, and a chaos plan.
 
 use crate::config::MachineConfig;
-use crate::machine::{Machine, RunCtl, SimError, SliceOutcome};
+use crate::machine::{Machine, SimError, SlicedRun};
 use crate::report::RunReport;
-use glsc_core::MemCompletion;
 use glsc_isa::Program;
 use glsc_mem::{BackingBase, FaultPlan};
 use std::sync::Arc;
@@ -112,7 +111,7 @@ impl std::fmt::Display for FleetFailure {
 struct Member {
     idx: usize,
     machine: Machine,
-    ctl: RunCtl,
+    ctl: SlicedRun,
     queue: std::collections::VecDeque<usize>,
 }
 
@@ -138,7 +137,7 @@ fn mount_member(
     if let Some(plan) = fault_plan {
         machine.mem_mut().install_fault_plan(plan);
     }
-    let ctl = RunCtl::new(&machine);
+    let ctl = SlicedRun::new(&machine);
     Member {
         idx,
         machine,
@@ -226,12 +225,11 @@ impl Fleet {
     /// machine configuration and each of the `width` slots drains one
     /// group at a time, so a slot's machine is reset and reused across
     /// every job of its shape instead of bouncing through the pool while
-    /// other shapes occupy the window. Building a machine costs
-    /// milliseconds (megabytes of cache-tag capacity); resetting one
-    /// costs microseconds — without affinity a mixed sweep rebuilds
-    /// machines at every slot refill and the fleet loses exactly the
-    /// amortization it exists to provide. Within a group, jobs run in
-    /// submission order.
+    /// other shapes occupy the window. Building a machine allocates every
+    /// cache's tag array; resetting one clears only the sets the last job
+    /// touched — without affinity a mixed sweep rebuilds machines at
+    /// every slot refill and the fleet loses exactly the amortization it
+    /// exists to provide. Within a group, jobs run in submission order.
     ///
     /// # Panics
     ///
@@ -245,7 +243,6 @@ impl Fleet {
         let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
         let mut pool: Vec<Machine> = Vec::new();
         let mut active: Vec<Member> = Vec::new();
-        let mut comp_buf: Vec<MemCompletion> = Vec::new();
         let mut mount = mount_member;
 
         loop {
@@ -270,15 +267,14 @@ impl Fleet {
             let mut i = 0;
             while i < active.len() {
                 let m = &mut active[i];
-                let outcome = m.machine.run_slice(&mut m.ctl, self.quantum, &mut comp_buf);
-                match outcome {
-                    Ok(SliceOutcome::Paused) => i += 1,
+                match m.machine.drive(&mut m.ctl, self.quantum, true) {
+                    Ok(false) => i += 1,
                     Err(e) => {
                         let member = &mut active[i];
                         on_done(member.idx, &mut member.machine, Err(e));
                         Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
                     }
-                    Ok(SliceOutcome::Done) => {
+                    Ok(true) => {
                         let member = &mut active[i];
                         let report = member.machine.report();
                         on_done(member.idx, &mut member.machine, Ok(report));
@@ -321,7 +317,6 @@ impl Fleet {
         let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
         let mut pool: Vec<Machine> = Vec::new();
         let mut active: Vec<Member> = Vec::new();
-        let mut comp_buf: Vec<MemCompletion> = Vec::new();
         let mut mount = mount_member;
 
         loop {
@@ -342,7 +337,7 @@ impl Fleet {
             while i < active.len() {
                 let m = &mut active[i];
                 let sliced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    m.machine.run_slice(&mut m.ctl, self.quantum, &mut comp_buf)
+                    m.machine.drive(&mut m.ctl, self.quantum, true)
                 }));
                 match sliced {
                     Err(payload) => {
@@ -365,7 +360,7 @@ impl Fleet {
                             active.push(mount(Machine::new(cfg), member.queue, &mut jobs));
                         }
                     }
-                    Ok(Ok(SliceOutcome::Paused)) => {
+                    Ok(Ok(false)) => {
                         let member = &mut active[i];
                         match on_pause(member.idx, &mut member.machine) {
                             PauseCtl::Continue => i += 1,
@@ -380,7 +375,7 @@ impl Fleet {
                         on_done(member.idx, &mut member.machine, Err(FleetFailure::Sim(e)));
                         Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
                     }
-                    Ok(Ok(SliceOutcome::Done)) => {
+                    Ok(Ok(true)) => {
                         let member = &mut active[i];
                         let report = member.machine.report();
                         on_done(member.idx, &mut member.machine, Ok(report));

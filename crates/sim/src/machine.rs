@@ -2,8 +2,8 @@
 
 use crate::config::{ConfigError, MachineConfig};
 use crate::cpu::Core;
+use crate::exec::Code;
 use crate::report::{RunReport, StallTotals};
-use crate::thread::ThreadStatus;
 use glsc_core::MemCompletion;
 use glsc_isa::{Program, Reg};
 use glsc_mem::MemorySystem;
@@ -188,13 +188,20 @@ impl Error for SimError {
 /// [`mem_mut`](Machine::mem_mut), load an SPMD [`Program`] (each hardware
 /// thread gets its global id in `r0` and the thread count in `r1`), then
 /// [`run`](Machine::run).
+///
+/// Every multi-cycle entry point ([`run`](Machine::run),
+/// [`run_naive`](Machine::run_naive), [`run_for`](Machine::run_for) and
+/// the [`Fleet`](crate::Fleet)) drives one stepping loop, and
+/// [`step`](Machine::step)/[`step_masked`](Machine::step_masked) run one
+/// cycle of its body (DESIGN.md §8).
 #[derive(Clone, Debug)]
 pub struct Machine {
     cfg: MachineConfig,
     mem: MemorySystem,
     cores: Vec<Core>,
-    /// Shared so the per-cycle loop clones a refcount, not the program.
-    program: Option<Arc<Program>>,
+    /// The loaded program and its predecoded issue table, shared with
+    /// clones and snapshots.
+    code: Option<Arc<Code>>,
     cycle: u64,
     /// Reused completion buffer: the steady-state cycle loop performs no
     /// per-cycle heap allocation for completion delivery.
@@ -232,7 +239,7 @@ impl Machine {
             cfg,
             mem,
             cores,
-            program: None,
+            code: None,
             cycle: 0,
             comp_buf: Vec::new(),
         })
@@ -255,7 +262,7 @@ impl Machine {
         self.cores = (0..self.cfg.cores)
             .map(|id| Core::new(id, &self.cfg))
             .collect();
-        self.program = None;
+        self.code = None;
         self.cycle = 0;
         self.comp_buf.clear();
     }
@@ -288,7 +295,7 @@ impl Machine {
             }
             core.reset_status_counts();
         }
-        self.program = Some(Arc::new(program));
+        self.code = Some(Arc::new(Code::new(Arc::new(program))));
         self.cycle = 0;
     }
 
@@ -314,34 +321,22 @@ impl Machine {
     }
 
     /// Advances one cycle; returns `true` when every thread has halted.
+    /// Runs no detector (watchdog, starvation, invariants, oracle, cycle
+    /// budget): the caller polls what it needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no program is loaded.
     pub fn step(&mut self) -> bool {
-        let program = Arc::clone(self.program.as_ref().expect("program loaded"));
-        let now = self.cycle;
-        let mut comp_buf = std::mem::take(&mut self.comp_buf);
-        for core in &mut self.cores {
-            core.memunit.tick_into(&mut self.mem, now, &mut comp_buf);
-            core.apply_completions(&mut comp_buf);
-        }
-        self.comp_buf = comp_buf;
-        for core in &mut self.cores {
-            core.issue_stage(&program, &self.cfg, now);
-        }
-        self.release_barrier(now);
-        for core in &mut self.cores {
-            core.classify_cycle();
-        }
-        self.cycle += 1;
-        self.cores
-            .iter()
-            .all(|c| c.all_halted() && c.memunit.is_idle())
+        self.advance(None, false)
     }
 
-    /// Advances one cycle with an externally-imposed per-core issue mask
-    /// (bit `t` of `masks[c]` allows thread `t` of core `c` to issue this
-    /// cycle). Threads masked out are accounted as losing the issue slot.
-    /// The mask applies to this step only — the litmus schedule controller
-    /// uses this to pin the machine to an explicit thread interleaving.
-    /// With all-ones masks this is exactly [`step`](Machine::step).
+    /// [`step`](Machine::step) with a per-core issue mask: bit `t` of
+    /// `masks[c]` allows thread `t` of core `c` to issue this cycle, and a
+    /// thread masked out is accounted as losing the issue slot. The
+    /// litmus schedule controller uses this to pin the machine to an
+    /// explicit thread interleaving. With all-ones masks this is exactly
+    /// `step`.
     ///
     /// # Panics
     ///
@@ -349,14 +344,94 @@ impl Machine {
     /// loaded.
     pub fn step_masked(&mut self, masks: &[u32]) -> bool {
         assert!(masks.len() >= self.cores.len(), "mask per core required");
-        for (core, &m) in self.cores.iter_mut().zip(masks) {
-            core.issue_mask = m;
+        self.advance(Some(masks), false)
+    }
+
+    /// One cycle of the machine: the body of the stepping loop and of
+    /// [`step`](Machine::step). In order: cores whose wake cycle has come
+    /// are settled and woken; every busy memory unit ticks, in core
+    /// order, and its completions are applied; every awake core with a
+    /// live thread runs its issue stage; a complete barrier releases,
+    /// after settling any sleeping core and running its issue stage for
+    /// this cycle; and the awake cores classify the cycle.
+    ///
+    /// With `sleep` set, an awake core whose memory unit is idle and whose
+    /// threads issued nothing then goes to sleep until its earliest issue
+    /// cycle, when that is more than one cycle away: nothing but a barrier
+    /// release can change its state before then.
+    fn advance(&mut self, masks: Option<&[u32]>, sleep: bool) -> bool {
+        let Self {
+            cfg,
+            mem,
+            cores,
+            code,
+            cycle,
+            comp_buf,
+        } = self;
+        let code: &Code = code.as_ref().expect("program loaded");
+        let now = *cycle;
+        for core in cores.iter_mut() {
+            if core.asleep.is_some_and(|(_, wake)| wake <= now) {
+                core.settle(code, now);
+            }
+            // An idle unit's tick is a no-op that yields no completions.
+            if !core.memunit.is_idle() {
+                core.memunit.tick_into(mem, now, comp_buf);
+                core.apply_completions(comp_buf);
+            }
         }
-        let done = self.step();
-        for core in &mut self.cores {
-            core.issue_mask = u32::MAX;
+        for (c, core) in cores.iter_mut().enumerate() {
+            if core.asleep.is_some() {
+                continue; // issued nothing before it slept
+            }
+            if core.all_halted() {
+                // The issue stage would only clear this and rotate the
+                // round-robin pointer, which nothing reads once every
+                // thread has halted.
+                core.issued_any = false;
+            } else {
+                core.issue_stage(code, cfg, now, masks.map_or(u32::MAX, |m| m[c]));
+            }
         }
-        done
+        let (waiting, halted) = cores
+            .iter()
+            .fold((0, 0), |(w, h), c| (w + c.at_barrier, h + c.halted));
+        let live = cfg.total_threads() - halted;
+        if live > 0 && waiting == live {
+            for core in cores.iter_mut() {
+                if core.asleep.is_some() {
+                    // Every live thread of a sleeping core is at the
+                    // barrier, so none issues this cycle.
+                    core.settle(code, now);
+                    core.issue_stage(code, cfg, now, u32::MAX);
+                }
+                core.release_barrier_threads(now);
+            }
+        }
+        for core in cores.iter_mut() {
+            if core.asleep.is_some() || core.all_halted() {
+                continue;
+            }
+            core.classify_cycle();
+            if sleep && !core.issued_any && core.memunit.is_idle() {
+                let wake = core.earliest_wake(code);
+                if wake > now + 1 {
+                    core.asleep = Some((now + 1, wake));
+                }
+            }
+        }
+        *cycle += 1;
+        cores.iter().all(|c| c.all_halted() && c.memunit.is_idle())
+    }
+
+    /// Settles every sleeping core through the current cycle, leaving the
+    /// machine exactly as single-stepping would have.
+    fn wake_all(&mut self) {
+        if let Some(code) = &self.code {
+            for core in &mut self.cores {
+                core.settle(code, self.cycle);
+            }
+        }
     }
 
     /// The first atomicity violation the installed oracle has recorded,
@@ -400,266 +475,81 @@ impl Machine {
         self.cores[c].memunit.lsu_buffered_stores(t as u8)
     }
 
-    fn release_barrier(&mut self, now: u64) {
-        let mut waiting = 0usize;
-        let mut halted = 0usize;
-        for core in &self.cores {
-            waiting += core.at_barrier;
-            halted += core.halted;
-        }
-        let live = self.cfg.total_threads() - halted;
-        if live > 0 && waiting == live {
-            for core in &mut self.cores {
-                core.release_barrier_threads(now);
-            }
-        }
-    }
-
-    /// Jumps the clock forward over cycles in which nothing can happen:
-    /// when every memory unit is drained, no completion can arrive and no
-    /// thread status can change, so the next interesting cycle is the
-    /// minimum over Running threads of their earliest possible issue
-    /// cycle. The skipped cycles are bulk-attributed to the exact stall
-    /// categories the single-stepped loop would have recorded (see
-    /// [`Core::attribute_window`]), keeping [`RunReport`]s
-    /// cycle-for-cycle identical to [`run_naive`](Machine::run_naive).
-    /// `cap` bounds the jump target (exclusive of the watchdog deadline)
-    /// so [`SimError::Livelock`] fires at the same cycle — with the same
-    /// bulk-attributed stall stats — as under naive stepping.
-    fn fast_forward(&mut self, cap: u64) {
-        let now = self.cycle;
-        // If any thread issued in the step that just completed, the
-        // machine is making forward progress and the earliest-issue probe
-        // below would almost always find `target <= now` — skip it so
-        // compute-bound phases pay nothing for fast-forward support.
-        // A busy memory unit generates/issues/drains every cycle; any
-        // pending event likewise pins the machine to single-stepping.
-        if self
-            .cores
-            .iter()
-            .any(|c| c.issued_any || c.memunit.next_event_cycle(now).is_some())
-        {
-            return;
-        }
-        let program = Arc::clone(self.program.as_ref().expect("program loaded"));
-        let mut target = u64::MAX;
-        let mut any_running = false;
-        for core in &mut self.cores {
-            for t in 0..core.threads.len() {
-                if core.threads[t].status == ThreadStatus::Running {
-                    any_running = true;
-                    target = target.min(core.earliest_issue(t, &program));
-                }
-            }
-        }
-        // Cap at the cycle budget (and the caller's watchdog deadline) so
-        // MaxCyclesExceeded and Livelock fire at the same cycle (with the
-        // same partial stats) as the naive loop.
-        let target = target.min(self.cfg.max_cycles).min(cap);
-        if !any_running || target <= now {
-            return;
-        }
-        for core in &mut self.cores {
-            core.attribute_window(&program, now, target);
-        }
-        self.cycle = target;
-    }
-
     /// Runs until every thread halts, returning the aggregated report.
-    /// Uses event-driven fast-forwarding over dead cycles; the resulting
-    /// report is cycle-for-cycle identical to
-    /// [`run_naive`](Machine::run_naive).
+    /// Idle cores sleep until they can issue and the clock jumps over
+    /// cycles in which every core sleeps; the report is cycle-for-cycle
+    /// identical to [`run_naive`](Machine::run_naive).
     ///
     /// # Errors
     ///
     /// [`SimError::NoProgram`] when no program was loaded;
     /// [`SimError::MaxCyclesExceeded`] when the configured cycle budget is
-    /// exhausted.
+    /// exhausted; the detector errors ([`SimError::Livelock`],
+    /// [`SimError::Starvation`], [`SimError::InvariantViolation`],
+    /// [`SimError::AtomicityViolation`]) when enabled.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
-        self.run_loop(true)
+        self.drive(&mut SlicedRun::new(self), u64::MAX, true)?;
+        Ok(self.report())
     }
 
-    /// Runs the machine by single-stepping every cycle, with no
-    /// fast-forwarding. Kept as the reference implementation for
-    /// differential testing and performance comparison against
-    /// [`run`](Machine::run).
+    /// Runs the same loop as [`run`](Machine::run) with sleeping turned
+    /// off, so every core is stepped on every cycle. Kept as the reference
+    /// for differential testing and performance comparison.
     ///
     /// # Errors
     ///
     /// Same as [`run`](Machine::run).
     pub fn run_naive(&mut self) -> Result<RunReport, SimError> {
-        self.run_loop(false)
+        self.drive(&mut SlicedRun::new(self), u64::MAX, false)?;
+        Ok(self.report())
     }
 
-    fn run_loop(&mut self, fast_forward: bool) -> Result<RunReport, SimError> {
-        if self.program.is_none() {
+    /// The stepping loop: advances by at most `budget` cycles (one when
+    /// `budget` is 0), returning `true` once every thread has halted and
+    /// the memory units have drained. `ctl` carries the detector state
+    /// across calls, so every detector fires on the cycle, and with the
+    /// stats, that one uninterrupted single-stepped run would show.
+    ///
+    /// With `sleep` set, idle cores sleep (see [`advance`](Self::advance))
+    /// and, when every core is asleep or halted with a drained memory
+    /// unit, the clock jumps to the earliest wake. The jump is capped one
+    /// cycle short of the cycle budget and of the watchdog deadline, so
+    /// the next (non-issuing) step lands on the cycle where they fire, and
+    /// at the end of the slice. Every core is settled before the loop
+    /// returns, for any reason.
+    pub(crate) fn drive(
+        &mut self,
+        ctl: &mut SlicedRun,
+        budget: u64,
+        sleep: bool,
+    ) -> Result<bool, SimError> {
+        if self.code.is_none() {
             return Err(SimError::NoProgram);
         }
-        // Watchdog state: the last cycle at which any thread issued. A
-        // fast-forward jump always lands on a cycle where a thread can
-        // issue, so a live machine keeps refreshing this even across
-        // jumps wider than the window.
-        let mut last_progress = self.cycle;
-        let mut next_invariant_check = self
-            .cfg
-            .invariant_check_period
-            .map(|p| self.cycle.saturating_add(p));
-        loop {
-            let done = self.step();
-            // The oracle only accumulates during stepped cycles (memory
-            // traffic pins the machine to single-stepping), so polling
-            // here catches every violation on the cycle it commits —
-            // including one on the final step.
-            if let Some(v) = self.mem.oracle_violation() {
-                return Err(SimError::AtomicityViolation {
-                    cycle: self.cycle,
-                    violation: v.clone(),
-                });
-            }
-            if done {
-                return Ok(self.report());
-            }
-            // Starvation check directly after the step: SC outcomes are
-            // only recorded during stepped cycles (a busy memory unit pins
-            // the machine to single-stepping, see `fast_forward`), so the
-            // threshold crossing — and this abort — lands on the same
-            // cycle in `run` and `run_naive`.
-            if let Some(threshold) = self.cfg.starvation_threshold {
-                if let Some(err) = self.check_starvation(threshold) {
-                    return Err(err);
-                }
-            }
-            if self.cores.iter().any(|c| c.issued_any) {
-                last_progress = self.cycle;
-            } else if let Some(window) = self.cfg.watchdog_window {
-                if self.cycle.saturating_sub(last_progress) >= window {
-                    return Err(SimError::Livelock {
-                        cycle: self.cycle,
-                        window,
-                        stuck: self.stuck_threads(),
-                        stalls: self.stall_totals(),
-                        reservations: self.mem.reservation_state(),
-                    });
-                }
-            }
-            if let Some(at) = next_invariant_check {
-                if self.cycle >= at {
-                    if let Err(violation) = self.mem.try_check_invariants() {
-                        return Err(SimError::InvariantViolation {
-                            cycle: self.cycle,
-                            violation,
-                        });
-                    }
-                    let period = self.cfg.invariant_check_period.unwrap_or(u64::MAX);
-                    next_invariant_check = Some(self.cycle.saturating_add(period));
-                }
-            }
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::MaxCyclesExceeded {
-                    cycle: self.cycle,
-                    stuck: self.stuck_threads(),
-                    stalls: self.stall_totals(),
-                });
-            }
-            if fast_forward {
-                // Never jump past the cycle at which the watchdog would
-                // fire: the jump target is one short of the deadline, so
-                // the next (non-issuing) step lands exactly on it.
-                let wd_cap = match self.cfg.watchdog_window {
-                    Some(w) => last_progress.saturating_add(w).saturating_sub(1),
-                    None => u64::MAX,
-                };
-                self.fast_forward(wd_cap);
-            }
-        }
-    }
-
-    /// One cycle of the fleet stepping loop. Semantically identical to
-    /// [`step`](Machine::step) — same call order into the shared memory
-    /// system, same barrier release, same statistics — but with the
-    /// per-cycle overhead the solo loop pays hoisted or skipped:
-    ///
-    /// * the program `Arc` and the completion buffer are passed in by the
-    ///   caller instead of cloned/taken every cycle;
-    /// * an idle memory unit is not ticked (its tick is a state no-op; it
-    ///   can produce no completions, so `apply_completions` on the empty
-    ///   buffer is skipped with it);
-    /// * a core whose threads have all halted skips the issue stage and
-    ///   the statistics classification — both are no-ops for halted
-    ///   threads, except the issue round-robin rotation, which is
-    ///   unobservable once nothing can issue again.
-    fn step_fast(&mut self, program: &Program, comp_buf: &mut Vec<MemCompletion>) -> bool {
-        let now = self.cycle;
-        for core in &mut self.cores {
-            if !core.memunit.is_idle() {
-                core.memunit.tick_into(&mut self.mem, now, comp_buf);
-                core.apply_completions(comp_buf);
-                debug_assert!(comp_buf.is_empty(), "completions fully drained");
-            }
-        }
-        for core in &mut self.cores {
-            if core.all_halted() {
-                // issue_stage would have cleared this; the watchdog and
-                // fast-forward probes must not see a stale value.
-                core.issued_any = false;
-            } else {
-                core.issue_stage(program, &self.cfg, now);
-            }
-        }
-        self.release_barrier(now);
-        for core in &mut self.cores {
-            if !core.all_halted() {
-                core.classify_cycle();
-            }
-        }
-        self.cycle += 1;
-        self.cores
-            .iter()
-            .all(|c| c.all_halted() && c.memunit.is_idle())
-    }
-
-    /// Advances the machine by (at most) `budget` cycles of the fleet
-    /// stepping loop, with the same abort semantics as
-    /// [`run`](Machine::run): the watchdog, starvation detector, periodic
-    /// invariant checks and cycle budget all fire on exactly the cycle
-    /// they would under the solo loop, and the [`RunReport`] of a
-    /// completed run is bit-identical (proven by the fleet differential
-    /// oracle). `ctl` carries the detector state across slices;
-    /// `comp_buf` is the caller's scratch completion buffer (shared
-    /// across fleet members).
-    ///
-    /// The starvation scan is gated on the memory system's total
-    /// store-conditional failure count: a streak can only reach the
-    /// threshold on a cycle that records a failure, so skipping the
-    /// per-thread scan on all other cycles cannot move the abort.
-    pub(crate) fn run_slice(
-        &mut self,
-        ctl: &mut RunCtl,
-        budget: u64,
-        comp_buf: &mut Vec<MemCompletion>,
-    ) -> Result<SliceOutcome, SimError> {
-        let program = match &self.program {
-            Some(p) => Arc::clone(p),
-            None => return Err(SimError::NoProgram),
-        };
         let slice_end = self.cycle.saturating_add(budget);
-        loop {
-            let done = self.step_fast(&program, comp_buf);
+        let verdict = loop {
+            let done = self.advance(None, sleep);
+            // Memory traffic only happens on stepped cycles, so polling
+            // after each step catches every violation on the cycle it
+            // commits, including one on the final step.
             if let Some(v) = self.mem.oracle_violation() {
-                return Err(SimError::AtomicityViolation {
+                break Err(SimError::AtomicityViolation {
                     cycle: self.cycle,
                     violation: v.clone(),
                 });
             }
             if done {
-                return Ok(SliceOutcome::Done);
+                break Ok(true);
             }
+            // A streak can only reach the threshold on a cycle that
+            // records a store-conditional failure, so the per-thread scan
+            // runs only when the machine-wide failure count moved.
             if let Some(threshold) = self.cfg.starvation_threshold {
                 let failures = self.mem.stats().sc_failures;
                 if failures != ctl.sc_failures_seen {
                     ctl.sc_failures_seen = failures;
                     if let Some(err) = self.check_starvation(threshold) {
-                        return Err(err);
+                        break Err(err);
                     }
                 }
             }
@@ -667,7 +557,8 @@ impl Machine {
                 ctl.last_progress = self.cycle;
             } else if let Some(window) = self.cfg.watchdog_window {
                 if self.cycle.saturating_sub(ctl.last_progress) >= window {
-                    return Err(SimError::Livelock {
+                    self.wake_all();
+                    break Err(SimError::Livelock {
                         cycle: self.cycle,
                         window,
                         stuck: self.stuck_threads(),
@@ -679,7 +570,7 @@ impl Machine {
             if let Some(at) = ctl.next_invariant_check {
                 if self.cycle >= at {
                     if let Err(violation) = self.mem.try_check_invariants() {
-                        return Err(SimError::InvariantViolation {
+                        break Err(SimError::InvariantViolation {
                             cycle: self.cycle,
                             violation,
                         });
@@ -689,21 +580,37 @@ impl Machine {
                 }
             }
             if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::MaxCyclesExceeded {
+                self.wake_all();
+                break Err(SimError::MaxCyclesExceeded {
                     cycle: self.cycle,
                     stuck: self.stuck_threads(),
                     stalls: self.stall_totals(),
                 });
             }
-            let wd_cap = match self.cfg.watchdog_window {
-                Some(w) => ctl.last_progress.saturating_add(w).saturating_sub(1),
-                None => u64::MAX,
-            };
-            self.fast_forward(wd_cap);
-            if self.cycle >= slice_end {
-                return Ok(SliceOutcome::Paused);
+            if sleep {
+                let mut wake = u64::MAX;
+                let quiet = self.cores.iter().all(|c| match c.asleep {
+                    Some((_, w)) => {
+                        wake = wake.min(w);
+                        true
+                    }
+                    None => c.all_halted() && c.memunit.is_idle(),
+                });
+                if quiet {
+                    let deadline = match self.cfg.watchdog_window {
+                        Some(w) => ctl.last_progress.saturating_add(w),
+                        None => u64::MAX,
+                    };
+                    let cap = self.cfg.max_cycles.min(deadline).saturating_sub(1);
+                    self.cycle = self.cycle.max(wake.min(cap).min(slice_end));
+                }
             }
-        }
+            if self.cycle >= slice_end {
+                break Ok(false);
+            }
+        };
+        self.wake_all();
+        verdict
     }
 
     /// Builds the [`SimError::Starvation`] diagnostic if any thread's
@@ -778,7 +685,7 @@ impl Machine {
         MachineSnapshot {
             cfg: self.cfg.clone(),
             cycle: self.cycle,
-            program: self.program.clone(),
+            program: self.code.as_ref().map(|c| Arc::clone(&c.program)),
             cores: self.cores.iter().map(Core::snapshot).collect(),
             mem: self.mem.snapshot(),
         }
@@ -803,7 +710,7 @@ impl Machine {
             });
         }
         self.cycle = snap.cycle;
-        self.program = snap.program.clone();
+        self.code = snap.program.clone().map(|p| Arc::new(Code::new(p)));
         for (core, cs) in self.cores.iter_mut().zip(&snap.cores) {
             core.restore(cs);
         }
@@ -842,43 +749,6 @@ impl Machine {
         }
         report
     }
-}
-
-/// Abort-detector state threaded across [`Machine::run_slice`] calls so a
-/// run split into slices fires the watchdog, starvation and invariant
-/// checks on exactly the cycles an unsliced run would.
-#[derive(Clone, Debug)]
-pub(crate) struct RunCtl {
-    /// Last cycle at which any thread issued (watchdog anchor).
-    last_progress: u64,
-    /// Next cycle at which to run the periodic coherence check.
-    next_invariant_check: Option<u64>,
-    /// Total SC failures at the last starvation scan (scan gate).
-    sc_failures_seen: u64,
-}
-
-impl RunCtl {
-    /// Detector state for a machine about to start (or resume) running.
-    pub(crate) fn new(machine: &Machine) -> Self {
-        Self {
-            last_progress: machine.cycle,
-            next_invariant_check: machine
-                .cfg
-                .invariant_check_period
-                .map(|p| machine.cycle.saturating_add(p)),
-            sc_failures_seen: machine.mem.stats().sc_failures,
-        }
-    }
-}
-
-/// Result of one [`Machine::run_slice`] call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum SliceOutcome {
-    /// Every thread halted and the memory units drained; the report is
-    /// ready.
-    Done,
-    /// The cycle budget for this slice ran out; call again to continue.
-    Paused,
 }
 
 /// A self-contained point-in-time copy of a [`Machine`], produced by
@@ -920,16 +790,21 @@ impl MachineSnapshot {
     }
 }
 
-/// Externally-driveable sliced execution: the state
-/// [`Machine::run_for`] threads across calls so a run split into slices
-/// fires the watchdog, starvation and invariant checks on exactly the
-/// cycles an unsliced [`Machine::run`] would. Built for drivers that
-/// step a bounded number of cycles at a time, e.g. to snapshot between
-/// slices (the snapshot-codec oracle does exactly that).
-#[derive(Debug)]
+/// The detector state [`Machine::run_for`] threads across calls (the
+/// watchdog's last-progress cycle, the next invariant-check cycle and the
+/// starvation scan's gate), so a run split into slices fires the
+/// watchdog, starvation and invariant checks on exactly the cycles an
+/// unsliced [`Machine::run`] would. Built for drivers that step a bounded
+/// number of cycles at a time, e.g. to snapshot between slices (the
+/// snapshot-codec oracle does exactly that).
+#[derive(Clone, Debug)]
 pub struct SlicedRun {
-    ctl: RunCtl,
-    comp_buf: Vec<MemCompletion>,
+    /// Last cycle at which any thread issued (watchdog anchor).
+    last_progress: u64,
+    /// Next cycle at which to run the periodic coherence check.
+    next_invariant_check: Option<u64>,
+    /// Total SC failures at the last starvation scan (scan gate).
+    sc_failures_seen: u64,
 }
 
 impl SlicedRun {
@@ -937,18 +812,23 @@ impl SlicedRun {
     /// Create this *after* restoring a snapshot, not before.
     pub fn new(machine: &Machine) -> Self {
         Self {
-            ctl: RunCtl::new(machine),
-            comp_buf: Vec::new(),
+            last_progress: machine.cycle,
+            next_invariant_check: machine
+                .cfg
+                .invariant_check_period
+                .map(|p| machine.cycle.saturating_add(p)),
+            sc_failures_seen: machine.mem.stats().sc_failures,
         }
     }
 }
 
 impl Machine {
-    /// Advances the machine by at most `budget` cycles, returning
-    /// `Some(report)` once every thread has halted and the memory units
-    /// have drained, `None` while work remains. The concatenation of
-    /// slices is bit-identical to one uninterrupted [`Machine::run`] —
-    /// the property the snapshot-codec and kill-drill oracles pin down.
+    /// Advances the machine by at most `budget` cycles (one when `budget`
+    /// is 0), returning `Some(report)` once every thread has halted and
+    /// the memory units have drained, `None` while work remains. The
+    /// concatenation of slices is bit-identical to one uninterrupted
+    /// [`Machine::run`], the property the snapshot-codec and kill-drill
+    /// oracles pin down.
     ///
     /// # Errors
     ///
@@ -958,13 +838,7 @@ impl Machine {
         run: &mut SlicedRun,
         budget: u64,
     ) -> Result<Option<RunReport>, SimError> {
-        let mut comp_buf = std::mem::take(&mut run.comp_buf);
-        let outcome = self.run_slice(&mut run.ctl, budget, &mut comp_buf);
-        run.comp_buf = comp_buf;
-        match outcome? {
-            SliceOutcome::Done => Ok(Some(self.report())),
-            SliceOutcome::Paused => Ok(None),
-        }
+        Ok(self.drive(run, budget, true)?.then(|| self.report()))
     }
 }
 

@@ -86,6 +86,29 @@ fn livelock_identical_between_run_and_run_naive() {
     assert!(msg.contains("stall totals"), "display has stalls: {msg}");
 }
 
+/// The cycle budget, like the watchdog, must fire on the same cycle with
+/// the same stall totals whether the machine single-steps or sleeps
+/// through the wait: the budget here runs out in the middle of the fill.
+#[test]
+fn cycle_budget_identical_between_run_and_run_naive() {
+    let build = || {
+        let mut cfg = MachineConfig::paper(2, 2, 1)
+            .with_watchdog_window(None)
+            .with_max_cycles(5_000);
+        cfg.mem.dram_latency = 10_000_000;
+        let mut m = Machine::new(cfg);
+        m.load_program(blocking_ll_program());
+        m
+    };
+    let fast = build().run().unwrap_err();
+    let naive = build().run_naive().unwrap_err();
+    assert!(
+        matches!(naive, SimError::MaxCyclesExceeded { cycle: 5_000, .. }),
+        "{naive:?}"
+    );
+    assert_eq!(fast, naive, "cycle budget must not depend on sleeping");
+}
+
 #[test]
 fn watchdog_disabled_falls_through_to_cycle_budget() {
     let mut cfg = MachineConfig::paper(1, 1, 1)

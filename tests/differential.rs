@@ -1,13 +1,20 @@
 //! Differential testing: random single-threaded programs must produce
 //! identical architectural and memory state on the cycle-level machine and
-//! the functional reference interpreter.
+//! the functional reference interpreter; and every driver of the
+//! machine's stepping loop (`run`, `run_for`, `Fleet`) must reproduce the
+//! naive single-stepped loop (`run_naive`) on random programs and on
+//! every kernel.
 //!
 //! Originally written with `proptest`; the offline build environment cannot
 //! fetch it, so the cases now run as seeded loops over `glsc-rng`. Each
 //! case prints its seed on failure for reproduction.
 
 use glsc::isa::{AluOp, CmpOp, FpOp, MReg, Program, ProgramBuilder, Reg, VReg};
-use glsc::sim::{reference, Machine, MachineConfig};
+use glsc::mem::Backing;
+use glsc::sim::{
+    reference, ArbitrationPolicy, FaultPlan, Fleet, FleetJob, Machine, MachineConfig,
+    MachineSnapshot, MemoryOrder, NocConfig, RunReport, SlicedRun,
+};
 use glsc_rng::rngs::StdRng;
 use glsc_rng::{Rng, SeedableRng};
 
@@ -384,10 +391,106 @@ fn machine_matches_functional_reference() {
     }
 }
 
-/// The event-driven fast-forward in `Machine::run` must be an invisible
-/// optimization: its `RunReport` (cycles, every per-thread stall counter,
-/// memory/LSU/GSU stats) and final memory must be identical to the naive
-/// single-stepped loop, on random programs across machine shapes.
+/// Slice budget for the `run_for` leg of [`assert_every_loop_agrees`]:
+/// odd and prime, so slice ends fall at every phase of a kernel's loops.
+const SLICE: u64 = 97;
+
+/// Fleet quantum for the same, likewise odd and unrelated to `SLICE`.
+const QUANTUM: u64 = 61;
+
+/// Runs one job through every driver of the stepping loop and asserts
+/// that each leaves the `RunReport` and final memory of the
+/// single-stepped reference, `run_naive`:
+///
+/// * `run`, where idle cores sleep and the clock jumps over cycles in
+///   which every core sleeps;
+/// * `run_for` in `SLICE`-cycle slices, each call advancing at most
+///   `SLICE` cycles;
+/// * a width-2 `Fleet` in `QUANTUM`-cycle quanta, running the job live
+///   beside a twin whose configuration differs only in its cycle budget
+///   (the fleet groups jobs by configuration, so identical twins would
+///   run one after the other).
+///
+/// `build` makes a ready-to-run machine for `job`; `read` takes what is
+/// compared of a finished machine's memory. Returns the reference report
+/// and memory.
+fn assert_every_loop_agrees<T: PartialEq + std::fmt::Debug>(
+    job: FleetJob,
+    build: impl Fn() -> Machine,
+    read: impl Fn(&Machine) -> T,
+    what: &str,
+) -> (RunReport, T) {
+    let mut naive = build();
+    let expect = naive
+        .run_naive()
+        .unwrap_or_else(|e| panic!("{what}: naive run failed: {e}"));
+    let expect_mem = read(&naive);
+
+    let mut fast = build();
+    let report = fast
+        .run()
+        .unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
+    assert_eq!(report, expect, "{what}: run diverged from run_naive");
+    assert_eq!(read(&fast), expect_mem, "{what}: run left different memory");
+
+    let mut sliced = build();
+    let mut run = SlicedRun::new(&sliced);
+    let report = loop {
+        let before = sliced.cycle();
+        let out = sliced
+            .run_for(&mut run, SLICE)
+            .unwrap_or_else(|e| panic!("{what}: run_for failed: {e}"));
+        let advanced = sliced.cycle() - before;
+        assert!(
+            advanced <= SLICE,
+            "{what}: run_for({SLICE}) advanced {advanced} cycles from cycle {before}"
+        );
+        if let Some(report) = out {
+            break report;
+        }
+    };
+    assert_eq!(
+        report, expect,
+        "{what}: run_for slices diverged from run_naive"
+    );
+    assert_eq!(
+        read(&sliced),
+        expect_mem,
+        "{what}: run_for left different memory"
+    );
+
+    let mut twin = job.clone();
+    twin.cfg.max_cycles += 1;
+    let mut finished = 0;
+    Fleet::new()
+        .with_width(2)
+        .with_quantum(QUANTUM)
+        .run_each(vec![job, twin], |idx, m, result| {
+            let report = result.unwrap_or_else(|e| panic!("{what}: fleet job {idx} failed: {e}"));
+            assert_eq!(
+                report, expect,
+                "{what}: fleet job {idx} diverged from run_naive"
+            );
+            assert_eq!(
+                read(m),
+                expect_mem,
+                "{what}: fleet job {idx} left different memory"
+            );
+            finished += 1;
+        });
+    assert_eq!(finished, 2, "{what}: fleet lost a job");
+    (expect, expect_mem)
+}
+
+/// Sleeping cores and clock jumps in `Machine::run` must be an invisible
+/// optimization: every driver of the stepping loop leaves the `RunReport`
+/// (cycles, every per-thread stall counter, memory/LSU/GSU stats) and the
+/// final memory of the naive single-stepped loop, on random programs
+/// across machine shapes and every memory order, with a chaos plan on
+/// odd seeds. Under TSO and the relaxed model the random stores sit in
+/// write buffers, which drain after their thread halts. A machine
+/// stepped to a random cycle, snapshotted through the codec and resumed
+/// with `run` must finish the same way too.
 #[test]
 fn fast_forward_matches_naive_random_programs() {
     const SHAPES: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
@@ -399,63 +502,146 @@ fn fast_forward_matches_naive_random_programs() {
         let width = WIDTHS[rng.random_range(0..WIDTHS.len())];
         let (cores, tpc) = SHAPES[rng.random_range(0..SHAPES.len())];
         let program = assemble(&ops, width);
+        let mut staging = Backing::new();
+        staging.write_u32_slice(WINDOW_BASE as u64, &initial_memory());
+        let base = staging.freeze();
 
-        let build = || {
-            let mut m = Machine::new(MachineConfig::paper(cores, tpc, width));
-            m.mem_mut()
-                .backing_mut()
-                .write_u32_slice(WINDOW_BASE as u64, &initial_memory());
-            m.load_program(program.clone());
-            m
-        };
-        let mut fast = build();
-        let fast_report = fast.run().expect("fast-forward run succeeds");
-        let mut naive = build();
-        let naive_report = naive.run_naive().expect("naive run succeeds");
-
-        assert_eq!(
-            fast_report, naive_report,
-            "seed {seed} ({cores}x{tpc} w{width}): report diverged"
-        );
-        for w in 0..WINDOW_WORDS as u64 {
-            let addr = WINDOW_BASE as u64 + 4 * w;
-            assert_eq!(
-                fast.mem().backing().read_u32(addr),
-                naive.mem().backing().read_u32(addr),
-                "seed {seed}: memory diverged at word {w}"
+        let chaos = (seed % 2 == 1).then(|| FaultPlan::from_seed(seed));
+        for order in MemoryOrder::ALL {
+            let cfg = MachineConfig::paper(cores, tpc, width).with_memory_order(order);
+            let build = || {
+                let mut m = Machine::new(cfg.clone());
+                m.mem_mut()
+                    .backing_mut()
+                    .write_u32_slice(WINDOW_BASE as u64, &initial_memory());
+                m.load_program(program.clone());
+                if let Some(plan) = &chaos {
+                    m.mem_mut().install_fault_plan(plan.clone());
+                }
+                m
+            };
+            let mut job = FleetJob::new(cfg.clone(), program.clone()).with_base(base.clone());
+            job.fault_plan = chaos.clone();
+            let window = |m: &Machine| {
+                m.mem()
+                    .backing()
+                    .read_u32_vec(WINDOW_BASE as u64, WINDOW_WORDS as usize)
+            };
+            let what = format!(
+                "seed {seed} ({cores}x{tpc} w{width} {order:?}, chaos {})",
+                chaos.is_some()
             );
+            let (whole, memory) = assert_every_loop_agrees(job, build, window, &what);
+
+            let at = rng.random_range(0..whole.cycles);
+            let mut m = build();
+            for _ in 0..at {
+                m.step();
+            }
+            let bytes = m.snapshot().to_bytes();
+            let snap = MachineSnapshot::from_bytes(&bytes).expect("snapshot decodes");
+            let mut resumed = Machine::from_snapshot(&snap);
+            let report = resumed
+                .run()
+                .unwrap_or_else(|e| panic!("{what}: resumed run failed: {e}"));
+            assert_eq!(report, whole, "{what}: run resumed at cycle {at} diverged");
+            assert_eq!(window(&resumed), memory, "{what}: resumed at cycle {at}");
         }
     }
 }
 
-/// Fast-forward vs naive on the real workloads: all seven kernels, both
-/// variants, across the four Fig. 6 machine shapes at tiny scale.
+/// The same on the real workloads: all seven kernels, both variants,
+/// across the four Fig. 6 machine shapes at tiny scale, under every
+/// memory order; and at 4x4, also on the Ring fabric with aged
+/// arbitration, where NoC queueing and refused store-conditionals shape
+/// the idle windows.
 #[test]
 fn fast_forward_matches_naive_all_kernels() {
     use glsc::kernels::{build_named, Dataset, Variant, KERNEL_NAMES};
     const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
     for kernel in KERNEL_NAMES {
         for (cores, tpc) in SHAPES {
-            for variant in [Variant::Base, Variant::Glsc] {
-                let cfg = MachineConfig::paper(cores, tpc, 4);
-                let w = build_named(kernel, Dataset::Tiny, variant, &cfg).expect("known kernel");
-                let build = || {
-                    let mut m = Machine::new(cfg.clone());
-                    w.image.apply(m.mem_mut().backing_mut());
-                    m.load_program(w.program.clone());
-                    m
-                };
-                let fast = build().run().unwrap_or_else(|e| {
-                    panic!("{kernel} {cores}x{tpc} {variant:?}: fast run failed: {e}")
-                });
-                let naive = build().run_naive().unwrap_or_else(|e| {
-                    panic!("{kernel} {cores}x{tpc} {variant:?}: naive run failed: {e}")
-                });
-                assert_eq!(
-                    fast, naive,
-                    "{kernel} {cores}x{tpc} {variant:?}: fast-forward report diverged from naive"
-                );
+            let fabrics: &[(NocConfig, ArbitrationPolicy)] = if (cores, tpc) == (4, 4) {
+                &[
+                    (NocConfig::ideal(), ArbitrationPolicy::Free),
+                    (NocConfig::ring(), ArbitrationPolicy::AgedPriority),
+                ]
+            } else {
+                &[(NocConfig::ideal(), ArbitrationPolicy::Free)]
+            };
+            for (noc, policy) in fabrics {
+                for order in MemoryOrder::ALL {
+                    for variant in [Variant::Base, Variant::Glsc] {
+                        let cfg = MachineConfig::paper(cores, tpc, 4)
+                            .with_noc(noc.clone())
+                            .with_arbitration(*policy)
+                            .with_memory_order(order);
+                        let w = build_named(kernel, Dataset::Tiny, variant, &cfg)
+                            .expect("known kernel");
+                        let build = || {
+                            let mut m = Machine::new(cfg.clone());
+                            w.image.apply(m.mem_mut().backing_mut());
+                            m.load_program(w.program.clone());
+                            m
+                        };
+                        let job = FleetJob::new(cfg.clone(), w.program.clone())
+                            .with_base(w.image.publish());
+                        // The kernel's golden check: its verdict (and, on a
+                        // mismatch, its message) must not depend on the loop.
+                        let verdict = |m: &Machine| (w.validate)(m.mem().backing());
+                        let what = format!(
+                            "{kernel} {cores}x{tpc} {variant:?} {order:?} {:?} {}",
+                            noc.topology,
+                            policy.label()
+                        );
+                        let (_, valid) = assert_every_loop_agrees(job, build, verdict, &what);
+                        valid.unwrap_or_else(|e| panic!("{what}: kernel output is wrong: {e}"));
+                    }
+                }
             }
         }
+    }
+}
+
+/// `run_for(budget)` advances at most `budget` cycles per call, even when
+/// every core sleeps past the slice end, and its slices concatenate to
+/// the report of one `run`. HIP's Base variant at 1x1 spends long windows
+/// waiting on misses, so most 64-cycle slices end inside a sleep.
+#[test]
+fn run_for_never_advances_past_its_budget() {
+    use glsc::kernels::{build_named, Dataset, Variant};
+    const BUDGET: u64 = 64;
+    for (cores, tpc) in [(1, 1), (4, 4)] {
+        let cfg = MachineConfig::paper(cores, tpc, 4);
+        let w = build_named("HIP", Dataset::Tiny, Variant::Base, &cfg).expect("known kernel");
+        let build = || {
+            let mut m = Machine::new(cfg.clone());
+            w.image.apply(m.mem_mut().backing_mut());
+            m.load_program(w.program.clone());
+            m
+        };
+        let whole = build().run().expect("HIP runs");
+        let mut m = build();
+        let mut run = SlicedRun::new(&m);
+        let mut calls = 0u64;
+        let report = loop {
+            let before = m.cycle();
+            let out = m.run_for(&mut run, BUDGET).expect("HIP slices run");
+            calls += 1;
+            assert!(
+                m.cycle() - before <= BUDGET,
+                "{cores}x{tpc}: call {calls} advanced {} cycles from cycle {before}",
+                m.cycle() - before
+            );
+            if let Some(report) = out {
+                break report;
+            }
+        };
+        assert_eq!(report, whole, "{cores}x{tpc}: slices diverged from run");
+        assert!(
+            calls >= whole.cycles / BUDGET,
+            "{cores}x{tpc}: {calls} calls cannot cover {} cycles",
+            whole.cycles
+        );
     }
 }
