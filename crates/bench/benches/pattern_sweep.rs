@@ -10,13 +10,12 @@
 //! stop paying for themselves as conflict density rises — and how much
 //! of that cliff is the interconnect vs the arbiter.
 //!
-//! Runs through the fleet engine under `GLSC_BENCH_FLEET=1`, solo
-//! otherwise; both paths share one cache namespace. Output lands in
-//! `results/pattern_sweep.txt` (`-tiny` under `GLSC_DATASETS=tiny`).
+//! Output lands in `results/pattern_sweep.txt` (`-tiny` under
+//! `GLSC_DATASETS=tiny`).
 
 use glsc_bench::{
-    bench_threads, collect_errors, config, datasets, finish_figure, fleet_requested, run_jobs,
-    run_jobs_fleet, run_workload_cached, FigureOutput, FleetJobSpec, JobStore,
+    bench_threads, collect_errors, config, datasets, finish_figure, run_jobs, run_spec_cached,
+    FigureOutput, FleetJobSpec, JobStore,
 };
 use glsc_kernels::pattern::Pattern;
 use glsc_kernels::Variant;
@@ -92,21 +91,14 @@ fn main() {
 
     let specs = jobs();
     let labels: Vec<String> = specs.iter().map(|s| s.key_parts.join(" ")).collect();
-    let results = if fleet_requested() {
-        run_jobs_fleet(&store, specs, bench_threads())
-    } else {
-        let solo: Vec<_> = specs
-            .iter()
-            .map(|s| {
-                let store = &store;
-                move || {
-                    let parts: Vec<&str> = s.key_parts.iter().map(String::as_str).collect();
-                    run_workload_cached(store, &s.workload, &s.cfg, &parts)
-                }
-            })
-            .collect();
-        run_jobs(solo, bench_threads())
-    };
+    let runs: Vec<_> = specs
+        .iter()
+        .map(|s| {
+            let store = &store;
+            move || run_spec_cached(store, s)
+        })
+        .collect();
+    let results = run_jobs(runs, bench_threads());
     let errors = collect_errors(&results);
 
     out.line(format!("{:<52} {:>12}", "job", "sim cycles"));

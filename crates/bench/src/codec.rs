@@ -1,545 +1,28 @@
-//! Versioned text encoding for [`RunReport`]s — the on-disk format of the
-//! durable job store (see `store`).
-//!
-//! The format is deliberately hand-rolled plain text (the workspace takes
-//! no serialization dependency): a header line carrying the format
-//! version, one `name value...` line per counter group, and an explicit
-//! `end` trailer so a torn write (crash mid-`rename`-less write, full
-//! disk) is detected as [`CodecError::Truncated`] rather than read back
-//! as a silently short report. Decoding is strict — unknown versions,
-//! missing fields, and trailing garbage are all errors — because a cache
-//! that guesses is worse than no cache.
-//!
-//! ```text
-//! glsc-runreport v4
-//! cycles 12345
-//! order sc
-//! threads 4
-//! thread 9-counters...          (one line per hardware thread)
-//! mem 17-counters...
-//! scthreads N per-thread-sc...  (count-prefixed: 5 counters per thread)
-//! noc 10-counters...            (8 message classes, hops, queue cycles)
-//! noclinks N per-link-counters  (count-prefixed: N then N counters)
-//! lsu 9-counters...
-//! gsu 14-counters...
-//! end
-//! ```
+//! The [`RunReport`] encoding shared by the job store (`store`) and the
+//! service's `JobDone` replies: the report's `glsc-wire` payload. The
+//! store wraps it in a checksummed [`glsc_wire::frame`]; the protocol
+//! frame around a reply already carries one.
 
 use glsc_sim::RunReport;
-use std::error::Error;
-use std::fmt;
+use glsc_wire::WireError;
 
-/// Version tag written into (and required from) every encoded report.
-/// Bump when the [`RunReport`] field set changes; old cache files then
-/// decode to [`CodecError::VersionMismatch`] and are re-simulated.
-/// History: v1 had a 14-counter `mem` line and no fabric counters; v2
-/// added `inv_acks`/`writebacks` to `mem` plus the `noc`/`noclinks`
-/// lines (the interconnect work); v3 added `elems_completed` to
-/// `thread`, `reservation_buffer_evictions` to `mem`, and the
-/// `scthreads` per-thread SC telemetry line (the contention study);
-/// v4 added the `order` memory-model line and the fence/write-buffer
-/// counters on `lsu` (the memory-consistency axis, DESIGN.md §17).
-pub const FORMAT_VERSION: u32 = 4;
+/// Version of the report encoding, carried in every store entry's
+/// filename (`{key}.v5.bin`), so an entry written under another field
+/// set is never opened. Bump when [`RunReport`]'s wire layout changes.
+/// v1–v4 were a line-oriented text format (`{key}.v4.txt`).
+pub const FORMAT_VERSION: u32 = 5;
 
-const HEADER_PREFIX: &str = "glsc-runreport v";
-const THREAD_FIELDS: usize = 9;
-const MEM_FIELDS: usize = 17;
-const SC_THREAD_FIELDS: usize = 5;
-const NOC_FIELDS: usize = glsc_mem::MsgClass::COUNT + 2; // msgs + hops + queue_cycles
-const LSU_FIELDS: usize = 9;
-const GSU_FIELDS: usize = 14;
-
-/// Why a cache file failed to decode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CodecError {
-    /// The text does not start with the `glsc-runreport` header.
-    MissingHeader,
-    /// The header names a format version this build does not speak.
-    VersionMismatch {
-        /// The version found in the file.
-        found: String,
-    },
-    /// The text ends before the `end` trailer — a torn or partial write.
-    Truncated,
-    /// A line inside the body is malformed.
-    Malformed {
-        /// 1-based line number of the offending line.
-        line: usize,
-        /// What was wrong with it.
-        reason: String,
-    },
+/// Encodes a report; [`decode_report`] inverts it exactly.
+pub fn encode_report(r: &RunReport) -> Vec<u8> {
+    glsc_wire::to_bytes(r)
 }
 
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::MissingHeader => write!(f, "missing {HEADER_PREFIX:?} header"),
-            CodecError::VersionMismatch { found } => write!(
-                f,
-                "format version mismatch: file is {found:?}, this build speaks v{FORMAT_VERSION}"
-            ),
-            CodecError::Truncated => write!(f, "truncated report (no `end` trailer)"),
-            CodecError::Malformed { line, reason } => write!(f, "line {line}: {reason}"),
-        }
-    }
-}
-
-impl Error for CodecError {}
-
-/// Encodes a report in the versioned text format. `decode_report` inverts
-/// this exactly.
-pub fn encode_report(r: &RunReport) -> String {
-    fn join(counters: &[u64]) -> String {
-        counters
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(" ")
-    }
-    let mut out = String::new();
-    out.push_str(&format!("{HEADER_PREFIX}{FORMAT_VERSION}\n"));
-    out.push_str(&format!("cycles {}\n", r.cycles));
-    out.push_str(&format!("order {}\n", r.memory_order));
-    out.push_str(&format!("threads {}\n", r.threads.len()));
-    for t in &r.threads {
-        out.push_str(&format!(
-            "thread {}\n",
-            join(&[
-                t.instructions,
-                t.sync_instructions,
-                t.active_cycles,
-                t.sync_cycles,
-                t.mem_stall_cycles,
-                t.compute_stall_cycles,
-                t.issue_stall_cycles,
-                t.barrier_cycles,
-                t.elems_completed,
-            ])
-        ));
-    }
-    let m = &r.mem;
-    out.push_str(&format!(
-        "mem {}\n",
-        join(&[
-            m.l1_hits,
-            m.l1_misses,
-            m.l2_hits,
-            m.l2_misses,
-            m.upgrades,
-            m.invalidations,
-            m.back_invalidations,
-            m.dirty_forwards,
-            m.sc_failures,
-            m.sc_successes,
-            m.reservations_cleared_by_stores,
-            m.prefetches_issued,
-            m.prefetches_redundant,
-            m.hits_under_miss,
-            m.inv_acks,
-            m.writebacks,
-            m.reservation_buffer_evictions,
-        ])
-    ));
-    let mut sc_counters: Vec<u64> = vec![(m.sc_threads.len() * SC_THREAD_FIELDS) as u64];
-    for t in &m.sc_threads {
-        sc_counters.extend_from_slice(&[
-            t.attempts,
-            t.successes,
-            t.failures,
-            t.cur_streak,
-            t.max_streak,
-        ]);
-    }
-    out.push_str(&format!("scthreads {}\n", join(&sc_counters)));
-    let n = &m.noc;
-    let mut noc_counters: Vec<u64> = n.msgs.to_vec();
-    noc_counters.push(n.hops);
-    noc_counters.push(n.queue_cycles);
-    out.push_str(&format!("noc {}\n", join(&noc_counters)));
-    let mut link_counters: Vec<u64> = vec![n.link_msgs.len() as u64];
-    link_counters.extend_from_slice(&n.link_msgs);
-    out.push_str(&format!("noclinks {}\n", join(&link_counters)));
-    let l = &r.lsu;
-    out.push_str(&format!(
-        "lsu {}\n",
-        join(&[
-            l.loads,
-            l.stores,
-            l.lls,
-            l.scs,
-            l.sc_successes,
-            l.vector_line_requests,
-            l.fences,
-            l.wbuf_drains,
-            l.load_forwards,
-        ])
-    ));
-    let g = &r.gsu;
-    out.push_str(&format!(
-        "gsu {}\n",
-        join(&[
-            g.gathers,
-            g.scatters,
-            g.gatherlinks,
-            g.scatterconds,
-            g.elems_active,
-            g.line_requests,
-            g.atomic_line_requests,
-            g.atomic_elems,
-            g.gl_elem_attempts,
-            g.gl_elem_failures,
-            g.sc_elem_attempts,
-            g.sc_elem_successes,
-            g.sc_fail_alias,
-            g.sc_fail_reservation,
-        ])
-    ));
-    out.push_str("end\n");
-    out
-}
-
-struct Lines<'a> {
-    iter: std::str::Lines<'a>,
-    num: usize,
-}
-
-impl<'a> Lines<'a> {
-    fn next(&mut self) -> Result<&'a str, CodecError> {
-        self.num += 1;
-        self.iter.next().ok_or(CodecError::Truncated)
-    }
-
-    fn malformed(&self, reason: impl Into<String>) -> CodecError {
-        CodecError::Malformed {
-            line: self.num,
-            reason: reason.into(),
-        }
-    }
-
-    /// Reads a `tag c0 c1 ...` line with exactly `n` counters.
-    fn counters(&mut self, tag: &str, n: usize) -> Result<Vec<u64>, CodecError> {
-        let line = self.next()?;
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some(tag) {
-            return Err(self.malformed(format!("expected a {tag:?} line, found {line:?}")));
-        }
-        let values: Vec<u64> = fields
-            .map(|f| {
-                f.parse()
-                    .map_err(|_| self.malformed(format!("bad counter {f:?}")))
-            })
-            .collect::<Result<_, _>>()?;
-        if values.len() != n {
-            return Err(self.malformed(format!(
-                "{tag:?} carries {} counter(s), expected {n}",
-                values.len()
-            )));
-        }
-        Ok(values)
-    }
-
-    /// Reads a count-prefixed `tag N c0 .. cN-1` line.
-    fn counted(&mut self, tag: &str) -> Result<Vec<u64>, CodecError> {
-        let line = self.next()?;
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some(tag) {
-            return Err(self.malformed(format!("expected a {tag:?} line, found {line:?}")));
-        }
-        let values: Vec<u64> = fields
-            .map(|f| {
-                f.parse()
-                    .map_err(|_| self.malformed(format!("bad counter {f:?}")))
-            })
-            .collect::<Result<_, _>>()?;
-        let Some((&count, rest)) = values.split_first() else {
-            return Err(self.malformed(format!("{tag:?} is missing its count prefix")));
-        };
-        if rest.len() as u64 != count {
-            return Err(self.malformed(format!(
-                "{tag:?} declares {count} counter(s) but carries {}",
-                rest.len()
-            )));
-        }
-        Ok(rest.to_vec())
-    }
-}
-
-/// Decodes a report previously written by [`encode_report`].
+/// Decodes a report written by [`encode_report`].
 ///
 /// # Errors
 ///
-/// [`CodecError`] describing the first problem: a missing or
-/// wrong-version header, a truncated body, or a malformed line.
-pub fn decode_report(text: &str) -> Result<RunReport, CodecError> {
-    let mut lines = Lines {
-        iter: text.lines(),
-        num: 0,
-    };
-    let header = lines.next().map_err(|_| CodecError::MissingHeader)?;
-    let version = header
-        .strip_prefix(HEADER_PREFIX)
-        .ok_or(CodecError::MissingHeader)?;
-    if version.parse::<u32>() != Ok(FORMAT_VERSION) {
-        return Err(CodecError::VersionMismatch {
-            found: format!("v{version}"),
-        });
-    }
-    let mut report = RunReport {
-        cycles: lines.counters("cycles", 1)?[0],
-        ..RunReport::default()
-    };
-    {
-        let line = lines.next()?;
-        let mut fields = line.split_whitespace();
-        if fields.next() != Some("order") {
-            return Err(lines.malformed(format!("expected an \"order\" line, found {line:?}")));
-        }
-        let name = fields
-            .next()
-            .ok_or_else(|| lines.malformed("\"order\" is missing its model name"))?;
-        report.memory_order = name
-            .parse()
-            .map_err(|e: glsc_mem::ParseMemoryOrderError| lines.malformed(e.to_string()))?;
-        if fields.next().is_some() {
-            return Err(lines.malformed("\"order\" carries extra fields"));
-        }
-    }
-    let threads = lines.counters("threads", 1)?[0];
-    for _ in 0..threads {
-        let c = lines.counters("thread", THREAD_FIELDS)?;
-        report.threads.push(glsc_sim::ThreadStats {
-            instructions: c[0],
-            sync_instructions: c[1],
-            active_cycles: c[2],
-            sync_cycles: c[3],
-            mem_stall_cycles: c[4],
-            compute_stall_cycles: c[5],
-            issue_stall_cycles: c[6],
-            barrier_cycles: c[7],
-            elems_completed: c[8],
-        });
-    }
-    let c = lines.counters("mem", MEM_FIELDS)?;
-    report.mem = glsc_mem::MemStats {
-        l1_hits: c[0],
-        l1_misses: c[1],
-        l2_hits: c[2],
-        l2_misses: c[3],
-        upgrades: c[4],
-        invalidations: c[5],
-        back_invalidations: c[6],
-        dirty_forwards: c[7],
-        sc_failures: c[8],
-        sc_successes: c[9],
-        reservations_cleared_by_stores: c[10],
-        prefetches_issued: c[11],
-        prefetches_redundant: c[12],
-        hits_under_miss: c[13],
-        inv_acks: c[14],
-        writebacks: c[15],
-        reservation_buffer_evictions: c[16],
-        sc_threads: Vec::new(),
-        noc: glsc_mem::NocStats::default(),
-    };
-    let c = lines.counted("scthreads")?;
-    if !c.len().is_multiple_of(SC_THREAD_FIELDS) {
-        return Err(lines.malformed(format!(
-            "\"scthreads\" carries {} counter(s), expected a multiple of {SC_THREAD_FIELDS}",
-            c.len()
-        )));
-    }
-    report.mem.sc_threads = c
-        .chunks_exact(SC_THREAD_FIELDS)
-        .map(|c| glsc_mem::ThreadScStats {
-            attempts: c[0],
-            successes: c[1],
-            failures: c[2],
-            cur_streak: c[3],
-            max_streak: c[4],
-        })
-        .collect();
-    let c = lines.counters("noc", NOC_FIELDS)?;
-    let mut msgs = [0u64; glsc_mem::MsgClass::COUNT];
-    msgs.copy_from_slice(&c[..glsc_mem::MsgClass::COUNT]);
-    report.mem.noc = glsc_mem::NocStats {
-        msgs,
-        hops: c[glsc_mem::MsgClass::COUNT],
-        queue_cycles: c[glsc_mem::MsgClass::COUNT + 1],
-        link_msgs: lines.counted("noclinks")?,
-    };
-    let c = lines.counters("lsu", LSU_FIELDS)?;
-    report.lsu = glsc_core::LsuStats {
-        loads: c[0],
-        stores: c[1],
-        lls: c[2],
-        scs: c[3],
-        sc_successes: c[4],
-        vector_line_requests: c[5],
-        fences: c[6],
-        wbuf_drains: c[7],
-        load_forwards: c[8],
-    };
-    let c = lines.counters("gsu", GSU_FIELDS)?;
-    report.gsu = glsc_core::GsuStats {
-        gathers: c[0],
-        scatters: c[1],
-        gatherlinks: c[2],
-        scatterconds: c[3],
-        elems_active: c[4],
-        line_requests: c[5],
-        atomic_line_requests: c[6],
-        atomic_elems: c[7],
-        gl_elem_attempts: c[8],
-        gl_elem_failures: c[9],
-        sc_elem_attempts: c[10],
-        sc_elem_successes: c[11],
-        sc_fail_alias: c[12],
-        sc_fail_reservation: c[13],
-    };
-    if lines.next()? != "end" {
-        return Err(lines.malformed("expected the `end` trailer"));
-    }
-    if lines.iter.any(|l| !l.trim().is_empty()) {
-        return Err(CodecError::Malformed {
-            line: lines.num + 1,
-            reason: "trailing garbage after `end`".into(),
-        });
-    }
-    Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> RunReport {
-        let mut r = RunReport {
-            cycles: 987,
-            ..RunReport::default()
-        };
-        for i in 0..3u64 {
-            r.threads.push(glsc_sim::ThreadStats {
-                instructions: 100 + i,
-                sync_instructions: i,
-                active_cycles: 900,
-                sync_cycles: 5 * i,
-                mem_stall_cycles: 40,
-                compute_stall_cycles: 7,
-                issue_stall_cycles: 3,
-                barrier_cycles: 11,
-                elems_completed: 60 + i,
-            });
-        }
-        r.mem.l1_hits = 1234;
-        r.mem.hits_under_miss = 9;
-        r.mem.inv_acks = 17;
-        r.mem.writebacks = 21;
-        r.mem.reservation_buffer_evictions = 4;
-        r.mem.sc_threads = vec![
-            glsc_mem::ThreadScStats {
-                attempts: 30,
-                successes: 20,
-                failures: 10,
-                cur_streak: 0,
-                max_streak: 4,
-            },
-            glsc_mem::ThreadScStats {
-                attempts: 12,
-                successes: 12,
-                failures: 0,
-                cur_streak: 0,
-                max_streak: 0,
-            },
-        ];
-        r.mem.noc.msgs[glsc_mem::MsgClass::GetS.index()] = 40;
-        r.mem.noc.msgs[glsc_mem::MsgClass::DataReply.index()] = 41;
-        r.mem.noc.hops = 120;
-        r.mem.noc.queue_cycles = 13;
-        r.mem.noc.link_msgs = vec![10, 0, 31];
-        r.lsu.loads = 55;
-        r.lsu.vector_line_requests = 6;
-        r.lsu.fences = 3;
-        r.lsu.wbuf_drains = 28;
-        r.lsu.load_forwards = 2;
-        r.memory_order = glsc_mem::MemoryOrder::Tso;
-        r.gsu.gathers = 2;
-        r.gsu.sc_fail_reservation = 1;
-        r
-    }
-
-    #[test]
-    fn round_trip() {
-        let r = sample();
-        assert_eq!(decode_report(&encode_report(&r)), Ok(r));
-    }
-
-    #[test]
-    fn rejects_bad_inputs() {
-        let text = encode_report(&sample());
-        assert_eq!(decode_report(""), Err(CodecError::MissingHeader));
-        assert_eq!(
-            decode_report("not a report\n"),
-            Err(CodecError::MissingHeader)
-        );
-        assert_eq!(
-            decode_report(&text.replace("v4", "v999")),
-            Err(CodecError::VersionMismatch {
-                found: "v999".into()
-            })
-        );
-        // Stale v3 cache files (pre-memory-order field set) are
-        // re-simulated, not mis-read.
-        assert_eq!(
-            decode_report(&text.replace("v4", "v3")),
-            Err(CodecError::VersionMismatch { found: "v3".into() })
-        );
-        // The memory-order line is validated, not guessed.
-        assert!(matches!(
-            decode_report(&text.replace("order tso", "order banana")),
-            Err(CodecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            decode_report(&text.replace("order tso", "order tso extra")),
-            Err(CodecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            decode_report(&text.replace("order tso", "order")),
-            Err(CodecError::Malformed { .. })
-        ));
-        // Every truncation point (dropping the tail at any line boundary)
-        // must be detected.
-        let lines: Vec<&str> = text.lines().collect();
-        for keep in 1..lines.len() {
-            let cut = lines[..keep].join("\n");
-            assert_eq!(
-                decode_report(&cut),
-                Err(CodecError::Truncated),
-                "kept {keep} lines"
-            );
-        }
-        assert!(matches!(
-            decode_report(&text.replace("cycles 987", "cycles banana")),
-            Err(CodecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            decode_report(&text.replace("noclinks 3 10 0 31", "noclinks 4 10 0 31")),
-            Err(CodecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            decode_report(&text.replace("noclinks 3 10 0 31", "noclinks")),
-            Err(CodecError::Malformed { .. })
-        ));
-        // A well-counted `scthreads` line whose payload is not a whole
-        // number of per-thread records is still malformed.
-        let sc_line = "scthreads 10 30 20 10 0 4 12 12 0 0 0";
-        assert!(text.contains(sc_line), "sample sc line drifted");
-        assert!(matches!(
-            decode_report(&text.replace(sc_line, "scthreads 6 1 2 3 4 5 6")),
-            Err(CodecError::Malformed { .. })
-        ));
-        assert!(matches!(
-            decode_report(&(text + "extra\n")),
-            Err(CodecError::Malformed { .. })
-        ));
-    }
+/// The first [`WireError`]: the bytes end early, a length prefix or
+/// enum tag is invalid, or bytes remain after the report.
+pub fn decode_report(bytes: &[u8]) -> Result<RunReport, WireError> {
+    glsc_wire::from_bytes(bytes)
 }

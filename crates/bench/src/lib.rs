@@ -119,23 +119,18 @@ pub fn run_cached(
     kernel: &str,
     ds: Dataset,
     variant: Variant,
-    (cores, tpc): (usize, usize),
+    shape: (usize, usize),
     width: usize,
 ) -> KernelOutcome {
-    let cfg = config(cores, tpc, width);
-    let w = build_named(kernel, ds, variant, &cfg).unwrap_or_else(|e| panic!("{e}"));
-    run_workload_cached(
-        store,
-        &w,
-        &cfg,
-        &[
-            kernel,
-            ds_label(ds),
-            variant.label(),
-            &format!("{cores}x{tpc}"),
-            &format!("w{width}"),
-        ],
-    )
+    run_spec_cached(store, &fleet_kernel_job(kernel, ds, variant, shape, width))
+}
+
+/// Runs one [`FleetJobSpec`] through [`run_workload_cached`] under its
+/// own key parts: the solo path for a job [`run_jobs_fleet`] would key
+/// identically.
+pub fn run_spec_cached(store: &JobStore, spec: &FleetJobSpec) -> KernelOutcome {
+    let parts: Vec<&str> = spec.key_parts.iter().map(String::as_str).collect();
+    run_workload_cached(store, &spec.workload, &spec.cfg, &parts)
 }
 
 /// The cache-aware workload runner under [`run_cached`] and the bench
@@ -193,12 +188,13 @@ pub fn run_micro(
 }
 
 /// As [`run_micro`], but through the durable job [`store`] (see
-/// [`run_cached`]).
+/// [`run_cached`]), keyed as [`fleet_micro_job`] keys the same scenario
+/// at the dataset's standard parameters.
 pub fn run_micro_cached(
     store: &JobStore,
     scenario: micro::Scenario,
     variant: Variant,
-    (cores, tpc): (usize, usize),
+    shape: (usize, usize),
     width: usize,
 ) -> KernelOutcome {
     let ds = if std::env::var("GLSC_DATASETS").is_ok_and(|v| v == "tiny") {
@@ -206,31 +202,11 @@ pub fn run_micro_cached(
     } else {
         Dataset::A
     };
-    let cfg = config(cores, tpc, width);
-    let w = micro::Micro::new(scenario, ds).build(variant, &cfg);
-    run_workload_cached(
+    let params = micro::MicroParams::for_dataset(ds);
+    run_spec_cached(
         store,
-        &w,
-        &cfg,
-        &[
-            "micro",
-            scenario.label(),
-            ds_label(ds),
-            variant.label(),
-            &format!("{cores}x{tpc}"),
-            &format!("w{width}"),
-        ],
+        &fleet_micro_job(scenario, params, variant, shape, width),
     )
-}
-
-/// Whether sweeps should route through the fleet engine
-/// ([`run_jobs_fleet`]). Opt-in: set `GLSC_BENCH_FLEET=1`. The default
-/// (and `GLSC_BENCH_FLEET=0`) is the classic one-machine-per-job path.
-/// Both paths produce bit-identical reports and stdout; the fleet path
-/// amortizes machine construction, dataset fills, and teardown across
-/// the sweep (DESIGN.md §13).
-pub fn fleet_requested() -> bool {
-    std::env::var("GLSC_BENCH_FLEET").is_ok_and(|v| v == "1")
 }
 
 /// One entry in a fleet sweep: everything [`run_workload_cached`] needs
@@ -247,9 +223,9 @@ pub struct FleetJobSpec {
     pub cfg: MachineConfig,
 }
 
-/// Builds the fleet-job spec equivalent to [`run_cached`] — same
-/// workload, configuration, and job key, so solo and fleet runs share
-/// one cache namespace and resume across each other.
+/// Builds the job spec for one kernel run. [`run_cached`] runs it solo
+/// and [`run_jobs_fleet`] batched, under the same job key, so solo and
+/// fleet runs share one cache namespace and resume across each other.
 pub fn fleet_kernel_job(
     kernel: &str,
     ds: Dataset,
@@ -272,8 +248,9 @@ pub fn fleet_kernel_job(
     }
 }
 
-/// Builds the fleet-job spec equivalent to [`run_micro_cached`] for a
-/// §5.2 microbenchmark scenario with explicit parameters.
+/// Builds the job spec for a §5.2 microbenchmark scenario with explicit
+/// parameters. [`run_micro_cached`] runs it solo at the dataset's
+/// standard parameters.
 pub fn fleet_micro_job(
     scenario: micro::Scenario,
     params: micro::MicroParams,
@@ -440,11 +417,7 @@ pub fn run_jobs_fleet(
                             {
                                 continue;
                             }
-                            let parts: Vec<&str> =
-                                p.spec.key_parts.iter().map(String::as_str).collect();
-                            let job = || {
-                                run_workload_cached(store, &p.spec.workload, &p.spec.cfg, &parts)
-                            };
+                            let job = || run_spec_cached(store, &p.spec);
                             match run_one(p.index, &p.key, &job, retries) {
                                 Ok(out) => {
                                     for (fidx, fkey) in &p.followers {

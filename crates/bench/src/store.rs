@@ -7,17 +7,21 @@
 //! and the machine configuration's. The fingerprints make staleness
 //! detection automatic — editing a kernel, dataset generator, or config
 //! changes the key, so the old cache entry is simply never matched. The
-//! codec's format version rides in the filename for the same reason.
+//! codec's format version rides in the filename (`{key}.v5.bin`) for the
+//! same reason.
 //!
-//! Writes are crash-safe: the report is written to a `.tmp.<pid>` sibling
-//! and `rename`d into place, so a reader never observes a half-written
-//! file under the final name (the `end` trailer in the codec catches the
-//! remaining torn-write cases on non-atomic filesystems). Reads happen
+//! An entry is one `glsc-wire` frame around the report's wire payload:
+//! `len (u32 LE) | payload | fnv64(payload) (u64 LE)`. Writes are
+//! crash-safe: the frame is written to a `.tmp.<pid>` sibling and
+//! `rename`d into place, so a reader never observes a half-written file
+//! under the final name, and the length prefix and checksum turn every
+//! remaining torn write or flipped byte into a logged miss. Reads happen
 //! only when `GLSC_BENCH_RESUME=1`; writes happen whenever caching is
 //! enabled (default; `GLSC_BENCH_CACHE=0` disables the store entirely).
 
 use crate::codec::{decode_report, encode_report, FORMAT_VERSION};
 use glsc_sim::RunReport;
+use glsc_wire::WireError;
 use std::path::{Path, PathBuf};
 
 /// Builds a filesystem-safe job key from its human-readable parts plus
@@ -118,20 +122,21 @@ impl JobStore {
     pub fn path_for(&self, key: &str) -> Option<PathBuf> {
         self.dir
             .as_ref()
-            .map(|d| d.join(format!("{key}.v{FORMAT_VERSION}.txt")))
+            .map(|d| d.join(format!("{key}.v{FORMAT_VERSION}.bin")))
     }
 
     /// Attempts to satisfy a job from the cache. Returns `None` when
-    /// resume is off, the entry is absent, or the entry fails to decode
-    /// (a warning goes to stderr and the job re-runs — a corrupt cache
-    /// entry must never kill or corrupt a figure).
+    /// resume is off, the entry is absent, or the entry is not one intact
+    /// frame around a decodable report (a warning goes to stderr and the
+    /// job re-runs — a corrupt cache entry must never kill or corrupt a
+    /// figure).
     pub fn load(&self, key: &str) -> Option<RunReport> {
         if !self.resume {
             return None;
         }
         let path = self.path_for(key)?;
-        let text = std::fs::read_to_string(&path).ok()?;
-        match decode_report(&text) {
+        let bytes = std::fs::read(&path).ok()?;
+        match unframe(&bytes).and_then(decode_report) {
             Ok(report) => {
                 eprintln!("[resume] cached: {key}");
                 Some(report)
@@ -165,8 +170,16 @@ impl JobStore {
         // Pid-suffixed temp name: concurrent bench processes sharing a
         // cache dir race only on the atomic rename, never on contents.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, encode_report(report))?;
+        std::fs::write(&tmp, glsc_wire::frame(&encode_report(report)))?;
         std::fs::rename(&tmp, path)
+    }
+}
+
+/// The payload of an entry that must be exactly one intact frame.
+fn unframe(bytes: &[u8]) -> Result<&[u8], WireError> {
+    match glsc_wire::split_frame(bytes)? {
+        (payload, []) => Ok(payload),
+        (_, rest) => Err(WireError::TrailingBytes { extra: rest.len() }),
     }
 }
 

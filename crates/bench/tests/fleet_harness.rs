@@ -3,7 +3,11 @@
 //! that bypass simulation entirely, and panic containment with solo
 //! fallback — the same guarantees [`run_jobs`] gives the classic path.
 
-use glsc_bench::{collect_errors, fleet_kernel_job, run_jobs_fleet, FleetJobSpec, JobStore};
+use glsc_bench::{
+    collect_errors, fleet_kernel_job, fleet_micro_job, run_cached, run_jobs_fleet,
+    run_micro_cached, FleetJobSpec, JobStore,
+};
+use glsc_kernels::micro::{MicroParams, Scenario};
 use glsc_kernels::{build_named, run_workload, Dataset, Variant, Workload};
 use glsc_sim::MachineConfig;
 use std::path::PathBuf;
@@ -116,6 +120,55 @@ fn fleet_resume_hits_bypass_simulation() {
     let got = run_jobs_fleet(&resumer, vec![spec], 4);
     let out = got[0].as_ref().expect("resume hit must succeed");
     assert_eq!(out.report, first, "cached report must come back unchanged");
+}
+
+#[test]
+fn fleet_serves_every_job_from_a_store_the_solo_path_wrote() {
+    let dir = scratch("cross-path");
+    let variants = [Variant::Base, Variant::Glsc];
+    let shapes = [(1, 2), (2, 1)];
+    // `run_micro_cached` runs at the standard parameters of the
+    // `GLSC_DATASETS` dataset.
+    let micro_ds = if std::env::var("GLSC_DATASETS").is_ok_and(|v| v == "tiny") {
+        Dataset::Tiny
+    } else {
+        Dataset::A
+    };
+
+    // The solo path fills the store.
+    let writer = JobStore::at(dir.clone(), false);
+    let mut want = Vec::new();
+    let mut jobs = Vec::new();
+    for kernel in ["HIP", "FS"] {
+        for variant in variants {
+            for shape in shapes {
+                want.push(run_cached(&writer, kernel, Dataset::Tiny, variant, shape, 4).report);
+                jobs.push(fleet_kernel_job(kernel, Dataset::Tiny, variant, shape, 4));
+            }
+        }
+    }
+    for scenario in Scenario::ALL {
+        for variant in variants {
+            want.push(run_micro_cached(&writer, scenario, variant, (1, 2), 4).report);
+            let params = MicroParams::for_dataset(micro_ds);
+            jobs.push(fleet_micro_job(scenario, params, variant, (1, 2), 4));
+        }
+    }
+
+    // The fleet gets the same jobs with validators that fail any job that
+    // simulates: every one must come from the store.
+    for job in &mut jobs {
+        job.workload.validate = Box::new(|_| Err("a stored job was simulated again".into()));
+    }
+    let got = run_jobs_fleet(&JobStore::at(dir, true), jobs, 2);
+    assert_eq!(got.len(), want.len());
+    for (i, (r, want)) in got.iter().zip(&want).enumerate() {
+        let out = r.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
+        assert_eq!(
+            &out.report, want,
+            "job {i}: store served a different report"
+        );
+    }
 }
 
 #[test]

@@ -1,14 +1,14 @@
 //! Durable job-store correctness: every kernel's `RunReport` must survive
 //! the encode → disk → decode round trip exactly, resume reads must only
-//! ever return byte-faithful reports (corrupt or stale entries re-run
-//! instead), and job keys must separate jobs that differ only in machine
-//! configuration.
+//! ever return byte-faithful reports (stale-format entries are never
+//! opened; the job re-runs instead), and job keys must separate jobs
+//! that differ only in machine configuration.
 
-use glsc_bench::codec::{decode_report, encode_report, CodecError};
+use glsc_bench::codec::encode_report;
 use glsc_bench::store::{cfg_fingerprint, job_key};
 use glsc_bench::{run_workload_cached, JobStore};
 use glsc_kernels::{build_named, run_workload, Dataset, Variant, KERNEL_NAMES};
-use glsc_sim::MachineConfig;
+use glsc_sim::{MachineConfig, RunReport};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -25,15 +25,20 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn every_kernel_report_round_trips_through_the_codec() {
+fn every_kernel_report_round_trips_through_the_store() {
+    let dir = scratch("kernels");
+    let store = JobStore::at(dir.clone(), true);
     let cfg = MachineConfig::paper(2, 2, 4);
     for kernel in KERNEL_NAMES {
         let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
         let out = run_workload(&w, &cfg).unwrap();
-        let decoded = decode_report(&encode_report(&out.report))
-            .unwrap_or_else(|e| panic!("{kernel}: decode failed: {e}"));
-        assert_eq!(decoded, out.report, "{kernel}: report changed in transit");
+        store.save(kernel, &out.report);
+        let loaded = store
+            .load(kernel)
+            .unwrap_or_else(|| panic!("{kernel}: stored report did not load"));
+        assert_eq!(loaded, out.report, "{kernel}: report changed in transit");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -66,32 +71,34 @@ fn store_round_trips_and_resume_skips_the_simulation() {
 }
 
 #[test]
-fn corrupt_and_stale_entries_rerun_instead_of_poisoning() {
-    let dir = scratch("corrupt");
+fn entries_under_the_v4_name_are_never_read_and_the_job_reruns() {
+    let dir = scratch("stale");
     let cfg = MachineConfig::paper(1, 1, 4);
     let w = build_named("TMS", Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
     let store = JobStore::at(dir.clone(), true);
-    let key = job_key(&["corrupt"], w.fingerprint(), cfg_fingerprint(&cfg));
+    let key = job_key(&["stale"], w.fingerprint(), cfg_fingerprint(&cfg));
     let path = store.path_for(&key).unwrap();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    assert!(path.to_string_lossy().ends_with(".v5.bin"), "{path:?}");
 
-    // Truncated (torn write): load must refuse it and the job re-runs.
-    let good = run_workload(&w, &cfg).unwrap();
-    let text = encode_report(&good.report);
-    std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-    assert!(store.load(&key).is_none(), "accepted a torn cache entry");
-    let rerun = run_workload_cached(&store, &w, &cfg, &["corrupt"]);
-    assert_eq!(rerun.report, good.report);
+    // A leftover under the name the v4 text codec used for this key. It
+    // holds a well-formed current entry for a forged one-cycle report,
+    // so a build that opened the old name would serve that report.
+    let forged = RunReport {
+        cycles: 1,
+        ..RunReport::default()
+    };
+    let stale = dir.join(format!("{key}.v4.txt"));
+    let leftover = glsc_wire::frame(&encode_report(&forged));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(&stale, &leftover).unwrap();
 
-    // Version mismatch is rejected at the codec level...
-    let stale = text.replacen("glsc-runreport v4", "glsc-runreport v3", 1);
-    assert_eq!(
-        decode_report(&stale),
-        Err(CodecError::VersionMismatch { found: "v3".into() })
-    );
-    // ...and can never be *read* by a newer build anyway, because the
-    // version is part of the filename.
-    assert!(path.to_string_lossy().contains(".v4."));
+    assert!(store.load(&key).is_none(), "a v4 entry satisfied the job");
+    let rerun = run_workload_cached(&store, &w, &cfg, &["stale"]);
+    assert_eq!(rerun.report, run_workload(&w, &cfg).unwrap().report);
+    assert!(rerun.report.cycles > 1);
+    // The rerun lands under the v5 name; the stale file is left alone.
+    assert_eq!(store.load(&key).as_ref(), Some(&rerun.report));
+    assert_eq!(std::fs::read(&stale).unwrap(), leftover);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,12 +1,13 @@
 //! Corruption drill for the durable job store: a cache entry that was
-//! torn (truncated) or bit-rotted on disk must degrade to a logged cache
-//! miss — the job simply re-runs — never a panic or, worse, a garbage
-//! report served as a result.
+//! torn (truncated), bit-rotted or forged on disk must degrade to a
+//! logged cache miss — the job simply re-runs — never a panic, a huge
+//! allocation or, worse, a wrong report served as a result.
 
+use glsc_bench::codec::encode_report;
 use glsc_bench::store::job_key;
 use glsc_bench::JobStore;
 use glsc_kernels::{build_named, run_workload, Dataset, Variant};
-use glsc_sim::MachineConfig;
+use glsc_sim::{MachineConfig, RunReport};
 use std::fs;
 use std::path::PathBuf;
 
@@ -20,96 +21,82 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn corrupt_cache_entries_are_logged_misses() {
-    let dir = tmp_dir("main");
-    let store = JobStore::at(dir.clone(), true);
-
+/// A resuming store holding one clean entry for `kernel` on a 1x2
+/// machine: the store, the entry's key and report, and its bytes.
+fn stored(tag: &str, kernel: &str) -> (JobStore, String, RunReport, Vec<u8>) {
+    let store = JobStore::at(tmp_dir(tag), true);
     let cfg = MachineConfig::paper(1, 2, 4);
-    let w = build_named("HIP", Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-    let out = run_workload(&w, &cfg).unwrap();
-    let key = job_key(&["HIP", "T", "glsc"], 0xABCD, 0x1234);
+    let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
+    let report = run_workload(&w, &cfg).unwrap().report;
+    let key = job_key(&[kernel, "T", "glsc"], 0xABCD, 0x1234);
+    store.save(&key, &report);
+    let pristine = fs::read(store.path_for(&key).unwrap()).unwrap();
+    assert_eq!(store.load(&key).as_ref(), Some(&report));
+    (store, key, report, pristine)
+}
 
-    // Baseline: a clean save loads back identically.
-    store.save(&key, &out.report);
+#[test]
+fn every_truncation_and_byte_flip_is_a_miss() {
+    let (store, key, report, pristine) = stored("torn", "HIP");
     let path = store.path_for(&key).unwrap();
-    let pristine = fs::read(&path).unwrap();
-    assert_eq!(store.load(&key).as_ref(), Some(&out.report));
 
-    // Truncation at every framing-relevant cut: header only, mid-body,
-    // missing `end` trailer. Each is a miss, not a panic.
-    for frac in [1, 3, 9, 19] {
-        let cut = pristine.len() * frac / 20;
+    // A torn write at every length, from empty to one byte short.
+    for cut in 0..pristine.len() {
         fs::write(&path, &pristine[..cut]).unwrap();
         assert_eq!(store.load(&key), None, "cut at {cut} served a report");
     }
 
-    // A flipped bit somewhere in the numbers decodes to a parse error or
-    // fails the trailer framing — in every case, a miss. (The text codec
-    // has no per-byte checksum; flips that keep a digit a digit can only
-    // alter values, so flip a byte into a non-digit.)
-    let mut flipped = pristine.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] = b'#';
-    fs::write(&path, &flipped).unwrap();
-    assert_eq!(store.load(&key), None, "bit-flipped entry served a report");
-
-    // Empty file (crash between create and first write on a non-atomic
-    // filesystem).
-    fs::write(&path, b"").unwrap();
-    assert_eq!(store.load(&key), None, "empty entry served a report");
+    // Every byte flipped, both in its lowest bit (which keeps an ASCII
+    // digit a digit) and in all bits.
+    for i in 0..pristine.len() {
+        for mask in [0x01, 0xFF] {
+            let mut flipped = pristine.clone();
+            flipped[i] ^= mask;
+            fs::write(&path, &flipped).unwrap();
+            assert_eq!(
+                store.load(&key),
+                None,
+                "byte {i} ^ {mask:#04x} served a report"
+            );
+        }
+    }
 
     // After any corruption, a re-save repairs the entry in place.
-    store.save(&key, &out.report);
-    assert_eq!(store.load(&key).as_ref(), Some(&out.report));
-
-    let _ = fs::remove_dir_all(&dir);
+    store.save(&key, &report);
+    assert_eq!(store.load(&key).as_ref(), Some(&report));
+    let _ = fs::remove_dir_all(store.dir().unwrap());
 }
 
 #[test]
-fn hostile_count_prefixes_are_misses_not_allocations() {
-    // The text codec's count-prefixed lines (`threads N`,
-    // `scthreads N ...`, `noclinks N ...`) must never trust the
-    // declared count: a u64::MAX claim has to cross-check against the
-    // fields actually present and miss instantly — no allocation
-    // proportional to the claim, no hang walking a phantom loop.
-    let dir = tmp_dir("hostile");
-    let store = JobStore::at(dir.clone(), true);
-
-    let cfg = MachineConfig::paper(2, 2, 4);
-    let w = build_named("FS", Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-    let out = run_workload(&w, &cfg).unwrap();
-    let key = job_key(&["FS", "T", "glsc"], 0xBEEF, 0x7777);
-    store.save(&key, &out.report);
+fn hostile_length_prefix_is_a_miss_not_an_allocation() {
+    // A payload whose `threads` length prefix (right after the u64
+    // `cycles`) claims u64::MAX elements, in a frame whose checksum is
+    // recomputed to match: the frame is intact, so only the reader's
+    // length check stands between the claim and a huge allocation.
+    let (store, key, report, _) = stored("hostile", "FS");
+    let mut payload = encode_report(&report);
+    assert_eq!(
+        payload[8..16],
+        (report.threads.len() as u64).to_le_bytes(),
+        "threads prefix moved"
+    );
+    payload[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
     let path = store.path_for(&key).unwrap();
-    let pristine = fs::read_to_string(&path).unwrap();
-    assert_eq!(store.load(&key).as_ref(), Some(&out.report));
+    fs::write(&path, glsc_wire::frame(&payload)).unwrap();
+    assert_eq!(store.load(&key), None, "hostile `threads` length served");
 
-    for tag in ["threads", "scthreads", "noclinks"] {
-        let prefix = format!("{tag} ");
-        let hostile: String = pristine
-            .lines()
-            .map(|line| {
-                if line.starts_with(&prefix) {
-                    format!("{tag} {}\n", u64::MAX)
-                } else {
-                    format!("{line}\n")
-                }
-            })
-            .collect();
-        assert_ne!(hostile, pristine, "tag {tag} not found in the entry");
-        fs::write(&path, &hostile).unwrap();
-        assert_eq!(
-            store.load(&key),
-            None,
-            "hostile `{tag}` count served a report"
-        );
-    }
+    store.save(&key, &report);
+    assert_eq!(store.load(&key).as_ref(), Some(&report));
+    let _ = fs::remove_dir_all(store.dir().unwrap());
+}
 
-    // A re-save repairs the entry in place, as with any corruption.
-    store.save(&key, &out.report);
-    assert_eq!(store.load(&key).as_ref(), Some(&out.report));
-    let _ = fs::remove_dir_all(&dir);
+#[test]
+fn empty_entry_is_a_miss() {
+    // A crash between create and first write on a non-atomic filesystem.
+    let (store, key, _, _) = stored("empty", "GBC");
+    fs::write(store.path_for(&key).unwrap(), b"").unwrap();
+    assert_eq!(store.load(&key), None, "empty entry served a report");
+    let _ = fs::remove_dir_all(store.dir().unwrap());
 }
 
 #[test]

@@ -69,18 +69,10 @@ pub struct MicroParams {
     pub seed: u64,
 }
 
-/// The microbenchmark.
-#[derive(Clone, Debug)]
-pub struct Micro {
-    scenario: Scenario,
-    params: MicroParams,
-    backoff: bool,
-}
-
-impl Micro {
-    /// Standard instance used by the Fig. 7 harness.
-    pub fn new(scenario: Scenario, dataset: Dataset) -> Self {
-        let params = match dataset {
+impl MicroParams {
+    /// The standard parameters the Fig. 7 harness runs at `dataset`.
+    pub fn for_dataset(dataset: Dataset) -> Self {
+        match dataset {
             Dataset::A | Dataset::B => MicroParams {
                 iters: 400,
                 private_lines: 64,
@@ -93,12 +85,22 @@ impl Micro {
                 shared_lines: 32,
                 seed: 72,
             },
-        };
-        Self {
-            scenario,
-            params,
-            backoff: false,
         }
+    }
+}
+
+/// The microbenchmark.
+#[derive(Clone, Debug)]
+pub struct Micro {
+    scenario: Scenario,
+    params: MicroParams,
+    backoff: bool,
+}
+
+impl Micro {
+    /// Standard instance used by the Fig. 7 harness.
+    pub fn new(scenario: Scenario, dataset: Dataset) -> Self {
+        Self::with_params(scenario, MicroParams::for_dataset(dataset))
     }
 
     /// Instance with explicit parameters.

@@ -1,12 +1,7 @@
 //! Write-ahead journal of job state.
 //!
-//! An append-only log of [`JournalRecord`]s, one frame per record:
-//!
-//! ```text
-//! +--------------+------------------+---------------------------+
-//! | len (u32 LE) | payload (len)    | fnv64(payload) (u64 LE)   |
-//! +--------------+------------------+---------------------------+
-//! ```
+//! An append-only log of [`JournalRecord`]s, one `glsc-wire` frame per
+//! record (`len | payload | fnv64(payload)`, see [`glsc_wire::frame`]).
 //!
 //! The journal is the service's source of truth for where every job
 //! stands (`accepted → done | quarantined`, with `failed` marks in
@@ -280,7 +275,7 @@ impl Journal {
     /// fsync'd before this returns, so a state transition the supervisor
     /// acts on is never lost to a later crash.
     pub fn append(&mut self, rec: &JournalRecord) -> std::io::Result<()> {
-        let frame = frame(rec);
+        let frame = glsc_wire::frame(&glsc_wire::to_bytes(rec));
         let frame = crate::kill::mangle_journal_frame(frame);
         self.file.write_all(&frame)?;
         self.file.sync_all()?;
@@ -289,47 +284,21 @@ impl Journal {
     }
 }
 
-/// Encodes one record as a length-prefixed, checksummed frame.
-fn frame(rec: &JournalRecord) -> Vec<u8> {
-    let payload = glsc_wire::to_bytes(rec);
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&glsc_wire::fnv64(&payload).to_le_bytes());
-    out
-}
-
 /// Scans `bytes` for intact frames; returns the decoded records and the
 /// byte length of the valid prefix. Stops at the first torn or corrupt
 /// frame — everything after it is unreachable garbage by construction
 /// (appends only ever land after a durable frame).
 fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes")) as usize;
-        let Some(frame_len) = len.checked_add(12) else {
-            break;
-        };
-        if rest.len() < frame_len {
-            break;
-        }
-        let payload = &rest[4..4 + len];
-        let recorded = u64::from_le_bytes(rest[4 + len..frame_len].try_into().expect("8 bytes"));
-        if glsc_wire::fnv64(payload) != recorded {
-            break;
-        }
+    let mut rest = bytes;
+    while let Ok((payload, tail)) = glsc_wire::split_frame(rest) {
         match glsc_wire::from_bytes::<JournalRecord>(payload) {
             Ok(rec) => records.push(rec),
             Err(_) => break,
         }
-        pos += frame_len;
+        rest = tail;
     }
-    (records, pos)
+    (records, bytes.len() - rest.len())
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The framed job protocol `glsc-serve serve` speaks over stdin or a
 //! Unix socket.
 //!
-//! Every message — request or reply — travels in the same frame the
-//! journal and snapshot envelope already use:
+//! Every message — request or reply — travels in the same `glsc-wire`
+//! frame the journal and the job store use:
 //!
 //! ```text
 //! +--------------+------------------+---------------------------+
@@ -10,7 +10,10 @@
 //! +--------------+------------------+---------------------------+
 //! ```
 //!
-//! with payloads encoded by `glsc-wire`. The reader is the hostile
+//! with payloads encoded by `glsc-wire`. Frames are written by
+//! [`glsc_wire::frame`]; [`read_frame`] is a streaming reader of its
+//! own, because it must check the length against [`MAX_FRAME`] before
+//! it sizes a buffer. The reader is the hostile
 //! boundary, and every way a frame can be bad maps to a typed
 //! [`FrameError`] with an explicit resynchronization rule:
 //!
@@ -124,9 +127,9 @@ pub enum Reply {
         id: String,
         /// Simulated cycles (the headline number).
         cycles: u64,
-        /// The full report in the bench text codec
+        /// The full report as its `glsc-wire` payload
         /// (`glsc_bench::codec::decode_report` reverses it).
-        report: String,
+        report: Vec<u8>,
         /// Rendered chaos counters when the job ran under a fault plan.
         chaos: Option<String>,
     },
@@ -225,7 +228,7 @@ impl Wire for Reply {
             4 => Reply::JobDone {
                 id: String::decode(r)?,
                 cycles: u64::decode(r)?,
-                report: String::decode(r)?,
+                report: Vec::<u8>::decode(r)?,
                 chaos: Option::<String>::decode(r)?,
             },
             5 => Reply::JobFailed {
@@ -296,9 +299,7 @@ impl std::fmt::Display for FrameError {
 /// Writes `payload` as one frame.
 pub fn write_frame(w: &mut (impl Write + ?Sized), payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() as u64 <= MAX_FRAME as u64);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&fnv64(payload).to_le_bytes())?;
+    w.write_all(&glsc_wire::frame(payload))?;
     w.flush()
 }
 
@@ -401,7 +402,7 @@ mod tests {
         let reply = Reply::JobDone {
             id: "GBC-T-base-2x2-w4".into(),
             cycles: 12_345,
-            report: "report-body".into(),
+            report: b"report-body".to_vec(),
             chaos: Some("injection_points: 3".into()),
         };
         write_message(&mut buf, &reply).unwrap();

@@ -644,7 +644,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    fn find_done(replies: &[Reply]) -> (u64, String) {
+    fn find_done(replies: &[Reply]) -> (u64, Vec<u8>) {
         replies
             .iter()
             .find_map(|r| match r {

@@ -94,7 +94,7 @@ fn replies(out: &Output) -> Vec<Reply> {
 
 /// `id -> (cycles, report, chaos)` for every `JobDone` in the stream —
 /// the byte-level oracle two runs are compared by.
-fn done_map(replies: &[Reply]) -> BTreeMap<String, (u64, String, Option<String>)> {
+fn done_map(replies: &[Reply]) -> BTreeMap<String, (u64, Vec<u8>, Option<String>)> {
     let mut map = BTreeMap::new();
     for reply in replies {
         if let Reply::JobDone {

@@ -221,6 +221,36 @@ impl Fleet {
     /// stats, and so on — and is reset and pooled for reuse after the
     /// callback returns.
     ///
+    /// This is [`run_each_supervised`](Fleet::run_each_supervised) with a
+    /// pause hook that always continues: a simulation error reaches
+    /// `on_done` as `Err`, and a panic inside the stepping loop is
+    /// re-raised on the caller's thread, as if the loop were not
+    /// supervised.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job's configuration is invalid (as [`Machine::new`]
+    /// would), and re-raises a panic from the stepping loop.
+    pub fn run_each<F>(&self, jobs: Vec<FleetJob>, mut on_done: F)
+    where
+        F: FnMut(usize, &mut Machine, Result<RunReport, SimError>),
+    {
+        self.run_each_supervised(
+            jobs,
+            |_, _| PauseCtl::Continue,
+            |idx, machine, result| {
+                let result = result.map_err(|failure| match failure {
+                    FleetFailure::Sim(e) => e,
+                    FleetFailure::Panicked(msg) => std::panic::resume_unwind(Box::new(msg)),
+                });
+                on_done(idx, machine, result);
+            },
+        );
+    }
+
+    /// Runs every job through the fleet's one stepping loop, with the
+    /// hooks a crash-durable job service needs (DESIGN.md §15).
+    ///
     /// Scheduling is **configuration-affine**: jobs are grouped by
     /// machine configuration and each of the `width` slots drains one
     /// group at a time, so a slot's machine is reset and reused across
@@ -231,78 +261,26 @@ impl Fleet {
     /// every slot refill and the fleet loses exactly the amortization it
     /// exists to provide. Within a group, jobs run in submission order.
     ///
-    /// # Panics
-    ///
-    /// Panics if a job's configuration is invalid (as [`Machine::new`]
-    /// would).
-    pub fn run_each<F>(&self, jobs: Vec<FleetJob>, mut on_done: F)
-    where
-        F: FnMut(usize, &mut Machine, Result<RunReport, SimError>),
-    {
-        let mut groups = group_by_config(&jobs);
-        let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
-        let mut pool: Vec<Machine> = Vec::new();
-        let mut active: Vec<Member> = Vec::new();
-        let mut mount = mount_member;
-
-        loop {
-            // Refill the batch window: one group per free slot.
-            while active.len() < self.width {
-                let Some((cfg, queue)) = groups.pop_front() else {
-                    break;
-                };
-                let machine = match pool.iter().position(|m| *m.cfg() == cfg) {
-                    Some(i) => pool.swap_remove(i),
-                    None => Machine::new(cfg),
-                };
-                active.push(mount(machine, queue, &mut jobs));
-            }
-            if active.is_empty() {
-                return;
-            }
-            // One pass: a quantum for each live member. A finished member
-            // reports, resets its machine, and mounts its group's next
-            // job in place; an exhausted group parks the machine in the
-            // pool and frees the slot for the next group.
-            let mut i = 0;
-            while i < active.len() {
-                let m = &mut active[i];
-                match m.machine.drive(&mut m.ctl, self.quantum, true) {
-                    Ok(false) => i += 1,
-                    Err(e) => {
-                        let member = &mut active[i];
-                        on_done(member.idx, &mut member.machine, Err(e));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
-                    }
-                    Ok(true) => {
-                        let member = &mut active[i];
-                        let report = member.machine.report();
-                        on_done(member.idx, &mut member.machine, Ok(report));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The supervised variant of [`run_each`](Fleet::run_each): same
-    /// config-affine batched stepping, plus the hooks a crash-durable
-    /// job service needs (DESIGN.md §15).
-    ///
     /// * `on_pause(index, machine)` runs at every quantum boundary of
     ///   every live member — the supervisor's chance to poll for a drain
     ///   signal or enforce a deadline. Returning [`PauseCtl::FailJob`]
     ///   retires the member with no completion callback;
     ///   [`PauseCtl::Halt`] stops the fleet on the spot, calling no hook
     ///   again.
-    /// * `on_done(index, machine, result)` fires as each job finishes.
-    ///   Unlike `run_each`, a panic inside the stepping loop is caught
-    ///   and reported as [`FleetFailure::Panicked`]; the panicking
-    ///   machine is discarded instead of pooled, and the fleet keeps
-    ///   going — one hostile job cannot take down the batch.
+    /// * `on_done(index, machine, result)` fires as each job finishes,
+    ///   with the machine holding the job's final state; it is reset and
+    ///   pooled after the callback returns. A panic inside the stepping
+    ///   loop is caught and reported as [`FleetFailure::Panicked`]; the
+    ///   panicking machine is discarded instead of pooled, and the fleet
+    ///   keeps going — one hostile job cannot take down the batch.
     ///
     /// Returns `true` when every job ran to an outcome, `false` when a
     /// hook halted the fleet (jobs not yet mounted never start).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a job's configuration is invalid (as [`Machine::new`]
+    /// would).
     pub fn run_each_supervised<P, F>(
         &self,
         jobs: Vec<FleetJob>,
@@ -317,9 +295,9 @@ impl Fleet {
         let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
         let mut pool: Vec<Machine> = Vec::new();
         let mut active: Vec<Member> = Vec::new();
-        let mut mount = mount_member;
 
         loop {
+            // Refill the batch window: one group per free slot.
             while active.len() < self.width {
                 let Some((cfg, queue)) = groups.pop_front() else {
                     break;
@@ -328,11 +306,15 @@ impl Fleet {
                     Some(i) => pool.swap_remove(i),
                     None => Machine::new(cfg),
                 };
-                active.push(mount(machine, queue, &mut jobs));
+                active.push(mount_member(machine, queue, &mut jobs));
             }
             if active.is_empty() {
                 return true;
             }
+            // One pass: a quantum for each live member. A finished member
+            // reports, resets its machine, and mounts its group's next
+            // job in place; an exhausted group parks the machine in the
+            // pool and frees the slot for the next group.
             let mut i = 0;
             while i < active.len() {
                 let m = &mut active[i];
@@ -357,7 +339,7 @@ impl Fleet {
                                 .expect("queued jobs are unmounted")
                                 .cfg
                                 .clone();
-                            active.push(mount(Machine::new(cfg), member.queue, &mut jobs));
+                            active.push(mount_member(Machine::new(cfg), member.queue, &mut jobs));
                         }
                     }
                     Ok(Ok(false)) => {
@@ -365,7 +347,7 @@ impl Fleet {
                         match on_pause(member.idx, &mut member.machine) {
                             PauseCtl::Continue => i += 1,
                             PauseCtl::FailJob => {
-                                Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
+                                Self::retire(&mut active, i, &mut pool, &mut jobs);
                             }
                             PauseCtl::Halt => return false,
                         }
@@ -373,13 +355,13 @@ impl Fleet {
                     Ok(Err(e)) => {
                         let member = &mut active[i];
                         on_done(member.idx, &mut member.machine, Err(FleetFailure::Sim(e)));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
+                        Self::retire(&mut active, i, &mut pool, &mut jobs);
                     }
                     Ok(Ok(true)) => {
                         let member = &mut active[i];
                         let report = member.machine.report();
                         on_done(member.idx, &mut member.machine, Ok(report));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs, &mut mount);
+                        Self::retire(&mut active, i, &mut pool, &mut jobs);
                     }
                 }
             }
@@ -394,11 +376,6 @@ impl Fleet {
         i: usize,
         pool: &mut Vec<Machine>,
         jobs: &mut [Option<FleetJob>],
-        mount: &mut impl FnMut(
-            Machine,
-            std::collections::VecDeque<usize>,
-            &mut [Option<FleetJob>],
-        ) -> Member,
     ) {
         let member = active.swap_remove(i);
         let mut machine = member.machine;
@@ -406,28 +383,15 @@ impl Fleet {
         if member.queue.is_empty() {
             pool.push(machine);
         } else {
-            active.push(mount(machine, member.queue, jobs));
+            active.push(mount_member(machine, member.queue, jobs));
         }
-    }
-
-    /// Runs every job and returns the results in job order.
-    pub fn run_all(&self, jobs: Vec<FleetJob>) -> Vec<Result<RunReport, SimError>> {
-        let n = jobs.len();
-        let mut results: Vec<Option<Result<RunReport, SimError>>> = (0..n).map(|_| None).collect();
-        self.run_each(jobs, |idx, _machine, result| {
-            results[idx] = Some(result);
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every job reported"))
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glsc_isa::{ProgramBuilder, Reg};
+    use glsc_isa::{ProgramBuilder, Reg, VReg};
 
     /// A countdown loop long enough to pause several times under a small
     /// quantum, ending with a store that proves it ran to completion.
@@ -443,6 +407,15 @@ mod tests {
         b.st(r_cnt, r_addr, 0);
         b.halt();
         b.build().expect("countdown assembles")
+    }
+
+    /// A program whose first instruction reads lane 9 of a 4-wide vector
+    /// register, which panics inside the stepping loop.
+    fn lane_out_of_range() -> Program {
+        let mut b = ProgramBuilder::new();
+        b.vextract(Reg::new(2), VReg::new(0), 9u8);
+        b.halt();
+        b.build().expect("vextract assembles")
     }
 
     fn solo_report(cfg: &MachineConfig, program: &Program) -> RunReport {
@@ -534,5 +507,44 @@ mod tests {
         assert_eq!(finished.len(), 1, "failed job must not reach on_done");
         assert_eq!(finished[0].0, 1);
         assert_eq!(finished[0].1, solo);
+    }
+
+    #[test]
+    fn stepping_loop_panic_is_a_failure_supervised_and_reraised_by_run_each() {
+        let cfg = MachineConfig::paper(1, 1, 4);
+        let jobs = || {
+            vec![
+                FleetJob::new(cfg.clone(), lane_out_of_range()),
+                FleetJob::new(cfg.clone(), countdown(100)),
+            ]
+        };
+
+        // Supervised: the panic is the job's typed failure, and the next
+        // job of its group still runs.
+        let mut outcomes = Vec::new();
+        let done = Fleet::new().run_each_supervised(
+            jobs(),
+            |_, _| PauseCtl::Continue,
+            |idx, _, result| outcomes.push((idx, result)),
+        );
+        assert!(done);
+        assert_eq!(outcomes.len(), 2);
+        match &outcomes[0] {
+            (0, Err(FleetFailure::Panicked(msg))) => {
+                assert!(msg.contains("lane 9 out of range"), "{msg}")
+            }
+            other => panic!("job 0 must fail with a panic: {other:?}"),
+        }
+        assert_eq!(outcomes[1].0, 1);
+        assert!(outcomes[1].1.is_ok(), "job 1 must complete");
+
+        // run_each re-raises the same panic on the caller's thread before
+        // any completion callback sees the job.
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Fleet::new().run_each(jobs(), |idx, _, _| panic!("job {idx} must not complete"));
+        }))
+        .expect_err("run_each must re-raise the stepping-loop panic");
+        let msg = payload.downcast_ref::<String>().expect("String payload");
+        assert!(msg.contains("lane 9 out of range"), "{msg}");
     }
 }

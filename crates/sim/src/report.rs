@@ -76,7 +76,8 @@ impl std::fmt::Display for StallTotals {
     }
 }
 
-/// Aggregated result of one simulation run.
+/// Aggregated result of one simulation run. Its `glsc-wire` encoding is
+/// what the job store saves and what a `JobDone` protocol reply carries.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Total machine cycles until every thread halted.
@@ -278,4 +279,13 @@ glsc_wire::wire_struct!(ThreadStats {
     issue_stall_cycles,
     barrier_cycles,
     elems_completed,
+});
+
+glsc_wire::wire_struct!(RunReport {
+    cycles,
+    threads,
+    mem,
+    lsu,
+    gsu,
+    memory_order,
 });

@@ -1,14 +1,14 @@
 //! # glsc-wire — binary state serialization for durable snapshots
 //!
 //! A tiny, dependency-free binary codec used to write [`Machine`]
-//! snapshots (and the service journal) to disk. The workspace takes no
-//! serialization dependency (the build environment is offline), so this
-//! crate plays the role serde+bincode would: a [`Wire`] trait with
-//! hand-rolled little-endian encoding, a bounds-checked [`Reader`], and
-//! a [`wire_struct!`] macro that derives field-by-field impls with an
-//! exhaustive-destructuring guard — adding a field to a serialized
-//! struct without updating its wire impl is a compile error, not a
-//! silently-truncated snapshot.
+//! snapshots, run reports, the service journal and protocol messages.
+//! The workspace takes no serialization dependency (the build
+//! environment is offline), so this crate plays the role serde+bincode
+//! would: a [`Wire`] trait with hand-rolled little-endian encoding, a
+//! bounds-checked [`Reader`], and a [`wire_struct!`] macro that derives
+//! field-by-field impls with an exhaustive-destructuring guard — adding
+//! a field to a serialized struct without updating its wire impl is a
+//! compile error, not a silently-truncated snapshot.
 //!
 //! Design rules, chosen for the snapshot use case:
 //!
@@ -19,8 +19,16 @@
 //!   and fails with a typed [`WireError`] — never panics, never guesses.
 //! * **Versioned at the envelope, not per field**: the snapshot codec in
 //!   `glsc-sim` frames the payload with a magic string, format version
-//!   and whole-payload checksum ([`fnv64`]); this crate only defines the
-//!   raw field encoding.
+//!   and whole-payload checksum ([`fnv64`]). Everything else that goes
+//!   to disk or a socket — job-store entries, journal records, protocol
+//!   messages — travels in one checksummed [`frame`], split back off a
+//!   byte slice by [`split_frame`]:
+//!
+//!   ```text
+//!   +--------------+------------------+---------------------------+
+//!   | len (u32 LE) | payload (len)    | fnv64(payload) (u64 LE)   |
+//!   +--------------+------------------+---------------------------+
+//!   ```
 //!
 //! Floating-point fields travel as IEEE-754 bit patterns (`to_bits`),
 //! so round-trips are bit-exact even for NaNs.
@@ -437,7 +445,7 @@ macro_rules! wire_struct {
 }
 
 /// FNV-1a 64-bit digest — the whole-payload checksum of the snapshot
-/// envelope and the per-record checksum of the service journal. Not
+/// envelope and the trailer of every [`frame`]. Not
 /// cryptographic; it detects torn writes and bit rot, which is all a
 /// local cache needs.
 pub fn fnv64(bytes: &[u8]) -> u64 {
@@ -447,6 +455,45 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Bytes a [`frame`] adds around its payload: the u32 length prefix and
+/// the u64 checksum trailer.
+const FRAME_OVERHEAD: usize = 12;
+
+/// Wraps `payload` in one frame: `len (u32 LE) | payload |
+/// fnv64(payload) (u64 LE)`. [`split_frame`] inverts it.
+///
+/// # Panics
+///
+/// Panics if the payload is 4 GiB or longer (its length must fit the u32
+/// prefix).
+pub fn frame(payload: &[u8]) -> Vec<u8> {
+    let len = u32::try_from(payload.len()).expect("frame payloads are under 4 GiB");
+    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out
+}
+
+/// Splits one intact [`frame`] off the front of `bytes`, returning its
+/// payload and the bytes after it. Never allocates: a length prefix
+/// larger than the input is a [`WireError::Eof`] (a torn frame), and a
+/// payload whose digest does not match the trailer is a
+/// [`WireError::Invalid`] `"frame checksum"`.
+pub fn split_frame(bytes: &[u8]) -> Result<(&[u8], &[u8]), WireError> {
+    let mut r = Reader::new(bytes);
+    let len = r.get_u32()? as usize;
+    let payload = r.take(len)?;
+    let at = r.pos();
+    if r.get_u64()? != fnv64(payload) {
+        return Err(WireError::Invalid {
+            at,
+            what: "frame checksum",
+        });
+    }
+    Ok((payload, &bytes[r.pos()..]))
 }
 
 #[cfg(test)]
@@ -529,6 +576,56 @@ mod tests {
             from_bytes::<Vec<u8>>(&w.into_bytes()),
             Err(WireError::Invalid { .. })
         ));
+    }
+
+    #[test]
+    fn frames_round_trip_back_to_back() {
+        let mut stream = frame(b"first");
+        stream.extend(frame(b""));
+        stream.extend(frame(&[7u8; 300]));
+        assert_eq!(stream.len(), 5 + 300 + 3 * FRAME_OVERHEAD);
+        let (a, rest) = split_frame(&stream).unwrap();
+        let (b, rest) = split_frame(rest).unwrap();
+        let (c, rest) = split_frame(rest).unwrap();
+        assert_eq!((a, b, c), (&b"first"[..], &b""[..], &[7u8; 300][..]));
+        assert!(rest.is_empty());
+        // The layout is pinned: length prefix, payload, FNV-64 trailer.
+        let one = frame(b"ab");
+        assert_eq!(&one[..4], &2u32.to_le_bytes());
+        assert_eq!(&one[4..6], b"ab");
+        assert_eq!(&one[6..], &fnv64(b"ab").to_le_bytes());
+    }
+
+    #[test]
+    fn torn_frames_are_eof() {
+        let whole = frame(b"payload bytes");
+        for cut in 0..whole.len() {
+            assert!(
+                matches!(split_frame(&whole[..cut]), Err(WireError::Eof { .. })),
+                "cut at {cut}"
+            );
+        }
+        // A hostile length prefix is a torn frame, not an allocation.
+        let mut hostile = u32::MAX.to_le_bytes().to_vec();
+        hostile.extend_from_slice(&[0u8; 32]);
+        assert!(matches!(split_frame(&hostile), Err(WireError::Eof { .. })));
+    }
+
+    #[test]
+    fn bad_checksum_is_invalid() {
+        let whole = frame(b"payload bytes");
+        for i in 4..whole.len() {
+            let mut bad = whole.clone();
+            bad[i] ^= 0x01;
+            assert_eq!(
+                split_frame(&bad),
+                Err(WireError::Invalid {
+                    at: whole.len() - 8,
+                    what: "frame checksum"
+                }),
+                "flip at byte {i}"
+            );
+        }
     }
 
     #[test]
