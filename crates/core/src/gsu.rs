@@ -181,6 +181,8 @@ struct Slot {
     width: usize,
     lane_values: Vec<(u8, u32)>,
     mask: u32,
+    /// Requests not yet issued, derived from `requests` (not serialized).
+    unissued: usize,
 }
 
 impl Slot {
@@ -188,8 +190,9 @@ impl Slot {
         self.next_gen >= self.elems.len()
     }
 
-    fn all_issued(&self) -> bool {
-        self.requests.iter().all(|r| r.issued)
+    /// [`unissued`](Slot::unissued), recomputed from the requests.
+    fn count_unissued(&self) -> usize {
+        self.requests.iter().filter(|r| !r.issued).count()
     }
 }
 
@@ -200,6 +203,27 @@ pub struct Gsu {
     rr: usize,
     cfg: GlscConfig,
     stats: GsuStats,
+    /// Occupied slots, bit per thread. Derived from `slots` (rebuilt on
+    /// decode, never serialized) so the per-tick scans visit only the
+    /// slots that can act.
+    busy: u32,
+    /// Busy slots past the memory-ordering gate, likewise derived.
+    started: u32,
+}
+
+/// The set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (i < 32).then_some(i)
+    })
+}
+
+/// The set bits of `mask` in round-robin order from bit `from`.
+fn bits_from(mask: u32, from: usize) -> impl Iterator<Item = usize> {
+    let high = u32::MAX << from;
+    bits(mask & high).chain(bits(mask & !high))
 }
 
 impl Gsu {
@@ -210,6 +234,8 @@ impl Gsu {
             rr: 0,
             cfg,
             stats: GsuStats::default(),
+            busy: 0,
+            started: 0,
         }
     }
 
@@ -220,12 +246,47 @@ impl Gsu {
 
     /// Whether thread `tid` has an instruction in flight.
     pub fn busy(&self, tid: u8) -> bool {
-        self.slots[tid as usize].is_some()
+        self.busy & 1 << tid != 0
     }
 
     /// Whether any thread has an instruction in flight.
     pub fn any_busy(&self) -> bool {
-        self.slots.iter().any(Option::is_some)
+        self.busy != 0
+    }
+
+    /// Threads whose instruction still waits at the memory-ordering gate,
+    /// bit per thread.
+    pub fn unstarted(&self) -> u32 {
+        self.busy & !self.started
+    }
+
+    /// The busy and started masks, recomputed from the slots.
+    fn slot_masks(&self) -> (u32, u32) {
+        let (mut busy, mut started) = (0, 0);
+        for (i, slot) in self.slots.iter().enumerate() {
+            if let Some(s) = slot {
+                busy |= 1 << i;
+                started |= u32::from(s.started) << i;
+            }
+        }
+        (busy, started)
+    }
+
+    /// Checks the derived masks and counts against a recomputation from
+    /// the slots (debug builds only).
+    fn debug_check(&self) {
+        debug_assert_eq!(
+            (self.busy, self.started),
+            self.slot_masks(),
+            "GSU slot masks"
+        );
+        debug_assert!(
+            self.slots
+                .iter()
+                .flatten()
+                .all(|s| s.unissued == s.count_unissued()),
+            "GSU unissued counts"
+        );
     }
 
     /// Inserts an instruction into `tid`'s buffer entry. `elems` holds the
@@ -280,7 +341,9 @@ impl Gsu {
             width,
             lane_values: Vec::new(),
             mask: 0,
+            unissued: 0,
         });
+        self.busy |= 1 << tid;
     }
 
     /// Marks `tid`'s pending instruction as started (the memory-ordering
@@ -290,17 +353,20 @@ impl Gsu {
             if !slot.started {
                 slot.started = true;
                 slot.start_cycle = now;
+                self.started |= 1 << tid;
             }
         }
+    }
+
+    /// The started slot `idx` (a bit of `self.started`).
+    fn started_slot(slots: &mut [Option<Slot>], idx: usize) -> &mut Slot {
+        slots[idx].as_mut().expect("started slots are occupied")
     }
 
     /// Whether any started slot still has an unissued line request (i.e.
     /// the GSU competes for the L1 port this cycle).
     pub fn wants_port(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|s| s.started && !s.all_issued())
+        bits(self.started).any(|i| self.slots[i].as_ref().is_some_and(|s| s.unissued > 0))
     }
 
     /// Generates one element address (at most one per cycle across all
@@ -308,16 +374,14 @@ impl Gsu {
     /// possible. `core` identifies the owning core for the atomicity
     /// oracle's global thread numbering.
     pub fn generate_one(&mut self, core: usize, mem: &mut MemorySystem) {
+        self.debug_check();
         let n = self.slots.len();
-        for off in 0..n {
-            let idx = (self.rr + off) % n;
-            let Some(slot) = self.slots[idx].as_mut() else {
-                continue;
-            };
-            if !slot.started || slot.all_generated() {
+        for idx in bits_from(self.started, self.rr) {
+            let slot = Self::started_slot(&mut self.slots, idx);
+            if slot.all_generated() {
                 continue;
             }
-            self.rr = (idx + 1) % n;
+            self.rr = if idx + 1 == n { 0 } else { idx + 1 };
             let e = slot.next_gen;
             slot.next_gen += 1;
             slot.elems[e].generated = true;
@@ -352,39 +416,25 @@ impl Gsu {
                     ok: false,
                     policy_fail: false,
                 });
+                slot.unissued += 1;
             }
             return;
         }
     }
 
     /// Issues one pending line request to the L1 (called when the GSU wins
-    /// the port). Applies data movement for every already-generated element
-    /// riding on the request.
-    pub fn issue_one(
-        &mut self,
-        core: usize,
-        tid_hint: Option<u8>,
-        mem: &mut MemorySystem,
-        now: u64,
-    ) {
-        let n = self.slots.len();
-        let (first, tries) = match tid_hint {
-            Some(t) => (t as usize, 1),
-            None => (self.rr, n),
-        };
-        for off in 0..tries {
-            let idx = (first + off) % n;
-            let Some(slot) = self.slots[idx].as_mut() else {
-                continue;
-            };
-            if !slot.started {
-                continue;
-            }
+    /// the port), trying the started slots round-robin. Applies data
+    /// movement for every already-generated element riding on the request.
+    pub fn issue_one(&mut self, core: usize, mem: &mut MemorySystem, now: u64) {
+        for idx in bits_from(self.started, self.rr) {
+            let slot = Self::started_slot(&mut self.slots, idx);
             // vscattercond requests are held until address generation (and
             // therefore same-line combining) completes, keeping each
             // combined conditional store atomic at the L1 port. The other
             // kinds pipeline generation with issue (§4.1).
-            if matches!(slot.kind, GsuKind::ScatterCond { .. }) && !slot.all_generated() {
+            if slot.unissued == 0
+                || matches!(slot.kind, GsuKind::ScatterCond { .. }) && !slot.all_generated()
+            {
                 continue;
             }
             let Some(req_idx) = slot.requests.iter().position(|r| !r.issued) else {
@@ -433,6 +483,7 @@ impl Gsu {
                 req.done = done;
                 req.ok = ok;
                 req.policy_fail = policy_fail;
+                slot.unissued -= 1;
             }
             let req = slot.requests[req_idx].clone();
             let line_bytes = mem.cfg().line_bytes;
@@ -508,14 +559,16 @@ impl Gsu {
     /// each retired instruction to `sink` without allocating an output
     /// vector, so the steady-state cycle loop can reuse one buffer.
     pub fn collect_done_into(&mut self, _now: u64, mut sink: impl FnMut(GsuCompletion)) {
-        for idx in 0..self.slots.len() {
+        for idx in bits(self.started) {
             let ready = self.slots[idx]
                 .as_ref()
-                .is_some_and(|s| s.started && s.all_generated() && s.all_issued());
+                .is_some_and(|s| s.all_generated() && s.unissued == 0);
             if !ready {
                 continue;
             }
             let slot = self.slots[idx].take().expect("checked above");
+            self.busy &= !(1 << idx);
+            self.started &= !(1 << idx);
             let min_done = slot.start_cycle + self.cfg.min_latency_overhead + slot.width as u64;
             let done = slot
                 .requests
@@ -563,7 +616,7 @@ mod tests {
         let mut now = start;
         loop {
             gsu.generate_one(0, mem);
-            gsu.issue_one(0, None, mem, now);
+            gsu.issue_one(0, mem, now);
             let done = gsu.collect_done(now);
             if let Some(c) = done.into_iter().next() {
                 return c;
@@ -767,7 +820,7 @@ mod tests {
         let mut now = 0;
         while done.len() < 2 {
             g.generate_one(0, &mut m);
-            g.issue_one(0, None, &mut m, now);
+            g.issue_one(0, &mut m, now);
             done.extend(g.collect_done(now));
             now += 1;
             assert!(now < 1000);
@@ -864,10 +917,10 @@ glsc_wire::wire_struct!(Slot {
     width,
     lane_values,
     mask,
-});
+} derived { unissued } => |s| s.unissued = s.count_unissued());
 glsc_wire::wire_struct!(Gsu {
     slots,
     rr,
     cfg,
     stats,
-});
+} derived { busy, started } => |g| (g.busy, g.started) = g.slot_masks());

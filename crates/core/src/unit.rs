@@ -25,6 +25,9 @@ pub struct CoreMemUnit {
     threads: usize,
     lsu: Lsu,
     gsu: Gsu,
+    /// Whether both units are drained, refreshed on every push, start and
+    /// tick (derived: rebuilt on decode, never serialized).
+    idle: bool,
 }
 
 impl CoreMemUnit {
@@ -57,6 +60,7 @@ impl CoreMemUnit {
                 l2_banks,
             ),
             gsu: Gsu::new(threads, cfg),
+            idle: true,
         }
     }
 
@@ -87,6 +91,7 @@ impl CoreMemUnit {
     /// Panics on write-buffer overflow.
     pub fn lsu_push(&mut self, entry: LsuEntry, now: u64) {
         self.lsu.push(entry, now);
+        self.idle = false;
     }
 
     /// Number of LSU entries pending for `tid` (queue only; see
@@ -121,6 +126,12 @@ impl CoreMemUnit {
     /// instructions in flight). The machine only finishes once every
     /// core's memory unit is idle, so buffered stores always commit.
     pub fn is_idle(&self) -> bool {
+        debug_assert_eq!(self.idle, self.drained(), "cached idle flag");
+        self.idle
+    }
+
+    /// [`is_idle`](Self::is_idle), recomputed from both units.
+    fn drained(&self) -> bool {
         !self.lsu.is_busy() && !self.gsu.any_busy()
     }
 
@@ -135,6 +146,7 @@ impl CoreMemUnit {
     pub fn gsu_start(&mut self, tid: u8, kind: GsuKind, elems: Vec<(u8, u64, u32)>, width: usize) {
         self.lsu.flush_thread_for_ordering(tid);
         self.gsu.start(tid, kind, elems, width);
+        self.idle = false;
     }
 
     /// Advances the unit one cycle: releases GSU instructions whose
@@ -156,9 +168,9 @@ impl CoreMemUnit {
         // Memory-ordering gate: a thread's GSU instruction starts only once
         // its earlier LSU requests — including buffered stores — have been
         // sent to the L1.
-        for tid in 0..self.threads as u8 {
-            if self.gsu.busy(tid) && self.lsu.thread_pending(tid) == 0 {
-                self.gsu.mark_started(tid, now);
+        for tid in crate::gsu::bits(self.gsu.unstarted()) {
+            if self.lsu.thread_pending(tid as u8) == 0 {
+                self.gsu.mark_started(tid as u8, now);
             }
         }
 
@@ -169,11 +181,12 @@ impl CoreMemUnit {
                 out.push(MemCompletion::Lsu(c));
             }
         } else if self.gsu.wants_port() {
-            self.gsu.issue_one(self.core_id, None, mem, now);
+            self.gsu.issue_one(self.core_id, mem, now);
         }
 
         self.gsu
             .collect_done_into(now, |c| out.push(MemCompletion::Gsu(c)));
+        self.idle = self.drained();
     }
 
     /// Captures a point-in-time copy of this unit's in-flight state: the
@@ -351,5 +364,5 @@ glsc_wire::wire_struct!(CoreMemUnit {
     threads,
     lsu,
     gsu,
-});
+} derived { idle } => |u| u.idle = u.drained());
 glsc_wire::wire_struct!(CoreMemUnitSnapshot { state });

@@ -54,6 +54,8 @@ pub struct Core {
     pub threads: Vec<Thread>,
     /// LSU + GSU behind the L1 port.
     pub memunit: CoreMemUnit,
+    /// This cycle's issue outcome per stepped thread; `NotRunning` for a
+    /// thread outside the stepped set.
     records: Vec<IssueRecord>,
     rr: usize,
     /// Halted threads on this core, maintained incrementally at every
@@ -64,18 +66,21 @@ pub struct Core {
     pub(crate) at_barrier: usize,
     /// Whether any thread issued during the most recent
     /// [`issue_stage`](Core::issue_stage). The watchdog reads it as the
-    /// machine's progress signal, and the stepping loop only probes a core
-    /// for sleep when it is clear: a core that issued is making progress
-    /// and has no dead window ahead.
+    /// machine's progress signal.
     pub(crate) issued_any: bool,
-    /// `Some((since, wake))` while the core sleeps: its memory unit is
-    /// idle and none of its Running threads can issue before `wake`
-    /// (`u64::MAX` while every live thread waits at the barrier), so the
-    /// stepping loop skips its tick, issue stage and classification from
-    /// cycle `since` on. [`settle`](Core::settle) accounts the skipped
-    /// cycles and wakes it. The loop settles every core before it
-    /// returns, so this is never set in a snapshot, a clone or a report.
-    pub(crate) asleep: Option<(u64, u64)>,
+    /// Live threads the stepping loop examines each cycle, bit per
+    /// thread. Every live thread is stepped unless parked.
+    pub(crate) stepped: u32,
+    /// Parked threads: live threads the loop skips until their wake
+    /// cycle, a completion addressed to them or the barrier release
+    /// (DESIGN.md §8). The loop settles every parked thread before it
+    /// returns, so none is parked in a snapshot, a clone or a report.
+    parked: u32,
+    /// `(since, wake)` of each parked thread: skipped from cycle `since`,
+    /// due back at `wake` (`u64::MAX` until an event).
+    park: Vec<(u64, u64)>,
+    /// The earliest `wake` among parked threads (`u64::MAX` if none).
+    pub(crate) next_wake: u64,
 }
 
 /// A point-in-time copy of one [`Core`], captured by [`Core::snapshot`]
@@ -118,21 +123,43 @@ impl Core {
             halted: 0,
             at_barrier: 0,
             issued_any: false,
-            asleep: None,
+            stepped: (1 << n) - 1,
+            parked: 0,
+            park: vec![(0, 0); n],
+            next_wake: u64::MAX,
         }
     }
 
-    /// Resets the incremental status counters after the machine rebuilds
-    /// every thread (program load).
+    /// Resets the incremental status counters and the park state after
+    /// the machine rebuilds every thread (program load).
     pub(crate) fn reset_status_counts(&mut self) {
         self.halted = 0;
         self.at_barrier = 0;
+        self.step_live();
     }
 
-    /// Applies memory completions to thread state, draining `comps` so the
-    /// caller can reuse the buffer next cycle.
-    pub fn apply_completions(&mut self, comps: &mut Vec<MemCompletion>) {
+    /// Applies memory completions to thread state at cycle `now`, draining
+    /// `comps` so the caller can reuse the buffer next cycle. A parked
+    /// recipient is settled first.
+    pub(crate) fn apply_completions(
+        &mut self,
+        code: &Code,
+        now: u64,
+        comps: &mut Vec<MemCompletion>,
+    ) {
         for comp in comps.drain(..) {
+            let tid = match &comp {
+                MemCompletion::Lsu(LsuCompletion::StoreDrained { .. }) => continue,
+                MemCompletion::Lsu(
+                    LsuCompletion::ScalarLoad { tid, .. }
+                    | LsuCompletion::ScalarSc { tid, .. }
+                    | LsuCompletion::VectorPart { tid, .. },
+                ) => *tid,
+                MemCompletion::Gsu(c) => c.tid,
+            };
+            if self.parked & 1 << tid != 0 {
+                self.unpark(tid as usize, code, now);
+            }
             match comp {
                 MemCompletion::Lsu(LsuCompletion::ScalarLoad {
                     tid,
@@ -256,40 +283,51 @@ impl Core {
     /// accounted as losing the issue slot (the litmus schedule controller
     /// pins the machine to an explicit interleaving this way).
     pub(crate) fn issue_stage(&mut self, code: &Code, cfg: &MachineConfig, now: u64, mask: u32) {
-        let n = self.threads.len();
         let mut slots = cfg.issue_width;
         self.issued_any = false;
-        for r in &mut self.records {
-            *r = IssueRecord::NotRunning;
-        }
-        let start = self.rr;
-        self.rr = (self.rr + 1) % n;
-        for off in 0..n {
-            let t = (start + off) % n;
-            if self.threads[t].status != ThreadStatus::Running {
-                continue;
-            }
-            if mask & (1 << t) == 0 {
-                self.records[t] = IssueRecord::Stalled(StallKind::NoSlot, false);
-                continue;
-            }
-            let d = code.at(self.threads[t].arch.pc);
-            let sync_at_pc = d.is_some_and(|d| d.sync);
-            match self.check_stall(t, d, now) {
-                Some(kind) => {
-                    self.records[t] = IssueRecord::Stalled(kind, sync_at_pc);
+        // The stepped threads in round-robin order from `rr`, wrapping,
+        // without a division per thread.
+        let high = u32::MAX << self.rr;
+        let order = [self.stepped & high, self.stepped & !high];
+        self.rotate_rr();
+        for part in order {
+            for t in bits(part) {
+                if self.threads[t].status != ThreadStatus::Running {
+                    self.records[t] = IssueRecord::NotRunning;
+                    continue;
                 }
-                None if slots == 0 => {
-                    self.records[t] = IssueRecord::Stalled(StallKind::NoSlot, sync_at_pc);
+                if mask & (1 << t) == 0 {
+                    self.records[t] = IssueRecord::Stalled(StallKind::NoSlot, false);
+                    continue;
                 }
-                None => {
-                    slots -= 1;
-                    self.issued_any = true;
-                    self.issue_one(t, &code.program, cfg, now, sync_at_pc);
-                    self.records[t] = IssueRecord::Issued(sync_at_pc);
-                }
+                let d = code.at(self.threads[t].arch.pc);
+                let sync_at_pc = d.is_some_and(|d| d.sync);
+                self.records[t] = match self.check_stall(t, d, now) {
+                    Some(kind) => IssueRecord::Stalled(kind, sync_at_pc),
+                    None if slots == 0 => IssueRecord::Stalled(StallKind::NoSlot, sync_at_pc),
+                    None => {
+                        slots -= 1;
+                        self.issued_any = true;
+                        self.issue_one(t, &code.program, cfg, now, sync_at_pc);
+                        IssueRecord::Issued(sync_at_pc)
+                    }
+                };
             }
         }
+    }
+
+    /// Advances the round-robin start by one cycle.
+    pub(crate) fn rotate_rr(&mut self) {
+        self.rr += 1;
+        if self.rr == self.threads.len() {
+            self.rr = 0;
+        }
+    }
+
+    /// Advances the round-robin start by `cycles` cycles at once.
+    pub(crate) fn skip_rr(&mut self, cycles: u64) {
+        let n = self.threads.len();
+        self.rr = (self.rr + (cycles % n as u64) as usize) % n;
     }
 
     /// Executes one instruction for thread `t` (all checks already passed).
@@ -617,15 +655,30 @@ impl Core {
     }
 
     /// End-of-cycle statistics classification (Fig. 5(a) sync attribution
-    /// and Table 4 memory-stall accounting).
-    pub fn classify_cycle(&mut self) {
-        for (t, th) in self.threads.iter_mut().enumerate() {
-            match &th.status {
-                ThreadStatus::Halted => {}
+    /// and Table 4 memory-stall accounting) of the stepped threads for
+    /// cycle `now`; a halted thread leaves the stepped set.
+    ///
+    /// With `park` set, a thread whose state cannot change before a known
+    /// cycle or event then parks (DESIGN.md §8): a Running thread held by
+    /// the issue redirect or the scoreboard (`Pipeline`, `OperandMem`)
+    /// until its earliest issue cycle, `u64::MAX` while an operand waits on
+    /// a queued access; a thread blocked on a vector or GSU op, or at the
+    /// barrier, until the event that frees it. A Running thread that
+    /// issued, lost its slot or waits on a memory-unit gate stays stepped.
+    pub(crate) fn classify_cycle(&mut self, code: &Code, now: u64, park: bool) {
+        for t in bits(self.stepped) {
+            let th = &mut self.threads[t];
+            let wake = match &th.status {
+                ThreadStatus::Halted => {
+                    self.stepped &= !(1 << t);
+                    self.records[t] = IssueRecord::NotRunning;
+                    continue;
+                }
                 ThreadStatus::AtBarrier => {
                     th.stats.active_cycles += 1;
                     th.stats.barrier_cycles += 1;
                     th.stats.sync_cycles += 1;
+                    u64::MAX
                 }
                 ThreadStatus::BlockedGsu { sync } | ThreadStatus::BlockedVector { sync, .. } => {
                     th.stats.active_cycles += 1;
@@ -633,6 +686,7 @@ impl Core {
                     if *sync {
                         th.stats.sync_cycles += 1;
                     }
+                    u64::MAX
                 }
                 ThreadStatus::Running => {
                     th.stats.active_cycles += 1;
@@ -641,45 +695,82 @@ impl Core {
                             if sync {
                                 th.stats.sync_cycles += 1;
                             }
+                            continue;
                         }
                         IssueRecord::Stalled(kind, sync) => {
-                            match kind {
-                                StallKind::OperandMem
-                                | StallKind::StoreBufferFull
-                                | StallKind::Fence => {
-                                    th.stats.mem_stall_cycles += 1;
-                                }
-                                StallKind::Pipeline => th.stats.compute_stall_cycles += 1,
-                                StallKind::NoSlot => th.stats.issue_stall_cycles += 1,
-                            }
                             if sync {
                                 th.stats.sync_cycles += 1;
                             }
+                            match kind {
+                                StallKind::OperandMem => th.stats.mem_stall_cycles += 1,
+                                StallKind::Pipeline => th.stats.compute_stall_cycles += 1,
+                                StallKind::StoreBufferFull | StallKind::Fence => {
+                                    th.stats.mem_stall_cycles += 1;
+                                    continue;
+                                }
+                                StallKind::NoSlot => {
+                                    th.stats.issue_stall_cycles += 1;
+                                    continue;
+                                }
+                            }
+                            earliest_issue(th, code)
                         }
-                        IssueRecord::NotRunning => {
-                            // Became Running after the issue stage (e.g.
-                            // unblocked by a completion): neutral cycle.
-                        }
+                        // Released from the barrier after the issue stage:
+                        // a neutral cycle.
+                        IssueRecord::NotRunning => continue,
                     }
                 }
+            };
+            if park && wake > now + 1 {
+                self.stepped &= !(1 << t);
+                self.parked |= 1 << t;
+                self.park[t] = (now + 1, wake);
+                self.next_wake = self.next_wake.min(wake);
+                self.records[t] = IssueRecord::NotRunning;
             }
         }
     }
 
-    /// Whether every thread on this core has halted.
+    /// Whether every thread on this core has halted. Debug builds first
+    /// check the incremental counts and masks against a recount.
     pub fn all_halted(&self) -> bool {
         debug_assert_eq!(
-            self.halted,
-            self.threads.iter().filter(|t| t.is_halted()).count()
+            (self.halted, self.at_barrier, self.stepped | self.parked),
+            self.recount(),
+            "incremental halted/barrier counts and live-thread mask"
         );
+        debug_assert_eq!(self.stepped & self.parked, 0, "thread stepped and parked");
         self.halted == self.threads.len()
     }
 
+    /// Halted threads, barrier waiters and the live-thread mask, counted
+    /// from the thread statuses.
+    fn recount(&self) -> (usize, usize, u32) {
+        let mut counts = (0, 0, 0);
+        for (t, th) in self.threads.iter().enumerate() {
+            match th.status {
+                ThreadStatus::Halted => counts.0 += 1,
+                ThreadStatus::AtBarrier => counts.1 += 1,
+                _ => {}
+            }
+            if !th.is_halted() {
+                counts.2 |= 1 << t;
+            }
+        }
+        counts
+    }
+
     /// Releases every thread waiting at the barrier (the machine decided
-    /// the barrier is complete); they may issue again from `now + 1`.
-    pub(crate) fn release_barrier_threads(&mut self, now: u64) {
-        for th in &mut self.threads {
-            if th.status == ThreadStatus::AtBarrier {
+    /// the barrier is complete at cycle `now`, after the issue stage);
+    /// they may issue again from `now + 1`. A parked waiter is settled
+    /// first, so the release cycle stays neutral.
+    pub(crate) fn release_barrier_threads(&mut self, code: &Code, now: u64) {
+        for t in 0..self.threads.len() {
+            if self.threads[t].status == ThreadStatus::AtBarrier {
+                if self.parked & 1 << t != 0 {
+                    self.unpark(t, code, now);
+                }
+                let th = &mut self.threads[t];
                 th.status = ThreadStatus::Running;
                 th.next_issue_at = now + 1;
             }
@@ -687,54 +778,58 @@ impl Core {
         self.at_barrier = 0;
     }
 
-    /// The earliest cycle at which Running thread `t` could pass
-    /// [`check_stall`](Self::check_stall), assuming no new memory
-    /// completions arrive (valid only while this core's memory unit is
-    /// idle, so every scoreboard entry is finite).
-    fn earliest_issue(&self, t: usize, code: &Code) -> u64 {
-        let th = &self.threads[t];
-        let Some(d) = code.at(th.arch.pc) else {
-            return th.next_issue_at; // falls off the end: halts then
-        };
-        d.regs().iter().fold(th.next_issue_at, |earliest, r| {
-            let ready = th.reg_ready[r.index()];
-            debug_assert_ne!(
-                ready,
-                crate::thread::PENDING,
-                "pending memory operand with an idle memory unit"
-            );
-            earliest.max(ready)
-        })
-    }
-
-    /// The earliest cycle at which any Running thread could issue, or
-    /// `u64::MAX` when none is Running (every live thread waits at the
-    /// barrier). Valid only while the memory unit is idle.
-    pub(crate) fn earliest_wake(&self, code: &Code) -> u64 {
-        (0..self.threads.len())
-            .filter(|&t| self.threads[t].status == ThreadStatus::Running)
-            .map(|t| self.earliest_issue(t, code))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Wakes a sleeping core at cycle `now`, first accounting the cycles
-    /// it slept through exactly as stepping them would have. A no-op for
-    /// an awake core.
-    pub(crate) fn settle(&mut self, code: &Code, now: u64) {
-        if let Some((since, _)) = self.asleep.take() {
-            self.attribute_window(code, since, now);
+    /// Unparks every parked thread whose wake cycle has come (`now` is at
+    /// least [`next_wake`](Self::next_wake)) and recomputes the latter.
+    pub(crate) fn wake_due(&mut self, code: &Code, now: u64) {
+        let mut next = u64::MAX;
+        for t in bits(self.parked) {
+            let wake = self.park[t].1;
+            if wake <= now {
+                self.unpark(t, code, now);
+            } else {
+                next = next.min(wake);
+            }
         }
+        self.next_wake = next;
+    }
+
+    /// Unparks every parked thread at cycle `now`, leaving the core
+    /// exactly as single-stepping would have.
+    pub(crate) fn unpark_all(&mut self, code: &Code, now: u64) {
+        for t in bits(self.parked) {
+            self.unpark(t, code, now);
+        }
+        self.next_wake = u64::MAX;
+    }
+
+    /// Returns parked thread `t` to the stepped set at cycle `now`, first
+    /// accounting the cycles it was parked. `next_wake` may go stale
+    /// (early), which only costs [`wake_due`](Self::wake_due) a rescan.
+    fn unpark(&mut self, t: usize, code: &Code, now: u64) {
+        let (since, _) = self.park[t];
+        self.attribute_window(t, code, since, now);
+        self.parked &= !(1 << t);
+        self.stepped |= 1 << t;
+    }
+
+    /// Steps every live thread and parks none: the park state of freshly
+    /// loaded or restored threads.
+    fn step_live(&mut self) {
+        self.stepped = (0..self.threads.len())
+            .filter(|&t| !self.threads[t].is_halted())
+            .fold(0, |mask, t| mask | 1 << t);
+        self.parked = 0;
+        self.next_wake = u64::MAX;
     }
 
     /// Captures a point-in-time copy of this core: every thread (arch
     /// registers, vector/mask registers, status, scoreboard, statistics),
     /// the round-robin pointer and per-thread issue records, the
     /// incremental halted/barrier counters, and the memory unit's
-    /// in-flight state. A core is never asleep here: the stepping loop
-    /// settles every core before it returns.
+    /// in-flight state. No thread is parked here: the stepping loop
+    /// settles every thread before it returns.
     pub(crate) fn snapshot(&self) -> CoreSnapshot {
-        debug_assert!(self.asleep.is_none(), "snapshot of a sleeping core");
+        debug_assert_eq!(self.parked, 0, "snapshot of a parked thread");
         CoreSnapshot {
             threads: self.threads.clone(),
             memunit: self.memunit.snapshot(),
@@ -756,75 +851,84 @@ impl Core {
         self.halted = snap.halted;
         self.at_barrier = snap.at_barrier;
         self.issued_any = snap.issued_any;
-        self.asleep = None;
+        self.step_live();
     }
 
-    /// Bulk stall attribution for the slept window `[from, to)`,
-    /// cycle-for-cycle identical to running `issue_stage` +
-    /// `classify_cycle` for each skipped cycle. Callable only when no
-    /// thread of this core can issue anywhere in the window (`to` is at
-    /// most [`earliest_wake`](Self::earliest_wake)) and the memory unit
-    /// is idle, so thread state is frozen and each thread's per-cycle
+    /// Bulk stall attribution of parked thread `t` for the cycles
+    /// `[from, to)`, cycle-for-cycle identical to stepping it through
+    /// `issue_stage` and `classify_cycle`. A parked thread's state is
+    /// frozen (it is settled before a completion or the barrier release
+    /// touches it) and `to` is at most its wake cycle, so its per-cycle
     /// classification is piecewise constant with breakpoints at
-    /// `next_issue_at` and the scoreboard ready times.
-    fn attribute_window(&mut self, code: &Code, from: u64, to: u64) {
+    /// `next_issue_at` and the scoreboard ready cycles.
+    fn attribute_window(&mut self, t: usize, code: &Code, from: u64, to: u64) {
         let w = to - from;
-        let n = self.threads.len();
-        // issue_stage rotates the round-robin start every cycle regardless
-        // of issue outcomes.
-        self.rr = (self.rr + (w % n as u64) as usize) % n;
-        for t in 0..n {
-            match self.threads[t].status {
-                ThreadStatus::Halted => {}
-                ThreadStatus::AtBarrier => {
-                    let th = &mut self.threads[t];
-                    th.stats.active_cycles += w;
-                    th.stats.barrier_cycles += w;
+        let th = &mut self.threads[t];
+        th.stats.active_cycles += w;
+        match &th.status {
+            ThreadStatus::Halted => unreachable!("a halted thread is never parked"),
+            ThreadStatus::AtBarrier => {
+                th.stats.barrier_cycles += w;
+                th.stats.sync_cycles += w;
+            }
+            ThreadStatus::BlockedGsu { sync } | ThreadStatus::BlockedVector { sync, .. } => {
+                th.stats.mem_stall_cycles += w;
+                if *sync {
                     th.stats.sync_cycles += w;
                 }
-                ThreadStatus::BlockedGsu { .. } | ThreadStatus::BlockedVector { .. } => {
-                    unreachable!("blocked thread with an idle memory unit")
-                }
-                ThreadStatus::Running => {
-                    let d = code.at(self.threads[t].arch.pc);
-                    let sync = d.is_some_and(|d| d.sync);
-                    let regs = d.map_or(&[][..], Decoded::regs);
-                    let th = &mut self.threads[t];
-                    th.stats.active_cycles += w;
-                    let mut c = from;
-                    while c < to {
-                        // Same priority order as check_stall: the issue
-                        // redirect first, then the first unready register
-                        // (source operands before the destination).
-                        let (is_mem, seg_end) = if c < th.next_issue_at {
-                            (false, th.next_issue_at.min(to))
-                        } else {
-                            debug_assert!(
-                                d.is_some(),
-                                "pc off the end issues (halts) at next_issue_at"
-                            );
-                            let first_unready = regs
-                                .iter()
-                                .find(|r| th.reg_ready[r.index()] > c)
-                                .expect("thread ready before the window's end");
-                            let i = first_unready.index();
-                            (th.reg_from_mem[i], th.reg_ready[i].min(to))
-                        };
-                        let seg = seg_end - c;
-                        if is_mem {
-                            th.stats.mem_stall_cycles += seg;
-                        } else {
-                            th.stats.compute_stall_cycles += seg;
-                        }
-                        if sync {
-                            th.stats.sync_cycles += seg;
-                        }
-                        c = seg_end;
+            }
+            ThreadStatus::Running => {
+                let d = code.at(th.arch.pc);
+                let sync = d.is_some_and(|d| d.sync);
+                let regs = d.map_or(&[][..], Decoded::regs);
+                let mut c = from;
+                while c < to {
+                    // Same priority order as check_stall: the issue
+                    // redirect first, then the first unready register
+                    // (source operands before the destination).
+                    let (is_mem, seg_end) = if c < th.next_issue_at {
+                        (false, th.next_issue_at.min(to))
+                    } else {
+                        let first_unready = regs
+                            .iter()
+                            .find(|r| th.reg_ready[r.index()] > c)
+                            .expect("thread ready before its wake cycle");
+                        let i = first_unready.index();
+                        (th.reg_from_mem[i], th.reg_ready[i].min(to))
+                    };
+                    let seg = seg_end - c;
+                    if is_mem {
+                        th.stats.mem_stall_cycles += seg;
+                    } else {
+                        th.stats.compute_stall_cycles += seg;
                     }
+                    if sync {
+                        th.stats.sync_cycles += seg;
+                    }
+                    c = seg_end;
                 }
             }
         }
     }
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let t = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (t < 32).then_some(t)
+    })
+}
+
+/// The earliest cycle at which Running thread `th` passes
+/// `check_stall`'s issue-redirect and scoreboard checks if no completion
+/// arrives first: `u64::MAX` while an operand waits on a queued access.
+fn earliest_issue(th: &Thread, code: &Code) -> u64 {
+    let regs = code.at(th.arch.pc).map_or(&[][..], Decoded::regs);
+    regs.iter().fold(th.next_issue_at, |earliest, r| {
+        earliest.max(th.reg_ready[r.index()])
+    })
 }
 
 // ---- durable-snapshot serialization --------------------------------------

@@ -193,7 +193,10 @@ impl Error for SimError {
 /// [`run_naive`](Machine::run_naive), [`run_for`](Machine::run_for) and
 /// the [`Fleet`](crate::Fleet)) drives one stepping loop, and
 /// [`step`](Machine::step)/[`step_masked`](Machine::step_masked) run one
-/// cycle of its body (DESIGN.md §8).
+/// cycle of its body (DESIGN.md §8). All but `run_naive`, `step` and
+/// `step_masked` park threads that cannot act before a known cycle or
+/// event and account their skipped cycles in bulk; no parked thread
+/// outlives the call, so reports, clones and snapshots never see one.
 #[derive(Clone, Debug)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -348,18 +351,18 @@ impl Machine {
     }
 
     /// One cycle of the machine: the body of the stepping loop and of
-    /// [`step`](Machine::step). In order: cores whose wake cycle has come
-    /// are settled and woken; every busy memory unit ticks, in core
-    /// order, and its completions are applied; every awake core with a
-    /// live thread runs its issue stage; a complete barrier releases,
-    /// after settling any sleeping core and running its issue stage for
-    /// this cycle; and the awake cores classify the cycle.
+    /// [`step`](Machine::step). In order: each core unparks the threads
+    /// whose wake cycle has come, ticks its memory unit if busy and
+    /// applies the completions (settling a parked recipient first); every
+    /// core with a stepped thread runs its issue stage, and every other
+    /// core with a live thread rotates its round-robin start; a complete
+    /// barrier releases its waiters, settling the parked ones; and each
+    /// core classifies the cycle for its stepped threads.
     ///
-    /// With `sleep` set, an awake core whose memory unit is idle and whose
-    /// threads issued nothing then goes to sleep until its earliest issue
-    /// cycle, when that is more than one cycle away: nothing but a barrier
-    /// release can change its state before then.
-    fn advance(&mut self, masks: Option<&[u32]>, sleep: bool) -> bool {
+    /// With `park` set, classification then parks the threads that cannot
+    /// act before a known cycle or event (see
+    /// [`Core::classify_cycle`](crate::cpu::Core::classify_cycle)).
+    fn advance(&mut self, masks: Option<&[u32]>, park: bool) -> bool {
         let Self {
             cfg,
             mem,
@@ -371,26 +374,23 @@ impl Machine {
         let code: &Code = code.as_ref().expect("program loaded");
         let now = *cycle;
         for core in cores.iter_mut() {
-            if core.asleep.is_some_and(|(_, wake)| wake <= now) {
-                core.settle(code, now);
+            if core.next_wake <= now {
+                core.wake_due(code, now);
             }
             // An idle unit's tick is a no-op that yields no completions.
             if !core.memunit.is_idle() {
                 core.memunit.tick_into(mem, now, comp_buf);
-                core.apply_completions(comp_buf);
+                core.apply_completions(code, now, comp_buf);
             }
         }
         for (c, core) in cores.iter_mut().enumerate() {
-            if core.asleep.is_some() {
-                continue; // issued nothing before it slept
-            }
-            if core.all_halted() {
-                // The issue stage would only clear this and rotate the
-                // round-robin pointer, which nothing reads once every
-                // thread has halted.
-                core.issued_any = false;
-            } else {
+            if core.stepped != 0 {
                 core.issue_stage(code, cfg, now, masks.map_or(u32::MAX, |m| m[c]));
+            } else {
+                core.issued_any = false;
+                if !core.all_halted() {
+                    core.rotate_rr();
+                }
             }
         }
         let (waiting, halted) = cores
@@ -399,37 +399,24 @@ impl Machine {
         let live = cfg.total_threads() - halted;
         if live > 0 && waiting == live {
             for core in cores.iter_mut() {
-                if core.asleep.is_some() {
-                    // Every live thread of a sleeping core is at the
-                    // barrier, so none issues this cycle.
-                    core.settle(code, now);
-                    core.issue_stage(code, cfg, now, u32::MAX);
-                }
-                core.release_barrier_threads(now);
+                core.release_barrier_threads(code, now);
             }
         }
         for core in cores.iter_mut() {
-            if core.asleep.is_some() || core.all_halted() {
-                continue;
-            }
-            core.classify_cycle();
-            if sleep && !core.issued_any && core.memunit.is_idle() {
-                let wake = core.earliest_wake(code);
-                if wake > now + 1 {
-                    core.asleep = Some((now + 1, wake));
-                }
+            if core.stepped != 0 {
+                core.classify_cycle(code, now, park);
             }
         }
         *cycle += 1;
         cores.iter().all(|c| c.all_halted() && c.memunit.is_idle())
     }
 
-    /// Settles every sleeping core through the current cycle, leaving the
+    /// Settles every parked thread through the current cycle, leaving the
     /// machine exactly as single-stepping would have.
-    fn wake_all(&mut self) {
+    fn unpark_all(&mut self) {
         if let Some(code) = &self.code {
             for core in &mut self.cores {
-                core.settle(code, self.cycle);
+                core.unpark_all(code, self.cycle);
             }
         }
     }
@@ -476,9 +463,10 @@ impl Machine {
     }
 
     /// Runs until every thread halts, returning the aggregated report.
-    /// Idle cores sleep until they can issue and the clock jumps over
-    /// cycles in which every core sleeps; the report is cycle-for-cycle
-    /// identical to [`run_naive`](Machine::run_naive).
+    /// Stalled and blocked threads park until they can act, and the clock
+    /// jumps over cycles in which no thread is stepped and every memory
+    /// unit is idle; the report is cycle-for-cycle identical to
+    /// [`run_naive`](Machine::run_naive).
     ///
     /// # Errors
     ///
@@ -492,9 +480,9 @@ impl Machine {
         Ok(self.report())
     }
 
-    /// Runs the same loop as [`run`](Machine::run) with sleeping turned
-    /// off, so every core is stepped on every cycle. Kept as the reference
-    /// for differential testing and performance comparison.
+    /// Runs the same loop as [`run`](Machine::run) with parking turned
+    /// off, so every live thread is classified on every cycle. Kept as the
+    /// reference for differential testing and performance comparison.
     ///
     /// # Errors
     ///
@@ -510,25 +498,25 @@ impl Machine {
     /// across calls, so every detector fires on the cycle, and with the
     /// stats, that one uninterrupted single-stepped run would show.
     ///
-    /// With `sleep` set, idle cores sleep (see [`advance`](Self::advance))
-    /// and, when every core is asleep or halted with a drained memory
-    /// unit, the clock jumps to the earliest wake. The jump is capped one
-    /// cycle short of the cycle budget and of the watchdog deadline, so
-    /// the next (non-issuing) step lands on the cycle where they fire, and
-    /// at the end of the slice. Every core is settled before the loop
+    /// With `park` set, threads park (see [`advance`](Self::advance)) and,
+    /// when no core has a stepped thread or a busy memory unit, the clock
+    /// jumps to the earliest thread wake. The jump is capped one cycle
+    /// short of the cycle budget and of the watchdog deadline, so the next
+    /// (non-issuing) step lands on the cycle where they fire, and at the
+    /// end of the slice. Every parked thread is settled before the loop
     /// returns, for any reason.
     pub(crate) fn drive(
         &mut self,
         ctl: &mut SlicedRun,
         budget: u64,
-        sleep: bool,
+        park: bool,
     ) -> Result<bool, SimError> {
         if self.code.is_none() {
             return Err(SimError::NoProgram);
         }
         let slice_end = self.cycle.saturating_add(budget);
         let verdict = loop {
-            let done = self.advance(None, sleep);
+            let done = self.advance(None, park);
             // Memory traffic only happens on stepped cycles, so polling
             // after each step catches every violation on the cycle it
             // commits, including one on the final step.
@@ -557,7 +545,7 @@ impl Machine {
                 ctl.last_progress = self.cycle;
             } else if let Some(window) = self.cfg.watchdog_window {
                 if self.cycle.saturating_sub(ctl.last_progress) >= window {
-                    self.wake_all();
+                    self.unpark_all();
                     break Err(SimError::Livelock {
                         cycle: self.cycle,
                         window,
@@ -580,36 +568,45 @@ impl Machine {
                 }
             }
             if self.cycle >= self.cfg.max_cycles {
-                self.wake_all();
+                self.unpark_all();
                 break Err(SimError::MaxCyclesExceeded {
                     cycle: self.cycle,
                     stuck: self.stuck_threads(),
                     stalls: self.stall_totals(),
                 });
             }
-            if sleep {
-                let mut wake = u64::MAX;
-                let quiet = self.cores.iter().all(|c| match c.asleep {
-                    Some((_, w)) => {
-                        wake = wake.min(w);
-                        true
+            if park
+                && self
+                    .cores
+                    .iter()
+                    .all(|c| c.stepped == 0 && c.memunit.is_idle())
+            {
+                let wake = self
+                    .cores
+                    .iter()
+                    .map(|c| c.next_wake)
+                    .fold(u64::MAX, u64::min);
+                let deadline = match self.cfg.watchdog_window {
+                    Some(w) => ctl.last_progress.saturating_add(w),
+                    None => u64::MAX,
+                };
+                let cap = self.cfg.max_cycles.min(deadline).saturating_sub(1);
+                let to = self.cycle.max(wake.min(cap).min(slice_end));
+                // Every skipped cycle rotates each live core's round-robin
+                // start, as its issue stage would have.
+                let skipped = to - self.cycle;
+                for core in &mut self.cores {
+                    if !core.all_halted() {
+                        core.skip_rr(skipped);
                     }
-                    None => c.all_halted() && c.memunit.is_idle(),
-                });
-                if quiet {
-                    let deadline = match self.cfg.watchdog_window {
-                        Some(w) => ctl.last_progress.saturating_add(w),
-                        None => u64::MAX,
-                    };
-                    let cap = self.cfg.max_cycles.min(deadline).saturating_sub(1);
-                    self.cycle = self.cycle.max(wake.min(cap).min(slice_end));
                 }
+                self.cycle = to;
             }
             if self.cycle >= slice_end {
                 break Ok(false);
             }
         };
-        self.wake_all();
+        self.unpark_all();
         verdict
     }
 

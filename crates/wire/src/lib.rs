@@ -429,6 +429,21 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 /// let q: Point = glsc_wire::from_bytes(&bytes).unwrap();
 /// assert_eq!((q.x, q.y), (3, 9));
 /// ```
+///
+/// Fields listed after `derived` are caches of the encoded ones: they are
+/// not encoded, and decoding starts them at `Default::default()` and then
+/// calls the given `fn(&mut Self)` to rebuild them.
+///
+/// ```
+/// #[derive(Default)]
+/// struct Bag { items: Vec<u64>, total: u64 }
+/// glsc_wire::wire_struct!(Bag { items } derived { total } => |b: &mut Bag| {
+///     b.total = b.items.iter().sum()
+/// });
+///
+/// let bytes = glsc_wire::to_bytes(&Bag { items: vec![2, 5], total: 7 });
+/// assert_eq!(glsc_wire::from_bytes::<Bag>(&bytes).unwrap().total, 7);
+/// ```
 #[macro_export]
 macro_rules! wire_struct {
     ($ty:ty { $($field:ident),+ $(,)? }) => {
@@ -439,6 +454,23 @@ macro_rules! wire_struct {
             }
             fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
                 Ok(Self { $( $field: $crate::Wire::decode(r)? ),+ })
+            }
+        }
+    };
+    ($ty:ty { $($field:ident),+ $(,)? } derived { $($derived:ident),+ $(,)? } => $rebuild:expr) => {
+        impl $crate::Wire for $ty {
+            fn encode(&self, w: &mut $crate::Writer) {
+                let Self { $($field,)+ $($derived: _),+ } = self;
+                $( $crate::Wire::encode($field, w); )+
+            }
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::WireError> {
+                let mut v = Self {
+                    $( $field: $crate::Wire::decode(r)?, )+
+                    $( $derived: Default::default(), )+
+                };
+                let rebuild: fn(&mut Self) = $rebuild;
+                rebuild(&mut v);
+                Ok(v)
             }
         }
     };

@@ -127,11 +127,12 @@ fn every_kernel_validates_under_every_policy() {
         ArbitrationPolicy::AgedPriority,
     ] {
         let cfg = MachineConfig::paper(2, 2, 4).with_arbitration(policy);
-        for kernel in KERNEL_NAMES {
-            let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-            run_workload(&w, &cfg).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
-        }
         for variant in [Variant::Base, Variant::Glsc] {
+            for kernel in KERNEL_NAMES {
+                let w = build_named(kernel, Dataset::Tiny, variant, &cfg).expect("known kernel");
+                run_workload(&w, &cfg)
+                    .unwrap_or_else(|e| panic!("{kernel} {variant:?} {policy:?}: {e}"));
+            }
             let w = hot_micro().build(variant, &cfg);
             run_workload(&w, &cfg).unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         }

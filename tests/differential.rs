@@ -1,9 +1,11 @@
 //! Differential testing: random single-threaded programs must produce
 //! identical architectural and memory state on the cycle-level machine and
 //! the functional reference interpreter; and every driver of the
-//! machine's stepping loop (`run`, `run_for`, `Fleet`) must reproduce the
-//! naive single-stepped loop (`run_naive`) on random programs and on
-//! every kernel.
+//! machine's stepping loop (`run`, `run_for`, `Fleet`), which park stalled
+//! and blocked threads and jump the clock, must reproduce the naive loop
+//! (`run_naive`), which classifies every live thread on every cycle, on
+//! random programs (with issue-slot contention, fences and barriers) and
+//! on every kernel.
 //!
 //! Originally written with `proptest`; the offline build environment cannot
 //! fetch it, so the cases now run as seeded loops over `glsc-rng`. Each
@@ -45,6 +47,8 @@ enum Op {
     VScatter { vs: u8, vidx: u8 },
     GatherLink { fd: u8, vd: u8, vidx: u8, fsrc: u8 },
     ScatterCond { fd: u8, vs: u8, vidx: u8, fsrc: u8 },
+    Barrier,
+    Fence { kind: u8 },
 }
 
 const ALU_OPS: [AluOp; 12] = [
@@ -196,6 +200,20 @@ fn random_op(rng: &mut StdRng) -> Op {
     }
 }
 
+/// A random op for multi-threaded programs: one in eight is a barrier or
+/// a fence (full, acquire or release), the rest come from [`random_op`].
+/// Kept out of [`random_op`] because the single-threaded functional
+/// reference rejects barriers.
+fn random_sync_op(rng: &mut StdRng) -> Op {
+    if rng.random_range(0..8u8) != 0 {
+        return random_op(rng);
+    }
+    match rng.random_range(0..4u8) {
+        0 => Op::Barrier,
+        kind => Op::Fence { kind: kind - 1 },
+    }
+}
+
 /// Assembles the recipe into a straight-line program. Indexed ops bound
 /// their index vector into the window first (`vand idx, idx, 255`), using
 /// v15 as scratch so the recipe's registers are untouched.
@@ -319,6 +337,16 @@ fn assemble(ops: &[Op], width: usize) -> Program {
                     MReg::new(fsrc),
                 );
             }
+            Op::Barrier => {
+                b.barrier();
+            }
+            Op::Fence { kind } => {
+                match kind {
+                    0 => b.fence(),
+                    1 => b.fence_acq(),
+                    _ => b.fence_rel(),
+                };
+            }
         }
     }
     b.halt();
@@ -402,8 +430,9 @@ const QUANTUM: u64 = 61;
 /// that each leaves the `RunReport` and final memory of the
 /// single-stepped reference, `run_naive`:
 ///
-/// * `run`, where idle cores sleep and the clock jumps over cycles in
-///   which every core sleeps;
+/// * `run`, where stalled and blocked threads park and the clock jumps
+///   over cycles in which no thread is stepped and every memory unit is
+///   idle;
 /// * `run_for` in `SLICE`-cycle slices, each call advancing at most
 ///   `SLICE` cycles;
 /// * a width-2 `Fleet` in `QUANTUM`-cycle quanta, running the job live
@@ -482,23 +511,25 @@ fn assert_every_loop_agrees<T: PartialEq + std::fmt::Debug>(
     (expect, expect_mem)
 }
 
-/// Sleeping cores and clock jumps in `Machine::run` must be an invisible
+/// Parked threads and clock jumps in `Machine::run` must be an invisible
 /// optimization: every driver of the stepping loop leaves the `RunReport`
 /// (cycles, every per-thread stall counter, memory/LSU/GSU stats) and the
 /// final memory of the naive single-stepped loop, on random programs
 /// across machine shapes and every memory order, with a chaos plan on
-/// odd seeds. Under TSO and the relaxed model the random stores sit in
-/// write buffers, which drain after their thread halts. A machine
-/// stepped to a random cycle, snapshotted through the codec and resumed
-/// with `run` must finish the same way too.
+/// odd seeds. The 1x4 and 2x4 shapes run four threads into two issue
+/// slots, so threads lose slots; barrier waiters park until the release,
+/// and fences hold threads on the memory unit. Under TSO and the relaxed
+/// model the random stores sit in write buffers, which drain after their
+/// thread halts. A machine stepped to a random cycle, snapshotted through
+/// the codec and resumed with `run` must finish the same way too.
 #[test]
 fn fast_forward_matches_naive_random_programs() {
-    const SHAPES: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 1)];
+    const SHAPES: [(usize, usize); 5] = [(1, 1), (2, 2), (4, 1), (1, 4), (2, 4)];
     const WIDTHS: [usize; 3] = [1, 4, 8];
-    for seed in 0..24u64 {
+    for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(0xD1FF_0002 ^ seed);
         let n = rng.random_range(1..40usize);
-        let ops: Vec<Op> = (0..n).map(|_| random_op(&mut rng)).collect();
+        let ops: Vec<Op> = (0..n).map(|_| random_sync_op(&mut rng)).collect();
         let width = WIDTHS[rng.random_range(0..WIDTHS.len())];
         let (cores, tpc) = SHAPES[rng.random_range(0..SHAPES.len())];
         let program = assemble(&ops, width);
