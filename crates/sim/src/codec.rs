@@ -33,7 +33,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GLSCSNAP";
 /// instead of being resumed as garbage.
 /// v2: memory-order axis — `MemConfig.memory_order`, LSU write buffers
 /// and drain counters, oracle state (DESIGN.md §17).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 2;
+/// v3: a core no longer carries per-thread issue records (the issue stage
+/// attributes each cycle on its own visit).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
 
 /// Why a byte string failed to decode as a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -6,7 +6,9 @@
 //! loads are non-blocking with stall-on-use via a register scoreboard;
 //! vector memory operations block the issuing thread (§4.1: gather/scatter
 //! "stall the subsequent instructions from the same thread until memory
-//! operations for all elements are complete").
+//! operations for all elements are complete"). The visit that decides
+//! whether a thread issues also attributes its cycle to a stall bucket;
+//! only barrier waiters wait for the machine's release decision.
 
 use crate::config::MachineConfig;
 use crate::exec::{self, Code, Decoded, Gate, StepOutcome};
@@ -32,19 +34,13 @@ pub enum StallKind {
     Fence,
 }
 
-/// Per-cycle issue outcome for one thread (for stall accounting).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IssueRecord {
-    /// Issued an instruction; flag = sync region.
-    Issued(bool),
-    /// Stalled for the given reason; flag = sync region of the stalled
-    /// instruction.
-    Stalled(StallKind, bool),
-    /// Not in the Running state (blocked/barrier/halted).
-    NotRunning,
-}
-
 /// One simulated core: SMT threads plus its memory unit.
+///
+/// Each cycle the issue stage visits the stepped threads once, issues
+/// from those that can, and attributes every visited thread's cycle on
+/// the same visit; barrier waiters are attributed after the machine's
+/// release decision. A parked thread is not visited: its skipped cycles
+/// are attributed in bulk when it is settled (DESIGN.md §8).
 #[derive(Clone, Debug)]
 pub struct Core {
     // Core id (kept for debugging dumps).
@@ -54,9 +50,6 @@ pub struct Core {
     pub threads: Vec<Thread>,
     /// LSU + GSU behind the L1 port.
     pub memunit: CoreMemUnit,
-    /// This cycle's issue outcome per stepped thread; `NotRunning` for a
-    /// thread outside the stepped set.
-    records: Vec<IssueRecord>,
     rr: usize,
     /// Halted threads on this core, maintained incrementally at every
     /// status transition so the machine's end-of-run and barrier checks
@@ -72,7 +65,7 @@ pub struct Core {
     /// thread. Every live thread is stepped unless parked.
     pub(crate) stepped: u32,
     /// Parked threads: live threads the loop skips until their wake
-    /// cycle, a completion addressed to them or the barrier release
+    /// cycle, a completion that lets them issue or the barrier release
     /// (DESIGN.md §8). The loop settles every parked thread before it
     /// returns, so none is parked in a snapshot, a clone or a report.
     parked: u32,
@@ -81,6 +74,12 @@ pub struct Core {
     park: Vec<(u64, u64)>,
     /// The earliest `wake` among parked threads (`u64::MAX` if none).
     pub(crate) next_wake: u64,
+    /// Stepped threads found at the barrier by this cycle's issue stage,
+    /// arrivals included. Their cycle is attributed once the machine has
+    /// decided whether the barrier releases; empty between cycles.
+    pub(crate) waiters: u32,
+    /// The waiters whose `barrier` issued this cycle inside a sync region.
+    sync_arrivals: u32,
 }
 
 /// A point-in-time copy of one [`Core`], captured by [`Core::snapshot`]
@@ -89,7 +88,6 @@ pub struct Core {
 pub(crate) struct CoreSnapshot {
     threads: Vec<Thread>,
     memunit: glsc_core::CoreMemUnitSnapshot,
-    records: Vec<IssueRecord>,
     rr: usize,
     halted: usize,
     at_barrier: usize,
@@ -118,7 +116,6 @@ impl Core {
                 cfg.mem.line_bytes,
                 cfg.mem.l2_banks,
             ),
-            records: vec![IssueRecord::NotRunning; n],
             rr: 0,
             halted: 0,
             at_barrier: 0,
@@ -127,6 +124,8 @@ impl Core {
             parked: 0,
             park: vec![(0, 0); n],
             next_wake: u64::MAX,
+            waiters: 0,
+            sync_arrivals: 0,
         }
     }
 
@@ -140,7 +139,9 @@ impl Core {
 
     /// Applies memory completions to thread state at cycle `now`, draining
     /// `comps` so the caller can reuse the buffer next cycle. A parked
-    /// recipient is settled first.
+    /// recipient is settled first, and parks again from `now` while it
+    /// still cannot issue: an operand's ready cycle still ahead, vector
+    /// line parts still outstanding, or the barrier still closed.
     pub(crate) fn apply_completions(
         &mut self,
         code: &Code,
@@ -157,8 +158,10 @@ impl Core {
                 ) => *tid,
                 MemCompletion::Gsu(c) => c.tid,
             };
-            if self.parked & 1 << tid != 0 {
-                self.unpark(tid as usize, code, now);
+            let t = tid as usize;
+            let parked = self.parked & 1 << t != 0;
+            if parked {
+                self.unpark(t, code, now);
             }
             match comp {
                 MemCompletion::Lsu(LsuCompletion::ScalarLoad {
@@ -231,6 +234,16 @@ impl Core {
                     th.next_issue_at = th.next_issue_at.max(c.done);
                 }
             }
+            if parked {
+                let th = &self.threads[t];
+                let wake = match th.status {
+                    ThreadStatus::Running => earliest_issue(th, code),
+                    _ => u64::MAX,
+                };
+                if wake > now {
+                    self.park_from(t, now, wake);
+                }
+            }
         }
     }
 
@@ -277,12 +290,35 @@ impl Core {
     }
 
     /// The issue stage for cycle `now`: selects up to `issue_width` ready
-    /// threads (round-robin) and executes one instruction each, recording
-    /// per-thread issue/stall outcomes for later classification. Only
+    /// threads (round-robin), executes one instruction each, and
+    /// attributes the cycle of every stepped thread on the same visit
+    /// (Fig. 5(a) sync attribution and Table 4 memory-stall accounting),
+    /// by its status after issue first and then its issue outcome. Only
     /// threads whose bit is set in `mask` may issue; the others are
     /// accounted as losing the issue slot (the litmus schedule controller
     /// pins the machine to an explicit interleaving this way).
-    pub(crate) fn issue_stage(&mut self, code: &Code, cfg: &MachineConfig, now: u64, mask: u32) {
+    ///
+    /// A thread that halts leaves the stepped set. A barrier waiter, one
+    /// whose `barrier` issued this cycle included, joins
+    /// [`waiters`](Self::waiters): whether the barrier releases is known
+    /// only after every core's issue stage.
+    ///
+    /// With `park` set, a thread that cannot act before a known cycle or
+    /// event parks from `now + 1` (DESIGN.md §8): a Running thread whose
+    /// next instruction cannot issue before its earliest issue cycle,
+    /// `u64::MAX` while an operand waits on a queued access, whether it
+    /// issued this cycle or was held by the issue redirect or the
+    /// scoreboard; a thread blocked on a vector or GSU op until the
+    /// completion that frees it. A thread that lost its slot or waits on
+    /// a memory-unit gate stays stepped.
+    pub(crate) fn issue_stage(
+        &mut self,
+        code: &Code,
+        cfg: &MachineConfig,
+        now: u64,
+        mask: u32,
+        park: bool,
+    ) {
         let mut slots = cfg.issue_width;
         self.issued_any = false;
         // The stepped threads in round-robin order from `rr`, wrapping,
@@ -292,28 +328,85 @@ impl Core {
         self.rotate_rr();
         for part in order {
             for t in bits(part) {
-                if self.threads[t].status != ThreadStatus::Running {
-                    self.records[t] = IssueRecord::NotRunning;
-                    continue;
-                }
-                if mask & (1 << t) == 0 {
-                    self.records[t] = IssueRecord::Stalled(StallKind::NoSlot, false);
-                    continue;
-                }
-                let d = code.at(self.threads[t].arch.pc);
-                let sync_at_pc = d.is_some_and(|d| d.sync);
-                self.records[t] = match self.check_stall(t, d, now) {
-                    Some(kind) => IssueRecord::Stalled(kind, sync_at_pc),
-                    None if slots == 0 => IssueRecord::Stalled(StallKind::NoSlot, sync_at_pc),
-                    None => {
-                        slots -= 1;
-                        self.issued_any = true;
-                        self.issue_one(t, &code.program, cfg, now, sync_at_pc);
-                        IssueRecord::Issued(sync_at_pc)
+                let visit = (self.threads[t].status == ThreadStatus::Running)
+                    .then(|| self.try_issue(t, code, cfg, now, mask & 1 << t != 0, &mut slots));
+                let th = &mut self.threads[t];
+                let wake = match th.status {
+                    ThreadStatus::Halted => {
+                        self.stepped &= !(1 << t);
+                        continue;
+                    }
+                    ThreadStatus::AtBarrier => {
+                        self.waiters |= 1 << t;
+                        if visit == Some((None, true)) {
+                            self.sync_arrivals |= 1 << t;
+                        }
+                        continue;
+                    }
+                    ThreadStatus::BlockedGsu { sync }
+                    | ThreadStatus::BlockedVector { sync, .. } => {
+                        th.stats.active_cycles += 1;
+                        th.stats.mem_stall_cycles += 1;
+                        th.stats.sync_cycles += u64::from(sync);
+                        u64::MAX
+                    }
+                    ThreadStatus::Running => {
+                        let (stall, sync) = visit.expect("a Running thread was Running at issue");
+                        th.stats.active_cycles += 1;
+                        th.stats.sync_cycles += u64::from(sync);
+                        match stall {
+                            None => {}
+                            Some(StallKind::Pipeline) => th.stats.compute_stall_cycles += 1,
+                            Some(StallKind::OperandMem) => th.stats.mem_stall_cycles += 1,
+                            Some(StallKind::StoreBufferFull | StallKind::Fence) => {
+                                th.stats.mem_stall_cycles += 1;
+                                continue;
+                            }
+                            Some(StallKind::NoSlot) => {
+                                th.stats.issue_stall_cycles += 1;
+                                continue;
+                            }
+                        }
+                        earliest_issue(th, code)
                     }
                 };
+                if park && wake > now + 1 {
+                    self.park_from(t, now + 1, wake);
+                }
             }
         }
+    }
+
+    /// Issues Running thread `t`'s next instruction if it may issue
+    /// (`may_issue`, its bit of the issue mask), passes
+    /// [`check_stall`](Self::check_stall) and finds a slot left. Returns
+    /// the stall reason (`None`: issued) and whether the instruction is in
+    /// a sync region; a masked-out thread's stall never counts as sync.
+    fn try_issue(
+        &mut self,
+        t: usize,
+        code: &Code,
+        cfg: &MachineConfig,
+        now: u64,
+        may_issue: bool,
+        slots: &mut usize,
+    ) -> (Option<StallKind>, bool) {
+        if !may_issue {
+            return (Some(StallKind::NoSlot), false);
+        }
+        let d = code.at(self.threads[t].arch.pc);
+        let sync = d.is_some_and(|d| d.sync);
+        let stall = match self.check_stall(t, d, now) {
+            None if *slots == 0 => Some(StallKind::NoSlot),
+            None => {
+                *slots -= 1;
+                self.issued_any = true;
+                self.issue_one(t, &code.program, cfg, now, sync);
+                None
+            }
+            stall => stall,
+        };
+        (stall, sync)
     }
 
     /// Advances the round-robin start by one cycle.
@@ -654,83 +747,6 @@ impl Core {
         th.status = ThreadStatus::BlockedGsu { sync };
     }
 
-    /// End-of-cycle statistics classification (Fig. 5(a) sync attribution
-    /// and Table 4 memory-stall accounting) of the stepped threads for
-    /// cycle `now`; a halted thread leaves the stepped set.
-    ///
-    /// With `park` set, a thread whose state cannot change before a known
-    /// cycle or event then parks (DESIGN.md §8): a Running thread held by
-    /// the issue redirect or the scoreboard (`Pipeline`, `OperandMem`)
-    /// until its earliest issue cycle, `u64::MAX` while an operand waits on
-    /// a queued access; a thread blocked on a vector or GSU op, or at the
-    /// barrier, until the event that frees it. A Running thread that
-    /// issued, lost its slot or waits on a memory-unit gate stays stepped.
-    pub(crate) fn classify_cycle(&mut self, code: &Code, now: u64, park: bool) {
-        for t in bits(self.stepped) {
-            let th = &mut self.threads[t];
-            let wake = match &th.status {
-                ThreadStatus::Halted => {
-                    self.stepped &= !(1 << t);
-                    self.records[t] = IssueRecord::NotRunning;
-                    continue;
-                }
-                ThreadStatus::AtBarrier => {
-                    th.stats.active_cycles += 1;
-                    th.stats.barrier_cycles += 1;
-                    th.stats.sync_cycles += 1;
-                    u64::MAX
-                }
-                ThreadStatus::BlockedGsu { sync } | ThreadStatus::BlockedVector { sync, .. } => {
-                    th.stats.active_cycles += 1;
-                    th.stats.mem_stall_cycles += 1;
-                    if *sync {
-                        th.stats.sync_cycles += 1;
-                    }
-                    u64::MAX
-                }
-                ThreadStatus::Running => {
-                    th.stats.active_cycles += 1;
-                    match self.records[t] {
-                        IssueRecord::Issued(sync) => {
-                            if sync {
-                                th.stats.sync_cycles += 1;
-                            }
-                            continue;
-                        }
-                        IssueRecord::Stalled(kind, sync) => {
-                            if sync {
-                                th.stats.sync_cycles += 1;
-                            }
-                            match kind {
-                                StallKind::OperandMem => th.stats.mem_stall_cycles += 1,
-                                StallKind::Pipeline => th.stats.compute_stall_cycles += 1,
-                                StallKind::StoreBufferFull | StallKind::Fence => {
-                                    th.stats.mem_stall_cycles += 1;
-                                    continue;
-                                }
-                                StallKind::NoSlot => {
-                                    th.stats.issue_stall_cycles += 1;
-                                    continue;
-                                }
-                            }
-                            earliest_issue(th, code)
-                        }
-                        // Released from the barrier after the issue stage:
-                        // a neutral cycle.
-                        IssueRecord::NotRunning => continue,
-                    }
-                }
-            };
-            if park && wake > now + 1 {
-                self.stepped &= !(1 << t);
-                self.parked |= 1 << t;
-                self.park[t] = (now + 1, wake);
-                self.next_wake = self.next_wake.min(wake);
-                self.records[t] = IssueRecord::NotRunning;
-            }
-        }
-    }
-
     /// Whether every thread on this core has halted. Debug builds first
     /// check the incremental counts and masks against a recount.
     pub fn all_halted(&self) -> bool {
@@ -763,7 +779,9 @@ impl Core {
     /// Releases every thread waiting at the barrier (the machine decided
     /// the barrier is complete at cycle `now`, after the issue stage);
     /// they may issue again from `now + 1`. A parked waiter is settled
-    /// first, so the release cycle stays neutral.
+    /// first. The release cycle is neutral (active, in no stall bucket),
+    /// except that a thread whose `barrier` issued this cycle keeps its
+    /// sync attribution.
     pub(crate) fn release_barrier_threads(&mut self, code: &Code, now: u64) {
         for t in 0..self.threads.len() {
             if self.threads[t].status == ThreadStatus::AtBarrier {
@@ -773,9 +791,29 @@ impl Core {
                 let th = &mut self.threads[t];
                 th.status = ThreadStatus::Running;
                 th.next_issue_at = now + 1;
+                th.stats.active_cycles += 1;
+                th.stats.sync_cycles += u64::from(self.sync_arrivals >> t & 1);
             }
         }
         self.at_barrier = 0;
+        self.waiters = 0;
+        self.sync_arrivals = 0;
+    }
+
+    /// Attributes cycle `now` of the [`waiters`](Self::waiters) when the
+    /// barrier stays closed: a barrier cycle each, after which, with
+    /// `park` set, they park until the release.
+    pub(crate) fn hold_barrier_threads(&mut self, now: u64, park: bool) {
+        for t in bits(std::mem::take(&mut self.waiters)) {
+            let stats = &mut self.threads[t].stats;
+            stats.active_cycles += 1;
+            stats.barrier_cycles += 1;
+            stats.sync_cycles += 1;
+            if park {
+                self.park_from(t, now + 1, u64::MAX);
+            }
+        }
+        self.sync_arrivals = 0;
     }
 
     /// Unparks every parked thread whose wake cycle has come (`now` is at
@@ -802,6 +840,15 @@ impl Core {
         self.next_wake = u64::MAX;
     }
 
+    /// Parks thread `t` (stepped, or parked and just settled through
+    /// `since`): skipped from cycle `since`, due back at `wake`.
+    fn park_from(&mut self, t: usize, since: u64, wake: u64) {
+        self.stepped &= !(1 << t);
+        self.parked |= 1 << t;
+        self.park[t] = (since, wake);
+        self.next_wake = self.next_wake.min(wake);
+    }
+
     /// Returns parked thread `t` to the stepped set at cycle `now`, first
     /// accounting the cycles it was parked. `next_wake` may go stale
     /// (early), which only costs [`wake_due`](Self::wake_due) a rescan.
@@ -824,16 +871,14 @@ impl Core {
 
     /// Captures a point-in-time copy of this core: every thread (arch
     /// registers, vector/mask registers, status, scoreboard, statistics),
-    /// the round-robin pointer and per-thread issue records, the
-    /// incremental halted/barrier counters, and the memory unit's
-    /// in-flight state. No thread is parked here: the stepping loop
-    /// settles every thread before it returns.
+    /// the round-robin pointer, the incremental halted/barrier counters,
+    /// and the memory unit's in-flight state. No thread is parked here:
+    /// the stepping loop settles every thread before it returns.
     pub(crate) fn snapshot(&self) -> CoreSnapshot {
         debug_assert_eq!(self.parked, 0, "snapshot of a parked thread");
         CoreSnapshot {
             threads: self.threads.clone(),
             memunit: self.memunit.snapshot(),
-            records: self.records.clone(),
             rr: self.rr,
             halted: self.halted,
             at_barrier: self.at_barrier,
@@ -846,7 +891,6 @@ impl Core {
     pub(crate) fn restore(&mut self, snap: &CoreSnapshot) {
         self.threads = snap.threads.clone();
         self.memunit.restore(&snap.memunit);
-        self.records = snap.records.clone();
         self.rr = snap.rr;
         self.halted = snap.halted;
         self.at_barrier = snap.at_barrier;
@@ -855,12 +899,12 @@ impl Core {
     }
 
     /// Bulk stall attribution of parked thread `t` for the cycles
-    /// `[from, to)`, cycle-for-cycle identical to stepping it through
-    /// `issue_stage` and `classify_cycle`. A parked thread's state is
-    /// frozen (it is settled before a completion or the barrier release
-    /// touches it) and `to` is at most its wake cycle, so its per-cycle
-    /// classification is piecewise constant with breakpoints at
-    /// `next_issue_at` and the scoreboard ready cycles.
+    /// `[from, to)`, cycle-for-cycle identical to visiting it in
+    /// `issue_stage` (and, at the barrier, `hold_barrier_threads`). A
+    /// parked thread's state is frozen (it is settled before a completion
+    /// or the barrier release touches it) and `to` is at most its wake
+    /// cycle, so its per-cycle classification is piecewise constant with
+    /// breakpoints at `next_issue_at` and the scoreboard ready cycles.
     fn attribute_window(&mut self, t: usize, code: &Code, from: u64, to: u64) {
         let w = to - from;
         let th = &mut self.threads[t];
@@ -933,70 +977,9 @@ fn earliest_issue(th: &Thread, code: &Code) -> u64 {
 
 // ---- durable-snapshot serialization --------------------------------------
 
-impl glsc_wire::Wire for StallKind {
-    fn encode(&self, w: &mut glsc_wire::Writer) {
-        w.put_u8(match self {
-            StallKind::OperandMem => 0,
-            StallKind::Pipeline => 1,
-            StallKind::StoreBufferFull => 2,
-            StallKind::NoSlot => 3,
-            StallKind::Fence => 4,
-        });
-    }
-    fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
-        let at = r.pos();
-        Ok(match r.get_u8()? {
-            0 => StallKind::OperandMem,
-            1 => StallKind::Pipeline,
-            2 => StallKind::StoreBufferFull,
-            3 => StallKind::NoSlot,
-            4 => StallKind::Fence,
-            _ => {
-                return Err(glsc_wire::WireError::Invalid {
-                    at,
-                    what: "StallKind tag",
-                })
-            }
-        })
-    }
-}
-
-impl glsc_wire::Wire for IssueRecord {
-    fn encode(&self, w: &mut glsc_wire::Writer) {
-        match self {
-            IssueRecord::Issued(sync) => {
-                w.put_u8(0);
-                sync.encode(w);
-            }
-            IssueRecord::Stalled(kind, sync) => {
-                w.put_u8(1);
-                kind.encode(w);
-                sync.encode(w);
-            }
-            IssueRecord::NotRunning => w.put_u8(2),
-        }
-    }
-    fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
-        use glsc_wire::Wire;
-        let at = r.pos();
-        Ok(match r.get_u8()? {
-            0 => IssueRecord::Issued(Wire::decode(r)?),
-            1 => IssueRecord::Stalled(Wire::decode(r)?, Wire::decode(r)?),
-            2 => IssueRecord::NotRunning,
-            _ => {
-                return Err(glsc_wire::WireError::Invalid {
-                    at,
-                    what: "IssueRecord tag",
-                })
-            }
-        })
-    }
-}
-
 glsc_wire::wire_struct!(CoreSnapshot {
     threads,
     memunit,
-    records,
     rr,
     halted,
     at_barrier,

@@ -193,10 +193,12 @@ impl Error for SimError {
 /// [`run_naive`](Machine::run_naive), [`run_for`](Machine::run_for) and
 /// the [`Fleet`](crate::Fleet)) drives one stepping loop, and
 /// [`step`](Machine::step)/[`step_masked`](Machine::step_masked) run one
-/// cycle of its body (DESIGN.md §8). All but `run_naive`, `step` and
-/// `step_masked` park threads that cannot act before a known cycle or
-/// event and account their skipped cycles in bulk; no parked thread
-/// outlives the call, so reports, clones and snapshots never see one.
+/// cycle of its body (DESIGN.md §8). Each cycle visits every stepped
+/// thread once, in the issue stage, which also attributes its cycle to a
+/// stall bucket. All but `run_naive`, `step` and `step_masked` park
+/// threads that cannot act before a known cycle or event and account
+/// their skipped cycles in bulk; no parked thread outlives the call, so
+/// reports, clones and snapshots never see one.
 #[derive(Clone, Debug)]
 pub struct Machine {
     cfg: MachineConfig,
@@ -354,14 +356,18 @@ impl Machine {
     /// [`step`](Machine::step). In order: each core unparks the threads
     /// whose wake cycle has come, ticks its memory unit if busy and
     /// applies the completions (settling a parked recipient first); every
-    /// core with a stepped thread runs its issue stage, and every other
-    /// core with a live thread rotates its round-robin start; a complete
-    /// barrier releases its waiters, settling the parked ones; and each
-    /// core classifies the cycle for its stepped threads.
+    /// core with a stepped thread runs its issue stage, which visits each
+    /// stepped thread once and attributes its cycle, and every other core
+    /// with a live thread rotates its round-robin start; then the barrier
+    /// waiters' cycle is attributed: a complete barrier releases them all,
+    /// settling the parked ones, and otherwise each stepped waiter takes a
+    /// barrier cycle.
     ///
-    /// With `park` set, classification then parks the threads that cannot
-    /// act before a known cycle or event (see
-    /// [`Core::classify_cycle`](crate::cpu::Core::classify_cycle)).
+    /// With `park` set, a visited thread that cannot act before a known
+    /// cycle or event parks (see
+    /// [`Core::issue_stage`](crate::cpu::Core::issue_stage)), a waiter
+    /// parks until the release, and a completion that does not free a
+    /// parked thread leaves it parked.
     fn advance(&mut self, masks: Option<&[u32]>, park: bool) -> bool {
         let Self {
             cfg,
@@ -385,7 +391,7 @@ impl Machine {
         }
         for (c, core) in cores.iter_mut().enumerate() {
             if core.stepped != 0 {
-                core.issue_stage(code, cfg, now, masks.map_or(u32::MAX, |m| m[c]));
+                core.issue_stage(code, cfg, now, masks.map_or(u32::MAX, |m| m[c]), park);
             } else {
                 core.issued_any = false;
                 if !core.all_halted() {
@@ -401,10 +407,11 @@ impl Machine {
             for core in cores.iter_mut() {
                 core.release_barrier_threads(code, now);
             }
-        }
-        for core in cores.iter_mut() {
-            if core.stepped != 0 {
-                core.classify_cycle(code, now, park);
+        } else {
+            for core in cores.iter_mut() {
+                if core.waiters != 0 {
+                    core.hold_barrier_threads(now, park);
+                }
             }
         }
         *cycle += 1;
@@ -481,8 +488,11 @@ impl Machine {
     }
 
     /// Runs the same loop as [`run`](Machine::run) with parking turned
-    /// off, so every live thread is classified on every cycle. Kept as the
-    /// reference for differential testing and performance comparison.
+    /// off, so every live thread is visited on every cycle. Kept as the
+    /// reference for differential testing and performance comparison. It
+    /// shares the issue stage's classification with `run`, so it checks
+    /// parking, settling and clock jumps; the committed report digests of
+    /// `tests/differential.rs` pin the classification itself.
     ///
     /// # Errors
     ///
@@ -498,12 +508,13 @@ impl Machine {
     /// across calls, so every detector fires on the cycle, and with the
     /// stats, that one uninterrupted single-stepped run would show.
     ///
-    /// With `park` set, threads park (see [`advance`](Self::advance)) and,
-    /// when no core has a stepped thread or a busy memory unit, the clock
-    /// jumps to the earliest thread wake. The jump is capped one cycle
-    /// short of the cycle budget and of the watchdog deadline, so the next
-    /// (non-issuing) step lands on the cycle where they fire, and at the
-    /// end of the slice. Every parked thread is settled before the loop
+    /// With `park` set, threads park on the visit that finds them unable
+    /// to act and stay parked through completions that do not free them
+    /// (see [`advance`](Self::advance)); when no core has a stepped
+    /// thread or a busy memory unit, the clock jumps to the earliest
+    /// thread wake. The jump is capped one cycle short of the cycle budget
+    /// and of the watchdog deadline, so the next (non-issuing) step lands
+    /// on the cycle where they fire, and at the end of the slice. Every parked thread is settled before the loop
     /// returns, for any reason.
     pub(crate) fn drive(
         &mut self,
