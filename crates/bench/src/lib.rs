@@ -37,12 +37,12 @@ pub use store::JobStore;
 use glsc_kernels::{
     build_named, micro, run_workload, run_workload_chaos, Dataset, KernelOutcome, Variant, Workload,
 };
-use glsc_sim::{BackingBase, ChaosConfig, ChaosStats, Fleet, FleetJob, MachineConfig};
+use glsc_sim::{ChaosConfig, ChaosStats, MachineConfig};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// The `m x n` machine shapes of Fig. 6.
 pub const CONFIGS: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
@@ -209,11 +209,11 @@ pub fn run_micro_cached(
     )
 }
 
-/// One entry in a fleet sweep: everything [`run_workload_cached`] needs
-/// for a single job, in owned form so batches can be packed and shipped
-/// to worker threads. Build with [`fleet_kernel_job`] /
-/// [`fleet_micro_job`] to match the solo paths' cache-key schemes, or
-/// construct directly for custom sweeps (ablations).
+/// One entry in a sweep for [`run_jobs_fleet`]: everything
+/// [`run_workload_cached`] needs for a single job, in owned form. Build
+/// with [`fleet_kernel_job`] / [`fleet_micro_job`] to match the solo
+/// paths' cache-key schemes, or construct directly for custom sweeps
+/// (ablations).
 pub struct FleetJobSpec {
     /// Human-readable job-key parts (same scheme as [`run_cached`]).
     pub key_parts: Vec<String>,
@@ -223,9 +223,9 @@ pub struct FleetJobSpec {
     pub cfg: MachineConfig,
 }
 
-/// Builds the job spec for one kernel run. [`run_cached`] runs it solo
-/// and [`run_jobs_fleet`] batched, under the same job key, so solo and
-/// fleet runs share one cache namespace and resume across each other.
+/// Builds the job spec for one kernel run. [`run_cached`] runs it alone
+/// and [`run_jobs_fleet`] as part of a sweep, under the same job key, so
+/// both share one cache namespace and resume across each other.
 pub fn fleet_kernel_job(
     kernel: &str,
     ds: Dataset,
@@ -275,9 +275,9 @@ pub fn fleet_micro_job(
     }
 }
 
-/// A deduplicated fleet work item: the first job with a given
-/// (workload, config) fingerprint pair simulates; `followers` are later
-/// duplicates that reuse its report under their own cache keys.
+/// A deduplicated sweep job: the first job with a given (workload,
+/// config) fingerprint pair simulates; `followers` are later duplicates
+/// that reuse its report under their own cache keys.
 struct FleetPending {
     spec: FleetJobSpec,
     key: String,
@@ -285,40 +285,26 @@ struct FleetPending {
     followers: Vec<(usize, String)>,
 }
 
-/// Runs a sweep of cached jobs through the fleet engine and returns the
-/// results **in job order** — the drop-in batched counterpart of calling
-/// [`run_workload_cached`] per job under [`run_jobs`], with identical
-/// caching, resume, dedup, and failure semantics:
+/// Runs a sweep of cached jobs and returns the results **in job order**,
+/// with the caching, resume, dedup, and failure semantics of calling
+/// [`run_workload_cached`] per job under [`run_jobs`]:
 ///
 /// * every job is keyed exactly as the solo path keys it; cached results
 ///   are served first (`GLSC_BENCH_RESUME=1`), and fresh results are
 ///   persisted under the key of *every* job they satisfy;
 /// * jobs with identical workload/config fingerprints simulate once;
-/// * remaining work is deduplicated, split round-robin across `threads`
-///   host workers, and each worker drives one [`Fleet`] over its share —
-///   pooled machines, copy-on-write dataset bases (published once per
-///   distinct image), and batched stepping;
-/// * a panic inside a fleet chunk (injected drill, simulation error,
-///   validation failure) is contained: finished jobs keep their results
-///   and the chunk's unresolved jobs fall back to the solo path with the
-///   standard per-job isolation and retry, so a poisoned job degrades to
-///   its own [`JobError`] row exactly as under [`run_jobs`].
-///
-/// Fleet-run reports are bit-identical to solo runs (enforced by the
-/// fleet differential oracle), so callers may print from either path.
+/// * each remaining job runs through [`run_spec_cached`] under
+///   [`run_jobs_labeled`] across `threads` host workers, one fresh
+///   machine per job, so a poisoned job degrades to its own [`JobError`]
+///   row after `GLSC_BENCH_RETRIES` retries, and a failed job's
+///   duplicates report the same error at their own indices.
 pub fn run_jobs_fleet(
     store: &JobStore,
     jobs: Vec<FleetJobSpec>,
     threads: usize,
 ) -> Vec<Result<KernelOutcome, JobError>> {
-    let n = jobs.len();
-    let results: Vec<Mutex<Option<Result<KernelOutcome, JobError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let set = |index: usize, r: Result<KernelOutcome, JobError>| {
-        *results[index]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(r);
-    };
+    let mut results: Vec<Option<Result<KernelOutcome, JobError>>> =
+        (0..jobs.len()).map(|_| None).collect();
 
     // Resolve resume hits and deduplicate the rest.
     let mut unique: Vec<FleetPending> = Vec::new();
@@ -329,7 +315,7 @@ pub fn run_jobs_fleet(
         let parts: Vec<&str> = spec.key_parts.iter().map(String::as_str).collect();
         let key = store::job_key(&parts, wfp, cfp);
         if let Some(report) = store.load(&key) {
-            set(index, Ok(KernelOutcome { report }));
+            results[index] = Some(Ok(KernelOutcome { report }));
             continue;
         }
         match by_fp.entry((wfp, cfp)) {
@@ -346,124 +332,25 @@ pub fn run_jobs_fleet(
         }
     }
 
-    if !unique.is_empty() {
-        let workers = threads.max(1).min(unique.len());
-        let retries = job_retries();
-        let fleet = Fleet::new();
-        // Each distinct initial image is published once per sweep and
-        // mounted copy-on-write by every job that uses it.
-        let published: Mutex<HashMap<u64, Arc<BackingBase>>> = Mutex::new(HashMap::new());
-        let unique = &unique;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                let (results, published, fleet) = (&results, &published, &fleet);
-                s.spawn(move || {
-                    let chunk: Vec<usize> = (w..unique.len()).step_by(workers).collect();
-                    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut sim_jobs = Vec::with_capacity(chunk.len());
-                        for &ui in &chunk {
-                            let p = &unique[ui];
-                            maybe_inject_panic(&p.key);
-                            let img_fp = p.spec.workload.image.fingerprint();
-                            let base = {
-                                let mut cache =
-                                    published.lock().unwrap_or_else(PoisonError::into_inner);
-                                Arc::clone(
-                                    cache
-                                        .entry(img_fp)
-                                        .or_insert_with(|| p.spec.workload.image.publish()),
-                                )
-                            };
-                            sim_jobs.push(
-                                FleetJob::new(p.spec.cfg.clone(), p.spec.workload.program.clone())
-                                    .with_base(base),
-                            );
-                        }
-                        fleet.run_each(sim_jobs, |local, machine, result| {
-                            let p = &unique[chunk[local]];
-                            let w = &p.spec.workload;
-                            let report = result
-                                .unwrap_or_else(|e| panic!("{}: simulation failed: {e}", w.name));
-                            if let Err(e) = (w.validate)(machine.mem().backing()) {
-                                panic!("{}: validation failed: {e}", w.name);
-                            }
-                            store.save(&p.key, &report);
-                            for (fidx, fkey) in &p.followers {
-                                store.save(fkey, &report);
-                                *results[*fidx]
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner) =
-                                    Some(Ok(KernelOutcome {
-                                        report: report.clone(),
-                                    }));
-                            }
-                            *results[p.index]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner) =
-                                Some(Ok(KernelOutcome { report }));
-                        });
-                    }));
-                    if attempt.is_err() {
-                        // The fleet for this chunk went down mid-flight.
-                        // Finished jobs already hold their results; finish
-                        // the rest solo with per-job isolation so only the
-                        // actually-poisoned job reports an error.
-                        for &ui in &chunk {
-                            let p = &unique[ui];
-                            if results[p.index]
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .is_some()
-                            {
-                                continue;
-                            }
-                            let job = || run_spec_cached(store, &p.spec);
-                            match run_one(p.index, &p.key, &job, retries) {
-                                Ok(out) => {
-                                    for (fidx, fkey) in &p.followers {
-                                        store.save(fkey, &out.report);
-                                        *results[*fidx]
-                                            .lock()
-                                            .unwrap_or_else(PoisonError::into_inner) =
-                                            Some(Ok(out.clone()));
-                                    }
-                                    *results[p.index]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner) = Some(Ok(out));
-                                }
-                                Err(e) => {
-                                    for (fidx, _) in &p.followers {
-                                        *results[*fidx]
-                                            .lock()
-                                            .unwrap_or_else(PoisonError::into_inner) =
-                                            Some(Err(e.clone().with_index(*fidx)));
-                                    }
-                                    *results[p.index]
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner) = Some(Err(e));
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        });
+    let runs = unique
+        .iter()
+        .map(|p| (p.key.clone(), || run_spec_cached(store, &p.spec)))
+        .collect();
+    for (p, outcome) in unique.iter().zip(run_jobs_labeled(runs, threads)) {
+        for (fidx, fkey) in &p.followers {
+            results[*fidx] = Some(match &outcome {
+                Ok(out) => {
+                    store.save(fkey, &out.report);
+                    Ok(out.clone())
+                }
+                Err(e) => Err(e.clone().with_index(*fidx)),
+            });
+        }
+        results[p.index] = Some(outcome.map_err(|e| e.with_index(p.index)));
     }
-
     results
         .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(JobError::Panicked {
-                        index: i,
-                        attempts: 0,
-                        message: "worker exited without storing a result".into(),
-                    })
-                })
-        })
+        .map(|r| r.expect("every job is a resume hit, a leader, or a follower"))
         .collect()
 }
 

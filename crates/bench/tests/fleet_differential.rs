@@ -1,18 +1,18 @@
 //! The fleet differential oracle (DESIGN.md §13): every job run through
-//! the batched [`Fleet`] engine — pooled machines, copy-on-write dataset
-//! bases, sliced round-robin stepping — must produce a [`RunReport`]
-//! **bit-identical** to the same job run solo through [`Machine::run`],
-//! for every kernel, every Fig. 6 machine shape, the Ideal and Ring
-//! interconnects, and under an active fault-injection plan.
+//! the supervised [`Fleet`] — copy-on-write dataset bases, sliced
+//! round-robin stepping — must produce a [`RunReport`] **bit-identical**
+//! to the same job run solo through [`Machine::run`], for every kernel,
+//! every Fig. 6 machine shape, the Ideal and Ring interconnects, and
+//! under an active fault-injection plan.
 //!
 //! The fleet is deliberately configured with a small odd quantum and a
 //! width below the job count, so every job crosses many slice boundaries
-//! and every pooled machine is reset and reused several times — the
-//! exact machinery that could diverge from the solo path.
+//! while other jobs step beside it — the machinery that could diverge
+//! from the solo path.
 
 use glsc_kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
 use glsc_sim::{
-    ChaosStats, FaultPlan, Fleet, FleetJob, Machine, MachineConfig, NocConfig, RunReport,
+    ChaosStats, FaultPlan, Fleet, FleetJob, Machine, MachineConfig, NocConfig, PauseCtl, RunReport,
 };
 
 const CONFIGS: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
@@ -63,15 +63,22 @@ fn differential(noc: NocConfig, plan_seed: Option<u64>, tag: &str) {
         }
     }
 
-    // Width 3 over 28 jobs: each of the four machine shapes is pooled and
-    // reset repeatedly; quantum 1777 forces thousands of slice crossings.
+    // Width 3 over 28 jobs of four machine shapes: jobs of different
+    // shapes step side by side; quantum 1777 forces thousands of slice
+    // crossings.
     let fleet = Fleet::new().with_width(3).with_quantum(1777);
     let mut got: Vec<Option<(RunReport, Option<ChaosStats>)>> =
         (0..jobs.len()).map(|_| None).collect();
-    fleet.run_each(jobs, |idx, machine, result| {
-        let report = result.unwrap_or_else(|e| panic!("{}: fleet run failed: {e}", want[idx].0));
-        got[idx] = Some((report, machine.mem().chaos_stats().cloned()));
-    });
+    let done = fleet.run_each_supervised(
+        jobs,
+        |_, _| PauseCtl::Continue,
+        |idx, machine, result| {
+            let report =
+                result.unwrap_or_else(|e| panic!("{}: fleet run failed: {e}", want[idx].0));
+            got[idx] = Some((report, machine.mem().chaos_stats().cloned()));
+        },
+    );
+    assert!(done, "{tag}: the fleet stopped before every job ran");
 
     for (idx, (name, want_report, want_chaos)) in want.iter().enumerate() {
         let (got_report, got_chaos) = got[idx].as_ref().expect("every job reported");

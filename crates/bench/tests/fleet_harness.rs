@@ -1,7 +1,7 @@
 //! Harness-level semantics of [`run_jobs_fleet`]: job-order results,
 //! cross-path cache compatibility, in-sweep deduplication, resume hits
-//! that bypass simulation entirely, and panic containment with solo
-//! fallback — the same guarantees [`run_jobs`] gives the classic path.
+//! that bypass simulation entirely, and per-job panic containment — the
+//! same guarantees [`run_jobs`] gives the classic path.
 
 use glsc_bench::{
     collect_errors, fleet_kernel_job, fleet_micro_job, run_cached, run_jobs_fleet,
@@ -190,8 +190,8 @@ fn fleet_contains_a_poisoned_job_and_finishes_the_rest_solo() {
         .map(|j| run_workload(&j.workload, &j.cfg).unwrap().report)
         .collect();
 
-    // One worker: the poisoned job shares its fleet chunk with healthy
-    // jobs, so this exercises the chunk teardown + solo-fallback path.
+    // One worker: the poisoned job runs between healthy jobs on the same
+    // worker, which must go on to finish them.
     let got = run_jobs_fleet(&store, jobs, 1);
     std::env::remove_var("GLSC_BENCH_INJECT_PANIC");
 
@@ -207,7 +207,7 @@ fn fleet_contains_a_poisoned_job_and_finishes_the_rest_solo() {
             );
         } else {
             let out = r.as_ref().unwrap_or_else(|e| panic!("job {i}: {e}"));
-            assert_eq!(out.report, want[i], "job {i}: fallback diverged from solo");
+            assert_eq!(out.report, want[i], "job {i}: diverged from solo");
         }
     }
     let errs = collect_errors(&got);

@@ -5,7 +5,7 @@
 //! and state. Pages are allocated lazily, so programs can use widely
 //! separated address regions without cost.
 //!
-//! For fleet sweeps (DESIGN.md §13) a store can additionally be backed by a
+//! For batched jobs (DESIGN.md §13) a store can additionally be backed by a
 //! shared, immutable [`BackingBase`]: reads fall through to the base, and a
 //! write materializes a private copy of the touched page first
 //! (copy-on-write). Because the timing model never stores data — only tags —
@@ -79,14 +79,6 @@ impl Backing {
     /// keep shadowing it.
     pub fn set_base(&mut self, base: Arc<BackingBase>) {
         self.base = Some(base);
-    }
-
-    /// Drops all private pages and mounts `base` (or nothing), returning the
-    /// store to a pristine image of the base. Allocations of the private
-    /// page table are kept for reuse.
-    pub fn reset_to(&mut self, base: Option<Arc<BackingBase>>) {
-        self.pages.clear();
-        self.base = base;
     }
 
     #[inline]
@@ -392,23 +384,6 @@ mod tests {
         assert_eq!(b.read_u8(0x8001), 0xee);
         assert_eq!(b.read_u8(0x8000), 0);
         assert_eq!(b.resident_pages(), 1);
-    }
-
-    #[test]
-    fn reset_to_returns_to_pristine_base() {
-        let base = base_with(&[(0x3000, 5)]);
-        let mut b = Backing::new();
-        b.set_base(Arc::clone(&base));
-        b.write_u32(0x3000, 99);
-        b.write_u32(0x7000, 1);
-        assert_eq!(b.resident_pages(), 2);
-        b.reset_to(Some(base));
-        assert_eq!(b.read_u32(0x3000), 5);
-        assert_eq!(b.read_u32(0x7000), 0);
-        assert_eq!(b.resident_pages(), 0);
-        b.reset_to(None);
-        assert_eq!(b.read_u32(0x3000), 0);
-        assert_eq!(b.base_pages(), 0);
     }
 
     #[test]

@@ -96,19 +96,6 @@ impl L1Cache {
         }
     }
 
-    /// Returns the cache to its just-constructed state (no resident lines,
-    /// no reservations, eviction counter zeroed), keeping allocations.
-    pub fn reset(&mut self) {
-        self.tags.clear();
-        if let ReservationStore::Buffer {
-            entries, evictions, ..
-        } = &mut self.reservations
-        {
-            entries.clear();
-            *evictions = 0;
-        }
-    }
-
     /// Reservations dropped because the fully-associative buffer was full
     /// (always 0 in per-line mode).
     pub fn reservation_buffer_evictions(&self) -> u64 {

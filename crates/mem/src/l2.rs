@@ -69,13 +69,6 @@ impl L2Bank {
     pub fn reserve(&mut self, arrival: u64, occupancy: u64) -> u64 {
         self.busy.reserve(arrival, occupancy)
     }
-
-    /// Returns the bank to its just-constructed state (no resident lines,
-    /// horizon free from cycle 0), keeping allocations.
-    pub fn reset(&mut self) {
-        self.tags.clear();
-        self.busy = BusyHorizon::new();
-    }
 }
 
 #[cfg(test)]

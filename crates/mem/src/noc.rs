@@ -337,15 +337,6 @@ impl Noc {
         self.jitter_next_msg = 0;
     }
 
-    /// Frees every link and drops pending jitter, returning the fabric to
-    /// its just-constructed state.
-    pub fn reset(&mut self) {
-        for link in &mut self.links {
-            *link = BusyHorizon::new();
-        }
-        self.jitter_next_msg = 0;
-    }
-
     /// Sends one `class` message from stop `src` to stop `dst`, departing
     /// at `depart`; returns its arrival cycle. Reserves every link along
     /// the path (in traversal order) and attributes message, hop and

@@ -70,13 +70,6 @@ impl StridePrefetcher {
         debug_assert_eq!(line % self.line_bytes, 0, "prefetcher fed non-line address");
         out
     }
-
-    /// Forgets all stream state (e.g. across program phases in tests).
-    pub fn reset(&mut self) {
-        for s in &mut self.streams {
-            *s = Stream::default();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -127,17 +120,6 @@ mod tests {
         p.observe(0, 64);
         assert!(p.observe(0, 64).is_empty());
         assert_eq!(p.observe(0, 128), vec![192]);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut p = StridePrefetcher::new(1, 1, 64);
-        p.observe(0, 0);
-        p.observe(0, 64);
-        p.reset();
-        assert!(p.observe(0, 128).is_empty());
-        assert!(p.observe(0, 192).is_empty());
-        assert_eq!(p.observe(0, 256), vec![320]);
     }
 }
 

@@ -291,31 +291,6 @@ impl MemorySystem {
             vec![ThreadScStats::default(); self.l1s.len() * self.threads_per_core];
     }
 
-    /// Returns the whole system to its just-constructed state — cold
-    /// caches, free fabric, zeroed counters, empty backing (any CoW base
-    /// layer is unmounted), no fault plan — while keeping the large tag
-    /// and page-table allocations for reuse. The fleet engine (DESIGN.md
-    /// §13) calls this between jobs so pooled machines behave bit-
-    /// identically to freshly constructed ones.
-    pub fn reset(&mut self) {
-        self.backing.reset_to(None);
-        for l1 in &mut self.l1s {
-            l1.reset();
-        }
-        for bank in &mut self.banks {
-            bank.reset();
-        }
-        for pf in &mut self.prefetchers {
-            pf.reset();
-        }
-        self.noc.reset();
-        self.arbiter = Arbiter::default();
-        self.chaos = None;
-        self.jitter_next_fill = 0;
-        self.oracle = None;
-        self.reset_stats();
-    }
-
     /// Runtime state of the configured arbitration policy (inspection for
     /// tests and diagnostics).
     pub fn arbiter(&self) -> &Arbiter {

@@ -11,16 +11,6 @@ pub struct TagArray<P> {
     assoc: usize,
     line_bytes: u64,
     stamp: u64,
-    /// Indices of sets that went empty → non-empty since the last
-    /// [`clear`](TagArray::clear), so `clear` walks only the sets a run
-    /// actually used (a short run on a big array touches a handful of
-    /// its tens of thousands of sets — the fleet engine resets machines
-    /// between jobs on exactly that path). May hold duplicates; bounded
-    /// by `dirty_all`.
-    touched: Vec<u32>,
-    /// Set when the touch log would outgrow the set count; `clear` then
-    /// walks every set, as before the log existed.
-    dirty_all: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -50,8 +40,6 @@ impl<P> TagArray<P> {
             assoc,
             line_bytes,
             stamp: 0,
-            touched: Vec::new(),
-            dirty_all: false,
         }
     }
 
@@ -117,14 +105,6 @@ impl<P> TagArray<P> {
         let stamp = self.bump();
         let assoc = self.assoc;
         let idx = self.set_index(line);
-        if self.sets[idx].is_empty() && !self.dirty_all {
-            if self.touched.len() >= self.sets.len() {
-                self.dirty_all = true;
-                self.touched = Vec::new();
-            } else {
-                self.touched.push(idx as u32);
-            }
-        }
         let set = &mut self.sets[idx];
         if set.capacity() == 0 {
             set.reserve_exact(assoc);
@@ -172,24 +152,6 @@ impl<P> TagArray<P> {
             .map(|s| (s.line, &mut s.payload))
     }
 
-    /// Drops every resident line and rewinds the LRU stamp to its
-    /// just-constructed value, keeping the per-set allocations for reuse.
-    /// After this the array is indistinguishable from a fresh `new`.
-    pub fn clear(&mut self) {
-        if self.dirty_all {
-            for set in &mut self.sets {
-                set.clear();
-            }
-        } else {
-            for &i in &self.touched {
-                self.sets[i as usize].clear();
-            }
-        }
-        self.touched.clear();
-        self.dirty_all = false;
-        self.stamp = 0;
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
@@ -219,10 +181,9 @@ impl<P: glsc_wire::Wire> glsc_wire::Wire for Slot<P> {
     }
 }
 
-// The LRU `stamp`, per-set slot order and `touched` set are all encoded
-// exactly: replacement decisions (and the fleet-reset fast path) depend
-// on them, so a round-tripped array must not merely hold the same lines
-// but age and evict them identically.
+// The LRU `stamp` and per-set slot order are encoded exactly: replacement
+// decisions depend on them, so a round-tripped array must not merely hold
+// the same lines but age and evict them identically.
 impl<P: glsc_wire::Wire> glsc_wire::Wire for TagArray<P> {
     fn encode(&self, w: &mut glsc_wire::Writer) {
         let Self {
@@ -230,15 +191,11 @@ impl<P: glsc_wire::Wire> glsc_wire::Wire for TagArray<P> {
             assoc,
             line_bytes,
             stamp,
-            touched,
-            dirty_all,
         } = self;
         sets.encode(w);
         assoc.encode(w);
         line_bytes.encode(w);
         stamp.encode(w);
-        touched.encode(w);
-        dirty_all.encode(w);
     }
     fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
         Ok(Self {
@@ -246,8 +203,6 @@ impl<P: glsc_wire::Wire> glsc_wire::Wire for TagArray<P> {
             assoc: glsc_wire::Wire::decode(r)?,
             line_bytes: glsc_wire::Wire::decode(r)?,
             stamp: glsc_wire::Wire::decode(r)?,
-            touched: glsc_wire::Wire::decode(r)?,
-            dirty_all: glsc_wire::Wire::decode(r)?,
         })
     }
 }
@@ -313,42 +268,6 @@ mod tests {
         let _ = a.peek(0);
         let evicted = a.insert(256, 3);
         assert_eq!(evicted, Some((0, 1)));
-    }
-
-    #[test]
-    fn clear_drops_every_resident_line() {
-        let mut a = arr();
-        a.insert(0, 1);
-        a.insert(64, 2);
-        a.insert(128, 3);
-        a.clear();
-        assert!(a.is_empty());
-        assert!(a.peek(0).is_none() && a.peek(64).is_none() && a.peek(128).is_none());
-        // Reusable after clear, including sets emptied and re-touched.
-        a.insert(0, 9);
-        assert_eq!(a.peek(0), Some(&9));
-        a.clear();
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn clear_survives_touch_log_overflow() {
-        // Churn one set empty/non-empty more times than there are sets:
-        // the touch log gives up (dirty_all) and clear must still drop
-        // everything, repeatedly.
-        let mut a = arr();
-        for round in 0..3 {
-            for i in 0..8u64 {
-                a.insert(0, i as u32);
-                if i < 7 {
-                    a.invalidate(0);
-                }
-            }
-            a.insert(64, 42);
-            a.clear();
-            assert!(a.is_empty(), "round {round}");
-            assert!(a.peek(0).is_none() && a.peek(64).is_none(), "round {round}");
-        }
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //!
 //! * [`journal`] — append-only WAL with per-record checksums; a torn
 //!   tail decodes as "the append never happened".
-//! * [`service`] — the supervisor: fleet-routed sliced execution
-//!   (config-affine slots), wall/cycle deadlines per attempt
+//! * [`service`] — the supervisor: sliced execution of one job at a
+//!   time, in submission order, wall/cycle deadlines per attempt
 //!   ([`glsc_bench::JobError::Deadline`]), seeded backoff retries,
 //!   poison-job quarantine, SIGTERM drain.
 //! * [`queue`] — bounded, priority-aware admission in front of the
-//!   fleet; overload becomes typed `SHED` decisions, not memory growth.
+//!   supervisor; overload becomes typed `SHED` decisions, not memory
+//!   growth.
 //! * [`proto`] — the framed request/reply protocol `serve` speaks over
 //!   stdin or a Unix socket; hostile frames map to typed errors.
 //! * [`kill`] — deterministic crash injection (`GLSC_SERVE_KILL`) for the

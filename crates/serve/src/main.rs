@@ -25,7 +25,6 @@
 //!   --seed S               retry-backoff jitter seed (default: 0)
 //!   --inject-wedged        prepend a never-halting drill job (sweep)
 //!   --queue-cap N          admission queue capacity (serve, default: 64)
-//!   --fleet-width N        fleet batch width (default: 4)
 //!   --priority P           submission priority 0-255 (client, default: 0)
 //!   --shutdown             ask the service to exit after the sweep (client)
 //! ```
@@ -85,7 +84,6 @@ struct Args {
     stdio: bool,
     socket: Option<PathBuf>,
     queue_cap: usize,
-    fleet_width: usize,
     priority: u8,
     shutdown: bool,
 }
@@ -110,7 +108,6 @@ fn parse_args() -> Args {
         stdio: false,
         socket: None,
         queue_cap: 64,
-        fleet_width: 4,
         priority: 0,
         shutdown: false,
     };
@@ -231,13 +228,6 @@ fn parse_args() -> Args {
                     .filter(|&n| n > 0)
                     .unwrap_or_else(|| usage("bad --queue-cap"))
             }
-            "--fleet-width" => {
-                args.fleet_width = value("--fleet-width")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("bad --fleet-width"))
-            }
             "--priority" => {
                 args.priority = value("--priority")
                     .parse()
@@ -259,7 +249,6 @@ fn service_config(args: &Args) -> ServiceConfig {
     cfg.deadline_cycles = args.deadline_cycles;
     cfg.max_failures = args.max_failures;
     cfg.seed = args.seed;
-    cfg.fleet_width = args.fleet_width;
     cfg.queue_capacity = args.queue_cap;
     cfg
 }

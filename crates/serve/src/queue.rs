@@ -1,8 +1,8 @@
 //! Admission control: the bounded, priority-aware job queue in front of
-//! the fleet (DESIGN.md §15).
+//! the supervisor (DESIGN.md §15).
 //!
 //! The queue is the service's only elastic buffer — everything behind it
-//! (fleet slots, the journal) is sized by configuration, so
+//! (one running job, the journal) is sized by configuration, so
 //! overload pressure must be absorbed *here*, as typed `SHED` decisions,
 //! instead of as unbounded memory growth or latency. The policy:
 //!

@@ -1,11 +1,10 @@
 //! The supervised, crash-durable sweep runner.
 //!
-//! One [`JobSpec`] per simulation; the supervisor routes every round of
-//! attempts through the fleet engine ([`glsc_sim::Fleet`]) — jobs are
-//! grouped into config-affine slots and advance in batched quanta of
-//! `FLEET_QUANTUM` (1,024) cycles, so a sweep amortizes machine
-//! construction and dataset mounting exactly as the bench harness does.
-//! Every job state transition is write-ahead journaled (`accepted →
+//! One [`JobSpec`] per simulation; the supervisor runs every round of
+//! attempts through [`glsc_sim::Fleet`], one job at a time in submission
+//! order, each on a fresh machine, in slices of `FLEET_QUANTUM` (1,024)
+//! cycles with a supervision pause between slices. Every job state
+//! transition is write-ahead journaled (`accepted →
 //! done | quarantined`, with `failed` marks in between); a finished
 //! report goes to the result store before its `done` record is appended.
 //!
@@ -20,8 +19,8 @@
 //!
 //! Failure policy: a panicking, sim-erroring, or deadline-tripping
 //! attempt appends a `Failed` record and retries next round after the
-//! seeded jittered backoff; a panic is contained to its fleet member
-//! (machine discarded, batch keeps stepping). A job whose failure count
+//! seeded jittered backoff; a panic is contained to its job (machine
+//! dropped, the round goes on to the next job). A job whose failure count
 //! (across restarts — the journal remembers) reaches `max_failures` is
 //! quarantined and reported as a `QUAR` row while the rest of the sweep
 //! completes, with a nonzero exit.
@@ -41,7 +40,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Simulated cycles each live fleet member advances between supervision
+/// Simulated cycles the running job advances between supervision
 /// pauses. Results do not depend on it; it only sets how promptly a
 /// drain, a deadline, or an injected `cycles:` kill is noticed — short
 /// enough to land inside the shortest tiny job, long enough that the
@@ -63,16 +62,14 @@ pub struct ServiceConfig {
     pub max_failures: u32,
     /// Seed for the deterministic retry-backoff jitter.
     pub seed: u64,
-    /// Fleet batch width: how many machines are live at once.
-    pub fleet_width: usize,
     /// Admission-queue capacity for the protocol front-end; submissions
     /// past this bound are shed (see [`crate::queue`]).
     pub queue_capacity: usize,
 }
 
 impl ServiceConfig {
-    /// Defaults: no deadlines, quarantine after 3 failures, seed 0, fleet
-    /// width 4, queue capacity 64.
+    /// Defaults: no deadlines, quarantine after 3 failures, seed 0, queue
+    /// capacity 64.
     pub fn new(state_dir: PathBuf) -> Self {
         Self {
             state_dir,
@@ -80,7 +77,6 @@ impl ServiceConfig {
             deadline_cycles: None,
             max_failures: 3,
             seed: 0,
-            fleet_width: 4,
             queue_capacity: 64,
         }
     }
@@ -272,7 +268,7 @@ pub fn print_sweep(jobs: &[JobSpec], report: &SweepReport, out: &mut impl std::i
     let _ = writeln!(out, "== {ok} ok, {failed} failed ==");
 }
 
-/// Per-job supervision state threaded across fleet rounds.
+/// Per-job supervision state threaded across rounds.
 struct JobState {
     ledger: JobLedger,
     key: String,
@@ -294,7 +290,7 @@ struct RoundCtx<'a, F> {
     on_result: &'a mut F,
     /// Jobs that failed this round but still have retry budget.
     retried: Vec<usize>,
-    /// First journal write error; halts the fleet and is re-raised once
+    /// First journal write error; halts the round and is re-raised once
     /// the round unwinds.
     io_err: Option<std::io::Error>,
     /// A TERM was observed mid-round; in-flight attempts were dropped.
@@ -431,11 +427,12 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
     }
 }
 
-/// The fleet-routed supervision engine shared by the sweep CLI
-/// ([`run_sweep`]) and the protocol front-end: every round routes the
-/// still-pending jobs through [`Fleet::run_each_supervised`], each from
-/// the start of its spec, then retries failures with seeded backoff
-/// until each job is done, quarantined, or the service drains.
+/// The supervision engine shared by the sweep CLI ([`run_sweep`]) and
+/// the protocol front-end: every round runs the still-pending jobs
+/// through [`Fleet::run_each_supervised`] one at a time, in submission
+/// order, each from the start of its spec, then retries failures with
+/// seeded backoff until each job is done, quarantined, or the service
+/// drains.
 ///
 /// `on_result(index, outcome)` streams each job's final outcome the
 /// moment it is durable (journaled + cached), in completion order — the
@@ -557,7 +554,6 @@ where
         });
         Fleet::new()
             .with_quantum(FLEET_QUANTUM)
-            .with_width(svc.fleet_width)
             .run_each_supervised(
                 fleet_jobs,
                 |local, machine| ctx.borrow_mut().on_pause(pending[local], machine),
@@ -575,7 +571,7 @@ where
             continue;
         }
         // One backoff between rounds: each retried job reports its own
-        // seeded delay, the fleet sleeps the longest of them.
+        // seeded delay, the round sleeps the longest of them.
         let mut delay = 0u64;
         for &gi in &round.retried {
             let id = &jobs[gi].id;
@@ -802,6 +798,43 @@ mod tests {
         assert!(!drained);
         assert_eq!(streamed, vec![(0, true)]);
         assert!(outcomes[0].as_ref().unwrap().is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn jobs_run_one_at_a_time_in_submission_order() {
+        // A long 1x1 job ahead of two short 4x4 jobs: each job runs to its
+        // outcome before the next starts, so results stream in submission
+        // order although the later jobs need a tenth of the cycles.
+        let _flag = signal::term_flag_shared();
+        let dir = tmp_dir("order");
+        let cfg = ServiceConfig::new(dir.clone());
+        let jobs = vec![
+            JobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (1, 1), 4, None).unwrap(),
+            JobSpec::kernel("HIP", Dataset::Tiny, Variant::Base, (4, 4), 4, None).unwrap(),
+            JobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (4, 4), 4, None).unwrap(),
+        ];
+        std::fs::create_dir_all(&cfg.state_dir).unwrap();
+        let store = JobStore::at(cfg.state_dir.join("cache"), true);
+        let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
+        let ledgers = replay(&records);
+        let mut order = Vec::new();
+        let (outcomes, drained) =
+            run_supervised(&cfg, &store, &mut journal, &ledgers, &jobs, |gi, o| {
+                assert!(o.is_ok(), "job {gi} failed: {:?}", o.as_ref().err());
+                order.push(gi);
+            })
+            .unwrap();
+        assert!(!drained);
+        let cycles: Vec<u64> = outcomes
+            .iter()
+            .map(|o| o.as_ref().unwrap().as_ref().unwrap().report.cycles)
+            .collect();
+        assert!(
+            cycles[0] > 4 * (cycles[1] + cycles[2]),
+            "the first job must be the long one: {cycles:?}"
+        );
+        assert_eq!(order, [0, 1, 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,9 +5,9 @@
 //! [`Request`] frames, applying the [`AdmissionQueue`] policy, and
 //! journaling every decision (`Submitted` / `Shed`) before the reply
 //! frame leaves — and a **run phase**, entered on [`Request::Run`] (or
-//! end of stream with work queued), which routes the queue through the
-//! fleet-routed supervisor and streams a result frame per job as it
-//! becomes durable.
+//! end of stream with work queued), which runs the queue through the
+//! supervisor, one job at a time, and streams a result frame per job as
+//! it becomes durable.
 //!
 //! The hostile-client contract, pinned by the torture oracle in
 //! `tests/`:
@@ -347,9 +347,9 @@ fn spec_to_job(spec: &WireJobSpec) -> Result<JobSpec, String> {
     Ok(job)
 }
 
-/// Runs everything queued through the fleet-routed supervisor, streaming
-/// one result frame per job as it lands, then the sweep summary. Returns
-/// whether a drain interrupted the run.
+/// Runs everything queued through the supervisor, one job at a time,
+/// streaming one result frame per job as it lands, then the sweep
+/// summary. Returns whether a drain interrupted the run.
 #[allow(clippy::too_many_arguments)]
 fn run_queue(
     cfg: &ServiceConfig,

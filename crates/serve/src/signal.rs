@@ -1,7 +1,7 @@
 //! SIGTERM handling for clean shutdown.
 //!
 //! The handler only sets an atomic flag; the supervisor polls it at
-//! every fleet pause and drains: it drops the runs in flight (the
+//! every pause between slices and drains: it drops the run in flight (the
 //! journal still holds them as not done, so the next start reruns them)
 //! and exits 0. No allocation, locking, or IO happens in signal context.
 //!

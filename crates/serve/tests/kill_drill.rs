@@ -237,12 +237,12 @@ fn randomized_kill_points_converge() {
 
 #[test]
 fn sweep_drill_never_resimulates_finished_jobs() {
-    // Four jobs in two config groups, stepped side by side: the 4x4 jobs
-    // (3k and 7k cycles) finish long before the 1x1 ones (32k and 39k).
-    // Each `cycles:` kill lands after some jobs are done; the journal
-    // must end with exactly one `Done` per job across every life, so no
-    // finished job was simulated twice.
-    let (kernels, shapes) = ("HIP,GBC", "1x1,4x4");
+    // Four jobs, run one at a time in this order: HIP 4x4 (3k cycles),
+    // HIP 1x1 (32k), GBC 4x4 (7k), GBC 1x1 (39k). Each `cycles:` kill
+    // lands in a 1x1 job after some jobs are done (20000: in HIP 1x1;
+    // 35000: in GBC 1x1); the journal must end with exactly one `Done`
+    // per job across every life, so no finished job was simulated twice.
+    let (kernels, shapes) = ("HIP,GBC", "4x4,1x1");
     let solo_dir = tmp_dir("sweep-solo");
     let solo = invoke_sweep(&solo_dir, kernels, shapes, &[], None);
     assert!(solo.status.success(), "{}", stderr_of(&solo));

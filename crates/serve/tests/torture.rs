@@ -513,9 +513,10 @@ fn sigterm_with_queued_jobs_drains_pending_and_replays() {
     // Drain under load: SIGTERM while the queue still holds unstarted
     // jobs must drop the runs in flight, leave every unfinished job
     // journaled as pending (never quarantined), exit 0, and a restart
-    // must finish the sweep byte-identically to an undisturbed run.
+    // must finish the sweep byte-identically to an undisturbed run. The
+    // service runs one job at a time, so while a job runs the rest wait
+    // unstarted.
     let jobs: Vec<WireJobSpec> = KERNEL_NAMES.iter().map(|k| spec(k, (4, 4))).collect();
-    let extra = ["--fleet-width", "2"];
     let mut input = Vec::new();
     for s in &jobs {
         submit(&mut input, 0, s);
@@ -523,7 +524,7 @@ fn sigterm_with_queued_jobs_drains_pending_and_replays() {
     write_message(&mut input, &Request::Run).expect("encode run");
 
     let solo_dir = tmp_dir("term-solo");
-    let solo = serve_stdio(&solo_dir, &extra, input.clone(), None);
+    let solo = serve_stdio(&solo_dir, &[], input.clone(), None);
     assert!(solo.status.success());
     let solo_done = done_map(&replies(&solo));
     assert_eq!(solo_done.len(), jobs.len());
@@ -539,7 +540,6 @@ fn sigterm_with_queued_jobs_drains_pending_and_replays() {
             .arg("--stdio")
             .arg("--state-dir")
             .arg(&drill_dir)
-            .args(extra)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
@@ -589,7 +589,7 @@ fn sigterm_with_queued_jobs_drains_pending_and_replays() {
         "never caught the service with queued jobs; widen the windows"
     );
 
-    let resumed = serve_stdio(&drill_dir, &extra, input, None);
+    let resumed = serve_stdio(&drill_dir, &[], input, None);
     assert_no_panic(&resumed);
     assert!(resumed.status.success());
     let resumed_replies = replies(&resumed);

@@ -35,7 +35,9 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GLSCSNAP";
 /// and drain counters, oracle state (DESIGN.md §17).
 /// v3: a core no longer carries per-thread issue records (the issue stage
 /// attributes each cycle on its own visit).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 3;
+/// v4: a cache tag array no longer carries a touched-set log (machines
+/// are never reset for reuse).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
 
 /// Why a byte string failed to decode as a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,24 +1,16 @@
-//! The fleet engine: many machine runs in one process with amortized
-//! per-job cost (DESIGN.md §13).
+//! The fleet: the supervised, sliced executor behind `glsc-serve`
+//! (DESIGN.md §13).
 //!
-//! A sweep over kernels × configurations is the unit of work this
-//! reproduction actually executes (fig5–fig8, table4, the contention
-//! studies), and the solo path pays a fixed tax per job: building a
-//! [`Machine`] allocates every cache's tag array (32,768 sets for the
-//! paper's L2), filling the dataset writes every page of the image, and
-//! dropping the machine walks it all again. A [`Fleet`] amortizes all
-//! three:
-//!
-//! * **machine pooling** — finished machines are [`Machine::reset`] (an
-//!   allocation-preserving return to the pristine state) and reused for
-//!   the next job with the same configuration;
-//! * **shared datasets** — jobs mount their initial memory image as a
-//!   copy-on-write [`BackingBase`] instead of writing it word by word
-//!   ([`glsc_mem::Backing::set_base`]);
-//! * **batched stepping** — up to [`width`](Fleet::with_width) live
-//!   machines advance round-robin, at most one
-//!   [quantum](Fleet::with_quantum) of cycles per pass, each through the
-//!   same stepping loop as [`Machine::run`].
+//! A [`Fleet`] runs a list of jobs, each on a fresh [`Machine::new`],
+//! mounting them in submission order. Every job advances in slices of at
+//! most one [quantum](Fleet::with_quantum) of cycles through the same
+//! stepping loop as [`Machine::run`], and between slices a pause hook
+//! decides whether it continues, fails, or stops the whole run. A panic
+//! inside the stepping loop is contained to its job. By default one job
+//! runs at a time; [`with_width`](Fleet::with_width) keeps up to that many
+//! live and steps them round-robin. A job may mount its initial memory
+//! image as a shared copy-on-write [`BackingBase`] instead of writing it
+//! word by word ([`glsc_mem::Backing::set_base`]).
 //!
 //! Every completed job yields a [`RunReport`] **bit-identical** to the
 //! same job run solo through [`Machine::run`] — enforced by the fleet
@@ -72,16 +64,16 @@ impl FleetJob {
 }
 
 /// What a [`Fleet::run_each_supervised`] pause hook tells the fleet to do
-/// with the member that just finished a quantum.
+/// with the job that just finished a quantum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PauseCtl {
     /// Keep running the job.
     Continue,
-    /// Abandon this job (deadline, policy): the member is retired without
-    /// a completion callback — the supervisor already knows why.
+    /// Abandon this job (deadline, policy): its machine is dropped
+    /// without a completion callback — the supervisor already knows why.
     FailJob,
     /// Stop the whole fleet (drain) at once: no hook runs again, live
-    /// members are dropped mid-run, and unstarted jobs are never mounted.
+    /// jobs are dropped mid-run, and unstarted jobs are never mounted.
     Halt,
 }
 
@@ -91,9 +83,9 @@ pub enum FleetFailure {
     /// The simulation aborted with a typed error (livelock, starvation,
     /// cycle budget, invariant violation).
     Sim(SimError),
-    /// The stepping loop panicked. The member's machine is discarded, not
-    /// pooled — its state cannot be trusted — and the payload message is
-    /// preserved for the supervisor's failure ledger.
+    /// The stepping loop panicked. The job's machine is dropped — its
+    /// state cannot be trusted — and the payload message is preserved
+    /// for the supervisor's failure ledger.
     Panicked(String),
 }
 
@@ -106,43 +98,34 @@ impl std::fmt::Display for FleetFailure {
     }
 }
 
-/// A live fleet member: which job it is running, its detector state, and
-/// the rest of its configuration group's job queue.
+/// A live job: its index, its machine, and its detector state.
 struct Member {
     idx: usize,
     machine: Machine,
     ctl: SlicedRun,
-    queue: std::collections::VecDeque<usize>,
 }
 
-/// Mounts the next job of `queue` onto `machine` (which is fresh or
-/// reset): program, CoW base, and fault plan. The detector state is
-/// created *after* mounting, so it sees the job's starting state.
-fn mount_member(
-    mut machine: Machine,
-    mut queue: std::collections::VecDeque<usize>,
-    jobs: &mut [Option<FleetJob>],
-) -> Member {
-    let idx = queue.pop_front().expect("group queues are non-empty");
-    let FleetJob {
-        program,
-        base,
-        fault_plan,
-        ..
-    } = jobs[idx].take().expect("each job admitted once");
-    if let Some(base) = base {
-        machine.mem_mut().backing_mut().set_base(base);
-    }
-    machine.load_program(program);
-    if let Some(plan) = fault_plan {
-        machine.mem_mut().install_fault_plan(plan);
-    }
-    let ctl = SlicedRun::new(&machine);
-    Member {
-        idx,
-        machine,
-        ctl,
-        queue,
+impl Member {
+    /// Builds a fresh machine for job `idx` and mounts the job: CoW base,
+    /// program, and fault plan. The detector state is created *after*
+    /// mounting, so it sees the job's starting state.
+    fn mount(idx: usize, job: FleetJob) -> Self {
+        let FleetJob {
+            cfg,
+            program,
+            base,
+            fault_plan,
+        } = job;
+        let mut machine = Machine::new(cfg);
+        if let Some(base) = base {
+            machine.mem_mut().backing_mut().set_base(base);
+        }
+        machine.load_program(program);
+        if let Some(plan) = fault_plan {
+            machine.mem_mut().install_fault_plan(plan);
+        }
+        let ctl = SlicedRun::new(&machine);
+        Self { idx, machine, ctl }
     }
 }
 
@@ -155,21 +138,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Groups job indices by machine configuration (order-preserving).
-fn group_by_config(
-    jobs: &[FleetJob],
-) -> std::collections::VecDeque<(MachineConfig, std::collections::VecDeque<usize>)> {
-    let mut groups: Vec<(MachineConfig, std::collections::VecDeque<usize>)> = Vec::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match groups.iter_mut().find(|(cfg, _)| *cfg == job.cfg) {
-            Some((_, q)) => q.push_back(i),
-            None => groups.push((job.cfg.clone(), std::iter::once(i).collect())),
-        }
-    }
-    groups.into()
-}
-
-/// Batched multi-machine runner. See the [module docs](self).
+/// Supervised, sliced job runner. See the [module docs](self).
 #[derive(Clone, Debug)]
 pub struct Fleet {
     quantum: u64,
@@ -183,13 +152,12 @@ impl Default for Fleet {
 }
 
 impl Fleet {
-    /// A fleet with the default batch width (4 machines per pass) and
-    /// quantum (8192 cycles per machine per pass). Neither knob affects
-    /// results, only host-side locality.
+    /// A fleet that runs one job at a time in quanta of 8192 cycles.
+    /// Neither knob affects results.
     pub fn new() -> Self {
         Self {
             quantum: 8192,
-            width: 4,
+            width: 1,
         }
     }
 
@@ -204,7 +172,8 @@ impl Fleet {
         self
     }
 
-    /// Sets how many machines are live at once.
+    /// Sets how many jobs are live at once; they advance round-robin, one
+    /// quantum each per pass.
     ///
     /// # Panics
     ///
@@ -215,64 +184,22 @@ impl Fleet {
         self
     }
 
-    /// Runs every job, invoking `on_done(index, machine, result)` as each
-    /// finishes (not in index order). The machine handed to the callback
-    /// holds the job's final state — backing store for validation, chaos
-    /// stats, and so on — and is reset and pooled for reuse after the
-    /// callback returns.
-    ///
-    /// This is [`run_each_supervised`](Fleet::run_each_supervised) with a
-    /// pause hook that always continues: a simulation error reaches
-    /// `on_done` as `Err`, and a panic inside the stepping loop is
-    /// re-raised on the caller's thread, as if the loop were not
-    /// supervised.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job's configuration is invalid (as [`Machine::new`]
-    /// would), and re-raises a panic from the stepping loop.
-    pub fn run_each<F>(&self, jobs: Vec<FleetJob>, mut on_done: F)
-    where
-        F: FnMut(usize, &mut Machine, Result<RunReport, SimError>),
-    {
-        self.run_each_supervised(
-            jobs,
-            |_, _| PauseCtl::Continue,
-            |idx, machine, result| {
-                let result = result.map_err(|failure| match failure {
-                    FleetFailure::Sim(e) => e,
-                    FleetFailure::Panicked(msg) => std::panic::resume_unwind(Box::new(msg)),
-                });
-                on_done(idx, machine, result);
-            },
-        );
-    }
-
-    /// Runs every job through the fleet's one stepping loop, with the
-    /// hooks a crash-durable job service needs (DESIGN.md §15).
-    ///
-    /// Scheduling is **configuration-affine**: jobs are grouped by
-    /// machine configuration and each of the `width` slots drains one
-    /// group at a time, so a slot's machine is reset and reused across
-    /// every job of its shape instead of bouncing through the pool while
-    /// other shapes occupy the window. Building a machine allocates every
-    /// cache's tag array; resetting one clears only the sets the last job
-    /// touched — without affinity a mixed sweep rebuilds machines at
-    /// every slot refill and the fleet loses exactly the amortization it
-    /// exists to provide. Within a group, jobs run in submission order.
+    /// Runs every job, each on a fresh machine, with the hooks a
+    /// crash-durable job service needs (DESIGN.md §15). Jobs are mounted
+    /// in submission order as slots free up; at the default width of one
+    /// each job runs to its outcome before the next one starts.
     ///
     /// * `on_pause(index, machine)` runs at every quantum boundary of
-    ///   every live member — the supervisor's chance to poll for a drain
+    ///   every live job — the supervisor's chance to poll for a drain
     ///   signal or enforce a deadline. Returning [`PauseCtl::FailJob`]
-    ///   retires the member with no completion callback;
-    ///   [`PauseCtl::Halt`] stops the fleet on the spot, calling no hook
-    ///   again.
+    ///   drops the job with no completion callback; [`PauseCtl::Halt`]
+    ///   stops the fleet on the spot, calling no hook again.
     /// * `on_done(index, machine, result)` fires as each job finishes,
-    ///   with the machine holding the job's final state; it is reset and
-    ///   pooled after the callback returns. A panic inside the stepping
-    ///   loop is caught and reported as [`FleetFailure::Panicked`]; the
-    ///   panicking machine is discarded instead of pooled, and the fleet
-    ///   keeps going — one hostile job cannot take down the batch.
+    ///   with the machine holding the job's final state (backing store
+    ///   for validation, chaos stats); the machine is dropped after the
+    ///   callback returns. A panic inside the stepping loop is caught and
+    ///   reported as [`FleetFailure::Panicked`], and the fleet keeps
+    ///   going — one hostile job cannot take down the batch.
     ///
     /// Returns `true` when every job ran to an outcome, `false` when a
     /// hook halted the fleet (jobs not yet mounted never start).
@@ -291,99 +218,50 @@ impl Fleet {
         P: FnMut(usize, &mut Machine) -> PauseCtl,
         F: FnMut(usize, &mut Machine, Result<RunReport, FleetFailure>),
     {
-        let mut groups = group_by_config(&jobs);
-        let mut jobs: Vec<Option<FleetJob>> = jobs.into_iter().map(Some).collect();
-        let mut pool: Vec<Machine> = Vec::new();
+        let mut queue = jobs.into_iter().enumerate();
         let mut active: Vec<Member> = Vec::new();
-
         loop {
-            // Refill the batch window: one group per free slot.
             while active.len() < self.width {
-                let Some((cfg, queue)) = groups.pop_front() else {
+                let Some((idx, job)) = queue.next() else {
                     break;
                 };
-                let machine = match pool.iter().position(|m| *m.cfg() == cfg) {
-                    Some(i) => pool.swap_remove(i),
-                    None => Machine::new(cfg),
-                };
-                active.push(mount_member(machine, queue, &mut jobs));
+                active.push(Member::mount(idx, job));
             }
             if active.is_empty() {
                 return true;
             }
-            // One pass: a quantum for each live member. A finished member
-            // reports, resets its machine, and mounts its group's next
-            // job in place; an exhausted group parks the machine in the
-            // pool and frees the slot for the next group.
+            // One pass: a quantum for each live job. A job that ends
+            // leaves the window; its slot is refilled before the next
+            // pass.
             let mut i = 0;
             while i < active.len() {
                 let m = &mut active[i];
                 let sliced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     m.machine.drive(&mut m.ctl, self.quantum, true)
                 }));
+                let m = &mut active[i];
                 match sliced {
-                    Err(payload) => {
-                        let member = &mut active[i];
-                        on_done(
-                            member.idx,
-                            &mut member.machine,
-                            Err(FleetFailure::Panicked(panic_message(payload))),
-                        );
-                        // Mid-panic machine state cannot be trusted:
-                        // drop it and mount the group's next job (if
-                        // any) on a fresh build.
-                        let member = active.swap_remove(i);
-                        if let Some(&next) = member.queue.front() {
-                            let cfg = jobs[next]
-                                .as_ref()
-                                .expect("queued jobs are unmounted")
-                                .cfg
-                                .clone();
-                            active.push(mount_member(Machine::new(cfg), member.queue, &mut jobs));
+                    Ok(Ok(false)) => match on_pause(m.idx, &mut m.machine) {
+                        PauseCtl::Continue => {
+                            i += 1;
+                            continue;
                         }
-                    }
-                    Ok(Ok(false)) => {
-                        let member = &mut active[i];
-                        match on_pause(member.idx, &mut member.machine) {
-                            PauseCtl::Continue => i += 1,
-                            PauseCtl::FailJob => {
-                                Self::retire(&mut active, i, &mut pool, &mut jobs);
-                            }
-                            PauseCtl::Halt => return false,
-                        }
-                    }
-                    Ok(Err(e)) => {
-                        let member = &mut active[i];
-                        on_done(member.idx, &mut member.machine, Err(FleetFailure::Sim(e)));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs);
-                    }
+                        PauseCtl::FailJob => {}
+                        PauseCtl::Halt => return false,
+                    },
                     Ok(Ok(true)) => {
-                        let member = &mut active[i];
-                        let report = member.machine.report();
-                        on_done(member.idx, &mut member.machine, Ok(report));
-                        Self::retire(&mut active, i, &mut pool, &mut jobs);
+                        let report = m.machine.report();
+                        on_done(m.idx, &mut m.machine, Ok(report));
                     }
+                    Ok(Err(e)) => on_done(m.idx, &mut m.machine, Err(FleetFailure::Sim(e))),
+                    Err(payload) => on_done(
+                        m.idx,
+                        &mut m.machine,
+                        Err(FleetFailure::Panicked(panic_message(payload))),
+                    ),
                 }
+                active.remove(i);
             }
-        }
-    }
-
-    /// Retires `active[i]`'s finished job: resets the machine, mounts the
-    /// group's next job in place, or parks the machine and frees the
-    /// slot.
-    fn retire(
-        active: &mut Vec<Member>,
-        i: usize,
-        pool: &mut Vec<Machine>,
-        jobs: &mut [Option<FleetJob>],
-    ) {
-        let member = active.swap_remove(i);
-        let mut machine = member.machine;
-        machine.reset();
-        if member.queue.is_empty() {
-            pool.push(machine);
-        } else {
-            active.push(mount_member(machine, member.queue, jobs));
         }
     }
 }
@@ -454,8 +332,8 @@ mod tests {
 
     #[test]
     fn halt_stops_the_fleet_without_calling_any_hook_again() {
-        // Three jobs on two configs, two slots: both slots are live when
-        // the first pause halts, and a third job is still queued.
+        // Three jobs, two slots: both slots are live when the first pause
+        // halts, and a third job is still queued.
         let jobs = vec![
             FleetJob::new(MachineConfig::paper(1, 1, 4), countdown(2_000)),
             FleetJob::new(MachineConfig::paper(1, 2, 4), countdown(2_000)),
@@ -510,20 +388,47 @@ mod tests {
     }
 
     #[test]
-    fn stepping_loop_panic_is_a_failure_supervised_and_reraised_by_run_each() {
-        let cfg = MachineConfig::paper(1, 1, 4);
-        let jobs = || {
-            vec![
-                FleetJob::new(cfg.clone(), lane_out_of_range()),
-                FleetJob::new(cfg.clone(), countdown(100)),
-            ]
-        };
+    fn jobs_run_one_at_a_time_in_submission_order() {
+        // A long job, then a short one on another configuration, then a
+        // short one sharing the first job's configuration: each must
+        // finish before the next starts, whatever its configuration.
+        let jobs = vec![
+            FleetJob::new(MachineConfig::paper(1, 1, 4), countdown(2_000)),
+            FleetJob::new(MachineConfig::paper(1, 2, 4), countdown(100)),
+            FleetJob::new(MachineConfig::paper(1, 1, 4), countdown(100)),
+        ];
+        let (mut paused, mut finished) = (Vec::new(), Vec::new());
+        let done = Fleet::new().with_quantum(64).run_each_supervised(
+            jobs,
+            |idx, _| {
+                paused.push(idx);
+                PauseCtl::Continue
+            },
+            |idx, _, result| {
+                result.expect("job completes");
+                finished.push(idx);
+            },
+        );
+        assert!(done);
+        assert_eq!(finished, [0, 1, 2]);
+        // No job pauses after a later job has started.
+        assert!(paused.windows(2).all(|w| w[0] <= w[1]), "{paused:?}");
+        assert!(paused.contains(&1) && paused.contains(&2), "{paused:?}");
+    }
 
-        // Supervised: the panic is the job's typed failure, and the next
-        // job of its group still runs.
+    #[test]
+    fn stepping_loop_panic_is_a_supervised_failure() {
+        let cfg = MachineConfig::paper(1, 1, 4);
+        let jobs = vec![
+            FleetJob::new(cfg.clone(), lane_out_of_range()),
+            FleetJob::new(cfg, countdown(100)),
+        ];
+
+        // The panic is the job's typed failure, and the next job still
+        // runs.
         let mut outcomes = Vec::new();
         let done = Fleet::new().run_each_supervised(
-            jobs(),
+            jobs,
             |_, _| PauseCtl::Continue,
             |idx, _, result| outcomes.push((idx, result)),
         );
@@ -537,14 +442,5 @@ mod tests {
         }
         assert_eq!(outcomes[1].0, 1);
         assert!(outcomes[1].1.is_ok(), "job 1 must complete");
-
-        // run_each re-raises the same panic on the caller's thread before
-        // any completion callback sees the job.
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Fleet::new().run_each(jobs(), |idx, _, _| panic!("job {idx} must not complete"));
-        }))
-        .expect_err("run_each must re-raise the stepping-loop panic");
-        let msg = payload.downcast_ref::<String>().expect("String payload");
-        assert!(msg.contains("lane 9 out of range"), "{msg}");
     }
 }

@@ -255,23 +255,6 @@ impl Machine {
         &self.cfg
     }
 
-    /// Returns the machine to its just-constructed state — cold memory
-    /// system, fresh cores, no program, cycle 0 — while keeping the large
-    /// cache-tag and page-table allocations for reuse. The fleet engine
-    /// pools machines per configuration and calls this between jobs;
-    /// the cores are rebuilt outright (they are small), so only the
-    /// memory system needs a hand-written reset
-    /// ([`MemorySystem::reset`]).
-    pub fn reset(&mut self) {
-        self.mem.reset();
-        self.cores = (0..self.cfg.cores)
-            .map(|id| Core::new(id, &self.cfg))
-            .collect();
-        self.code = None;
-        self.cycle = 0;
-        self.comp_buf.clear();
-    }
-
     /// Read access to the memory system (backing store, caches, stats).
     pub fn mem(&self) -> &MemorySystem {
         &self.mem
