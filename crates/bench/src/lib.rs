@@ -535,8 +535,8 @@ impl std::error::Error for JobError {}
 /// two attempts per job). Deterministic failures burn the retries and
 /// surface as a [`JobError`]; the budget exists for environmental flakes
 /// (OOM-killed children, transient IO) on long figure runs. The delay
-/// before each retry is [`backoff_jittered_ms`]: exponential base with a
-/// deterministic per-(job, attempt) spread seeded by `GLSC_BENCH_SEED`.
+/// before each retry is [`backoff_jittered_ms`] with seed 0: exponential
+/// base with a deterministic per-(job, attempt) spread.
 pub fn job_retries() -> u32 {
     std::env::var("GLSC_BENCH_RETRIES")
         .ok()
@@ -552,16 +552,6 @@ pub fn job_retries() -> u32 {
 /// co-failing jobs do not retry in lockstep.
 pub fn backoff_ms(attempt: u32) -> u64 {
     (25u64 << (attempt - 1).min(6)).min(1_000)
-}
-
-/// The sweep seed, `GLSC_BENCH_SEED` (default 0): the single source of
-/// retry-jitter randomness. Same seed, same job, same attempt → same
-/// delay, across runs and machines.
-pub fn bench_seed() -> u64 {
-    std::env::var("GLSC_BENCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
 }
 
 /// Backoff with deterministic jitter: the [`backoff_ms`] base plus up to
@@ -611,7 +601,6 @@ fn run_one<T, F: Fn() -> T>(
     } else {
         format!(" ({label})")
     };
-    let seed = bench_seed();
     let mut message = String::new();
     for attempt in 1..=attempts {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
@@ -622,7 +611,7 @@ fn run_one<T, F: Fn() -> T>(
                     "[jobs] job {index}{tag} attempt {attempt}/{attempts} panicked: {message}"
                 );
                 if attempt < attempts {
-                    let delay = backoff_jittered_ms(seed, label, attempt);
+                    let delay = backoff_jittered_ms(0, label, attempt);
                     eprintln!("[jobs] job {index}{tag} retrying after {delay}ms");
                     std::thread::sleep(std::time::Duration::from_millis(delay));
                 }

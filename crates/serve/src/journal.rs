@@ -4,12 +4,13 @@
 //! record (`len | payload | fnv64(payload)`, see [`glsc_wire::frame`]).
 //!
 //! The journal is the service's source of truth for where every job
-//! stands (`accepted → done | quarantined`, with `failed` marks in
-//! between). A job with no `done` record reruns from its spec on the
-//! next start; a job's progress inside a run is never journaled, since
-//! rerunning a simulation costs less than recording it. Appends are
-//! flushed and fsync'd before the supervisor acts on them, so a
-//! `kill -9` at any byte boundary leaves at worst a torn final frame.
+//! stands (`submitted → done | quarantined`, with `failed` marks in
+//! between, or `shed` when admission control refuses it). A submitted
+//! job with no `done` record reruns from its spec on the next start; a
+//! job's progress inside a run is never journaled, since rerunning a
+//! simulation costs less than recording it. Appends are flushed and
+//! fsync'd before the supervisor acts on them, so a `kill -9` at any
+//! byte boundary leaves at worst a torn final frame.
 //! Recovery scans from the start, keeps the longest prefix of intact
 //! frames, **truncates the file to that prefix**, and treats the job as
 //! being in whatever state the surviving records imply — a torn record
@@ -24,9 +25,12 @@ use std::path::Path;
 /// One durable fact about a job, in the order the supervisor learns it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalRecord {
-    /// The job entered the sweep.
+    /// Legacy: older builds journaled a CLI sweep job's entry with this
+    /// record. It still decodes, so their journals open, but nothing
+    /// writes it any more and [`replay`] ignores it — every job now
+    /// enters as `Submitted`.
     Accepted {
-        /// Stable job id (the bench cache key parts joined with `-`).
+        /// Stable job id.
         job: String,
     },
     /// Legacy: older builds announced a mid-run checkpoint with this
@@ -65,11 +69,13 @@ pub enum JournalRecord {
         /// Failures recorded against it at quarantine time.
         failures: u32,
     },
-    /// A protocol client submitted the job. The encoded
+    /// The job was admitted to the queue. The encoded
     /// [`WireJobSpec`](glsc_bench::jobspec::WireJobSpec) rides in the
     /// record so a queued-but-unstarted job survives a crash or drain:
     /// on restart the service rebuilds it from these bytes and runs it
-    /// even if the client never reconnects.
+    /// even if the client never reconnects. Resubmitting a job the
+    /// journal already settled (`Done` or `Quarantined`) is answered
+    /// from that record and owes no run.
     Submitted {
         /// Stable job id.
         job: String,
@@ -191,8 +197,6 @@ impl JournalRecord {
 /// record.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JobLedger {
-    /// The job has an `Accepted` record.
-    pub accepted: bool,
     /// `Done` record, with its preserved chaos rendering.
     pub done: Option<Option<String>>,
     /// Number of `Failed` records (survives restarts — this is what the
@@ -200,36 +204,47 @@ pub struct JobLedger {
     pub failures: u32,
     /// `Quarantined` record present.
     pub quarantined: bool,
-    /// Latest protocol submission still owed a run: `(priority, spec
-    /// bytes)`. Cleared by `Done`, `Quarantined`, and `Shed` — what
-    /// remains after replay is exactly the set of queued-but-unstarted
-    /// jobs a restart must pick back up.
+    /// Latest submission still owed a run: `(priority, spec bytes)`.
+    /// Cleared by `Done`, `Quarantined`, and `Shed`, and never set by a
+    /// `Submitted` that follows either settling record — what remains
+    /// after replay is exactly the set of queued-but-unstarted jobs a
+    /// restart must pick back up.
     pub pending: Option<(u8, Vec<u8>)>,
+}
+
+impl JobLedger {
+    /// Folds one record about this job into the ledger. [`replay`] and
+    /// the live session both go through here, so the session's
+    /// in-memory view is always what a restart would replay.
+    pub(crate) fn apply(&mut self, rec: &JournalRecord) {
+        match rec {
+            JournalRecord::Accepted { .. } | JournalRecord::Running { .. } => {}
+            JournalRecord::Done { chaos, .. } => {
+                self.done = Some(chaos.clone());
+                self.pending = None;
+            }
+            JournalRecord::Failed { .. } => self.failures += 1,
+            JournalRecord::Quarantined { .. } => {
+                self.quarantined = true;
+                self.pending = None;
+            }
+            JournalRecord::Submitted { priority, spec, .. } => {
+                // A settled job's resubmission is served from its record;
+                // marking it pending would re-queue it at every boot.
+                if self.done.is_none() && !self.quarantined {
+                    self.pending = Some((*priority, spec.clone()));
+                }
+            }
+            JournalRecord::Shed { .. } => self.pending = None,
+        }
+    }
 }
 
 /// Replays records into per-job ledgers.
 pub fn replay(records: &[JournalRecord]) -> HashMap<String, JobLedger> {
     let mut map: HashMap<String, JobLedger> = HashMap::new();
     for rec in records {
-        let entry = map.entry(rec.job().to_string()).or_default();
-        match rec {
-            JournalRecord::Accepted { .. } => entry.accepted = true,
-            JournalRecord::Running { .. } => {}
-            JournalRecord::Done { chaos, .. } => {
-                entry.done = Some(chaos.clone());
-                entry.pending = None;
-            }
-            JournalRecord::Failed { .. } => entry.failures += 1,
-            JournalRecord::Quarantined { .. } => {
-                entry.quarantined = true;
-                entry.pending = None;
-            }
-            JournalRecord::Submitted { priority, spec, .. } => {
-                entry.accepted = true;
-                entry.pending = Some((*priority, spec.clone()));
-            }
-            JournalRecord::Shed { .. } => entry.pending = None,
-        }
+        map.entry(rec.job().to_string()).or_default().apply(rec);
     }
     map
 }
@@ -348,13 +363,11 @@ mod tests {
         assert_eq!(records, sample());
         let ledgers = replay(&records);
         let a = &ledgers["a"];
-        assert!(a.accepted);
         assert_eq!(a.done, Some(Some("destructive=3".into())));
         assert_eq!(a.failures, 0);
         let b = &ledgers["b"];
         assert_eq!(b.failures, 1);
         assert!(b.quarantined);
-        assert!(!b.accepted);
     }
 
     #[test]
@@ -451,10 +464,51 @@ mod tests {
         let ledgers = replay(&records);
         // p is still owed a run; q was shed; r finished.
         assert_eq!(ledgers["p"].pending, Some((7, spec)));
-        assert!(ledgers["p"].accepted);
         assert_eq!(ledgers["q"].pending, None);
         assert_eq!(ledgers["r"].pending, None);
         assert!(ledgers["r"].done.is_some());
+    }
+
+    #[test]
+    fn resubmitting_a_settled_job_leaves_it_not_pending() {
+        // A client may resubmit a job the journal already settled; the
+        // session answers it from the record, so the fresh `Submitted`
+        // must not mark it owed a run — or every later boot re-queues it
+        // and its stale slot sheds new work.
+        let path = tmp("settled");
+        let (mut j, _) = Journal::open(&path).unwrap();
+        let submitted = |job: &str| JournalRecord::Submitted {
+            job: job.into(),
+            priority: 0,
+            spec: vec![9u8],
+        };
+        for rec in [
+            submitted("done"),
+            JournalRecord::Done {
+                job: "done".into(),
+                chaos: None,
+            },
+            submitted("done"),
+            submitted("poison"),
+            JournalRecord::Failed {
+                job: "poison".into(),
+                reason: "cycle deadline".into(),
+            },
+            JournalRecord::Quarantined {
+                job: "poison".into(),
+                failures: 1,
+            },
+            submitted("poison"),
+        ] {
+            j.append(&rec).unwrap();
+        }
+        drop(j);
+        let (_, records) = Journal::open(&path).unwrap();
+        let ledgers = replay(&records);
+        assert_eq!(ledgers["done"].pending, None);
+        assert_eq!(ledgers["done"].done, Some(None));
+        assert_eq!(ledgers["poison"].pending, None);
+        assert!(ledgers["poison"].quarantined);
     }
 
     #[test]
@@ -509,8 +563,8 @@ mod tests {
     fn legacy_running_records_decode_and_replay_as_unfinished() {
         // A journal written by a checkpointing build: the job was
         // accepted and checkpointed twice, then the process died. The
-        // records still decode, and the job replays as accepted but not
-        // done, so it reruns from its spec.
+        // records still decode, and replay ignores both kinds: the job is
+        // not done, so a submission reruns it from its spec.
         let path = tmp("legacy");
         let (mut j, _) = Journal::open(&path).unwrap();
         j.append(&JournalRecord::Accepted { job: "old".into() })
@@ -526,13 +580,6 @@ mod tests {
         drop(j);
         let (_, records) = Journal::open(&path).unwrap();
         assert_eq!(records.len(), 3);
-        let ledger = &replay(&records)["old"];
-        assert_eq!(
-            *ledger,
-            JobLedger {
-                accepted: true,
-                ..JobLedger::default()
-            }
-        );
+        assert_eq!(replay(&records)["old"], JobLedger::default());
     }
 }

@@ -10,8 +10,16 @@
 //! kill-drill oracle in `tests/` proves this for every kernel × Fig. 6
 //! shape, chaos counters included.
 //!
-//! Layers (DESIGN.md §14):
+//! Every job enters through one front door, a protocol session
+//! ([`session::run_session`]): a `serve` client's frames over stdin or a
+//! socket, or the `sweep` command's frames written into an in-memory
+//! buffer. Both print their tables with [`proto::print_table`].
 //!
+//! Layers (DESIGN.md §14, §15):
+//!
+//! * [`session`] — admission: validates and journals each submitted
+//!   `WireJobSpec`, lowers it into a supervised job, runs the queue, and
+//!   streams one result frame per job.
 //! * [`journal`] — append-only WAL with per-record checksums; a torn
 //!   tail decodes as "the append never happened".
 //! * [`service`] — the supervisor: sliced execution of one job at a
@@ -37,4 +45,4 @@ pub mod service;
 pub mod session;
 pub mod signal;
 
-pub use service::{print_sweep, run_sweep, JobResult, JobSpec, ServiceConfig, SweepReport};
+pub use service::ServiceConfig;

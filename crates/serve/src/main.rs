@@ -6,7 +6,7 @@
 //! glsc-serve serve --state-dir DIR (--stdio | --socket PATH) [options]
 //! glsc-serve client --socket PATH [options]     submit + stream results
 //!
-//!   --state-dir DIR        durable state root (or GLSC_SERVE_DIR)
+//!   --state-dir DIR        durable state root
 //!   --kernels A,B,..       kernels to run (default: all seven)
 //!   --pattern SPEC         add a pattern job (glsc-patterns grammar,
 //!                          e.g. conflict:p=0.25x256); repeatable, and
@@ -23,7 +23,6 @@
 //!   --max-failures K       failures before quarantine (default: 3)
 //!   --chaos-seed S         run every job under a seeded fault plan
 //!   --seed S               retry-backoff jitter seed (default: 0)
-//!   --inject-wedged        prepend a never-halting drill job (sweep)
 //!   --queue-cap N          admission queue capacity (serve, default: 64)
 //!   --priority P           submission priority 0-255 (client, default: 0)
 //!   --shutdown             ask the service to exit after the sweep (client)
@@ -32,23 +31,28 @@
 //! `serve` speaks the framed protocol (`glsc_serve::proto`) over stdin
 //! or a Unix socket: length-prefixed, FNV-64-checksummed frames carrying
 //! job submissions, with typed shed/reject replies and streamed results.
+//! `sweep` is the same session run in-process: it writes one `Submit`
+//! frame per job and a `Run` into a buffer, hands that to the session,
+//! and prints the replies with the table `client` prints. Its queue
+//! never sheds (its input is bounded by its own arguments), and jobs a
+//! crashed or drained run left pending in the journal run too, though
+//! the table shows only the sweep's own jobs.
 //! Exit code 0 on a clean sweep, SIGTERM drain, or client-requested
 //! shutdown; 1 when any sweep job failed or was quarantined; 2 on a
-//! usage error. Killing the process at any moment is safe: rerunning
-//! replays the journal, serves finished jobs from the result store,
-//! reruns every unfinished job from its spec (queued-but-unstarted
-//! submissions included), and prints output byte-identical to what an
-//! uninterrupted run would have printed.
+//! usage error; 3 on a state-dir IO error. Killing the process at any
+//! moment is safe: rerunning replays the journal, serves finished jobs
+//! from the result store, reruns every unfinished job from its spec
+//! (queued-but-unstarted submissions included), and prints output
+//! byte-identical to what an uninterrupted run would have printed.
 //!
 //! `GLSC_SERVE_KILL=journal:<n>|cycles:<c>` injects a crash for the kill
 //! drills (see `glsc_serve::kill`); any other value is a usage error.
 
 use glsc_bench::jobspec::WireJobSpec;
 use glsc_kernels::{Dataset, Variant, KERNEL_NAMES};
-use glsc_serve::proto::{read_message, write_message, Reply, Request};
+use glsc_serve::proto::{print_table, read_message, write_message, Reply, Request};
 use glsc_serve::session::{run_session, SessionEnd};
-use glsc_serve::{kill, print_sweep, run_sweep, signal, JobSpec, ServiceConfig};
-use std::io::Write;
+use glsc_serve::{kill, signal, ServiceConfig};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::exit;
@@ -80,7 +84,6 @@ struct Args {
     max_failures: u32,
     chaos_seed: Option<u64>,
     seed: u64,
-    inject_wedged: bool,
     stdio: bool,
     socket: Option<PathBuf>,
     queue_cap: usize,
@@ -91,7 +94,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         cmd: Cmd::Sweep,
-        state_dir: std::env::var("GLSC_SERVE_DIR").ok().map(PathBuf::from),
+        state_dir: None,
         kernels: KERNEL_NAMES.iter().map(|k| k.to_string()).collect(),
         patterns: Vec::new(),
         shapes: vec![(1, 1), (1, 4), (4, 1), (4, 4)],
@@ -104,7 +107,6 @@ fn parse_args() -> Args {
         max_failures: 3,
         chaos_seed: None,
         seed: 0,
-        inject_wedged: false,
         stdio: false,
         socket: None,
         queue_cap: 64,
@@ -218,7 +220,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage("bad --seed"))
             }
-            "--inject-wedged" => args.inject_wedged = true,
             "--stdio" => args.stdio = true,
             "--socket" => args.socket = Some(PathBuf::from(value("--socket"))),
             "--queue-cap" => {
@@ -242,7 +243,7 @@ fn parse_args() -> Args {
 
 fn service_config(args: &Args) -> ServiceConfig {
     let Some(state_dir) = args.state_dir.clone() else {
-        usage("--state-dir (or GLSC_SERVE_DIR) is required");
+        usage("--state-dir is required");
     };
     let mut cfg = ServiceConfig::new(state_dir);
     cfg.deadline_wall_ms = args.deadline_wall_ms;
@@ -303,42 +304,38 @@ fn sweep_specs(args: &Args) -> Vec<WireJobSpec> {
 }
 
 fn cmd_sweep(args: &Args) -> ! {
-    let cfg = service_config(args);
-    let mut jobs = Vec::new();
-    if args.inject_wedged {
-        jobs.push(JobSpec::wedged());
-    }
+    let mut cfg = service_config(args);
+    // The sweep's input is bounded by its own arguments, so its queue
+    // never sheds its own submissions; `--queue-cap` is a `serve` knob.
+    cfg.queue_capacity = usize::MAX;
+    let mut ids = Vec::new();
+    let mut input = Vec::new();
     for spec in sweep_specs(args) {
         if let Err(e) = spec.validate() {
             usage(&format!("{}: {e}", spec.kernel_name()));
         }
-        let mut job = JobSpec::kernel(
-            &spec.kernel_name(),
-            spec.resolve_dataset(),
-            spec.resolve_variant(),
-            (spec.cores as usize, spec.tpc as usize),
-            spec.width as usize,
-            spec.chaos,
-        )
-        .unwrap_or_else(|e| usage(&e.to_string()));
-        // Key jobs by the wire id so pattern jobs get the same
-        // filesystem-safe hashed names the protocol path uses (and
-        // relaxed-model jobs their -tso/-relaxed suffix).
-        job.id = spec.id();
-        job.cfg = job.cfg.with_memory_order(spec.memory_order);
-        job.deadline_cycles = spec.deadline_cycles;
-        job.deadline_wall_ms = spec.deadline_wall_ms;
-        jobs.push(job);
+        ids.push(spec.id());
+        let submit = Request::Submit { priority: 0, spec };
+        write_message(&mut input, &submit).expect("writing to a Vec cannot fail");
     }
+    write_message(&mut input, &Request::Run).expect("writing to a Vec cannot fail");
 
-    match run_sweep(&cfg, &jobs) {
-        Ok(report) => {
-            let mut stdout = std::io::stdout().lock();
-            print_sweep(&jobs, &report, &mut stdout);
-            if report.drained {
-                eprintln!("[serve] drained cleanly; rerun to finish the sweep");
+    let mut output = Vec::new();
+    match run_session(&cfg, &mut &input[..], &mut output) {
+        // Nothing goes to the table on a drain; the next invocation
+        // finishes the sweep and prints the whole thing.
+        Ok(SessionEnd::Drained) => {
+            eprintln!("[serve] drained cleanly; rerun to finish the sweep");
+            exit(0);
+        }
+        Ok(_) => {
+            let mut replies = Vec::new();
+            let mut frames = &output[..];
+            while let Ok(Some(reply)) = read_message::<Reply>(&mut frames) {
+                replies.push(reply);
             }
-            exit(report.exit_code());
+            let failed = print_table(&ids, &replies, &mut std::io::stdout().lock());
+            exit(i32::from(failed > 0));
         }
         Err(e) => {
             eprintln!("[serve] state-dir IO error: {e}");
@@ -436,14 +433,6 @@ fn serve_socket(cfg: &ServiceConfig, path: &PathBuf) -> ! {
     }
 }
 
-/// One client row in the deterministic result table.
-enum Row {
-    Done { cycles: u64, chaos: Option<String> },
-    Failed { label: String, detail: String },
-    Shed { queued: u32, capacity: u32 },
-    Rejected { reason: String },
-}
-
 fn cmd_client(args: &Args) -> ! {
     let Some(path) = &args.socket else {
         usage("client needs --socket PATH");
@@ -480,9 +469,8 @@ fn cmd_client(args: &Args) -> ! {
     }
     send_or_die(&mut output, &Request::Run);
 
-    // Read everything up to the sweep barrier, keyed by job id; later
-    // replies (results) override earlier ones (admission).
-    let mut rows: std::collections::HashMap<String, Row> = std::collections::HashMap::new();
+    // Read everything up to the sweep barrier.
+    let mut replies = Vec::new();
     loop {
         let reply = match read_message::<Reply>(&mut input) {
             Ok(Some(reply)) => reply,
@@ -495,30 +483,13 @@ fn cmd_client(args: &Args) -> ! {
                 exit(3);
             }
         };
-        match reply {
-            Reply::Accepted { .. } => {}
-            Reply::Shed {
-                id,
-                queued,
-                capacity,
-            } => {
-                rows.insert(id, Row::Shed { queued, capacity });
-            }
-            Reply::Rejected { id, reason } => {
-                rows.insert(id, Row::Rejected { reason });
-            }
-            Reply::FrameError { detail } => {
-                eprintln!("[client] server reported a frame error: {detail}");
-            }
-            Reply::JobDone {
-                id, cycles, chaos, ..
-            } => {
-                rows.insert(id, Row::Done { cycles, chaos });
-            }
-            Reply::JobFailed { id, label, detail } => {
-                rows.insert(id, Row::Failed { label, detail });
-            }
-            Reply::SweepDone { .. } => break,
+        if let Reply::FrameError { detail } = &reply {
+            eprintln!("[client] server reported a frame error: {detail}");
+        }
+        let done = matches!(reply, Reply::SweepDone { .. });
+        replies.push(reply);
+        if done {
+            break;
         }
     }
 
@@ -527,43 +498,8 @@ fn cmd_client(args: &Args) -> ! {
     }
 
     // Deterministic table in submission order — diffable across
-    // crash/recovery histories exactly like the sweep CLI's.
-    let width = ids.iter().map(String::len).max().unwrap_or(0).max(3);
-    let mut stdout = std::io::stdout().lock();
-    let mut ok = 0usize;
-    let mut failed = 0usize;
-    let _ = writeln!(stdout, "=== glsc-client sweep: {} job(s) ===", ids.len());
-    for id in &ids {
-        match rows.get(id) {
-            Some(Row::Done { cycles, chaos }) => {
-                ok += 1;
-                let _ = writeln!(stdout, "{id:<width$}  {cycles:>12} cycles");
-                if let Some(chaos) = chaos {
-                    let _ = writeln!(stdout, "{:<width$}  chaos: {chaos}", "");
-                }
-            }
-            Some(Row::Failed { label, detail }) => {
-                failed += 1;
-                let _ = writeln!(stdout, "{id:<width$}  {label} {detail}");
-            }
-            Some(Row::Shed { queued, capacity }) => {
-                failed += 1;
-                let _ = writeln!(
-                    stdout,
-                    "{id:<width$}  SHED shed by admission control (queue {queued}/{capacity})"
-                );
-            }
-            Some(Row::Rejected { reason }) => {
-                failed += 1;
-                let _ = writeln!(stdout, "{id:<width$}  REJ {reason}");
-            }
-            None => {
-                failed += 1;
-                let _ = writeln!(stdout, "{id:<width$}  ERR not reached");
-            }
-        }
-    }
-    let _ = writeln!(stdout, "== {ok} ok, {failed} failed ==");
+    // crash/recovery histories exactly like the sweep's.
+    let failed = print_table(&ids, &replies, &mut std::io::stdout().lock());
     exit(i32::from(failed > 0));
 }
 

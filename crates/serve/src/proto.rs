@@ -28,6 +28,9 @@
 //!
 //! Nothing in this module allocates from an unvalidated length: reads
 //! are capped at [`MAX_FRAME`] before any buffer is sized.
+//!
+//! [`print_table`] is the one rendering of a reply stream as the sweep
+//! table; `sweep` and `client` both print through it.
 
 use glsc_bench::jobspec::WireJobSpec;
 use glsc_wire::{fnv64, Wire, WireError};
@@ -249,6 +252,58 @@ impl Wire for Reply {
             }
         })
     }
+}
+
+/// Renders a sweep's result table from a session's reply frames: a
+/// header, one row per id in `ids` (submission order), and a summary.
+///
+/// A later reply for an id overrides an earlier one, so a job's result
+/// replaces a `Shed` it got before it was resubmitted; an id with no
+/// reply renders as `ERR not reached`, and replies for ids outside
+/// `ids` (jobs restored from the journal) are not shown. The bytes are
+/// deterministic — no paths, timestamps or host state — so a sweep
+/// recovered from any crash history prints what an uninterrupted one
+/// does. Failed rows carry the degradation-mode cell (`PANIC`, `DEAD`,
+/// `QUAR`, `SHED`, `REJ`), never a conflated `ERR`. Returns the number
+/// of failed rows.
+pub fn print_table(ids: &[String], replies: &[Reply], out: &mut impl Write) -> usize {
+    let mut rows: std::collections::HashMap<&str, &Reply> = std::collections::HashMap::new();
+    for reply in replies {
+        match reply {
+            Reply::Shed { id, .. }
+            | Reply::Rejected { id, .. }
+            | Reply::JobDone { id, .. }
+            | Reply::JobFailed { id, .. } => {
+                rows.insert(id, reply);
+            }
+            Reply::Accepted { .. } | Reply::FrameError { .. } | Reply::SweepDone { .. } => {}
+        }
+    }
+    let width = ids.iter().map(String::len).max().unwrap_or(0).max(3);
+    let _ = writeln!(out, "=== glsc-serve sweep: {} job(s) ===", ids.len());
+    let mut failed = 0usize;
+    for id in ids {
+        let row = rows.get(id.as_str());
+        if let Some(Reply::JobDone { cycles, chaos, .. }) = row {
+            let _ = writeln!(out, "{id:<width$}  {cycles:>12} cycles");
+            if let Some(chaos) = chaos {
+                let _ = writeln!(out, "{:<width$}  chaos: {chaos}", "");
+            }
+            continue;
+        }
+        failed += 1;
+        let cell = match row {
+            Some(Reply::JobFailed { label, detail, .. }) => format!("{label} {detail}"),
+            Some(Reply::Shed {
+                queued, capacity, ..
+            }) => format!("SHED shed by admission control (queue {queued}/{capacity})"),
+            Some(Reply::Rejected { reason, .. }) => format!("REJ {reason}"),
+            _ => "ERR not reached".to_string(),
+        };
+        let _ = writeln!(out, "{id:<width$}  {cell}");
+    }
+    let _ = writeln!(out, "== {} ok, {failed} failed ==", ids.len() - failed);
+    failed
 }
 
 /// Why a frame could not be read. See the [module docs](self) for which

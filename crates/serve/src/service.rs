@@ -1,15 +1,17 @@
-//! The supervised, crash-durable sweep runner.
+//! The supervisor behind the session: runs admitted jobs durably.
 //!
-//! One [`JobSpec`] per simulation; the supervisor runs every round of
-//! attempts through [`glsc_sim::Fleet`], one job at a time in submission
-//! order, each on a fresh machine, in slices of `FLEET_QUANTUM` (1,024)
-//! cycles with a supervision pause between slices. Every job state
-//! transition is write-ahead journaled (`accepted →
-//! done | quarantined`, with `failed` marks in between); a finished
-//! report goes to the result store before its `done` record is appended.
+//! Every job reaches it through the one front door, a protocol session
+//! ([`crate::session`]): a `JobSpec` is the lowering of an admitted
+//! `WireJobSpec`. The supervisor runs every round of attempts through
+//! [`glsc_sim::Fleet`], one job at a time in submission order, each on a
+//! fresh machine, in slices of `FLEET_QUANTUM` (1,024) cycles with a
+//! supervision pause between slices. Every outcome is write-ahead
+//! journaled (`done | quarantined`, with `failed` marks in between; the
+//! session journals `submitted`); a finished report goes to the result
+//! store before its `done` record is appended.
 //!
 //! Recovery is a rerun. A restart — crash or drain — replays the
-//! journal, reprints every `done` job from the result store, and reruns
+//! journal, serves every `done` job from the result store, and reruns
 //! every other job from its spec (a chaos job from its fault-plan seed).
 //! Simulations are deterministic, so the output is byte-identical to an
 //! uninterrupted run (the kill-drill oracle in `tests/` pins this for
@@ -25,11 +27,11 @@
 //! quarantined and reported as a `QUAR` row while the rest of the sweep
 //! completes, with a nonzero exit.
 
-use crate::journal::{replay, JobLedger, Journal, JournalRecord};
+use crate::journal::{JobLedger, Journal, JournalRecord};
 use crate::{kill, signal};
 use glsc_bench::store::{cfg_fingerprint, job_key};
 use glsc_bench::{backoff_jittered_ms, JobError, JobStore};
-use glsc_kernels::{build_named, Dataset, Variant, Workload};
+use glsc_kernels::Workload;
 use glsc_sim::{
     BackingBase, ChaosConfig, FaultPlan, Fleet, FleetFailure, FleetJob, Machine, MachineConfig,
     PauseCtl, RunReport,
@@ -55,8 +57,8 @@ pub struct ServiceConfig {
     /// Per-attempt wall-clock budget; `None` = unlimited.
     pub deadline_wall_ms: Option<u64>,
     /// Simulated-cycle budget per attempt; `None` = unlimited. Every
-    /// attempt starts at cycle 0, so a wedged job trips this on every
-    /// attempt, burns its failure budget, and quarantines.
+    /// attempt starts at cycle 0, so a job that needs more cycles trips
+    /// this on every attempt, burns its failure budget, and quarantines.
     pub deadline_cycles: Option<u64>,
     /// Failures (across restarts) before a job is quarantined.
     pub max_failures: u32,
@@ -82,10 +84,11 @@ impl ServiceConfig {
     }
 }
 
-/// One supervised simulation.
-pub struct JobSpec {
-    /// Stable, filesystem-safe id; names the job in the journal, the
-    /// result cache, and the sweep table.
+/// One supervised simulation: the lowering of an admitted wire spec
+/// (`session::spec_to_job` is its only constructor).
+pub(crate) struct JobSpec {
+    /// Stable, filesystem-safe id (the wire spec's); names the job in the
+    /// journal, the result cache, and reply frames.
     pub id: String,
     /// What to simulate and how to validate it.
     pub workload: Workload,
@@ -94,84 +97,13 @@ pub struct JobSpec {
     /// Fault-plan seed: `Some` runs the job under seeded chaos and
     /// reports the injection counters alongside the result.
     pub chaos: Option<u64>,
-    /// Per-job cycle deadline, overriding the service-wide one. The
-    /// wedged drill job carries its own so it quarantines without
-    /// imposing a budget on healthy jobs in the same sweep.
+    /// Per-job cycle deadline, overriding the service-wide one.
     pub deadline_cycles: Option<u64>,
     /// Per-job wall-clock deadline, overriding the service-wide one.
     pub deadline_wall_ms: Option<u64>,
 }
 
 impl JobSpec {
-    /// Builds the spec for a named kernel on a Fig. 6 shape, keyed the
-    /// same way the bench harness keys it (so ids read like
-    /// `HIP-T-glsc-4x4-w4`). Chaos jobs get a `-chaos<seed>` suffix —
-    /// the fault plan changes timing, so it must change identity.
-    ///
-    /// Kernel names (including `pattern:<spec>` strings) come from
-    /// protocol clients, so an unbuildable name is a typed error the
-    /// admission path can turn into a `Rejected` reply.
-    pub fn kernel(
-        kernel: &str,
-        ds: Dataset,
-        variant: Variant,
-        (cores, tpc): (usize, usize),
-        width: usize,
-        chaos: Option<u64>,
-    ) -> Result<Self, glsc_kernels::KernelError> {
-        let mut cfg = MachineConfig::paper(cores, tpc, width);
-        if chaos.is_some() {
-            // Same guard rails as the bench chaos path: the plan slows
-            // runs down, so give headroom and keep the watchdog armed.
-            cfg = cfg
-                .with_max_cycles(2_000_000_000)
-                .with_watchdog_window(Some(5_000_000));
-        }
-        let workload = build_named(kernel, ds, variant, &cfg)?;
-        let mut id = format!(
-            "{kernel}-{}-{}-{cores}x{tpc}-w{width}",
-            glsc_bench::ds_label(ds),
-            variant.label()
-        );
-        if let Some(seed) = chaos {
-            id.push_str(&format!("-chaos{seed}"));
-        }
-        Ok(Self {
-            id,
-            workload,
-            cfg,
-            chaos,
-            deadline_cycles: None,
-            deadline_wall_ms: None,
-        })
-    }
-
-    /// A job that never halts: a one-instruction jump loop. The fault
-    /// drill for the deadline + quarantine path (`--inject-wedged`).
-    pub fn wedged() -> Self {
-        let mut b = glsc_isa::ProgramBuilder::new();
-        let top = b.label();
-        b.bind(top).expect("fresh label");
-        b.li(glsc_isa::Reg::new(1), 1);
-        b.jmp(top);
-        b.halt();
-        Self {
-            id: "WEDGE".to_string(),
-            workload: Workload {
-                name: "WEDGE".to_string(),
-                program: b.build().expect("wedge program assembles"),
-                image: glsc_kernels::MemImage::new(),
-                validate: Box::new(|_| Ok(())),
-            },
-            cfg: MachineConfig::paper(1, 1, 4).with_max_cycles(u64::MAX / 2),
-            chaos: None,
-            // Self-contained drill: the wedge budgets itself, so healthy
-            // jobs sharing the sweep keep running without a deadline.
-            deadline_cycles: Some(50_000),
-            deadline_wall_ms: None,
-        }
-    }
-
     fn cache_key(&self) -> String {
         job_key(
             &[&self.id],
@@ -183,7 +115,7 @@ impl JobSpec {
 
 /// One finished job's durable result.
 #[derive(Clone, Debug, PartialEq)]
-pub struct JobResult {
+pub(crate) struct JobResult {
     /// The simulation report (bit-identical to an unsupervised run).
     pub report: RunReport,
     /// Rendered chaos counters when the job ran under a fault plan.
@@ -192,81 +124,7 @@ pub struct JobResult {
 
 /// Per-job outcomes in submission order; `None` marks jobs not reached
 /// before a drain.
-pub type SweepOutcomes = Vec<Option<Result<JobResult, JobError>>>;
-
-/// Outcome of a whole sweep.
-pub struct SweepReport {
-    /// Per-job outcomes, in submission order. `None` marks jobs not
-    /// reached before a drain.
-    pub outcomes: SweepOutcomes,
-    /// A SIGTERM arrived and the service drained cleanly.
-    pub drained: bool,
-}
-
-impl SweepReport {
-    /// Process exit code: 0 for a clean (or cleanly drained) sweep, 1
-    /// when any job failed or was quarantined.
-    pub fn exit_code(&self) -> i32 {
-        let failed = self
-            .outcomes
-            .iter()
-            .flatten()
-            .any(|outcome| outcome.is_err());
-        i32::from(failed && !self.drained)
-    }
-}
-
-/// Runs the sweep under supervision. Progress goes to stderr; the caller
-/// renders the table from the returned report ([`print_sweep`]) so
-/// stdout stays byte-identical across crash/recovery histories.
-pub fn run_sweep(cfg: &ServiceConfig, jobs: &[JobSpec]) -> std::io::Result<SweepReport> {
-    std::fs::create_dir_all(&cfg.state_dir)?;
-    let store = JobStore::at(cfg.state_dir.join("cache"), true);
-    let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log"))?;
-    let ledgers = replay(&records);
-    let (outcomes, drained) = run_supervised(cfg, &store, &mut journal, &ledgers, jobs, |_, _| {})?;
-    Ok(SweepReport { outcomes, drained })
-}
-
-/// Renders the sweep table. Deterministic: no paths, no timestamps, no
-/// host state — a recovered sweep prints the same bytes as a solo one.
-/// Failed rows carry the degradation-mode cell ([`JobError::cell`]):
-/// `PANIC`, `DEAD`, `QUAR`, or `SHED`, never a conflated `ERR`.
-pub fn print_sweep(jobs: &[JobSpec], report: &SweepReport, out: &mut impl std::io::Write) {
-    if report.drained {
-        // Nothing goes to the table on a drain; the next invocation
-        // finishes the sweep and prints the whole thing.
-        return;
-    }
-    let width = jobs.iter().map(|j| j.id.len()).max().unwrap_or(0).max(3);
-    let _ = writeln!(out, "=== glsc-serve sweep: {} job(s) ===", jobs.len());
-    let mut ok = 0usize;
-    let mut failed = 0usize;
-    for (job, outcome) in jobs.iter().zip(&report.outcomes) {
-        match outcome {
-            Some(Ok(result)) => {
-                ok += 1;
-                let _ = writeln!(
-                    out,
-                    "{:<width$}  {:>12} cycles",
-                    job.id, result.report.cycles
-                );
-                if let Some(chaos) = &result.chaos {
-                    let _ = writeln!(out, "{:<width$}  chaos: {chaos}", "");
-                }
-            }
-            Some(Err(e)) => {
-                failed += 1;
-                let _ = writeln!(out, "{:<width$}  {} {}", job.id, e.cell(), e.message());
-            }
-            None => {
-                failed += 1;
-                let _ = writeln!(out, "{:<width$}  ERR not reached", job.id);
-            }
-        }
-    }
-    let _ = writeln!(out, "== {ok} ok, {failed} failed ==");
-}
+pub(crate) type SweepOutcomes = Vec<Option<Result<JobResult, JobError>>>;
 
 /// Per-job supervision state threaded across rounds.
 struct JobState {
@@ -427,12 +285,11 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
     }
 }
 
-/// The supervision engine shared by the sweep CLI ([`run_sweep`]) and
-/// the protocol front-end: every round runs the still-pending jobs
-/// through [`Fleet::run_each_supervised`] one at a time, in submission
-/// order, each from the start of its spec, then retries failures with
-/// seeded backoff until each job is done, quarantined, or the service
-/// drains.
+/// The supervision engine behind a session's `Run`: every round runs
+/// the still-pending jobs through [`Fleet::run_each_supervised`] one at
+/// a time, in submission order, each from the start of its spec, then
+/// retries failures with seeded backoff until each job is done,
+/// quarantined, or the service drains.
 ///
 /// `on_result(index, outcome)` streams each job's final outcome the
 /// moment it is durable (journaled + cached), in completion order — the
@@ -441,7 +298,7 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
 /// the journal/cache stream immediately.
 ///
 /// Returns the outcomes in job order plus the drain flag.
-pub fn run_supervised<F>(
+pub(crate) fn run_supervised<F>(
     svc: &ServiceConfig,
     store: &JobStore,
     journal: &mut Journal,
@@ -452,11 +309,10 @@ pub fn run_supervised<F>(
 where
     F: FnMut(usize, &Result<JobResult, JobError>),
 {
-    // Resolve what the journal already settled; journal acceptance for
-    // the rest.
+    // Resolve what the journal already settled; the rest run.
     let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
     for (gi, job) in jobs.iter().enumerate() {
-        let mut ledger = ledgers.get(&job.id).cloned().unwrap_or_default();
+        let ledger = ledgers.get(&job.id).cloned().unwrap_or_default();
         let key = job.cache_key();
         let mut outcome = None;
         if ledger.quarantined {
@@ -466,17 +322,6 @@ where
             }));
         } else if let Some(chaos) = &ledger.done {
             if let Some(report) = store.load(&key) {
-                // A resubmission of a finished job journaled a fresh
-                // `Submitted`; close it out, or the job replays as
-                // pending at every boot and its stale queue slot sheds
-                // new work forever.
-                if ledger.pending.is_some() {
-                    journal.append(&JournalRecord::Done {
-                        job: job.id.clone(),
-                        chaos: chaos.clone(),
-                    })?;
-                    ledger.pending = None;
-                }
                 outcome = Some(Ok(JobResult {
                     report,
                     chaos: chaos.clone(),
@@ -490,12 +335,6 @@ where
                     job.id
                 );
             }
-        }
-        if outcome.is_none() && !ledger.accepted {
-            journal.append(&JournalRecord::Accepted {
-                job: job.id.clone(),
-            })?;
-            ledger.accepted = true;
         }
         if let Some(o) = &outcome {
             on_result(gi, o);
@@ -591,6 +430,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::replay;
+    use crate::proto::{print_table, read_message, write_message, Reply, Request};
+    use crate::session::{run_session, spec_to_job, SessionEnd};
+    use glsc_bench::codec::decode_report;
+    use glsc_bench::jobspec::WireJobSpec;
+    use glsc_kernels::{Dataset, Variant};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("glsc-serve-svc-{tag}-{}", std::process::id()));
@@ -598,8 +443,79 @@ mod tests {
         dir
     }
 
+    fn hip(shape: (usize, usize)) -> WireJobSpec {
+        WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, shape, 4)
+    }
+
     fn fig6_job() -> JobSpec {
-        JobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (1, 2), 4, None).unwrap()
+        spec_to_job(&hip((1, 2))).unwrap()
+    }
+
+    /// The request frames a sweep of `specs` sends: one `Submit` each,
+    /// then the `Run` barrier.
+    fn requests(specs: &[WireJobSpec]) -> Vec<u8> {
+        let mut input = Vec::new();
+        for spec in specs {
+            let submit = Request::Submit {
+                priority: 0,
+                spec: spec.clone(),
+            };
+            write_message(&mut input, &submit).unwrap();
+        }
+        write_message(&mut input, &Request::Run).unwrap();
+        input
+    }
+
+    /// One session over `input`: how it ended, and every reply frame.
+    fn session(cfg: &ServiceConfig, input: &mut impl std::io::Read) -> (SessionEnd, Vec<Reply>) {
+        let mut output = Vec::new();
+        let end = run_session(cfg, input, &mut output).unwrap();
+        let mut frames = &output[..];
+        let mut replies = Vec::new();
+        while let Some(reply) = read_message::<Reply>(&mut frames).unwrap() {
+            replies.push(reply);
+        }
+        (end, replies)
+    }
+
+    /// A sweep through the front door, as the `sweep` command runs it.
+    fn sweep(cfg: &ServiceConfig, specs: &[WireJobSpec]) -> (SessionEnd, Vec<Reply>) {
+        session(cfg, &mut &requests(specs)[..])
+    }
+
+    /// The sweep table and its failed-row count (the `sweep` command
+    /// exits 1 exactly when that count is nonzero).
+    fn table(specs: &[WireJobSpec], replies: &[Reply]) -> (String, usize) {
+        let ids: Vec<String> = specs.iter().map(WireJobSpec::id).collect();
+        let mut out = Vec::new();
+        let failed = print_table(&ids, replies, &mut out);
+        (String::from_utf8(out).unwrap(), failed)
+    }
+
+    /// The result frame streamed for `id`, if any.
+    fn outcome<'a>(replies: &'a [Reply], id: &str) -> Option<&'a Reply> {
+        replies.iter().find(|r| {
+            matches!(r, Reply::JobDone { id: got, .. } | Reply::JobFailed { id: got, .. } if got == id)
+        })
+    }
+
+    /// The `QUAR` frame for `id`: its detail, which names the failure
+    /// count.
+    fn quarantined<'a>(replies: &'a [Reply], id: &str) -> &'a str {
+        match outcome(replies, id) {
+            Some(Reply::JobFailed { label, detail, .. }) if label == "QUAR" => detail,
+            other => panic!("{id} ended as {other:?}"),
+        }
+    }
+
+    /// The report streamed for `id`, decoded, with its chaos line.
+    fn done(replies: &[Reply], id: &str) -> (RunReport, Option<String>) {
+        match outcome(replies, id) {
+            Some(Reply::JobDone { report, chaos, .. }) => {
+                (decode_report(report).unwrap(), chaos.clone())
+            }
+            other => panic!("{id} ended as {other:?}"),
+        }
     }
 
     #[test]
@@ -607,13 +523,16 @@ mod tests {
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("clean");
         let cfg = ServiceConfig::new(dir.clone());
-        let jobs = vec![fig6_job()];
-        let report = run_sweep(&cfg, &jobs).unwrap();
-        let solo = glsc_kernels::run_workload(&jobs[0].workload, &jobs[0].cfg).unwrap();
-        let got = report.outcomes[0].as_ref().unwrap().as_ref().unwrap();
-        assert_eq!(got.report, solo.report);
-        assert_eq!(got.chaos, None);
-        assert_eq!(report.exit_code(), 0);
+        let specs = [hip((1, 2))];
+        let (end, replies) = sweep(&cfg, &specs);
+        assert_eq!(end, SessionEnd::Closed);
+        let job = fig6_job();
+        let solo = glsc_kernels::run_workload(&job.workload, &job.cfg).unwrap();
+        let (report, chaos) = done(&replies, &job.id);
+        assert_eq!(report, solo.report);
+        assert_eq!(chaos, None);
+        let (first, failed) = table(&specs, &replies);
+        assert_eq!(failed, 0);
         assert!(
             !dir.join("checkpoints").exists(),
             "the service must not write mid-run checkpoints"
@@ -621,34 +540,38 @@ mod tests {
 
         // A second sweep over the same state dir serves from the store
         // and prints the same table.
-        let mut first = Vec::new();
-        print_sweep(&jobs, &report, &mut first);
-        let report2 = run_sweep(&cfg, &jobs).unwrap();
-        let mut second = Vec::new();
-        print_sweep(&jobs, &report2, &mut second);
-        assert_eq!(first, second);
+        let (_, replies2) = sweep(&cfg, &specs);
+        assert_eq!(table(&specs, &replies2).0, first);
         assert!(!first.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wedged_job_deadlines_then_quarantines_and_sweep_degrades() {
+    fn deadline_trips_then_quarantines_and_sweep_degrades() {
+        // HIP Tiny GLSC needs 32,402 cycles at 1x1 and 8,766 at 1x4, so
+        // under a 20,000-cycle budget the first trips on every attempt
+        // and the second finishes.
         let _flag = signal::term_flag_shared();
-        let dir = tmp_dir("wedge");
+        let dir = tmp_dir("deadline");
         let mut cfg = ServiceConfig::new(dir.clone());
         cfg.max_failures = 3;
-        let jobs = vec![JobSpec::wedged(), fig6_job()];
-        let report = run_sweep(&cfg, &jobs).unwrap();
-        match report.outcomes[0].as_ref().unwrap() {
-            Err(JobError::Quarantined { failures, .. }) => assert_eq!(*failures, 3),
-            other => panic!("wedge ended as {other:?}"),
-        }
+        let specs: Vec<WireJobSpec> = [(1, 1), (1, 4)]
+            .into_iter()
+            .map(|shape| WireJobSpec {
+                deadline_cycles: Some(20_000),
+                ..hip(shape)
+            })
+            .collect();
+        let poison = specs[0].id();
+        let (_, replies) = sweep(&cfg, &specs);
+        assert_eq!(
+            quarantined(&replies, &poison),
+            "quarantined after 3 failure(s)"
+        );
         // The healthy job still completed; the sweep exits nonzero.
-        assert!(report.outcomes[1].as_ref().unwrap().is_ok());
-        assert_eq!(report.exit_code(), 1);
-        let mut table = Vec::new();
-        print_sweep(&jobs, &report, &mut table);
-        let text = String::from_utf8(table).unwrap();
+        done(&replies, &specs[1].id());
+        let (text, failed) = table(&specs, &replies);
+        assert_eq!(failed, 1);
         assert!(
             text.contains("QUAR quarantined after 3 failure(s)"),
             "{text}"
@@ -657,26 +580,24 @@ mod tests {
         assert!(text.contains("== 1 ok, 1 failed =="), "{text}");
 
         // The journal pins the exact failure history: 3 deadline
-        // failures, then quarantine; and a re-run skips the wedge
+        // failures, then quarantine; and a re-run skips the job
         // immediately (still quarantined, no new attempts).
         let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
         let fails = records
             .iter()
-            .filter(|r| matches!(r, JournalRecord::Failed { job, .. } if job == "WEDGE"))
+            .filter(|r| matches!(r, JournalRecord::Failed { job, .. } if *job == poison))
             .count();
         assert_eq!(fails, 3);
         let before = records.len();
-        let report2 = run_sweep(&cfg, &jobs).unwrap();
-        assert!(matches!(
-            report2.outcomes[0].as_ref().unwrap(),
-            Err(JobError::Quarantined { .. })
-        ));
+        let (_, replies2) = sweep(&cfg, &specs);
+        quarantined(&replies2, &poison);
         let (_, records2) = Journal::open(&dir.join("journal.log")).unwrap();
-        let new_wedge_records = records2[before..]
+        // The resubmission itself is journaled; it is not a retry.
+        let new_poison_records = records2[before..]
             .iter()
-            .filter(|r| r.job() == "WEDGE")
+            .filter(|r| r.job() == poison && !matches!(r, JournalRecord::Submitted { .. }))
             .count();
-        assert_eq!(new_wedge_records, 0, "quarantined job was retried");
+        assert_eq!(new_poison_records, 0, "quarantined job was retried");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -687,21 +608,22 @@ mod tests {
         // every retry tripped at its own first pause and the job was
         // quarantined without its retries getting any run time. Each
         // attempt reruns from cycle 0, so each needs the whole budget.
+        // SMC Base at dataset B on 32x8 takes about 300 ms of host time
+        // in a release build, ten times the budget. Simulated cycles are
+        // no guide: idle windows are skipped, so TMS Base at dataset A,
+        // 1x1 (2,069,233 cycles) can finish inside 30 ms.
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("wall");
         let mut cfg = ServiceConfig::new(dir.clone());
         cfg.max_failures = 3;
-        let mut wedge = JobSpec::wedged();
-        wedge.deadline_cycles = None;
-        wedge.deadline_wall_ms = Some(30);
-        let report = run_sweep(&cfg, &[wedge]).unwrap();
-        assert!(
-            matches!(
-                report.outcomes[0],
-                Some(Err(JobError::Quarantined { failures: 3, .. }))
-            ),
-            "{:?}",
-            report.outcomes[0]
+        let spec = WireJobSpec {
+            deadline_wall_ms: Some(30),
+            ..WireJobSpec::kernel("SMC", Dataset::B, Variant::Base, (32, 8), 4)
+        };
+        let (_, replies) = sweep(&cfg, std::slice::from_ref(&spec));
+        assert_eq!(
+            quarantined(&replies, &spec.id()),
+            "quarantined after 3 failure(s)"
         );
         let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
         let stops: Vec<u64> = records
@@ -726,30 +648,50 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A request stream that raises the drain flag once the session has
+    /// read its last byte, as a SIGTERM arriving right after the `Run`
+    /// barrier would.
+    struct TermAtEnd<'a>(&'a [u8]);
+
+    impl std::io::Read for TermAtEnd<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(buf)?;
+            if self.0.is_empty() {
+                signal::request_term();
+            }
+            Ok(n)
+        }
+    }
+
     #[test]
     fn drain_drops_in_flight_work_and_next_run_finishes_identically() {
         let _flag = signal::term_flag_exclusive();
         let dir = tmp_dir("drain");
         let cfg = ServiceConfig::new(dir.clone());
-        let jobs = vec![fig6_job()];
+        let specs = [hip((1, 2))];
+        let id = specs[0].id();
 
-        // First run drains immediately: the TERM flag is set before the
-        // first round, so the sweep reports a drain instead of a result.
-        signal::request_term();
-        let drained = run_sweep(&cfg, &jobs).unwrap();
-        assert!(drained.drained);
-        assert!(drained.outcomes[0].is_none());
-        assert_eq!(drained.exit_code(), 0);
-        let mut table = Vec::new();
-        print_sweep(&jobs, &drained, &mut table);
-        assert!(table.is_empty(), "drained sweep wrote to the table");
+        // First run drains: the TERM flag goes up as the session reads
+        // the `Run` barrier, so the job is journaled as submitted but the
+        // first round never starts. A drained session streams no result
+        // (the `sweep` command prints nothing for it and exits 0).
+        let input = requests(&specs);
+        let (end, replies) = session(&cfg, &mut TermAtEnd(&input));
+        assert_eq!(end, SessionEnd::Drained);
+        assert!(outcome(&replies, &id).is_none(), "{replies:?}");
+        let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
+        assert!(replay(&records)[&id].pending.is_some());
 
         // Clear the flag (tests share the process-global) and finish.
         super::signal::clear_term_for_tests();
-        let report = run_sweep(&cfg, &jobs).unwrap();
-        let got = report.outcomes[0].as_ref().unwrap().as_ref().unwrap();
-        let solo = glsc_kernels::run_workload(&jobs[0].workload, &jobs[0].cfg).unwrap();
-        assert_eq!(got.report, solo.report, "rerun after the drain diverged");
+        let (_, replies) = sweep(&cfg, &specs);
+        let job = fig6_job();
+        let solo = glsc_kernels::run_workload(&job.workload, &job.cfg).unwrap();
+        assert_eq!(
+            done(&replies, &id).0,
+            solo.report,
+            "rerun after the drain diverged"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -758,24 +700,20 @@ mod tests {
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("chaos");
         let cfg = ServiceConfig::new(dir.clone());
-        let jobs =
-            vec![
-                JobSpec::kernel("GBC", Dataset::Tiny, Variant::Glsc, (2, 2), 4, Some(0x5EED))
-                    .unwrap(),
-            ];
-        let report = run_sweep(&cfg, &jobs).unwrap();
-        let got = report.outcomes[0].as_ref().unwrap().as_ref().unwrap();
-        let chaos = got.chaos.as_ref().expect("chaos job must report counters");
+        let specs = [WireJobSpec {
+            chaos: Some(0x5EED),
+            ..WireJobSpec::kernel("GBC", Dataset::Tiny, Variant::Glsc, (2, 2), 4)
+        }];
+        let (_, replies) = sweep(&cfg, &specs);
+        let (_, chaos) = done(&replies, &specs[0].id());
+        let chaos = chaos.expect("chaos job must report counters");
         assert!(chaos.contains("injection_points"), "{chaos}");
 
         // Re-sweeping serves the cached report with the *journaled*
         // chaos line — byte-identical table.
-        let mut first = Vec::new();
-        print_sweep(&jobs, &report, &mut first);
-        let report2 = run_sweep(&cfg, &jobs).unwrap();
-        let mut second = Vec::new();
-        print_sweep(&jobs, &report2, &mut second);
-        assert_eq!(first, second);
+        let first = table(&specs, &replies).0;
+        let (_, replies2) = sweep(&cfg, &specs);
+        assert_eq!(table(&specs, &replies2).0, first);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -809,11 +747,14 @@ mod tests {
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("order");
         let cfg = ServiceConfig::new(dir.clone());
-        let jobs = vec![
-            JobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (1, 1), 4, None).unwrap(),
-            JobSpec::kernel("HIP", Dataset::Tiny, Variant::Base, (4, 4), 4, None).unwrap(),
-            JobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (4, 4), 4, None).unwrap(),
-        ];
+        let jobs: Vec<JobSpec> = [
+            hip((1, 1)),
+            WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Base, (4, 4), 4),
+            hip((4, 4)),
+        ]
+        .iter()
+        .map(|spec| spec_to_job(spec).unwrap())
+        .collect();
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
         let store = JobStore::at(cfg.state_dir.join("cache"), true);
         let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();

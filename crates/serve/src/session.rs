@@ -1,6 +1,12 @@
 //! One protocol session: framed requests in, framed replies and
 //! streaming results out (DESIGN.md §15).
 //!
+//! This is the service's one front door: every job `glsc-serve` runs
+//! enters here as a [`WireJobSpec`], whether a client sent it over
+//! stdin or a socket or the `sweep` command wrote it into an in-memory
+//! request buffer, and `spec_to_job` is the one lowering into a
+//! supervised job.
+//!
 //! A session alternates between an **admission phase** — reading
 //! [`Request`] frames, applying the [`AdmissionQueue`] policy, and
 //! journaling every decision (`Submitted` / `Shed`) before the reply
@@ -33,6 +39,8 @@ use crate::service::{run_supervised, JobSpec, ServiceConfig};
 use crate::signal;
 use glsc_bench::jobspec::WireJobSpec;
 use glsc_bench::{codec::encode_report, JobStore};
+use glsc_kernels::build_named;
+use glsc_sim::MachineConfig;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
@@ -230,8 +238,24 @@ pub fn run_session(
     }
 }
 
-/// Journals one admission and mirrors it into the in-memory ledgers (the
-/// session's view must match what a restart would replay).
+/// Journals one record and folds it into the in-memory ledgers by the
+/// rule replay uses, so the session's view always matches what a
+/// restart would replay.
+fn journal_apply(
+    journal: &mut Journal,
+    ledgers: &mut HashMap<String, JobLedger>,
+    rec: JournalRecord,
+) -> io::Result<()> {
+    journal.append(&rec)?;
+    ledgers
+        .entry(rec.job().to_string())
+        .or_default()
+        .apply(&rec);
+    Ok(())
+}
+
+/// Journals one admission. A resubmission of a job the journal already
+/// settled is journaled too, but stays not pending.
 fn journal_submit(
     journal: &mut Journal,
     ledgers: &mut HashMap<String, JobLedger>,
@@ -239,15 +263,12 @@ fn journal_submit(
     priority: u8,
     spec: &WireJobSpec,
 ) -> io::Result<()> {
-    journal.append(&JournalRecord::Submitted {
+    let rec = JournalRecord::Submitted {
         job: id.to_string(),
         priority,
         spec: spec.to_bytes(),
-    })?;
-    let ledger = ledgers.entry(id.to_string()).or_default();
-    ledger.accepted = true;
-    ledger.pending = Some((priority, spec.to_bytes()));
-    Ok(())
+    };
+    journal_apply(journal, ledgers, rec)
 }
 
 /// Journals one shed decision (admission refusal or eviction).
@@ -256,13 +277,10 @@ fn journal_shed(
     ledgers: &mut HashMap<String, JobLedger>,
     id: &str,
 ) -> io::Result<()> {
-    journal.append(&JournalRecord::Shed {
+    let rec = JournalRecord::Shed {
         job: id.to_string(),
-    })?;
-    if let Some(ledger) = ledgers.get_mut(id) {
-        ledger.pending = None;
-    }
-    Ok(())
+    };
+    journal_apply(journal, ledgers, rec)
 }
 
 /// Re-queues every journal-replayed pending job, in original submission
@@ -316,35 +334,44 @@ fn restore_pending(
     }
 }
 
-/// Lowers one validated wire spec into a supervised job. The job id is
-/// forced to the wire spec's id so reply frames, ledgers, and journal
-/// entries all key identically (pattern jobs hash their spec string into
-/// the id; the supervisor's raw naming would leak `:*@` into filenames).
+/// Lowers one wire spec into a supervised job: the only constructor of
+/// [`JobSpec`]. The job id is the wire spec's id, so reply frames,
+/// ledgers, and journal entries all key identically (pattern jobs hash
+/// their spec string into the id, so no `:*@` reaches a filename).
 ///
 /// Total, not panicking: specs normally validated at admission, but the
 /// queue can also hold journal-replayed bytes an older (looser) build
 /// admitted, and the validator and the workload builder can drift — a
 /// spec that no longer lowers is a typed failure the session reports,
 /// never a dead service.
-fn spec_to_job(spec: &WireJobSpec) -> Result<JobSpec, String> {
+pub(crate) fn spec_to_job(spec: &WireJobSpec) -> Result<JobSpec, String> {
     spec.validate().map_err(|e| e.to_string())?;
-    let mut job = JobSpec::kernel(
+    let mut cfg = MachineConfig::paper(spec.cores as usize, spec.tpc as usize, spec.width as usize);
+    if spec.chaos.is_some() {
+        // Same guard rails as the bench chaos path: the plan slows runs
+        // down, so give headroom and keep the watchdog armed.
+        cfg = cfg
+            .with_max_cycles(2_000_000_000)
+            .with_watchdog_window(Some(5_000_000));
+    }
+    let workload = build_named(
         &spec.kernel_name(),
         spec.resolve_dataset(),
         spec.resolve_variant(),
-        (spec.cores as usize, spec.tpc as usize),
-        spec.width as usize,
-        spec.chaos,
+        &cfg,
     )
     .map_err(|e| e.to_string())?;
-    job.id = spec.id();
-    // The consistency model reaches the machine through the config; the
-    // wire id already carries the `-tso`/`-relaxed` suffix, so relaxed
-    // jobs key their own journal ledgers and cache rows.
-    job.cfg = job.cfg.with_memory_order(spec.memory_order);
-    job.deadline_cycles = spec.deadline_cycles;
-    job.deadline_wall_ms = spec.deadline_wall_ms;
-    Ok(job)
+    Ok(JobSpec {
+        id: spec.id(),
+        workload,
+        // The consistency model reaches the machine through the config;
+        // the wire id already carries the `-tso`/`-relaxed` suffix, so
+        // relaxed jobs key their own journal ledgers and cache rows.
+        cfg: cfg.with_memory_order(spec.memory_order),
+        chaos: spec.chaos,
+        deadline_cycles: spec.deadline_cycles,
+        deadline_wall_ms: spec.deadline_wall_ms,
+    })
 }
 
 /// Runs everything queued through the supervisor, one job at a time,

@@ -4,10 +4,10 @@
 //! * **SIGTERM drain** — a real `kill -TERM` mid-sweep must drop the
 //!   runs in flight, exit 0 printing nothing, and a rerun must finish
 //!   with output byte-identical to an uninterrupted run.
-//! * **Deadline → quarantine** — `--inject-wedged` plants a job that
-//!   never halts; the supervisor must trip its cycle deadline, retry
-//!   with backoff, quarantine it, degrade the sweep table to a `QUAR`
-//!   cell, and exit nonzero while the healthy jobs still complete.
+//! * **Deadline → quarantine** — a cycle budget that one job of the
+//!   sweep cannot finish within; the supervisor must trip its deadline,
+//!   retry with backoff, quarantine it, degrade the sweep table to a
+//!   `QUAR` cell, and exit nonzero while the healthy jobs still complete.
 
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
@@ -95,28 +95,27 @@ fn sigterm_drains_cleanly_and_rerun_matches_solo() {
 }
 
 #[test]
-fn wedged_job_quarantines_and_sweep_degrades() {
-    let dir = tmp_dir("wedge");
-    let out = sweep_cmd(
-        &dir,
-        &[
-            "--kernels",
-            "HIP",
-            "--shapes",
-            "1x2",
-            "--inject-wedged",
-            "--max-failures",
-            "2",
-        ],
-    )
-    .output()
-    .expect("wedged sweep");
+fn deadline_job_quarantines_and_sweep_degrades() {
+    // HIP Tiny GLSC needs 32,402 cycles at 1x1, so it trips a 20,000-cycle
+    // deadline on both attempts; at 1x4 it needs 8,766 and finishes.
+    let args = [
+        "--kernels",
+        "HIP",
+        "--shapes",
+        "1x1,1x4",
+        "--deadline-cycles",
+        "20000",
+        "--max-failures",
+        "2",
+    ];
+    let dir = tmp_dir("deadline");
+    let out = sweep_cmd(&dir, &args).output().expect("deadline sweep");
 
     assert_eq!(out.status.code(), Some(1), "degraded sweep must exit 1");
     let table = stdout_of(&out);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        table.contains("WEDGE") && table.contains("QUAR"),
+        table.contains("HIP-T-GLSC-1x1-w4") && table.contains("QUAR"),
         "missing QUAR cell:\n{table}"
     );
     assert!(
@@ -124,7 +123,7 @@ fn wedged_job_quarantines_and_sweep_degrades() {
         "missing quarantine reason:\n{table}"
     );
     assert!(
-        table.contains("HIP-T-GLSC-1x2-w4") && table.contains("1 ok, 1 failed"),
+        table.contains("HIP-T-GLSC-1x4-w4") && table.contains("1 ok, 1 failed"),
         "healthy job missing from degraded table:\n{table}"
     );
     assert!(
@@ -134,21 +133,8 @@ fn wedged_job_quarantines_and_sweep_degrades() {
 
     // Rerunning against the same state dir replays the quarantine from
     // the journal: still exit 1, same table, and fast (no re-simulation
-    // of the wedge's 50k-cycle budget × retries).
-    let rerun = sweep_cmd(
-        &dir,
-        &[
-            "--kernels",
-            "HIP",
-            "--shapes",
-            "1x2",
-            "--inject-wedged",
-            "--max-failures",
-            "2",
-        ],
-    )
-    .output()
-    .expect("rerun");
+    // of the poisoned job's 20k-cycle budget × retries).
+    let rerun = sweep_cmd(&dir, &args).output().expect("rerun");
     assert_eq!(rerun.status.code(), Some(1));
     assert_eq!(stdout_of(&rerun), table);
     let _ = std::fs::remove_dir_all(&dir);

@@ -3,7 +3,7 @@
 //! For every kernel × Fig. 6 shape: run the service worker to completion
 //! undisturbed (solo), then run it again in a fresh state dir while
 //! killing it — `kill -9` semantics via `abort()` — at hostile points
-//! (mid-journal-append on the `Accepted` and on the `Done` record,
+//! (mid-journal-append on the `Submitted` and on the `Done` record,
 //! mid-run), restarting after each death. Every injected kill must
 //! actually fire, and the final, undisturbed invocation must exit 0 and
 //! print a sweep table **byte-identical** to the solo run's. Recovery is
@@ -11,15 +11,15 @@
 //! job reruns to the same counters, that a multi-job sweep never
 //! re-simulates a job it already finished, and that a state dir left by
 //! a checkpointing build reruns its jobs without reading the old
-//! checkpoint files.
+//! checkpoint files. Every drill compares a build with itself, so one
+//! more test pins the table's bytes.
 //!
 //! Set `GLSC_DRILL_KERNELS=HIP,GBC` to bound the matrix (CI smoke).
 
 use glsc_bench::jobspec::WireJobSpec;
-use glsc_kernels::{Dataset, Variant};
+use glsc_kernels::{build_named, Dataset, Variant};
 use glsc_serve::journal::{Journal, JournalRecord};
-use glsc_serve::JobSpec;
-use glsc_sim::{Machine, SlicedRun};
+use glsc_sim::{Machine, MachineConfig, SlicedRun};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -126,7 +126,7 @@ fn drill(kernel: &str, shape: (usize, usize), extra: &[&str], tag: &str) {
     assert!(solo_out.contains("cycles"), "{tag}: empty solo table");
 
     let drill_dir = tmp_dir(&format!("drill-{tag}"));
-    // Mid-journal-append on the first record (`Accepted` torn), then on
+    // Mid-journal-append on the first record (`Submitted` torn), then on
     // the second (`Done` torn after the report reached the store, so
     // recovery must not trust the store without the record), then a
     // plain mid-run kill that throws the whole attempt away.
@@ -183,8 +183,10 @@ fn kill_drill_chaos_counters_survive_recovery() {
     );
 
     let drill_dir = tmp_dir("chaos-drill");
-    // A life journals `Accepted` only the first time, so `journal:2`
-    // tears the first life's `Done` and `journal:1` a later life's.
+    // Only the first life journals `Submitted` (later lives find the job
+    // pending in the journal, so their submission is a duplicate), so
+    // `journal:2` tears the first life's `Done` and `journal:1` a later
+    // life's.
     for kill in ["journal:2", "cycles:2000", "journal:1", "cycles:6000"] {
         let out = invoke(&drill_dir, "GBC", (2, 2), &extra, Some(kill));
         assert_killed(&out, kill, "chaos");
@@ -238,7 +240,9 @@ fn randomized_kill_points_converge() {
 #[test]
 fn sweep_drill_never_resimulates_finished_jobs() {
     // Four jobs, run one at a time in this order: HIP 4x4 (3k cycles),
-    // HIP 1x1 (32k), GBC 4x4 (7k), GBC 1x1 (39k). Each `cycles:` kill
+    // HIP 1x1 (32k), GBC 4x4 (7k), GBC 1x1 (39k); a later life runs the
+    // jobs the journal left pending first, in that order, and serves the
+    // finished ones it resubmits from the store. Each `cycles:` kill
     // lands in a 1x1 job after some jobs are done (20000: in HIP 1x1;
     // 35000: in GBC 1x1); the journal must end with exactly one `Done`
     // per job across every life, so no finished job was simulated twice.
@@ -278,18 +282,17 @@ fn sweep_drill_never_resimulates_finished_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Encoded snapshot of `job` after `cycles` simulated cycles.
-fn snapshot_bytes(job: &JobSpec, cycles: u64) -> Vec<u8> {
-    let mut m = Machine::new(job.cfg.clone());
-    job.workload.image.apply(m.mem_mut().backing_mut());
-    m.load_program(job.workload.program.clone());
+/// Encoded snapshot of `kernel` (Tiny, GLSC, 4x4) after `cycles`
+/// simulated cycles.
+fn snapshot_bytes(kernel: &str, cycles: u64) -> Vec<u8> {
+    let cfg = MachineConfig::paper(4, 4, 4);
+    let workload = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect(kernel);
+    let mut m = Machine::new(cfg);
+    workload.image.apply(m.mem_mut().backing_mut());
+    m.load_program(workload.program);
     let mut run = SlicedRun::new(&m);
     let report = m.run_for(&mut run, cycles).expect("slice runs");
-    assert!(
-        report.is_none(),
-        "{} finished within {cycles} cycles",
-        job.id
-    );
+    assert!(report.is_none(), "{kernel} finished within {cycles} cycles");
     m.snapshot().to_bytes()
 }
 
@@ -306,25 +309,19 @@ fn legacy_checkpointing_state_dir_reruns_from_spec() {
     assert!(solo.status.success(), "{}", stderr_of(&solo));
     let solo_out = stdout_of(&solo);
 
-    let job = |kernel: &str| {
-        let mut job =
-            JobSpec::kernel(kernel, Dataset::Tiny, Variant::Glsc, (4, 4), 4, None).expect(kernel);
-        job.id = WireJobSpec::kernel(kernel, Dataset::Tiny, Variant::Glsc, (4, 4), 4).id();
-        job
-    };
-    let (hip, gbc) = (job("HIP"), job("GBC"));
+    let id =
+        |kernel: &str| WireJobSpec::kernel(kernel, Dataset::Tiny, Variant::Glsc, (4, 4), 4).id();
+    let (hip, gbc) = (id("HIP"), id("GBC"));
     let dir = tmp_dir("legacy");
     let (mut journal, _) = Journal::open(&dir.join("journal.log")).expect("journal");
     for job in [&hip, &gbc] {
         journal
-            .append(&JournalRecord::Accepted {
-                job: job.id.clone(),
-            })
+            .append(&JournalRecord::Accepted { job: job.clone() })
             .expect("append");
         for seq in 1..=3u64 {
             journal
                 .append(&JournalRecord::Running {
-                    job: job.id.clone(),
+                    job: job.clone(),
                     seq,
                     cycle: seq * 500,
                 })
@@ -334,10 +331,10 @@ fn legacy_checkpointing_state_dir_reruns_from_spec() {
     drop(journal);
     let checkpoints = dir.join("checkpoints");
     std::fs::create_dir_all(&checkpoints).expect("checkpoints dir");
-    let stale = snapshot_bytes(&gbc, 1_500);
+    let stale = snapshot_bytes("GBC", 1_500);
     let torn = stale[..stale.len() / 2].to_vec();
-    let stale_path = checkpoints.join(format!("{}.ckpt", hip.id));
-    let torn_path = checkpoints.join(format!("{}.ckpt", gbc.id));
+    let stale_path = checkpoints.join(format!("{hip}.ckpt"));
+    let torn_path = checkpoints.join(format!("{gbc}.ckpt"));
     std::fs::write(&stale_path, &stale).expect("write stale checkpoint");
     std::fs::write(&torn_path, &torn).expect("write torn checkpoint");
 
@@ -356,9 +353,26 @@ fn legacy_checkpointing_state_dir_reruns_from_spec() {
     let err = stderr_of(&out);
     assert!(!err.contains("checkpoint"), "{err}");
     let done = done_counts(&dir);
-    assert_eq!(done.get(&hip.id), Some(&1), "{done:?}");
-    assert_eq!(done.get(&gbc.id), Some(&1), "{done:?}");
+    assert_eq!(done.get(&hip), Some(&1), "{done:?}");
+    assert_eq!(done.get(&gbc), Some(&1), "{done:?}");
     let _ = std::fs::remove_dir_all(&solo_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_table_bytes_are_pinned() {
+    // The drills above compare a build with itself; this holds the table
+    // to fixed bytes: header, row layout, cycle counts and summary.
+    let dir = tmp_dir("pinned");
+    let out = invoke_sweep(&dir, "HIP", "1x1,4x4", &[], None);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    assert_eq!(
+        stdout_of(&out),
+        "=== glsc-serve sweep: 2 job(s) ===\n\
+         HIP-T-GLSC-1x1-w4         32402 cycles\n\
+         HIP-T-GLSC-4x4-w4          3078 cycles\n\
+         == 2 ok, 0 failed ==\n"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

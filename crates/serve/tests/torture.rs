@@ -668,3 +668,63 @@ fn resubmitted_done_jobs_do_not_pollute_the_admission_queue() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn resubmitted_quarantined_jobs_do_not_pollute_the_admission_queue() {
+    // The same regression for a quarantined job: it has no `Done` record,
+    // so a `Submitted` journaled after its `Quarantined` must not mark it
+    // pending. If it did, every later boot would re-queue it and stream a
+    // `QUAR` frame for it unasked, and with --queue-cap 1 its stale slot
+    // would shed every fresh job.
+    let dir = tmp_dir("requarantine");
+    let extra = ["--queue-cap", "1", "--max-failures", "1"];
+    // HIP Tiny GLSC 1x1 needs 32,402 cycles: it trips a 2,000-cycle
+    // deadline on its one attempt.
+    let mut poison = spec("HIP", (1, 1));
+    poison.deadline_cycles = Some(2_000);
+
+    // Session 1 quarantines the job; session 2 resubmits it and is
+    // answered from the journal.
+    for session in 1..=2 {
+        let mut input = Vec::new();
+        submit(&mut input, 0, &poison);
+        write_message(&mut input, &Request::Run).expect("encode run");
+        let out = serve_stdio(&dir, &extra, input, None);
+        assert_no_panic(&out);
+        let replies = replies(&out);
+        assert!(
+            replies.iter().any(|r| matches!(r,
+                Reply::JobFailed { id, label, .. } if *id == poison.id() && label == "QUAR")),
+            "session {session}: {replies:?}"
+        );
+    }
+
+    let (_, records) = Journal::open(&dir.join("journal.log")).expect("journal opens");
+    let ledgers = replay(&records);
+    assert!(
+        ledgers.values().all(|l| l.pending.is_none()),
+        "a resubmitted quarantined job was left pending in the journal"
+    );
+
+    // Session 3: a fresh job gets the one queue slot, and the quarantined
+    // job is not run or reported again.
+    let fresh = spec("FS", (1, 2));
+    let mut input = Vec::new();
+    submit(&mut input, 0, &fresh);
+    write_message(&mut input, &Request::Run).expect("encode run");
+    let out = serve_stdio(&dir, &extra, input, None);
+    assert_no_panic(&out);
+    let third = replies(&out);
+    assert!(
+        !third.iter().any(|r| matches!(r, Reply::Shed { .. })),
+        "a stale pending entry shed fresh work: {third:?}"
+    );
+    assert!(
+        !third
+            .iter()
+            .any(|r| matches!(r, Reply::JobFailed { id, .. } if *id == poison.id())),
+        "the quarantined job was re-queued from the journal: {third:?}"
+    );
+    assert!(done_map(&third).contains_key(&fresh.id()), "{third:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
