@@ -16,18 +16,15 @@
 //! `results/ablation.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, ds_label, finish_figure, pct, run_jobs, run_workload_cached,
-    FigureOutput, JobError, JobStore,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, pct, run_jobs,
+    run_workload_cached, FigureOutput, JobError, JobStore,
 };
 use glsc_kernels::{build_named, Dataset, Variant};
 use glsc_sim::{GlscConfig, MachineConfig};
 
+/// The ablations' one dataset: A, or tiny under `GLSC_DATASETS=tiny`.
 fn dataset() -> Dataset {
-    if std::env::var("GLSC_DATASETS").is_ok_and(|v| v == "tiny") {
-        Dataset::Tiny
-    } else {
-        Dataset::A
-    }
+    datasets()[0]
 }
 
 /// (cycles, GLSC element failure rate, dynamic instructions) of one run.

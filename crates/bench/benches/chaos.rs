@@ -1,12 +1,11 @@
 //! Chaos smoke: every kernel under seeded fault injection (DESIGN.md §9).
 //!
 //! For each kernel and variant, runs the clean baseline and then a sweep
-//! of seeded fault plans (the `GLSC_CHAOS_SEEDS` env var sets the sweep
-//! size, default 3; seed values print with every row so any run can be
-//! replayed). Each chaotic run revalidates against the kernel's golden
-//! reference — this harness is the CI-facing atomicity oracle — and the
-//! table reports how much the destroyed reservations and jitter slowed
-//! the run, plus the raw injection counters.
+//! of `SEEDS` (3) seeded fault plans (seed values print with every row
+//! so any run can be replayed). Each chaotic run revalidates against the
+//! kernel's golden reference — this harness is the CI-facing atomicity
+//! oracle — and the table reports how much the destroyed reservations
+//! and jitter slowed the run, plus the raw injection counters.
 //!
 //! Chaotic runs are never cached (the oracle must actually run); a job
 //! that panics prints as a typed degradation row and a nonzero exit. The table is
@@ -21,12 +20,10 @@ use glsc_bench::{
 use glsc_kernels::{Variant, KERNEL_NAMES};
 use glsc_sim::ChaosConfig;
 
+/// Fault plans per kernel and variant.
+const SEEDS: u64 = 3;
+
 fn main() {
-    let sweep: u64 = std::env::var("GLSC_CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3);
     let mut out = FigureOutput::new("chaos");
     out.header(
         "Chaos smoke: fault injection with revalidation",
@@ -47,7 +44,7 @@ fn main() {
         .map(|&(kernel, ds, variant)| {
             move || {
                 let clean = run(kernel, ds, variant, shape, width);
-                let chaotic: Vec<_> = (0..sweep)
+                let chaotic: Vec<_> = (0..SEEDS)
                     .map(|i| {
                         let seed = 0x5EED + 31 * i;
                         (
@@ -113,7 +110,7 @@ fn main() {
     out.blank();
     out.line(format!(
         "all {} chaotic runs validated against the golden references",
-        results.iter().filter(|r| r.is_ok()).count() * sweep as usize
+        results.iter().filter(|r| r.is_ok()).count() * SEEDS as usize
     ));
     std::process::exit(finish_figure(out, &errors));
 }

@@ -60,8 +60,7 @@ impl FigureOutput {
         let dir = std::env::var("GLSC_RESULTS_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
-        let tiny = std::env::var("GLSC_DATASETS").is_ok_and(|v| v == "tiny");
-        let suffix = if tiny { "-tiny" } else { "" };
+        let suffix = if crate::tiny_datasets() { "-tiny" } else { "" };
         dir.join(format!("{}{suffix}.txt", self.bench))
     }
 

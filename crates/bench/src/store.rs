@@ -15,9 +15,8 @@
 //! crash-safe: the frame is written to a `.tmp.<pid>` sibling and
 //! `rename`d into place, so a reader never observes a half-written file
 //! under the final name, and the length prefix and checksum turn every
-//! remaining torn write or flipped byte into a logged miss. Reads happen
-//! only when `GLSC_BENCH_RESUME=1`; writes happen whenever caching is
-//! enabled (default; `GLSC_BENCH_CACHE=0` disables the store entirely).
+//! remaining torn write or flipped byte into a logged miss. A bench
+//! target's store always writes; it reads only when `GLSC_BENCH_RESUME=1`.
 
 use crate::codec::{decode_report, encode_report, FORMAT_VERSION};
 use glsc_sim::RunReport;
@@ -61,8 +60,8 @@ pub fn cfg_fingerprint(cfg: &glsc_sim::MachineConfig) -> u64 {
 /// layout and the environment variables that control it.
 #[derive(Debug)]
 pub struct JobStore {
-    /// Cache directory for this bench target, or `None` when caching is
-    /// disabled (`GLSC_BENCH_CACHE=0`).
+    /// Cache directory for this bench target, or `None` for a
+    /// [`disabled`](JobStore::disabled) store.
     dir: Option<PathBuf>,
     /// Whether cached results may satisfy jobs (`GLSC_BENCH_RESUME=1`).
     resume: bool,
@@ -71,12 +70,9 @@ pub struct JobStore {
 impl JobStore {
     /// Opens the store for one bench target, honoring the environment:
     /// `GLSC_BENCH_CACHE_DIR` overrides the cache root (default
-    /// `target/bench-cache` under the workspace), `GLSC_BENCH_CACHE=0`
-    /// disables the store, `GLSC_BENCH_RESUME=1` enables cache reads.
+    /// `target/bench-cache` under the workspace), `GLSC_BENCH_RESUME=1`
+    /// enables cache reads.
     pub fn for_bench(bench: &str) -> Self {
-        if std::env::var("GLSC_BENCH_CACHE").is_ok_and(|v| v == "0") {
-            return Self::disabled();
-        }
         let root = std::env::var("GLSC_BENCH_CACHE_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| {
@@ -106,11 +102,6 @@ impl JobStore {
             dir: Some(dir),
             resume,
         }
-    }
-
-    /// Whether `GLSC_BENCH_RESUME=1` cache reads are in effect.
-    pub fn resume_enabled(&self) -> bool {
-        self.resume
     }
 
     /// The cache directory, or `None` when the store is disabled.
@@ -184,6 +175,6 @@ fn unframe(bytes: &[u8]) -> Result<&[u8], WireError> {
 }
 
 /// Whether `GLSC_BENCH_RESUME=1` is set.
-pub fn resume_requested() -> bool {
+fn resume_requested() -> bool {
     std::env::var("GLSC_BENCH_RESUME").is_ok_and(|v| v == "1")
 }

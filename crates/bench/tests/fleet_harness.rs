@@ -1,17 +1,18 @@
 //! Harness-level semantics of [`run_jobs_fleet`]: job-order results,
-//! cross-path cache compatibility, in-sweep deduplication, resume hits
-//! that bypass simulation entirely, and per-job panic containment — the
-//! same guarantees [`run_jobs`] gives the classic path.
+//! cross-path cache compatibility, resume hits that bypass simulation
+//! entirely, and per-job panic containment with a single attempt — the
+//! same guarantees [`run_jobs`] gives the figures' path.
 
 use glsc_bench::{
-    collect_errors, fleet_kernel_job, fleet_micro_job, run_cached, run_jobs_fleet,
-    run_micro_cached, FleetJobSpec, JobStore,
+    collect_errors, fleet_kernel_job, fleet_micro_job, run_cached, run_jobs, run_jobs_fleet,
+    run_micro_cached, FleetJobSpec, JobError, JobStore,
 };
 use glsc_kernels::micro::{MicroParams, Scenario};
 use glsc_kernels::{build_named, run_workload, Dataset, Variant, Workload};
 use glsc_sim::MachineConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Fresh per-test scratch directory (no tempfile dependency).
 fn scratch(tag: &str) -> PathBuf {
@@ -26,13 +27,13 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn fleet_results_are_ordered_deduplicated_and_cached_per_key() {
-    let dir = scratch("dedupe");
+fn fleet_results_are_ordered_and_cached_per_key() {
+    let dir = scratch("per-key");
     let store = JobStore::at(dir, false);
 
     // A mixed sweep with an exact duplicate under a different cache key
-    // (as dataset-sharing sweeps produce): the duplicate must simulate
-    // once but persist and report under both keys.
+    // (as dataset-sharing sweeps produce): the duplicate must persist and
+    // report under both keys.
     let mut jobs = vec![
         fleet_kernel_job("HIP", Dataset::Tiny, Variant::Glsc, (1, 2), 4),
         fleet_kernel_job("GPS", Dataset::Tiny, Variant::Base, (2, 1), 4),
@@ -213,4 +214,41 @@ fn fleet_contains_a_poisoned_job_and_finishes_the_rest_solo() {
     let errs = collect_errors(&got);
     assert_eq!(errs.len(), 1);
     assert_eq!(errs[0].index(), 2);
+}
+
+#[test]
+fn a_panicking_job_runs_exactly_once_through_either_entry_point() {
+    // Jobs are deterministic, so a retry could only repeat the panic:
+    // each entry point must run a failing job once and report one attempt.
+    let calls = Arc::new(AtomicU32::new(0));
+    let counted = Arc::clone(&calls);
+    let jobs = vec![move || -> u64 {
+        counted.fetch_add(1, Ordering::SeqCst);
+        panic!("deterministic failure");
+    }];
+    let got = run_jobs(jobs, 1);
+    let e = got[0].as_ref().unwrap_err();
+    assert!(matches!(e, JobError::Panicked { .. }));
+    assert_eq!(e.attempts(), 1);
+    assert_eq!(calls.load(Ordering::SeqCst), 1, "run_jobs retried the job");
+
+    // Through the batch entry point: a validator that counts its calls
+    // and always rejects, so the job panics after every simulation.
+    let calls = Arc::new(AtomicU32::new(0));
+    let counted = Arc::clone(&calls);
+    let mut job = fleet_kernel_job("HIP", Dataset::Tiny, Variant::Glsc, (1, 2), 4);
+    job.workload.validate = Box::new(move |_| {
+        counted.fetch_add(1, Ordering::SeqCst);
+        Err("rejected on every run".into())
+    });
+    let got = run_jobs_fleet(&JobStore::at(scratch("once"), false), vec![job], 1);
+    let e = got[0].as_ref().unwrap_err();
+    assert!(matches!(e, JobError::Panicked { .. }));
+    assert!(e.message().contains("rejected on every run"), "{e}");
+    assert_eq!(e.attempts(), 1);
+    assert_eq!(
+        calls.load(Ordering::SeqCst),
+        1,
+        "run_jobs_fleet simulated the job more than once"
+    );
 }

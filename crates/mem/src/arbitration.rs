@@ -208,16 +208,6 @@ impl Arbiter {
             .map(|s| (s.gid, s.line, s.start))
             .collect()
     }
-
-    /// Armed holdoffs as `(core, tid, line, until)` tuples, for
-    /// diagnostics. Does not prune: pass the caller's `now` to
-    /// [`Arbiter::in_holdoff`] for a liveness-filtered answer.
-    pub fn holdoff_entries(&self) -> Vec<(usize, u8, u64, u64)> {
-        self.holdoffs
-            .iter()
-            .map(|h| (h.core, h.tid, h.line, h.until))
-            .collect()
-    }
 }
 
 #[cfg(test)]

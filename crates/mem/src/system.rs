@@ -198,12 +198,6 @@ impl MemorySystem {
         self.oracle = Some(Box::new(oracle));
     }
 
-    /// Removes and returns the installed oracle, restoring the
-    /// zero-overhead unchecked path.
-    pub fn take_oracle(&mut self) -> Option<AtomicityOracle> {
-        self.oracle.take().map(|b| *b)
-    }
-
     /// The installed atomicity oracle, if any.
     pub fn oracle(&self) -> Option<&AtomicityOracle> {
         self.oracle.as_deref()
@@ -1046,11 +1040,6 @@ impl MemSnapshot {
     /// Number of cores (L1 caches) in the snapshotted system.
     pub fn num_cores(&self) -> usize {
         self.state.num_cores()
-    }
-
-    /// Whether the snapshot carries a fault plan (and thus its RNG state).
-    pub fn has_fault_plan(&self) -> bool {
-        self.state.fault_plan().is_some()
     }
 
     /// Live reservations at snapshot time as `(core, line, thread mask)`.

@@ -43,11 +43,6 @@ impl<P> TagArray<P> {
         }
     }
 
-    /// Number of sets.
-    pub fn num_sets(&self) -> usize {
-        self.sets.len()
-    }
-
     /// Associativity.
     pub fn assoc(&self) -> usize {
         self.assoc

@@ -24,7 +24,7 @@
 //!   tail decodes as "the append never happened".
 //! * [`service`] — the supervisor: sliced execution of one job at a
 //!   time, in submission order, wall/cycle deadlines per attempt
-//!   ([`glsc_bench::JobError::Deadline`]), seeded backoff retries,
+//!   ([`glsc_bench::JobError::Deadline`]), jittered backoff retries,
 //!   poison-job quarantine, SIGTERM drain.
 //! * [`queue`] — bounded, priority-aware admission in front of the
 //!   supervisor; overload becomes typed `SHED` decisions, not memory

@@ -22,7 +22,6 @@
 //!   --deadline-cycles N    per-attempt simulated-cycle budget
 //!   --max-failures K       failures before quarantine (default: 3)
 //!   --chaos-seed S         run every job under a seeded fault plan
-//!   --seed S               retry-backoff jitter seed (default: 0)
 //!   --queue-cap N          admission queue capacity (serve, default: 64)
 //!   --priority P           submission priority 0-255 (client, default: 0)
 //!   --shutdown             ask the service to exit after the sweep (client)
@@ -83,7 +82,6 @@ struct Args {
     deadline_cycles: Option<u64>,
     max_failures: u32,
     chaos_seed: Option<u64>,
-    seed: u64,
     stdio: bool,
     socket: Option<PathBuf>,
     queue_cap: usize,
@@ -106,7 +104,6 @@ fn parse_args() -> Args {
         deadline_cycles: None,
         max_failures: 3,
         chaos_seed: None,
-        seed: 0,
         stdio: false,
         socket: None,
         queue_cap: 64,
@@ -215,11 +212,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|_| usage("bad --chaos-seed")),
                 )
             }
-            "--seed" => {
-                args.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage("bad --seed"))
-            }
             "--stdio" => args.stdio = true,
             "--socket" => args.socket = Some(PathBuf::from(value("--socket"))),
             "--queue-cap" => {
@@ -249,7 +241,6 @@ fn service_config(args: &Args) -> ServiceConfig {
     cfg.deadline_wall_ms = args.deadline_wall_ms;
     cfg.deadline_cycles = args.deadline_cycles;
     cfg.max_failures = args.max_failures;
-    cfg.seed = args.seed;
     cfg.queue_capacity = args.queue_cap;
     cfg
 }

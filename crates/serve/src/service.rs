@@ -20,17 +20,17 @@
 //! less than simply simulating it again.
 //!
 //! Failure policy: a panicking, sim-erroring, or deadline-tripping
-//! attempt appends a `Failed` record and retries next round after the
-//! seeded jittered backoff; a panic is contained to its job (machine
-//! dropped, the round goes on to the next job). A job whose failure count
-//! (across restarts — the journal remembers) reaches `max_failures` is
-//! quarantined and reported as a `QUAR` row while the rest of the sweep
-//! completes, with a nonzero exit.
+//! attempt appends a `Failed` record and retries next round after a
+//! jittered backoff (`backoff_jittered_ms`); a panic is contained to
+//! its job (machine dropped, the round goes on to the next job). A job
+//! whose failure count (across restarts — the journal remembers) reaches
+//! `max_failures` is quarantined and reported as a `QUAR` row while the
+//! rest of the sweep completes, with a nonzero exit.
 
 use crate::journal::{JobLedger, Journal, JournalRecord};
 use crate::{kill, signal};
 use glsc_bench::store::{cfg_fingerprint, job_key};
-use glsc_bench::{backoff_jittered_ms, JobError, JobStore};
+use glsc_bench::{JobError, JobStore};
 use glsc_kernels::Workload;
 use glsc_sim::{
     BackingBase, ChaosConfig, FaultPlan, Fleet, FleetFailure, FleetJob, Machine, MachineConfig,
@@ -62,15 +62,13 @@ pub struct ServiceConfig {
     pub deadline_cycles: Option<u64>,
     /// Failures (across restarts) before a job is quarantined.
     pub max_failures: u32,
-    /// Seed for the deterministic retry-backoff jitter.
-    pub seed: u64,
     /// Admission-queue capacity for the protocol front-end; submissions
     /// past this bound are shed (see [`crate::queue`]).
     pub queue_capacity: usize,
 }
 
 impl ServiceConfig {
-    /// Defaults: no deadlines, quarantine after 3 failures, seed 0, queue
+    /// Defaults: no deadlines, quarantine after 3 failures, queue
     /// capacity 64.
     pub fn new(state_dir: PathBuf) -> Self {
         Self {
@@ -78,10 +76,38 @@ impl ServiceConfig {
             deadline_wall_ms: None,
             deadline_cycles: None,
             max_failures: 3,
-            seed: 0,
             queue_capacity: 64,
         }
     }
+}
+
+/// Base backoff before retry `attempt + 1`: 25 ms doubling per failed
+/// attempt, capped at 1 s. Deliberately pure — no clock reads — so a
+/// service's retry timeline is reproducible and the logged delays can be
+/// asserted in tests.
+fn backoff_ms(attempt: u32) -> u64 {
+    (25u64 << (attempt - 1).min(6)).min(1_000)
+}
+
+/// Backoff with deterministic jitter: the [`backoff_ms`] base plus up to
+/// 25% spread, derived by FNV-1a from the job's label and the attempt —
+/// no clock, no global RNG. Jobs that fail together get distinct,
+/// reproducible retry offsets instead of a synchronized thundering herd,
+/// and a test pins the exact schedule.
+fn backoff_jittered_ms(label: &str, attempt: u32) -> u64 {
+    let base = backoff_ms(attempt);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    // Eight zero bytes lead the hash (a jitter seed fixed at 0); the
+    // pinned schedule depends on them.
+    for b in [0u8; 8]
+        .into_iter()
+        .chain(label.bytes())
+        .chain(attempt.to_le_bytes())
+    {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    base + h % (base / 4 + 1)
 }
 
 /// One supervised simulation: the lowering of an admitted wire spec
@@ -288,7 +314,7 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
 /// The supervision engine behind a session's `Run`: every round runs
 /// the still-pending jobs through [`Fleet::run_each_supervised`] one at
 /// a time, in submission order, each from the start of its spec, then
-/// retries failures with seeded backoff until each job is done,
+/// retries failures with jittered backoff until each job is done,
 /// quarantined, or the service drains.
 ///
 /// `on_result(index, outcome)` streams each job's final outcome the
@@ -410,12 +436,12 @@ where
             continue;
         }
         // One backoff between rounds: each retried job reports its own
-        // seeded delay, the round sleeps the longest of them.
+        // jittered delay, the round sleeps the longest of them.
         let mut delay = 0u64;
         for &gi in &round.retried {
             let id = &jobs[gi].id;
             let failures = states[gi].ledger.failures;
-            let d = backoff_jittered_ms(svc.seed, id, failures);
+            let d = backoff_jittered_ms(id, failures);
             eprintln!(
                 "[serve] {id}: retrying (attempt {}) after {d}ms",
                 failures + 1
@@ -515,6 +541,39 @@ mod tests {
                 (decode_report(report).unwrap(), chaos.clone())
             }
             other => panic!("{id} ended as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn backoff_schedule_is_deterministic() {
+        assert_eq!(backoff_ms(1), 25);
+        assert_eq!(backoff_ms(2), 50);
+        assert_eq!(backoff_ms(3), 100);
+        assert_eq!(backoff_ms(6), 800);
+        // Capped from attempt 7 on; later attempts never exceed the cap.
+        assert_eq!(backoff_ms(7), 1_000);
+        assert_eq!(backoff_ms(1_000), 1_000);
+        // Pure function: same input, same delay, no jitter.
+        assert_eq!(backoff_ms(4), backoff_ms(4));
+    }
+
+    #[test]
+    fn backoff_jitter_schedule_is_pinned() {
+        // The jittered schedule is a pure function of (label, attempt):
+        // these exact values must never drift, or retry timelines stop
+        // being reproducible across runs.
+        let label = "HIP-T-glsc-4x4-w4";
+        assert_eq!(backoff_jittered_ms(label, 1), 28);
+        assert_eq!(backoff_jittered_ms(label, 2), 60);
+        assert_eq!(backoff_jittered_ms(label, 3), 103);
+        assert_eq!(backoff_jittered_ms(label, 7), 1_222);
+        assert_eq!(backoff_jittered_ms("GBC-T-base-1x4-w4", 1), 29);
+        // Always within [base, base + 25%]; deterministic on repeat.
+        for attempt in 1..=10 {
+            let b = backoff_ms(attempt);
+            let j = backoff_jittered_ms(label, attempt);
+            assert!(j >= b && j <= b + b / 4, "attempt {attempt}: {j} vs {b}");
+            assert_eq!(j, backoff_jittered_ms(label, attempt));
         }
     }
 

@@ -287,16 +287,6 @@ impl Machine {
         self.cycle = 0;
     }
 
-    /// Sets register `r` in every thread (for passing arguments; call after
-    /// [`load_program`](Machine::load_program)).
-    pub fn set_reg_all(&mut self, r: Reg, value: u64) {
-        for core in &mut self.cores {
-            for th in &mut core.threads {
-                th.arch.set_reg(r, value);
-            }
-        }
-    }
-
     /// The architectural state of global thread `gid` (for tests).
     ///
     /// # Panics
