@@ -12,7 +12,7 @@
 //! (`GLSC_BENCH_THREADS`); output order is unchanged. Completed points
 //! persist to the job store keyed by a config fingerprint, so every
 //! ablation point caches separately (`GLSC_BENCH_RESUME=1` resumes);
-//! failed jobs print as typed degradation cells (`PANIC`/`DEAD`/`QUAR`). Output goes to
+//! a job that panics prints as a `PANIC` cell. Output goes to
 //! `results/ablation.txt`.
 
 use glsc_bench::{

@@ -8,8 +8,8 @@
 //! across host threads (`GLSC_BENCH_THREADS`); results are collected in
 //! job order so the printed tables match the serial harness exactly.
 //! Completed simulations persist to the job store (`GLSC_BENCH_RESUME=1`
-//! resumes an interrupted sweep); failed jobs print as typed degradation rows (`PANIC`/`DEAD`/`QUAR`). Both
-//! tables are written to `results/fig5.txt`.
+//! resumes an interrupted sweep); a job that panics prints as a `PANIC`
+//! row. Both tables are written to `results/fig5.txt`.
 
 use glsc_bench::{
     bench_threads, collect_errors, datasets, ds_label, finish_figure, run_cached, run_jobs,

@@ -10,9 +10,8 @@
 //! are fanned across host threads (`GLSC_BENCH_THREADS`); output order is
 //! unchanged. Completed simulations persist to the job store, so an
 //! interrupted sweep resumes with `GLSC_BENCH_RESUME=1`; a failed job
-//! prints as its degradation-mode cell (`PANIC`, `DEAD`, `QUAR`, `SHED`)
-//! and a nonzero exit instead of aborting the figure. The table is also
-//! written to `results/fig6.txt`.
+//! prints as a `PANIC` cell and a nonzero exit instead of aborting the
+//! figure. The table is also written to `results/fig6.txt`.
 
 use glsc_bench::{
     bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, run_cached,
@@ -47,9 +46,8 @@ fn main() {
         .collect();
     let results = run_jobs(jobs, bench_threads());
     let errors = collect_errors(&results);
-    // Per-job cycles, or the failed job's degradation cell (PANIC, DEAD,
-    // QUAR, SHED) so the figure says *how* a row died, not just that it
-    // did.
+    // Per-job cycles, or the failed job's degradation cell (PANIC) so the
+    // figure says *how* a row died, not just that it did.
     let cycles: std::collections::HashMap<_, _> = params
         .iter()
         .zip(&results)

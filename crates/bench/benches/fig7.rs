@@ -8,8 +8,8 @@
 //! The (scenario, variant, width) runs are independent and are fanned
 //! across host threads (`GLSC_BENCH_THREADS`); output order is unchanged.
 //! Completed runs persist to the job store (`GLSC_BENCH_RESUME=1`
-//! resumes); failed jobs print as typed degradation cells (`PANIC`/`DEAD`/`QUAR`). The table is written to
-//! `results/fig7.txt`.
+//! resumes); a job that panics prints as a `PANIC` cell. The table is
+//! written to `results/fig7.txt`.
 
 use glsc_bench::{
     bench_threads, collect_errors, finish_figure, ratio, run_jobs, run_micro_cached, FigureOutput,

@@ -9,8 +9,8 @@
 //! The (kernel, dataset, width, variant) runs are independent and are
 //! fanned across host threads (`GLSC_BENCH_THREADS`); output order is
 //! unchanged. Completed runs persist to the job store
-//! (`GLSC_BENCH_RESUME=1` resumes); failed jobs print as typed degradation cells (`PANIC`/`DEAD`/`QUAR`).
-//! The table is written to `results/fig8.txt`.
+//! (`GLSC_BENCH_RESUME=1` resumes); a job that panics prints as a
+//! `PANIC` cell. The table is written to `results/fig8.txt`.
 
 use glsc_bench::{
     bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, ratio, run_cached,

@@ -12,9 +12,8 @@
 //! The three runs per (kernel, dataset) cell are independent and are
 //! fanned across host threads (`GLSC_BENCH_THREADS`); output order is
 //! unchanged. Completed runs persist to the job store
-//! (`GLSC_BENCH_RESUME=1` resumes); a failed job prints its whole row as
-//! its typed degradation cell (`PANIC`/`DEAD`/`QUAR`). The table is
-//! written to `results/table4.txt`.
+//! (`GLSC_BENCH_RESUME=1` resumes); a job that panics prints its whole
+//! row as a `PANIC` cell. The table is written to `results/table4.txt`.
 
 use glsc_bench::{
     bench_threads, collect_errors, datasets, ds_label, finish_figure, pct, run_cached, run_jobs,

@@ -112,8 +112,9 @@ pub fn run_chaos(
 
 /// As [`run`], but consulting the durable job [`store`] first: with
 /// `GLSC_BENCH_RESUME=1` a previously completed identical job is
-/// satisfied from its cached [`RunReport`] (the skip is logged to stderr,
-/// never stdout — table output stays byte-identical), and every freshly
+/// satisfied from its cached [`RunReport`](glsc_sim::RunReport) (the
+/// skip is logged to stderr, never stdout — table output stays
+/// byte-identical), and every freshly
 /// simulated job is persisted for future resumption. Job identity covers
 /// the named parameters plus content fingerprints of the workload and the
 /// machine configuration, so stale cache hits after a code or dataset
@@ -302,55 +303,27 @@ pub fn bench_threads() -> usize {
 
 /// One job's terminal failure. The harness reports it (figure row marked
 /// with the typed [`cell`](JobError::cell), error epilogue, nonzero
-/// exit) instead of aborting the whole figure. Typed by cause so
-/// supervisors (`glsc-serve`) and tests can react to *why* a job died,
-/// not just that it did.
+/// exit) instead of aborting the whole figure. Every job, in the harness
+/// and in `glsc-serve`, gets one attempt: jobs are deterministic
+/// simulations, so a second attempt could only fail the same way.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobError {
-    /// The job panicked (simulation error, validation failure, or an
-    /// injected drill).
+    /// A harness job panicked (simulation error, validation failure, or
+    /// an injected drill).
     Panicked {
         /// The job's index in the submitted batch (== its table position).
         index: usize,
-        /// How many attempts were made: 1, since the harness never
-        /// retries a job (0 if its worker died before running it).
-        attempts: u32,
         /// The panic message.
         message: String,
     },
-    /// A supervised job exceeded its deadline on an attempt. `Some`
-    /// marks the limit that tripped (the configured budget, not the
-    /// observed value). Constructed by the `glsc-serve` supervisor.
-    Deadline {
-        /// The job's index in the submitted batch.
-        index: usize,
-        /// Which attempt tripped (the job's failures so far, plus one).
-        attempts: u32,
-        /// Wall-clock budget in milliseconds, if that limit tripped.
-        wall_ms: Option<u64>,
-        /// Simulated-cycle budget, if that limit tripped.
-        cycles: Option<u64>,
-    },
-    /// A supervised job was quarantined: it burned its whole failure
-    /// budget across service restarts, so the supervisor stopped
-    /// retrying it. Constructed by the `glsc-serve` supervisor.
+    /// A `glsc-serve` job failed its run (panic, simulation error,
+    /// rejected or panicking validation, or a tripped deadline) and was
+    /// quarantined: it never runs again in that state dir. The reason
+    /// goes to the service's stderr log, not here, so a row replayed from
+    /// the journal renders exactly as the live one did.
     Quarantined {
         /// The job's index in the submitted batch.
         index: usize,
-        /// Total failures recorded against the job before quarantine.
-        failures: u32,
-    },
-    /// A job was rejected by admission control: the service's bounded
-    /// queue was full and the job's priority did not beat anything
-    /// already queued. Constructed by the `glsc-serve` admission layer;
-    /// the job never ran.
-    Shed {
-        /// The job's index in the submitted batch.
-        index: usize,
-        /// Jobs queued when the shed decision was made.
-        queued: usize,
-        /// The queue's capacity.
-        capacity: usize,
     },
 }
 
@@ -358,57 +331,26 @@ impl JobError {
     /// The job's index in the submitted batch (== its table position).
     pub fn index(&self) -> usize {
         match self {
-            JobError::Panicked { index, .. }
-            | JobError::Deadline { index, .. }
-            | JobError::Quarantined { index, .. }
-            | JobError::Shed { index, .. } => *index,
+            JobError::Panicked { index, .. } | JobError::Quarantined { index } => *index,
         }
     }
 
-    /// How many attempts were made (failures counted, for quarantine;
-    /// zero for a shed job, which never ran).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            JobError::Panicked { attempts, .. } | JobError::Deadline { attempts, .. } => *attempts,
-            JobError::Quarantined { failures, .. } => *failures,
-            JobError::Shed { .. } => 0,
-        }
-    }
-
-    /// Human-readable cause (the panic message, or a rendering of the
-    /// deadline / quarantine / shed condition).
+    /// Human-readable cause: the panic message, or the quarantine.
     pub fn message(&self) -> String {
         match self {
             JobError::Panicked { message, .. } => message.clone(),
-            JobError::Deadline {
-                wall_ms, cycles, ..
-            } => match (wall_ms, cycles) {
-                (Some(ms), _) => format!("exceeded the {ms} ms wall-clock deadline"),
-                (None, Some(c)) => format!("exceeded the {c}-cycle deadline"),
-                (None, None) => "exceeded its deadline".to_string(),
-            },
-            JobError::Quarantined { failures, .. } => {
-                format!("quarantined after {failures} failure(s)")
-            }
-            JobError::Shed {
-                queued, capacity, ..
-            } => {
-                format!("shed by admission control (queue {queued}/{capacity})")
-            }
+            JobError::Quarantined { .. } => "quarantined after a failed run".to_string(),
         }
     }
 
     /// Fixed-width degradation-mode label for figure and sweep cells,
     /// so operators can tell *what* failed at a glance instead of a
-    /// conflated `ERR`: `PANIC` (the job panicked), `DEAD` (deadline),
-    /// `QUAR` (quarantined by the supervisor), `SHED` (rejected by
-    /// admission control).
+    /// conflated `ERR`: `PANIC` (a harness job panicked) or `QUAR`
+    /// (quarantined by the `glsc-serve` supervisor).
     pub fn cell(&self) -> &'static str {
         match self {
             JobError::Panicked { .. } => "PANIC",
-            JobError::Deadline { .. } => "DEAD",
             JobError::Quarantined { .. } => "QUAR",
-            JobError::Shed { .. } => "SHED",
         }
     }
 }
@@ -416,16 +358,8 @@ impl JobError {
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JobError::Quarantined { index, .. } | JobError::Shed { index, .. } => {
-                write!(f, "job {index} {}", self.message())
-            }
-            _ => write!(
-                f,
-                "job {} failed after {} attempt(s): {}",
-                self.index(),
-                self.attempts(),
-                self.message()
-            ),
+            JobError::Panicked { index, message } => write!(f, "job {index} failed: {message}"),
+            JobError::Quarantined { index } => write!(f, "job {index} {}", self.message()),
         }
     }
 }
@@ -456,11 +390,7 @@ fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, Job
             format!(" ({label})")
         };
         eprintln!("[jobs] job {index}{tag} panicked: {message}");
-        JobError::Panicked {
-            index,
-            attempts: 1,
-            message,
-        }
+        JobError::Panicked { index, message }
     })
 }
 
@@ -535,7 +465,6 @@ where
                 .unwrap_or_else(|| {
                     Err(JobError::Panicked {
                         index: i,
-                        attempts: 0,
                         message: "worker exited without storing a result".into(),
                     })
                 })
@@ -672,7 +601,6 @@ mod tests {
                 if i == 3 {
                     let e = r.as_ref().unwrap_err();
                     assert_eq!(e.index(), 3);
-                    assert_eq!(e.attempts(), 1);
                     assert!(e.message().contains("cursed"), "message: {}", e.message());
                     assert!(e.to_string().contains("job 3 failed"));
                     assert!(matches!(e, JobError::Panicked { .. }));
@@ -703,34 +631,14 @@ mod tests {
         // to the output format.
         let panicked = JobError::Panicked {
             index: 0,
-            attempts: 2,
             message: "boom".into(),
         };
-        let dead = JobError::Deadline {
-            index: 1,
-            attempts: 1,
-            wall_ms: None,
-            cycles: Some(50_000),
-        };
-        let quar = JobError::Quarantined {
-            index: 2,
-            failures: 3,
-        };
-        let shed = JobError::Shed {
-            index: 3,
-            queued: 8,
-            capacity: 8,
-        };
+        let quar = JobError::Quarantined { index: 2 };
         assert_eq!(panicked.cell(), "PANIC");
-        assert_eq!(dead.cell(), "DEAD");
+        assert_eq!(panicked.to_string(), "job 0 failed: boom");
         assert_eq!(quar.cell(), "QUAR");
-        assert_eq!(shed.cell(), "SHED");
-        assert_eq!(shed.message(), "shed by admission control (queue 8/8)");
-        assert_eq!(shed.attempts(), 0);
-        assert_eq!(shed.index(), 3);
-        assert_eq!(
-            shed.to_string(),
-            "job 3 shed by admission control (queue 8/8)"
-        );
+        assert_eq!(quar.message(), "quarantined after a failed run");
+        assert_eq!(quar.index(), 2);
+        assert_eq!(quar.to_string(), "job 2 quarantined after a failed run");
     }
 }

@@ -337,7 +337,7 @@ impl Lsu {
     }
 
     /// Ordering-point flush used by the per-core unit when a GSU
-    /// instruction starts: see [`flush_thread`](Self::flush_thread).
+    /// instruction starts: see `flush_thread`.
     pub fn flush_thread_for_ordering(&mut self, tid: u8) {
         self.flush_thread(tid);
     }

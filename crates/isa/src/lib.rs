@@ -1,6 +1,6 @@
 //! # glsc-isa — the simulated vector ISA
 //!
-//! This crate defines the instruction set executed by the [`glsc-sim`]
+//! This crate defines the instruction set executed by the `glsc-sim`
 //! cycle-level CMP simulator, reproducing the ISA assumed by *Atomic Vector
 //! Operations on Chip Multiprocessors* (ISCA 2008):
 //!

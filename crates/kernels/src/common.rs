@@ -87,10 +87,10 @@ impl MemImage {
     }
 
     /// Publishes the image as an immutable, shareable copy-on-write base
-    /// (DESIGN.md §13): the page contents are exactly what [`apply`]
-    /// (MemImage::apply) would have written, so mounting the result via
-    /// [`Backing::set_base`] is functionally indistinguishable from
-    /// applying the image — every fleet job materializes private pages
+    /// (DESIGN.md §13): the page contents are exactly what
+    /// [`apply`](MemImage::apply) would have written, so mounting the
+    /// result via [`Backing::set_base`] is functionally indistinguishable
+    /// from applying the image — every fleet job materializes private pages
     /// only on first write instead of paying a full image fill per run.
     pub fn publish(&self) -> std::sync::Arc<glsc_mem::BackingBase> {
         let mut staging = Backing::new();

@@ -113,7 +113,7 @@ impl Micro {
     }
 
     /// Enables the hardware-backoff retry variant: every atomic retry path
-    /// first runs the [`emit_backoff`] LCG delay, the software analogue of
+    /// first runs the `emit_backoff` LCG delay, the software analogue of
     /// the exponential-backoff arbitration the contention study compares
     /// against. The workload name gains a `+bo` suffix so cached results
     /// never collide with the plain variant.

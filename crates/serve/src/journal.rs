@@ -4,13 +4,13 @@
 //! record (`len | payload | fnv64(payload)`, see [`glsc_wire::frame`]).
 //!
 //! The journal is the service's source of truth for where every job
-//! stands (`submitted → done | quarantined`, with `failed` marks in
-//! between, or `shed` when admission control refuses it). A submitted
-//! job with no `done` record reruns from its spec on the next start; a
-//! job's progress inside a run is never journaled, since rerunning a
-//! simulation costs less than recording it. Appends are flushed and
-//! fsync'd before the supervisor acts on them, so a `kill -9` at any
-//! byte boundary leaves at worst a torn final frame.
+//! stands (`submitted → done | quarantined`, or `shed` when admission
+//! control refuses it). A submitted job with no `done` record reruns
+//! from its spec on the next start; a job's progress inside a run is
+//! never journaled, since rerunning a simulation costs less than
+//! recording it. Appends are flushed and fsync'd before the supervisor
+//! acts on them, so a `kill -9` at any byte boundary leaves at worst a
+//! torn final frame.
 //! Recovery scans from the start, keeps the longest prefix of intact
 //! frames, **truncates the file to that prefix**, and treats the job as
 //! being in whatever state the surviving records imply — a torn record
@@ -54,19 +54,24 @@ pub enum JournalRecord {
         /// stays byte-identical to an uninterrupted run).
         chaos: Option<String>,
     },
-    /// One supervised attempt failed (panic or deadline); the failure
-    /// count across restarts is the number of these records.
+    /// Legacy: builds that retried failed jobs journaled each failed
+    /// attempt with this record. It still decodes, so their journals
+    /// open, but nothing writes it any more and [`replay`] ignores it —
+    /// only a `Quarantined` record settles a failed job.
     Failed {
         /// Stable job id.
         job: String,
         /// Why the attempt died.
         reason: String,
     },
-    /// The job burned its failure budget and is out of the rotation.
+    /// The job's one run failed, and it never runs again in this state
+    /// dir.
     Quarantined {
         /// Stable job id.
         job: String,
-        /// Failures recorded against it at quarantine time.
+        /// Failed attempts before the quarantine: 1 in new records, up
+        /// to the old retry budget in journals of retrying builds.
+        /// Nothing reads it; it stays so old journals still decode.
         failures: u32,
     },
     /// The job was admitted to the queue. The encoded
@@ -199,9 +204,6 @@ impl JournalRecord {
 pub struct JobLedger {
     /// `Done` record, with its preserved chaos rendering.
     pub done: Option<Option<String>>,
-    /// Number of `Failed` records (survives restarts — this is what the
-    /// quarantine threshold compares against).
-    pub failures: u32,
     /// `Quarantined` record present.
     pub quarantined: bool,
     /// Latest submission still owed a run: `(priority, spec bytes)`.
@@ -218,12 +220,13 @@ impl JobLedger {
     /// in-memory view is always what a restart would replay.
     pub(crate) fn apply(&mut self, rec: &JournalRecord) {
         match rec {
-            JournalRecord::Accepted { .. } | JournalRecord::Running { .. } => {}
+            JournalRecord::Accepted { .. }
+            | JournalRecord::Running { .. }
+            | JournalRecord::Failed { .. } => {}
             JournalRecord::Done { chaos, .. } => {
                 self.done = Some(chaos.clone());
                 self.pending = None;
             }
-            JournalRecord::Failed { .. } => self.failures += 1,
             JournalRecord::Quarantined { .. } => {
                 self.quarantined = true;
                 self.pending = None;
@@ -319,6 +322,10 @@ fn scan(bytes: &[u8]) -> (Vec<JournalRecord>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{read_message, write_message, Reply, Request};
+    use crate::session::run_session;
+    use glsc_bench::jobspec::WireJobSpec;
+    use glsc_kernels::{Dataset, Variant};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("glsc-journal-{}-{name}", std::process::id()));
@@ -364,10 +371,7 @@ mod tests {
         let ledgers = replay(&records);
         let a = &ledgers["a"];
         assert_eq!(a.done, Some(Some("destructive=3".into())));
-        assert_eq!(a.failures, 0);
-        let b = &ledgers["b"];
-        assert_eq!(b.failures, 1);
-        assert!(b.quarantined);
+        assert!(ledgers["b"].quarantined);
     }
 
     #[test]
@@ -556,30 +560,110 @@ mod tests {
             .unwrap();
         }
         let (_, records) = Journal::open(&path).unwrap();
-        assert_eq!(replay(&records)["x"].failures, 5);
+        assert_eq!(records.len(), 5);
     }
 
     #[test]
     fn legacy_running_records_decode_and_replay_as_unfinished() {
-        // A journal written by a checkpointing build: the job was
-        // accepted and checkpointed twice, then the process died. The
-        // records still decode, and replay ignores both kinds: the job is
-        // not done, so a submission reruns it from its spec.
+        // A journal written by older builds. A checkpointing build
+        // accepted "old" and checkpointed it twice, then the process
+        // died. A retrying build journaled every failed attempt: one job
+        // failed twice and still had retries left, another failed three
+        // times and was quarantined. Every record still decodes, and
+        // replay ignores `Accepted`, `Running` and `Failed`: "old" and the
+        // twice-failed job are unfinished, and only the `Quarantined`
+        // record settles the third.
+        let _flag = crate::signal::term_flag_shared();
         let path = tmp("legacy");
-        let (mut j, _) = Journal::open(&path).unwrap();
-        j.append(&JournalRecord::Accepted { job: "old".into() })
-            .unwrap();
+        let retried = WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (1, 2), 4);
+        let poison = WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, (4, 4), 4);
+        let submitted = |spec: &WireJobSpec| JournalRecord::Submitted {
+            job: spec.id(),
+            priority: 0,
+            spec: spec.to_bytes(),
+        };
+        let failed = |spec: &WireJobSpec| JournalRecord::Failed {
+            job: spec.id(),
+            reason: "exceeded the 2000-cycle deadline".into(),
+        };
+        let mut legacy = vec![JournalRecord::Accepted { job: "old".into() }];
         for seq in 1..=2u64 {
-            j.append(&JournalRecord::Running {
+            legacy.push(JournalRecord::Running {
                 job: "old".into(),
                 seq,
                 cycle: seq * 20_000,
-            })
-            .unwrap();
+            });
+        }
+        legacy.extend([submitted(&retried), failed(&retried), failed(&retried)]);
+        legacy.extend([submitted(&poison), failed(&poison), failed(&poison)]);
+        legacy.extend([
+            failed(&poison),
+            JournalRecord::Quarantined {
+                job: poison.id(),
+                failures: 3,
+            },
+        ]);
+        let (mut j, _) = Journal::open(&path).unwrap();
+        for rec in &legacy {
+            j.append(rec).unwrap();
         }
         drop(j);
         let (_, records) = Journal::open(&path).unwrap();
-        assert_eq!(records.len(), 3);
-        assert_eq!(replay(&records)["old"], JobLedger::default());
+        assert_eq!(records, legacy);
+        let ledgers = replay(&records);
+        assert_eq!(ledgers["old"], JobLedger::default());
+        assert_eq!(
+            ledgers[&retried.id()],
+            JobLedger {
+                pending: Some((0, retried.to_bytes())),
+                ..JobLedger::default()
+            }
+        );
+        assert_eq!(
+            ledgers[&poison.id()],
+            JobLedger {
+                quarantined: true,
+                ..JobLedger::default()
+            }
+        );
+
+        // A session that resubmits both runs the twice-failed job once
+        // and answers the quarantined one from its record.
+        let mut input = Vec::new();
+        for spec in [&retried, &poison] {
+            let submit = Request::Submit {
+                priority: 0,
+                spec: spec.clone(),
+            };
+            write_message(&mut input, &submit).unwrap();
+        }
+        write_message(&mut input, &Request::Run).unwrap();
+        let mut output = Vec::new();
+        let cfg = crate::ServiceConfig::new(path.parent().unwrap().to_path_buf());
+        run_session(&cfg, &mut &input[..], &mut output).unwrap();
+        let mut frames = &output[..];
+        let mut quarantined = false;
+        while let Some(reply) = read_message::<Reply>(&mut frames).unwrap() {
+            if let Reply::JobFailed { id, label, .. } = reply {
+                assert!(id == poison.id() && label == "QUAR", "{id}: {label}");
+                quarantined = true;
+            }
+        }
+        assert!(quarantined);
+        // The twice-failed job was re-queued from the journal, so its
+        // resubmission is a duplicate and journals nothing; its one run
+        // appends one `Done`.
+        let (_, after) = Journal::open(&path).unwrap();
+        assert_eq!(
+            after[records.len()..],
+            [
+                submitted(&poison),
+                JournalRecord::Done {
+                    job: retried.id(),
+                    chaos: None
+                }
+            ]
+        );
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 }

@@ -18,9 +18,8 @@
 //!   --memory-order M       consistency model: sc|tso|relaxed
 //!                          (default: sc; non-SC ids get a -tso/-relaxed
 //!                          suffix so they never alias SC results)
-//!   --deadline-wall-ms N   per-attempt wall-clock budget
-//!   --deadline-cycles N    per-attempt simulated-cycle budget
-//!   --max-failures K       failures before quarantine (default: 3)
+//!   --deadline-wall-ms N   per-job wall-clock budget
+//!   --deadline-cycles N    per-job simulated-cycle budget
 //!   --chaos-seed S         run every job under a seeded fault plan
 //!   --queue-cap N          admission queue capacity (serve, default: 64)
 //!   --priority P           submission priority 0-255 (client, default: 0)
@@ -37,12 +36,13 @@
 //! crashed or drained run left pending in the journal run too, though
 //! the table shows only the sweep's own jobs.
 //! Exit code 0 on a clean sweep, SIGTERM drain, or client-requested
-//! shutdown; 1 when any sweep job failed or was quarantined; 2 on a
-//! usage error; 3 on a state-dir IO error. Killing the process at any
-//! moment is safe: rerunning replays the journal, serves finished jobs
-//! from the result store, reruns every unfinished job from its spec
-//! (queued-but-unstarted submissions included), and prints output
-//! byte-identical to what an uninterrupted run would have printed.
+//! shutdown; 1 when any row of the table failed (`QUAR`, `SHED`,
+//! `REJ`); 2 on a usage error; 3 on a state-dir IO error. Killing the
+//! process at any moment is safe: rerunning replays the journal, serves
+//! finished jobs from the result store, reruns every unfinished job from
+//! its spec (queued-but-unstarted submissions included), and prints
+//! output byte-identical to what an uninterrupted run would have
+//! printed.
 //!
 //! `GLSC_SERVE_KILL=journal:<n>|cycles:<c>` injects a crash for the kill
 //! drills (see `glsc_serve::kill`); any other value is a usage error.
@@ -80,7 +80,6 @@ struct Args {
     memory_order: glsc_sim::MemoryOrder,
     deadline_wall_ms: Option<u64>,
     deadline_cycles: Option<u64>,
-    max_failures: u32,
     chaos_seed: Option<u64>,
     stdio: bool,
     socket: Option<PathBuf>,
@@ -102,7 +101,6 @@ fn parse_args() -> Args {
         memory_order: glsc_sim::MemoryOrder::Sc,
         deadline_wall_ms: None,
         deadline_cycles: None,
-        max_failures: 3,
         chaos_seed: None,
         stdio: false,
         socket: None,
@@ -198,13 +196,6 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|_| usage("bad --deadline-cycles")),
                 )
             }
-            "--max-failures" => {
-                args.max_failures = value("--max-failures")
-                    .parse()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("bad --max-failures"))
-            }
             "--chaos-seed" => {
                 args.chaos_seed = Some(
                     value("--chaos-seed")
@@ -240,7 +231,6 @@ fn service_config(args: &Args) -> ServiceConfig {
     let mut cfg = ServiceConfig::new(state_dir);
     cfg.deadline_wall_ms = args.deadline_wall_ms;
     cfg.deadline_cycles = args.deadline_cycles;
-    cfg.max_failures = args.max_failures;
     cfg.queue_capacity = args.queue_cap;
     cfg
 }

@@ -140,7 +140,8 @@ pub enum Reply {
     JobFailed {
         /// The job's id.
         id: String,
-        /// Degradation-mode cell: `PANIC`, `DEAD`, `QUAR`, or `SHED`.
+        /// Degradation-mode cell: `QUAR` (the job failed its run) or
+        /// `REJ` (its spec no longer lowers to a job).
         label: String,
         /// Human-readable cause.
         detail: String,
@@ -150,7 +151,8 @@ pub enum Reply {
     SweepDone {
         /// Jobs that finished with a result.
         ok: u32,
-        /// Jobs that failed (panic/deadline/quarantine).
+        /// Jobs that failed (quarantined, or a spec that no longer
+        /// lowers).
         failed: u32,
         /// Jobs shed by admission control this session.
         shed: u32,
@@ -263,9 +265,8 @@ impl Wire for Reply {
 /// `ids` (jobs restored from the journal) are not shown. The bytes are
 /// deterministic — no paths, timestamps or host state — so a sweep
 /// recovered from any crash history prints what an uninterrupted one
-/// does. Failed rows carry the degradation-mode cell (`PANIC`, `DEAD`,
-/// `QUAR`, `SHED`, `REJ`), never a conflated `ERR`. Returns the number
-/// of failed rows.
+/// does. Failed rows carry the degradation-mode cell (`QUAR`, `SHED`,
+/// `REJ`), never a conflated `ERR`. Returns the number of failed rows.
 pub fn print_table(ids: &[String], replies: &[Reply], out: &mut impl Write) -> usize {
     let mut rows: std::collections::HashMap<&str, &Reply> = std::collections::HashMap::new();
     for reply in replies {

@@ -2,13 +2,13 @@
 //!
 //! Every job reaches it through the one front door, a protocol session
 //! ([`crate::session`]): a `JobSpec` is the lowering of an admitted
-//! `WireJobSpec`. The supervisor runs every round of attempts through
-//! [`glsc_sim::Fleet`], one job at a time in submission order, each on a
-//! fresh machine, in slices of `FLEET_QUANTUM` (1,024) cycles with a
-//! supervision pause between slices. Every outcome is write-ahead
-//! journaled (`done | quarantined`, with `failed` marks in between; the
-//! session journals `submitted`); a finished report goes to the result
-//! store before its `done` record is appended.
+//! `WireJobSpec`. The supervisor runs the jobs the journal has not
+//! settled through [`glsc_sim::Fleet`] in one pass, one job at a time in
+//! submission order, each on a fresh machine, in slices of
+//! `FLEET_QUANTUM` (1,024) cycles with a supervision pause between
+//! slices. Every outcome is write-ahead journaled (`done | quarantined`;
+//! the session journals `submitted`); a finished report goes to the
+//! result store before its `done` record is appended.
 //!
 //! Recovery is a rerun. A restart — crash or drain — replays the
 //! journal, serves every `done` job from the result store, and reruns
@@ -19,13 +19,16 @@
 //! persisted: no job is long enough for a mid-run checkpoint to cost
 //! less than simply simulating it again.
 //!
-//! Failure policy: a panicking, sim-erroring, or deadline-tripping
-//! attempt appends a `Failed` record and retries next round after a
-//! jittered backoff (`backoff_jittered_ms`); a panic is contained to
-//! its job (machine dropped, the round goes on to the next job). A job
-//! whose failure count (across restarts — the journal remembers) reaches
-//! `max_failures` is quarantined and reported as a `QUAR` row while the
-//! rest of the sweep completes, with a nonzero exit.
+//! Failure policy: one attempt. A panic, a simulator error, a rejecting
+//! or panicking validator, or a tripped cycle or wall-clock deadline
+//! appends one `Quarantined` record, and the job streams a `QUAR` row
+//! while the rest of the sweep completes, with a nonzero exit. A panic
+//! is contained to its job (machine dropped, the pass goes on to the
+//! next job). Jobs are deterministic, so a second attempt would fail the
+//! same way; only a wall-clock trip depends on the host, and it is
+//! quarantined on its first occurrence too. A quarantined job never runs
+//! again in that state dir: a restart or a resubmission is answered from
+//! the journal, and only a fresh state dir runs it again.
 
 use crate::journal::{JobLedger, Journal, JournalRecord};
 use crate::{kill, signal};
@@ -54,60 +57,35 @@ const FLEET_QUANTUM: u64 = 1_024;
 pub struct ServiceConfig {
     /// Root of all durable state: `journal.log` and `cache/`.
     pub state_dir: PathBuf,
-    /// Per-attempt wall-clock budget; `None` = unlimited.
+    /// Per-job wall-clock budget, counted from the job's first
+    /// supervision pause; `None` = unlimited.
     pub deadline_wall_ms: Option<u64>,
-    /// Simulated-cycle budget per attempt; `None` = unlimited. Every
-    /// attempt starts at cycle 0, so a job that needs more cycles trips
-    /// this on every attempt, burns its failure budget, and quarantines.
+    /// Per-job simulated-cycle budget; `None` = unlimited. A job that
+    /// needs more cycles trips it and is quarantined.
     pub deadline_cycles: Option<u64>,
-    /// Failures (across restarts) before a job is quarantined.
-    pub max_failures: u32,
     /// Admission-queue capacity for the protocol front-end; submissions
     /// past this bound are shed (see [`crate::queue`]).
     pub queue_capacity: usize,
 }
 
 impl ServiceConfig {
-    /// Defaults: no deadlines, quarantine after 3 failures, queue
-    /// capacity 64.
+    /// Defaults: no deadlines, queue capacity 64.
     pub fn new(state_dir: PathBuf) -> Self {
         Self {
             state_dir,
             deadline_wall_ms: None,
             deadline_cycles: None,
-            max_failures: 3,
             queue_capacity: 64,
         }
     }
 }
 
-/// Base backoff before retry `attempt + 1`: 25 ms doubling per failed
-/// attempt, capped at 1 s. Deliberately pure — no clock reads — so a
-/// service's retry timeline is reproducible and the logged delays can be
-/// asserted in tests.
-fn backoff_ms(attempt: u32) -> u64 {
-    (25u64 << (attempt - 1).min(6)).min(1_000)
-}
-
-/// Backoff with deterministic jitter: the [`backoff_ms`] base plus up to
-/// 25% spread, derived by FNV-1a from the job's label and the attempt —
-/// no clock, no global RNG. Jobs that fail together get distinct,
-/// reproducible retry offsets instead of a synchronized thundering herd,
-/// and a test pins the exact schedule.
-fn backoff_jittered_ms(label: &str, attempt: u32) -> u64 {
-    let base = backoff_ms(attempt);
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    // Eight zero bytes lead the hash (a jitter seed fixed at 0); the
-    // pinned schedule depends on them.
-    for b in [0u8; 8]
-        .into_iter()
-        .chain(label.bytes())
-        .chain(attempt.to_le_bytes())
-    {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    base + h % (base / 4 + 1)
+/// Writes one supervisor log line to stderr. Unit tests also keep the
+/// lines their own thread logs, to count what an operator would see.
+fn log(line: String) {
+    #[cfg(test)]
+    tests::LOG.with(|log| log.borrow_mut().push(line.clone()));
+    eprintln!("[serve] {line}");
 }
 
 /// One supervised simulation: the lowering of an admitted wire spec
@@ -152,12 +130,10 @@ pub(crate) struct JobResult {
 /// before a drain.
 pub(crate) type SweepOutcomes = Vec<Option<Result<JobResult, JobError>>>;
 
-/// Per-job supervision state threaded across rounds.
+/// Per-job supervision state.
 struct JobState {
-    ledger: JobLedger,
     key: String,
-    /// Wall-deadline clock, armed at the first pause of each attempt and
-    /// cleared when the attempt fails.
+    /// Wall-deadline clock, armed at the job's first pause.
     started: Option<Instant>,
     outcome: Option<Result<JobResult, JobError>>,
 }
@@ -165,57 +141,36 @@ struct JobState {
 /// Everything the fleet hooks need, behind one `RefCell`: the pause and
 /// completion hooks are separate `FnMut`s but never run reentrantly (the
 /// fleet is single-threaded), so a runtime-checked borrow is safe.
-struct RoundCtx<'a, F> {
+struct RunCtx<'a, F> {
     svc: &'a ServiceConfig,
     store: &'a JobStore,
     journal: &'a mut Journal,
     jobs: &'a [JobSpec],
     states: &'a mut [JobState],
     on_result: &'a mut F,
-    /// Jobs that failed this round but still have retry budget.
-    retried: Vec<usize>,
-    /// First journal write error; halts the round and is re-raised once
-    /// the round unwinds.
+    /// First journal write error; halts the run and is re-raised once
+    /// the fleet unwinds.
     io_err: Option<std::io::Error>,
-    /// A TERM was observed mid-round; in-flight attempts were dropped.
+    /// A TERM was observed mid-run; the run in flight was dropped.
     drained: bool,
 }
 
-impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
-    /// Journals one failed attempt and applies the quarantine threshold.
-    fn record_failure(&mut self, gi: usize, reason: String) {
+impl<F: FnMut(usize, &Result<JobResult, JobError>)> RunCtx<'_, F> {
+    /// Journals a failed run as a quarantine and streams the `QUAR`
+    /// outcome. The reason goes to the log only.
+    fn quarantine(&mut self, gi: usize, reason: &str) {
         let id = &self.jobs[gi].id;
-        if let Err(e) = self.journal.append(&JournalRecord::Failed {
+        log(format!("{id}: quarantined: {reason}"));
+        if let Err(e) = self.journal.append(&JournalRecord::Quarantined {
             job: id.clone(),
-            reason,
+            failures: 1,
         }) {
             self.io_err.get_or_insert(e);
             return;
         }
-        let st = &mut self.states[gi];
-        st.started = None;
-        st.ledger.failures += 1;
-        if st.ledger.failures >= self.svc.max_failures {
-            if let Err(e) = self.journal.append(&JournalRecord::Quarantined {
-                job: id.clone(),
-                failures: st.ledger.failures,
-            }) {
-                self.io_err.get_or_insert(e);
-                return;
-            }
-            eprintln!(
-                "[serve] {id}: quarantined after {} failure(s)",
-                st.ledger.failures
-            );
-            let outcome = Err(JobError::Quarantined {
-                index: gi,
-                failures: st.ledger.failures,
-            });
-            (self.on_result)(gi, &outcome);
-            st.outcome = Some(outcome);
-        } else {
-            self.retried.push(gi);
-        }
+        let outcome = Err(JobError::Quarantined { index: gi });
+        (self.on_result)(gi, &outcome);
+        self.states[gi].outcome = Some(outcome);
     }
 
     /// Quantum-boundary hook: injected kill, drain signal, deadlines.
@@ -223,38 +178,27 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
         if self.io_err.is_some() {
             return PauseCtl::Halt;
         }
-        kill::check_cycles(machine.cycle());
+        let cycle = machine.cycle();
+        kill::check_cycles(cycle);
         if signal::term_requested() {
-            // Drop every attempt in flight: the journal still holds them
-            // as not done, so the next start reruns them from their
-            // specs.
+            // Drop the run in flight: the journal still holds its job as
+            // not done, so the next start reruns it from its spec.
             self.drained = true;
             return PauseCtl::Halt;
         }
         let job = &self.jobs[gi];
-        let failures = self.states[gi].ledger.failures;
         let started = *self.states[gi].started.get_or_insert_with(Instant::now);
         let cycle_limit = job.deadline_cycles.or(self.svc.deadline_cycles);
         let wall_limit = job.deadline_wall_ms.or(self.svc.deadline_wall_ms);
-        let tripped = if cycle_limit.is_some_and(|limit| machine.cycle() >= limit) {
-            Some((None, cycle_limit))
-        } else if wall_limit.is_some_and(|limit| started.elapsed().as_millis() as u64 >= limit) {
-            Some((wall_limit, None))
+        let trip = if let Some(limit) = cycle_limit.filter(|&limit| cycle >= limit) {
+            format!("exceeded the {limit}-cycle deadline")
+        } else if let Some(ms) = wall_limit.filter(|&ms| started.elapsed().as_millis() as u64 >= ms)
+        {
+            format!("exceeded the {ms} ms wall-clock deadline")
         } else {
-            None
-        };
-        let Some((wall_ms, cycles)) = tripped else {
             return PauseCtl::Continue;
         };
-        let e = JobError::Deadline {
-            index: gi,
-            attempts: failures + 1,
-            wall_ms,
-            cycles,
-        };
-        let reason = format!("{} (stopped at cycle {})", e.message(), machine.cycle());
-        eprintln!("[serve] {}: {reason}", job.id);
-        self.record_failure(gi, reason);
+        self.quarantine(gi, &format!("{trip} (stopped at cycle {cycle})"));
         PauseCtl::FailJob
     }
 
@@ -268,15 +212,10 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
         let job = &self.jobs[gi];
         let report = match result {
             Ok(report) => report,
-            Err(failure) => {
-                let reason = failure.to_string();
-                eprintln!("[serve] {}: attempt crashed: {reason}", job.id);
-                self.record_failure(gi, reason);
-                return;
-            }
+            Err(failure) => return self.quarantine(gi, &failure.to_string()),
         };
-        // Validation runs supervised too: a panicking validator is a
-        // failed attempt, not a dead service.
+        // Validation runs supervised too: a panicking validator fails
+        // the job, not the service.
         let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             (job.workload.validate)(machine.mem().backing())
         }));
@@ -306,16 +245,14 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RoundCtx<'_, F> {
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string()),
         };
-        eprintln!("[serve] {}: attempt crashed: {reason}", job.id);
-        self.record_failure(gi, reason);
+        self.quarantine(gi, &reason);
     }
 }
 
-/// The supervision engine behind a session's `Run`: every round runs
-/// the still-pending jobs through [`Fleet::run_each_supervised`] one at
-/// a time, in submission order, each from the start of its spec, then
-/// retries failures with jittered backoff until each job is done,
-/// quarantined, or the service drains.
+/// The supervision engine behind a session's `Run`: one pass of the jobs
+/// the journal has not settled through [`Fleet::run_each_supervised`],
+/// one at a time, in submission order, each from the start of its spec.
+/// Each ends done, quarantined, or — on a drain — not reached.
 ///
 /// `on_result(index, outcome)` streams each job's final outcome the
 /// moment it is durable (journaled + cached), in completion order — the
@@ -338,15 +275,12 @@ where
     // Resolve what the journal already settled; the rest run.
     let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
     for (gi, job) in jobs.iter().enumerate() {
-        let ledger = ledgers.get(&job.id).cloned().unwrap_or_default();
+        let ledger = ledgers.get(&job.id);
         let key = job.cache_key();
         let mut outcome = None;
-        if ledger.quarantined {
-            outcome = Some(Err(JobError::Quarantined {
-                index: gi,
-                failures: ledger.failures,
-            }));
-        } else if let Some(chaos) = &ledger.done {
+        if ledger.is_some_and(|l| l.quarantined) {
+            outcome = Some(Err(JobError::Quarantined { index: gi }));
+        } else if let Some(chaos) = ledger.and_then(|l| l.done.as_ref()) {
             if let Some(report) = store.load(&key) {
                 outcome = Some(Ok(JobResult {
                     report,
@@ -356,99 +290,71 @@ where
                 // Done in the journal but the cached report is gone or
                 // corrupt: re-run — correctness never depends on the
                 // cache surviving.
-                eprintln!(
-                    "[serve] {}: done in journal but report missing; re-running",
+                log(format!(
+                    "{}: done in journal but report missing; re-running",
                     job.id
-                );
+                ));
             }
         }
         if let Some(o) = &outcome {
             on_result(gi, o);
         }
         states.push(JobState {
-            ledger,
             key,
             started: None,
             outcome,
         });
     }
 
-    let mut drained = false;
-    loop {
-        let pending: Vec<usize> = states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.outcome.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if pending.is_empty() || drained {
-            break;
-        }
-        if signal::term_requested() {
-            drained = true;
-            break;
-        }
+    let pending: Vec<usize> = (0..jobs.len())
+        .filter(|&gi| states[gi].outcome.is_none())
+        .collect();
+    // Nothing to run, or a drain before the run starts: the session
+    // ends drained only when work was left unreached.
+    if pending.is_empty() || signal::term_requested() {
+        let drained = !pending.is_empty();
+        return Ok((states.into_iter().map(|s| s.outcome).collect(), drained));
+    }
 
-        // Mount the round: every attempt starts from its spec, sharing
-        // published copy-on-write dataset bases.
-        let mut published: HashMap<u64, Arc<BackingBase>> = HashMap::new();
-        let mut fleet_jobs = Vec::with_capacity(pending.len());
-        for &gi in &pending {
-            let job = &jobs[gi];
-            let base = published
-                .entry(job.workload.image.fingerprint())
-                .or_insert_with(|| job.workload.image.publish());
-            let mut fj = FleetJob::new(job.cfg.clone(), job.workload.program.clone())
-                .with_base(Arc::clone(base));
-            if let Some(seed) = job.chaos {
-                fj = fj.with_fault_plan(FaultPlan::new(ChaosConfig::from_seed(seed)));
-            }
-            fleet_jobs.push(fj);
+    // Mount every pending job from its spec, sharing published
+    // copy-on-write dataset bases.
+    let mut published: HashMap<u64, Arc<BackingBase>> = HashMap::new();
+    let mut fleet_jobs = Vec::with_capacity(pending.len());
+    for &gi in &pending {
+        let job = &jobs[gi];
+        let base = published
+            .entry(job.workload.image.fingerprint())
+            .or_insert_with(|| job.workload.image.publish());
+        let mut fj = FleetJob::new(job.cfg.clone(), job.workload.program.clone())
+            .with_base(Arc::clone(base));
+        if let Some(seed) = job.chaos {
+            fj = fj.with_fault_plan(FaultPlan::new(ChaosConfig::from_seed(seed)));
         }
+        fleet_jobs.push(fj);
+    }
 
-        let ctx = RefCell::new(RoundCtx {
-            svc,
-            store,
-            journal,
-            jobs,
-            states: &mut states,
-            on_result: &mut on_result,
-            retried: Vec::new(),
-            io_err: None,
-            drained: false,
-        });
-        Fleet::new()
-            .with_quantum(FLEET_QUANTUM)
-            .run_each_supervised(
-                fleet_jobs,
-                |local, machine| ctx.borrow_mut().on_pause(pending[local], machine),
-                |local, machine, result| ctx.borrow_mut().on_done(pending[local], machine, result),
-            );
-        let round = ctx.into_inner();
-        if let Some(e) = round.io_err {
-            return Err(e);
-        }
-        if round.drained {
-            drained = true;
-            break;
-        }
-        if round.retried.is_empty() {
-            continue;
-        }
-        // One backoff between rounds: each retried job reports its own
-        // jittered delay, the round sleeps the longest of them.
-        let mut delay = 0u64;
-        for &gi in &round.retried {
-            let id = &jobs[gi].id;
-            let failures = states[gi].ledger.failures;
-            let d = backoff_jittered_ms(id, failures);
-            eprintln!(
-                "[serve] {id}: retrying (attempt {}) after {d}ms",
-                failures + 1
-            );
-            delay = delay.max(d);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(delay));
+    let ctx = RefCell::new(RunCtx {
+        svc,
+        store,
+        journal,
+        jobs,
+        states: &mut states,
+        on_result: &mut on_result,
+        io_err: None,
+        drained: false,
+    });
+    Fleet::new()
+        .with_quantum(FLEET_QUANTUM)
+        .run_each_supervised(
+            fleet_jobs,
+            |local, machine| ctx.borrow_mut().on_pause(pending[local], machine),
+            |local, machine, result| ctx.borrow_mut().on_done(pending[local], machine, result),
+        );
+    let RunCtx {
+        io_err, drained, ..
+    } = ctx.into_inner();
+    if let Some(e) = io_err {
+        return Err(e);
     }
     Ok((states.into_iter().map(|s| s.outcome).collect(), drained))
 }
@@ -462,6 +368,36 @@ mod tests {
     use glsc_bench::codec::decode_report;
     use glsc_bench::jobspec::WireJobSpec;
     use glsc_kernels::{Dataset, Variant};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    thread_local! {
+        /// The supervisor's log lines written on this test's thread.
+        pub(super) static LOG: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Takes the supervisor log lines this thread has written so far.
+    fn take_log() -> Vec<String> {
+        LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
+    }
+
+    /// The cycle at which each deadline trip in `log` stopped job `id`.
+    fn deadline_stops(log: &[String], id: &str) -> Vec<u64> {
+        log.iter()
+            .filter(|line| line.starts_with(&format!("{id}: ")) && line.contains("deadline"))
+            .map(|line| {
+                let (_, cycle) = line.rsplit_once("stopped at cycle ").expect(line);
+                cycle.trim_end_matches(')').parse().expect(line)
+            })
+            .collect()
+    }
+
+    /// The records `records` holds about `id`, its submissions aside.
+    fn settling<'a>(records: &'a [JournalRecord], id: &str) -> Vec<&'a JournalRecord> {
+        records
+            .iter()
+            .filter(|r| r.job() == id && !matches!(r, JournalRecord::Submitted { .. }))
+            .collect()
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("glsc-serve-svc-{tag}-{}", std::process::id()));
@@ -525,8 +461,7 @@ mod tests {
         })
     }
 
-    /// The `QUAR` frame for `id`: its detail, which names the failure
-    /// count.
+    /// The `QUAR` frame for `id`: its detail.
     fn quarantined<'a>(replies: &'a [Reply], id: &str) -> &'a str {
         match outcome(replies, id) {
             Some(Reply::JobFailed { label, detail, .. }) if label == "QUAR" => detail,
@@ -541,39 +476,6 @@ mod tests {
                 (decode_report(report).unwrap(), chaos.clone())
             }
             other => panic!("{id} ended as {other:?}"),
-        }
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic() {
-        assert_eq!(backoff_ms(1), 25);
-        assert_eq!(backoff_ms(2), 50);
-        assert_eq!(backoff_ms(3), 100);
-        assert_eq!(backoff_ms(6), 800);
-        // Capped from attempt 7 on; later attempts never exceed the cap.
-        assert_eq!(backoff_ms(7), 1_000);
-        assert_eq!(backoff_ms(1_000), 1_000);
-        // Pure function: same input, same delay, no jitter.
-        assert_eq!(backoff_ms(4), backoff_ms(4));
-    }
-
-    #[test]
-    fn backoff_jitter_schedule_is_pinned() {
-        // The jittered schedule is a pure function of (label, attempt):
-        // these exact values must never drift, or retry timelines stop
-        // being reproducible across runs.
-        let label = "HIP-T-glsc-4x4-w4";
-        assert_eq!(backoff_jittered_ms(label, 1), 28);
-        assert_eq!(backoff_jittered_ms(label, 2), 60);
-        assert_eq!(backoff_jittered_ms(label, 3), 103);
-        assert_eq!(backoff_jittered_ms(label, 7), 1_222);
-        assert_eq!(backoff_jittered_ms("GBC-T-base-1x4-w4", 1), 29);
-        // Always within [base, base + 25%]; deterministic on repeat.
-        for attempt in 1..=10 {
-            let b = backoff_ms(attempt);
-            let j = backoff_jittered_ms(label, attempt);
-            assert!(j >= b && j <= b + b / 4, "attempt {attempt}: {j} vs {b}");
-            assert_eq!(j, backoff_jittered_ms(label, attempt));
         }
     }
 
@@ -608,12 +510,11 @@ mod tests {
     #[test]
     fn deadline_trips_then_quarantines_and_sweep_degrades() {
         // HIP Tiny GLSC needs 32,402 cycles at 1x1 and 8,766 at 1x4, so
-        // under a 20,000-cycle budget the first trips on every attempt
-        // and the second finishes.
+        // under a 20,000-cycle budget the first trips and the second
+        // finishes.
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("deadline");
-        let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.max_failures = 3;
+        let cfg = ServiceConfig::new(dir.clone());
         let specs: Vec<WireJobSpec> = [(1, 1), (1, 4)]
             .into_iter()
             .map(|shape| WireJobSpec {
@@ -622,88 +523,201 @@ mod tests {
             })
             .collect();
         let poison = specs[0].id();
+        take_log();
         let (_, replies) = sweep(&cfg, &specs);
         assert_eq!(
             quarantined(&replies, &poison),
-            "quarantined after 3 failure(s)"
+            "quarantined after a failed run"
+        );
+        let stops = deadline_stops(&take_log(), &poison);
+        assert!(
+            stops.len() == 1 && stops[0] >= 20_000,
+            "one trip, past the budget: {stops:?}"
         );
         // The healthy job still completed; the sweep exits nonzero.
         done(&replies, &specs[1].id());
         let (text, failed) = table(&specs, &replies);
         assert_eq!(failed, 1);
         assert!(
-            text.contains("QUAR quarantined after 3 failure(s)"),
+            text.contains("QUAR quarantined after a failed run"),
             "{text}"
         );
         assert!(text.contains("cycles"), "{text}");
         assert!(text.contains("== 1 ok, 1 failed =="), "{text}");
 
-        // The journal pins the exact failure history: 3 deadline
-        // failures, then quarantine; and a re-run skips the job
-        // immediately (still quarantined, no new attempts).
+        // One record settles the job; a re-run skips it at once (still
+        // quarantined, no new run) and prints the same table.
         let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
-        let fails = records
-            .iter()
-            .filter(|r| matches!(r, JournalRecord::Failed { job, .. } if *job == poison))
-            .count();
-        assert_eq!(fails, 3);
+        assert_eq!(
+            settling(&records, &poison),
+            [&JournalRecord::Quarantined {
+                job: poison.clone(),
+                failures: 1
+            }]
+        );
         let before = records.len();
         let (_, replies2) = sweep(&cfg, &specs);
         quarantined(&replies2, &poison);
+        assert_eq!(table(&specs, &replies2).0, text);
+        assert!(deadline_stops(&take_log(), &poison).is_empty());
         let (_, records2) = Journal::open(&dir.join("journal.log")).unwrap();
         // The resubmission itself is journaled; it is not a retry.
-        let new_poison_records = records2[before..]
-            .iter()
-            .filter(|r| r.job() == poison && !matches!(r, JournalRecord::Submitted { .. }))
-            .count();
-        assert_eq!(new_poison_records, 0, "quarantined job was retried");
+        assert!(
+            settling(&records2[before..], &poison).is_empty(),
+            "quarantined job was run again"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn wall_deadline_is_a_per_attempt_budget() {
+    fn every_failure_kind_is_quarantined_on_its_first_occurrence() {
+        // Beside a healthy job: a cycle-deadline trip (HIP Tiny GLSC needs
+        // 32,402 cycles at 1x1), a validator that always rejects, and one
+        // that panics. Each failing job simulates once (one log line, one
+        // validator call, one pause past the deadline) and is settled by
+        // one `Quarantined` record, and a second pass over the same state
+        // dir answers it from the journal with the same row.
+        let _flag = signal::term_flag_shared();
+        let dir = tmp_dir("first-failure");
+        let cfg = ServiceConfig::new(dir.clone());
+        let specs = [
+            WireJobSpec {
+                deadline_cycles: Some(20_000),
+                ..hip((1, 1))
+            },
+            hip((1, 2)),
+            hip((1, 4)),
+            hip((4, 4)),
+        ];
+        let ids: Vec<String> = specs.iter().map(WireJobSpec::id).collect();
+        let rejects = Arc::new(AtomicU32::new(0));
+        let panics = Arc::new(AtomicU32::new(0));
+        let jobs = || {
+            let mut jobs: Vec<JobSpec> = specs.iter().map(|s| spec_to_job(s).unwrap()).collect();
+            let calls = Arc::clone(&rejects);
+            jobs[1].workload.validate = Box::new(move |_| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                Err("rejects every run".into())
+            });
+            let calls = Arc::clone(&panics);
+            jobs[2].workload.validate = Box::new(move |_| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                panic!("validator panicked")
+            });
+            jobs
+        };
+        // One supervised pass: each job's row as the sweep table renders
+        // it, and the records the pass appended.
+        let pass = || {
+            std::fs::create_dir_all(&cfg.state_dir).unwrap();
+            let store = JobStore::at(cfg.state_dir.join("cache"), true);
+            let path = cfg.state_dir.join("journal.log");
+            let (mut journal, records) = Journal::open(&path).unwrap();
+            let mut rows = vec![String::new(); specs.len()];
+            let (_, drained) = run_supervised(
+                &cfg,
+                &store,
+                &mut journal,
+                &replay(&records),
+                &jobs(),
+                |gi, o| {
+                    rows[gi] = match o {
+                        Ok(result) => format!("{} cycles", result.report.cycles),
+                        Err(e) => format!("{} {}", e.cell(), e.message()),
+                    };
+                },
+            )
+            .unwrap();
+            assert!(!drained);
+            drop(journal);
+            let (_, after) = Journal::open(&path).unwrap();
+            (rows, after[records.len()..].to_vec())
+        };
+
+        take_log();
+        let (rows, appended) = pass();
+        let log = take_log();
+        assert_eq!(rows[..3], ["QUAR quarantined after a failed run"; 3]);
+        assert!(rows[3].ends_with(" cycles"), "{rows:?}");
+        assert_eq!(rejects.load(Ordering::SeqCst), 1);
+        assert_eq!(panics.load(Ordering::SeqCst), 1);
+        for (id, why) in
+            ids.iter()
+                .zip(["cycle deadline", "rejects every run", "validator panicked"])
+        {
+            let lines: Vec<&String> = log
+                .iter()
+                .filter(|l| l.starts_with(&format!("{id}: ")))
+                .collect();
+            assert!(
+                lines.len() == 1 && lines[0].contains(why),
+                "{id}: {lines:?}"
+            );
+            assert_eq!(
+                settling(&appended, id),
+                [&JournalRecord::Quarantined {
+                    job: id.clone(),
+                    failures: 1
+                }]
+            );
+        }
+        assert!(matches!(
+            settling(&appended, &ids[3])[..],
+            [JournalRecord::Done { .. }]
+        ));
+
+        // The second pass runs nothing and appends nothing.
+        let (rows2, appended2) = pass();
+        assert_eq!(rows2, rows);
+        assert!(appended2.is_empty(), "{appended2:?}");
+        assert!(take_log().is_empty());
+        assert_eq!(rejects.load(Ordering::SeqCst), 1);
+        assert_eq!(panics.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn wall_deadline_is_a_per_job_budget() {
         // Regression: the wall clock used to start at a job's first pause
         // and never restart, so once one attempt had used up the budget
         // every retry tripped at its own first pause and the job was
-        // quarantined without its retries getting any run time. Each
-        // attempt reruns from cycle 0, so each needs the whole budget.
+        // quarantined without its retries getting any run time. A job now
+        // gets one run, and its clock starts at that run's first pause,
+        // so the trip must land after the job has run past it.
         // SMC Base at dataset B on 32x8 takes about 300 ms of host time
         // in a release build, ten times the budget. Simulated cycles are
         // no guide: idle windows are skipped, so TMS Base at dataset A,
         // 1x1 (2,069,233 cycles) can finish inside 30 ms.
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("wall");
-        let mut cfg = ServiceConfig::new(dir.clone());
-        cfg.max_failures = 3;
+        let cfg = ServiceConfig::new(dir.clone());
         let spec = WireJobSpec {
             deadline_wall_ms: Some(30),
             ..WireJobSpec::kernel("SMC", Dataset::B, Variant::Base, (32, 8), 4)
         };
+        take_log();
         let (_, replies) = sweep(&cfg, std::slice::from_ref(&spec));
         assert_eq!(
             quarantined(&replies, &spec.id()),
-            "quarantined after 3 failure(s)"
+            "quarantined after a failed run"
+        );
+        let log = take_log();
+        let stops = deadline_stops(&log, &spec.id());
+        assert_eq!(stops.len(), 1, "{log:?}");
+        assert!(log[0].contains("30 ms wall-clock deadline"), "{log:?}");
+        assert!(
+            stops[0] > FLEET_QUANTUM,
+            "the job tripped at its first pause (cycle {})",
+            stops[0]
         );
         let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
-        let stops: Vec<u64> = records
-            .iter()
-            .filter_map(|r| match r {
-                JournalRecord::Failed { reason, .. } => {
-                    assert!(reason.contains("30 ms wall-clock deadline"), "{reason}");
-                    let (_, cycle) = reason.rsplit_once("stopped at cycle ")?;
-                    cycle.trim_end_matches(')').parse().ok()
-                }
-                _ => None,
-            })
-            .collect();
-        assert_eq!(stops.len(), 3, "{records:?}");
-        for (attempt, cycle) in stops.iter().enumerate() {
-            assert!(
-                *cycle > FLEET_QUANTUM,
-                "attempt {} tripped at its first pause (cycle {cycle})",
-                attempt + 1
-            );
-        }
+        assert_eq!(
+            settling(&records, &spec.id()),
+            [&JournalRecord::Quarantined {
+                job: spec.id(),
+                failures: 1
+            }]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

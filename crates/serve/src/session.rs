@@ -456,9 +456,8 @@ fn run_queue(
                 ledger.done = Some(result.chaos.clone());
                 ledger.pending = None;
             }
-            Some(Err(glsc_bench::JobError::Quarantined { failures, .. })) => {
+            Some(Err(glsc_bench::JobError::Quarantined { .. })) => {
                 ledger.quarantined = true;
-                ledger.failures = *failures;
                 ledger.pending = None;
             }
             Some(Err(_)) | None => {}

@@ -5,10 +5,12 @@
 //!   runs in flight, exit 0 printing nothing, and a rerun must finish
 //!   with output byte-identical to an uninterrupted run.
 //! * **Deadline → quarantine** — a cycle budget that one job of the
-//!   sweep cannot finish within; the supervisor must trip its deadline,
-//!   retry with backoff, quarantine it, degrade the sweep table to a
-//!   `QUAR` cell, and exit nonzero while the healthy jobs still complete.
+//!   sweep cannot finish within; the supervisor must trip its deadline
+//!   once, quarantine it at once, degrade the sweep table to a `QUAR`
+//!   cell, and exit nonzero while the healthy jobs still complete — also
+//!   when the worker dies in the middle of journaling the quarantine.
 
+use glsc_serve::journal::{Journal, JournalRecord};
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
@@ -94,22 +96,31 @@ fn sigterm_drains_cleanly_and_rerun_matches_solo() {
     let _ = std::fs::remove_dir_all(&drain_dir);
 }
 
+/// HIP Tiny GLSC needs 32,402 cycles at 1x1, so it trips a 20,000-cycle
+/// deadline; at 1x4 it needs 8,766 and finishes.
+const DEADLINE_SWEEP: [&str; 6] = [
+    "--kernels",
+    "HIP",
+    "--shapes",
+    "1x1,1x4",
+    "--deadline-cycles",
+    "20000",
+];
+
+/// Stderr lines of `out` that contain `needle`.
+fn stderr_lines(out: &Output, needle: &str) -> usize {
+    String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter(|line| line.contains(needle))
+        .count()
+}
+
 #[test]
 fn deadline_job_quarantines_and_sweep_degrades() {
-    // HIP Tiny GLSC needs 32,402 cycles at 1x1, so it trips a 20,000-cycle
-    // deadline on both attempts; at 1x4 it needs 8,766 and finishes.
-    let args = [
-        "--kernels",
-        "HIP",
-        "--shapes",
-        "1x1,1x4",
-        "--deadline-cycles",
-        "20000",
-        "--max-failures",
-        "2",
-    ];
     let dir = tmp_dir("deadline");
-    let out = sweep_cmd(&dir, &args).output().expect("deadline sweep");
+    let out = sweep_cmd(&dir, &DEADLINE_SWEEP)
+        .output()
+        .expect("deadline sweep");
 
     assert_eq!(out.status.code(), Some(1), "degraded sweep must exit 1");
     let table = stdout_of(&out);
@@ -119,23 +130,61 @@ fn deadline_job_quarantines_and_sweep_degrades() {
         "missing QUAR cell:\n{table}"
     );
     assert!(
-        table.contains("quarantined after 2 failure(s)"),
+        table.contains("quarantined after a failed run"),
         "missing quarantine reason:\n{table}"
     );
     assert!(
         table.contains("HIP-T-GLSC-1x4-w4") && table.contains("1 ok, 1 failed"),
         "healthy job missing from degraded table:\n{table}"
     );
-    assert!(
-        err.contains("cycle deadline"),
-        "deadline trip not logged:\n{err}"
+    // One trip, logged once, and no retry.
+    assert_eq!(
+        stderr_lines(&out, "cycle deadline"),
+        1,
+        "deadline trip not logged exactly once:\n{err}"
     );
+    assert_eq!(stderr_lines(&out, "retrying"), 0, "{err}");
 
     // Rerunning against the same state dir replays the quarantine from
-    // the journal: still exit 1, same table, and fast (no re-simulation
-    // of the poisoned job's 20k-cycle budget × retries).
-    let rerun = sweep_cmd(&dir, &args).output().expect("rerun");
+    // the journal: still exit 1, same table, and the poisoned job is not
+    // simulated again.
+    let rerun = sweep_cmd(&dir, &DEADLINE_SWEEP).output().expect("rerun");
     assert_eq!(rerun.status.code(), Some(1));
     assert_eq!(stdout_of(&rerun), table);
+    assert_eq!(
+        stderr_lines(&rerun, "cycle deadline"),
+        0,
+        "the quarantined job ran again:\n{}",
+        String::from_utf8_lossy(&rerun.stderr)
+    );
+
+    // A worker killed while journaling the quarantine. Appends 1 and 2
+    // are the two `Submitted` records, so append 3 is the poisoned job's
+    // `Quarantined` record, and it is torn. The restart must rerun the
+    // job, quarantine it once, and print the uninterrupted table.
+    let torn = tmp_dir("deadline-torn");
+    let killed = sweep_cmd(&torn, &DEADLINE_SWEEP)
+        .env("GLSC_SERVE_KILL", "journal:3")
+        .output()
+        .expect("killed sweep");
+    assert!(
+        String::from_utf8_lossy(&killed.stderr).contains("injected crash"),
+        "the kill did not fire:\n{}",
+        String::from_utf8_lossy(&killed.stderr)
+    );
+    let restarted = sweep_cmd(&torn, &DEADLINE_SWEEP)
+        .output()
+        .expect("restarted sweep");
+    assert_eq!(restarted.status.code(), Some(1));
+    assert_eq!(stdout_of(&restarted), table);
+    let (_, records) = Journal::open(&torn.join("journal.log")).expect("journal opens");
+    let quarantines = records
+        .iter()
+        .filter(
+            |r| matches!(r, JournalRecord::Quarantined { job, .. } if job == "HIP-T-GLSC-1x1-w4"),
+        )
+        .count();
+    assert_eq!(quarantines, 1, "{records:?}");
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&torn);
 }

@@ -677,7 +677,7 @@ fn resubmitted_quarantined_jobs_do_not_pollute_the_admission_queue() {
     // `QUAR` frame for it unasked, and with --queue-cap 1 its stale slot
     // would shed every fresh job.
     let dir = tmp_dir("requarantine");
-    let extra = ["--queue-cap", "1", "--max-failures", "1"];
+    let extra = ["--queue-cap", "1"];
     // HIP Tiny GLSC 1x1 needs 32,402 cycles: it trips a 2,000-cycle
     // deadline on its one attempt.
     let mut poison = spec("HIP", (1, 1));

@@ -138,7 +138,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Supervised, sliced job runner. See the [module docs](self).
+/// Supervised, sliced job runner (DESIGN.md §13): each job runs on a
+/// fresh machine in quanta of cycles, with a pause hook between slices.
 #[derive(Clone, Debug)]
 pub struct Fleet {
     quantum: u64,

@@ -189,7 +189,7 @@ impl LitmusTest {
 
     /// The litmus machine configuration for this test under `order`:
     /// one hardware thread per core on the tiny memory geometry (two L2
-    /// banks, so [`ADDR_X`]/[`ADDR_Y`] land on distinct banks).
+    /// banks, so `ADDR_X`/`ADDR_Y` land on distinct banks).
     pub fn config(&self, order: MemoryOrder) -> MachineConfig {
         let mut cfg = MachineConfig::paper(self.cores, 1, 4)
             .with_memory_order(order)
