@@ -8,53 +8,36 @@
 //!
 //! Each ablation runs the GLSC histogram (HIP) and the TMS reduction on
 //! the 4×4 machine and reports cycles plus the GLSC element failure rate.
-//! All configuration points are independent and run across host threads
-//! (`GLSC_BENCH_THREADS`); output order is unchanged. Completed points
-//! persist to the job store keyed by a config fingerprint, so every
-//! ablation point caches separately (`GLSC_BENCH_RESUME=1` resumes);
-//! a job that panics prints as a `PANIC` cell. Output goes to
+//! Every point runs with a starvation threshold of 5,000 consecutive SC
+//! failures, so a point whose retry loops livelock fails at once as a
+//! typed `Starvation` error instead of spinning to the 2×10⁹-cycle
+//! budget. All configuration points are one job list that
+//! `run_jobs_fleet` fans across host threads (`GLSC_BENCH_THREADS`);
+//! output order is unchanged. Completed points persist to the job store
+//! keyed by a config fingerprint, so every ablation point caches
+//! separately (`GLSC_BENCH_RESUME=1` resumes); a job that fails prints
+//! as a `PANIC` cell and the run exits 1. Output goes to
 //! `results/ablation.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, datasets, ds_label, finish_figure, pct, run_jobs,
-    run_workload_cached, FigureOutput, JobError, JobStore,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, pct, run_jobs_fleet,
+    FigureOutput, FleetJobSpec, JobError, JobStore,
 };
-use glsc_kernels::{build_named, Dataset, Variant};
+use glsc_kernels::{build_named, KernelOutcome, Variant};
 use glsc_sim::{GlscConfig, MachineConfig};
 
-/// The ablations' one dataset: A, or tiny under `GLSC_DATASETS=tiny`.
-fn dataset() -> Dataset {
-    datasets()[0]
-}
+type Outcome = Result<KernelOutcome, JobError>;
 
-/// (cycles, GLSC element failure rate, dynamic instructions) of one run.
-type Point = (u64, f64, u64);
-
-fn run_with(store: &JobStore, label: &str, kernel: &str, cfg: &MachineConfig) -> Point {
-    let w = build_named(kernel, dataset(), Variant::Glsc, cfg).expect("known kernel");
-    let out = run_workload_cached(
-        store,
-        &w,
-        cfg,
-        &["ablation", label, kernel, ds_label(dataset()), "w4"],
-    );
-    (
-        out.report.cycles,
-        out.report.glsc_failure_rate(),
-        out.report.total_instructions(),
-    )
-}
-
-fn cycles_cell(r: &Result<Point, JobError>) -> String {
+fn cycles_cell(r: &Outcome) -> String {
     match r {
-        Ok(p) => format!("{:>12}", p.0),
+        Ok(o) => format!("{:>12}", o.report.cycles),
         Err(e) => format!("{:>12}", e.cell()),
     }
 }
 
-fn fail_cell(r: &Result<Point, JobError>) -> String {
+fn fail_cell(r: &Outcome) -> String {
     match r {
-        Ok(p) => format!("{:>10}", pct(p.1)),
+        Ok(o) => format!("{:>10}", pct(o.report.glsc_failure_rate())),
         Err(e) => format!("{:>10}", e.cell()),
     }
 }
@@ -62,15 +45,20 @@ fn fail_cell(r: &Result<Point, JobError>) -> String {
 fn main() {
     let store = JobStore::for_bench("ablation");
     let mut out = FigureOutput::new("ablation");
-    let base_cfg = MachineConfig::paper(4, 4, 4);
+    // The ablations' one dataset: A, or tiny under `GLSC_DATASETS=tiny`.
+    let ds = datasets()[0];
+    let base_cfg = MachineConfig::paper(4, 4, 4).with_starvation_threshold(Some(5_000));
 
     // Every ablation point, in print order. Each configuration runs HIP
     // and TMS, so each point contributes two consecutive jobs.
     //
-    // Below SIMD-width entries the 4 SMT threads sharing one buffer evict
-    // each other's links continuously and retry loops stop converging
-    // (starvation) — the paper's "one to SIMD-width x #SMT threads" sizing
-    // implicitly assumes at least per-instruction capacity.
+    // At 4 entries (one 4-wide instruction's worth, shared by 4 SMT
+    // threads) the threads evict each other's links, and under Free
+    // arbitration TMS's retry loops stop converging on dataset A: a
+    // thread reaches 5,000 SC failures in a row, every other thread
+    // nearly as many, and the starvation threshold ends the point. The
+    // paper's "one to SIMD-width x #SMT threads" sizing needs more than
+    // per-instruction capacity under SMT.
     const BUFFERS: [Option<usize>; 4] = [None, Some(64), Some(16), Some(4)];
     const POLICIES: [(&str, bool); 2] = [("wait-for-miss", false), ("fail-on-miss", true)];
     let mut points: Vec<(String, MachineConfig)> = Vec::new();
@@ -93,16 +81,19 @@ fn main() {
         cfg.mem.prefetch = on;
         points.push((format!("prefetch-{}", if on { "on" } else { "off" }), cfg));
     }
-    let jobs: Vec<_> = points
+    let jobs = points
         .iter()
         .flat_map(|(label, cfg)| {
-            let store = &store;
-            ["HIP", "TMS"]
-                .into_iter()
-                .map(move |kernel| move || run_with(store, label, kernel, cfg))
+            ["HIP", "TMS"].into_iter().map(move |kernel| FleetJobSpec {
+                key_parts: ["ablation", label, kernel, ds_label(ds), "w4"]
+                    .map(String::from)
+                    .to_vec(),
+                workload: build_named(kernel, ds, Variant::Glsc, cfg).expect("known kernel"),
+                cfg: cfg.clone(),
+            })
         })
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
     let mut rows = results.chunks(2);
 

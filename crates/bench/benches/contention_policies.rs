@@ -18,12 +18,13 @@
 //!
 //! The workload is fully parameterized (no dataset dependence), so the
 //! tiny smoke run and the committed full figure have identical content.
-//! Jobs persist to the job store and resume with `GLSC_BENCH_RESUME=1`;
-//! the table is written to `results/contention_policies.txt`.
+//! The jobs are one list run by `run_jobs_fleet`; they persist to the
+//! job store and resume with `GLSC_BENCH_RESUME=1`. The table is written
+//! to `results/contention_policies.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, finish_figure, run_jobs_labeled, run_workload_cached,
-    FigureOutput, JobStore,
+    bench_threads, collect_errors, finish_figure, run_jobs_fleet, FigureOutput, FleetJobSpec,
+    JobStore,
 };
 use glsc_kernels::micro::{Micro, MicroParams, Scenario};
 use glsc_kernels::Variant;
@@ -85,32 +86,32 @@ fn main() {
         params.push((policy, false, (4, 4), true));
     }
 
-    let jobs: Vec<(String, _)> = params
+    let jobs = params
         .iter()
         .map(|&(policy, bo, (cores, tpc), squeeze)| {
-            let store = &store;
-            let key = format!(
-                "{}{}/{cores}x{tpc}{}",
-                policy.label(),
-                if bo { "+bo" } else { "" },
-                if squeeze { "/8l-buf4" } else { "" }
-            );
-            let job_key = key.clone();
-            let job = move || {
-                let cfg = config(policy, cores, tpc, squeeze);
-                let lines = if squeeze { 8 } else { 4 };
-                let m = if bo {
-                    hot_micro(lines).with_backoff()
-                } else {
-                    hot_micro(lines)
-                };
-                let w = m.build(Variant::Glsc, &cfg);
-                run_workload_cached(store, &w, &cfg, &["contention", &job_key])
+            let cfg = config(policy, cores, tpc, squeeze);
+            let lines = if squeeze { 8 } else { 4 };
+            let m = if bo {
+                hot_micro(lines).with_backoff()
+            } else {
+                hot_micro(lines)
             };
-            (key, job)
+            FleetJobSpec {
+                key_parts: vec![
+                    "contention".to_string(),
+                    format!(
+                        "{}{}/{cores}x{tpc}{}",
+                        policy.label(),
+                        if bo { "+bo" } else { "" },
+                        if squeeze { "/8l-buf4" } else { "" }
+                    ),
+                ],
+                workload: m.build(Variant::Glsc, &cfg),
+                cfg,
+            }
         })
         .collect();
-    let results = run_jobs_labeled(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
     let reports: std::collections::HashMap<_, _> = params
         .iter()

@@ -4,16 +4,17 @@
 //!     SIMD, GLSC — "very similar to ... Base" per §5.1).
 //! (b) SIMD efficiency: speedup of 4-wide and 16-wide SIMD over 1-wide.
 //!
-//! The (kernel, dataset, width) simulations are independent and run
-//! across host threads (`GLSC_BENCH_THREADS`); results are collected in
-//! job order so the printed tables match the serial harness exactly.
-//! Completed simulations persist to the job store (`GLSC_BENCH_RESUME=1`
-//! resumes an interrupted sweep); a job that panics prints as a `PANIC`
-//! row. Both tables are written to `results/fig5.txt`.
+//! The (kernel, dataset, width) simulations are one job list run by
+//! `run_jobs_fleet` across host threads (`GLSC_BENCH_THREADS`); results
+//! are collected in job order so the printed tables match the serial
+//! harness exactly. Completed simulations persist to the job store
+//! (`GLSC_BENCH_RESUME=1` resumes an interrupted sweep); a job that
+//! panics prints as a `PANIC` row. Both tables are written to
+//! `results/fig5.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, datasets, ds_label, finish_figure, run_cached, run_jobs,
-    FigureOutput, JobStore,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, fleet_kernel_job,
+    run_jobs_fleet, FigureOutput, JobStore,
 };
 use glsc_kernels::{Variant, KERNEL_NAMES};
 
@@ -28,14 +29,11 @@ fn main() {
             }
         }
     }
-    let jobs: Vec<_> = params
+    let jobs = params
         .iter()
-        .map(|&(kernel, ds, width)| {
-            let store = &store;
-            move || run_cached(store, kernel, ds, Variant::Glsc, (1, 1), width)
-        })
+        .map(|&(kernel, ds, width)| fleet_kernel_job(kernel, ds, Variant::Glsc, (1, 1), width))
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
 
     out.header(

@@ -6,16 +6,16 @@
 //! dataset (the paper's normalization). The closing summary reports the
 //! average GLSC-over-Base improvement at 1×1 and 4×4 (paper: 76% / 54%).
 //!
-//! All (kernel, dataset, variant, config) simulations are independent and
-//! are fanned across host threads (`GLSC_BENCH_THREADS`); output order is
-//! unchanged. Completed simulations persist to the job store, so an
+//! All (kernel, dataset, variant, config) simulations are one job list
+//! that `run_jobs_fleet` fans across host threads (`GLSC_BENCH_THREADS`);
+//! output order is unchanged. Completed simulations persist to the job store, so an
 //! interrupted sweep resumes with `GLSC_BENCH_RESUME=1`; a failed job
 //! prints as a `PANIC` cell and a nonzero exit instead of aborting the
 //! figure. The table is also written to `results/fig6.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, run_cached,
-    run_jobs, FigureOutput, JobStore, CONFIGS,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, fleet_kernel_job, geomean,
+    run_jobs_fleet, FigureOutput, JobStore, CONFIGS,
 };
 use glsc_kernels::{Variant, KERNEL_NAMES};
 
@@ -37,14 +37,11 @@ fn main() {
             }
         }
     }
-    let jobs: Vec<_> = params
+    let jobs = params
         .iter()
-        .map(|&(kernel, ds, variant, cfg)| {
-            let store = &store;
-            move || run_cached(store, kernel, ds, variant, cfg, width)
-        })
+        .map(|&(kernel, ds, variant, cfg)| fleet_kernel_job(kernel, ds, variant, cfg, width))
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
     // Per-job cycles, or the failed job's degradation cell (PANIC) so the
     // figure says *how* a row died, not just that it did.

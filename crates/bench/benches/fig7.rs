@@ -5,17 +5,19 @@
 //! overlap), solid wins in B/C (instruction + L1-access reduction), and a
 //! tie or loss in D (full aliasing), with D degrading further at 16-wide.
 //!
-//! The (scenario, variant, width) runs are independent and are fanned
-//! across host threads (`GLSC_BENCH_THREADS`); output order is unchanged.
-//! Completed runs persist to the job store (`GLSC_BENCH_RESUME=1`
-//! resumes); a job that panics prints as a `PANIC` cell. The table is
-//! written to `results/fig7.txt`.
+//! Every scenario runs at the standard microbenchmark parameters of the
+//! first dataset (A, or tiny under `GLSC_DATASETS=tiny`). The (scenario,
+//! variant, width) runs are one job list that `run_jobs_fleet` fans
+//! across host threads (`GLSC_BENCH_THREADS`); output order is
+//! unchanged. Completed runs persist to the job store
+//! (`GLSC_BENCH_RESUME=1` resumes); a job that panics prints as a
+//! `PANIC` cell. The table is written to `results/fig7.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, finish_figure, ratio, run_jobs, run_micro_cached, FigureOutput,
-    JobStore,
+    bench_threads, collect_errors, datasets, finish_figure, fleet_micro_job, ratio, run_jobs_fleet,
+    FigureOutput, JobStore,
 };
-use glsc_kernels::micro::Scenario;
+use glsc_kernels::micro::{MicroParams, Scenario};
 use glsc_kernels::Variant;
 
 fn main() {
@@ -33,14 +35,14 @@ fn main() {
             }
         }
     }
-    let jobs: Vec<_> = params
+    let micro = MicroParams::for_dataset(datasets()[0]);
+    let jobs = params
         .iter()
         .map(|&(scenario, variant, width)| {
-            let store = &store;
-            move || run_micro_cached(store, scenario, variant, (4, 4), width)
+            fleet_micro_job(scenario, micro.clone(), variant, (4, 4), width)
         })
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
 
     out.line(format!(

@@ -6,15 +6,15 @@
 //! width (paper averages: +54% at 4-wide, +103% at 16-wide), largest for
 //! the benchmarks with high SIMD efficiency.
 //!
-//! The (kernel, dataset, width, variant) runs are independent and are
-//! fanned across host threads (`GLSC_BENCH_THREADS`); output order is
-//! unchanged. Completed runs persist to the job store
+//! The (kernel, dataset, width, variant) runs are one job list that
+//! `run_jobs_fleet` fans across host threads (`GLSC_BENCH_THREADS`);
+//! output order is unchanged. Completed runs persist to the job store
 //! (`GLSC_BENCH_RESUME=1` resumes); a job that panics prints as a
 //! `PANIC` cell. The table is written to `results/fig8.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, ratio, run_cached,
-    run_jobs, FigureOutput, JobStore,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, fleet_kernel_job, geomean,
+    ratio, run_jobs_fleet, FigureOutput, JobStore,
 };
 use glsc_kernels::{Variant, KERNEL_NAMES};
 
@@ -35,14 +35,11 @@ fn main() {
             }
         }
     }
-    let jobs: Vec<_> = params
+    let jobs = params
         .iter()
-        .map(|&(kernel, ds, variant, width)| {
-            let store = &store;
-            move || run_cached(store, kernel, ds, variant, (4, 4), width)
-        })
+        .map(|&(kernel, ds, variant, width)| fleet_kernel_job(kernel, ds, variant, (4, 4), width))
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
 
     out.line(format!(

@@ -9,12 +9,13 @@
 //! shape, the ring's mean link-queueing delay per message, and whether
 //! GLSC's advantage over Base survives a contended fabric.
 //!
-//! Jobs persist to the job store and resume with `GLSC_BENCH_RESUME=1`;
-//! the table is written to `results/noc_contention.txt`.
+//! The jobs are one list run by `run_jobs_fleet`; they persist to the
+//! job store and resume with `GLSC_BENCH_RESUME=1`. The table is written
+//! to `results/noc_contention.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, run_jobs,
-    run_workload_cached, FigureOutput, JobStore,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, run_jobs_fleet,
+    FigureOutput, FleetJobSpec, JobStore,
 };
 use glsc_kernels::{build_named, Variant};
 use glsc_sim::{MachineConfig, NocConfig, Topology};
@@ -51,31 +52,26 @@ fn main() {
             }
         }
     }
-    let jobs: Vec<_> = params
+    let jobs = params
         .iter()
         .map(|&(kernel, ds, variant, topo, (cores, tpc))| {
-            let store = &store;
-            move || {
-                let cfg = MachineConfig::paper(cores, tpc, width).with_noc(noc_for(topo));
-                let w = build_named(kernel, ds, variant, &cfg).expect("known kernel");
-                run_workload_cached(
-                    store,
-                    &w,
-                    &cfg,
-                    &[
-                        "noc",
-                        kernel,
-                        ds_label(ds),
-                        variant.label(),
-                        topo.label(),
-                        &format!("{cores}x{tpc}"),
-                        &format!("w{width}"),
-                    ],
-                )
+            let cfg = MachineConfig::paper(cores, tpc, width).with_noc(noc_for(topo));
+            FleetJobSpec {
+                key_parts: vec![
+                    "noc".to_string(),
+                    kernel.to_string(),
+                    ds_label(ds).to_string(),
+                    variant.label().to_string(),
+                    topo.label().to_string(),
+                    format!("{cores}x{tpc}"),
+                    format!("w{width}"),
+                ],
+                workload: build_named(kernel, ds, variant, &cfg).expect("known kernel"),
+                cfg,
             }
         })
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
     let reports: std::collections::HashMap<_, _> = params
         .iter()

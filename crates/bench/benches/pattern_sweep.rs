@@ -10,16 +10,18 @@
 //! stop paying for themselves as conflict density rises — and how much
 //! of that cliff is the interconnect vs the arbiter.
 //!
-//! Output lands in `results/pattern_sweep.txt` (`-tiny` under
-//! `GLSC_DATASETS=tiny`).
+//! The jobs are one list run by `run_jobs_fleet`; they persist to the
+//! job store and resume with `GLSC_BENCH_RESUME=1`. Output lands in
+//! `results/pattern_sweep.txt` (`-tiny` under `GLSC_DATASETS=tiny`).
 
 use glsc_bench::{
-    bench_threads, collect_errors, config, datasets, finish_figure, run_jobs, run_spec_cached,
-    FigureOutput, FleetJobSpec, JobStore,
+    bench_threads, collect_errors, datasets, finish_figure, run_jobs_fleet, FigureOutput,
+    FleetJobSpec, JobStore,
 };
 use glsc_kernels::pattern::Pattern;
 use glsc_kernels::Variant;
 use glsc_mem::{ArbitrationPolicy, NocConfig};
+use glsc_sim::MachineConfig;
 
 /// The taxonomy walked by the sweep: best case to worst case for GLSC.
 const SPECS: [&str; 7] = [
@@ -62,7 +64,9 @@ fn jobs() -> Vec<FleetJobSpec> {
         let canonical = pattern.spec().to_string();
         for (corner, noc, arb) in corners() {
             for variant in [Variant::Base, Variant::Glsc] {
-                let cfg = config(4, 4, 4).with_noc(noc.clone()).with_arbitration(arb);
+                let cfg = MachineConfig::paper(4, 4, 4)
+                    .with_noc(noc.clone())
+                    .with_arbitration(arb);
                 jobs.push(FleetJobSpec {
                     key_parts: vec![
                         "pattern".to_string(),
@@ -91,14 +95,7 @@ fn main() {
 
     let specs = jobs();
     let labels: Vec<String> = specs.iter().map(|s| s.key_parts.join(" ")).collect();
-    let runs: Vec<_> = specs
-        .iter()
-        .map(|s| {
-            let store = &store;
-            move || run_spec_cached(store, s)
-        })
-        .collect();
-    let results = run_jobs(runs, bench_threads());
+    let results = run_jobs_fleet(&store, specs, bench_threads());
     let errors = collect_errors(&results);
 
     out.line(format!("{:<52} {:>12}", "job", "sim cycles"));

@@ -10,7 +10,8 @@
 //!
 //! Part 2 measures the wall clock of a full Figure-6-style sweep executed
 //! serially versus fanned across host threads with
-//! [`glsc_bench::run_jobs`], which is how the figure benches run it.
+//! [`glsc_bench::run_jobs`], the thread pool under the figure benches'
+//! `run_jobs_fleet`.
 //!
 //! Host timings are not cacheable, so this target skips the job store;
 //! output is still written to `results/simperf.txt`.
@@ -19,11 +20,11 @@
 //! benches.
 
 use glsc_bench::{
-    bench_threads, collect_errors, config, datasets, ds_label, finish_figure, geomean, run,
-    run_jobs, FigureOutput, CONFIGS,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, geomean, run, run_jobs,
+    FigureOutput, CONFIGS,
 };
 use glsc_kernels::{build_named, Dataset, Variant, KERNEL_NAMES};
-use glsc_sim::Machine;
+use glsc_sim::{Machine, MachineConfig};
 use std::time::Instant;
 
 /// Runs one workload with either loop, returning (simulated cycles,
@@ -36,7 +37,7 @@ fn time_run(
     naive: bool,
     reps: u32,
 ) -> (u64, f64) {
-    let cfg = config(shape.0, shape.1, width);
+    let cfg = MachineConfig::paper(shape.0, shape.1, width);
     let w = build_named(kernel, ds, Variant::Glsc, &cfg).expect("known kernel");
     let mut cycles = 0;
     let mut best = f64::INFINITY;

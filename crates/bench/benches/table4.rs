@@ -9,15 +9,15 @@
 //! * GLSC element failure rates at 1×1 (aliasing only) and 4×4 (aliasing
 //!   plus cross-thread conflicts).
 //!
-//! The three runs per (kernel, dataset) cell are independent and are
-//! fanned across host threads (`GLSC_BENCH_THREADS`); output order is
-//! unchanged. Completed runs persist to the job store
+//! The three runs per (kernel, dataset) cell are part of one job list
+//! that `run_jobs_fleet` fans across host threads (`GLSC_BENCH_THREADS`);
+//! output order is unchanged. Completed runs persist to the job store
 //! (`GLSC_BENCH_RESUME=1` resumes); a job that panics prints its whole
 //! row as a `PANIC` cell. The table is written to `results/table4.txt`.
 
 use glsc_bench::{
-    bench_threads, collect_errors, datasets, ds_label, finish_figure, pct, run_cached, run_jobs,
-    FigureOutput, JobStore,
+    bench_threads, collect_errors, datasets, ds_label, finish_figure, fleet_kernel_job, pct,
+    run_jobs_fleet, FigureOutput, JobStore,
 };
 use glsc_kernels::{Variant, KERNEL_NAMES};
 
@@ -36,14 +36,11 @@ fn main() {
             params.push((kernel, ds, Variant::Glsc, (1, 1)));
         }
     }
-    let jobs: Vec<_> = params
+    let jobs = params
         .iter()
-        .map(|&(kernel, ds, variant, cfg)| {
-            let store = &store;
-            move || run_cached(store, kernel, ds, variant, cfg, 4)
-        })
+        .map(|&(kernel, ds, variant, cfg)| fleet_kernel_job(kernel, ds, variant, cfg, 4))
         .collect();
-    let results = run_jobs(jobs, bench_threads());
+    let results = run_jobs_fleet(&store, jobs, bench_threads());
     let errors = collect_errors(&results);
 
     out.line(format!(

@@ -27,10 +27,17 @@
 //! cache and is served without re-running. Pattern jobs get a
 //! filesystem-safe hashed id (`pat-stride-<fnv16>-T-GLSC-4x4-w4`) since
 //! spec strings contain `:*@` and can be arbitrarily long.
+//!
+//! [`WireJobSpec::lower`] is the one lowering of a spec into a machine
+//! and a workload: `glsc-serve` lowers every admitted job through it, and
+//! the figure harness lowers every kernel job through it
+//! ([`crate::fleet_kernel_job`]), so a kernel job has one name and one
+//! machine configuration wherever it runs.
 
 use crate::ds_label;
-use glsc_kernels::{Dataset, Variant, KERNEL_NAMES};
+use glsc_kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
 use glsc_mem::MemoryOrder;
+use glsc_sim::MachineConfig;
 use glsc_wire::{Reader, Wire, WireError, Writer};
 
 /// Dataset tag values on the wire (`Dataset` itself lives in
@@ -356,6 +363,34 @@ impl WireJobSpec {
             id.push_str(&format!("-chaos{seed}"));
         }
         id
+    }
+
+    /// Lowers the spec into the machine it runs on and the workload it
+    /// runs: validates it, takes the paper machine at its shape, arms
+    /// the chaos watchdog when a fault plan is requested, builds the
+    /// workload on that (SC) configuration, and only then applies the
+    /// memory order, so a relaxed job's program and image are the SC
+    /// job's, bit for bit.
+    ///
+    /// Total, not panicking: a spec that fails validation or no longer
+    /// builds is an `Err` carrying the rendered reason.
+    pub fn lower(&self) -> Result<(MachineConfig, Workload), String> {
+        self.validate().map_err(|e| e.to_string())?;
+        let mut cfg =
+            MachineConfig::paper(self.cores as usize, self.tpc as usize, self.width as usize);
+        if self.chaos.is_some() {
+            // A fault plan slows runs down; keep the watchdog armed with
+            // headroom so a forward-progress bug is a typed error.
+            cfg = cfg.with_watchdog_window(Some(5_000_000));
+        }
+        let workload = build_named(
+            &self.kernel_name(),
+            self.resolve_dataset(),
+            self.resolve_variant(),
+            &cfg,
+        )
+        .map_err(|e| e.to_string())?;
+        Ok((cfg.with_memory_order(self.memory_order), workload))
     }
 
     /// Encodes the spec as a standalone byte string (for journaling and

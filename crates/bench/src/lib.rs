@@ -12,13 +12,24 @@
 //! | `fig8` | Fig. 8 Base/GLSC ratios at widths 1/4/16 |
 //! | `table4` | Table 4 instruction / memory-stall / L1 / failure analysis |
 //! | `ablation` | Design-choice ablations from DESIGN.md |
+//! | `noc_contention` | Interconnect study: ideal vs crossbar vs ring across thread counts |
+//! | `contention_policies` | Arbitration study: free vs NACK-holdoff vs aged priority on a hot set |
+//! | `pattern_sweep` | Access-pattern taxonomy × {Ideal, Ring} NoC × {Free, Aged} arbitration |
+//! | `chaos` | Every kernel under seeded fault plans, revalidated (uncached) |
 //! | `components` | Microbenches of the simulator substrate |
 //! | `simperf` | Simulator throughput: fast-forward vs naive, parallel vs serial |
-//! | `noc_contention` | Interconnect study: ideal vs crossbar vs ring across thread counts |
 //!
 //! Set `GLSC_DATASETS=tiny` to smoke-run everything on tiny inputs.
-//! Independent simulations are fanned across host threads via
-//! [`run_jobs`]; set `GLSC_BENCH_THREADS` to control the worker count
+//!
+//! Every cached figure has one front door: it builds its jobs as a list
+//! of [`FleetJobSpec`]s ([`fleet_kernel_job`] for a kernel run,
+//! [`fleet_micro_job`] for a §5.2 microbenchmark, a literal for a custom
+//! machine) and runs them through [`run_jobs_fleet`], which consults the
+//! durable job [`store`], simulates each miss on a fresh machine and
+//! contains a failing job to its own [`JobError`] row. The uncached
+//! targets (`chaos`, `simperf`) run closures through [`run_jobs`] over
+//! [`run`] and [`run_chaos`]. Both fan jobs across host threads; set
+//! `GLSC_BENCH_THREADS` to control the worker count
 //! (`GLSC_BENCH_THREADS=1` forces the serial path). Results are always
 //! collected in job order, so the printed tables are identical at any
 //! thread count.
@@ -69,14 +80,9 @@ pub fn ds_label(ds: Dataset) -> &'static str {
     }
 }
 
-/// Builds the paper machine configuration `m x n` at `width`.
-pub fn config(cores: usize, tpc: usize, width: usize) -> MachineConfig {
-    MachineConfig::paper(cores, tpc, width)
-}
-
-/// Runs one benchmark instance to completion (panics if the simulated
-/// program fails validation — the harness must never report numbers from
-/// an incorrect run).
+/// Runs one benchmark instance to completion, uncached (panics if the
+/// simulated program fails validation — the harness must never report
+/// numbers from an incorrect run).
 pub fn run(
     kernel: &str,
     ds: Dataset,
@@ -84,7 +90,7 @@ pub fn run(
     (cores, tpc): (usize, usize),
     width: usize,
 ) -> KernelOutcome {
-    let cfg = config(cores, tpc, width);
+    let cfg = MachineConfig::paper(cores, tpc, width);
     let w = build_named(kernel, ds, variant, &cfg).unwrap_or_else(|e| panic!("{e}"));
     run_workload(&w, &cfg).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -92,9 +98,10 @@ pub fn run(
 /// Runs one benchmark instance with a seeded fault plan installed
 /// (DESIGN.md §9). Validation still runs — the harness asserts the
 /// atomicity oracle, not just survival — and the plan's injection
-/// counters come back alongside the outcome. The machine gets a watchdog
-/// and a generous cycle budget so a forward-progress bug surfaces as a
-/// structured error instead of a hang.
+/// counters come back alongside the outcome. The machine gets a wider
+/// watchdog window within the paper's cycle budget, so a
+/// forward-progress bug surfaces as a structured error instead of a
+/// hang.
 pub fn run_chaos(
     kernel: &str,
     ds: Dataset,
@@ -103,108 +110,20 @@ pub fn run_chaos(
     width: usize,
     chaos: ChaosConfig,
 ) -> (KernelOutcome, ChaosStats) {
-    let cfg = config(cores, tpc, width)
-        .with_max_cycles(2_000_000_000)
-        .with_watchdog_window(Some(5_000_000));
+    let cfg = MachineConfig::paper(cores, tpc, width).with_watchdog_window(Some(5_000_000));
     let w = build_named(kernel, ds, variant, &cfg).unwrap_or_else(|e| panic!("{e}"));
     run_workload_chaos(&w, &cfg, chaos).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// As [`run`], but consulting the durable job [`store`] first: with
-/// `GLSC_BENCH_RESUME=1` a previously completed identical job is
-/// satisfied from its cached [`RunReport`](glsc_sim::RunReport) (the
-/// skip is logged to stderr, never stdout — table output stays
-/// byte-identical), and every freshly
-/// simulated job is persisted for future resumption. Job identity covers
-/// the named parameters plus content fingerprints of the workload and the
-/// machine configuration, so stale cache hits after a code or dataset
-/// change are structurally impossible.
-pub fn run_cached(
-    store: &JobStore,
-    kernel: &str,
-    ds: Dataset,
-    variant: Variant,
-    shape: (usize, usize),
-    width: usize,
-) -> KernelOutcome {
-    run_spec_cached(store, &fleet_kernel_job(kernel, ds, variant, shape, width))
-}
-
-/// Runs one [`FleetJobSpec`] through [`run_workload_cached`] under its
-/// own key parts: the solo path for a job [`run_jobs_fleet`] would key
-/// identically.
-pub fn run_spec_cached(store: &JobStore, spec: &FleetJobSpec) -> KernelOutcome {
-    let parts: Vec<&str> = spec.key_parts.iter().map(String::as_str).collect();
-    run_workload_cached(store, &spec.workload, &spec.cfg, &parts)
-}
-
-/// The cache-aware workload runner under [`run_cached`] and the bench
-/// targets with custom configurations (ablations): builds the job key,
-/// tries the store, simulates on a miss, persists the result.
-///
-/// # Panics
-///
-/// Panics if the simulation fails or the workload's validator rejects the
-/// result (the harness must never report numbers from an incorrect run);
-/// [`run_jobs`] converts such a panic into a per-job [`JobError`].
-pub fn run_workload_cached(
-    store: &JobStore,
-    w: &Workload,
-    cfg: &MachineConfig,
-    key_parts: &[&str],
-) -> KernelOutcome {
-    let key = store::job_key(key_parts, w.fingerprint(), store::cfg_fingerprint(cfg));
-    maybe_inject_panic(&key);
-    if let Some(report) = store.load(&key) {
-        return KernelOutcome { report };
-    }
-    let out = run_workload(w, cfg).unwrap_or_else(|e| panic!("{e}"));
-    store.save(&key, &out.report);
-    out
-}
-
-/// Fault-drill hook: when `GLSC_BENCH_INJECT_PANIC=<substring>` is set,
-/// any cached job whose key contains the substring panics instead of
-/// running. CI and tests use this to prove a poisoned job degrades to a
-/// per-job error row and a nonzero exit rather than aborting the figure.
-fn maybe_inject_panic(key: &str) {
-    if let Ok(pat) = std::env::var("GLSC_BENCH_INJECT_PANIC") {
-        if !pat.is_empty() && key.contains(&pat) {
-            panic!("GLSC_BENCH_INJECT_PANIC: injected failure for job {key}");
-        }
-    }
-}
-
-/// Runs one §5.2 microbenchmark scenario through the durable job
-/// [`store`] (see [`run_cached`]) at the standard parameters of the
-/// `GLSC_DATASETS` dataset (tiny, else A), keyed as [`fleet_micro_job`]
-/// keys the same scenario.
-pub fn run_micro_cached(
-    store: &JobStore,
-    scenario: micro::Scenario,
-    variant: Variant,
-    shape: (usize, usize),
-    width: usize,
-) -> KernelOutcome {
-    let ds = if tiny_datasets() {
-        Dataset::Tiny
-    } else {
-        Dataset::A
-    };
-    let params = micro::MicroParams::for_dataset(ds);
-    run_spec_cached(
-        store,
-        &fleet_micro_job(scenario, params, variant, shape, width),
-    )
-}
-
-/// One entry in a sweep for [`run_jobs_fleet`]: everything
-/// [`run_workload_cached`] needs for a single job, in owned form. Build
-/// with [`fleet_kernel_job`] / [`fleet_micro_job`] to match the solo
-/// paths' cache-key schemes, or construct directly for custom sweeps
-/// (ablations).
+/// One job of a [`run_jobs_fleet`] batch, in owned form: what to
+/// simulate, on which machine, and under which cache key. Build kernel
+/// jobs with [`fleet_kernel_job`] and microbenchmark jobs with
+/// [`fleet_micro_job`]; figures with custom machines (NoC, arbitration,
+/// ablations, pattern sweeps) write the literal.
 pub struct FleetJobSpec {
-    /// Human-readable job-key parts (same scheme as [`run_cached`]).
+    /// Human-readable job-key parts, joined with `-` into the job's
+    /// store key (ahead of the workload and config fingerprints) and its
+    /// failure-log label.
     pub key_parts: Vec<String>,
     /// The workload to simulate and validate.
     pub workload: Workload,
@@ -212,34 +131,36 @@ pub struct FleetJobSpec {
     pub cfg: MachineConfig,
 }
 
-/// Builds the job spec for one kernel run. [`run_cached`] runs it alone
-/// and [`run_jobs_fleet`] as part of a sweep, under the same job key, so
-/// both share one cache namespace and resume across each other.
+/// Builds the job for one kernel run through the lowering `glsc-serve`
+/// uses ([`WireJobSpec::lower`](jobspec::WireJobSpec::lower)), keyed by
+/// the spec's one-part id (`HIP-T-GLSC-1x2-w4`). The id is the kernel,
+/// dataset, variant, shape and width joined with `-`, so its store key
+/// equals the key those five parts give and stores written under
+/// either resume.
+///
+/// # Panics
+///
+/// Panics on an unknown kernel or a shape outside the simulator's
+/// bounds.
 pub fn fleet_kernel_job(
     kernel: &str,
     ds: Dataset,
     variant: Variant,
-    (cores, tpc): (usize, usize),
+    shape: (usize, usize),
     width: usize,
 ) -> FleetJobSpec {
-    let cfg = config(cores, tpc, width);
-    let workload = build_named(kernel, ds, variant, &cfg).unwrap_or_else(|e| panic!("{e}"));
+    let spec = jobspec::WireJobSpec::kernel(kernel, ds, variant, shape, width);
+    let (cfg, workload) = spec.lower().unwrap_or_else(|e| panic!("{e}"));
     FleetJobSpec {
-        key_parts: vec![
-            kernel.to_string(),
-            ds_label(ds).to_string(),
-            variant.label().to_string(),
-            format!("{cores}x{tpc}"),
-            format!("w{width}"),
-        ],
+        key_parts: vec![spec.id()],
         workload,
         cfg,
     }
 }
 
-/// Builds the job spec for a §5.2 microbenchmark scenario with explicit
-/// parameters. [`run_micro_cached`] runs it solo at the dataset's
-/// standard parameters.
+/// Builds the job for a §5.2 microbenchmark scenario with explicit
+/// parameters (the figures use
+/// [`MicroParams::for_dataset`](micro::MicroParams::for_dataset)).
 pub fn fleet_micro_job(
     scenario: micro::Scenario,
     params: micro::MicroParams,
@@ -247,7 +168,7 @@ pub fn fleet_micro_job(
     (cores, tpc): (usize, usize),
     width: usize,
 ) -> FleetJobSpec {
-    let cfg = config(cores, tpc, width);
+    let cfg = MachineConfig::paper(cores, tpc, width);
     let (iters, seed) = (params.iters, params.seed);
     let workload = micro::Micro::with_params(scenario, params).build(variant, &cfg);
     FleetJobSpec {
@@ -264,14 +185,18 @@ pub fn fleet_micro_job(
     }
 }
 
-/// Runs a sweep of cached jobs and returns the results **in job order**:
-/// each job runs through [`run_spec_cached`] under [`run_jobs_labeled`]
-/// across `threads` host workers, labelled by its joined key parts. So a
-/// job is keyed exactly as the solo path keys it, looked up in the store
-/// once (`GLSC_BENCH_RESUME=1`), simulated on a fresh machine on a miss,
-/// and persisted; a poisoned job degrades to its own [`JobError`] row.
-/// Jobs are not deduplicated: two jobs with the same workload and
-/// configuration each run under their own key.
+/// The harness's front door: runs a batch of cached jobs across
+/// `threads` host workers and returns the results **in job order**, so a
+/// figure printed from them is byte-identical at any worker count.
+///
+/// Each job is keyed by its key parts plus its workload and config
+/// fingerprints, looked up in the store once (`GLSC_BENCH_RESUME=1`),
+/// simulated on a fresh machine and validated on a miss, persisted, and
+/// attempted once; a failure (a simulation error, a rejected
+/// validation, an injected drill) degrades to that job's own
+/// [`JobError`] row and is logged under its joined key parts. Jobs are
+/// not deduplicated: two jobs with the same workload and configuration
+/// each run under their own key.
 pub fn run_jobs_fleet(
     store: &JobStore,
     jobs: Vec<FleetJobSpec>,
@@ -279,13 +204,45 @@ pub fn run_jobs_fleet(
 ) -> Vec<Result<KernelOutcome, JobError>> {
     let runs = jobs
         .iter()
-        .map(|spec| {
-            (spec.key_parts.join("-"), move || {
-                run_spec_cached(store, spec)
-            })
-        })
+        .map(|spec| (spec.key_parts.join("-"), move || run_spec(store, spec)))
         .collect();
     run_jobs_labeled(runs, threads)
+}
+
+/// One [`run_jobs_fleet`] job: builds its key, tries the store,
+/// simulates on a miss and persists the result.
+///
+/// # Panics
+///
+/// Panics if the simulation fails or the workload's validator rejects
+/// the result (the harness must never report numbers from an incorrect
+/// run); the batch turns the panic into the job's [`JobError`].
+fn run_spec(store: &JobStore, spec: &FleetJobSpec) -> KernelOutcome {
+    let parts: Vec<&str> = spec.key_parts.iter().map(String::as_str).collect();
+    let key = store::job_key(
+        &parts,
+        spec.workload.fingerprint(),
+        store::cfg_fingerprint(&spec.cfg),
+    );
+    maybe_inject_panic(&key);
+    if let Some(report) = store.load(&key) {
+        return KernelOutcome { report };
+    }
+    let out = run_workload(&spec.workload, &spec.cfg).unwrap_or_else(|e| panic!("{e}"));
+    store.save(&key, &out.report);
+    out
+}
+
+/// Fault-drill hook: when `GLSC_BENCH_INJECT_PANIC=<substring>` is set,
+/// any cached job whose key contains the substring panics instead of
+/// running. CI and tests use this to prove a poisoned job degrades to a
+/// per-job error row and a nonzero exit rather than aborting the figure.
+fn maybe_inject_panic(key: &str) {
+    if let Ok(pat) = std::env::var("GLSC_BENCH_INJECT_PANIC") {
+        if !pat.is_empty() && key.contains(&pat) {
+            panic!("GLSC_BENCH_INJECT_PANIC: injected failure for job {key}");
+        }
+    }
 }
 
 /// Number of host threads the figure benches fan simulations across.
@@ -377,8 +334,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs one job once under `catch_unwind`. A panic is logged to stderr
-/// with the job's index and, when the caller supplied one (see
-/// [`run_jobs_labeled`]), its label, and comes back as
+/// with the job's index and, when the caller supplied one (a
+/// [`run_jobs_fleet`] job's joined key parts), its label, and comes back as
 /// [`JobError::Panicked`]. Jobs are deterministic simulations, so a
 /// second attempt could only repeat the same panic.
 fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, JobError> {
@@ -407,7 +364,9 @@ fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, Job
 ///
 /// Uses scoped threads with an atomic work index (no new dependencies);
 /// with `threads <= 1` or a single job the jobs run inline on the calling
-/// thread.
+/// thread. This is the uncached runner (the `chaos` and `simperf`
+/// targets); cached figures go through [`run_jobs_fleet`], which runs
+/// on it.
 pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize) -> Vec<Result<T, JobError>>
 where
     T: Send,
@@ -419,10 +378,10 @@ where
     )
 }
 
-/// As [`run_jobs`], but each job carries a label (normally its job key)
-/// that failure logging includes, so a failed job on a long figure run
-/// can be identified from stderr alone.
-pub fn run_jobs_labeled<T, F>(jobs: Vec<(String, F)>, threads: usize) -> Vec<Result<T, JobError>>
+/// [`run_jobs`] with a label per job (empty for none) that failure
+/// logging includes, so a failed job on a long figure run can be
+/// identified from stderr alone.
+fn run_jobs_labeled<T, F>(jobs: Vec<(String, F)>, threads: usize) -> Vec<Result<T, JobError>>
 where
     T: Send,
     F: Fn() -> T + Send + Sync,
@@ -488,7 +447,8 @@ pub fn finish_figure(mut out: FigureOutput, errors: &[JobError]) -> i32 {
     if !errors.is_empty() {
         out.blank();
         out.line(format!(
-            "!! {} job(s) failed; affected cells above are printed as ERR:",
+            "!! {} job(s) failed; above, a failed job's cells print as PANIC \
+             and cells normalized by one as ERR:",
             errors.len()
         ));
         for e in errors {
@@ -620,8 +580,8 @@ mod tests {
         assert!(out.report.cycles > 0);
         let params = micro::MicroParams::for_dataset(Dataset::Tiny);
         let spec = fleet_micro_job(micro::Scenario::B, params, Variant::Base, (1, 1), 4);
-        let outm = run_spec_cached(&JobStore::disabled(), &spec);
-        assert!(outm.report.cycles > 0);
+        let outm = run_jobs_fleet(&JobStore::disabled(), vec![spec], 1);
+        assert!(outm[0].as_ref().unwrap().report.cycles > 0);
     }
 
     #[test]

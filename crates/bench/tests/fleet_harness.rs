@@ -1,11 +1,13 @@
-//! Harness-level semantics of [`run_jobs_fleet`]: job-order results,
-//! cross-path cache compatibility, resume hits that bypass simulation
-//! entirely, and per-job panic containment with a single attempt — the
-//! same guarantees [`run_jobs`] gives the figures' path.
+//! Harness-level semantics of [`run_jobs_fleet`], the one way a cached
+//! figure runs: job-order results, kernel-job keys that match the older
+//! five-part scheme, resume hits that bypass simulation entirely, and
+//! per-job panic containment with a single attempt — the same
+//! guarantees [`run_jobs`] gives the uncached targets.
 
+use glsc_bench::store::{cfg_fingerprint, job_key};
 use glsc_bench::{
-    collect_errors, fleet_kernel_job, fleet_micro_job, run_cached, run_jobs, run_jobs_fleet,
-    run_micro_cached, FleetJobSpec, JobError, JobStore,
+    collect_errors, datasets, fleet_kernel_job, fleet_micro_job, run_jobs, run_jobs_fleet,
+    FleetJobSpec, JobError, JobStore,
 };
 use glsc_kernels::micro::{MicroParams, Scenario};
 use glsc_kernels::{build_named, run_workload, Dataset, Variant, Workload};
@@ -53,11 +55,7 @@ fn fleet_results_are_ordered_and_cached_per_key() {
         .iter()
         .map(|j| {
             let parts: Vec<&str> = j.key_parts.iter().map(String::as_str).collect();
-            glsc_bench::store::job_key(
-                &parts,
-                j.workload.fingerprint(),
-                glsc_bench::store::cfg_fingerprint(&j.cfg),
-            )
+            job_key(&parts, j.workload.fingerprint(), cfg_fingerprint(&j.cfg))
         })
         .collect();
 
@@ -123,41 +121,58 @@ fn fleet_resume_hits_bypass_simulation() {
     assert_eq!(out.report, first, "cached report must come back unchanged");
 }
 
-#[test]
-fn fleet_serves_every_job_from_a_store_the_solo_path_wrote() {
-    let dir = scratch("cross-path");
+/// The kernel and micro jobs of the store round trip below, built fresh
+/// (a workload's validator cannot be cloned).
+fn kernel_and_micro_jobs() -> Vec<FleetJobSpec> {
     let variants = [Variant::Base, Variant::Glsc];
-    let shapes = [(1, 2), (2, 1)];
-    // `run_micro_cached` runs at the standard parameters of the
-    // `GLSC_DATASETS` dataset.
-    let micro_ds = if std::env::var("GLSC_DATASETS").is_ok_and(|v| v == "tiny") {
-        Dataset::Tiny
-    } else {
-        Dataset::A
-    };
-
-    // The solo path fills the store.
-    let writer = JobStore::at(dir.clone(), false);
-    let mut want = Vec::new();
     let mut jobs = Vec::new();
     for kernel in ["HIP", "FS"] {
         for variant in variants {
-            for shape in shapes {
-                want.push(run_cached(&writer, kernel, Dataset::Tiny, variant, shape, 4).report);
+            for shape in [(1, 2), (2, 1)] {
                 jobs.push(fleet_kernel_job(kernel, Dataset::Tiny, variant, shape, 4));
             }
         }
     }
+    // Fig. 7's parameters: the standard ones of the first dataset.
+    let params = MicroParams::for_dataset(datasets()[0]);
     for scenario in Scenario::ALL {
         for variant in variants {
-            want.push(run_micro_cached(&writer, scenario, variant, (1, 2), 4).report);
-            let params = MicroParams::for_dataset(micro_ds);
-            jobs.push(fleet_micro_job(scenario, params, variant, (1, 2), 4));
+            jobs.push(fleet_micro_job(
+                scenario,
+                params.clone(),
+                variant,
+                (1, 2),
+                4,
+            ));
         }
     }
+    jobs
+}
 
-    // The fleet gets the same jobs with validators that fail any job that
-    // simulates: every one must come from the store.
+#[test]
+fn fleet_serves_every_job_from_a_store_an_earlier_pass_wrote() {
+    let dir = scratch("two-pass");
+
+    // The first pass fills the store.
+    let first = run_jobs_fleet(
+        &JobStore::at(dir.clone(), false),
+        kernel_and_micro_jobs(),
+        2,
+    );
+    let want: Vec<_> = first
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            r.as_ref()
+                .unwrap_or_else(|e| panic!("job {i}: {e}"))
+                .report
+                .clone()
+        })
+        .collect();
+
+    // The second pass gets the same jobs with validators that fail any
+    // job that simulates: every one must come from the store.
+    let mut jobs = kernel_and_micro_jobs();
     for job in &mut jobs {
         job.workload.validate = Box::new(|_| Err("a stored job was simulated again".into()));
     }
@@ -170,6 +185,32 @@ fn fleet_serves_every_job_from_a_store_the_solo_path_wrote() {
             "job {i}: store served a different report"
         );
     }
+}
+
+#[test]
+fn kernel_jobs_key_by_their_wire_id_and_the_five_part_store_key() {
+    let job = fleet_kernel_job("HIP", Dataset::Tiny, Variant::Glsc, (1, 2), 4);
+    assert_eq!(job.key_parts, ["HIP-T-GLSC-1x2-w4"]);
+
+    // The key the five-part scheme (kernel, dataset, variant, shape,
+    // width) built for the same job on the paper machine: a store
+    // written under it still resumes.
+    let cfg = MachineConfig::paper(1, 2, 4);
+    let w = build_named("HIP", Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
+    let five_part = job_key(
+        &["HIP", "T", "GLSC", "1x2", "w4"],
+        w.fingerprint(),
+        cfg_fingerprint(&cfg),
+    );
+    let parts: Vec<&str> = job.key_parts.iter().map(String::as_str).collect();
+    assert_eq!(
+        job_key(
+            &parts,
+            job.workload.fingerprint(),
+            cfg_fingerprint(&job.cfg)
+        ),
+        five_part
+    );
 }
 
 #[test]

@@ -6,8 +6,8 @@
 
 use glsc_bench::codec::encode_report;
 use glsc_bench::store::{cfg_fingerprint, job_key};
-use glsc_bench::{run_workload_cached, JobStore};
-use glsc_kernels::{build_named, run_workload, Dataset, Variant, KERNEL_NAMES};
+use glsc_bench::{run_jobs_fleet, FleetJobSpec, JobStore};
+use glsc_kernels::{build_named, run_workload, Dataset, KernelOutcome, Variant, KERNEL_NAMES};
 use glsc_sim::{MachineConfig, RunReport};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -22,6 +22,23 @@ fn scratch(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Runs `kernel` (tiny dataset, GLSC) on `cfg` as a one-job
+/// `run_jobs_fleet` batch keyed by `parts`.
+fn run_one_job(
+    store: &JobStore,
+    kernel: &str,
+    cfg: &MachineConfig,
+    parts: &[&str],
+) -> KernelOutcome {
+    let spec = FleetJobSpec {
+        key_parts: parts.iter().map(|p| p.to_string()).collect(),
+        workload: build_named(kernel, Dataset::Tiny, Variant::Glsc, cfg).expect("known kernel"),
+        cfg: cfg.clone(),
+    };
+    let mut results = run_jobs_fleet(store, vec![spec], 1);
+    results.remove(0).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[test]
@@ -49,7 +66,7 @@ fn store_round_trips_and_resume_skips_the_simulation() {
 
     // First run: cold store, simulates and persists.
     let writer = JobStore::at(dir.clone(), false);
-    let first = run_workload_cached(&writer, &w, &cfg, &["persistence", "HIP"]);
+    let first = run_one_job(&writer, "HIP", &cfg, &["persistence", "HIP"]);
     let key = job_key(
         &["persistence", "HIP"],
         w.fingerprint(),
@@ -62,7 +79,7 @@ fn store_round_trips_and_resume_skips_the_simulation() {
     let resumer = JobStore::at(dir.clone(), true);
     let cached = resumer.load(&key).expect("resume must hit the cache");
     assert_eq!(cached, first.report);
-    let resumed = run_workload_cached(&resumer, &w, &cfg, &["persistence", "HIP"]);
+    let resumed = run_one_job(&resumer, "HIP", &cfg, &["persistence", "HIP"]);
     assert_eq!(resumed.report, first.report);
 
     // Without resume, the entry is ignored (but stays on disk).
@@ -93,7 +110,7 @@ fn entries_under_the_v4_name_are_never_read_and_the_job_reruns() {
     std::fs::write(&stale, &leftover).unwrap();
 
     assert!(store.load(&key).is_none(), "a v4 entry satisfied the job");
-    let rerun = run_workload_cached(&store, &w, &cfg, &["stale"]);
+    let rerun = run_one_job(&store, "TMS", &cfg, &["stale"]);
     assert_eq!(rerun.report, run_workload(&w, &cfg).unwrap().report);
     assert!(rerun.report.cycles > 1);
     // The rerun lands under the v5 name; the stale file is left alone.
@@ -138,8 +155,7 @@ fn disabled_store_neither_reads_nor_writes() {
     assert!(store.path_for("k").is_none());
     assert!(store.load("k").is_none());
     let cfg = MachineConfig::paper(1, 1, 4);
-    let w = build_named("HIP", Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
     // save() must be a no-op rather than an error.
-    let out = run_workload_cached(&store, &w, &cfg, &["disabled"]);
+    let out = run_one_job(&store, "HIP", &cfg, &["disabled"]);
     assert!(out.report.cycles > 0);
 }

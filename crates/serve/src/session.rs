@@ -4,8 +4,9 @@
 //! This is the service's one front door: every job `glsc-serve` runs
 //! enters here as a [`WireJobSpec`], whether a client sent it over
 //! stdin or a socket or the `sweep` command wrote it into an in-memory
-//! request buffer, and `spec_to_job` is the one lowering into a
-//! supervised job.
+//! request buffer, and `spec_to_job` turns it into a supervised job
+//! through [`WireJobSpec::lower`], the lowering the figure harness's
+//! kernel jobs share.
 //!
 //! A session alternates between an **admission phase** — reading
 //! [`Request`] frames, applying the [`AdmissionQueue`] policy, and
@@ -39,8 +40,6 @@ use crate::service::{run_supervised, JobSpec, ServiceConfig};
 use crate::signal;
 use glsc_bench::jobspec::WireJobSpec;
 use glsc_bench::{codec::encode_report, JobStore};
-use glsc_kernels::build_named;
-use glsc_sim::MachineConfig;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
@@ -345,29 +344,14 @@ fn restore_pending(
 /// spec that no longer lowers is a typed failure the session reports,
 /// never a dead service.
 pub(crate) fn spec_to_job(spec: &WireJobSpec) -> Result<JobSpec, String> {
-    spec.validate().map_err(|e| e.to_string())?;
-    let mut cfg = MachineConfig::paper(spec.cores as usize, spec.tpc as usize, spec.width as usize);
-    if spec.chaos.is_some() {
-        // Same guard rails as the bench chaos path: the plan slows runs
-        // down, so give headroom and keep the watchdog armed.
-        cfg = cfg
-            .with_max_cycles(2_000_000_000)
-            .with_watchdog_window(Some(5_000_000));
-    }
-    let workload = build_named(
-        &spec.kernel_name(),
-        spec.resolve_dataset(),
-        spec.resolve_variant(),
-        &cfg,
-    )
-    .map_err(|e| e.to_string())?;
+    // The consistency model reaches the machine through the lowered
+    // config; the wire id already carries the `-tso`/`-relaxed` suffix,
+    // so relaxed jobs key their own journal ledgers and cache rows.
+    let (cfg, workload) = spec.lower()?;
     Ok(JobSpec {
         id: spec.id(),
         workload,
-        // The consistency model reaches the machine through the config;
-        // the wire id already carries the `-tso`/`-relaxed` suffix, so
-        // relaxed jobs key their own journal ledgers and cache rows.
-        cfg: cfg.with_memory_order(spec.memory_order),
+        cfg,
         chaos: spec.chaos,
         deadline_cycles: spec.deadline_cycles,
         deadline_wall_ms: spec.deadline_wall_ms,
