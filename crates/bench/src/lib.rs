@@ -46,7 +46,7 @@ pub use output::FigureOutput;
 pub use store::JobStore;
 
 use glsc_kernels::{
-    build_named, micro, run_workload, run_workload_chaos, Dataset, KernelOutcome, Variant, Workload,
+    micro, run_workload, run_workload_chaos, Dataset, KernelOutcome, Variant, Workload,
 };
 use glsc_sim::{ChaosConfig, ChaosStats, MachineConfig};
 use std::fmt;
@@ -82,36 +82,40 @@ pub fn ds_label(ds: Dataset) -> &'static str {
 
 /// Runs one benchmark instance to completion, uncached (panics if the
 /// simulated program fails validation — the harness must never report
-/// numbers from an incorrect run).
+/// numbers from an incorrect run). The machine and workload come from
+/// [`WireJobSpec::lower`](jobspec::WireJobSpec::lower), the lowering
+/// every kernel job shares.
 pub fn run(
     kernel: &str,
     ds: Dataset,
     variant: Variant,
-    (cores, tpc): (usize, usize),
+    shape: (usize, usize),
     width: usize,
 ) -> KernelOutcome {
-    let cfg = MachineConfig::paper(cores, tpc, width);
-    let w = build_named(kernel, ds, variant, &cfg).unwrap_or_else(|e| panic!("{e}"));
+    let spec = jobspec::WireJobSpec::kernel(kernel, ds, variant, shape, width);
+    let (cfg, w) = spec.lower().unwrap_or_else(|e| panic!("{e}"));
     run_workload(&w, &cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one benchmark instance with a seeded fault plan installed
 /// (DESIGN.md §9). Validation still runs — the harness asserts the
 /// atomicity oracle, not just survival — and the plan's injection
-/// counters come back alongside the outcome. The machine gets a wider
-/// watchdog window within the paper's cycle budget, so a
-/// forward-progress bug surfaces as a structured error instead of a
-/// hang.
+/// counters come back alongside the outcome. The spec names the plan's
+/// seed, so its lowering arms the chaos watchdog: a forward-progress
+/// bug surfaces as a structured error instead of a hang.
 pub fn run_chaos(
     kernel: &str,
     ds: Dataset,
     variant: Variant,
-    (cores, tpc): (usize, usize),
+    shape: (usize, usize),
     width: usize,
     chaos: ChaosConfig,
 ) -> (KernelOutcome, ChaosStats) {
-    let cfg = MachineConfig::paper(cores, tpc, width).with_watchdog_window(Some(5_000_000));
-    let w = build_named(kernel, ds, variant, &cfg).unwrap_or_else(|e| panic!("{e}"));
+    let spec = jobspec::WireJobSpec {
+        chaos: Some(chaos.seed),
+        ..jobspec::WireJobSpec::kernel(kernel, ds, variant, shape, width)
+    };
+    let (cfg, w) = spec.lower().unwrap_or_else(|e| panic!("{e}"));
     run_workload_chaos(&w, &cfg, chaos).unwrap_or_else(|e| panic!("{e}"))
 }
 

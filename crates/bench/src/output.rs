@@ -8,7 +8,7 @@
 //!
 //! Tiny smoke runs (`GLSC_DATASETS=tiny`) write to
 //! `results/<bench>-tiny.txt` so they never clobber the committed
-//! full-dataset tables. `GLSC_RESULTS_DIR` overrides the directory.
+//! full-dataset tables.
 
 use std::path::{Path, PathBuf};
 
@@ -57,11 +57,10 @@ impl FigureOutput {
 
     /// Where this figure will be written.
     pub fn path(&self) -> PathBuf {
-        let dir = std::env::var("GLSC_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
         let suffix = if crate::tiny_datasets() { "-tiny" } else { "" };
-        dir.join(format!("{}{suffix}.txt", self.bench))
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(format!("{}{suffix}.txt", self.bench))
     }
 
     /// Atomically writes the captured figure to its results file,

@@ -31,7 +31,7 @@ pub struct Pattern {
 
 impl Pattern {
     /// Wraps a spec. The spec should already be checked (specs from
-    /// [`PatternSpec::parse`] or a wire decode always are).
+    /// [`PatternSpec::parse`] always are).
     pub fn new(spec: PatternSpec) -> Self {
         Self { spec }
     }

@@ -5,11 +5,13 @@
 //! and state. Pages are allocated lazily, so programs can use widely
 //! separated address regions without cost.
 //!
-//! For batched jobs (DESIGN.md §13) a store can additionally be backed by a
-//! shared, immutable [`BackingBase`]: reads fall through to the base, and a
+//! A store can additionally be backed by a shared, immutable
+//! [`BackingBase`] (DESIGN.md §13): reads fall through to the base, and a
 //! write materializes a private copy of the touched page first
 //! (copy-on-write). Because the timing model never stores data — only tags —
-//! sharing the functional image between runs is timing-neutral.
+//! sharing the functional image between runs is timing-neutral. No product
+//! code mounts a base any more; the layer stays for the benchmark's fleet
+//! replay and its tests.
 
 use std::collections::HashMap;
 use std::sync::Arc;

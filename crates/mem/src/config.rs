@@ -165,19 +165,6 @@ impl MemConfig {
         self.noc.check()?;
         Ok(())
     }
-
-    /// Validates internal consistency (powers of two, non-zero ways).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a descriptive message when the configuration is
-    /// inconsistent. Use [`MemConfig::check`] for a non-panicking,
-    /// typed alternative.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +174,7 @@ mod tests {
     #[test]
     fn default_matches_table_1() {
         let c = MemConfig::default();
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
         assert_eq!(c.l1_sets(), 128); // 32KB / 64B / 4-way
         assert_eq!(c.l1_hit_latency, 3);
         assert_eq!(c.l2_latency, 12);
@@ -206,7 +193,7 @@ mod tests {
 
     #[test]
     fn tiny_is_valid() {
-        MemConfig::tiny().validate();
+        assert_eq!(MemConfig::tiny().check(), Ok(()));
         assert_eq!(MemConfig::tiny().l1_sets(), 8);
     }
 
@@ -339,13 +326,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "line size must be a power of two")]
-    fn validate_panics_with_message() {
-        MemConfig {
+    fn rejection_renders_its_message() {
+        let err = MemConfig {
             line_bytes: 48,
             ..MemConfig::tiny()
         }
-        .validate();
+        .check()
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("line size must be a power of two"),
+            "{err}"
+        );
     }
 }
 

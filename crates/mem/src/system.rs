@@ -92,7 +92,7 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`MemConfig::validate`]) or `num_cores` is 0 or exceeds 32. Use
+    /// [`MemConfig::check`]) or `num_cores` is 0 or exceeds 32. Use
     /// [`MemorySystem::try_new`] for a non-panicking alternative.
     pub fn new(cfg: MemConfig, num_cores: usize, threads_per_core: usize) -> Self {
         match Self::try_new(cfg, num_cores, threads_per_core) {

@@ -3,9 +3,9 @@
 //! The seven RMS kernels hard-code their access patterns; this crate
 //! makes patterns **declarative**, in the spirit of Spatter (Lavin et
 //! al.): a [`PatternSpec`] is a small value describing how a workload's
-//! atomic-update indices are generated, parseable from a compact text
-//! form and serializable over the wire, so the same spec can come from a
-//! CLI flag, a jobspec file, or a `glsc-serve` protocol frame. The
+//! atomic-update indices are generated, parsed from a compact text form,
+//! so the same spec can come from a CLI flag, a jobspec file, or a
+//! `glsc-serve` protocol frame (which carries the text). The
 //! kernel builder in `glsc-kernels` compiles any spec into Base and GLSC
 //! programs; this crate owns only the *data* side — taxonomy, grammar,
 //! bounds, and deterministic index generation.
@@ -56,7 +56,6 @@
 
 use glsc_rng::rngs::StdRng;
 use glsc_rng::{Rng, SeedableRng};
-use glsc_wire::{Reader, Wire, WireError, Writer};
 
 /// Default iterations per thread when a spec has no `*N` suffix.
 pub const DEFAULT_ITERS: u32 = 64;
@@ -359,7 +358,7 @@ impl PatternSpec {
     }
 
     /// Bounds-checks every field against the crate's hard limits, so a
-    /// spec (parsed, wire-decoded, or hand-built) can never request an
+    /// spec (parsed or hand-built) can never request an
     /// absurd table, trace, or iteration count.
     pub fn check(&self) -> Result<(), ParseError> {
         let range = |what, value: u64, max: u64| {
@@ -699,113 +698,6 @@ fn fmt_pm(pm: u32) -> String {
     }
 }
 
-impl Wire for UpdateKind {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            UpdateKind::Inc => w.put_u8(0),
-            UpdateKind::Add(k) => {
-                w.put_u8(1);
-                k.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(UpdateKind::Inc),
-            1 => Ok(UpdateKind::Add(u32::decode(r)?)),
-            _ => Err(r.invalid("update-kind tag")),
-        }
-    }
-}
-
-impl Wire for IndexPattern {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            IndexPattern::Stride { stride, len } => {
-                w.put_u8(0);
-                stride.encode(w);
-                len.encode(w);
-            }
-            IndexPattern::MostlyStride {
-                stride,
-                len,
-                outlier_pm,
-            } => {
-                w.put_u8(1);
-                stride.encode(w);
-                len.encode(w);
-                outlier_pm.encode(w);
-            }
-            IndexPattern::Block { block, blocks } => {
-                w.put_u8(2);
-                block.encode(w);
-                blocks.encode(w);
-            }
-            IndexPattern::Conflict { density_pm, len } => {
-                w.put_u8(3);
-                density_pm.encode(w);
-                len.encode(w);
-            }
-            IndexPattern::Trace { len, indices } => {
-                w.put_u8(4);
-                len.encode(w);
-                indices.encode(w);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(IndexPattern::Stride {
-                stride: u32::decode(r)?,
-                len: u32::decode(r)?,
-            }),
-            1 => Ok(IndexPattern::MostlyStride {
-                stride: u32::decode(r)?,
-                len: u32::decode(r)?,
-                outlier_pm: u32::decode(r)?,
-            }),
-            2 => Ok(IndexPattern::Block {
-                block: u32::decode(r)?,
-                blocks: u32::decode(r)?,
-            }),
-            3 => Ok(IndexPattern::Conflict {
-                density_pm: u32::decode(r)?,
-                len: u32::decode(r)?,
-            }),
-            4 => Ok(IndexPattern::Trace {
-                len: u32::decode(r)?,
-                indices: Vec::<u32>::decode(r)?,
-            }),
-            _ => Err(r.invalid("index-pattern tag")),
-        }
-    }
-}
-
-impl Wire for PatternSpec {
-    fn encode(&self, w: &mut Writer) {
-        self.index.encode(w);
-        self.iters.encode(w);
-        self.seed.encode(w);
-        self.update.encode(w);
-        self.reads.encode(w);
-    }
-    /// Decoding re-runs [`PatternSpec::check`]: hostile bytes cannot
-    /// smuggle an out-of-bounds spec past the wire boundary.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let spec = Self {
-            index: IndexPattern::decode(r)?,
-            iters: u32::decode(r)?,
-            seed: u64::decode(r)?,
-            update: UpdateKind::decode(r)?,
-            reads: u8::decode(r)?,
-        };
-        if spec.check().is_err() {
-            return Err(r.invalid("pattern spec bounds"));
-        }
-        Ok(spec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1034,41 +926,5 @@ mod tests {
         // Seed changes nothing for pure-stride kinds.
         let spec2 = parse("stride:1x16*4@999");
         assert_eq!(spec2.gen_indices(1, 4), seqs);
-    }
-
-    #[test]
-    fn wire_round_trips_and_rejects_hostile_bytes() {
-        for s in [
-            "stride:4x1024",
-            "mostly:1x512/p=0.05*100@7",
-            "block:8/64!add3",
-            "conflict:p=0.25x256+r2",
-            "trace:64:0,16,32,48*10@3",
-        ] {
-            let spec = parse(s);
-            let bytes = glsc_wire::to_bytes(&spec);
-            let back: PatternSpec = glsc_wire::from_bytes(&bytes).unwrap();
-            assert_eq!(back, spec);
-        }
-        // A bad enum tag is a typed error.
-        let mut bytes = glsc_wire::to_bytes(&parse("stride:4x1024"));
-        bytes[0] = 9;
-        assert!(glsc_wire::from_bytes::<PatternSpec>(&bytes).is_err());
-        // An in-range encoding of an out-of-bounds spec is rejected by
-        // the decode-time check.
-        let evil = PatternSpec {
-            index: IndexPattern::Stride {
-                stride: 1,
-                len: u32::MAX,
-            },
-            ..PatternSpec::new(IndexPattern::Stride { stride: 1, len: 1 })
-        };
-        let bytes = glsc_wire::to_bytes(&evil);
-        assert!(glsc_wire::from_bytes::<PatternSpec>(&bytes).is_err());
-        // Truncations are typed errors too.
-        let bytes = glsc_wire::to_bytes(&parse("trace:64:0,16,32,48"));
-        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            assert!(glsc_wire::from_bytes::<PatternSpec>(&bytes[..cut]).is_err());
-        }
     }
 }

@@ -216,7 +216,7 @@ pub struct JobLedger {
 
 impl JobLedger {
     /// Folds one record about this job into the ledger. [`replay`] and
-    /// the live session both go through here, so the session's
+    /// [`journal_apply`] both go through here, so the live session's
     /// in-memory view is always what a restart would replay.
     pub(crate) fn apply(&mut self, rec: &JournalRecord) {
         match rec {
@@ -250,6 +250,23 @@ pub fn replay(records: &[JournalRecord]) -> HashMap<String, JobLedger> {
         map.entry(rec.job().to_string()).or_default().apply(rec);
     }
     map
+}
+
+/// Appends one record durably and folds it into `ledgers` by the rule
+/// [`replay`] uses. The session and the supervisor append every record
+/// through here, so their in-memory view is always what a restart would
+/// replay.
+pub(crate) fn journal_apply(
+    journal: &mut Journal,
+    ledgers: &mut HashMap<String, JobLedger>,
+    rec: JournalRecord,
+) -> std::io::Result<()> {
+    journal.append(&rec)?;
+    ledgers
+        .entry(rec.job().to_string())
+        .or_default()
+        .apply(&rec);
+    Ok(())
 }
 
 /// The append-only journal file.

@@ -22,10 +22,11 @@
 //!   streams one result frame per job.
 //! * [`journal`] — append-only WAL with per-record checksums; a torn
 //!   tail decodes as "the append never happened".
-//! * [`service`] — the supervisor: sliced execution of one job at a
-//!   time, in submission order, one attempt per job, wall/cycle
-//!   deadlines per job, quarantine on the first failure
-//!   ([`glsc_bench::JobError::Quarantined`]), SIGTERM drain.
+//! * [`service`] — the supervisor: one loop that runs one job at a
+//!   time on a fresh machine, in slices, in submission order, one
+//!   attempt per job, wall/cycle deadlines per job, quarantine on the
+//!   first failure ([`glsc_bench::JobError::Quarantined`]), SIGTERM
+//!   drain.
 //! * [`queue`] — bounded, priority-aware admission in front of the
 //!   supervisor; overload becomes typed `SHED` decisions, not memory
 //!   growth.

@@ -2,13 +2,16 @@
 //!
 //! Every job reaches it through the one front door, a protocol session
 //! ([`crate::session`]): a `JobSpec` is the lowering of an admitted
-//! `WireJobSpec`. The supervisor runs the jobs the journal has not
-//! settled through [`glsc_sim::Fleet`] in one pass, one job at a time in
-//! submission order, each on a fresh machine, in slices of
-//! `FLEET_QUANTUM` (1,024) cycles with a supervision pause between
+//! `WireJobSpec`. The supervisor is one loop over the jobs the journal
+//! has not settled, in submission order. Each runs on a fresh
+//! [`Machine`], mounted as the figure harness mounts a job (image,
+//! program, and a fault plan for a chaos job), and advances in
+//! `SLICE_CYCLES` (1,024-cycle) slices with a supervision pause between
 //! slices. Every outcome is write-ahead journaled (`done | quarantined`;
-//! the session journals `submitted`); a finished report goes to the
-//! result store before its `done` record is appended.
+//! the session journals `submitted`) through `journal::journal_apply`,
+//! which folds the record into the session's ledgers by the rule replay
+//! uses; a finished report goes to the result store before its `done`
+//! record is appended.
 //!
 //! Recovery is a rerun. A restart — crash or drain — replays the
 //! journal, serves every `done` job from the result store, and reruns
@@ -23,34 +26,29 @@
 //! or panicking validator, or a tripped cycle or wall-clock deadline
 //! appends one `Quarantined` record, and the job streams a `QUAR` row
 //! while the rest of the sweep completes, with a nonzero exit. A panic
-//! is contained to its job (machine dropped, the pass goes on to the
+//! is contained to its job (machine dropped, the loop goes on to the
 //! next job). Jobs are deterministic, so a second attempt would fail the
 //! same way; only a wall-clock trip depends on the host, and it is
 //! quarantined on its first occurrence too. A quarantined job never runs
 //! again in that state dir: a restart or a resubmission is answered from
 //! the journal, and only a fresh state dir runs it again.
 
-use crate::journal::{JobLedger, Journal, JournalRecord};
+use crate::journal::{journal_apply, JobLedger, Journal, JournalRecord};
 use crate::{kill, signal};
 use glsc_bench::store::{cfg_fingerprint, job_key};
 use glsc_bench::{JobError, JobStore};
 use glsc_kernels::Workload;
-use glsc_sim::{
-    BackingBase, ChaosConfig, FaultPlan, Fleet, FleetFailure, FleetJob, Machine, MachineConfig,
-    PauseCtl, RunReport,
-};
-use std::cell::RefCell;
+use glsc_sim::{ChaosConfig, FaultPlan, Machine, MachineConfig, RunReport, SlicedRun};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Simulated cycles the running job advances between supervision
 /// pauses. Results do not depend on it; it only sets how promptly a
 /// drain, a deadline, or an injected `cycles:` kill is noticed — short
 /// enough to land inside the shortest tiny job, long enough that the
-/// pause hook costs nothing measurable.
-const FLEET_QUANTUM: u64 = 1_024;
+/// pause costs nothing measurable.
+const SLICE_CYCLES: u64 = 1_024;
 
 /// Service-wide knobs.
 #[derive(Debug)]
@@ -126,133 +124,12 @@ pub(crate) struct JobResult {
     pub chaos: Option<String>,
 }
 
-/// Per-job outcomes in submission order; `None` marks jobs not reached
-/// before a drain.
-pub(crate) type SweepOutcomes = Vec<Option<Result<JobResult, JobError>>>;
-
-/// Per-job supervision state.
-struct JobState {
-    key: String,
-    /// Wall-deadline clock, armed at the job's first pause.
-    started: Option<Instant>,
-    outcome: Option<Result<JobResult, JobError>>,
-}
-
-/// Everything the fleet hooks need, behind one `RefCell`: the pause and
-/// completion hooks are separate `FnMut`s but never run reentrantly (the
-/// fleet is single-threaded), so a runtime-checked borrow is safe.
-struct RunCtx<'a, F> {
-    svc: &'a ServiceConfig,
-    store: &'a JobStore,
-    journal: &'a mut Journal,
-    jobs: &'a [JobSpec],
-    states: &'a mut [JobState],
-    on_result: &'a mut F,
-    /// First journal write error; halts the run and is re-raised once
-    /// the fleet unwinds.
-    io_err: Option<std::io::Error>,
-    /// A TERM was observed mid-run; the run in flight was dropped.
-    drained: bool,
-}
-
-impl<F: FnMut(usize, &Result<JobResult, JobError>)> RunCtx<'_, F> {
-    /// Journals a failed run as a quarantine and streams the `QUAR`
-    /// outcome. The reason goes to the log only.
-    fn quarantine(&mut self, gi: usize, reason: &str) {
-        let id = &self.jobs[gi].id;
-        log(format!("{id}: quarantined: {reason}"));
-        if let Err(e) = self.journal.append(&JournalRecord::Quarantined {
-            job: id.clone(),
-            failures: 1,
-        }) {
-            self.io_err.get_or_insert(e);
-            return;
-        }
-        let outcome = Err(JobError::Quarantined { index: gi });
-        (self.on_result)(gi, &outcome);
-        self.states[gi].outcome = Some(outcome);
-    }
-
-    /// Quantum-boundary hook: injected kill, drain signal, deadlines.
-    fn on_pause(&mut self, gi: usize, machine: &mut Machine) -> PauseCtl {
-        if self.io_err.is_some() {
-            return PauseCtl::Halt;
-        }
-        let cycle = machine.cycle();
-        kill::check_cycles(cycle);
-        if signal::term_requested() {
-            // Drop the run in flight: the journal still holds its job as
-            // not done, so the next start reruns it from its spec.
-            self.drained = true;
-            return PauseCtl::Halt;
-        }
-        let job = &self.jobs[gi];
-        let started = *self.states[gi].started.get_or_insert_with(Instant::now);
-        let cycle_limit = job.deadline_cycles.or(self.svc.deadline_cycles);
-        let wall_limit = job.deadline_wall_ms.or(self.svc.deadline_wall_ms);
-        let trip = if let Some(limit) = cycle_limit.filter(|&limit| cycle >= limit) {
-            format!("exceeded the {limit}-cycle deadline")
-        } else if let Some(ms) = wall_limit.filter(|&ms| started.elapsed().as_millis() as u64 >= ms)
-        {
-            format!("exceeded the {ms} ms wall-clock deadline")
-        } else {
-            return PauseCtl::Continue;
-        };
-        self.quarantine(gi, &format!("{trip} (stopped at cycle {cycle})"));
-        PauseCtl::FailJob
-    }
-
-    /// Completion hook: validate, persist, journal, stream the result.
-    fn on_done(
-        &mut self,
-        gi: usize,
-        machine: &mut Machine,
-        result: Result<RunReport, FleetFailure>,
-    ) {
-        let job = &self.jobs[gi];
-        let report = match result {
-            Ok(report) => report,
-            Err(failure) => return self.quarantine(gi, &failure.to_string()),
-        };
-        // Validation runs supervised too: a panicking validator fails
-        // the job, not the service.
-        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (job.workload.validate)(machine.mem().backing())
-        }));
-        let reason = match verdict {
-            Ok(Ok(())) => {
-                let chaos = machine
-                    .mem()
-                    .chaos_stats()
-                    .map(|stats| format!("{stats:?}"));
-                self.store.save(&self.states[gi].key, &report);
-                if let Err(e) = self.journal.append(&JournalRecord::Done {
-                    job: job.id.clone(),
-                    chaos: chaos.clone(),
-                }) {
-                    self.io_err.get_or_insert(e);
-                    return;
-                }
-                let outcome = Ok(JobResult { report, chaos });
-                (self.on_result)(gi, &outcome);
-                self.states[gi].outcome = Some(outcome);
-                return;
-            }
-            Ok(Err(e)) => format!("validation failed: {e}"),
-            Err(payload) => payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string()),
-        };
-        self.quarantine(gi, &reason);
-    }
-}
-
-/// The supervision engine behind a session's `Run`: one pass of the jobs
-/// the journal has not settled through [`Fleet::run_each_supervised`],
-/// one at a time, in submission order, each from the start of its spec.
-/// Each ends done, quarantined, or — on a drain — not reached.
+/// The supervision loop behind a session's `Run`: one pass of the jobs
+/// the journal has not settled, one at a time, in submission order, each
+/// from the start of its spec. Each ends done, quarantined, or — on a
+/// drain — unsettled, and every settling record goes through
+/// [`journal_apply`], so `ledgers` always says what a restart would
+/// replay.
 ///
 /// `on_result(index, outcome)` streams each job's final outcome the
 /// moment it is durable (journaled + cached), in completion order — the
@@ -260,103 +137,145 @@ impl<F: FnMut(usize, &Result<JobResult, JobError>)> RunCtx<'_, F> {
 /// results as they land, not at the sweep barrier. Jobs resolved from
 /// the journal/cache stream immediately.
 ///
-/// Returns the outcomes in job order plus the drain flag.
+/// Returns how many jobs a drain left unsettled: 0 when the pass ran
+/// every job to an outcome.
 pub(crate) fn run_supervised<F>(
     svc: &ServiceConfig,
     store: &JobStore,
     journal: &mut Journal,
-    ledgers: &HashMap<String, JobLedger>,
+    ledgers: &mut HashMap<String, JobLedger>,
     jobs: &[JobSpec],
     mut on_result: F,
-) -> std::io::Result<(SweepOutcomes, bool)>
+) -> std::io::Result<usize>
 where
     F: FnMut(usize, &Result<JobResult, JobError>),
 {
-    // Resolve what the journal already settled; the rest run.
-    let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
+    // Stream what the journal already settled; the rest run.
+    let mut pending = Vec::new();
     for (gi, job) in jobs.iter().enumerate() {
         let ledger = ledgers.get(&job.id);
-        let key = job.cache_key();
-        let mut outcome = None;
         if ledger.is_some_and(|l| l.quarantined) {
-            outcome = Some(Err(JobError::Quarantined { index: gi }));
-        } else if let Some(chaos) = ledger.and_then(|l| l.done.as_ref()) {
-            if let Some(report) = store.load(&key) {
-                outcome = Some(Ok(JobResult {
-                    report,
-                    chaos: chaos.clone(),
-                }));
-            } else {
-                // Done in the journal but the cached report is gone or
-                // corrupt: re-run — correctness never depends on the
-                // cache surviving.
-                log(format!(
-                    "{}: done in journal but report missing; re-running",
-                    job.id
-                ));
+            on_result(gi, &Err(JobError::Quarantined { index: gi }));
+            continue;
+        }
+        if let Some(chaos) = ledger.and_then(|l| l.done.clone()) {
+            if let Some(report) = store.load(&job.cache_key()) {
+                on_result(gi, &Ok(JobResult { report, chaos }));
+                continue;
             }
+            // Done in the journal but the cached report is gone or
+            // corrupt: re-run — correctness never depends on the cache
+            // surviving.
+            log(format!(
+                "{}: done in journal but report missing; re-running",
+                job.id
+            ));
         }
-        if let Some(o) = &outcome {
-            on_result(gi, o);
-        }
-        states.push(JobState {
-            key,
-            started: None,
-            outcome,
-        });
+        pending.push(gi);
+    }
+    // A drain before the run starts leaves every pending job unsettled.
+    if signal::term_requested() {
+        return Ok(pending.len());
     }
 
-    let pending: Vec<usize> = (0..jobs.len())
-        .filter(|&gi| states[gi].outcome.is_none())
-        .collect();
-    // Nothing to run, or a drain before the run starts: the session
-    // ends drained only when work was left unreached.
-    if pending.is_empty() || signal::term_requested() {
-        let drained = !pending.is_empty();
-        return Ok((states.into_iter().map(|s| s.outcome).collect(), drained));
-    }
-
-    // Mount every pending job from its spec, sharing published
-    // copy-on-write dataset bases.
-    let mut published: HashMap<u64, Arc<BackingBase>> = HashMap::new();
-    let mut fleet_jobs = Vec::with_capacity(pending.len());
-    for &gi in &pending {
+    for (ran, &gi) in pending.iter().enumerate() {
         let job = &jobs[gi];
-        let base = published
-            .entry(job.workload.image.fingerprint())
-            .or_insert_with(|| job.workload.image.publish());
-        let mut fj = FleetJob::new(job.cfg.clone(), job.workload.program.clone())
-            .with_base(Arc::clone(base));
-        if let Some(seed) = job.chaos {
-            fj = fj.with_fault_plan(FaultPlan::new(ChaosConfig::from_seed(seed)));
-        }
-        fleet_jobs.push(fj);
+        let Some(run) = run_job(svc, job) else {
+            // A drain dropped the run in flight: the journal still holds
+            // it and every later job as not done, so the next start
+            // reruns them from their specs.
+            return Ok(pending.len() - ran);
+        };
+        let outcome = match run {
+            Ok(result) => {
+                store.save(&job.cache_key(), &result.report);
+                let done = JournalRecord::Done {
+                    job: job.id.clone(),
+                    chaos: result.chaos.clone(),
+                };
+                journal_apply(journal, ledgers, done)?;
+                Ok(result)
+            }
+            Err(reason) => {
+                // The reason goes to the log only; the row renders from
+                // the record, so a replayed row matches the live one.
+                log(format!("{}: quarantined: {reason}", job.id));
+                let quarantined = JournalRecord::Quarantined {
+                    job: job.id.clone(),
+                    failures: 1,
+                };
+                journal_apply(journal, ledgers, quarantined)?;
+                Err(JobError::Quarantined { index: gi })
+            }
+        };
+        on_result(gi, &outcome);
     }
+    Ok(0)
+}
 
-    let ctx = RefCell::new(RunCtx {
-        svc,
-        store,
-        journal,
-        jobs,
-        states: &mut states,
-        on_result: &mut on_result,
-        io_err: None,
-        drained: false,
-    });
-    Fleet::new()
-        .with_quantum(FLEET_QUANTUM)
-        .run_each_supervised(
-            fleet_jobs,
-            |local, machine| ctx.borrow_mut().on_pause(pending[local], machine),
-            |local, machine, result| ctx.borrow_mut().on_done(pending[local], machine, result),
-        );
-    let RunCtx {
-        io_err, drained, ..
-    } = ctx.into_inner();
-    if let Some(e) = io_err {
-        return Err(e);
+/// Runs one job on a fresh machine, mounted as the figure harness mounts
+/// it, in `SLICE_CYCLES` slices. Between slices it checks, in order: an
+/// injected `cycles:` kill, the drain flag, the cycle deadline, and the
+/// wall deadline, whose clock starts at the first pause. One
+/// `catch_unwind` covers the slices and the validator, so a panic in
+/// either fails the job, not the service.
+///
+/// Returns `None` when a drain dropped the run, and otherwise the result
+/// or the reason the run failed.
+fn run_job(svc: &ServiceConfig, job: &JobSpec) -> Option<Result<JobResult, String>> {
+    let mut machine = Machine::new(job.cfg.clone());
+    job.workload.image.apply(machine.mem_mut().backing_mut());
+    machine.load_program(job.workload.program.clone());
+    if let Some(seed) = job.chaos {
+        let plan = FaultPlan::new(ChaosConfig::from_seed(seed));
+        machine.mem_mut().install_fault_plan(plan);
     }
-    Ok((states.into_iter().map(|s| s.outcome).collect(), drained))
+    let cycle_limit = job.deadline_cycles.or(svc.deadline_cycles);
+    let wall_limit = job.deadline_wall_ms.or(svc.deadline_wall_ms);
+    let supervised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut run = SlicedRun::new(&machine);
+        let mut started = None;
+        let report = loop {
+            match machine.run_for(&mut run, SLICE_CYCLES) {
+                Ok(Some(report)) => break report,
+                Ok(None) => {}
+                Err(e) => return Some(Err(format!("simulation failed: {e}"))),
+            }
+            let cycle = machine.cycle();
+            kill::check_cycles(cycle);
+            if signal::term_requested() {
+                return None;
+            }
+            let started = *started.get_or_insert_with(Instant::now);
+            let trip = if let Some(limit) = cycle_limit.filter(|&limit| cycle >= limit) {
+                format!("exceeded the {limit}-cycle deadline")
+            } else if let Some(ms) =
+                wall_limit.filter(|&ms| started.elapsed().as_millis() as u64 >= ms)
+            {
+                format!("exceeded the {ms} ms wall-clock deadline")
+            } else {
+                continue;
+            };
+            return Some(Err(format!("{trip} (stopped at cycle {cycle})")));
+        };
+        Some(match (job.workload.validate)(machine.mem().backing()) {
+            Ok(()) => Ok(JobResult {
+                report,
+                chaos: machine
+                    .mem()
+                    .chaos_stats()
+                    .map(|stats| format!("{stats:?}")),
+            }),
+            Err(e) => Err(format!("validation failed: {e}")),
+        })
+    }));
+    supervised.unwrap_or_else(|payload| {
+        Some(Err(payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())))
+    })
 }
 
 #[cfg(test)]
@@ -368,7 +287,9 @@ mod tests {
     use glsc_bench::codec::decode_report;
     use glsc_bench::jobspec::WireJobSpec;
     use glsc_kernels::{Dataset, Variant};
+    use std::cell::RefCell;
     use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     thread_local! {
         /// The supervisor's log lines written on this test's thread.
@@ -614,11 +535,11 @@ mod tests {
             let path = cfg.state_dir.join("journal.log");
             let (mut journal, records) = Journal::open(&path).unwrap();
             let mut rows = vec![String::new(); specs.len()];
-            let (_, drained) = run_supervised(
+            let unsettled = run_supervised(
                 &cfg,
                 &store,
                 &mut journal,
-                &replay(&records),
+                &mut replay(&records),
                 &jobs(),
                 |gi, o| {
                     rows[gi] = match o {
@@ -628,7 +549,7 @@ mod tests {
                 },
             )
             .unwrap();
-            assert!(!drained);
+            assert_eq!(unsettled, 0);
             drop(journal);
             let (_, after) = Journal::open(&path).unwrap();
             (rows, after[records.len()..].to_vec())
@@ -706,7 +627,7 @@ mod tests {
         assert_eq!(stops.len(), 1, "{log:?}");
         assert!(log[0].contains("30 ms wall-clock deadline"), "{log:?}");
         assert!(
-            stops[0] > FLEET_QUANTUM,
+            stops[0] > SLICE_CYCLES,
             "the job tripped at its first pause (cycle {})",
             stops[0]
         );
@@ -799,16 +720,14 @@ mod tests {
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
         let store = JobStore::at(cfg.state_dir.join("cache"), true);
         let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
-        let ledgers = replay(&records);
+        let mut ledgers = replay(&records);
         let mut streamed = Vec::new();
-        let (outcomes, drained) =
-            run_supervised(&cfg, &store, &mut journal, &ledgers, &jobs, |gi, o| {
-                streamed.push((gi, o.is_ok()));
-            })
-            .unwrap();
-        assert!(!drained);
+        let unsettled = run_supervised(&cfg, &store, &mut journal, &mut ledgers, &jobs, |gi, o| {
+            streamed.push((gi, o.is_ok()));
+        })
+        .unwrap();
+        assert_eq!(unsettled, 0);
         assert_eq!(streamed, vec![(0, true)]);
-        assert!(outcomes[0].as_ref().unwrap().is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -831,19 +750,17 @@ mod tests {
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
         let store = JobStore::at(cfg.state_dir.join("cache"), true);
         let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
-        let ledgers = replay(&records);
-        let mut order = Vec::new();
-        let (outcomes, drained) =
-            run_supervised(&cfg, &store, &mut journal, &ledgers, &jobs, |gi, o| {
-                assert!(o.is_ok(), "job {gi} failed: {:?}", o.as_ref().err());
-                order.push(gi);
-            })
-            .unwrap();
-        assert!(!drained);
-        let cycles: Vec<u64> = outcomes
-            .iter()
-            .map(|o| o.as_ref().unwrap().as_ref().unwrap().report.cycles)
-            .collect();
+        let mut ledgers = replay(&records);
+        let (mut order, mut cycles) = (Vec::new(), Vec::new());
+        let unsettled = run_supervised(&cfg, &store, &mut journal, &mut ledgers, &jobs, |gi, o| {
+            let result = o
+                .as_ref()
+                .unwrap_or_else(|e| panic!("job {gi} failed: {e:?}"));
+            order.push(gi);
+            cycles.push(result.report.cycles);
+        })
+        .unwrap();
+        assert_eq!(unsettled, 0);
         assert!(
             cycles[0] > 4 * (cycles[1] + cycles[2]),
             "the first job must be the long one: {cycles:?}"

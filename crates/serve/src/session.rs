@@ -8,13 +8,18 @@
 //! through [`WireJobSpec::lower`], the lowering the figure harness's
 //! kernel jobs share.
 //!
-//! A session alternates between an **admission phase** — reading
-//! [`Request`] frames, applying the [`AdmissionQueue`] policy, and
-//! journaling every decision (`Submitted` / `Shed`) before the reply
-//! frame leaves — and a **run phase**, entered on [`Request::Run`] (or
-//! end of stream with work queued), which runs the queue through the
-//! supervisor, one job at a time, and streams a result frame per job as
-//! it becomes durable.
+//! A session opens by replaying the journal and re-queueing every
+//! pending submission; a pending spec that no longer decodes or
+//! validates is closed out with a `Shed` record instead. It then
+//! alternates between an **admission phase** — reading [`Request`]
+//! frames, applying the [`AdmissionQueue`] policy, and journaling every
+//! decision (`Submitted` / `Shed`) before the reply frame leaves — and a
+//! **run phase**, entered on [`Request::Run`] (or end of stream with
+//! work queued), which runs the queue through the supervisor's loop, one
+//! job at a time, and streams a result frame per job as it becomes
+//! durable. The session and the supervisor append every record through
+//! `journal::journal_apply`, so the session's ledgers always say what a
+//! restart would replay.
 //!
 //! The hostile-client contract, pinned by the torture oracle in
 //! `tests/`:
@@ -33,7 +38,7 @@
 //!   the next service start re-queues and runs it from its spec even if
 //!   the client never returns.
 
-use crate::journal::{replay, JobLedger, Journal, JournalRecord};
+use crate::journal::{journal_apply, replay, JobLedger, Journal, JournalRecord};
 use crate::proto::{read_message, write_message, FrameError, Reply, Request};
 use crate::queue::{Admission, AdmissionQueue, QueueEntry};
 use crate::service::{run_supervised, JobSpec, ServiceConfig};
@@ -72,7 +77,7 @@ pub fn run_session(
     let mut ledgers = replay(&records);
 
     let mut queue = AdmissionQueue::new(cfg.queue_capacity);
-    restore_pending(&records, &ledgers, &mut queue);
+    restore_pending(&records, &mut journal, &mut ledgers, &mut queue)?;
 
     // Client liveness is best-effort: once a write fails the session
     // stops talking but keeps working.
@@ -237,22 +242,6 @@ pub fn run_session(
     }
 }
 
-/// Journals one record and folds it into the in-memory ledgers by the
-/// rule replay uses, so the session's view always matches what a
-/// restart would replay.
-fn journal_apply(
-    journal: &mut Journal,
-    ledgers: &mut HashMap<String, JobLedger>,
-    rec: JournalRecord,
-) -> io::Result<()> {
-    journal.append(&rec)?;
-    ledgers
-        .entry(rec.job().to_string())
-        .or_default()
-        .apply(&rec);
-    Ok(())
-}
-
 /// Journals one admission. A resubmission of a job the journal already
 /// settled is journaled too, but stays not pending.
 fn journal_submit(
@@ -284,12 +273,15 @@ fn journal_shed(
 
 /// Re-queues every journal-replayed pending job, in original submission
 /// order, ahead of anything this session submits. The journal's record
-/// order is the source of truth — ledger maps lose it.
+/// order is the source of truth — ledger maps lose it. A pending spec
+/// that no longer decodes or validates is closed out with a `Shed`
+/// record, so it is dropped once, not logged again at every boot.
 fn restore_pending(
     records: &[JournalRecord],
-    ledgers: &HashMap<String, JobLedger>,
+    journal: &mut Journal,
+    ledgers: &mut HashMap<String, JobLedger>,
     queue: &mut AdmissionQueue,
-) {
+) -> io::Result<()> {
     let mut order: Vec<&str> = Vec::new();
     for rec in records {
         if let JournalRecord::Submitted { job, .. } = rec {
@@ -300,37 +292,35 @@ fn restore_pending(
     // `restore` pushes to the front, so feed it newest-first to leave
     // the queue oldest-first.
     for id in order.iter().rev() {
-        let Some(ledger) = ledgers.get(*id) else {
+        let Some((priority, spec_bytes)) = ledgers.get(*id).and_then(|l| l.pending.clone()) else {
             continue;
         };
-        let Some((priority, spec_bytes)) = &ledger.pending else {
-            continue;
-        };
-        match WireJobSpec::from_bytes(spec_bytes) {
-            Ok(spec) => {
-                // Replayed specs were validated at admission, but the
-                // validator may have tightened since (or the journal may
-                // carry bytes an older build admitted) — re-check before
-                // trusting them enough to build workloads.
-                if let Err(e) = spec.validate() {
-                    eprintln!("[serve] {id}: journaled spec no longer valid ({e}); dropping");
+        let problem = match WireJobSpec::from_bytes(&spec_bytes) {
+            // Replayed specs were validated at admission, but the
+            // validator may have tightened since (or the journal may
+            // carry bytes an older build admitted) — re-check before
+            // trusting them enough to build workloads.
+            Ok(spec) => match spec.validate() {
+                Ok(()) => {
+                    eprintln!("[serve] {id}: re-queued from journal (pending submission)");
+                    queue.restore(QueueEntry {
+                        id: (*id).to_string(),
+                        priority,
+                        spec,
+                    });
                     continue;
                 }
-                eprintln!("[serve] {id}: re-queued from journal (pending submission)");
-                queue.restore(QueueEntry {
-                    id: (*id).to_string(),
-                    priority: *priority,
-                    spec,
-                });
-            }
-            Err(e) => {
-                // A journaled spec that no longer decodes is a version
-                // skew or corruption the checksum missed; drop it loudly
-                // rather than crash the boot.
-                eprintln!("[serve] {id}: journaled spec undecodable ({e}); dropping");
-            }
-        }
+                Err(e) => format!("journaled spec no longer valid ({e})"),
+            },
+            // A journaled spec that no longer decodes is a version skew
+            // or corruption the checksum missed; drop it loudly rather
+            // than crash the boot.
+            Err(e) => format!("journaled spec undecodable ({e})"),
+        };
+        eprintln!("[serve] {id}: {problem}; dropping");
+        journal_shed(journal, ledgers, id)?;
     }
+    Ok(())
 }
 
 /// Lowers one wire spec into a supervised job: the only constructor of
@@ -372,20 +362,16 @@ fn run_queue(
     client_gone: &mut bool,
     shed: &mut u32,
 ) -> io::Result<bool> {
-    let drained_entries = queue.drain();
+    let entries = queue.drain();
     let mut ok: u32 = 0;
     let mut failed: u32 = 0;
     // Lower each spec; one that no longer builds (validator drift, a
     // journal entry from a looser build) fails typed and is closed out
     // in the journal so it does not replay as pending forever.
-    let mut entries = Vec::with_capacity(drained_entries.len());
-    let mut jobs: Vec<JobSpec> = Vec::with_capacity(drained_entries.len());
-    for entry in drained_entries {
+    let mut jobs: Vec<JobSpec> = Vec::with_capacity(entries.len());
+    for entry in entries {
         match spec_to_job(&entry.spec) {
-            Ok(job) => {
-                jobs.push(job);
-                entries.push(entry);
-            }
+            Ok(job) => jobs.push(job),
             Err(detail) => {
                 eprintln!(
                     "[serve] {}: spec no longer lowers ({detail}); failing",
@@ -404,53 +390,32 @@ fn run_queue(
             }
         }
     }
-    let (outcomes, drained) =
-        run_supervised(cfg, store, journal, ledgers, &jobs, |gi, outcome| {
-            let reply = match outcome {
-                Ok(result) => {
-                    ok += 1;
-                    Reply::JobDone {
-                        id: jobs[gi].id.clone(),
-                        cycles: result.report.cycles,
-                        report: encode_report(&result.report),
-                        chaos: result.chaos.clone(),
-                    }
+    let unsettled = run_supervised(cfg, store, journal, ledgers, &jobs, |gi, outcome| {
+        let reply = match outcome {
+            Ok(result) => {
+                ok += 1;
+                Reply::JobDone {
+                    id: jobs[gi].id.clone(),
+                    cycles: result.report.cycles,
+                    report: encode_report(&result.report),
+                    chaos: result.chaos.clone(),
                 }
-                Err(e) => {
-                    failed += 1;
-                    Reply::JobFailed {
-                        id: jobs[gi].id.clone(),
-                        label: e.cell().to_string(),
-                        detail: e.message(),
-                    }
+            }
+            Err(e) => {
+                failed += 1;
+                Reply::JobFailed {
+                    id: jobs[gi].id.clone(),
+                    label: e.cell().to_string(),
+                    detail: e.message(),
                 }
-            };
-            if !*client_gone && write_message(output, &reply).is_err() {
-                *client_gone = true;
             }
-        })?;
-
-    // Mirror what the journal now says back into the session's ledgers,
-    // so a later `Run` in the same session serves finished jobs from the
-    // store instead of re-running them.
-    for (entry, outcome) in entries.iter().zip(&outcomes) {
-        let ledger = ledgers.entry(entry.id.clone()).or_default();
-        match outcome {
-            Some(Ok(result)) => {
-                ledger.done = Some(result.chaos.clone());
-                ledger.pending = None;
-            }
-            Some(Err(glsc_bench::JobError::Quarantined { .. })) => {
-                ledger.quarantined = true;
-                ledger.pending = None;
-            }
-            Some(Err(_)) | None => {}
+        };
+        if !*client_gone && write_message(output, &reply).is_err() {
+            *client_gone = true;
         }
-    }
-
-    if drained {
-        let unreached = outcomes.iter().filter(|o| o.is_none()).count();
-        eprintln!("[serve] drained: {unreached} queued job(s) left pending in the journal",);
+    })?;
+    if unsettled > 0 {
+        eprintln!("[serve] drained: {unsettled} queued job(s) left pending in the journal");
         return Ok(true);
     }
     if !*client_gone
@@ -473,7 +438,7 @@ fn run_queue(
 mod tests {
     use super::*;
     use glsc_kernels::{Dataset, Variant};
-    use glsc_wire::to_bytes;
+    use glsc_wire::{to_bytes, Wire};
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -727,6 +692,50 @@ mod tests {
             ),
             "{replies:?}"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journaled_spec_that_no_longer_decodes_is_shed_once() {
+        // A pending submission journaled in the v2 spec layout (before
+        // the memory-order field): the first boot drops it with one
+        // `Shed` record, so it replays as settled and no later boot logs
+        // or re-queues it again.
+        let _flag = crate::signal::term_flag_shared();
+        let dir = tmp_dir("stale");
+        let cfg = small_cfg(&dir);
+        let mut w = glsc_wire::Writer::new();
+        2u32.encode(&mut w); // spec format version
+        "HIP".to_string().encode(&mut w);
+        None::<String>.encode(&mut w); // pattern
+        0u8.encode(&mut w); // dataset
+        1u8.encode(&mut w); // variant
+        for shape in [4u32, 4, 4] {
+            shape.encode(&mut w); // cores, tpc, width
+        }
+        for _ in 0..3 {
+            None::<u64>.encode(&mut w); // chaos and both deadlines
+        }
+        let id = "HIP-T-GLSC-4x4-w4".to_string();
+        let submitted = JournalRecord::Submitted {
+            job: id.clone(),
+            priority: 0,
+            spec: w.into_bytes(),
+        };
+        let path = dir.join("journal.log");
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        journal.append(&submitted).unwrap();
+        drop(journal);
+        let shed = JournalRecord::Shed { job: id.clone() };
+        for boot in 0..2 {
+            let mut output = Vec::new();
+            let end = run_session(&cfg, &mut &[][..], &mut output).unwrap();
+            assert_eq!(end, SessionEnd::Closed);
+            assert!(read_replies(&output).is_empty(), "boot {boot}");
+            let (_, records) = Journal::open(&path).unwrap();
+            assert_eq!(records, [submitted.clone(), shed.clone()], "boot {boot}");
+            assert_eq!(replay(&records)[&id].pending, None);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,7 +12,7 @@
 //! re-simulates a job it already finished, and that a state dir left by
 //! a checkpointing build reruns its jobs without reading the old
 //! checkpoint files. Every drill compares a build with itself, so one
-//! more test pins the table's bytes.
+//! more test pins the bytes of three tables: plain, chaos and TSO.
 //!
 //! Set `GLSC_DRILL_KERNELS=HIP,GBC` to bound the matrix (CI smoke).
 
@@ -361,19 +361,63 @@ fn legacy_checkpointing_state_dir_reruns_from_spec() {
 
 #[test]
 fn sweep_table_bytes_are_pinned() {
-    // The drills above compare a build with itself; this holds the table
-    // to fixed bytes: header, row layout, cycle counts and summary.
-    let dir = tmp_dir("pinned");
-    let out = invoke_sweep(&dir, "HIP", "1x1,4x4", &[], None);
-    assert!(out.status.success(), "{}", stderr_of(&out));
-    assert_eq!(
-        stdout_of(&out),
-        "=== glsc-serve sweep: 2 job(s) ===\n\
-         HIP-T-GLSC-1x1-w4         32402 cycles\n\
-         HIP-T-GLSC-4x4-w4          3078 cycles\n\
-         == 2 ok, 0 failed ==\n"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    // The drills above compare a build with itself; this holds three
+    // tables to fixed bytes: header, row layout, cycle counts, chaos
+    // counters and summary. The chaos jobs cross many supervision
+    // pauses under a fault plan; the pattern jobs run under TSO.
+    let cases: [(&str, &str, &[&str], &str); 3] = [
+        (
+            "HIP",
+            "1x1,4x4",
+            &[],
+            "=== glsc-serve sweep: 2 job(s) ===\n\
+             HIP-T-GLSC-1x1-w4         32402 cycles\n\
+             HIP-T-GLSC-4x4-w4          3078 cycles\n\
+             == 2 ok, 0 failed ==\n",
+        ),
+        (
+            "HIP,GBC",
+            "1x1,4x4",
+            &["--chaos-seed", "5"],
+            concat!(
+                "=== glsc-serve sweep: 4 job(s) ===\n",
+                "HIP-T-GLSC-1x1-w4-chaos5         34995 cycles\n",
+                "                          chaos: ChaosStats { injection_points: 251, reservations_cleared: 28, core_flushes: 5, lines_evicted: 43, jitter_events: 70, jitter_cycles: 1601, forced_buffer_evictions: 0, link_jitter_events: 45, link_jitter_cycles: 172 }\n",
+                "HIP-T-GLSC-4x4-w4-chaos5          3914 cycles\n",
+                "                          chaos: ChaosStats { injection_points: 317, reservations_cleared: 40, core_flushes: 13, lines_evicted: 67, jitter_events: 77, jitter_cycles: 1830, forced_buffer_evictions: 0, link_jitter_events: 62, link_jitter_cycles: 277 }\n",
+                "GBC-T-GLSC-1x1-w4-chaos5         45519 cycles\n",
+                "                          chaos: ChaosStats { injection_points: 579, reservations_cleared: 28, core_flushes: 4, lines_evicted: 104, jitter_events: 174, jitter_cycles: 4175, forced_buffer_evictions: 0, link_jitter_events: 104, link_jitter_cycles: 475 }\n",
+                "GBC-T-GLSC-4x4-w4-chaos5          7257 cycles\n",
+                "                          chaos: ChaosStats { injection_points: 913, reservations_cleared: 128, core_flushes: 20, lines_evicted: 184, jitter_events: 257, jitter_cycles: 6521, forced_buffer_evictions: 0, link_jitter_events: 156, link_jitter_cycles: 674 }\n",
+                "== 4 ok, 0 failed ==\n",
+            ),
+        ),
+        (
+            "none",
+            "1x1,1x4,4x1,4x4",
+            &[
+                "--pattern",
+                "conflict:p=0.25x64*8",
+                "--memory-order",
+                "tso",
+            ],
+            concat!(
+                "=== glsc-serve sweep: 4 job(s) ===\n",
+                "pat-conflict-47b0b469f31540a5-T-GLSC-1x1-w4-tso           634 cycles\n",
+                "pat-conflict-47b0b469f31540a5-T-GLSC-1x4-w4-tso           732 cycles\n",
+                "pat-conflict-47b0b469f31540a5-T-GLSC-4x1-w4-tso           820 cycles\n",
+                "pat-conflict-47b0b469f31540a5-T-GLSC-4x4-w4-tso          1145 cycles\n",
+                "== 4 ok, 0 failed ==\n",
+            ),
+        ),
+    ];
+    for (i, (kernels, shapes, extra, want)) in cases.into_iter().enumerate() {
+        let dir = tmp_dir(&format!("pinned-{i}"));
+        let out = invoke_sweep(&dir, kernels, shapes, extra, None);
+        assert!(out.status.success(), "{}", stderr_of(&out));
+        assert_eq!(stdout_of(&out), want, "--kernels {kernels} {extra:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

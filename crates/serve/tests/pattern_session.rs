@@ -1,5 +1,5 @@
 //! Protocol drill for the pattern namespace: a pattern job submitted
-//! over the wire runs through the fleet engine and comes back as a
+//! over the wire runs through the supervisor and comes back as a
 //! `JobDone` frame, and hostile pattern specs are typed `Rejected`
 //! replies — never a server-side panic (which would quarantine the job
 //! and poison the journal for every restart after).

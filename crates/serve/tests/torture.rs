@@ -457,7 +457,7 @@ fn dropped_client_mid_stream_keeps_results_durable_without_rerun() {
 #[test]
 fn kill_drill_over_the_protocol_path_matches_solo() {
     // The kill-drill guarantee, rerun end-to-end through the framed
-    // protocol and the fleet-routed engine: kill the server at hostile
+    // protocol and the supervisor: kill the server at hostile
     // points (torn `Submitted` append, torn `Done` append after the
     // report reached the store, mid-run aborts), restart, and the final
     // results must be byte-identical to an uninterrupted session —

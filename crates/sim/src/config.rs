@@ -319,18 +319,6 @@ impl MachineConfig {
         self.mem.check()?;
         Ok(())
     }
-
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a parameter is out of the supported range. Use
-    /// [`MachineConfig::check`] for a non-panicking, typed alternative.
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 impl Default for MachineConfig {
@@ -346,7 +334,7 @@ mod tests {
     #[test]
     fn paper_config_shape() {
         let c = MachineConfig::paper(4, 4, 4);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
         assert_eq!(c.total_threads(), 16);
         assert_eq!(c.issue_width, 2);
         assert_eq!(c.mem.l1_hit_latency, 3);
@@ -363,9 +351,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SIMD width")]
     fn invalid_width_rejected() {
-        MachineConfig::paper(1, 1, 64).validate();
+        let err = MachineConfig::paper(1, 1, 64).check().unwrap_err();
+        assert!(err.to_string().contains("SIMD width"), "{err}");
     }
 
     #[test]
@@ -438,7 +426,7 @@ mod tests {
         assert_eq!(c.mem.noc, glsc_mem::NocConfig::ring());
         assert_eq!(c.starvation_threshold, Some(1000));
         assert_eq!(c.mem.arbitration, glsc_mem::ArbitrationPolicy::AgedPriority);
-        c.validate();
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]

@@ -1,5 +1,9 @@
-//! The fleet: the supervised, sliced executor behind `glsc-serve`
-//! (DESIGN.md §13).
+//! The fleet: a supervised, sliced executor (DESIGN.md §13).
+//!
+//! No product code uses it: `glsc-serve` runs each job in its own loop
+//! over [`Machine::run_for`]. The fleet, [`FleetJob::with_base`] and
+//! [`PauseCtl`] stay because the benchmark (`perfbench/`) builds
+//! against them; they go once it no longer does.
 //!
 //! A [`Fleet`] runs a list of jobs, each on a fresh [`Machine::new`],
 //! mounting them in submission order. Every job advances in slices of at
@@ -185,10 +189,10 @@ impl Fleet {
         self
     }
 
-    /// Runs every job, each on a fresh machine, with the hooks a
-    /// crash-durable job service needs (DESIGN.md §15). Jobs are mounted
-    /// in submission order as slots free up; at the default width of one
-    /// each job runs to its outcome before the next one starts.
+    /// Runs every job, each on a fresh machine, with a pause hook and a
+    /// completion hook. Jobs are mounted in submission order as slots
+    /// free up; at the default width of one each job runs to its outcome
+    /// before the next one starts.
     ///
     /// * `on_pause(index, machine)` runs at every quantum boundary of
     ///   every live job — the supervisor's chance to poll for a drain
