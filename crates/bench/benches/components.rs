@@ -11,7 +11,7 @@
 //! output is still written to `results/components.txt`.
 
 use glsc_bench::{finish_figure, FigureOutput};
-use glsc_core::{CoreMemUnit, GlscConfig, GsuKind};
+use glsc_core::{CoreMemUnit, GlscConfig, GsuKind, MemCompletion};
 use glsc_isa::{ProgramBuilder, Reg};
 use glsc_mem::{MemConfig, MemOp, MemorySystem, TagArray};
 use glsc_sim::{Machine, MachineConfig};
@@ -81,6 +81,21 @@ fn bench_memory_system(out: &mut FigureOutput) {
     }
 }
 
+/// Ticks `unit` from `now + 1` until it hands back a completion, reusing
+/// `done` as the machine loop reuses its completion buffer.
+fn tick_until_done(
+    unit: &mut CoreMemUnit,
+    mem: &mut MemorySystem,
+    now: &mut u64,
+    done: &mut Vec<MemCompletion>,
+) {
+    done.clear();
+    while done.is_empty() {
+        *now += 1;
+        unit.tick_into(mem, *now, done);
+    }
+}
+
 fn bench_gsu(out: &mut FigureOutput) {
     {
         let cfg = MemConfig {
@@ -90,20 +105,16 @@ fn bench_gsu(out: &mut FigureOutput) {
         let mut mem = MemorySystem::new(cfg, 1, 4);
         mem.access(0, 0, MemOp::Load, 0x100, 0);
         let mut unit = CoreMemUnit::new(0, 4, GlscConfig::default());
+        let mut done = Vec::new();
         let mut now = 400u64;
         bench(out, "gsu/gather_4_combined", 100_000, || {
             unit.gsu_start(
                 0,
                 GsuKind::Gather { vd: 0 },
-                vec![(0, 0x100, 0), (1, 0x104, 0), (2, 0x108, 0), (3, 0x10c, 0)],
+                &[(0, 0x100, 0), (1, 0x104, 0), (2, 0x108, 0), (3, 0x10c, 0)],
                 4,
             );
-            loop {
-                now += 1;
-                if !unit.tick(&mut mem, now).is_empty() {
-                    break;
-                }
-            }
+            tick_until_done(&mut unit, &mut mem, &mut now, &mut done);
         });
     }
     {
@@ -113,27 +124,13 @@ fn bench_gsu(out: &mut FigureOutput) {
         };
         let mut mem = MemorySystem::new(cfg, 1, 4);
         let mut unit = CoreMemUnit::new(0, 4, GlscConfig::default());
+        let mut done = Vec::new();
         let mut now = 0u64;
         bench(out, "gsu/glsc_roundtrip", 100_000, || {
-            unit.gsu_start(
-                0,
-                GsuKind::GatherLink { fd: 0, vd: 0 },
-                vec![(0, 0x100, 0)],
-                4,
-            );
-            loop {
-                now += 1;
-                if !unit.tick(&mut mem, now).is_empty() {
-                    break;
-                }
-            }
-            unit.gsu_start(0, GsuKind::ScatterCond { fd: 0 }, vec![(0, 0x100, 7)], 4);
-            loop {
-                now += 1;
-                if !unit.tick(&mut mem, now).is_empty() {
-                    break;
-                }
-            }
+            unit.gsu_start(0, GsuKind::GatherLink { fd: 0, vd: 0 }, &[(0, 0x100, 0)], 4);
+            tick_until_done(&mut unit, &mut mem, &mut now, &mut done);
+            unit.gsu_start(0, GsuKind::ScatterCond { fd: 0 }, &[(0, 0x100, 7)], 4);
+            tick_until_done(&mut unit, &mut mem, &mut now, &mut done);
         });
     }
 }

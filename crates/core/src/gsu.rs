@@ -27,6 +27,7 @@
 //! resolves them in the scatter, so aliased `vgatherlink` lanes all load).
 
 use crate::config::GlscConfig;
+use crate::lanes::{bits, LaneList, LaneValues};
 use glsc_mem::{line_of, MemOp, MemorySystem};
 
 /// Which GSU instruction a slot executes.
@@ -71,8 +72,8 @@ pub struct GsuCompletion {
     pub done: u64,
     /// Destination vector register, when the instruction loads data.
     pub vd: Option<u8>,
-    /// Gathered `(lane, value)` pairs for `vd`.
-    pub lane_values: Vec<(u8, u32)>,
+    /// Gathered lanes for `vd`.
+    pub lane_values: LaneValues,
     /// Output mask register, when the instruction produces a mask.
     pub fd: Option<u8>,
     /// Output mask value (bit per successful lane).
@@ -152,7 +153,7 @@ impl GsuStats {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Elem {
     lane: u8,
     addr: u64,
@@ -161,7 +162,7 @@ struct Elem {
     generated: bool,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct LineReq {
     line: u64,
     issued: bool,
@@ -170,16 +171,19 @@ struct LineReq {
     policy_fail: bool,
 }
 
+/// One thread's instruction-buffer entry. Its elements and line requests
+/// are held inline (at most one of each per lane), so starting and
+/// retiring an instruction allocates nothing.
 #[derive(Clone, Debug)]
 struct Slot {
     kind: GsuKind,
-    elems: Vec<Elem>,
+    elems: LaneList<Elem>,
     next_gen: usize,
-    requests: Vec<LineReq>,
+    requests: LaneList<LineReq>,
     started: bool,
     start_cycle: u64,
     width: usize,
-    lane_values: Vec<(u8, u32)>,
+    lane_values: LaneValues,
     mask: u32,
     /// Requests not yet issued, derived from `requests` (not serialized).
     unissued: usize,
@@ -209,15 +213,6 @@ pub struct Gsu {
     busy: u32,
     /// Busy slots past the memory-ordering gate, likewise derived.
     started: u32,
-}
-
-/// The set bits of `mask`, lowest first.
-pub(crate) fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let i = mask.trailing_zeros() as usize;
-        mask &= mask.wrapping_sub(1);
-        (i < 32).then_some(i)
-    })
 }
 
 /// The set bits of `mask` in round-robin order from bit `from`.
@@ -297,8 +292,9 @@ impl Gsu {
     /// # Panics
     ///
     /// Panics if the thread already has an instruction in flight (the
-    /// pipeline must block the thread while [`busy`](Self::busy)).
-    pub fn start(&mut self, tid: u8, kind: GsuKind, elems: Vec<(u8, u64, u32)>, width: usize) {
+    /// pipeline must block the thread while [`busy`](Self::busy)), or if
+    /// `elems` has more than [`glsc_isa::MAX_SIMD_WIDTH`] lanes.
+    pub fn start(&mut self, tid: u8, kind: GsuKind, elems: &[(u8, u64, u32)], width: usize) {
         assert!(
             !self.busy(tid),
             "GSU slot for thread {tid} already occupied"
@@ -309,16 +305,16 @@ impl Gsu {
             GsuKind::GatherLink { .. } => self.stats.gatherlinks += 1,
             GsuKind::ScatterCond { .. } => self.stats.scatterconds += 1,
         }
-        let mut es: Vec<Elem> = elems
-            .into_iter()
-            .map(|(lane, addr, value)| Elem {
+        let mut es = LaneList::new();
+        for &(lane, addr, value) in elems {
+            es.push(Elem {
                 lane,
                 addr,
                 value,
                 alias_loser: false,
                 generated: false,
-            })
-            .collect();
+            });
+        }
         // Alias detection for vscattercond: exactly one lane (the lowest)
         // per distinct address succeeds.
         if matches!(kind, GsuKind::ScatterCond { .. }) {
@@ -335,11 +331,11 @@ impl Gsu {
             kind,
             elems: es,
             next_gen: 0,
-            requests: Vec::new(),
+            requests: LaneList::new(),
             started: false,
             start_cycle: 0,
             width,
-            lane_values: Vec::new(),
+            lane_values: LaneValues::default(),
             mask: 0,
             unissued: 0,
         });
@@ -405,7 +401,7 @@ impl Gsu {
                     // Pipelined instruction kinds let late elements ride an
                     // already-serviced request (never reached for
                     // vscattercond, whose requests wait for generation).
-                    let req = slot.requests[req_idx].clone();
+                    let req = slot.requests[req_idx];
                     Self::apply_elem(&mut self.stats, slot, e, &req, core, idx as u8, mem);
                 }
             } else {
@@ -485,7 +481,7 @@ impl Gsu {
                 req.policy_fail = policy_fail;
                 slot.unissued -= 1;
             }
-            let req = slot.requests[req_idx].clone();
+            let req = slot.requests[req_idx];
             let line_bytes = mem.cfg().line_bytes;
             // Every generated element on this line rides the request.
             // `apply_elem` never changes which elements those are.
@@ -516,7 +512,7 @@ impl Gsu {
         match slot.kind {
             GsuKind::Gather { .. } => {
                 let v = mem.backing().read_u32(addr);
-                slot.lane_values.push((lane, v));
+                slot.lane_values.set(lane as usize, v);
                 slot.mask |= 1 << lane;
             }
             GsuKind::GatherLink { .. } => {
@@ -524,7 +520,7 @@ impl Gsu {
                     stats.gl_elem_failures += 1;
                 } else {
                     let v = mem.backing().read_u32(addr);
-                    slot.lane_values.push((lane, v));
+                    slot.lane_values.set(lane as usize, v);
                     slot.mask |= 1 << lane;
                     mem.oracle_note_link(core, tid, addr);
                 }
@@ -546,29 +542,18 @@ impl Gsu {
         }
     }
 
-    /// Retires finished instructions: every element generated, every
-    /// request issued. The reported completion cycle respects the minimum
-    /// GSU latency (`overhead + SIMD-width`).
-    pub fn collect_done(&mut self, now: u64) -> Vec<GsuCompletion> {
-        let mut out = Vec::new();
-        self.collect_done_into(now, |c| out.push(c));
-        out
-    }
-
-    /// Sink-based variant of [`collect_done`](Self::collect_done): hands
-    /// each retired instruction to `sink` without allocating an output
-    /// vector, so the steady-state cycle loop can reuse one buffer.
-    pub fn collect_done_into(&mut self, _now: u64, mut sink: impl FnMut(GsuCompletion)) {
+    /// Retires finished instructions (every element generated, every
+    /// request issued), handing each one's completion to `sink`. The
+    /// reported completion cycle respects the minimum GSU latency
+    /// (`overhead + SIMD-width`).
+    pub fn collect_done_into(&mut self, mut sink: impl FnMut(GsuCompletion)) {
         for idx in bits(self.started) {
-            let ready = self.slots[idx]
+            let Some(slot) = self.slots[idx]
                 .as_ref()
-                .is_some_and(|s| s.all_generated() && s.unissued == 0);
-            if !ready {
+                .filter(|s| s.all_generated() && s.unissued == 0)
+            else {
                 continue;
-            }
-            let slot = self.slots[idx].take().expect("checked above");
-            self.busy &= !(1 << idx);
-            self.started &= !(1 << idx);
+            };
             let min_done = slot.start_cycle + self.cfg.min_latency_overhead + slot.width as u64;
             let done = slot
                 .requests
@@ -591,6 +576,9 @@ impl Gsu {
                 fd,
                 mask: slot.mask,
             });
+            self.slots[idx] = None;
+            self.busy &= !(1 << idx);
+            self.started &= !(1 << idx);
         }
     }
 }
@@ -617,8 +605,9 @@ mod tests {
         loop {
             gsu.generate_one(0, mem);
             gsu.issue_one(0, mem, now);
-            let done = gsu.collect_done(now);
-            if let Some(c) = done.into_iter().next() {
+            let mut done = None;
+            gsu.collect_done_into(|c| done = Some(c));
+            if let Some(c) = done {
                 return c;
             }
             now += 1;
@@ -636,13 +625,12 @@ mod tests {
         g.start(
             0,
             GsuKind::Gather { vd: 3 },
-            vec![(0, 0x100, 0), (1, 0x104, 0), (2, 0x1000, 0), (3, 0x10c, 0)],
+            &[(0, 0x100, 0), (1, 0x104, 0), (2, 0x1000, 0), (3, 0x10c, 0)],
             4,
         );
         let c = run(&mut g, &mut m, 0);
         assert_eq!(c.vd, Some(3));
-        let mut lv = c.lane_values.clone();
-        lv.sort();
+        let lv: Vec<_> = c.lane_values.iter().collect();
         assert_eq!(lv, vec![(0, 10), (1, 20), (2, 99), (3, 40)]);
         assert_eq!(g.stats().line_requests, 2, "same-line accesses combined");
         assert_eq!(g.stats().elems_active, 4);
@@ -654,7 +642,7 @@ mod tests {
         // Warm the line.
         m.access(0, 0, glsc_mem::MemOp::Load, 0x100, 0);
         let mut g = Gsu::new(4, GlscConfig::default());
-        g.start(0, GsuKind::Gather { vd: 1 }, vec![(0, 0x100, 0)], 4);
+        g.start(0, GsuKind::Gather { vd: 1 }, &[(0, 0x100, 0)], 4);
         let c = run(&mut g, &mut m, 1000);
         assert!(c.done >= 1000 + 4 + 4, "min GLSC latency is 4 + SIMD-width");
     }
@@ -666,7 +654,7 @@ mod tests {
         g.start(
             2,
             GsuKind::GatherLink { fd: 1, vd: 5 },
-            vec![(0, 0x100, 0), (2, 0x2000, 0)],
+            &[(0, 0x100, 0), (2, 0x2000, 0)],
             4,
         );
         let c = run(&mut g, &mut m, 0);
@@ -683,7 +671,7 @@ mod tests {
         g.start(
             0,
             GsuKind::GatherLink { fd: 0, vd: 0 },
-            vec![(0, 0x100, 0), (1, 0x104, 0)],
+            &[(0, 0x100, 0), (1, 0x104, 0)],
             4,
         );
         let c1 = run(&mut g, &mut m, 0);
@@ -691,7 +679,7 @@ mod tests {
         g.start(
             0,
             GsuKind::ScatterCond { fd: 0 },
-            vec![(0, 0x100, 7), (1, 0x104, 8)],
+            &[(0, 0x100, 7), (1, 0x104, 8)],
             4,
         );
         let c2 = run(&mut g, &mut m, c1.done);
@@ -711,7 +699,7 @@ mod tests {
         g.start(
             0,
             GsuKind::GatherLink { fd: 0, vd: 0 },
-            vec![(0, 0x100, 0), (1, 0x100, 0), (2, 0x100, 0)],
+            &[(0, 0x100, 0), (1, 0x100, 0), (2, 0x100, 0)],
             4,
         );
         let c1 = run(&mut g, &mut m, 0);
@@ -719,7 +707,7 @@ mod tests {
         g.start(
             0,
             GsuKind::ScatterCond { fd: 0 },
-            vec![(0, 0x100, 5), (1, 0x100, 6), (2, 0x100, 7)],
+            &[(0, 0x100, 5), (1, 0x100, 6), (2, 0x100, 7)],
             4,
         );
         let c2 = run(&mut g, &mut m, c1.done);
@@ -730,19 +718,52 @@ mod tests {
     }
 
     #[test]
+    fn full_width_instructions_hold_32_lanes_on_32_lines() {
+        let mut m = mem();
+        let mut g = Gsu::new(4, GlscConfig::default());
+        // One element per line, at varying offsets within the line.
+        let addr = |lane: usize| 0x4000 + 64 * lane as u64 + 4 * (lane as u64 % 16);
+        for lane in 0..32 {
+            m.backing_mut().write_u32(addr(lane), 100 + lane as u32);
+        }
+        let elems: Vec<(u8, u64, u32)> = (0..32).map(|l| (l as u8, addr(l), 0)).collect();
+        g.start(0, GsuKind::GatherLink { fd: 0, vd: 0 }, &elems, 32);
+        let c1 = run(&mut g, &mut m, 0);
+        assert_eq!(c1.mask, u32::MAX);
+        let want: Vec<_> = (0..32).map(|l| (l, 100 + l as u32)).collect();
+        assert_eq!(c1.lane_values.iter().collect::<Vec<_>>(), want);
+        assert_eq!(
+            g.stats().atomic_line_requests,
+            32,
+            "no two lanes share a line"
+        );
+        assert!(c1.done >= 4 + 32, "min latency counts all 32 lanes");
+
+        // Lanes 30 and 31 alias lanes 0 and 1: the lower lane wins each.
+        let target = |l: usize| addr(if l >= 30 { l - 30 } else { l });
+        let elems: Vec<(u8, u64, u32)> = (0..32)
+            .map(|l| (l as u8, target(l), 200 + l as u32))
+            .collect();
+        g.start(0, GsuKind::ScatterCond { fd: 0 }, &elems, 32);
+        let c2 = run(&mut g, &mut m, c1.done);
+        assert_eq!(c2.mask, u32::MAX >> 2);
+        assert_eq!(g.stats().sc_fail_alias, 2);
+        assert_eq!(g.stats().sc_elem_successes, 30);
+        assert_eq!(g.stats().atomic_line_requests, 32 + 30);
+        for l in 0..30 {
+            assert_eq!(m.backing().read_u32(addr(l)), 200 + l as u32);
+        }
+    }
+
+    #[test]
     fn scattercond_fails_when_reservation_lost() {
         let mut m = mem();
         let mut g = Gsu::new(4, GlscConfig::default());
-        g.start(
-            0,
-            GsuKind::GatherLink { fd: 0, vd: 0 },
-            vec![(0, 0x100, 0)],
-            4,
-        );
+        g.start(0, GsuKind::GatherLink { fd: 0, vd: 0 }, &[(0, 0x100, 0)], 4);
         let c1 = run(&mut g, &mut m, 0);
         // An intervening store (same core, different thread) kills the link.
         m.access(0, 3, glsc_mem::MemOp::Store, 0x100, c1.done);
-        g.start(0, GsuKind::ScatterCond { fd: 0 }, vec![(0, 0x100, 9)], 4);
+        g.start(0, GsuKind::ScatterCond { fd: 0 }, &[(0, 0x100, 9)], 4);
         let c2 = run(&mut g, &mut m, c1.done + 1);
         assert_eq!(c2.mask, 0);
         assert_ne!(m.backing().read_u32(0x100), 9);
@@ -763,7 +784,7 @@ mod tests {
         g.start(
             0,
             GsuKind::GatherLink { fd: 0, vd: 0 },
-            vec![(0, 0x100, 0), (1, 0x5000, 0)],
+            &[(0, 0x100, 0), (1, 0x5000, 0)],
             4,
         );
         let c = run(&mut g, &mut m, 400);
@@ -775,7 +796,7 @@ mod tests {
     fn empty_mask_instruction_still_completes() {
         let mut m = mem();
         let mut g = Gsu::new(4, GlscConfig::default());
-        g.start(1, GsuKind::ScatterCond { fd: 2 }, vec![], 4);
+        g.start(1, GsuKind::ScatterCond { fd: 2 }, &[], 4);
         let c = run(&mut g, &mut m, 10);
         assert_eq!(c.mask, 0);
         assert_eq!(c.done, 10 + 4 + 4);
@@ -785,7 +806,7 @@ mod tests {
     fn slots_are_per_thread_and_busy_tracked() {
         let mut g = Gsu::new(2, GlscConfig::default());
         assert!(!g.busy(0));
-        g.start(0, GsuKind::Scatter, vec![(0, 0x100, 1)], 4);
+        g.start(0, GsuKind::Scatter, &[(0, 0x100, 1)], 4);
         assert!(g.busy(0));
         assert!(!g.busy(1));
     }
@@ -794,8 +815,8 @@ mod tests {
     #[should_panic(expected = "already occupied")]
     fn double_start_panics() {
         let mut g = Gsu::new(1, GlscConfig::default());
-        g.start(0, GsuKind::Scatter, vec![], 4);
-        g.start(0, GsuKind::Scatter, vec![], 4);
+        g.start(0, GsuKind::Scatter, &[], 4);
+        g.start(0, GsuKind::Scatter, &[], 4);
     }
 
     #[test]
@@ -805,13 +826,13 @@ mod tests {
         g.start(
             0,
             GsuKind::Gather { vd: 0 },
-            vec![(0, 0x100, 0), (1, 0x200, 0)],
+            &[(0, 0x100, 0), (1, 0x200, 0)],
             4,
         );
         g.start(
             1,
             GsuKind::Gather { vd: 1 },
-            vec![(0, 0x300, 0), (1, 0x400, 0)],
+            &[(0, 0x300, 0), (1, 0x400, 0)],
             4,
         );
         g.mark_started(0, 0);
@@ -821,7 +842,7 @@ mod tests {
         while done.len() < 2 {
             g.generate_one(0, &mut m);
             g.issue_one(0, &mut m, now);
-            done.extend(g.collect_done(now));
+            g.collect_done_into(|c| done.push(c));
             now += 1;
             assert!(now < 1000);
         }

@@ -26,10 +26,12 @@
 
 mod config;
 mod gsu;
+mod lanes;
 mod lsu;
 mod unit;
 
 pub use config::GlscConfig;
 pub use gsu::{Gsu, GsuCompletion, GsuKind, GsuStats};
+pub use lanes::LaneValues;
 pub use lsu::{Lsu, LsuAction, LsuCompletion, LsuEntry, LsuStats};
 pub use unit::{CoreMemUnit, CoreMemUnitSnapshot, MemCompletion};

@@ -31,6 +31,8 @@
 //! model: pushing one first flushes the thread's write buffer into the
 //! FIFO queue ahead of it, as x86 atomics drain the store buffer.
 
+use crate::lanes::{bits, LaneValues};
+use glsc_isa::ELEM_BYTES;
 use glsc_mem::{MemOp, MemoryOrder, MemorySystem};
 use std::collections::VecDeque;
 
@@ -71,17 +73,20 @@ pub enum LsuAction {
         /// Value to store on success.
         value: u32,
     },
-    /// One line's worth of a blocking unit-stride vector load: each lane is
-    /// `(lane index, element address)`.
+    /// One line's worth of a blocking unit-stride vector load. The entry's
+    /// address is the lowest lane's element address, and each further
+    /// lane's element follows at [`ELEM_BYTES`] per lane.
     VLoadLanes {
-        /// Lanes on this line.
-        lanes: Vec<(u8, u64)>,
+        /// Lanes on this line, bit per lane.
+        lanes: u32,
     },
-    /// One line's worth of a blocking unit-stride vector store: each lane
-    /// is `(element address, value)`.
+    /// One line's worth of a blocking unit-stride vector store, addressed
+    /// as [`VLoadLanes`](LsuAction::VLoadLanes). The lane values are the
+    /// thread's staged store data (see
+    /// [`Lsu::stage_vector_store`]).
     VStoreLanes {
-        /// Lanes on this line.
-        lanes: Vec<(u64, u32)>,
+        /// Lanes on this line, bit per lane.
+        lanes: u32,
     },
 }
 
@@ -131,8 +136,8 @@ pub enum LsuCompletion {
     VectorPart {
         /// Thread.
         tid: u8,
-        /// Loaded `(lane, value)` pairs (empty for stores).
-        lane_values: Vec<(u8, u32)>,
+        /// Loaded lanes (none for stores).
+        lane_values: LaneValues,
         /// Completion cycle of this part.
         done: u64,
     },
@@ -209,6 +214,10 @@ pub struct Lsu {
     wbuf: Vec<VecDeque<BufferedStore>>,
     /// Round-robin pointer for fair TSO drains across threads.
     drain_rr: usize,
+    /// Each thread's vector-store data, staged when the store issues. The
+    /// thread stays blocked until every part of the store has been
+    /// serviced, so one vector per thread suffices.
+    staged: Vec<LaneValues>,
     /// Line size, for the relaxed model's per-bank drain skew.
     line_bytes: u64,
     /// L2 bank count, for the relaxed model's per-bank drain skew.
@@ -241,6 +250,7 @@ impl Lsu {
             order,
             wbuf: vec![VecDeque::new(); threads],
             drain_rr: 0,
+            staged: vec![LaneValues::default(); threads],
             line_bytes,
             l2_banks: l2_banks.max(1),
         }
@@ -340,6 +350,13 @@ impl Lsu {
     /// instruction starts: see `flush_thread`.
     pub fn flush_thread_for_ordering(&mut self, tid: u8) {
         self.flush_thread(tid);
+    }
+
+    /// Stages the source register of `tid`'s vector store, lane `i` from
+    /// `values[i]`, before its [`VStoreLanes`](LsuAction::VStoreLanes)
+    /// parts are pushed.
+    pub fn stage_vector_store(&mut self, tid: u8, values: &[u32]) {
+        self.staged[tid as usize] = LaneValues::from_slice(values);
     }
 
     /// Store-to-load forwarding: the value of the youngest buffered store
@@ -451,9 +468,9 @@ impl Lsu {
 
     /// Services at most one request at cycle `now`: the FIFO queue head
     /// if present, otherwise one drain-eligible buffered store. Each
-    /// serviced request produces exactly one completion event, so the
-    /// return is an `Option` and the steady-state cycle loop never
-    /// heap-allocates here.
+    /// serviced request produces exactly one completion event, returned
+    /// by value: a vector part's lanes travel as a mask and inline
+    /// [`LaneValues`], so no request heap-allocates here.
     pub fn tick(&mut self, core: usize, mem: &mut MemorySystem, now: u64) -> Option<LsuCompletion> {
         let Some(entry) = self.queue.pop_front() else {
             return self.drain_one(core, mem, now);
@@ -521,10 +538,10 @@ impl Lsu {
             LsuAction::VLoadLanes { lanes } => {
                 self.stats.vector_line_requests += 1;
                 let r = mem.access(core, entry.tid, MemOp::Load, entry.addr, now);
-                let lane_values = lanes
-                    .iter()
-                    .map(|&(lane, addr)| (lane, mem.backing().read_u32(addr)))
-                    .collect();
+                let mut lane_values = LaneValues::default();
+                for (lane, addr) in part_lanes(entry.addr, lanes) {
+                    lane_values.set(lane, mem.backing().read_u32(addr));
+                }
                 LsuCompletion::VectorPart {
                     tid: entry.tid,
                     lane_values,
@@ -534,19 +551,28 @@ impl Lsu {
             LsuAction::VStoreLanes { lanes } => {
                 self.stats.vector_line_requests += 1;
                 let r = mem.access(core, entry.tid, MemOp::Store, entry.addr, now);
-                for &(addr, value) in &lanes {
+                let data = &self.staged[entry.tid as usize];
+                for (lane, addr) in part_lanes(entry.addr, lanes) {
+                    let value = data.get(lane).expect("vector store data staged");
                     mem.backing_mut().write_u32(addr, value);
                     mem.oracle_note_store(core, entry.tid, addr);
                 }
                 LsuCompletion::VectorPart {
                     tid: entry.tid,
-                    lane_values: Vec::new(),
+                    lane_values: LaneValues::default(),
                     done: r.done,
                 }
             }
         };
         Some(out)
     }
+}
+
+/// The lanes of a vector part with their element addresses: `addr` is the
+/// lowest lane's, and consecutive lanes are consecutive elements.
+fn part_lanes(addr: u64, lanes: u32) -> impl Iterator<Item = (usize, u64)> {
+    let first = lanes.trailing_zeros() as u64;
+    bits(lanes).map(move |lane| (lane, addr + ELEM_BYTES * (lane as u64 - first)))
 }
 
 #[cfg(test)]
@@ -734,26 +760,25 @@ mod tests {
             LsuEntry {
                 tid: 1,
                 addr: 0x100,
-                action: LsuAction::VLoadLanes {
-                    lanes: vec![(0, 0x100), (1, 0x104), (2, 0x108), (3, 0x10c)],
-                },
+                action: LsuAction::VLoadLanes { lanes: 0b1111 },
             },
             0,
         );
         let comp = lsu.tick(0, &mut m, 0).unwrap();
         match &comp {
             LsuCompletion::VectorPart { lane_values, .. } => {
-                assert_eq!(lane_values, &vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
+                let got: Vec<_> = lane_values.iter().collect();
+                assert_eq!(got, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
             }
             other => panic!("unexpected {other:?}"),
         }
+        // A part starting at lane 2: its address is lane 2's element.
+        lsu.stage_vector_store(1, &[0, 0, 10, 20]);
         lsu.push(
             LsuEntry {
                 tid: 1,
                 addr: 0x200,
-                action: LsuAction::VStoreLanes {
-                    lanes: vec![(0x200, 10), (0x204, 20)],
-                },
+                action: LsuAction::VStoreLanes { lanes: 0b1100 },
             },
             0,
         );
@@ -883,6 +908,7 @@ glsc_wire::wire_struct!(Lsu {
     order,
     wbuf,
     drain_rr,
+    staged,
     line_bytes,
     l2_banks,
 });

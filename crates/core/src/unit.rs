@@ -143,32 +143,28 @@ impl CoreMemUnit {
     /// # Panics
     ///
     /// Panics if the thread's GSU slot is occupied.
-    pub fn gsu_start(&mut self, tid: u8, kind: GsuKind, elems: Vec<(u8, u64, u32)>, width: usize) {
+    pub fn gsu_start(&mut self, tid: u8, kind: GsuKind, elems: &[(u8, u64, u32)], width: usize) {
         self.lsu.flush_thread_for_ordering(tid);
         self.gsu.start(tid, kind, elems, width);
         self.idle = false;
     }
 
-    /// Advances the unit one cycle: releases GSU instructions whose
-    /// thread's LSU traffic has drained, generates one GSU address, grants
-    /// the single L1 port (LSU first), and collects completions.
-    ///
-    /// Allocating wrapper around [`tick_into`](Self::tick_into), kept for
-    /// tests and one-shot callers.
-    pub fn tick(&mut self, mem: &mut MemorySystem, now: u64) -> Vec<MemCompletion> {
-        let mut out = Vec::new();
-        self.tick_into(mem, now, &mut out);
-        out
+    /// Stages the source register of `tid`'s vector store (see
+    /// [`Lsu::stage_vector_store`]).
+    pub fn lsu_stage_vector_store(&mut self, tid: u8, values: &[u32]) {
+        self.lsu.stage_vector_store(tid, values);
     }
 
-    /// Advances the unit one cycle, appending completions to `out` so the
-    /// per-cycle machine loop can reuse a single buffer instead of
-    /// allocating a fresh vector per core per cycle.
+    /// Advances the unit one cycle: releases GSU instructions whose
+    /// thread's LSU traffic has drained, generates one GSU address, grants
+    /// the single L1 port (LSU first), and appends the completions to
+    /// `out`, so the machine loop reuses one buffer across cores and
+    /// cycles.
     pub fn tick_into(&mut self, mem: &mut MemorySystem, now: u64, out: &mut Vec<MemCompletion>) {
         // Memory-ordering gate: a thread's GSU instruction starts only once
         // its earlier LSU requests — including buffered stores — have been
         // sent to the L1.
-        for tid in crate::gsu::bits(self.gsu.unstarted()) {
+        for tid in crate::lanes::bits(self.gsu.unstarted()) {
             if self.lsu.thread_pending(tid as u8) == 0 {
                 self.gsu.mark_started(tid as u8, now);
             }
@@ -185,7 +181,7 @@ impl CoreMemUnit {
         }
 
         self.gsu
-            .collect_done_into(now, |c| out.push(MemCompletion::Gsu(c)));
+            .collect_done_into(|c| out.push(MemCompletion::Gsu(c)));
         self.idle = self.drained();
     }
 
@@ -241,6 +237,13 @@ mod tests {
         MemorySystem::new(cfg, 1, 4)
     }
 
+    /// One tick's completions.
+    fn tick(unit: &mut CoreMemUnit, mem: &mut MemorySystem, now: u64) -> Vec<MemCompletion> {
+        let mut out = Vec::new();
+        unit.tick_into(mem, now, &mut out);
+        out
+    }
+
     fn drain(
         unit: &mut CoreMemUnit,
         mem: &mut MemorySystem,
@@ -249,7 +252,7 @@ mod tests {
     ) -> Vec<MemCompletion> {
         let mut out = Vec::new();
         while out.len() < want {
-            out.extend(unit.tick(mem, now));
+            unit.tick_into(mem, now, &mut out);
             now += 1;
             assert!(now < 100_000, "memory unit wedged");
         }
@@ -271,8 +274,8 @@ mod tests {
             },
             0,
         );
-        u.gsu_start(0, GsuKind::Gather { vd: 0 }, vec![(0, 0x80, 0)], 4);
-        let first = u.tick(&mut m, 0);
+        u.gsu_start(0, GsuKind::Gather { vd: 0 }, &[(0, 0x80, 0)], 4);
+        let first = tick(&mut u, &mut m, 0);
         assert!(matches!(
             first[0],
             MemCompletion::Lsu(LsuCompletion::ScalarLoad { .. })
@@ -294,10 +297,10 @@ mod tests {
             },
             0,
         );
-        u.gsu_start(0, GsuKind::Gather { vd: 0 }, vec![(0, 0x40, 0)], 4);
+        u.gsu_start(0, GsuKind::Gather { vd: 0 }, &[(0, 0x40, 0)], 4);
         // Tick once: the store drains this very cycle, so the GSU gate
         // opens only on the *next* tick.
-        let c0 = u.tick(&mut m, 0);
+        let c0 = tick(&mut u, &mut m, 0);
         assert!(matches!(
             c0[0],
             MemCompletion::Lsu(LsuCompletion::StoreDrained { .. })
@@ -306,7 +309,7 @@ mod tests {
         match &rest[0] {
             MemCompletion::Gsu(g) => {
                 // The gather observes the stored value (FIFO ordering).
-                assert_eq!(g.lane_values, vec![(0, 3)]);
+                assert_eq!(g.lane_values.iter().collect::<Vec<_>>(), vec![(0, 3)]);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -324,9 +327,9 @@ mod tests {
         while !todo.is_empty() {
             rounds += 1;
             let elems: Vec<(u8, u64, u32)> = todo.iter().map(|&l| (l, 0x100, 0)).collect();
-            u.gsu_start(0, GsuKind::GatherLink { fd: 0, vd: 0 }, elems, 4);
+            u.gsu_start(0, GsuKind::GatherLink { fd: 0, vd: 0 }, &elems, 4);
             let gl = loop {
-                let cs = u.tick(&mut m, 0);
+                let cs = tick(&mut u, &mut m, 0);
                 if let Some(MemCompletion::Gsu(g)) = cs.into_iter().next() {
                     break g;
                 }
@@ -335,18 +338,13 @@ mod tests {
                 .iter()
                 .filter(|&&l| gl.mask & (1 << l) != 0)
                 .map(|&l| {
-                    let old = gl
-                        .lane_values
-                        .iter()
-                        .find(|(lane, _)| *lane == l)
-                        .unwrap()
-                        .1;
+                    let old = gl.lane_values.get(l as usize).unwrap();
                     (l, 0x100, old + 1)
                 })
                 .collect();
-            u.gsu_start(0, GsuKind::ScatterCond { fd: 0 }, elems, 4);
+            u.gsu_start(0, GsuKind::ScatterCond { fd: 0 }, &elems, 4);
             let sc = loop {
-                let cs = u.tick(&mut m, 0);
+                let cs = tick(&mut u, &mut m, 0);
                 if let Some(MemCompletion::Gsu(g)) = cs.into_iter().next() {
                     break g;
                 }

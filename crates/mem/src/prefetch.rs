@@ -34,41 +34,36 @@ impl StridePrefetcher {
     }
 
     /// Observes a demand access from `tid` to line address `line`; returns
-    /// the line addresses to prefetch (empty until a stride is confirmed).
-    pub fn observe(&mut self, tid: usize, line: u64) -> Vec<u64> {
+    /// the line addresses to prefetch (none until a stride is confirmed).
+    pub fn observe(&mut self, tid: usize, line: u64) -> impl Iterator<Item = u64> {
+        debug_assert_eq!(line % self.line_bytes, 0, "prefetcher fed non-line address");
         let s = &mut self.streams[tid];
-        let mut out = Vec::new();
-        if s.valid {
-            if line == s.last_line {
-                return out; // same line: no new information
-            }
+        // Lines to fetch along the stride; none for a repeat of the same
+        // line, which carries no new information.
+        let (ahead, stride) = if s.valid && line != s.last_line {
             let stride = line as i64 - s.last_line as i64;
-            if s.stride == stride {
-                if s.confirmed {
-                    // Steady stream: fetch ahead.
-                    for k in 1..=self.degree as i64 {
-                        let target = line as i64 + stride * k;
-                        if target >= 0 {
-                            out.push(target as u64);
-                        }
-                    }
-                } else {
-                    s.confirmed = true;
-                    // First confirmation: fetch the immediate next line.
-                    let target = line as i64 + stride;
-                    if target >= 0 {
-                        out.push(target as u64);
-                    }
-                }
-            } else {
+            let ahead = if s.stride != stride {
                 s.confirmed = false;
-            }
+                0
+            } else if s.confirmed {
+                // Steady stream: fetch ahead.
+                self.degree as i64
+            } else {
+                // First confirmation: fetch the immediate next line.
+                s.confirmed = true;
+                1
+            };
             s.stride = stride;
-        }
+            (ahead, stride)
+        } else {
+            (0, 0)
+        };
         s.valid = true;
         s.last_line = line;
-        debug_assert_eq!(line % self.line_bytes, 0, "prefetcher fed non-line address");
-        out
+        (1..=ahead)
+            .map(move |k| line as i64 + stride * k)
+            .filter(|&target| target >= 0)
+            .map(|target| target as u64)
     }
 }
 
@@ -76,50 +71,54 @@ impl StridePrefetcher {
 mod tests {
     use super::*;
 
+    fn observe(p: &mut StridePrefetcher, tid: usize, line: u64) -> Vec<u64> {
+        p.observe(tid, line).collect()
+    }
+
     #[test]
     fn sequential_stream_confirms_then_prefetches() {
         let mut p = StridePrefetcher::new(1, 2, 64);
-        assert!(p.observe(0, 0).is_empty()); // first touch
-        assert!(p.observe(0, 64).is_empty()); // stride candidate
-        assert_eq!(p.observe(0, 128), vec![192]); // confirmed
-        assert_eq!(p.observe(0, 192), vec![256, 320]); // steady
+        assert!(observe(&mut p, 0, 0).is_empty()); // first touch
+        assert!(observe(&mut p, 0, 64).is_empty()); // stride candidate
+        assert_eq!(observe(&mut p, 0, 128), vec![192]); // confirmed
+        assert_eq!(observe(&mut p, 0, 192), vec![256, 320]); // steady
     }
 
     #[test]
     fn random_stream_never_confirms() {
         let mut p = StridePrefetcher::new(1, 2, 64);
-        assert!(p.observe(0, 0).is_empty());
-        assert!(p.observe(0, 640).is_empty());
-        assert!(p.observe(0, 64).is_empty());
-        assert!(p.observe(0, 1024).is_empty());
+        assert!(observe(&mut p, 0, 0).is_empty());
+        assert!(observe(&mut p, 0, 640).is_empty());
+        assert!(observe(&mut p, 0, 64).is_empty());
+        assert!(observe(&mut p, 0, 1024).is_empty());
     }
 
     #[test]
     fn negative_stride_supported() {
         let mut p = StridePrefetcher::new(1, 1, 64);
-        assert!(p.observe(0, 640).is_empty());
-        assert!(p.observe(0, 576).is_empty());
-        assert_eq!(p.observe(0, 512), vec![448]);
+        assert!(observe(&mut p, 0, 640).is_empty());
+        assert!(observe(&mut p, 0, 576).is_empty());
+        assert_eq!(observe(&mut p, 0, 512), vec![448]);
     }
 
     #[test]
     fn streams_are_per_thread() {
         let mut p = StridePrefetcher::new(2, 1, 64);
-        p.observe(0, 0);
-        p.observe(1, 1024);
-        p.observe(0, 64);
-        p.observe(1, 2048);
+        observe(&mut p, 0, 0);
+        observe(&mut p, 1, 1024);
+        observe(&mut p, 0, 64);
+        observe(&mut p, 1, 2048);
         // Thread 0 confirms independently of thread 1's unrelated stream.
-        assert_eq!(p.observe(0, 128), vec![192]);
+        assert_eq!(observe(&mut p, 0, 128), vec![192]);
     }
 
     #[test]
     fn repeated_same_line_is_ignored() {
         let mut p = StridePrefetcher::new(1, 1, 64);
-        p.observe(0, 0);
-        p.observe(0, 64);
-        assert!(p.observe(0, 64).is_empty());
-        assert_eq!(p.observe(0, 128), vec![192]);
+        observe(&mut p, 0, 0);
+        observe(&mut p, 0, 64);
+        assert!(observe(&mut p, 0, 64).is_empty());
+        assert_eq!(observe(&mut p, 0, 128), vec![192]);
     }
 }
 

@@ -746,7 +746,8 @@ impl MemorySystem {
         let start = self.banks[bank].reserve(arrival, self.cfg.l2_bank_occupancy);
         // Cycle the bank issues its probes and (at the earliest) the reply.
         let resp = start + self.cfg.l2_latency;
-        let mut invalidate_list: Vec<usize> = Vec::new();
+        // Cores whose copy the fill invalidates, bit per core.
+        let mut invalidate: u32 = 0;
         let mut downgrade_owner: Option<usize> = None;
 
         let data_ready = if let Some(p) = self.banks[bank].tags.lookup_mut(line) {
@@ -760,7 +761,7 @@ impl MemorySystem {
                     lat += self.cfg.dirty_forward_extra;
                     p.dirty = true;
                     if for_store {
-                        invalidate_list.push(owner as usize);
+                        invalidate = 1 << owner;
                         p.owner = Some(core as u8);
                         p.sharers = 0;
                     } else {
@@ -771,11 +772,7 @@ impl MemorySystem {
                 }
                 (_, true) => {
                     // Store miss with only shared copies: invalidate them.
-                    for c in 0..32usize {
-                        if p.sharers & (1 << c) != 0 && c != core {
-                            invalidate_list.push(c);
-                        }
-                    }
+                    invalidate = p.sharers & !(1 << core);
                     p.sharers = 0;
                     p.owner = Some(core as u8);
                     p.dirty = true;
@@ -815,7 +812,9 @@ impl MemorySystem {
             }
             acks_done = acks_done.max(self.inv_round_trip(bank, owner, resp));
         }
-        for victim_core in invalidate_list {
+        while invalidate != 0 {
+            let victim_core = invalidate.trailing_zeros() as usize;
+            invalidate &= invalidate - 1;
             if let Some(victim) = self.l1s[victim_core].invalidate(line) {
                 self.stats.invalidations += 1;
                 if victim.state == L1State::Modified {

@@ -37,7 +37,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"GLSCSNAP";
 /// attributes each cycle on its own visit).
 /// v4: a cache tag array no longer carries a touched-set log (machines
 /// are never reset for reuse).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 4;
+/// v5: vector lane data is a lane mask plus values (`LaneValues`): unit-
+/// stride parts carry a lane mask, the LSU stages each thread's vector-
+/// store data, and GSU slots and blocked threads hold their loaded lanes
+/// as `LaneValues`.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
 
 /// Why a byte string failed to decode as a snapshot.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -13,8 +13,8 @@
 use crate::config::MachineConfig;
 use crate::exec::{self, Code, Decoded, Gate, StepOutcome};
 use crate::thread::{Thread, ThreadStatus};
-use glsc_core::{CoreMemUnit, GsuKind, LsuAction, LsuCompletion, MemCompletion};
-use glsc_isa::{FenceKind, Instr, Program, Reg, ELEM_BYTES};
+use glsc_core::{CoreMemUnit, GsuKind, LaneValues, LsuAction, LsuCompletion, MemCompletion};
+use glsc_isa::{FenceKind, Instr, Program, Reg, ELEM_BYTES, MAX_SIMD_WIDTH};
 use glsc_mem::line_of;
 
 /// Why a running thread failed to issue this cycle.
@@ -196,15 +196,12 @@ impl Core {
                     };
                     *pending_parts -= 1;
                     *acc_done = (*acc_done).max(done);
-                    lanes.extend(lane_values);
+                    lanes.merge(&lane_values);
                     if *pending_parts == 0 {
-                        let vd = *vd;
-                        let ready = *acc_done;
-                        let lanes = std::mem::take(lanes);
+                        let (vd, ready, lanes) = (*vd, *acc_done, *lanes);
                         if let Some(vd) = vd {
-                            for (lane, value) in lanes {
-                                th.arch
-                                    .set_vlane(glsc_isa::VReg::new(vd), lane as usize, value);
+                            for (lane, value) in lanes.iter() {
+                                th.arch.set_vlane(glsc_isa::VReg::new(vd), lane, value);
                             }
                         }
                         th.status = ThreadStatus::Running;
@@ -215,9 +212,8 @@ impl Core {
                     let th = &mut self.threads[c.tid as usize];
                     debug_assert!(matches!(th.status, ThreadStatus::BlockedGsu { .. }));
                     if let Some(vd) = c.vd {
-                        for (lane, value) in &c.lane_values {
-                            th.arch
-                                .set_vlane(glsc_isa::VReg::new(vd), *lane as usize, *value);
+                        for (lane, value) in c.lane_values.iter() {
+                            th.arch.set_vlane(glsc_isa::VReg::new(vd), lane, value);
                         }
                     }
                     if let Some(fd) = c.fd {
@@ -524,63 +520,33 @@ impl Core {
                 let th = &self.threads[t];
                 let m = mask.map_or(th.arch.full_mask(), |f| th.arch.mreg(f));
                 let base_addr = th.arch.reg(base).wrapping_add(offset as u64);
-                let line_bytes = cfg.mem.line_bytes;
-                // Group active lanes by line.
-                let mut groups: Vec<(u64, Vec<(u8, u64)>)> = Vec::new();
-                for lane in 0..width {
-                    if m & (1 << lane) == 0 {
-                        continue;
-                    }
-                    let addr = base_addr + ELEM_BYTES * lane as u64;
-                    let line = line_of(addr, line_bytes);
-                    match groups.iter_mut().find(|(l, _)| *l == line) {
-                        Some((_, v)) => v.push((lane as u8, addr)),
-                        None => groups.push((line, vec![(lane as u8, addr)])),
-                    }
+                if !is_load {
+                    self.memunit.lsu_stage_vector_store(tid, th.arch.vreg(vd));
                 }
-                let th = &mut self.threads[t];
-                th.arch.pc += 1;
-                if groups.is_empty() {
-                    th.next_issue_at = now + 1;
-                    return;
-                }
-                let parts = groups.len();
-                let vd_idx = vd.index() as u8;
-                let values: Vec<Vec<(u64, u32)>> = if is_load {
-                    Vec::new()
-                } else {
-                    let data = th.arch.vreg(vd).to_vec();
-                    groups
-                        .iter()
-                        .map(|(_, lanes)| {
-                            lanes.iter().map(|&(l, a)| (a, data[l as usize])).collect()
-                        })
-                        .collect()
-                };
-                th.status = ThreadStatus::BlockedVector {
-                    pending_parts: parts,
-                    done: 0,
-                    vd: is_load.then_some(vd_idx),
-                    lanes: Vec::new(),
-                    sync,
-                };
-                for (i, (line, lanes)) in groups.into_iter().enumerate() {
+                let mut parts = 0;
+                for (addr, lanes) in line_parts(base_addr, m, cfg.mem.line_bytes) {
                     let action = if is_load {
                         LsuAction::VLoadLanes { lanes }
                     } else {
-                        LsuAction::VStoreLanes {
-                            lanes: values[i].clone(),
-                        }
+                        LsuAction::VStoreLanes { lanes }
                     };
-                    self.memunit.lsu_push(
-                        glsc_core::LsuEntry {
-                            tid,
-                            addr: line,
-                            action,
-                        },
-                        now,
-                    );
+                    self.memunit
+                        .lsu_push(glsc_core::LsuEntry { tid, addr, action }, now);
+                    parts += 1;
                 }
+                let th = &mut self.threads[t];
+                th.arch.pc += 1;
+                if parts == 0 {
+                    th.next_issue_at = now + 1;
+                    return;
+                }
+                th.status = ThreadStatus::BlockedVector {
+                    pending_parts: parts,
+                    done: 0,
+                    vd: is_load.then_some(vd.index() as u8),
+                    lanes: LaneValues::default(),
+                    sync,
+                };
             }
             Instr::VGather {
                 vd,
@@ -588,7 +554,7 @@ impl Core {
                 vidx,
                 mask,
             } => {
-                let elems = self.gsu_elems(
+                let (elems, n) = self.gsu_elems(
                     t,
                     base,
                     vidx,
@@ -601,7 +567,7 @@ impl Core {
                     GsuKind::Gather {
                         vd: vd.index() as u8,
                     },
-                    elems,
+                    &elems[..n],
                     width,
                     sync,
                 );
@@ -612,7 +578,7 @@ impl Core {
                 vidx,
                 mask,
             } => {
-                let elems = self.gsu_elems(
+                let (elems, n) = self.gsu_elems(
                     t,
                     base,
                     vidx,
@@ -620,7 +586,7 @@ impl Core {
                     Some(vs),
                     width,
                 );
-                self.start_gsu(t, GsuKind::Scatter, elems, width, sync);
+                self.start_gsu(t, GsuKind::Scatter, &elems[..n], width, sync);
             }
             Instr::VGatherLink {
                 fd,
@@ -630,14 +596,14 @@ impl Core {
                 fsrc,
             } => {
                 let m = self.threads[t].arch.mreg(fsrc);
-                let elems = self.gsu_elems(t, base, vidx, Some(m), None, width);
+                let (elems, n) = self.gsu_elems(t, base, vidx, Some(m), None, width);
                 self.start_gsu(
                     t,
                     GsuKind::GatherLink {
                         fd: fd.index() as u8,
                         vd: vd.index() as u8,
                     },
-                    elems,
+                    &elems[..n],
                     width,
                     sync,
                 );
@@ -650,13 +616,13 @@ impl Core {
                 fsrc,
             } => {
                 let m = self.threads[t].arch.mreg(fsrc);
-                let elems = self.gsu_elems(t, base, vidx, Some(m), Some(vs), width);
+                let (elems, n) = self.gsu_elems(t, base, vidx, Some(m), Some(vs), width);
                 self.start_gsu(
                     t,
                     GsuKind::ScatterCond {
                         fd: fd.index() as u8,
                     },
-                    elems,
+                    &elems[..n],
                     width,
                     sync,
                 );
@@ -704,7 +670,8 @@ impl Core {
     }
 
     /// Builds the GSU element list `(lane, address, value)` for the active
-    /// lanes of an indexed memory instruction.
+    /// lanes of an indexed memory instruction, in a fixed array: its first
+    /// `n` entries, with `n` returned beside it.
     fn gsu_elems(
         &self,
         t: usize,
@@ -713,27 +680,28 @@ impl Core {
         mask: Option<u32>,
         values_from: Option<glsc_isa::VReg>,
         width: usize,
-    ) -> Vec<(u8, u64, u32)> {
+    ) -> ([(u8, u64, u32); MAX_SIMD_WIDTH], usize) {
         let th = &self.threads[t];
         let m = mask.unwrap_or_else(|| th.arch.full_mask());
         let base_addr = th.arch.reg(base);
         let idx = th.arch.vreg(vidx);
         let vals = values_from.map(|v| th.arch.vreg(v));
-        (0..width)
-            .filter(|lane| m & (1 << lane) != 0)
-            .map(|lane| {
-                let addr = base_addr.wrapping_add(ELEM_BYTES * idx[lane] as u64);
-                let value = vals.map_or(0, |v| v[lane]);
-                (lane as u8, addr, value)
-            })
-            .collect()
+        let mut elems = [(0, 0, 0); MAX_SIMD_WIDTH];
+        let mut n = 0;
+        for lane in (0..width).filter(|lane| m & (1 << lane) != 0) {
+            let addr = base_addr.wrapping_add(ELEM_BYTES * idx[lane] as u64);
+            let value = vals.map_or(0, |v| v[lane]);
+            elems[n] = (lane as u8, addr, value);
+            n += 1;
+        }
+        (elems, n)
     }
 
     fn start_gsu(
         &mut self,
         t: usize,
         kind: GsuKind,
-        elems: Vec<(u8, u64, u32)>,
+        elems: &[(u8, u64, u32)],
         width: usize,
         sync: bool,
     ) {
@@ -956,6 +924,22 @@ impl Core {
     }
 }
 
+/// The line parts of a unit-stride vector access from `base` over the
+/// lanes of `mask`, in line order: each part's lowest element address and
+/// its lanes. Consecutive lanes are consecutive elements, so each line
+/// holds a run of the active lanes.
+fn line_parts(base: u64, mask: u32, line_bytes: u64) -> impl Iterator<Item = (u64, u32)> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let addr = base + ELEM_BYTES * u64::from(rest.trailing_zeros());
+        // The first lane whose element starts past this part's line.
+        let end = (line_of(addr, line_bytes) + line_bytes - base).div_ceil(ELEM_BYTES);
+        let lanes = rest & if end < 32 { (1 << end) - 1 } else { u32::MAX };
+        rest &= !lanes;
+        (lanes != 0).then_some((addr, lanes))
+    })
+}
+
 /// The set bits of `mask`, lowest first.
 fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -973,6 +957,36 @@ fn earliest_issue(th: &Thread, code: &Code) -> u64 {
     regs.iter().fold(th.next_issue_at, |earliest, r| {
         earliest.max(th.reg_ready[r.index()])
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unit_stride_parts_split_at_line_boundaries() {
+        let parts = |base, mask| line_parts(base, mask, 64).collect::<Vec<_>>();
+        // 32 lanes from 8 bytes into a line: 14, 16 and 2 lanes.
+        assert_eq!(
+            parts(0x1008, u32::MAX),
+            vec![
+                (0x1008, 0x3fff),
+                (0x1040, 0x3fff_c000),
+                (0x1080, 0xc000_0000)
+            ]
+        );
+        // A part starts at its lowest active lane; masked lanes leave gaps.
+        assert_eq!(
+            parts(0x2038, !(1 | 1 << 17 | 1 << 31)),
+            vec![(0x203c, 0b10), (0x2040, 0x0001_fffc), (0x2080, 0x7ffc_0000)]
+        );
+        // An element belongs to the line of its first byte.
+        assert_eq!(
+            parts(0x1006, 0xc000),
+            vec![(0x103e, 0x4000), (0x1042, 0x8000)]
+        );
+        assert_eq!(parts(0x1000, 0), vec![]);
+    }
 }
 
 // ---- durable-snapshot serialization --------------------------------------

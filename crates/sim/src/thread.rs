@@ -2,6 +2,7 @@
 
 use crate::arch::ThreadArch;
 use crate::report::ThreadStats;
+use glsc_core::LaneValues;
 use glsc_isa::Reg;
 
 /// Why a thread is not currently fetching/issuing.
@@ -24,8 +25,8 @@ pub enum ThreadStatus {
         done: u64,
         /// Destination vector register for loads.
         vd: Option<u8>,
-        /// Accumulated `(lane, value)` results.
-        lanes: Vec<(u8, u32)>,
+        /// Lanes loaded so far.
+        lanes: LaneValues,
         /// Sync-region flag of the blocking instruction.
         sync: bool,
     },

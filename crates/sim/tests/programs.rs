@@ -294,6 +294,37 @@ fn vector_load_store_round_trip() {
 }
 
 #[test]
+fn full_width_vector_load_store_spans_three_lines() {
+    // 32 lanes from a base 8 bytes into a line cover three 64-byte lines;
+    // the store, 56 bytes into a line, masks out lanes 0, 17 and 31.
+    let mut b = ProgramBuilder::new();
+    let (src, dst, keep) = (r(2), r(3), r(4));
+    b.li(src, 0x1008);
+    b.li(dst, 0x2038);
+    b.li(keep, !(1i64 | 1 << 17 | 1 << 31) & 0xffff_ffff);
+    b.r2m(m(1), keep);
+    b.vload(v(1), src, 0, None);
+    b.vadd(v(1), v(1), 100, None);
+    b.vstore(v(1), dst, 0, Some(m(1)));
+    b.halt();
+    let mut machine = Machine::new(MachineConfig::paper(1, 1, glsc_isa::MAX_SIMD_WIDTH));
+    let data: Vec<u32> = (0..32).collect();
+    machine
+        .mem_mut()
+        .backing_mut()
+        .write_u32_slice(0x1008, &data);
+    machine.load_program(b.build().unwrap());
+    let report = machine.run().unwrap();
+    let want: Vec<u32> = (0..32)
+        .map(|l| if [0, 17, 31].contains(&l) { 0 } else { l + 100 })
+        .collect();
+    let backing = machine.mem().backing();
+    assert_eq!(backing.read_u32_vec(0x2038, 32), want);
+    assert_eq!((backing.read_u32(0x2034), backing.read_u32(0x20b8)), (0, 0));
+    assert_eq!(report.lsu.vector_line_requests, 6, "three lines each way");
+}
+
+#[test]
 fn gather_scatter_permutation() {
     // Reverse an 8-element array via gather with reversed indices.
     let mut b = ProgramBuilder::new();

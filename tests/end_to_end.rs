@@ -27,6 +27,18 @@ fn all_kernels_run_at_width_sixteen() {
 }
 
 #[test]
+fn all_kernels_both_variants_validate_at_width_thirty_two() {
+    // `MAX_SIMD_WIDTH`: every lane of the memory units' fixed lane arrays.
+    let cfg = MachineConfig::paper(2, 2, glsc::isa::MAX_SIMD_WIDTH);
+    for kernel in KERNEL_NAMES {
+        for variant in [Variant::Base, Variant::Glsc] {
+            let w = build_named(kernel, Dataset::Tiny, variant, &cfg).expect("known kernel");
+            run_workload(&w, &cfg).unwrap_or_else(|e| panic!("{kernel}/{}: {e}", variant.label()));
+        }
+    }
+}
+
+#[test]
 fn all_kernels_run_at_width_one() {
     let cfg = MachineConfig::paper(2, 1, 1);
     for kernel in KERNEL_NAMES {
