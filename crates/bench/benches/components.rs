@@ -1,6 +1,6 @@
 //! Microbenchmarks of the simulator substrate — ablations for the design
-//! choices called out in DESIGN.md (tag-array cost, coherence walk, GSU
-//! combining, end-to-end simulation rate).
+//! choices called out in DESIGN.md (tag-array cost, functional-memory word
+//! access, coherence walk, GSU combining, end-to-end simulation rate).
 //!
 //! Criterion is unavailable in the offline build environment, so this is a
 //! plain `harness = false` timing harness: each case runs a warmup pass,
@@ -13,7 +13,7 @@
 use glsc_bench::{finish_figure, FigureOutput};
 use glsc_core::{CoreMemUnit, GlscConfig, GsuKind, MemCompletion};
 use glsc_isa::{ProgramBuilder, Reg};
-use glsc_mem::{MemConfig, MemOp, MemorySystem, TagArray};
+use glsc_mem::{Backing, MemConfig, MemOp, MemorySystem, TagArray};
 use glsc_sim::{Machine, MachineConfig};
 use std::hint::black_box;
 use std::time::Instant;
@@ -45,11 +45,46 @@ fn bench_tag_array(out: &mut FigureOutput) {
         i = (i + 1) % 512;
         black_box(tags.lookup_mut(i * 64));
     });
+    // The paper's L2 bank: 2,048 sets x 8 ways, every way full, probed
+    // with an odd stride so successive probes land in different sets.
+    let mut l2: TagArray<u32> = TagArray::new(2048, 8, 64);
+    for i in 0..2048 * 8u64 {
+        l2.insert(i * 64, i as u32);
+    }
+    let mut i = 0u64;
+    bench(out, "tags/l2_lookup_hit", 1_000_000, || {
+        i = (i + 1_000_003) & (2048 * 8 - 1);
+        black_box(l2.lookup_mut(i * 64));
+    });
     bench(out, "tags/insert_evict", 10_000, || {
         let mut tags = TagArray::<u32>::new(8, 2, 64);
         for i in 0..64u64 {
             black_box(tags.insert(i * 64, i as u32));
         }
+    });
+}
+
+/// Word reads and writes of the functional memory: one page lookup each,
+/// over the pages of a dataset-A image (HIP's, as mounted at 4x4).
+fn bench_backing(out: &mut FigureOutput) {
+    let cfg = MachineConfig::paper(4, 4, 4);
+    let w = glsc_kernels::hip::Hip::new(glsc_kernels::Dataset::A)
+        .build(glsc_kernels::Variant::Glsc, &cfg);
+    let mut backing = Backing::new();
+    w.image.apply(&mut backing);
+    // MemImage allocates upward from 64 KiB, so its pages are contiguous.
+    let words = backing.resident_pages() as u64 * 1024;
+    let addrs: Vec<u64> = (0..4096u64)
+        .map(|k| 0x1_0000 + 4 * (k * 2_654_435_761 % words))
+        .collect();
+    let mut i = 0;
+    bench(out, "backing/read_u32", 1_000_000, || {
+        i = (i + 1) & 4095;
+        black_box(backing.read_u32(addrs[i]));
+    });
+    bench(out, "backing/write_u32", 1_000_000, || {
+        i = (i + 1) & 4095;
+        backing.write_u32(addrs[i], i as u32);
     });
 }
 
@@ -162,6 +197,7 @@ fn bench_machine(out: &mut FigureOutput) {
 fn main() {
     let mut out = FigureOutput::new("components");
     bench_tag_array(&mut out);
+    bench_backing(&mut out);
     bench_memory_system(&mut out);
     bench_gsu(&mut out);
     bench_machine(&mut out);

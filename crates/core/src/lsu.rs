@@ -33,7 +33,7 @@
 
 use crate::lanes::{bits, LaneValues};
 use glsc_isa::ELEM_BYTES;
-use glsc_mem::{MemOp, MemoryOrder, MemorySystem};
+use glsc_mem::{LineInterleave, MemOp, MemoryOrder, MemorySystem};
 use std::collections::VecDeque;
 
 /// Cycles a buffered store must stay resident before it may drain (TSO
@@ -218,28 +218,32 @@ pub struct Lsu {
     /// thread stays blocked until every part of the store has been
     /// serviced, so one vector per thread suffices.
     staged: Vec<LaneValues>,
-    /// Line size, for the relaxed model's per-bank drain skew.
-    line_bytes: u64,
-    /// L2 bank count, for the relaxed model's per-bank drain skew.
-    l2_banks: usize,
+    /// The memory system's line-to-bank mapping, for the relaxed model's
+    /// per-bank drain skew.
+    banks: LineInterleave,
 }
 
 impl Lsu {
     /// Creates a sequentially-consistent LSU for `threads` SMT threads
     /// with `write_buffer_entries` store slots each.
     pub fn new(threads: usize, write_buffer_entries: usize) -> Self {
-        Self::with_order(threads, write_buffer_entries, MemoryOrder::Sc, 64, 1)
+        Self::with_order(
+            threads,
+            write_buffer_entries,
+            MemoryOrder::Sc,
+            LineInterleave::new(64, 1),
+        )
     }
 
-    /// Creates an LSU implementing `order`. `line_bytes` and `l2_banks`
-    /// fix the bank function used by the relaxed model's drain skew (they
-    /// must match the memory system the unit will be ticked against).
+    /// Creates an LSU implementing `order`. `banks` is the bank function
+    /// of the relaxed model's drain skew; it must be the
+    /// [`MemConfig::bank_interleave`](glsc_mem::MemConfig::bank_interleave)
+    /// of the memory system the unit will be ticked against.
     pub fn with_order(
         threads: usize,
         write_buffer_entries: usize,
         order: MemoryOrder,
-        line_bytes: u64,
-        l2_banks: usize,
+        banks: LineInterleave,
     ) -> Self {
         Self {
             queue: VecDeque::new(),
@@ -251,8 +255,7 @@ impl Lsu {
             wbuf: vec![VecDeque::new(); threads],
             drain_rr: 0,
             staged: vec![LaneValues::default(); threads],
-            line_bytes,
-            l2_banks: l2_banks.max(1),
+            banks,
         }
     }
 
@@ -325,7 +328,7 @@ impl Lsu {
             MemoryOrder::Sc => now,
             MemoryOrder::Tso => now + STORE_DRAIN_DELAY,
             MemoryOrder::RelaxedFence => {
-                let bank = (addr / self.line_bytes) % self.l2_banks as u64;
+                let bank = self.banks.index(addr) as u64;
                 now + STORE_DRAIN_DELAY + RELAXED_BANK_SKEW * (bank % 4)
             }
         }
@@ -909,6 +912,5 @@ glsc_wire::wire_struct!(Lsu {
     wbuf,
     drain_rr,
     staged,
-    line_bytes,
-    l2_banks,
+    banks,
 });

@@ -7,7 +7,7 @@
 use crate::config::GlscConfig;
 use crate::gsu::{Gsu, GsuCompletion, GsuKind};
 use crate::lsu::{Lsu, LsuCompletion, LsuEntry};
-use glsc_mem::{MemoryOrder, MemorySystem};
+use glsc_mem::{LineInterleave, MemoryOrder, MemorySystem};
 
 /// A completion event from either unit.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,31 +34,31 @@ impl CoreMemUnit {
     /// Creates a sequentially-consistent memory unit for core `core_id`
     /// with `threads` SMT threads.
     pub fn new(core_id: usize, threads: usize, cfg: GlscConfig) -> Self {
-        Self::with_order(core_id, threads, cfg, MemoryOrder::Sc, 64, 1)
+        Self::with_order(
+            core_id,
+            threads,
+            cfg,
+            MemoryOrder::Sc,
+            LineInterleave::new(64, 1),
+        )
     }
 
     /// Creates the memory unit for core `core_id` implementing `order`.
-    /// `line_bytes`/`l2_banks` must match the memory system the unit will
-    /// be ticked against (they fix the relaxed model's drain-skew bank
-    /// function).
+    /// `banks` must be the
+    /// [`MemConfig::bank_interleave`](glsc_mem::MemConfig::bank_interleave)
+    /// of the memory system the unit will be ticked against (it is the
+    /// relaxed model's drain-skew bank function).
     pub fn with_order(
         core_id: usize,
         threads: usize,
         cfg: GlscConfig,
         order: MemoryOrder,
-        line_bytes: u64,
-        l2_banks: usize,
+        banks: LineInterleave,
     ) -> Self {
         Self {
             core_id,
             threads,
-            lsu: Lsu::with_order(
-                threads,
-                cfg.write_buffer_entries,
-                order,
-                line_bytes,
-                l2_banks,
-            ),
+            lsu: Lsu::with_order(threads, cfg.write_buffer_entries, order, banks),
             gsu: Gsu::new(threads, cfg),
             idle: true,
         }

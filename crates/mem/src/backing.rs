@@ -12,8 +12,16 @@
 //! sharing the functional image between runs is timing-neutral. No product
 //! code mounts a base any more; the layer stays for the benchmark's fleet
 //! replay and its tests.
+//!
+//! The page map hashes a page number with one multiply (`PageHasher`)
+//! rather than the standard library's keyed SipHash: every word a run
+//! reads or writes looks its page up here. Keying would buy nothing, as
+//! no client chooses page numbers (they come from kernel-built layouts and
+//! bounds-checked pattern tables), and map order never reaches output,
+//! because the wire encoding sorts pages.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 const PAGE_BYTES: usize = 4096;
@@ -21,12 +29,45 @@ const PAGE_SHIFT: u32 = 12;
 
 type Page = Box<[u8; PAGE_BYTES]>;
 
+/// Page number to page, hashed by [`PageHasher`].
+type PageMap = HashMap<u64, Page, BuildHasherDefault<PageHasher>>;
+
+/// Multiplicative (Fibonacci) hashing of a page number. An odd multiplier
+/// permutes the low bits, which pick the bucket, so a run of consecutive
+/// pages never collides; the high bits, which the table uses to filter
+/// probes, mix in every bit of the key.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+/// 2^64 divided by the golden ratio, rounded to odd.
+const PAGE_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl Hasher for PageHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(PAGE_HASH_MUL);
+    }
+
+    // Keys are `u64`s, which hash through `write_u64`; other input folds
+    // in bytewise the same way.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// An immutable, shareable page map published once per dataset and mounted
 /// read-only under any number of [`Backing`] stores. Created by
 /// [`Backing::freeze`].
 #[derive(Clone, Debug, Default)]
 pub struct BackingBase {
-    pages: HashMap<u64, Page>,
+    pages: PageMap,
 }
 
 impl BackingBase {
@@ -43,7 +84,7 @@ impl BackingBase {
 /// snapshots of CoW-backed machines stay cheap.
 #[derive(Clone, Debug, Default)]
 pub struct Backing {
-    pages: HashMap<u64, Page>,
+    pages: PageMap,
     base: Option<Arc<BackingBase>>,
 }
 
@@ -188,7 +229,7 @@ impl Backing {
 /// Encodes a page map deterministically: page indices sorted ascending
 /// (HashMap iteration order must never reach the wire), each followed by
 /// its raw 4 KiB payload.
-fn encode_pages(pages: &HashMap<u64, Page>, w: &mut glsc_wire::Writer) {
+fn encode_pages(pages: &PageMap, w: &mut glsc_wire::Writer) {
     let mut keys: Vec<u64> = pages.keys().copied().collect();
     keys.sort_unstable();
     w.put_u64(keys.len() as u64);
@@ -198,9 +239,9 @@ fn encode_pages(pages: &HashMap<u64, Page>, w: &mut glsc_wire::Writer) {
     }
 }
 
-fn decode_pages(r: &mut glsc_wire::Reader<'_>) -> Result<HashMap<u64, Page>, glsc_wire::WireError> {
+fn decode_pages(r: &mut glsc_wire::Reader<'_>) -> Result<PageMap, glsc_wire::WireError> {
     let n = r.get_len()?;
-    let mut pages = HashMap::with_capacity(n);
+    let mut pages = PageMap::with_capacity_and_hasher(n, Default::default());
     let mut last: Option<u64> = None;
     for _ in 0..n {
         let at = r.pos();

@@ -117,8 +117,20 @@ impl MemConfig {
 
     /// The L2 bank serving a given line address (consecutive lines go to
     /// consecutive banks, as in a physically distributed L2).
+    #[inline]
     pub fn bank_of(&self, line: u64) -> usize {
-        ((line / self.line_bytes) % self.l2_banks as u64) as usize
+        self.bank_interleave().index(line)
+    }
+
+    /// The line-to-bank interleaving behind [`bank_of`](Self::bank_of), for
+    /// units that map addresses to banks without holding the whole
+    /// configuration.
+    #[inline]
+    pub fn bank_interleave(&self) -> LineInterleave {
+        LineInterleave {
+            shift: self.line_bytes.trailing_zeros(),
+            mask: (self.l2_banks as u64).wrapping_sub(1),
+        }
     }
 
     /// Checks internal consistency (powers of two, non-zero ways),
@@ -156,6 +168,15 @@ impl MemConfig {
         if self.l2_sets_per_bank() == 0 {
             return Err(ConfigError::NoL2Sets);
         }
+        for (what, count) in [
+            ("L1 sets", self.l1_sets()),
+            ("L2 sets per bank", self.l2_sets_per_bank()),
+            ("L2 banks", self.l2_banks),
+        ] {
+            if !count.is_power_of_two() {
+                return Err(ConfigError::GeometryNotPowerOfTwo { what, count });
+            }
+        }
         if self.glsc_buffer_entries == Some(0) {
             return Err(ConfigError::ZeroBufferEntries);
         }
@@ -167,9 +188,78 @@ impl MemConfig {
     }
 }
 
+/// Spreads consecutive lines over a power-of-two number of slots, such as
+/// the L2 banks or a cache's sets: the slot of `addr` is `(addr /
+/// line_bytes) % slots`, taken as a shift and a mask fixed at
+/// construction, so no access pays a division.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LineInterleave {
+    shift: u32,
+    mask: u64,
+}
+
+impl LineInterleave {
+    /// Interleaves lines of `line_bytes` bytes over `slots` slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `line_bytes` and `slots` are powers of two.
+    pub fn new(line_bytes: u64, slots: usize) -> Self {
+        Self::checked(line_bytes, slots).unwrap_or_else(|| {
+            panic!(
+                "line size and slot count must be powers of two \
+                 (got {line_bytes} B lines over {slots} slots)"
+            )
+        })
+    }
+
+    /// [`new`](Self::new), or `None` unless both counts are powers of two.
+    pub(crate) fn checked(line_bytes: u64, slots: usize) -> Option<Self> {
+        (line_bytes.is_power_of_two() && slots.is_power_of_two()).then(|| Self {
+            shift: line_bytes.trailing_zeros(),
+            mask: slots as u64 - 1,
+        })
+    }
+
+    /// The slot holding the line that contains `addr`.
+    #[inline]
+    pub fn index(self, addr: u64) -> usize {
+        ((addr >> self.shift) & self.mask) as usize
+    }
+
+    /// Line size in bytes.
+    pub fn line_bytes(self) -> u64 {
+        1 << self.shift
+    }
+
+    /// Number of slots.
+    pub fn slots(self) -> usize {
+        self.mask as usize + 1
+    }
+}
+
+// Encoded as the line size and slot count it was built from, and checked
+// again on decode, so a corrupt snapshot is a typed error, not a panic.
+impl glsc_wire::Wire for LineInterleave {
+    fn encode(&self, w: &mut glsc_wire::Writer) {
+        self.line_bytes().encode(w);
+        self.slots().encode(w);
+    }
+    fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
+        let at = r.pos();
+        let line_bytes = u64::decode(r)?;
+        let slots = usize::decode(r)?;
+        Self::checked(line_bytes, slots).ok_or(glsc_wire::WireError::Invalid {
+            at,
+            what: "line interleave geometry",
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glsc_wire::Wire;
 
     #[test]
     fn default_matches_table_1() {
@@ -266,6 +356,77 @@ mod tests {
             ..MemConfig::tiny()
         };
         assert_eq!(c.check(), Err(ConfigError::NoL2Sets));
+    }
+
+    #[test]
+    fn rejects_non_power_of_two_geometry() {
+        // 1,536 B / 64 B / 2 ways = 12 L1 sets.
+        let c = MemConfig {
+            l1_bytes: 1536,
+            ..MemConfig::tiny()
+        };
+        assert_eq!(
+            c.check(),
+            Err(ConfigError::GeometryNotPowerOfTwo {
+                what: "L1 sets",
+                count: 12,
+            })
+        );
+        // 12 KiB / 64 B / 2 ways / 2 banks = 48 sets per bank.
+        let c = MemConfig {
+            l2_bytes: 12 * 1024,
+            ..MemConfig::tiny()
+        };
+        assert_eq!(
+            c.check(),
+            Err(ConfigError::GeometryNotPowerOfTwo {
+                what: "L2 sets per bank",
+                count: 48,
+            })
+        );
+        // 24 KiB / 64 B / 2 ways over 3 banks = 64 sets per bank: only
+        // the bank count is off.
+        let c = MemConfig {
+            l2_banks: 3,
+            l2_bytes: 3 * 8 * 1024,
+            ..MemConfig::tiny()
+        };
+        assert_eq!(
+            c.check(),
+            Err(ConfigError::GeometryNotPowerOfTwo {
+                what: "L2 banks",
+                count: 3,
+            })
+        );
+        let err = c.check().unwrap_err().to_string();
+        assert!(
+            err.contains("L2 banks must be a power of two (got 3)"),
+            "{err}"
+        );
+        for c in [MemConfig::default(), MemConfig::tiny()] {
+            assert_eq!(c.check(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn interleave_round_trips_and_rejects_bad_geometry() {
+        let i = LineInterleave::new(64, 2048);
+        assert_eq!(
+            glsc_wire::from_bytes::<LineInterleave>(&glsc_wire::to_bytes(&i)),
+            Ok(i)
+        );
+        // Six slots: the decoder refuses it instead of building a mask
+        // that would address the wrong slots.
+        let mut w = glsc_wire::Writer::new();
+        64u64.encode(&mut w);
+        6usize.encode(&mut w);
+        assert!(glsc_wire::from_bytes::<LineInterleave>(&w.into_bytes()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn interleave_rejects_non_power_of_two_slots() {
+        let _ = LineInterleave::new(64, 12);
     }
 
     #[test]

@@ -41,6 +41,15 @@ pub enum ConfigError {
     NoL1Sets,
     /// Each L2 bank would have zero sets.
     NoL2Sets,
+    /// The L1 set count, the L2 set count per bank or the L2 bank count
+    /// is not a power of two. Sets and banks are picked by a shift and a
+    /// mask (DESIGN.md §8), so each of these counts must be one.
+    GeometryNotPowerOfTwo {
+        /// Which count: `"L1 sets"`, `"L2 sets per bank"` or `"L2 banks"`.
+        what: &'static str,
+        /// The offending count.
+        count: usize,
+    },
     /// The §3.3 reservation buffer was requested with zero entries.
     ZeroBufferEntries,
     /// The NACK-holdoff arbitration policy was configured with a zero
@@ -100,6 +109,9 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::NoL1Sets => write!(f, "L1 must have at least one set"),
             ConfigError::NoL2Sets => write!(f, "L2 banks must have at least one set"),
+            ConfigError::GeometryNotPowerOfTwo { what, count } => {
+                write!(f, "{what} must be a power of two (got {count})")
+            }
             ConfigError::ZeroBufferEntries => {
                 write!(f, "GLSC reservation buffer needs at least one entry")
             }

@@ -255,18 +255,20 @@ impl L1Cache {
         }
     }
 
-    /// Snapshot of every live reservation as `(line, thread mask)` pairs,
-    /// in unspecified order. Used for livelock diagnostic dumps.
-    pub fn reservation_entries(&self) -> Vec<(u64, u8)> {
-        match &self.reservations {
-            ReservationStore::PerLine => self
-                .tags
-                .iter()
-                .filter(|(_, p)| p.reservation != 0)
-                .map(|(line, p)| (line, p.reservation))
-                .collect(),
-            ReservationStore::Buffer { entries, .. } => entries.iter().copied().collect(),
-        }
+    /// Every live reservation as `(line, thread mask)` pairs, in an
+    /// unspecified but fixed order (the fault injector picks its victim by
+    /// position). Used by livelock diagnostic dumps and fault injection.
+    pub fn reservations(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
+        let (tags, buffer) = match &self.reservations {
+            ReservationStore::PerLine => (Some(self.tags.iter()), None),
+            ReservationStore::Buffer { entries, .. } => (None, Some(entries.iter())),
+        };
+        let tagged = tags
+            .into_iter()
+            .flatten()
+            .filter(|(_, p)| p.reservation != 0)
+            .map(|(line, p)| (line, p.reservation));
+        tagged.chain(buffer.into_iter().flatten().copied())
     }
 
     /// Whether `tid` currently holds a reservation on `line`.

@@ -55,7 +55,7 @@ mod tags;
 pub use arbitration::{Arbiter, ArbitrationPolicy};
 pub use backing::{Backing, BackingBase};
 pub use chaos::{ChaosConfig, ChaosStats, FaultPlan};
-pub use config::MemConfig;
+pub use config::{LineInterleave, MemConfig};
 pub use errors::{ConfigError, InvariantViolation};
 pub use l1::{L1Cache, L1State, LinePayload};
 pub use l2::{L2Bank, L2Payload};

@@ -368,9 +368,11 @@ impl Noc {
                 start + self.cfg.link_latency
             }
             Topology::Ring => {
+                // Stops are below `n`, so every wrap below is one
+                // comparison rather than a division.
                 let n = self.num_nodes();
-                let cw = (dst + n - src) % n; // clockwise hops
-                let ccw = (src + n - dst) % n; // counterclockwise hops
+                let cw = if dst >= src { dst - src } else { dst + n - src }; // clockwise hops
+                let ccw = n - cw; // counterclockwise hops
                 let forward = cw <= ccw;
                 let hops = cw.min(ccw);
                 let mut t = depart;
@@ -385,9 +387,15 @@ impl Noc {
                     ns.link_msgs[link] += 1;
                     t = start + self.cfg.link_latency;
                     node = if forward {
-                        (node + 1) % n
+                        if node + 1 == n {
+                            0
+                        } else {
+                            node + 1
+                        }
+                    } else if node == 0 {
+                        n - 1
                     } else {
-                        (node + n - 1) % n
+                        node - 1
                     };
                 }
                 t

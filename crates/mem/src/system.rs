@@ -365,11 +365,14 @@ impl MemorySystem {
         let cores = self.l1s.len();
 
         // (a) §3.2 conflicting write: kill every link on one reserved line.
+        // Victims are picked by position, counted then walked to, so an
+        // injection point allocates nothing.
         if plan.rng.random_bool(plan.cfg.clear_line_prob) {
             let c = plan.rng.random_range(0..cores);
-            let reserved = self.l1s[c].reservation_entries();
-            if !reserved.is_empty() {
-                let (line, _) = reserved[plan.rng.random_range(0..reserved.len())];
+            let reserved = self.l1s[c].reservations().count();
+            if reserved > 0 {
+                let k = plan.rng.random_range(0..reserved);
+                let (line, _) = self.l1s[c].reservations().nth(k).expect("k < count");
                 if self.l1s[c].clear_reservation(line) {
                     plan.stats.reservations_cleared += 1;
                 }
@@ -389,9 +392,10 @@ impl MemorySystem {
         // eviction takes, so coherence invariants keep holding).
         if plan.rng.random_bool(plan.cfg.evict_line_prob) {
             let c = plan.rng.random_range(0..cores);
-            let resident: Vec<u64> = self.l1s[c].iter().map(|(line, _)| line).collect();
-            if !resident.is_empty() {
-                let line = resident[plan.rng.random_range(0..resident.len())];
+            let resident = self.l1s[c].len();
+            if resident > 0 {
+                let k = plan.rng.random_range(0..resident);
+                let (line, _) = self.l1s[c].iter().nth(k).expect("k < len");
                 if let Some(vpay) = self.l1s[c].invalidate(line) {
                     self.evict_from_l1(c, line, vpay, now);
                     plan.stats.lines_evicted += 1;
@@ -984,7 +988,7 @@ impl MemorySystem {
     pub fn reservation_state(&self) -> Vec<(usize, u64, u8)> {
         let mut out = Vec::new();
         for (c, l1) in self.l1s.iter().enumerate() {
-            for (line, mask) in l1.reservation_entries() {
+            for (line, mask) in l1.reservations() {
                 out.push((c, line, mask));
             }
         }

@@ -4,12 +4,15 @@
 //! reservation) and the L2 banks (payload: directory state). Only tags are
 //! stored — data lives in [`crate::Backing`].
 
+use crate::config::LineInterleave;
+
 /// A set-associative array of cache tags with true-LRU replacement.
 #[derive(Clone, Debug)]
 pub struct TagArray<P> {
     sets: Vec<Vec<Slot<P>>>,
     assoc: usize,
-    line_bytes: u64,
+    /// Line-to-set mapping, fixed by the line size and set count.
+    index: LineInterleave,
     stamp: u64,
 }
 
@@ -28,17 +31,14 @@ impl<P> TagArray<P> {
     ///
     /// # Panics
     ///
-    /// Panics if any argument is zero or `line_bytes` is not a power of two.
+    /// Panics if `assoc` is zero, or if `sets` or `line_bytes` is not a
+    /// power of two.
     pub fn new(sets: usize, assoc: usize, line_bytes: u64) -> Self {
-        assert!(sets > 0 && assoc > 0, "cache geometry must be non-zero");
-        assert!(
-            line_bytes.is_power_of_two(),
-            "line size must be a power of two"
-        );
+        assert!(assoc > 0, "cache geometry must be non-zero");
         Self {
             sets: (0..sets).map(|_| Vec::new()).collect(),
             assoc,
-            line_bytes,
+            index: LineInterleave::new(line_bytes, sets),
             stamp: 0,
         }
     }
@@ -51,7 +51,7 @@ impl<P> TagArray<P> {
     /// The set index for a line address.
     #[inline]
     pub fn set_index(&self, line: u64) -> usize {
-        ((line / self.line_bytes) % self.sets.len() as u64) as usize
+        self.index.index(line)
     }
 
     fn bump(&mut self) -> u64 {
@@ -178,25 +178,37 @@ impl<P: glsc_wire::Wire> glsc_wire::Wire for Slot<P> {
 
 // The LRU `stamp` and per-set slot order are encoded exactly: replacement
 // decisions depend on them, so a round-tripped array must not merely hold
-// the same lines but age and evict them identically.
+// the same lines but age and evict them identically. The set index is
+// encoded as the line size alone (the set count is the length of `sets`)
+// and rebuilt, after checking both are powers of two, on decode.
 impl<P: glsc_wire::Wire> glsc_wire::Wire for TagArray<P> {
     fn encode(&self, w: &mut glsc_wire::Writer) {
         let Self {
             sets,
             assoc,
-            line_bytes,
+            index,
             stamp,
         } = self;
         sets.encode(w);
         assoc.encode(w);
-        line_bytes.encode(w);
+        index.line_bytes().encode(w);
         stamp.encode(w);
     }
     fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
+        let sets: Vec<Vec<Slot<P>>> = glsc_wire::Wire::decode(r)?;
+        let assoc = glsc_wire::Wire::decode(r)?;
+        let at = r.pos();
+        let line_bytes = glsc_wire::Wire::decode(r)?;
+        let index = LineInterleave::checked(line_bytes, sets.len()).ok_or(
+            glsc_wire::WireError::Invalid {
+                at,
+                what: "tag array geometry",
+            },
+        )?;
         Ok(Self {
-            sets: glsc_wire::Wire::decode(r)?,
-            assoc: glsc_wire::Wire::decode(r)?,
-            line_bytes: glsc_wire::Wire::decode(r)?,
+            index,
+            sets,
+            assoc,
             stamp: glsc_wire::Wire::decode(r)?,
         })
     }
@@ -263,6 +275,23 @@ mod tests {
         let _ = a.peek(0);
         let evicted = a.insert(256, 3);
         assert_eq!(evicted, Some((0, 1)));
+    }
+
+    #[test]
+    fn decode_rejects_a_non_power_of_two_set_count() {
+        let mut a = arr();
+        a.insert(64, 7);
+        let bytes = glsc_wire::to_bytes(&a);
+        let back: TagArray<u32> = glsc_wire::from_bytes(&bytes).expect("round trip");
+        assert_eq!(back.peek(64), Some(&7));
+        assert_eq!(back.set_index(64), 1);
+        // Three sets: a corrupt snapshot, refused as a wire error.
+        let mut w = glsc_wire::Writer::new();
+        glsc_wire::Wire::encode(&vec![Vec::<Slot<u32>>::new(); 3], &mut w);
+        glsc_wire::Wire::encode(&2usize, &mut w);
+        glsc_wire::Wire::encode(&64u64, &mut w);
+        glsc_wire::Wire::encode(&0u64, &mut w);
+        assert!(glsc_wire::from_bytes::<TagArray<u32>>(&w.into_bytes()).is_err());
     }
 
     #[test]

@@ -167,3 +167,29 @@ fn prefetcher_targets_follow_stride() {
         assert!(expected_ok, "seed {seed}");
     }
 }
+
+/// Cache sets and L2 banks are picked by a shift and a mask; over random
+/// lines and power-of-two geometries both agree with the division
+/// `(line / line_bytes) % n` they replace.
+#[test]
+fn set_and_bank_index_match_division() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0x3E3_0006 ^ seed);
+        let line_bytes = 1u64 << rng.random_range(2..10u32);
+        let sets = 1usize << rng.random_range(0..12u32);
+        let banks = 1usize << rng.random_range(0..6u32);
+        let tags: TagArray<u8> = TagArray::new(sets, 2, line_bytes);
+        let cfg = MemConfig {
+            line_bytes,
+            l2_banks: banks,
+            ..MemConfig::default()
+        };
+        for _ in 0..256 {
+            let line = rng.random::<u64>() & !(line_bytes - 1);
+            let n = line / line_bytes;
+            assert_eq!(tags.set_index(line) as u64, n % sets as u64, "seed {seed}");
+            assert_eq!(cfg.bank_of(line) as u64, n % banks as u64, "seed {seed}");
+            assert_eq!(cfg.bank_interleave().index(line), cfg.bank_of(line));
+        }
+    }
+}

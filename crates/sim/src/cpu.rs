@@ -113,8 +113,7 @@ impl Core {
                 n,
                 cfg.glsc,
                 cfg.mem.memory_order,
-                cfg.mem.line_bytes,
-                cfg.mem.l2_banks,
+                cfg.mem.bank_interleave(),
             ),
             rr: 0,
             halted: 0,
@@ -413,10 +412,27 @@ impl Core {
         }
     }
 
-    /// Advances the round-robin start by `cycles` cycles at once.
+    /// Advances the round-robin start by `cycles` cycles at once. It adds
+    /// `cycles` mod `n` one bit of `cycles` at a time, doubling 2^k mod
+    /// `n` as it goes, so every wrap is a comparison rather than a
+    /// division.
     pub(crate) fn skip_rr(&mut self, cycles: u64) {
         let n = self.threads.len();
-        self.rr = (self.rr + (cycles % n as u64) as usize) % n;
+        let mut pow = usize::from(n > 1); // 2^k mod n
+        let mut rest = cycles;
+        while rest != 0 {
+            if rest & 1 != 0 {
+                self.rr += pow;
+                if self.rr >= n {
+                    self.rr -= n;
+                }
+            }
+            pow += pow;
+            if pow >= n {
+                pow -= n;
+            }
+            rest >>= 1;
+        }
     }
 
     /// Executes one instruction for thread `t` (all checks already passed).
@@ -986,6 +1002,21 @@ mod tests {
             vec![(0x103e, 0x4000), (0x1042, 0x8000)]
         );
         assert_eq!(parts(0x1000, 0), vec![]);
+    }
+
+    #[test]
+    fn skip_rr_matches_one_rotation_per_cycle() {
+        for n in 1..=8 {
+            let mut core = Core::new(0, &MachineConfig::paper(1, n, 4));
+            for start in 0..n {
+                for cycles in [0, 1, 2, 7, 8, 9, 280, 841, 1 << 40, u64::MAX] {
+                    core.rr = start;
+                    core.skip_rr(cycles);
+                    let want = (start as u64 + cycles % n as u64) % n as u64;
+                    assert_eq!(core.rr as u64, want, "n {n}, rr {start}, {cycles} cycles");
+                }
+            }
+        }
     }
 }
 

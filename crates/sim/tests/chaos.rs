@@ -228,13 +228,28 @@ fn try_new_rejects_bad_configs() {
         other => panic!("expected width rejection, got {other:?}"),
     }
 
-    let mut bad = cfg;
+    let mut bad = cfg.clone();
     bad.mem.line_bytes = 48;
     match Machine::try_new(bad) {
         Err(SimError::InvalidConfig(ConfigError::Mem(
             glsc_mem::ConfigError::LineBytesNotPowerOfTwo { line_bytes: 48 },
         ))) => {}
         other => panic!("expected mem rejection, got {other:?}"),
+    }
+
+    // Twelve banks of 2,048 sets: banks are picked by a mask, so the
+    // count must be a power of two.
+    let mut bad = cfg;
+    bad.mem.l2_banks = 12;
+    bad.mem.l2_bytes = 12 << 20;
+    match Machine::try_new(bad) {
+        Err(SimError::InvalidConfig(ConfigError::Mem(
+            glsc_mem::ConfigError::GeometryNotPowerOfTwo {
+                what: "L2 banks",
+                count: 12,
+            },
+        ))) => {}
+        other => panic!("expected geometry rejection, got {other:?}"),
     }
 }
 

@@ -5,7 +5,8 @@
 //! threads allocate concurrently. Each job runs past its warm-up (the first
 //! touches of backing pages, cache tag sets and unit buffers), then counts
 //! a later window of `run_for` cycles that exercises the path under test
-//! and must make no allocation.
+//! and must make no allocation. One job runs under a fault plan, whose
+//! injection points pick their victims without collecting them.
 //!
 //! `cargo test --release --test alloc_free -- --ignored --nocapture`
 //! prints the allocations `Machine::run` makes over the whole Fig. 6 and
@@ -13,9 +14,8 @@
 
 use glsc::kernels::pattern::Pattern;
 use glsc::kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
-use glsc::sim::{
-    ArbitrationPolicy, Machine, MachineConfig, MemoryOrder, NocConfig, RunReport, SlicedRun,
-};
+use glsc::mem::{ChaosConfig, FaultPlan};
+use glsc::sim::{ArbitrationPolicy, Machine, MachineConfig, MemoryOrder, NocConfig, SlicedRun};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -71,63 +71,94 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, COUNT.with(Cell::get))
 }
 
-/// A machine with `w` mounted as `run_workload` mounts it.
-fn mounted(w: &Workload, cfg: &MachineConfig) -> Machine {
+/// A machine with `w` mounted as `run_workload` mounts it, or with the
+/// fault plan of chaos seed `chaos` as `run_workload_chaos` does.
+fn mounted(w: &Workload, cfg: &MachineConfig, chaos: Option<u64>) -> Machine {
     let mut m = Machine::new(cfg.clone());
+    if let Some(seed) = chaos {
+        m.mem_mut()
+            .install_fault_plan(FaultPlan::new(ChaosConfig::from_seed(seed)));
+    }
     w.image.apply(m.mem_mut().backing_mut());
     m.load_program(w.program.clone());
     m
 }
 
-/// Runs `kernel` at dataset A on a 4x4 width-4 machine under `order` and
-/// counts the allocations of its last quarter, up to the cycle before the
-/// last (the final step builds the report). Returns them with the
-/// machine's report at the start and at the end of that window, after
-/// checking that the sliced run matches an uninterrupted one and
-/// validates.
-fn last_quarter(kernel: &str, variant: Variant, order: MemoryOrder) -> (u64, RunReport, RunReport) {
+/// Runs `kernel` at dataset A on a 4x4 width-4 machine under `order`
+/// (and chaos seed `chaos`, if any) and counts the allocations of its last
+/// quarter, up to the cycle before the last (the final step builds the
+/// report). Returns them with the growth of `probe`, a counter of the
+/// path under test, over that window, after checking that the sliced run
+/// matches an uninterrupted one and validates.
+fn last_quarter(
+    kernel: &str,
+    variant: Variant,
+    order: MemoryOrder,
+    chaos: Option<u64>,
+    probe: impl Fn(&Machine) -> u64,
+) -> (u64, u64) {
     let cfg = MachineConfig::paper(4, 4, 4).with_memory_order(order);
     let w = build_named(kernel, Dataset::A, variant, &cfg).expect("known kernel");
-    let whole = mounted(&w, &cfg).run().expect("uninterrupted run");
-    let mut m = mounted(&w, &cfg);
+    let whole = mounted(&w, &cfg, chaos).run().expect("uninterrupted run");
+    let mut m = mounted(&w, &cfg, chaos);
     let mut run = SlicedRun::new(&m);
     let start = whole.cycles - whole.cycles / 4;
     assert!(m.run_for(&mut run, start).unwrap().is_none());
-    let before = m.report();
+    let before = probe(&m);
     let (slice, allocations) = counted(|| m.run_for(&mut run, whole.cycles - 1 - start));
     assert!(slice.unwrap().is_none(), "{kernel}: finished early");
-    let after = m.report();
+    let grown = probe(&m) - before;
     let report = m.run_for(&mut run, u64::MAX).unwrap().expect("finished");
     assert_eq!(report, whole, "{kernel}: sliced run differs");
     (w.validate)(m.mem().backing()).unwrap_or_else(|e| panic!("{kernel}: {e}"));
-    (allocations, before, after)
+    (allocations, grown)
 }
 
 #[test]
 fn glsc_gathers_and_scatters_do_not_allocate() {
-    let (allocations, before, after) = last_quarter("GPS", Variant::Glsc, MemoryOrder::Sc);
-    assert!(after.gsu.scatterconds > before.gsu.scatterconds);
+    let (allocations, scatterconds) =
+        last_quarter("GPS", Variant::Glsc, MemoryOrder::Sc, None, |m| {
+            m.report().gsu.scatterconds
+        });
+    assert!(scatterconds > 0);
     assert_eq!(allocations, 0);
 }
 
 #[test]
 fn unit_stride_vector_loads_do_not_allocate() {
-    let (allocations, before, after) = last_quarter("TMS", Variant::Base, MemoryOrder::Sc);
-    assert!(after.lsu.vector_line_requests > before.lsu.vector_line_requests);
+    let (allocations, line_requests) =
+        last_quarter("TMS", Variant::Base, MemoryOrder::Sc, None, |m| {
+            m.report().lsu.vector_line_requests
+        });
+    assert!(line_requests > 0);
     assert_eq!(allocations, 0);
 }
 
 #[test]
 fn tso_write_buffers_do_not_allocate() {
-    let (allocations, before, after) = last_quarter("MFP", Variant::Base, MemoryOrder::Tso);
-    assert!(after.lsu.wbuf_drains > before.lsu.wbuf_drains);
+    let (allocations, drains) = last_quarter("MFP", Variant::Base, MemoryOrder::Tso, None, |m| {
+        m.report().lsu.wbuf_drains
+    });
+    assert!(drains > 0);
+    assert_eq!(allocations, 0);
+}
+
+/// GPS rather than HIP: HIP streams its input to the end, so its last
+/// quarter first-touches L2 tag sets (496 allocations without a fault
+/// plan), while GPS's footprint is resident by then.
+#[test]
+fn chaos_injection_points_do_not_allocate() {
+    let (allocations, points) = last_quarter("GPS", Variant::Glsc, MemoryOrder::Sc, Some(7), |m| {
+        m.mem().chaos_stats().expect("fault plan").injection_points
+    });
+    assert!(points > 0);
     assert_eq!(allocations, 0);
 }
 
 /// Allocations inside `Machine::run` over `jobs`, and the cycles run.
 fn census(jobs: &[(Workload, MachineConfig)]) -> (u64, u64) {
     jobs.iter().fold((0, 0), |(allocs, cycles), (w, cfg)| {
-        let mut m = mounted(w, cfg);
+        let mut m = mounted(w, cfg, None);
         let (report, n) = counted(|| m.run());
         let report = report.unwrap_or_else(|e| panic!("{}: {e}", w.name));
         (allocs + n, cycles + report.cycles)
