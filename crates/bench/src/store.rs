@@ -3,12 +3,12 @@
 //!
 //! Every figure/table job has a stable key built from its parameters
 //! (kernel, dataset, variant, machine shape, SIMD width) plus two content
-//! fingerprints: the workload's (program text + initial memory image)
-//! and the machine configuration's. The fingerprints make staleness
-//! detection automatic — editing a kernel, dataset generator, or config
-//! changes the key, so the old cache entry is simply never matched. The
-//! codec's format version rides in the filename (`{key}.v5.bin`) for the
-//! same reason.
+//! fingerprints: the workload's (program listing, label pcs and initial
+//! memory image) and the machine configuration's. Editing a kernel,
+//! dataset generator, or config changes the key, so the old cache entry
+//! is simply never matched; a change to the simulator itself does not
+//! (DESIGN.md §10). The codec's format version rides in the filename
+//! (`{key}.v5.bin`) for the same reason.
 //!
 //! An entry is one `glsc-wire` frame around the report's wire payload:
 //! `len (u32 LE) | payload | fnv64(payload) (u64 LE)`. Writes are

@@ -851,7 +851,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl glsc_wire::Wire for GsuKind {
     fn encode(&self, w: &mut glsc_wire::Writer) {

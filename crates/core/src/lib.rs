@@ -34,4 +34,4 @@ pub use config::GlscConfig;
 pub use gsu::{Gsu, GsuCompletion, GsuKind, GsuStats};
 pub use lanes::LaneValues;
 pub use lsu::{Lsu, LsuAction, LsuCompletion, LsuEntry, LsuStats};
-pub use unit::{CoreMemUnit, CoreMemUnitSnapshot, MemCompletion};
+pub use unit::{CoreMemUnit, MemCompletion};

@@ -824,7 +824,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl glsc_wire::Wire for LsuAction {
     fn encode(&self, w: &mut glsc_wire::Writer) {

@@ -184,43 +184,6 @@ impl CoreMemUnit {
             .collect_done_into(|c| out.push(MemCompletion::Gsu(c)));
         self.idle = self.drained();
     }
-
-    /// Captures a point-in-time copy of this unit's in-flight state: the
-    /// LSU queue and write buffer, every thread's GSU instruction slot
-    /// (kind, remaining elements, partial results), and both units'
-    /// statistics counters. All of it is owned data, so the snapshot stays
-    /// valid however the unit evolves afterwards.
-    pub fn snapshot(&self) -> CoreMemUnitSnapshot {
-        CoreMemUnitSnapshot {
-            state: self.clone(),
-        }
-    }
-
-    /// Replaces this unit's state with the snapshot's. The snapshot must
-    /// come from a unit of the same shape (thread count, GLSC config);
-    /// `glsc_sim::Machine::restore` validates this at the machine level.
-    pub fn restore(&mut self, snap: &CoreMemUnitSnapshot) {
-        *self = snap.state.clone();
-    }
-}
-
-/// An opaque point-in-time copy of a [`CoreMemUnit`], produced by
-/// [`CoreMemUnit::snapshot`].
-#[derive(Clone, Debug)]
-pub struct CoreMemUnitSnapshot {
-    state: CoreMemUnit,
-}
-
-impl CoreMemUnitSnapshot {
-    /// The core the snapshotted unit belongs to.
-    pub fn core_id(&self) -> usize {
-        self.state.core_id()
-    }
-
-    /// Whether the unit was fully drained at snapshot time.
-    pub fn is_idle(&self) -> bool {
-        self.state.is_idle()
-    }
 }
 
 #[cfg(test)]
@@ -363,4 +326,3 @@ glsc_wire::wire_struct!(CoreMemUnit {
     lsu,
     gsu,
 } derived { idle } => |u| u.idle = u.drained());
-glsc_wire::wire_struct!(CoreMemUnitSnapshot { state });

@@ -243,7 +243,7 @@ mod tests {
     use crate::{CmpOp, MReg, ProgramBuilder, Reg, VReg};
 
     #[test]
-    fn disassembly_round_trips_key_mnemonics() {
+    fn disassembly_renders_key_mnemonics() {
         let mut b = ProgramBuilder::new();
         let (r1, v1, v2, f0, f1) = (
             Reg::new(1),

@@ -43,13 +43,11 @@
 mod builder;
 mod disasm;
 mod instr;
-mod parse;
 mod program;
 mod reg;
 
 pub use builder::{BuildError, ProgramBuilder};
 pub use instr::{AluOp, CmpOp, FenceKind, FpOp, Instr, LaneSel, Operand, VSrc};
-pub use parse::{parse_instr, ParseError};
 pub use program::{Label, Program};
 pub use reg::{MReg, Reg, VReg, NUM_MASK_REGS, NUM_SCALAR_REGS, NUM_VECTOR_REGS};
 

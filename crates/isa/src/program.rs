@@ -65,6 +65,13 @@ impl Program {
         self.label_targets[label.0 as usize] as usize
     }
 
+    /// The instruction index each label binds to, in the order the
+    /// builder created the labels. A listing names a branch target by its
+    /// label, so two programs with the same listing can differ only here.
+    pub fn label_targets(&self) -> &[u32] {
+        &self.label_targets
+    }
+
     /// Iterates over the instructions in program order.
     pub fn iter(&self) -> std::slice::Iter<'_, Instr> {
         self.instrs.iter()
@@ -77,60 +84,6 @@ impl<'a> IntoIterator for &'a Program {
 
     fn into_iter(self) -> Self::IntoIter {
         self.instrs.iter()
-    }
-}
-
-/// Binary serialization for durable snapshots. Instructions travel as
-/// their assembly text — `parse_instr` is the exact inverse of `Display`
-/// (the round-trip property pinned by `tests/roundtrip.rs`), so the text
-/// form is both canonical and stable across unrelated enum-layout churn.
-/// The `sync` flags and resolved label table are carried alongside; they
-/// are program-build artifacts a disassembly listing alone cannot
-/// recover.
-impl glsc_wire::Wire for Program {
-    fn encode(&self, w: &mut glsc_wire::Writer) {
-        let Self {
-            instrs,
-            sync,
-            label_targets,
-        } = self;
-        let text: Vec<String> = instrs.iter().map(|i| i.to_string()).collect();
-        text.encode(w);
-        sync.encode(w);
-        label_targets.encode(w);
-    }
-
-    fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
-        let at = r.pos();
-        let text = Vec::<String>::decode(r)?;
-        let mut instrs = Vec::with_capacity(text.len());
-        for line in &text {
-            instrs.push(
-                crate::parse_instr(line).map_err(|_| glsc_wire::WireError::Invalid {
-                    at,
-                    what: "instruction text",
-                })?,
-            );
-        }
-        let sync = Vec::<bool>::decode(r)?;
-        let label_targets = Vec::<u32>::decode(r)?;
-        if sync.len() != instrs.len() {
-            return Err(glsc_wire::WireError::Invalid {
-                at,
-                what: "sync flag count",
-            });
-        }
-        if label_targets.iter().any(|&t| t as usize > instrs.len()) {
-            return Err(glsc_wire::WireError::Invalid {
-                at,
-                what: "label target",
-            });
-        }
-        Ok(Self {
-            instrs,
-            sync,
-            label_targets,
-        })
     }
 }
 
@@ -152,33 +105,6 @@ mod tests {
         assert!(p.fetch(0).is_some());
         assert!(p.fetch(2).is_none());
         assert_eq!(p.iter().count(), 2);
-    }
-
-    #[test]
-    fn wire_round_trip_preserves_everything() {
-        let mut b = ProgramBuilder::new();
-        let l = b.label();
-        b.li(Reg::new(1), 7);
-        b.sync_on();
-        b.bind(l).unwrap();
-        b.addi(Reg::new(1), Reg::new(1), -3);
-        b.sync_off();
-        b.halt();
-        let p = b.build().unwrap();
-        let bytes = glsc_wire::to_bytes(&p);
-        let q: crate::Program = glsc_wire::from_bytes(&bytes).unwrap();
-        // Program has no PartialEq (label identity is builder-scoped);
-        // the Debug form covers instrs, sync flags and label targets.
-        assert_eq!(format!("{p:?}"), format!("{q:?}"));
-        // Corrupt instruction text decodes to a typed error, not garbage.
-        let mut bad = bytes.clone();
-        let needle = b"li";
-        let pos = bytes
-            .windows(needle.len())
-            .position(|v| v == needle)
-            .unwrap();
-        bad[pos] = b'z';
-        assert!(glsc_wire::from_bytes::<crate::Program>(&bad).is_err());
     }
 
     #[test]

@@ -145,13 +145,19 @@ pub struct Workload {
 impl Workload {
     /// Content fingerprint of everything that determines this workload's
     /// simulated behavior: the program text (instructions and sync
-    /// regions, via the disassembly listing) and the initial memory
-    /// image. The benchmark harness folds this into its job-cache keys,
-    /// so editing a kernel's code or dataset generator automatically
-    /// invalidates its cached results.
+    /// regions, via the disassembly listing), the pc each label binds to
+    /// (the listing prints a branch target as its label, `jmp L0`, not as
+    /// a pc) and the initial memory image. The benchmark harness and
+    /// `glsc-serve` fold this into their store keys, so editing a kernel's
+    /// code or dataset generator invalidates its stored results.
     pub fn fingerprint(&self) -> u64 {
         let mut h = self.image.fingerprint();
         fnv1a(&mut h, self.program.to_string().as_bytes());
+        let targets = self.program.label_targets();
+        fnv_word(&mut h, targets.len() as u64);
+        for &pc in targets {
+            fnv_word(&mut h, u64::from(pc));
+        }
         h
     }
 }
@@ -434,6 +440,36 @@ mod tests {
         img.apply(&mut back);
         assert_eq!(back.read_u32(a + 8), 3);
         assert_eq!(back.read_u32(b), 0);
+    }
+
+    #[test]
+    fn workload_fingerprint_sees_where_a_label_binds() {
+        // Both programs list as `nop; nop; jmp L0; halt`: only the pc
+        // that L0 binds to differs.
+        let workload = |label_first: bool| {
+            let mut b = ProgramBuilder::new();
+            let l = b.label();
+            if !label_first {
+                b.nop();
+            }
+            b.bind(l).unwrap();
+            if label_first {
+                b.nop();
+            }
+            b.nop();
+            b.jmp(l);
+            b.halt();
+            Workload {
+                name: "loop".into(),
+                program: b.build().unwrap(),
+                image: MemImage::new(),
+                validate: Box::new(|_| Ok(())),
+            }
+        };
+        let (early, late) = (workload(true), workload(false));
+        assert_eq!(early.program.to_string(), late.program.to_string());
+        assert_ne!(early.fingerprint(), late.fingerprint());
+        assert_eq!(early.fingerprint(), workload(true).fingerprint());
     }
 
     #[test]

@@ -44,8 +44,8 @@
 //!
 //! The [`Arbiter`] is deliberately *not* part of [`MemStats`]: resetting
 //! statistics must never change timing. It is plain owned data inside
-//! [`MemorySystem`](crate::MemorySystem), so machine snapshots cover it
-//! for free.
+//! [`MemorySystem`](crate::MemorySystem), so machine clones copy it for
+//! free.
 //!
 //! [`MemStats`]: crate::MemStats
 
@@ -104,7 +104,7 @@ struct Streak {
 }
 
 /// Runtime state of the active arbitration policy. Owned by
-/// [`MemorySystem`](crate::MemorySystem) (hence snapshot-covered); empty
+/// [`MemorySystem`](crate::MemorySystem) (hence copied by clones); empty
 /// and untouched under [`ArbitrationPolicy::Free`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Arbiter {
@@ -288,7 +288,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl glsc_wire::Wire for ArbitrationPolicy {
     fn encode(&self, w: &mut glsc_wire::Writer) {

@@ -81,7 +81,7 @@ impl BackingBase {
 /// 32-bit words (the element size of the simulated SIMD ISA).
 ///
 /// Cloning a store deep-copies private pages but shares the base layer, so
-/// snapshots of CoW-backed machines stay cheap.
+/// clones of CoW-backed machines stay cheap.
 #[derive(Clone, Debug, Default)]
 pub struct Backing {
     pages: PageMap,
@@ -224,7 +224,7 @@ impl Backing {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 /// Encodes a page map deterministically: page indices sorted ascending
 /// (HashMap iteration order must never reach the wire), each followed by

@@ -236,7 +236,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 glsc_wire::wire_struct!(ChaosConfig {
     seed,

@@ -375,7 +375,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl glsc_wire::Wire for L1State {
     fn encode(&self, w: &mut glsc_wire::Writer) {

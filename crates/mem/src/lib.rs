@@ -65,7 +65,7 @@ pub use oracle::{AtomicityOracle, AtomicityViolation, OracleStats};
 pub use ordering::{MemoryOrder, ParseMemoryOrderError};
 pub use prefetch::StridePrefetcher;
 pub use stats::{MemStats, ThreadScStats};
-pub use system::{AccessResult, MemOp, MemSnapshot, MemorySystem};
+pub use system::{AccessResult, MemOp, MemorySystem};
 pub use tags::TagArray;
 
 /// Returns the line-aligned address containing `addr`.

@@ -261,8 +261,8 @@ impl NocStats {
 
 /// The live interconnect: topology, per-link busy horizons, and the
 /// chaos layer's pending link-delay jitter. Owned by
-/// [`MemorySystem`](crate::MemorySystem); cloned wholesale by snapshots,
-/// so in-flight link reservations survive snapshot/restore exactly.
+/// [`MemorySystem`](crate::MemorySystem) and cloned wholesale with it, so a
+/// machine clone keeps in-flight link reservations exactly.
 #[derive(Clone, Debug)]
 pub struct Noc {
     cfg: NocConfig,
@@ -528,7 +528,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl glsc_wire::Wire for Topology {
     fn encode(&self, w: &mut glsc_wire::Writer) {

@@ -72,7 +72,7 @@ pub struct MemorySystem {
     threads_per_core: usize,
     /// Runtime state of the configured arbitration policy (empty and
     /// untouched under [`ArbitrationPolicy::Free`]). Plain owned data, so
-    /// snapshots cover it like everything else.
+    /// clones copy it like everything else.
     arbiter: Arbiter,
     /// Installed fault-injection plan (DESIGN.md §9); `None` on the
     /// fault-free hot path.
@@ -994,61 +994,6 @@ impl MemorySystem {
         }
         out
     }
-
-    /// Captures a point-in-time copy of the entire memory system: the
-    /// functional backing store, every L1 (tags, MSI states, dirty data,
-    /// GLSC reservations in both per-line-tag and §3.3 buffer modes),
-    /// every L2 bank with its directory, the per-core prefetcher streams,
-    /// the on-die interconnect with every link's busy horizon (so
-    /// in-flight fabric reservations survive the round trip), the event
-    /// counters, and — crucially for replayable chaos runs — the
-    /// installed [`FaultPlan`] including its private RNG state and pending
-    /// DRAM and link jitter. Restoring the snapshot therefore resumes the
-    /// exact access-by-access behavior of the original run.
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            state: self.clone(),
-        }
-    }
-
-    /// Replaces this memory system's state with the snapshot's.
-    ///
-    /// Shape compatibility (core count, cache geometry) is the caller's
-    /// responsibility; `glsc_sim::Machine::restore` validates the whole
-    /// machine configuration before delegating here.
-    pub fn restore(&mut self, snap: &MemSnapshot) {
-        *self = snap.state.clone();
-    }
-}
-
-/// An opaque point-in-time copy of a [`MemorySystem`], produced by
-/// [`MemorySystem::snapshot`]. Every field of the memory system is owned
-/// data (no shared interior mutability anywhere in this crate), so the
-/// deep copy held here is self-contained: it stays valid however the
-/// original system evolves afterwards. A mounted CoW base layer is the one
-/// shared piece — held by `Arc` — but bases are immutable by construction
-/// ([`crate::Backing::freeze`]), so sharing cannot leak state between the
-/// snapshot and the live system.
-#[derive(Clone, Debug)]
-pub struct MemSnapshot {
-    state: MemorySystem,
-}
-
-impl MemSnapshot {
-    /// The configuration the snapshotted system was built with.
-    pub fn cfg(&self) -> &MemConfig {
-        self.state.cfg()
-    }
-
-    /// Number of cores (L1 caches) in the snapshotted system.
-    pub fn num_cores(&self) -> usize {
-        self.state.num_cores()
-    }
-
-    /// Live reservations at snapshot time as `(core, line, thread mask)`.
-    pub fn reservation_state(&self) -> Vec<(usize, u64, u8)> {
-        self.state.reservation_state()
-    }
 }
 
 glsc_wire::wire_struct!(MemorySystem {
@@ -1065,4 +1010,3 @@ glsc_wire::wire_struct!(MemorySystem {
     jitter_next_fill,
     oracle,
 });
-glsc_wire::wire_struct!(MemSnapshot { state });

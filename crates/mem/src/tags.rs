@@ -158,7 +158,7 @@ impl<P> TagArray<P> {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl<P: glsc_wire::Wire> glsc_wire::Wire for Slot<P> {
     fn encode(&self, w: &mut glsc_wire::Writer) {

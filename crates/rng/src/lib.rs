@@ -191,9 +191,9 @@ pub mod rngs {
     }
 
     impl StdRng {
-        /// The raw xoshiro256** state word vector, for durable-state
-        /// serialization (machine snapshots persist their chaos RNG
-        /// mid-stream). Paired with [`StdRng::from_state`]:
+        /// The raw xoshiro256** state word vector, for serialization
+        /// (a fault plan's wire form carries its RNG mid-stream). Paired
+        /// with [`StdRng::from_state`]:
         /// `from_state(rng.state())` continues the exact sequence.
         pub fn state(&self) -> [u64; 4] {
             self.s
@@ -205,7 +205,7 @@ pub mod rngs {
         /// An all-zero state is the xoshiro fixed point (the generator
         /// would emit zeros forever); it cannot be produced by
         /// `seed_from_u64` and is rejected here by re-seeding from 0,
-        /// keeping a corrupt snapshot from wedging the fault plan.
+        /// keeping corrupt bytes from wedging the fault plan.
         pub fn from_state(s: [u64; 4]) -> Self {
             use super::SeedableRng;
             if s == [0; 4] {

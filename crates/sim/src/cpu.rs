@@ -82,23 +82,16 @@ pub struct Core {
     sync_arrivals: u32,
 }
 
-/// A point-in-time copy of one [`Core`], captured by [`Core::snapshot`]
-/// as part of a [`crate::MachineSnapshot`].
+/// One [`Core`]'s part of a [`crate::MachineSnapshot`], captured by
+/// [`Core::snapshot`].
 #[derive(Clone, Debug)]
 pub(crate) struct CoreSnapshot {
     threads: Vec<Thread>,
-    memunit: glsc_core::CoreMemUnitSnapshot,
+    memunit: CoreMemUnit,
     rr: usize,
     halted: usize,
     at_barrier: usize,
     issued_any: bool,
-}
-
-impl CoreSnapshot {
-    /// Whether the captured memory unit was fully drained.
-    pub(crate) fn memunit_is_idle(&self) -> bool {
-        self.memunit.is_idle()
-    }
 }
 
 impl Core {
@@ -844,7 +837,7 @@ impl Core {
     }
 
     /// Steps every live thread and parks none: the park state of freshly
-    /// loaded or restored threads.
+    /// loaded threads.
     fn step_live(&mut self) {
         self.stepped = (0..self.threads.len())
             .filter(|&t| !self.threads[t].is_halted())
@@ -853,33 +846,21 @@ impl Core {
         self.next_wake = u64::MAX;
     }
 
-    /// Captures a point-in-time copy of this core: every thread (arch
-    /// registers, vector/mask registers, status, scoreboard, statistics),
-    /// the round-robin pointer, the incremental halted/barrier counters,
-    /// and the memory unit's in-flight state. No thread is parked here:
-    /// the stepping loop settles every thread before it returns.
+    /// Copies this core's threads (arch registers, vector/mask registers,
+    /// status, scoreboard, statistics), the round-robin pointer, the
+    /// incremental halted/barrier counters and the memory unit's in-flight
+    /// state. No thread is parked here: the stepping loop settles every
+    /// thread before it returns.
     pub(crate) fn snapshot(&self) -> CoreSnapshot {
         debug_assert_eq!(self.parked, 0, "snapshot of a parked thread");
         CoreSnapshot {
             threads: self.threads.clone(),
-            memunit: self.memunit.snapshot(),
+            memunit: self.memunit.clone(),
             rr: self.rr,
             halted: self.halted,
             at_barrier: self.at_barrier,
             issued_any: self.issued_any,
         }
-    }
-
-    /// Replaces this core's state with the snapshot's (same-shape core;
-    /// validated by `Machine::restore`).
-    pub(crate) fn restore(&mut self, snap: &CoreSnapshot) {
-        self.threads = snap.threads.clone();
-        self.memunit.restore(&snap.memunit);
-        self.rr = snap.rr;
-        self.halted = snap.halted;
-        self.at_barrier = snap.at_barrier;
-        self.issued_any = snap.issued_any;
-        self.step_live();
     }
 
     /// Bulk stall attribution of parked thread `t` for the cycles
@@ -1020,7 +1001,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 glsc_wire::wire_struct!(CoreSnapshot {
     threads,

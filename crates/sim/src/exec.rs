@@ -8,7 +8,6 @@
 use crate::arch::ThreadArch;
 use crate::config::LatencyTable;
 use glsc_isa::{AluOp, CmpOp, FenceKind, FpOp, Instr, LaneSel, Operand, Program, Reg, VSrc};
-use std::sync::Arc;
 
 /// Outcome of executing one compute instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -536,19 +535,18 @@ pub fn step_compute(
 
 /// A loaded program together with the issue facts of each instruction,
 /// decoded once per [`Machine::load_program`](crate::Machine::load_program)
-/// or [`Machine::restore`](crate::Machine::restore) instead of on every
-/// cycle a thread looks at its next instruction.
+/// instead of on every cycle a thread looks at its next instruction.
 #[derive(Debug)]
 pub(crate) struct Code {
-    /// The program itself (shared with snapshots).
-    pub(crate) program: Arc<Program>,
+    /// The program itself.
+    pub(crate) program: Program,
     /// `decoded[pc]` describes `program.fetch(pc)`.
     decoded: Vec<Decoded>,
 }
 
 impl Code {
     /// Decodes `program`.
-    pub(crate) fn new(program: Arc<Program>) -> Self {
+    pub(crate) fn new(program: Program) -> Self {
         let decoded = program
             .iter()
             .enumerate()

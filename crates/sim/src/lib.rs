@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 mod arch;
-mod codec;
 mod config;
 mod cpu;
 mod exec;
@@ -56,7 +55,6 @@ mod report;
 mod thread;
 
 pub use arch::ThreadArch;
-pub use codec::{SnapshotCodecError, SNAPSHOT_FORMAT_VERSION, SNAPSHOT_MAGIC};
 pub use config::{ConfigError, LatencyTable, MachineConfig};
 pub use fleet::{Fleet, FleetFailure, FleetJob, PauseCtl};
 pub use machine::{Machine, MachineSnapshot, SimError, SlicedRun};
@@ -69,6 +67,6 @@ pub use glsc_core::GlscConfig;
 pub use glsc_isa::Program;
 pub use glsc_mem::{
     ArbitrationPolicy, AtomicityOracle, AtomicityViolation, BackingBase, ChaosConfig, ChaosStats,
-    FaultPlan, MemConfig, MemSnapshot, MemoryOrder, MemorySystem, MsgClass, NocConfig, NocStats,
-    OracleStats, ThreadScStats, Topology,
+    FaultPlan, MemConfig, MemoryOrder, MemorySystem, MsgClass, NocConfig, NocStats, OracleStats,
+    ThreadScStats, Topology,
 };

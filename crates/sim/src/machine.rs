@@ -1,12 +1,13 @@
 //! The whole-machine cycle loop: cores, shared memory system, barriers.
 
 use crate::config::{ConfigError, MachineConfig};
-use crate::cpu::Core;
+use crate::cpu::{Core, CoreSnapshot};
 use crate::exec::Code;
 use crate::report::{RunReport, StallTotals};
 use glsc_core::MemCompletion;
 use glsc_isa::{Program, Reg};
 use glsc_mem::MemorySystem;
+use glsc_wire::WireError;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -87,16 +88,6 @@ pub enum SimError {
         /// The oracle's account of the broken region.
         violation: glsc_mem::AtomicityViolation,
     },
-    /// [`Machine::restore`] was called with a snapshot captured under a
-    /// different machine configuration; restoring it would silently
-    /// change the machine's shape or timing model mid-run. Carries both
-    /// configurations for diagnosis.
-    SnapshotMismatch {
-        /// The restoring machine's configuration.
-        machine: Box<MachineConfig>,
-        /// The configuration the snapshot was captured under.
-        snapshot: Box<MachineConfig>,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -154,19 +145,6 @@ impl fmt::Display for SimError {
             SimError::AtomicityViolation { cycle, violation } => {
                 write!(f, "atomicity violated at cycle {cycle}: {violation}")
             }
-            SimError::SnapshotMismatch { machine, snapshot } => {
-                write!(
-                    f,
-                    "snapshot configuration mismatch: machine is {}x{} width {} but the \
-                     snapshot was captured on {}x{} width {} (full configs differ)",
-                    machine.cores,
-                    machine.threads_per_core,
-                    machine.simd_width,
-                    snapshot.cores,
-                    snapshot.threads_per_core,
-                    snapshot.simd_width
-                )
-            }
         }
     }
 }
@@ -199,13 +177,18 @@ impl Error for SimError {
 /// threads that cannot act before a known cycle or event and account
 /// their skipped cycles in bulk; no parked thread outlives the call, so
 /// reports, clones and snapshots never see one.
+///
+/// A clone taken between calls is an independent machine that continues
+/// bit-identically to the original: the litmus explorer branches schedules
+/// this way, and `tests/snapshot_differential.rs` pins it mid-run on every
+/// kernel.
 #[derive(Clone, Debug)]
 pub struct Machine {
     cfg: MachineConfig,
     mem: MemorySystem,
     cores: Vec<Core>,
     /// The loaded program and its predecoded issue table, shared with
-    /// clones and snapshots.
+    /// clones.
     code: Option<Arc<Code>>,
     cycle: u64,
     /// Reused completion buffer: the steady-state cycle loop performs no
@@ -283,7 +266,7 @@ impl Machine {
             }
             core.reset_status_counts();
         }
-        self.code = Some(Arc::new(Code::new(Arc::new(program))));
+        self.code = Some(Arc::new(Code::new(program)));
         self.cycle = 0;
     }
 
@@ -646,70 +629,18 @@ impl Machine {
         StallTotals::from_threads(&all)
     }
 
-    /// Captures the complete simulation state at the current cycle as a
-    /// self-contained [`MachineSnapshot`].
-    ///
-    /// "Complete" means every piece of state that influences timing or
-    /// results from here on: per-thread architectural state (scalar,
-    /// vector and mask registers, pc), thread statuses and scoreboards,
-    /// issue round-robin pointers, stall counters accumulated so far, the
-    /// LSU/GSU in-flight queues, the entire memory hierarchy (L1 tags and
-    /// GLSC reservations in both tracking modes, L2/directory state,
-    /// prefetcher streams, event counters, backing store), the installed
-    /// chaos [`FaultPlan`](glsc_mem::FaultPlan) with its RNG state, and
-    /// the cycle counter. Continuing from a restored snapshot therefore
-    /// produces a [`RunReport`] bit-identical to the uninterrupted run —
-    /// under [`run`](Machine::run) and [`run_naive`](Machine::run_naive)
-    /// alike. A snapshot may be taken at any cycle boundary, including
-    /// while vector memory operations are mid-flight.
+    /// Captures the machine's state at the current cycle as a
+    /// [`MachineSnapshot`]: the configuration, the cycle, every core's
+    /// threads and memory unit, and the memory system. The program is not
+    /// part of it. Nothing resumes from a snapshot; a run continues from
+    /// a copy through [`Clone`], as the litmus explorer's branches do.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             cfg: self.cfg.clone(),
             cycle: self.cycle,
-            program: self.code.as_ref().map(|c| Arc::clone(&c.program)),
             cores: self.cores.iter().map(Core::snapshot).collect(),
-            mem: self.mem.snapshot(),
+            mem: self.mem.clone(),
         }
-    }
-
-    /// Rewinds (or fast-forwards) this machine to the snapshot's state.
-    ///
-    /// The machine must have been built with the exact configuration the
-    /// snapshot was captured under — shape, latencies, memory geometry and
-    /// GLSC policy all affect timing, so a mismatch is rejected rather
-    /// than reinterpreted.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SnapshotMismatch`] when the configurations differ; the
-    /// machine is left untouched.
-    pub fn restore(&mut self, snap: &MachineSnapshot) -> Result<(), SimError> {
-        if self.cfg != snap.cfg {
-            return Err(SimError::SnapshotMismatch {
-                machine: Box::new(self.cfg.clone()),
-                snapshot: Box::new(snap.cfg.clone()),
-            });
-        }
-        self.cycle = snap.cycle;
-        self.code = snap.program.clone().map(|p| Arc::new(Code::new(p)));
-        for (core, cs) in self.cores.iter_mut().zip(&snap.cores) {
-            core.restore(cs);
-        }
-        self.mem.restore(&snap.mem);
-        // The completion buffer is drained within every step; between
-        // steps it holds no state, only reusable capacity.
-        self.comp_buf.clear();
-        Ok(())
-    }
-
-    /// Builds a brand-new machine from a snapshot, for when the original
-    /// [`Machine`] no longer exists (a decoded snapshot file, say).
-    pub fn from_snapshot(snap: &MachineSnapshot) -> Self {
-        let mut m = Self::try_new(snap.cfg.clone())
-            .expect("snapshot was captured from a machine with a validated config");
-        m.restore(snap)
-            .expect("fresh machine was built from the snapshot's own config");
-        m
     }
 
     /// Builds the statistics report for the run so far.
@@ -732,52 +663,61 @@ impl Machine {
     }
 }
 
-/// A self-contained point-in-time copy of a [`Machine`], produced by
-/// [`Machine::snapshot`].
+/// The state of a [`Machine`] at one cycle, produced by
+/// [`Machine::snapshot`] and encoded by [`to_bytes`](Self::to_bytes).
 ///
-/// The snapshot owns deep copies of every mutable layer (cores, memory
-/// system) and shares only the immutable [`Program`] (via `Arc`), so it
-/// remains valid however the original machine evolves — or after it is
-/// dropped entirely ([`Machine::from_snapshot`]).
+/// Benchmark-only: no simulator, harness or service code uses it. It stays
+/// because the benchmark (`perfbench/`) times its encode and decode as the
+/// `sim.codec.*` metrics, and goes once it no longer does.
 #[derive(Clone, Debug)]
 pub struct MachineSnapshot {
     cfg: MachineConfig,
     cycle: u64,
-    program: Option<Arc<Program>>,
-    cores: Vec<crate::cpu::CoreSnapshot>,
-    mem: glsc_mem::MemSnapshot,
+    cores: Vec<CoreSnapshot>,
+    mem: MemorySystem,
 }
 
 impl MachineSnapshot {
-    /// The cycle at which the snapshot was captured.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
+    /// Encodes this snapshot as one [`glsc_wire::frame`], the framing of
+    /// job-store entries, journal records and protocol messages.
+    /// [`MachineSnapshot::from_bytes`] inverts it, and re-encoding a
+    /// decoded snapshot gives back the same bytes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        glsc_wire::frame(&glsc_wire::to_bytes(self))
     }
 
-    /// The configuration the snapshotted machine was built with.
-    pub fn cfg(&self) -> &MachineConfig {
-        &self.cfg
-    }
-
-    /// Whether a program was loaded at capture time.
-    pub fn has_program(&self) -> bool {
-        self.program.is_some()
-    }
-
-    /// Whether every memory unit was drained at capture time (no vector
-    /// or scalar memory operations in flight).
-    pub fn is_quiescent(&self) -> bool {
-        self.cores.iter().all(|c| c.memunit_is_idle())
+    /// Decodes bytes written by [`MachineSnapshot::to_bytes`]: exactly one
+    /// intact frame whose payload decodes whole.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::Eof`] for a torn frame, [`WireError::Invalid`] for a
+    /// checksum mismatch and [`WireError::TrailingBytes`] for bytes after
+    /// the frame; a malformed payload fails with the first error its
+    /// decode meets.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, WireError> {
+        let (payload, rest) = glsc_wire::split_frame(bytes)?;
+        if !rest.is_empty() {
+            return Err(WireError::TrailingBytes { extra: rest.len() });
+        }
+        glsc_wire::from_bytes(payload)
     }
 }
+
+glsc_wire::wire_struct!(MachineSnapshot {
+    cfg,
+    cycle,
+    cores,
+    mem,
+});
 
 /// The detector state [`Machine::run_for`] threads across calls (the
 /// watchdog's last-progress cycle, the next invariant-check cycle and the
 /// starvation scan's gate), so a run split into slices fires the
 /// watchdog, starvation and invariant checks on exactly the cycles an
 /// unsliced [`Machine::run`] would. Built for drivers that step a bounded
-/// number of cycles at a time, e.g. to snapshot between slices (the
-/// snapshot-codec oracle does exactly that).
+/// number of cycles at a time and act between slices, as `glsc-serve`'s
+/// supervisor does.
 #[derive(Clone, Debug)]
 pub struct SlicedRun {
     /// Last cycle at which any thread issued (watchdog anchor).
@@ -789,8 +729,10 @@ pub struct SlicedRun {
 }
 
 impl SlicedRun {
-    /// Detector state for `machine`, about to start or resume running.
-    /// Create this *after* restoring a snapshot, not before.
+    /// Detector state for running `machine` from its current cycle: the
+    /// watchdog counts from here and the first invariant check falls one
+    /// period ahead. A machine cloned between slices continues under a
+    /// clone of its `SlicedRun`.
     pub fn new(machine: &Machine) -> Self {
         Self {
             last_progress: machine.cycle,
@@ -808,8 +750,8 @@ impl Machine {
     /// is 0), returning `Some(report)` once every thread has halted and
     /// the memory units have drained, `None` while work remains. The
     /// concatenation of slices is bit-identical to one uninterrupted
-    /// [`Machine::run`], the property the snapshot-codec and kill-drill
-    /// oracles pin down.
+    /// [`Machine::run`], the property `tests/differential.rs` and the
+    /// kill-drill oracle pin down.
     ///
     /// # Errors
     ///
@@ -820,52 +762,5 @@ impl Machine {
         budget: u64,
     ) -> Result<Option<RunReport>, SimError> {
         Ok(self.drive(run, budget, true)?.then(|| self.report()))
-    }
-}
-
-impl glsc_wire::Wire for MachineSnapshot {
-    fn encode(&self, w: &mut glsc_wire::Writer) {
-        let Self {
-            cfg,
-            cycle,
-            program,
-            cores,
-            mem,
-        } = self;
-        cfg.encode(w);
-        cycle.encode(w);
-        match program {
-            None => w.put_u8(0),
-            Some(p) => {
-                w.put_u8(1);
-                p.as_ref().encode(w);
-            }
-        }
-        cores.encode(w);
-        mem.encode(w);
-    }
-
-    fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
-        use glsc_wire::Wire;
-        let cfg = MachineConfig::decode(r)?;
-        let cycle = u64::decode(r)?;
-        let at = r.pos();
-        let program = match r.get_u8()? {
-            0 => None,
-            1 => Some(Arc::new(Program::decode(r)?)),
-            _ => {
-                return Err(glsc_wire::WireError::Invalid {
-                    at,
-                    what: "program tag",
-                })
-            }
-        };
-        Ok(Self {
-            cfg,
-            cycle,
-            program,
-            cores: Wire::decode(r)?,
-            mem: Wire::decode(r)?,
-        })
     }
 }

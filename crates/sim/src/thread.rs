@@ -130,7 +130,7 @@ mod tests {
     }
 }
 
-// ---- durable-snapshot serialization --------------------------------------
+// ---- wire serialization --------------------------------------------------
 
 impl glsc_wire::Wire for ThreadStatus {
     fn encode(&self, w: &mut glsc_wire::Writer) {

@@ -1,28 +1,30 @@
-//! # glsc-wire — binary state serialization for durable snapshots
+//! # glsc-wire — binary serialization for reports, journals and frames
 //!
-//! A tiny, dependency-free binary codec used to write [`Machine`]
-//! snapshots, run reports, the service journal and protocol messages.
+//! A tiny, dependency-free binary codec used to write run reports, job
+//! specs, the service journal, protocol messages, litmus witnesses and
+//! the benchmark's [`Machine`] snapshots.
 //! The workspace takes no serialization dependency (the build
 //! environment is offline), so this crate plays the role serde+bincode
 //! would: a [`Wire`] trait with hand-rolled little-endian encoding, a
 //! bounds-checked [`Reader`], and a [`wire_struct!`] macro that derives
 //! field-by-field impls with an exhaustive-destructuring guard — adding
 //! a field to a serialized struct without updating its wire impl is a
-//! compile error, not a silently-truncated snapshot.
+//! compile error, not a silently-truncated encoding.
 //!
-//! Design rules, chosen for the snapshot use case:
+//! Design rules:
 //!
 //! * **Deterministic**: a value encodes to exactly one byte string.
 //!   Containers are length-prefixed; map-like callers must sort their
 //!   keys before encoding (see `glsc-mem`'s backing-store impl).
 //! * **Strict**: decoding validates lengths, enum tags and invariants
 //!   and fails with a typed [`WireError`] — never panics, never guesses.
-//! * **Versioned at the envelope, not per field**: the snapshot codec in
-//!   `glsc-sim` frames the payload with a magic string, format version
-//!   and whole-payload checksum ([`fnv64`]). Everything else that goes
-//!   to disk or a socket — job-store entries, journal records, protocol
-//!   messages — travels in one checksummed [`frame`], split back off a
-//!   byte slice by [`split_frame`]:
+//! * **Versioned by the payload's owner, not per field**: a format that
+//!   outlives a build carries its own version (the job spec leads with
+//!   one; the report codec's version rides in the job-store filename).
+//! * **One framing**: everything that goes to disk or a socket (job-store
+//!   entries, journal records, protocol messages) and the benchmark's
+//!   machine snapshots travel in one checksummed [`frame`], split back
+//!   off a byte slice by [`split_frame`]:
 //!
 //!   ```text
 //!   +--------------+------------------+---------------------------+
@@ -418,7 +420,7 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
 /// Derives a [`Wire`] impl for a struct by encoding the listed fields in
 /// order. The expansion destructures `Self` exhaustively, so the impl
 /// fails to compile if the struct gains, loses or renames a field — the
-/// guard that keeps snapshots honest as state structs evolve.
+/// guard that keeps encodings honest as structs evolve.
 ///
 /// ```
 /// struct Point { x: u64, y: u64 }
@@ -476,8 +478,8 @@ macro_rules! wire_struct {
     };
 }
 
-/// FNV-1a 64-bit digest — the whole-payload checksum of the snapshot
-/// envelope and the trailer of every [`frame`]. Not
+/// FNV-1a 64-bit digest — the trailer of every [`frame`]; pattern job ids
+/// and the report digests the differential oracle pins use it too. Not
 /// cryptographic; it detects torn writes and bit rot, which is all a
 /// local cache needs.
 pub fn fnv64(bytes: &[u8]) -> u64 {

@@ -24,8 +24,8 @@
 use glsc::isa::{AluOp, CmpOp, FpOp, MReg, Program, ProgramBuilder, Reg, VReg};
 use glsc::mem::Backing;
 use glsc::sim::{
-    reference, ArbitrationPolicy, FaultPlan, Fleet, FleetJob, Machine, MachineConfig,
-    MachineSnapshot, MemoryOrder, NocConfig, PauseCtl, RunReport, SlicedRun,
+    reference, ArbitrationPolicy, FaultPlan, Fleet, FleetJob, Machine, MachineConfig, MemoryOrder,
+    NocConfig, PauseCtl, RunReport, SlicedRun,
 };
 use glsc_rng::rngs::StdRng;
 use glsc_rng::{Rng, SeedableRng};
@@ -533,8 +533,8 @@ fn assert_every_loop_agrees<T: PartialEq + std::fmt::Debug>(
 /// slots, so threads lose slots; barrier waiters park until the release,
 /// and fences hold threads on the memory unit. Under TSO and the relaxed
 /// model the random stores sit in write buffers, which drain after their
-/// thread halts. A machine stepped to a random cycle, snapshotted through
-/// the codec and resumed with `run` must finish the same way too.
+/// thread halts. A machine stepped to a random cycle and cloned there
+/// must finish the same way too, clone and original alike.
 #[test]
 fn fast_forward_matches_naive_random_programs() {
     const SHAPES: [(usize, usize); 5] = [(1, 1), (2, 2), (4, 1), (1, 4), (2, 4)];
@@ -584,14 +584,14 @@ fn fast_forward_matches_naive_random_programs() {
             for _ in 0..at {
                 m.step();
             }
-            let bytes = m.snapshot().to_bytes();
-            let snap = MachineSnapshot::from_bytes(&bytes).expect("snapshot decodes");
-            let mut resumed = Machine::from_snapshot(&snap);
-            let report = resumed
-                .run()
-                .unwrap_or_else(|e| panic!("{what}: resumed run failed: {e}"));
-            assert_eq!(report, whole, "{what}: run resumed at cycle {at} diverged");
-            assert_eq!(window(&resumed), memory, "{what}: resumed at cycle {at}");
+            let mut clone = m.clone();
+            for (side, m) in [("clone", &mut clone), ("original", &mut m)] {
+                let report = m
+                    .run()
+                    .unwrap_or_else(|e| panic!("{what}: {side} of cycle {at} failed: {e}"));
+                assert_eq!(report, whole, "{what}: {side} of cycle {at} diverged");
+                assert_eq!(window(m), memory, "{what}: {side} of cycle {at}");
+            }
         }
     }
     let digest = glsc_wire::fnv64(&encoded);

@@ -1,13 +1,18 @@
-//! Snapshot/restore differential oracle on the real workloads: for every
-//! kernel and every Fig. 6 machine shape, running to completion in one
-//! shot must be bit-identical — same `RunReport`, same validated final
-//! memory — to stepping halfway, snapshotting, hydrating a fresh machine
-//! from the snapshot, and finishing there. Also covers the naive
-//! (single-stepped) loop and resumption with an active fault plan, whose
-//! RNG state rides in the snapshot.
+//! Clone differential oracle on the real workloads: a `Machine::clone`
+//! taken mid-run is an independent machine that continues bit-identically.
+//! For every kernel and every Fig. 6 machine shape, running to completion
+//! in one shot must give the same `RunReport` and validated final memory
+//! as stepping halfway, cloning, and finishing the clone; the original
+//! must then finish the same way too. Also covers the naive
+//! (single-stepped) loop, an active fault plan (whose RNG state the clone
+//! copies), a Ring fabric with messages in flight, every arbitration
+//! policy, non-empty write buffers under every memory order, and clones
+//! taken between `run_for` slices. In this file a "snapshot" is such a
+//! clone and "resuming" is running it on; the litmus explorer branches
+//! schedules the same way.
 
 use glsc::kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
-use glsc::sim::{ChaosConfig, FaultPlan, Machine, MachineConfig, NocConfig, RunReport};
+use glsc::sim::{ChaosConfig, FaultPlan, Machine, MachineConfig, NocConfig, RunReport, SlicedRun};
 
 const SHAPES: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
 
@@ -22,10 +27,12 @@ fn machine_for(w: &Workload, cfg: &MachineConfig, chaos: Option<u64>) -> Machine
     m
 }
 
-/// One-shot baseline, then interrupt-at-half + resume; asserts report
-/// equality and runs the kernel's golden validator on the resumed
-/// machine's memory.
-fn assert_resumable(
+/// One-shot baseline, then a machine stepped to half the baseline's
+/// cycles and cloned there. The clone runs first, so any state it shared
+/// with the original would show when the original runs after it. Asserts
+/// that both finish with the baseline's report and that both memories
+/// pass the kernel's golden validator.
+fn assert_clone_continues(
     kernel: &str,
     w: &Workload,
     cfg: &MachineConfig,
@@ -35,30 +42,28 @@ fn assert_resumable(
     let run = |m: &mut Machine| {
         if naive { m.run_naive() } else { m.run() }.unwrap_or_else(|e| panic!("{kernel}: {e}"))
     };
-    let mut baseline_m = machine_for(w, cfg, chaos);
-    let baseline = run(&mut baseline_m);
-
-    let mut interrupted = machine_for(w, cfg, chaos);
-    for _ in 0..baseline.cycles / 2 {
-        if interrupted.step() {
-            panic!("{kernel}: halted before the snapshot point");
-        }
-    }
-    let snap = interrupted.snapshot();
-    let mut resumed_m = Machine::from_snapshot(&snap);
-    let resumed = run(&mut resumed_m);
-    assert_eq!(
-        resumed, baseline,
-        "{kernel} {}x{} chaos={chaos:?} naive={naive}: resumed report diverged",
+    let what = format!(
+        "{kernel} {}x{} chaos={chaos:?} naive={naive}",
         cfg.cores, cfg.threads_per_core
     );
-    (w.validate)(resumed_m.mem().backing())
-        .unwrap_or_else(|e| panic!("{kernel}: resumed run failed validation: {e}"));
+    let baseline = run(&mut machine_for(w, cfg, chaos));
 
-    // The interrupted machine keeps running too — stepping must not have
-    // perturbed it.
-    let finished = run(&mut interrupted);
-    assert_eq!(finished, baseline, "{kernel}: interrupted run diverged");
+    let mut original = machine_for(w, cfg, chaos);
+    for _ in 0..baseline.cycles / 2 {
+        assert!(!original.step(), "{what}: halted before the clone point");
+    }
+    let mut clone = original.clone();
+    assert_eq!(run(&mut clone), baseline, "{what}: the clone diverged");
+    (w.validate)(clone.mem().backing())
+        .unwrap_or_else(|e| panic!("{what}: the clone failed validation: {e}"));
+
+    assert_eq!(
+        run(&mut original),
+        baseline,
+        "{what}: the original diverged after cloning"
+    );
+    (w.validate)(original.mem().backing())
+        .unwrap_or_else(|e| panic!("{what}: the original failed validation: {e}"));
     baseline
 }
 
@@ -69,7 +74,7 @@ fn snapshot_resume_matches_uninterrupted_all_kernels() {
             for variant in [Variant::Base, Variant::Glsc] {
                 let cfg = MachineConfig::paper(cores, tpc, 4);
                 let w = build_named(kernel, Dataset::Tiny, variant, &cfg).expect("known kernel");
-                assert_resumable(kernel, &w, &cfg, None, false);
+                assert_clone_continues(kernel, &w, &cfg, None, false);
             }
         }
     }
@@ -77,47 +82,47 @@ fn snapshot_resume_matches_uninterrupted_all_kernels() {
 
 #[test]
 fn snapshot_resume_matches_under_chaos() {
-    // An active FaultPlan makes resumption sensitive to RNG state: the
-    // snapshot must carry it, or the resumed run replays a different
-    // fault sequence and the timing diverges. Watchdog + generous budget
-    // as in the chaos bench harness.
+    // An active FaultPlan makes the continuation sensitive to RNG state:
+    // the clone must copy it, or it replays a different fault sequence
+    // and the timing diverges. Watchdog + generous budget as in the chaos
+    // bench harness.
     for kernel in KERNEL_NAMES {
         for (cores, tpc) in [(2, 2), (4, 4)] {
             let cfg = MachineConfig::paper(cores, tpc, 4)
                 .with_max_cycles(2_000_000_000)
                 .with_watchdog_window(Some(5_000_000));
             let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-            assert_resumable(kernel, &w, &cfg, Some(0x5EED), false);
+            assert_clone_continues(kernel, &w, &cfg, Some(0x5EED), false);
         }
     }
 }
 
 #[test]
 fn snapshot_resume_matches_with_in_flight_noc_messages() {
-    // On a contended ring fabric the snapshot point lands mid-burst: link
+    // On a contended ring fabric the clone point lands mid-burst: link
     // busy horizons hold in-flight reservations and (under chaos) the NoC
-    // may carry pending link-delay jitter. All of that state must ride
-    // the snapshot, in both the fast-forward and naive loops.
+    // may carry pending link-delay jitter. The clone must copy all of it,
+    // in both the fast-forward and naive loops.
     for kernel in ["HIP", "TMS", "GBC"] {
         let cfg = MachineConfig::paper(4, 4, 4)
             .with_noc(NocConfig::ring())
             .with_max_cycles(2_000_000_000)
             .with_watchdog_window(Some(5_000_000));
         let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-        let fault_free = assert_resumable(kernel, &w, &cfg, None, false);
+        let fault_free = assert_clone_continues(kernel, &w, &cfg, None, false);
         assert!(
             fault_free.mem.noc.queue_cycles > 0,
-            "{kernel}: ring run showed no fabric contention, snapshot point is trivial"
+            "{kernel}: ring run showed no fabric contention, clone point is trivial"
         );
-        assert_resumable(kernel, &w, &cfg, Some(0x0C5EED), false);
-        assert_resumable(kernel, &w, &cfg, Some(0x5EED), true);
+        assert_clone_continues(kernel, &w, &cfg, Some(0x0C5EED), false);
+        assert_clone_continues(kernel, &w, &cfg, Some(0x5EED), true);
     }
 }
 
 #[test]
 fn snapshot_resume_matches_under_every_arbitration_policy() {
     // The arbiter (NACK holdoff windows / age streak book) lives in the
-    // MemorySystem and must ride snapshots: resuming mid-window or
+    // MemorySystem and the clone must copy it: continuing mid-window or
     // mid-streak with a blank arbiter would change who wins the next SC.
     // The contended micro keeps the arbiter busy at the halfway point, so
     // this drill is non-vacuous — asserted below.
@@ -150,24 +155,25 @@ fn snapshot_resume_matches_under_every_arbitration_policy() {
         }
         assert!(
             !halfway.mem().arbiter().is_idle(),
-            "{policy:?}: arbiter idle at the snapshot point, drill is vacuous"
+            "{policy:?}: arbiter idle at the clone point, drill is vacuous"
         );
 
-        assert_resumable(&w.name, &w, &cfg, None, false);
-        assert_resumable(&w.name, &w, &cfg, Some(0x5EED), false);
-        assert_resumable(&w.name, &w, &cfg, None, true);
+        assert_clone_continues(&w.name, &w, &cfg, None, false);
+        assert_clone_continues(&w.name, &w, &cfg, Some(0x5EED), false);
+        assert_clone_continues(&w.name, &w, &cfg, None, true);
     }
 }
 
 #[test]
 fn snapshot_resume_matches_naive_loop() {
-    // The naive single-stepped loop must resume identically as well —
-    // snapshot support cannot depend on the fast-forward path.
+    // A clone continued by the naive single-stepped loop must finish
+    // identically as well: cloning cannot depend on the fast-forward
+    // path.
     for kernel in ["HIP", "TMS", "GBC"] {
         let cfg = MachineConfig::paper(2, 2, 4);
         let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-        let naive = assert_resumable(kernel, &w, &cfg, None, true);
-        let fast = assert_resumable(kernel, &w, &cfg, None, false);
+        let naive = assert_clone_continues(kernel, &w, &cfg, None, true);
+        let fast = assert_clone_continues(kernel, &w, &cfg, None, false);
         assert_eq!(naive, fast, "{kernel}: naive and fast reports differ");
     }
 }
@@ -175,8 +181,8 @@ fn snapshot_resume_matches_naive_loop() {
 /// SPMD store-burst micro for the write-buffer drill: each thread
 /// streams two bursts of 32 scalar stores into its private window at
 /// `0x8000 + gid*0x400`, with a release fence between the bursts and a
-/// full fence before halting, so a mid-run snapshot reliably lands
-/// while per-thread write buffers are non-empty and a drain is pending.
+/// full fence before halting, so a mid-run clone reliably lands while
+/// per-thread write buffers are non-empty and a drain is pending.
 fn store_burst_program() -> glsc::isa::Program {
     use glsc::isa::{ProgramBuilder, Reg};
     let r = Reg::new;
@@ -204,11 +210,11 @@ fn store_burst_program() -> glsc::isa::Program {
 
 #[test]
 fn snapshot_with_nonempty_write_buffers_resumes_bit_identical() {
-    // Under the relaxed models the snapshot must carry each thread's
-    // write buffer (pending stores, drain timing, fence state). Instead
-    // of snapshotting blindly at half the cycle count, step until some
-    // thread actually holds buffered stores — asserting the drill is
-    // non-vacuous — and resume from there.
+    // Under the relaxed models the clone must copy each thread's write
+    // buffer (pending stores, drain timing, fence state). Instead of
+    // cloning blindly at half the cycle count, step until some thread
+    // actually holds buffered stores (asserting the drill is non-vacuous)
+    // and clone there.
     use glsc::sim::MemoryOrder;
     let program = store_burst_program();
     for order in [MemoryOrder::Tso, MemoryOrder::RelaxedFence] {
@@ -253,16 +259,15 @@ fn snapshot_with_nonempty_write_buffers_resumes_bit_identical() {
                     "{order} chaos={chaos:?}: halted before any store was buffered"
                 );
             }
-            let snap = interrupted.snapshot();
-            let mut resumed_m = Machine::from_snapshot(&snap);
-            let resumed = resumed_m
+            let mut clone = interrupted.clone();
+            let resumed = clone
                 .run()
-                .unwrap_or_else(|e| panic!("{order} chaos={chaos:?}: resume: {e}"));
+                .unwrap_or_else(|e| panic!("{order} chaos={chaos:?}: clone: {e}"));
             assert_eq!(
                 resumed, baseline,
-                "{order} chaos={chaos:?}: mid-drain resume diverged"
+                "{order} chaos={chaos:?}: clone taken mid-drain diverged"
             );
-            validate(&resumed_m);
+            validate(&clone);
 
             let finished = interrupted
                 .run()
@@ -271,6 +276,7 @@ fn snapshot_with_nonempty_write_buffers_resumes_bit_identical() {
                 finished, baseline,
                 "{order} chaos={chaos:?}: interrupted run diverged"
             );
+            validate(&interrupted);
         }
     }
 }
@@ -289,8 +295,43 @@ fn snapshot_resume_matches_under_relaxed_models_on_kernels() {
                 .with_max_cycles(2_000_000_000)
                 .with_watchdog_window(Some(5_000_000));
             let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
-            assert_resumable(kernel, &w, &cfg, None, false);
-            assert_resumable(kernel, &w, &cfg, Some(0x5EED), false);
+            assert_clone_continues(kernel, &w, &cfg, None, false);
+            assert_clone_continues(kernel, &w, &cfg, Some(0x5EED), false);
         }
+    }
+}
+
+#[test]
+fn clones_between_slices_match_solo_run() {
+    // A sliced loop in miniature: advance in fixed cycle budgets via
+    // `run_for`, and at every pause continue on a clone of the machine
+    // and of its `SlicedRun`, dropping the original. The final report
+    // must match an uninterrupted run.
+    for kernel in ["HIP", "TMS", "GBC"] {
+        let cfg = MachineConfig::paper(2, 2, 4);
+        let w = build_named(kernel, Dataset::Tiny, Variant::Glsc, &cfg).expect("known kernel");
+        let baseline = machine_for(&w, &cfg, None)
+            .run()
+            .unwrap_or_else(|e| panic!("{kernel}: {e}"));
+
+        let mut m = machine_for(&w, &cfg, None);
+        let mut run = SlicedRun::new(&m);
+        let mut clones = 0u32;
+        let report = loop {
+            match m
+                .run_for(&mut run, 500)
+                .unwrap_or_else(|e| panic!("{kernel}: {e}"))
+            {
+                Some(report) => break report,
+                None => {
+                    (m, run) = (m.clone(), run.clone());
+                    clones += 1;
+                }
+            }
+        };
+        assert!(clones > 2, "{kernel}: budget too large, loop vacuous");
+        assert_eq!(report, baseline, "{kernel}: cloned slices diverged");
+        (w.validate)(m.mem().backing())
+            .unwrap_or_else(|e| panic!("{kernel}: cloned slices failed validation: {e}"));
     }
 }
