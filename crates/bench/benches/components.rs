@@ -36,7 +36,7 @@ fn bench(out: &mut FigureOutput, name: &str, iters: u64, mut f: impl FnMut()) {
 }
 
 fn bench_tag_array(out: &mut FigureOutput) {
-    let mut tags: TagArray<u32> = TagArray::new(128, 4, 64);
+    let mut tags: TagArray<u32> = TagArray::new(128, 4);
     for i in 0..512u64 {
         tags.insert(i * 64, i as u32);
     }
@@ -47,7 +47,7 @@ fn bench_tag_array(out: &mut FigureOutput) {
     });
     // The paper's L2 bank: 2,048 sets x 8 ways, every way full, probed
     // with an odd stride so successive probes land in different sets.
-    let mut l2: TagArray<u32> = TagArray::new(2048, 8, 64);
+    let mut l2: TagArray<u32> = TagArray::new(2048, 8);
     for i in 0..2048 * 8u64 {
         l2.insert(i * 64, i as u32);
     }
@@ -57,7 +57,7 @@ fn bench_tag_array(out: &mut FigureOutput) {
         black_box(l2.lookup_mut(i * 64));
     });
     bench(out, "tags/insert_evict", 10_000, || {
-        let mut tags = TagArray::<u32>::new(8, 2, 64);
+        let mut tags = TagArray::<u32>::new(8, 2);
         for i in 0..64u64 {
             black_box(tags.insert(i * 64, i as u32));
         }

@@ -4,7 +4,8 @@
 //! A [`WireJobSpec`] is the *untrusted* form of a job: exactly what a
 //! client frames onto the socket. [`WireJobSpec::validate`] is the
 //! admission boundary — every field is bounds-checked against the same
-//! limits [`glsc_sim::ConfigError`] enforces before any machine, dataset
+//! limits [`glsc_sim::ConfigError`] enforces, and a pattern job's index
+//! array against [`MAX_PATTERN_INDEX_WORDS`], before any machine, dataset
 //! image, or queue slot is allocated for it, so a hostile spec costs a
 //! typed rejection, never memory or a panic deeper in the stack.
 //!
@@ -35,6 +36,7 @@
 //! machine configuration wherever it runs.
 
 use crate::ds_label;
+use glsc_kernels::pattern::Pattern;
 use glsc_kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
 use glsc_mem::MemoryOrder;
 use glsc_sim::MachineConfig;
@@ -48,6 +50,15 @@ pub const DATASET_TAGS: [(u8, Dataset); 3] = [(0, Dataset::Tiny), (1, Dataset::A
 /// version prefix itself; v3 added the `memory_order` consistency-model
 /// field (DESIGN.md §17).
 pub const SPEC_FORMAT_VERSION: u32 = 3;
+
+/// Most index words a pattern job may generate: threads × iterations
+/// (after dataset scaling) × SIMD width. The build holds several copies
+/// of that array (per-thread sequences, the flat array, the image chunk),
+/// so this bounds a job's dataset at 16 MiB per copy. The pattern
+/// grammar's own limits allow 819,200,000 words (3,125 MiB) at 32x8 w32;
+/// every spec the figures, the benchmark and the service drills submit
+/// stays under 1,000,000.
+pub const MAX_PATTERN_INDEX_WORDS: u64 = 1 << 22;
 
 /// One job as submitted over the protocol. All fields are untrusted
 /// until [`validate`](WireJobSpec::validate) passes.
@@ -141,6 +152,14 @@ pub enum SpecError {
     },
     /// A deadline of zero can never be met; reject it at the boundary.
     ZeroDeadline,
+    /// The pattern job would generate more than
+    /// [`MAX_PATTERN_INDEX_WORDS`] index words.
+    PatternTooLarge {
+        /// Threads × iterations (after dataset scaling) × SIMD width.
+        words: u64,
+        /// The bound, [`MAX_PATTERN_INDEX_WORDS`].
+        max: u64,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -157,6 +176,11 @@ impl std::fmt::Display for SpecError {
                 write!(f, "{field} must be 1..={max} (got {value})")
             }
             SpecError::ZeroDeadline => write!(f, "deadline must be non-zero"),
+            SpecError::PatternTooLarge { words, max } => write!(
+                f,
+                "pattern generates {words} index words \
+                 (threads x iterations x SIMD width; at most {max})"
+            ),
         }
     }
 }
@@ -247,22 +271,25 @@ impl WireJobSpec {
     /// into a dataset image and a valid [`glsc_sim::MachineConfig`]
     /// without panicking or allocating absurd amounts of memory — for
     /// pattern jobs that includes a full parse and bounds check of the
-    /// spec string.
+    /// spec string and the [`MAX_PATTERN_INDEX_WORDS`] bound on the index
+    /// array it would generate at this shape.
     pub fn validate(&self) -> Result<(), SpecError> {
-        match &self.pattern {
+        let pattern = match &self.pattern {
             Some(p) => {
                 if !self.kernel.is_empty() {
                     return Err(SpecError::KernelAndPattern);
                 }
-                glsc_patterns::PatternSpec::parse(p)
+                let spec = glsc_patterns::PatternSpec::parse(p)
                     .map_err(|e| SpecError::BadPattern(e.to_string()))?;
+                Some(spec)
             }
             None => {
                 if !KERNEL_NAMES.contains(&self.kernel.as_str()) {
                     return Err(SpecError::UnknownKernel(self.kernel.clone()));
                 }
+                None
             }
-        }
+        };
         if self.dataset > 2 {
             return Err(SpecError::BadDataset(self.dataset));
         }
@@ -281,6 +308,22 @@ impl WireJobSpec {
         }
         if self.deadline_cycles == Some(0) || self.deadline_wall_ms == Some(0) {
             return Err(SpecError::ZeroDeadline);
+        }
+        if let Some(spec) = pattern {
+            let iters = Pattern::new(spec)
+                .for_dataset(self.resolve_dataset())
+                .spec()
+                .iters;
+            let words = [self.cores, self.tpc, iters, self.width]
+                .into_iter()
+                .map(u64::from)
+                .product::<u64>();
+            if words > MAX_PATTERN_INDEX_WORDS {
+                return Err(SpecError::PatternTooLarge {
+                    words,
+                    max: MAX_PATTERN_INDEX_WORDS,
+                });
+            }
         }
         Ok(())
     }
@@ -554,6 +597,43 @@ mod tests {
         let mut s = good_pattern();
         s.kernel = "HIP".into();
         assert_eq!(s.validate(), Err(SpecError::KernelAndPattern));
+    }
+
+    #[test]
+    fn pattern_index_words_are_bounded() {
+        // 32 x 8 threads x 32 lanes x 512 iterations is exactly the bound.
+        let at = |spec: &str, ds| WireJobSpec::pattern(spec, ds, Variant::Glsc, (32, 8), 32);
+        assert_eq!(at("stride:1x1024*512", Dataset::A).validate(), Ok(()));
+        let over = SpecError::PatternTooLarge {
+            words: MAX_PATTERN_INDEX_WORDS + 8 * 32 * 32,
+            max: MAX_PATTERN_INDEX_WORDS,
+        };
+        assert_eq!(
+            at("stride:1x1024*513", Dataset::A).validate(),
+            Err(over.clone())
+        );
+        // Tiny runs an eighth of the iterations, and the bound counts
+        // what the build generates.
+        assert_eq!(at("stride:1x1024*4096", Dataset::Tiny).validate(), Ok(()));
+        assert_eq!(
+            at("stride:1x1024*4104", Dataset::Tiny).validate(),
+            Err(over)
+        );
+        // The grammar's largest job: 819,200,000 words, 3,125 MiB a copy.
+        let err = at("stride:1x1024*100000", Dataset::A)
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::PatternTooLarge {
+                words: 819_200_000,
+                max: MAX_PATTERN_INDEX_WORDS,
+            }
+        );
+        assert!(err.to_string().contains("819200000 index words"), "{err}");
+        // Kernel jobs carry no index array to bound.
+        let kernel = WireJobSpec::kernel("HIP", Dataset::B, Variant::Glsc, (32, 8), 32);
+        assert_eq!(kernel.validate(), Ok(()));
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! elements (failures then come only from aliasing and lost reservations,
 //! matching the 1×1 failure rates of Table 4).
 
-/// Policy choices for the GLSC hardware (paper §3.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Policy choices for the GLSC hardware (paper §3.2). The fixed Table 1
+/// timings of the units are constants: the GSU's `4 + SIMD-width` minimum
+/// latency and the LSU's 8 write-buffer entries per thread.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GlscConfig {
     /// `vgatherlink` fails elements whose line misses the L1 instead of
     /// waiting for the fill (design freedom (c) of §3.2). Reduces the
@@ -20,23 +22,6 @@ pub struct GlscConfig {
     /// different SMT thread on the same core (design freedom (a)); by
     /// default the new link displaces the old one.
     pub fail_on_remote_link: bool,
-    /// Pipeline start-up overhead of a GSU instruction; the minimum
-    /// instruction latency is `overhead + SIMD-width` cycles (Table 1 uses
-    /// 4, for a minimum of `4 + SIMD-width`).
-    pub min_latency_overhead: u64,
-    /// Maximum write-buffer (pending store) entries per SMT thread.
-    pub write_buffer_entries: usize,
-}
-
-impl Default for GlscConfig {
-    fn default() -> Self {
-        Self {
-            fail_on_l1_miss: false,
-            fail_on_remote_link: false,
-            min_latency_overhead: 4,
-            write_buffer_entries: 8,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -44,18 +29,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_table_1() {
+    fn default_accepts_every_element() {
         let c = GlscConfig::default();
-        assert_eq!(c.min_latency_overhead, 4);
         assert!(!c.fail_on_l1_miss);
         assert!(!c.fail_on_remote_link);
-        assert_eq!(c.write_buffer_entries, 8);
     }
 }
 
 glsc_wire::wire_struct!(GlscConfig {
     fail_on_l1_miss,
     fail_on_remote_link,
-    min_latency_overhead,
-    write_buffer_entries,
 });

@@ -19,7 +19,8 @@
 //!   the accept-time value);
 //! * the unit assembles the destination vector and the **output mask** as
 //!   replies return;
-//! * minimum instruction latency is `overhead + SIMD-width` cycles.
+//! * minimum instruction latency is [`GSU_LATENCY_OVERHEAD`]` +
+//!   SIMD-width` cycles (Table 1: `4 + SIMD-width`).
 //!
 //! For `vscattercond`, element aliasing (two active lanes targeting the
 //! same address) is detected and exactly one lane — the lowest — succeeds
@@ -28,7 +29,11 @@
 
 use crate::config::GlscConfig;
 use crate::lanes::{bits, LaneList, LaneValues};
-use glsc_mem::{line_of, MemOp, MemorySystem};
+use glsc_mem::{line_of, MemOp, MemorySystem, L1_HIT_LATENCY};
+
+/// Pipeline start-up overhead of a GSU instruction: the minimum
+/// instruction latency is this plus the SIMD width (Table 1).
+pub(crate) const GSU_LATENCY_OVERHEAD: u64 = 4;
 
 /// Which GSU instruction a slot executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -395,7 +400,7 @@ impl Gsu {
                 self.stats.sc_fail_alias += 1;
                 return; // mask bit stays 0; generation cycle consumed
             }
-            let line = line_of(slot.elems[e].addr, mem.cfg().line_bytes);
+            let line = line_of(slot.elems[e].addr);
             if let Some(req_idx) = slot.requests.iter().position(|r| r.line == line) {
                 if slot.requests[req_idx].issued {
                     // Pipelined instruction kinds let late elements ride an
@@ -457,7 +462,7 @@ impl Gsu {
             }
 
             let (done, ok) = if policy_fail {
-                (now + mem.cfg().l1_hit_latency, false)
+                (now + L1_HIT_LATENCY, false)
             } else {
                 let op = match kind {
                     GsuKind::Gather { .. } => MemOp::Load,
@@ -482,12 +487,11 @@ impl Gsu {
                 slot.unissued -= 1;
             }
             let req = slot.requests[req_idx];
-            let line_bytes = mem.cfg().line_bytes;
             // Every generated element on this line rides the request.
             // `apply_elem` never changes which elements those are.
             for e in 0..slot.elems.len() {
                 let el = &slot.elems[e];
-                if el.generated && !el.alias_loser && line_of(el.addr, line_bytes) == req.line {
+                if el.generated && !el.alias_loser && line_of(el.addr) == req.line {
                     Self::apply_elem(&mut self.stats, slot, e, &req, core, tid, mem);
                 }
             }
@@ -554,7 +558,7 @@ impl Gsu {
             else {
                 continue;
             };
-            let min_done = slot.start_cycle + self.cfg.min_latency_overhead + slot.width as u64;
+            let min_done = slot.start_cycle + GSU_LATENCY_OVERHEAD + slot.width as u64;
             let done = slot
                 .requests
                 .iter()

@@ -2,8 +2,8 @@
 //!
 //! One entry is dequeued per cycle when the unit wins the L1 port (the LSU
 //! always has priority over the GSU, §4.1). Stores occupy write-buffer
-//! slots from issue until their port grant, so a thread with a full write
-//! buffer stalls.
+//! slots ([`WRITE_BUFFER_ENTRIES`] per thread) from issue until their port
+//! grant, so a thread with a full write buffer stalls.
 //!
 //! ## Memory ordering (DESIGN.md §17)
 //!
@@ -35,6 +35,9 @@ use crate::lanes::{bits, LaneValues};
 use glsc_isa::ELEM_BYTES;
 use glsc_mem::{LineInterleave, MemOp, MemoryOrder, MemorySystem};
 use std::collections::VecDeque;
+
+/// Write-buffer (pending store) entries per SMT thread.
+pub(crate) const WRITE_BUFFER_ENTRIES: usize = 8;
 
 /// Cycles a buffered store must stay resident before it may drain (TSO
 /// and relaxed models). Long enough that a load issued the cycle after
@@ -202,7 +205,6 @@ glsc_wire::wire_struct!(BufferedStore { addr, value, ready });
 pub struct Lsu {
     queue: VecDeque<LsuEntry>,
     store_slots_used: Vec<usize>,
-    store_slots_max: usize,
     /// Queued entries per thread, kept in sync with `queue` so the GSU's
     /// per-cycle ordering gate is O(1) instead of a queue scan.
     thread_counts: Vec<usize>,
@@ -224,31 +226,19 @@ pub struct Lsu {
 }
 
 impl Lsu {
-    /// Creates a sequentially-consistent LSU for `threads` SMT threads
-    /// with `write_buffer_entries` store slots each.
-    pub fn new(threads: usize, write_buffer_entries: usize) -> Self {
-        Self::with_order(
-            threads,
-            write_buffer_entries,
-            MemoryOrder::Sc,
-            LineInterleave::new(64, 1),
-        )
+    /// Creates a sequentially-consistent LSU for `threads` SMT threads.
+    pub fn new(threads: usize) -> Self {
+        Self::with_order(threads, MemoryOrder::Sc, LineInterleave::new(1))
     }
 
     /// Creates an LSU implementing `order`. `banks` is the bank function
     /// of the relaxed model's drain skew; it must be the
     /// [`MemConfig::bank_interleave`](glsc_mem::MemConfig::bank_interleave)
     /// of the memory system the unit will be ticked against.
-    pub fn with_order(
-        threads: usize,
-        write_buffer_entries: usize,
-        order: MemoryOrder,
-        banks: LineInterleave,
-    ) -> Self {
+    pub fn with_order(threads: usize, order: MemoryOrder, banks: LineInterleave) -> Self {
         Self {
             queue: VecDeque::new(),
             store_slots_used: vec![0; threads],
-            store_slots_max: write_buffer_entries,
             thread_counts: vec![0; threads],
             stats: LsuStats::default(),
             order,
@@ -272,7 +262,7 @@ impl Lsu {
     /// Whether thread `tid` can issue a store this cycle (write buffer not
     /// full).
     pub fn can_accept_store(&self, tid: u8) -> bool {
-        self.store_slots_used[tid as usize] < self.store_slots_max
+        self.store_slots_used[tid as usize] < WRITE_BUFFER_ENTRIES
     }
 
     /// Number of queued entries belonging to `tid` (used by the GSU to
@@ -595,7 +585,7 @@ mod tests {
     fn load_returns_backing_value() {
         let mut m = mem();
         m.backing_mut().write_u32(0x100, 77);
-        let mut lsu = Lsu::new(4, 8);
+        let mut lsu = Lsu::new(4);
         lsu.push(
             LsuEntry {
                 tid: 0,
@@ -624,7 +614,7 @@ mod tests {
     #[test]
     fn fifo_order_makes_loads_see_own_stores() {
         let mut m = mem();
-        let mut lsu = Lsu::new(4, 8);
+        let mut lsu = Lsu::new(4);
         lsu.push(
             LsuEntry {
                 tid: 0,
@@ -654,26 +644,25 @@ mod tests {
         ));
     }
 
+    /// Pushes `n` stores from `tid` at cycle 0.
+    fn push_stores(lsu: &mut Lsu, tid: u8, n: usize) {
+        for k in 0..n as u64 {
+            lsu.push(
+                LsuEntry {
+                    tid,
+                    addr: 4 * k,
+                    action: LsuAction::StoreVal { value: k as u32 },
+                },
+                0,
+            );
+        }
+    }
+
     #[test]
     fn write_buffer_slots_tracked_per_thread() {
-        let mut lsu = Lsu::new(2, 2);
+        let mut lsu = Lsu::new(2);
         assert!(lsu.can_accept_store(0));
-        lsu.push(
-            LsuEntry {
-                tid: 0,
-                addr: 0,
-                action: LsuAction::StoreVal { value: 1 },
-            },
-            0,
-        );
-        lsu.push(
-            LsuEntry {
-                tid: 0,
-                addr: 4,
-                action: LsuAction::StoreVal { value: 2 },
-            },
-            0,
-        );
+        push_stores(&mut lsu, 0, WRITE_BUFFER_ENTRIES);
         assert!(!lsu.can_accept_store(0));
         assert!(lsu.can_accept_store(1), "other thread unaffected");
         let mut m = mem();
@@ -684,30 +673,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "write buffer overflow")]
     fn overflow_panics() {
-        let mut lsu = Lsu::new(1, 1);
-        lsu.push(
-            LsuEntry {
-                tid: 0,
-                addr: 0,
-                action: LsuAction::StoreVal { value: 1 },
-            },
-            0,
-        );
-        lsu.push(
-            LsuEntry {
-                tid: 0,
-                addr: 4,
-                action: LsuAction::StoreVal { value: 2 },
-            },
-            0,
-        );
+        let mut lsu = Lsu::new(1);
+        push_stores(&mut lsu, 0, WRITE_BUFFER_ENTRIES + 1);
     }
 
     #[test]
     fn ll_sc_round_trip_updates_memory() {
         let mut m = mem();
         m.backing_mut().write_u32(0x80, 41);
-        let mut lsu = Lsu::new(4, 8);
+        let mut lsu = Lsu::new(4);
         lsu.push(
             LsuEntry {
                 tid: 2,
@@ -740,7 +714,7 @@ mod tests {
     fn sc_without_ll_fails_and_preserves_memory() {
         let mut m = mem();
         m.backing_mut().write_u32(0x80, 5);
-        let mut lsu = Lsu::new(4, 8);
+        let mut lsu = Lsu::new(4);
         lsu.push(
             LsuEntry {
                 tid: 0,
@@ -758,7 +732,7 @@ mod tests {
     fn vector_parts_move_data() {
         let mut m = mem();
         m.backing_mut().write_u32_slice(0x100, &[1, 2, 3, 4]);
-        let mut lsu = Lsu::new(4, 8);
+        let mut lsu = Lsu::new(4);
         lsu.push(
             LsuEntry {
                 tid: 1,
@@ -793,7 +767,7 @@ mod tests {
 
     #[test]
     fn thread_entries_counts_only_that_thread() {
-        let mut lsu = Lsu::new(4, 8);
+        let mut lsu = Lsu::new(4);
         lsu.push(
             LsuEntry {
                 tid: 0,
@@ -905,7 +879,6 @@ glsc_wire::wire_struct!(LsuStats {
 glsc_wire::wire_struct!(Lsu {
     queue,
     store_slots_used,
-    store_slots_max,
     thread_counts,
     stats,
     order,

@@ -39,7 +39,7 @@ impl CoreMemUnit {
             threads,
             cfg,
             MemoryOrder::Sc,
-            LineInterleave::new(64, 1),
+            LineInterleave::new(1),
         )
     }
 
@@ -58,15 +58,10 @@ impl CoreMemUnit {
         Self {
             core_id,
             threads,
-            lsu: Lsu::with_order(threads, cfg.write_buffer_entries, order, banks),
+            lsu: Lsu::with_order(threads, order, banks),
             gsu: Gsu::new(threads, cfg),
             idle: true,
         }
-    }
-
-    /// The core this unit belongs to.
-    pub fn core_id(&self) -> usize {
-        self.core_id
     }
 
     /// LSU counters.

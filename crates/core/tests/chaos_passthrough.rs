@@ -49,7 +49,7 @@ fn lsu_completion_carries_dram_jitter() {
     // Baseline: no fault plan, cold miss completes at the documented
     // latency sum.
     let mut m = mem();
-    let mut lsu = Lsu::new(4, 4);
+    let mut lsu = Lsu::new(4);
     assert_eq!(
         load_completion(&mut lsu, &mut m, 0x1000, 0),
         CLEAN_COLD_MISS
@@ -60,7 +60,7 @@ fn lsu_completion_carries_dram_jitter() {
     // pipeline through the completion's `done` field.
     let mut m = mem();
     m.install_fault_plan(jitter_only(17, 32));
-    let mut lsu = Lsu::new(4, 4);
+    let mut lsu = Lsu::new(4);
     let done = load_completion(&mut lsu, &mut m, 0x1000, 0);
     assert!(done > CLEAN_COLD_MISS, "jitter must delay the completion");
     assert!(done <= CLEAN_COLD_MISS + 32, "jitter is bounded");
@@ -70,7 +70,7 @@ fn lsu_completion_carries_dram_jitter() {
 #[test]
 fn lsu_sc_completion_reports_chaos_killed_reservation() {
     let mut m = mem();
-    let mut lsu = Lsu::new(4, 4);
+    let mut lsu = Lsu::new(4);
 
     // Acquire a reservation through the LSU.
     lsu.push(

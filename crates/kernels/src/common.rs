@@ -1,8 +1,8 @@
 //! Shared kernel infrastructure: memory images, workload runner, and the
 //! SIMD lock idioms of Fig. 3.
 
-use glsc_isa::{CmpOp, MReg, Program, ProgramBuilder, Reg, VReg};
-use glsc_mem::Backing;
+use glsc_isa::{CmpOp, MReg, Program, ProgramBuilder, Reg, VReg, ELEM_BYTES};
+use glsc_mem::{Backing, LINE_BYTES};
 use glsc_sim::{ChaosConfig, ChaosStats, FaultPlan, Machine, MachineConfig, RunReport};
 
 /// The seven benchmark names, in the paper's order.
@@ -40,8 +40,11 @@ pub enum Dataset {
     Tiny,
 }
 
-/// An initial memory image: a bump allocator of 64-byte-aligned regions
-/// plus their contents.
+/// 32-bit words per cache line.
+pub(crate) const WORDS_PER_LINE: usize = (LINE_BYTES / ELEM_BYTES) as usize;
+
+/// An initial memory image: a bump allocator of line-aligned regions
+/// ([`LINE_BYTES`]) plus their contents.
 #[derive(Clone, Debug, Default)]
 pub struct MemImage {
     chunks: Vec<(u64, Vec<u32>)>,
@@ -60,9 +63,9 @@ impl MemImage {
     /// Allocates a region holding `data`, returning its base address.
     pub fn alloc_u32(&mut self, data: &[u32]) -> u64 {
         let base = self.next;
-        self.next += (data.len() as u64 * 4 + 63) & !63;
+        self.next += (data.len() as u64 * ELEM_BYTES).next_multiple_of(LINE_BYTES);
         if self.next == base {
-            self.next += 64;
+            self.next += LINE_BYTES;
         }
         self.chunks.push((base, data.to_vec()));
         base
@@ -433,8 +436,8 @@ mod tests {
         let mut img = MemImage::new();
         let a = img.alloc_u32(&[1, 2, 3]);
         let b = img.alloc_zeroed(1);
-        assert_eq!(a % 64, 0);
-        assert_eq!(b % 64, 0);
+        assert_eq!(a % LINE_BYTES, 0);
+        assert_eq!(b % LINE_BYTES, 0);
         assert!(b >= a + 12);
         let mut back = Backing::new();
         img.apply(&mut back);

@@ -19,7 +19,9 @@
 //! pixels mapping to few bins). Dataset A is moderately skewed, dataset B
 //! more so.
 
-use crate::common::{emit_const_one, emit_partition, Dataset, MemImage, Variant, Workload};
+use crate::common::{
+    emit_const_one, emit_partition, Dataset, MemImage, Variant, Workload, WORDS_PER_LINE,
+};
 use glsc_isa::{LaneSel, MReg, ProgramBuilder, Reg, VReg};
 use glsc_rng::rngs::StdRng;
 use glsc_rng::{Rng, SeedableRng};
@@ -112,7 +114,7 @@ impl Hip {
         let bins = self.params.bins;
         // Pad each private copy to a line multiple so copies don't share
         // cache lines (false sharing would not be wrong, just noisy).
-        let bins_pad = bins.next_multiple_of(16);
+        let bins_pad = bins.next_multiple_of(WORDS_PER_LINE);
 
         let mut image = MemImage::new();
         let input = image.alloc_u32(&pixels);

@@ -17,16 +17,15 @@
 //! The paper's Fig. 7 reports the Base/GLSC execution-time ratio per
 //! scenario at widths 4 and 16 on the 4×4 machine.
 
-use crate::common::{emit_backoff, emit_const_one, Dataset, MemImage, Variant, Workload};
+use crate::common::{
+    emit_backoff, emit_const_one, Dataset, MemImage, Variant, Workload, WORDS_PER_LINE,
+};
 use glsc_isa::{LaneSel, MReg, ProgramBuilder, Reg, VReg};
 use glsc_rng::rngs::StdRng;
 use glsc_rng::seq::SliceRandom;
 use glsc_rng::{Rng, SeedableRng};
 use glsc_sim::MachineConfig;
 use std::collections::HashMap;
-
-/// Words per 64-byte cache line.
-const WORDS_PER_LINE: usize = 16;
 
 /// The four address patterns of §5.2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

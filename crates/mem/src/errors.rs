@@ -19,11 +19,6 @@ use std::fmt;
 /// [`MemorySystem::try_new`](crate::MemorySystem::try_new).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// `line_bytes` is not a power of two.
-    LineBytesNotPowerOfTwo {
-        /// The offending line size.
-        line_bytes: u64,
-    },
     /// L1 or L2 associativity is zero.
     ZeroAssociativity,
     /// `l2_banks` is zero.
@@ -32,8 +27,6 @@ pub enum ConfigError {
     L1NotSetDivisible {
         /// Configured L1 capacity in bytes.
         l1_bytes: u64,
-        /// Configured line size in bytes.
-        line_bytes: u64,
         /// Configured associativity.
         assoc: usize,
     },
@@ -68,44 +61,18 @@ pub enum ConfigError {
         /// The offending thread count.
         threads_per_core: usize,
     },
-    /// A non-ideal NoC topology was configured with zero per-hop latency.
-    NocZeroLinkLatency,
-    /// A non-ideal NoC topology was configured with zero link occupancy
-    /// (infinite bandwidth — use [`Topology::Ideal`](crate::Topology)
-    /// for the contention-free fabric instead).
-    NocZeroLinkBandwidth,
-    /// The NoC declared an explicit stop count of zero — a fabric with no
-    /// links.
-    NocZeroNodes,
-    /// The NoC's declared stop count does not match the actual fabric
-    /// shape (`cores + l2_banks`) — usually a bank-count mismatch between
-    /// a hand-written fabric description and the cache configuration.
-    NocNodeCountMismatch {
-        /// The stop count declared in [`NocConfig`](crate::NocConfig).
-        declared: usize,
-        /// The core count the memory system was built with.
-        cores: usize,
-        /// The configured L2 bank count.
-        banks: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::LineBytesNotPowerOfTwo { line_bytes } => {
-                write!(f, "line size must be a power of two (got {line_bytes})")
-            }
             ConfigError::ZeroAssociativity => write!(f, "associativity must be non-zero"),
             ConfigError::NoBanks => write!(f, "need at least one L2 bank"),
-            ConfigError::L1NotSetDivisible {
-                l1_bytes,
-                line_bytes,
-                assoc,
-            } => write!(
+            ConfigError::L1NotSetDivisible { l1_bytes, assoc } => write!(
                 f,
                 "L1 capacity must divide into sets \
-                 ({l1_bytes} B / ({line_bytes} B x {assoc} ways))"
+                 ({l1_bytes} B / ({} B x {assoc} ways))",
+                crate::LINE_BYTES
             ),
             ConfigError::NoL1Sets => write!(f, "L1 must have at least one set"),
             ConfigError::NoL2Sets => write!(f, "L2 banks must have at least one set"),
@@ -131,29 +98,6 @@ impl fmt::Display for ConfigError {
                     "need at least one thread per core (1..=8, got {threads_per_core})"
                 )
             }
-            ConfigError::NocZeroLinkLatency => {
-                write!(f, "non-ideal NoC links need a non-zero per-hop latency")
-            }
-            ConfigError::NocZeroLinkBandwidth => {
-                write!(
-                    f,
-                    "non-ideal NoC links need a non-zero occupancy (use the Ideal \
-                     topology for an infinite-bandwidth fabric)"
-                )
-            }
-            ConfigError::NocZeroNodes => {
-                write!(f, "NoC declared zero stops (a fabric with no links)")
-            }
-            ConfigError::NocNodeCountMismatch {
-                declared,
-                cores,
-                banks,
-            } => write!(
-                f,
-                "NoC declares {declared} stop(s) but the fabric has {cores} core(s) + \
-                 {banks} L2 bank(s) = {} stops",
-                cores + banks
-            ),
         }
     }
 }

@@ -66,9 +66,9 @@ pub struct L1Cache {
 impl L1Cache {
     /// Creates an L1 with the given geometry using per-line reservation
     /// tag bits.
-    pub fn new(sets: usize, assoc: usize, line_bytes: u64) -> Self {
+    pub fn new(sets: usize, assoc: usize) -> Self {
         Self {
-            tags: TagArray::new(sets, assoc, line_bytes),
+            tags: TagArray::new(sets, assoc),
             reservations: ReservationStore::PerLine,
         }
     }
@@ -79,15 +79,10 @@ impl L1Cache {
     /// # Panics
     ///
     /// Panics if `buffer_entries` is zero.
-    pub fn with_reservation_buffer(
-        sets: usize,
-        assoc: usize,
-        line_bytes: u64,
-        buffer_entries: usize,
-    ) -> Self {
+    pub fn with_reservation_buffer(sets: usize, assoc: usize, buffer_entries: usize) -> Self {
         assert!(buffer_entries > 0, "buffer needs at least one entry");
         Self {
-            tags: TagArray::new(sets, assoc, line_bytes),
+            tags: TagArray::new(sets, assoc),
             reservations: ReservationStore::Buffer {
                 entries: VecDeque::with_capacity(buffer_entries),
                 cap: buffer_entries,
@@ -317,7 +312,7 @@ mod tests {
     use super::*;
 
     fn l1() -> L1Cache {
-        L1Cache::new(4, 2, 64)
+        L1Cache::new(4, 2)
     }
 
     fn pay(state: L1State) -> LinePayload {

@@ -9,6 +9,9 @@
 use crate::occupancy::BusyHorizon;
 use crate::tags::TagArray;
 
+/// Cycles a bank stays busy per request (bank contention).
+const L2_BANK_OCCUPANCY: u64 = 2;
+
 /// Per-line L2 payload: the MSI directory entry plus bookkeeping.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct L2Payload {
@@ -57,17 +60,17 @@ pub struct L2Bank {
 
 impl L2Bank {
     /// Creates a bank with the given geometry.
-    pub fn new(sets: usize, assoc: usize, line_bytes: u64) -> Self {
+    pub fn new(sets: usize, assoc: usize) -> Self {
         Self {
-            tags: TagArray::new(sets, assoc, line_bytes),
+            tags: TagArray::new(sets, assoc),
             busy: BusyHorizon::new(),
         }
     }
 
     /// Reserves the bank for one request arriving at `arrival`; returns the
     /// cycle at which the bank starts serving it.
-    pub fn reserve(&mut self, arrival: u64, occupancy: u64) -> u64 {
-        self.busy.reserve(arrival, occupancy)
+    pub fn reserve(&mut self, arrival: u64) -> u64 {
+        self.busy.reserve(arrival, L2_BANK_OCCUPANCY)
     }
 }
 
@@ -89,10 +92,10 @@ mod tests {
 
     #[test]
     fn bank_serializes_requests() {
-        let mut b = L2Bank::new(4, 2, 64);
-        assert_eq!(b.reserve(10, 2), 10);
-        assert_eq!(b.reserve(10, 2), 12); // queued behind the first
-        assert_eq!(b.reserve(30, 2), 30); // idle again
+        let mut b = L2Bank::new(4, 2);
+        assert_eq!(b.reserve(10), 10);
+        assert_eq!(b.reserve(10), 12); // queued behind the first
+        assert_eq!(b.reserve(30), 30); // idle again
     }
 }
 

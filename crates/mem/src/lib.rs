@@ -5,9 +5,9 @@
 //!
 //! * a sparse **backing store** holding the actual data values
 //!   ([`Backing`]),
-//! * per-core private **L1 data caches** (32 KB, 4-way, 64 B lines, 3-cycle
-//!   hits) whose tag entries carry the **GLSC reservation** extension of
-//!   §3.3 (a valid bit plus an SMT thread id per line),
+//! * per-core private **L1 data caches** (32 KB, 4-way, 64 B lines,
+//!   3-cycle hits) whose tag entries carry the **GLSC reservation**
+//!   extension of §3.3 (a valid bit plus an SMT thread id per line),
 //! * a shared, inclusive, physically banked **L2** (16 MB, 8-way, 16 banks,
 //!   12-cycle minimum latency) holding per-line **directory** state for an
 //!   MSI protocol,
@@ -32,6 +32,16 @@
 //! the request is accepted and directory state mutates at that instant;
 //! subsequent accesses to an in-flight line complete no earlier than its
 //! fill (`ready_at`), which yields natural miss combining.
+//!
+//! ## Table 1 constants
+//!
+//! [`MemConfig`] holds only what runs vary: cache geometry, DRAM latency,
+//! the reservation store, the prefetcher switch, the fabric topology, the
+//! arbitration policy and the memory order. The rest of Table 1 is fixed:
+//! [`LINE_BYTES`] and [`L1_HIT_LATENCY`] here, the 12-cycle L2 latency
+//! and 12-cycle dirty-forward penalty in the memory system, the L2 banks'
+//! 2-cycle occupancy, the prefetcher's degree of 2, and 1-cycle Crossbar
+//! and Ring hops that hold their link for one cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,11 +78,19 @@ pub use stats::{MemStats, ThreadScStats};
 pub use system::{AccessResult, MemOp, MemorySystem};
 pub use tags::TagArray;
 
+/// Cache line size in bytes (Table 1). The one line size of the whole
+/// simulator: the caches, the prefetcher, the bank and set interleaving,
+/// the functional reference and the kernels' data layouts all use it.
+pub const LINE_BYTES: u64 = 64;
+
+/// L1 hit latency in cycles (Table 1), which every L2 request also pays
+/// for its L1 probe.
+pub const L1_HIT_LATENCY: u64 = 3;
+
 /// Returns the line-aligned address containing `addr`.
 #[inline]
-pub fn line_of(addr: u64, line_bytes: u64) -> u64 {
-    debug_assert!(line_bytes.is_power_of_two());
-    addr & !(line_bytes - 1)
+pub fn line_of(addr: u64) -> u64 {
+    addr & !(LINE_BYTES - 1)
 }
 
 #[cfg(test)]
@@ -81,9 +99,9 @@ mod tests {
 
     #[test]
     fn line_of_masks_low_bits() {
-        assert_eq!(line_of(0, 64), 0);
-        assert_eq!(line_of(63, 64), 0);
-        assert_eq!(line_of(64, 64), 64);
-        assert_eq!(line_of(0x12345, 64), 0x12340);
+        assert_eq!(line_of(0), 0);
+        assert_eq!(line_of(63), 0);
+        assert_eq!(line_of(64), 64);
+        assert_eq!(line_of(0x12345), 0x12340);
     }
 }

@@ -7,7 +7,8 @@
 //! cycle-attributed subsystem: every coherence transaction is decomposed
 //! into typed messages ([`MsgClass`]) that traverse topology-dependent
 //! links, each link being a [`BusyHorizon`] that serializes messages at a
-//! configurable per-message occupancy (the inverse of its bandwidth).
+//! fixed per-message occupancy of one cycle (the inverse of its
+//! bandwidth).
 //!
 //! Three topologies are modeled:
 //!
@@ -16,12 +17,12 @@
 //!   **bit-identical** to the pre-NoC simulator (enforced by the
 //!   `noc_ideal_differential` test and a CI byte-check of `results/`).
 //! * [`Topology::Crossbar`] — a full crossbar with per-destination output
-//!   ports: a message pays one [`link_latency`](NocConfig::link_latency)
-//!   hop and queues only against other messages targeting the same node.
+//!   ports: a message pays one 1-cycle hop and queues only against other
+//!   messages targeting the same node.
 //! * [`Topology::Ring`] — a bidirectional ring of `cores + banks` stops
 //!   (cores first, then banks). A message takes the direction with fewer
 //!   hops (ties clockwise) and reserves every directed link segment along
-//!   its path in order, paying `link_latency` per hop plus any queueing
+//!   its path in order, paying one cycle per hop plus any queueing
 //!   at busy links. This is where 16+ threads visibly bend the Fig. 6
 //!   curves (the `noc_contention` figure).
 //!
@@ -30,7 +31,6 @@
 //! seeded link-delay jitter (destructive-only: it delays the next
 //! message's departure, never reorders or drops).
 
-use crate::errors::ConfigError;
 use crate::occupancy::BusyHorizon;
 use crate::stats::MemStats;
 
@@ -125,26 +125,21 @@ impl MsgClass {
     }
 }
 
+/// Cycles per link traversal (per hop) on the Crossbar and the Ring.
+const LINK_LATENCY: u64 = 1;
+
+/// Cycles a Crossbar or Ring link stays busy per message: the inverse of
+/// its bandwidth, one message per cycle per link.
+const LINK_OCCUPANCY: u64 = 1;
+
 /// Interconnect configuration, embedded in
-/// [`MemConfig`](crate::MemConfig) as `noc`.
+/// [`MemConfig`](crate::MemConfig) as `noc`. Only the topology varies: a
+/// Crossbar or Ring hop costs one cycle and holds its link for one cycle.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NocConfig {
     /// Fabric topology. [`Topology::Ideal`] reproduces the pre-NoC
     /// fixed-latency timing exactly.
     pub topology: Topology,
-    /// Cycles per link traversal (per hop). Must be non-zero for
-    /// non-ideal topologies.
-    pub link_latency: u64,
-    /// Cycles a link stays busy per message — the inverse of its
-    /// bandwidth (1 = one message per cycle per link). Must be non-zero
-    /// for non-ideal topologies.
-    pub link_occupancy: u64,
-    /// Optional declared stop count, cross-checked against the actual
-    /// fabric shape (`cores + l2_banks`) when the memory system is built.
-    /// Configurations generated from external descriptions set this so a
-    /// bank-count mismatch is a typed error instead of a silently
-    /// different fabric.
-    pub nodes: Option<usize>,
 }
 
 impl Default for NocConfig {
@@ -158,9 +153,6 @@ impl NocConfig {
     pub fn ideal() -> Self {
         Self {
             topology: Topology::Ideal,
-            link_latency: 0,
-            link_occupancy: 0,
-            nodes: None,
         }
     }
 
@@ -168,9 +160,6 @@ impl NocConfig {
     pub fn ring() -> Self {
         Self {
             topology: Topology::Ring,
-            link_latency: 1,
-            link_occupancy: 1,
-            nodes: None,
         }
     }
 
@@ -178,44 +167,7 @@ impl NocConfig {
     pub fn crossbar() -> Self {
         Self {
             topology: Topology::Crossbar,
-            link_latency: 1,
-            link_occupancy: 1,
-            nodes: None,
         }
-    }
-
-    /// Declares the expected stop count (builder style); see
-    /// [`NocConfig::nodes`].
-    #[must_use]
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = Some(nodes);
-        self
-    }
-
-    /// Checks internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::NocZeroLinkLatency`] or
-    /// [`ConfigError::NocZeroLinkBandwidth`] for a non-ideal topology with
-    /// a zero parameter, and [`ConfigError::NocZeroNodes`] when an
-    /// explicit stop count of zero is declared (a fabric with no links).
-    /// The stop-count cross-check against the actual core/bank shape runs
-    /// in [`MemorySystem::try_new`](crate::MemorySystem::try_new), which
-    /// knows the core count.
-    pub fn check(&self) -> Result<(), ConfigError> {
-        if self.nodes == Some(0) {
-            return Err(ConfigError::NocZeroNodes);
-        }
-        if self.topology != Topology::Ideal {
-            if self.link_latency == 0 {
-                return Err(ConfigError::NocZeroLinkLatency);
-            }
-            if self.link_occupancy == 0 {
-                return Err(ConfigError::NocZeroLinkBandwidth);
-            }
-        }
-        Ok(())
     }
 }
 
@@ -275,8 +227,7 @@ pub struct Noc {
 }
 
 impl Noc {
-    /// Builds the fabric for `cores` L1s and `banks` L2 banks. The
-    /// configuration must already have passed [`NocConfig::check`].
+    /// Builds the fabric for `cores` L1s and `banks` L2 banks.
     pub fn new(cfg: NocConfig, cores: usize, banks: usize) -> Self {
         let nodes = cores + banks;
         let links = match cfg.topology {
@@ -361,11 +312,11 @@ impl Noc {
             }
             Topology::Crossbar => {
                 // Contention at the destination's input port only.
-                let start = self.links[dst].reserve(depart, self.cfg.link_occupancy);
+                let start = self.links[dst].reserve(depart, LINK_OCCUPANCY);
                 ns.hops += 1;
                 ns.link_msgs[dst] += 1;
                 ns.queue_cycles += start - depart;
-                start + self.cfg.link_latency
+                start + LINK_LATENCY
             }
             Topology::Ring => {
                 // Stops are below `n`, so every wrap below is one
@@ -381,11 +332,11 @@ impl Noc {
                     // Link i carries i -> i+1 (clockwise); link n + i
                     // carries i -> i-1 (counterclockwise).
                     let link = if forward { node } else { n + node };
-                    let start = self.links[link].reserve(t, self.cfg.link_occupancy);
+                    let start = self.links[link].reserve(t, LINK_OCCUPANCY);
                     ns.queue_cycles += start - t;
                     ns.hops += 1;
                     ns.link_msgs[link] += 1;
-                    t = start + self.cfg.link_latency;
+                    t = start + LINK_LATENCY;
                     node = if forward {
                         if node + 1 == n {
                             0
@@ -483,28 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        assert_eq!(NocConfig::ideal().check(), Ok(()));
-        assert_eq!(NocConfig::ring().check(), Ok(()));
-        assert_eq!(NocConfig::crossbar().check(), Ok(()));
-        // Ideal tolerates zero latency/occupancy (it is the definition).
-        assert_eq!(NocConfig::default().check(), Ok(()));
-        let c = NocConfig {
-            link_latency: 0,
-            ..NocConfig::ring()
-        };
-        assert_eq!(c.check(), Err(ConfigError::NocZeroLinkLatency));
-        let c = NocConfig {
-            link_occupancy: 0,
-            ..NocConfig::crossbar()
-        };
-        assert_eq!(c.check(), Err(ConfigError::NocZeroLinkBandwidth));
-        let c = NocConfig::ring().with_nodes(0);
-        assert_eq!(c.check(), Err(ConfigError::NocZeroNodes));
-        assert_eq!(NocConfig::ring().with_nodes(6).check(), Ok(()));
-    }
-
-    #[test]
     fn class_indices_are_a_bijection() {
         let mut seen = [false; MsgClass::COUNT];
         for c in MsgClass::ALL {
@@ -552,12 +481,7 @@ impl glsc_wire::Wire for Topology {
     }
 }
 
-glsc_wire::wire_struct!(NocConfig {
-    topology,
-    link_latency,
-    link_occupancy,
-    nodes,
-});
+glsc_wire::wire_struct!(NocConfig { topology });
 glsc_wire::wire_struct!(NocStats {
     msgs,
     hops,

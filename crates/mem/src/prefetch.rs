@@ -3,7 +3,12 @@
 //!
 //! A small table tracks one stream per SMT thread. When the same line
 //! stride is observed twice in a row, the prefetcher emits the addresses of
-//! the next `degree` lines along the stride.
+//! the next [`PREFETCH_DEGREE`] lines along the stride.
+
+use crate::LINE_BYTES;
+
+/// Lines fetched ahead once a stride stream is confirmed.
+const PREFETCH_DEGREE: usize = 2;
 
 /// Stride detection state for one stream.
 #[derive(Clone, Copy, Debug, Default)]
@@ -18,25 +23,20 @@ struct Stream {
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
     streams: Vec<Stream>,
-    degree: usize,
-    line_bytes: u64,
 }
 
 impl StridePrefetcher {
-    /// Creates a prefetcher for `threads` SMT streams issuing `degree`
-    /// lines ahead.
-    pub fn new(threads: usize, degree: usize, line_bytes: u64) -> Self {
+    /// Creates a prefetcher for `threads` SMT streams.
+    pub fn new(threads: usize) -> Self {
         Self {
             streams: vec![Stream::default(); threads],
-            degree,
-            line_bytes,
         }
     }
 
     /// Observes a demand access from `tid` to line address `line`; returns
     /// the line addresses to prefetch (none until a stride is confirmed).
     pub fn observe(&mut self, tid: usize, line: u64) -> impl Iterator<Item = u64> {
-        debug_assert_eq!(line % self.line_bytes, 0, "prefetcher fed non-line address");
+        debug_assert_eq!(line % LINE_BYTES, 0, "prefetcher fed non-line address");
         let s = &mut self.streams[tid];
         // Lines to fetch along the stride; none for a repeat of the same
         // line, which carries no new information.
@@ -47,7 +47,7 @@ impl StridePrefetcher {
                 0
             } else if s.confirmed {
                 // Steady stream: fetch ahead.
-                self.degree as i64
+                PREFETCH_DEGREE as i64
             } else {
                 // First confirmation: fetch the immediate next line.
                 s.confirmed = true;
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_confirms_then_prefetches() {
-        let mut p = StridePrefetcher::new(1, 2, 64);
+        let mut p = StridePrefetcher::new(1);
         assert!(observe(&mut p, 0, 0).is_empty()); // first touch
         assert!(observe(&mut p, 0, 64).is_empty()); // stride candidate
         assert_eq!(observe(&mut p, 0, 128), vec![192]); // confirmed
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn random_stream_never_confirms() {
-        let mut p = StridePrefetcher::new(1, 2, 64);
+        let mut p = StridePrefetcher::new(1);
         assert!(observe(&mut p, 0, 0).is_empty());
         assert!(observe(&mut p, 0, 640).is_empty());
         assert!(observe(&mut p, 0, 64).is_empty());
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn negative_stride_supported() {
-        let mut p = StridePrefetcher::new(1, 1, 64);
+        let mut p = StridePrefetcher::new(1);
         assert!(observe(&mut p, 0, 640).is_empty());
         assert!(observe(&mut p, 0, 576).is_empty());
         assert_eq!(observe(&mut p, 0, 512), vec![448]);
@@ -103,7 +103,7 @@ mod tests {
 
     #[test]
     fn streams_are_per_thread() {
-        let mut p = StridePrefetcher::new(2, 1, 64);
+        let mut p = StridePrefetcher::new(2);
         observe(&mut p, 0, 0);
         observe(&mut p, 1, 1024);
         observe(&mut p, 0, 64);
@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn repeated_same_line_is_ignored() {
-        let mut p = StridePrefetcher::new(1, 1, 64);
+        let mut p = StridePrefetcher::new(1);
         observe(&mut p, 0, 0);
         observe(&mut p, 0, 64);
         assert!(observe(&mut p, 0, 64).is_empty());
@@ -128,8 +128,4 @@ glsc_wire::wire_struct!(Stream {
     confirmed,
     valid,
 });
-glsc_wire::wire_struct!(StridePrefetcher {
-    streams,
-    degree,
-    line_bytes,
-});
+glsc_wire::wire_struct!(StridePrefetcher { streams });

@@ -22,12 +22,19 @@ use crate::config::MemConfig;
 use crate::errors::{ConfigError, InvariantViolation};
 use crate::l1::{L1Cache, L1State, LinePayload};
 use crate::l2::{L2Bank, L2Payload};
-use crate::line_of;
 use crate::noc::{MsgClass, Noc};
 use crate::oracle::{AtomicityOracle, AtomicityViolation};
 use crate::prefetch::StridePrefetcher;
 use crate::stats::{MemStats, ThreadScStats};
+use crate::{line_of, L1_HIT_LATENCY};
 use glsc_rng::Rng;
+
+/// Minimum L2 access latency in cycles, interconnect included (Table 1).
+const L2_LATENCY: u64 = 12;
+
+/// Extra cycles when a line is forwarded from another core's modified L1
+/// copy (cache-to-cache transfer).
+const DIRTY_FORWARD_EXTRA: u64 = 12;
 
 /// The kind of request presented at an L1 port.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,10 +115,8 @@ impl MemorySystem {
     ///
     /// Everything [`MemConfig::check`] rejects, plus
     /// [`ConfigError::CoresOutOfRange`] (the directory sharer vector is a
-    /// `u32` bitmask), [`ConfigError::ThreadsPerCoreOutOfRange`] (the
-    /// reservation masks are 8-bit), and
-    /// [`ConfigError::NocNodeCountMismatch`] when the NoC declares a stop
-    /// count that disagrees with `num_cores + l2_banks`.
+    /// `u32` bitmask) and [`ConfigError::ThreadsPerCoreOutOfRange`] (the
+    /// reservation masks are 8-bit).
     pub fn try_new(
         cfg: MemConfig,
         num_cores: usize,
@@ -124,28 +129,17 @@ impl MemorySystem {
         if threads_per_core == 0 || threads_per_core > 8 {
             return Err(ConfigError::ThreadsPerCoreOutOfRange { threads_per_core });
         }
-        if let Some(declared) = cfg.noc.nodes {
-            if declared != num_cores + cfg.l2_banks {
-                return Err(ConfigError::NocNodeCountMismatch {
-                    declared,
-                    cores: num_cores,
-                    banks: cfg.l2_banks,
-                });
-            }
-        }
         let l1s: Vec<L1Cache> = (0..num_cores)
             .map(|_| match cfg.glsc_buffer_entries {
-                None => L1Cache::new(cfg.l1_sets(), cfg.l1_assoc, cfg.line_bytes),
-                Some(k) => {
-                    L1Cache::with_reservation_buffer(cfg.l1_sets(), cfg.l1_assoc, cfg.line_bytes, k)
-                }
+                None => L1Cache::new(cfg.l1_sets(), cfg.l1_assoc),
+                Some(k) => L1Cache::with_reservation_buffer(cfg.l1_sets(), cfg.l1_assoc, k),
             })
             .collect();
         let banks = (0..cfg.l2_banks)
-            .map(|_| L2Bank::new(cfg.l2_sets_per_bank(), cfg.l2_assoc, cfg.line_bytes))
+            .map(|_| L2Bank::new(cfg.l2_sets_per_bank(), cfg.l2_assoc))
             .collect();
         let prefetchers = (0..num_cores)
-            .map(|_| StridePrefetcher::new(threads_per_core, cfg.prefetch_degree, cfg.line_bytes))
+            .map(|_| StridePrefetcher::new(threads_per_core))
             .collect();
         let noc = Noc::new(cfg.noc.clone(), num_cores, cfg.l2_banks);
         let mut stats = MemStats::default();
@@ -314,7 +308,7 @@ impl MemorySystem {
     /// Whether SMT thread `tid` of `core` holds the reservation on the line
     /// containing `addr`.
     pub fn holds_reservation(&self, core: usize, tid: u8, addr: u64) -> bool {
-        self.l1s[core].holds_reservation(line_of(addr, self.cfg.line_bytes), tid)
+        self.l1s[core].holds_reservation(line_of(addr), tid)
     }
 
     /// Presents one request at `core`'s L1 port at cycle `now`.
@@ -325,7 +319,7 @@ impl MemorySystem {
     /// distinct line (the GSU does exactly this, combining same-line
     /// elements, §4.1).
     pub fn access(&mut self, core: usize, tid: u8, op: MemOp, addr: u64, now: u64) -> AccessResult {
-        let line = line_of(addr, self.cfg.line_bytes);
+        let line = line_of(addr);
         if self.chaos.is_some() {
             self.inject_faults(now);
         }
@@ -450,12 +444,11 @@ impl MemorySystem {
         demand: bool,
     ) -> AccessResult {
         debug_assert!(demand, "demand-only entry point");
-        let hit_latency = self.cfg.l1_hit_latency;
         match op {
             MemOp::Load | MemOp::LoadLinked => {
                 if let Some(p) = self.l1s[core].lookup_mut(line) {
-                    let done = (now + hit_latency).max(p.ready_at);
-                    if p.ready_at > now + hit_latency {
+                    let done = (now + L1_HIT_LATENCY).max(p.ready_at);
+                    if p.ready_at > now + L1_HIT_LATENCY {
                         self.stats.hits_under_miss += 1;
                     }
                     self.stats.l1_hits += 1;
@@ -501,7 +494,7 @@ impl MemorySystem {
                     let state = p.state;
                     let ready = p.ready_at;
                     let done = if state == L1State::Modified {
-                        (now + hit_latency).max(ready)
+                        (now + L1_HIT_LATENCY).max(ready)
                     } else {
                         let lat = self.upgrade(core, line, now, MsgClass::GetX);
                         self.l1s[core]
@@ -536,7 +529,7 @@ impl MemorySystem {
                     self.stats.sc_failures += 1;
                     self.note_sc_failure(core, tid, line, now, true);
                     return AccessResult {
-                        done: now + hit_latency,
+                        done: now + L1_HIT_LATENCY,
                         l1_hit: true,
                         sc_ok: false,
                     };
@@ -551,7 +544,7 @@ impl MemorySystem {
                     self.stats.sc_failures += 1;
                     self.note_sc_failure(core, tid, line, now, false);
                     return AccessResult {
-                        done: now + hit_latency,
+                        done: now + L1_HIT_LATENCY,
                         l1_hit: true,
                         sc_ok: false,
                     };
@@ -567,7 +560,7 @@ impl MemorySystem {
                 self.stats.sc_successes += 1;
                 self.note_sc_success(core, tid, line);
                 let done = if state == L1State::Modified {
-                    (now + hit_latency).max(ready)
+                    (now + L1_HIT_LATENCY).max(ready)
                 } else {
                     let lat = self.upgrade(core, line, now, MsgClass::GlscProbe);
                     self.l1s[core]
@@ -665,15 +658,11 @@ impl MemorySystem {
         let bank = self.cfg.bank_of(line);
         let src = self.noc.core_node(core);
         let dst = self.noc.bank_node(bank);
-        let arrival = self.noc.send(
-            src,
-            dst,
-            class,
-            now + self.cfg.l1_hit_latency,
-            &mut self.stats,
-        );
-        let start = self.banks[bank].reserve(arrival, self.cfg.l2_bank_occupancy);
-        let resp = start + self.cfg.l2_latency;
+        let arrival = self
+            .noc
+            .send(src, dst, class, now + L1_HIT_LATENCY, &mut self.stats);
+        let start = self.banks[bank].reserve(arrival);
+        let resp = start + L2_LATENCY;
         let sharers = {
             let p = self.banks[bank]
                 .tags
@@ -740,16 +729,12 @@ impl MemorySystem {
         let bank = self.cfg.bank_of(line);
         let src = self.noc.core_node(core);
         let dst = self.noc.bank_node(bank);
-        let arrival = self.noc.send(
-            src,
-            dst,
-            class,
-            now + self.cfg.l1_hit_latency,
-            &mut self.stats,
-        );
-        let start = self.banks[bank].reserve(arrival, self.cfg.l2_bank_occupancy);
+        let arrival = self
+            .noc
+            .send(src, dst, class, now + L1_HIT_LATENCY, &mut self.stats);
+        let start = self.banks[bank].reserve(arrival);
         // Cycle the bank issues its probes and (at the earliest) the reply.
-        let resp = start + self.cfg.l2_latency;
+        let resp = start + L2_LATENCY;
         // Cores whose copy the fill invalidates, bit per core.
         let mut invalidate: u32 = 0;
         let mut downgrade_owner: Option<usize> = None;
@@ -762,7 +747,7 @@ impl MemorySystem {
             match (p.owner, for_store) {
                 (Some(owner), _) if owner as usize != core => {
                     // Remote modified copy: cache-to-cache forward.
-                    lat += self.cfg.dirty_forward_extra;
+                    lat += DIRTY_FORWARD_EXTRA;
                     p.dirty = true;
                     if for_store {
                         invalidate = 1 << owner;
@@ -793,7 +778,7 @@ impl MemorySystem {
             // `jitter_next_fill` is 0 whenever no fault plan is installed,
             // keeping fault-free timing bit-identical.
             let fill_done = start
-                + self.cfg.l2_latency
+                + L2_LATENCY
                 + self.cfg.dram_latency
                 + std::mem::take(&mut self.jitter_next_fill);
             let payload = L2Payload {

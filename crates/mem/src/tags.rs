@@ -11,7 +11,7 @@ use crate::config::LineInterleave;
 pub struct TagArray<P> {
     sets: Vec<Vec<Slot<P>>>,
     assoc: usize,
-    /// Line-to-set mapping, fixed by the line size and set count.
+    /// Line-to-set mapping, fixed by the set count.
     index: LineInterleave,
     stamp: u64,
 }
@@ -24,21 +24,20 @@ struct Slot<P> {
 }
 
 impl<P> TagArray<P> {
-    /// Creates a tag array with `sets` sets of `assoc` ways for lines of
-    /// `line_bytes` bytes. A set's ways are allocated on its first insert,
+    /// Creates a tag array with `sets` sets of `assoc` ways. A set's ways
+    /// are allocated on its first insert,
     /// so a set no run has touched costs only its empty `Vec` header (the
     /// paper's 16 MB, 8-way L2 has 32,768 sets across its banks).
     ///
     /// # Panics
     ///
-    /// Panics if `assoc` is zero, or if `sets` or `line_bytes` is not a
-    /// power of two.
-    pub fn new(sets: usize, assoc: usize, line_bytes: u64) -> Self {
+    /// Panics if `assoc` is zero or `sets` is not a power of two.
+    pub fn new(sets: usize, assoc: usize) -> Self {
         assert!(assoc > 0, "cache geometry must be non-zero");
         Self {
             sets: (0..sets).map(|_| Vec::new()).collect(),
             assoc,
-            index: LineInterleave::new(line_bytes, sets),
+            index: LineInterleave::new(sets),
             stamp: 0,
         }
     }
@@ -178,33 +177,29 @@ impl<P: glsc_wire::Wire> glsc_wire::Wire for Slot<P> {
 
 // The LRU `stamp` and per-set slot order are encoded exactly: replacement
 // decisions depend on them, so a round-tripped array must not merely hold
-// the same lines but age and evict them identically. The set index is
-// encoded as the line size alone (the set count is the length of `sets`)
-// and rebuilt, after checking both are powers of two, on decode.
+// the same lines but age and evict them identically. The set index is not
+// encoded: it is rebuilt from the set count (the length of `sets`), after
+// checking it is a power of two, on decode.
 impl<P: glsc_wire::Wire> glsc_wire::Wire for TagArray<P> {
     fn encode(&self, w: &mut glsc_wire::Writer) {
         let Self {
             sets,
             assoc,
-            index,
+            index: _,
             stamp,
         } = self;
         sets.encode(w);
         assoc.encode(w);
-        index.line_bytes().encode(w);
         stamp.encode(w);
     }
     fn decode(r: &mut glsc_wire::Reader<'_>) -> Result<Self, glsc_wire::WireError> {
-        let sets: Vec<Vec<Slot<P>>> = glsc_wire::Wire::decode(r)?;
-        let assoc = glsc_wire::Wire::decode(r)?;
         let at = r.pos();
-        let line_bytes = glsc_wire::Wire::decode(r)?;
-        let index = LineInterleave::checked(line_bytes, sets.len()).ok_or(
-            glsc_wire::WireError::Invalid {
-                at,
-                what: "tag array geometry",
-            },
-        )?;
+        let sets: Vec<Vec<Slot<P>>> = glsc_wire::Wire::decode(r)?;
+        let index = LineInterleave::checked(sets.len()).ok_or(glsc_wire::WireError::Invalid {
+            at,
+            what: "tag array geometry",
+        })?;
+        let assoc = glsc_wire::Wire::decode(r)?;
         Ok(Self {
             index,
             sets,
@@ -219,7 +214,7 @@ mod tests {
     use super::*;
 
     fn arr() -> TagArray<u32> {
-        TagArray::new(2, 2, 64)
+        TagArray::new(2, 2)
     }
 
     #[test]
@@ -289,7 +284,6 @@ mod tests {
         let mut w = glsc_wire::Writer::new();
         glsc_wire::Wire::encode(&vec![Vec::<Slot<u32>>::new(); 3], &mut w);
         glsc_wire::Wire::encode(&2usize, &mut w);
-        glsc_wire::Wire::encode(&64u64, &mut w);
         glsc_wire::Wire::encode(&0u64, &mut w);
         assert!(glsc_wire::from_bytes::<TagArray<u32>>(&w.into_bytes()).is_err());
     }

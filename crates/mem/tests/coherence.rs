@@ -1,7 +1,7 @@
 //! Integration tests for the MemorySystem: timing, MSI transitions,
 //! reservations, inclusion, and bank contention.
 
-use glsc_mem::{L1State, MemConfig, MemOp, MemorySystem};
+use glsc_mem::{L1State, MemConfig, MemOp, MemorySystem, LINE_BYTES};
 
 fn sys(cores: usize) -> MemorySystem {
     let cfg = MemConfig {
@@ -206,7 +206,6 @@ fn different_banks_do_not_contend() {
 fn prefetcher_fills_ahead() {
     let cfg = MemConfig {
         prefetch: true,
-        prefetch_degree: 2,
         ..MemConfig::default()
     };
     let mut m = MemorySystem::new(cfg, 1, 4);
@@ -227,8 +226,8 @@ fn inclusion_back_invalidation() {
     cfg.prefetch = false;
     let mut m = MemorySystem::new(cfg.clone(), 1, 1);
     // Walk enough lines in one L2 set to force L2 evictions. Lines mapping
-    // to L2 bank 0, set 0: stride = line_bytes * banks * sets_per_bank.
-    let stride = cfg.line_bytes * cfg.l2_banks as u64 * cfg.l2_sets_per_bank() as u64;
+    // to L2 bank 0, set 0: stride = LINE_BYTES * banks * sets_per_bank.
+    let stride = LINE_BYTES * cfg.l2_banks as u64 * cfg.l2_sets_per_bank() as u64;
     let mut now = 0;
     for i in 0..3 {
         now = m.access(0, 0, MemOp::Load, i * stride, now).done;

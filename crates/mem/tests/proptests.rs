@@ -4,7 +4,9 @@
 //! environment cannot fetch it, so they now run as seeded loops over
 //! `glsc-rng`. Each case prints its seed on failure for reproduction.
 
-use glsc_mem::{Backing, MemConfig, MemOp, MemorySystem, StridePrefetcher, TagArray};
+use glsc_mem::{
+    line_of, Backing, MemConfig, MemOp, MemorySystem, StridePrefetcher, TagArray, LINE_BYTES,
+};
 use glsc_rng::rngs::StdRng;
 use glsc_rng::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -41,7 +43,7 @@ fn tag_array_capacity_invariant() {
         let mut rng = StdRng::seed_from_u64(0x3E3_0002 ^ seed);
         let n = rng.random_range(1..100usize);
         let lines: Vec<u64> = (0..n).map(|_| rng.random_range(0..64u64)).collect();
-        let mut a: TagArray<u64> = TagArray::new(4, 2, 64);
+        let mut a: TagArray<u64> = TagArray::new(4, 2);
         for (i, l) in lines.iter().enumerate() {
             let line = l * 64;
             if a.peek(line).is_none() {
@@ -153,7 +155,7 @@ fn prefetcher_targets_follow_stride() {
         let start = rng.random_range(0..1000u64);
         let stride = rng.random_range(1..8i64);
         let n = rng.random_range(3..20usize);
-        let mut p = StridePrefetcher::new(1, 2, 64);
+        let mut p = StridePrefetcher::new(1);
         let mut expected_ok = true;
         for i in 0..n {
             let line = (start as i64 + stride * i as i64) as u64 * 64;
@@ -170,23 +172,21 @@ fn prefetcher_targets_follow_stride() {
 
 /// Cache sets and L2 banks are picked by a shift and a mask; over random
 /// lines and power-of-two geometries both agree with the division
-/// `(line / line_bytes) % n` they replace.
+/// `(line / LINE_BYTES) % n` they replace.
 #[test]
 fn set_and_bank_index_match_division() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(0x3E3_0006 ^ seed);
-        let line_bytes = 1u64 << rng.random_range(2..10u32);
         let sets = 1usize << rng.random_range(0..12u32);
         let banks = 1usize << rng.random_range(0..6u32);
-        let tags: TagArray<u8> = TagArray::new(sets, 2, line_bytes);
+        let tags: TagArray<u8> = TagArray::new(sets, 2);
         let cfg = MemConfig {
-            line_bytes,
             l2_banks: banks,
             ..MemConfig::default()
         };
         for _ in 0..256 {
-            let line = rng.random::<u64>() & !(line_bytes - 1);
-            let n = line / line_bytes;
+            let line = line_of(rng.random::<u64>());
+            let n = line / LINE_BYTES;
             assert_eq!(tags.set_index(line) as u64, n % sets as u64, "seed {seed}");
             assert_eq!(cfg.bank_of(line) as u64, n % banks as u64, "seed {seed}");
             assert_eq!(cfg.bank_interleave().index(line), cfg.bank_of(line));

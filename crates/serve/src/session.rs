@@ -739,6 +739,78 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A pattern job past `MAX_PATTERN_INDEX_WORDS`: the grammar's
+    /// largest, 819,200,000 index words (3,125 MiB a copy) at 32x8 w32.
+    /// The tests below never run a queue that could hold it: a session
+    /// ends with `Shutdown` until admission or boot has refused it.
+    fn oversize_pattern_spec() -> WireJobSpec {
+        WireJobSpec::pattern(
+            "stride:1x1024*100000",
+            Dataset::A,
+            Variant::Glsc,
+            (32, 8),
+            32,
+        )
+    }
+
+    #[test]
+    fn oversize_pattern_submit_is_rejected_and_never_journaled() {
+        let _flag = crate::signal::term_flag_shared();
+        let dir = tmp_dir("oversize");
+        let cfg = small_cfg(&dir);
+        let mut input = Vec::new();
+        submit(&mut input, 0, oversize_pattern_spec());
+        crate::proto::write_message(&mut input, &Request::Shutdown).unwrap();
+        let mut output = Vec::new();
+        let end = run_session(&cfg, &mut &input[..], &mut output).unwrap();
+        assert_eq!(end, SessionEnd::Shutdown);
+        let replies = read_replies(&output);
+        assert!(
+            matches!(&replies[..], [Reply::Rejected { reason, .. }] if reason.contains("index words")),
+            "{replies:?}"
+        );
+        let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
+        assert!(records.is_empty(), "{records:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journaled_oversize_pattern_is_shed_once_and_never_run() {
+        // A pending oversize submission that an older build admitted:
+        // the first boot drops it with one `Shed` record, and a later
+        // boot that reaches end of stream finds nothing to run.
+        let _flag = crate::signal::term_flag_shared();
+        let dir = tmp_dir("oversize-boot");
+        let cfg = small_cfg(&dir);
+        let spec = oversize_pattern_spec();
+        let id = spec.id();
+        let submitted = JournalRecord::Submitted {
+            job: id.clone(),
+            priority: 0,
+            spec: spec.to_bytes(),
+        };
+        let path = dir.join("journal.log");
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        journal.append(&submitted).unwrap();
+        drop(journal);
+        let mut shutdown = Vec::new();
+        crate::proto::write_message(&mut shutdown, &Request::Shutdown).unwrap();
+        let shed = JournalRecord::Shed { job: id.clone() };
+        for (boot, input, want) in [
+            (0, &shutdown[..], SessionEnd::Shutdown),
+            (1, &[][..], SessionEnd::Closed),
+        ] {
+            let mut output = Vec::new();
+            let end = run_session(&cfg, &mut &input[..], &mut output).unwrap();
+            assert_eq!(end, want, "boot {boot}");
+            assert!(read_replies(&output).is_empty(), "boot {boot}");
+            let (_, records) = Journal::open(&path).unwrap();
+            assert_eq!(records, [submitted.clone(), shed.clone()], "boot {boot}");
+            assert_eq!(replay(&records)[&id].pending, None);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn tso_job_runs_under_tso_and_keys_its_own_id() {
         let _flag = crate::signal::term_flag_shared();

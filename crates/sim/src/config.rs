@@ -85,65 +85,11 @@ impl std::error::Error for ConfigError {
     }
 }
 
-/// Functional-unit result latencies in cycles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyTable {
-    /// Simple integer ALU (add/sub/logic/shift/compare/move).
-    pub int_alu: u64,
-    /// Integer multiply.
-    pub int_mul: u64,
-    /// Integer divide / remainder.
-    pub int_div: u64,
-    /// Floating add/sub/min/max.
-    pub fp_add: u64,
-    /// Floating multiply.
-    pub fp_mul: u64,
-    /// Floating divide.
-    pub fp_div: u64,
-    /// Int<->float conversions.
-    pub cvt: u64,
-    /// Mask-register operations.
-    pub mask_op: u64,
-}
-
-impl Default for LatencyTable {
-    fn default() -> Self {
-        Self {
-            int_alu: 1,
-            int_mul: 3,
-            int_div: 10,
-            fp_add: 4,
-            fp_mul: 4,
-            fp_div: 12,
-            cvt: 2,
-            mask_op: 1,
-        }
-    }
-}
-
-impl LatencyTable {
-    /// Latency of an integer ALU op.
-    pub fn for_alu(&self, op: glsc_isa::AluOp) -> u64 {
-        use glsc_isa::AluOp::*;
-        match op {
-            Mul => self.int_mul,
-            Div | Rem => self.int_div,
-            _ => self.int_alu,
-        }
-    }
-
-    /// Latency of a floating-point op.
-    pub fn for_fp(&self, op: glsc_isa::FpOp) -> u64 {
-        use glsc_isa::FpOp::*;
-        match op {
-            Div => self.fp_div,
-            Mul => self.fp_mul,
-            _ => self.fp_add,
-        }
-    }
-}
-
-/// Full machine configuration.
+/// Full machine configuration: the parameters runs vary. The Table 1
+/// values no run varies are constants of the crate that uses them
+/// (DESIGN.md §3): functional-unit latencies and the 1-cycle taken-branch
+/// penalty here, the GSU and LSU timings in `glsc-core`, the line size
+/// and cache and link timings in `glsc-mem`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Number of cores (paper: 1–4).
@@ -155,10 +101,6 @@ pub struct MachineConfig {
     /// Core issue width across its SMT threads (paper: 2). Each thread
     /// issues at most one instruction per cycle.
     pub issue_width: usize,
-    /// Extra cycles charged after a taken branch (fetch redirect).
-    pub branch_penalty: u64,
-    /// Functional-unit latencies.
-    pub lat: LatencyTable,
     /// Memory hierarchy parameters.
     pub mem: MemConfig,
     /// GLSC policy knobs.
@@ -200,8 +142,6 @@ impl MachineConfig {
             threads_per_core,
             simd_width,
             issue_width: 2,
-            branch_penalty: 1,
-            lat: LatencyTable::default(),
             mem: MemConfig::default(),
             glsc: GlscConfig::default(),
             max_cycles: 2_000_000_000,
@@ -337,17 +277,7 @@ mod tests {
         assert_eq!(c.check(), Ok(()));
         assert_eq!(c.total_threads(), 16);
         assert_eq!(c.issue_width, 2);
-        assert_eq!(c.mem.l1_hit_latency, 3);
-    }
-
-    #[test]
-    fn latency_table_selectors() {
-        let lat = LatencyTable::default();
-        assert_eq!(lat.for_alu(glsc_isa::AluOp::Add), 1);
-        assert_eq!(lat.for_alu(glsc_isa::AluOp::Mul), 3);
-        assert_eq!(lat.for_alu(glsc_isa::AluOp::Rem), 10);
-        assert_eq!(lat.for_fp(glsc_isa::FpOp::Add), 4);
-        assert_eq!(lat.for_fp(glsc_isa::FpOp::Div), 12);
+        assert_eq!(c.mem, MemConfig::default());
     }
 
     #[test]
@@ -398,18 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_rejection_wrapped() {
-        let mut c = MachineConfig::paper(1, 1, 4);
-        c.mem.line_bytes = 48;
-        assert_eq!(
-            c.check(),
-            Err(ConfigError::Mem(
-                glsc_mem::ConfigError::LineBytesNotPowerOfTwo { line_bytes: 48 }
-            ))
-        );
-    }
-
-    #[test]
     fn builders_set_fields() {
         let c = MachineConfig::paper(1, 1, 4)
             .with_max_cycles(123)
@@ -428,37 +346,13 @@ mod tests {
         assert_eq!(c.mem.arbitration, glsc_mem::ArbitrationPolicy::AgedPriority);
         assert_eq!(c.check(), Ok(()));
     }
-
-    #[test]
-    fn noc_rejection_wrapped() {
-        let c = MachineConfig::paper(1, 1, 4).with_noc(glsc_mem::NocConfig {
-            link_latency: 0,
-            ..glsc_mem::NocConfig::ring()
-        });
-        assert_eq!(
-            c.check(),
-            Err(ConfigError::Mem(glsc_mem::ConfigError::NocZeroLinkLatency))
-        );
-    }
 }
 
-glsc_wire::wire_struct!(LatencyTable {
-    int_alu,
-    int_mul,
-    int_div,
-    fp_add,
-    fp_mul,
-    fp_div,
-    cvt,
-    mask_op,
-});
 glsc_wire::wire_struct!(MachineConfig {
     cores,
     threads_per_core,
     simd_width,
     issue_width,
-    branch_penalty,
-    lat,
     mem,
     glsc,
     max_cycles,

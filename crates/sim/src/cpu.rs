@@ -15,7 +15,10 @@ use crate::exec::{self, Code, Decoded, Gate, StepOutcome};
 use crate::thread::{Thread, ThreadStatus};
 use glsc_core::{CoreMemUnit, GsuKind, LaneValues, LsuAction, LsuCompletion, MemCompletion};
 use glsc_isa::{FenceKind, Instr, Program, Reg, ELEM_BYTES, MAX_SIMD_WIDTH};
-use glsc_mem::line_of;
+use glsc_mem::{line_of, LINE_BYTES};
+
+/// Extra cycles charged after a taken branch (fetch redirect).
+const BRANCH_PENALTY: u64 = 1;
 
 /// Why a running thread failed to issue this cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,9 +46,6 @@ pub enum StallKind {
 /// are attributed in bulk when it is settled (DESIGN.md §8).
 #[derive(Clone, Debug)]
 pub struct Core {
-    // Core id (kept for debugging dumps).
-    #[allow(dead_code)]
-    pub(crate) id: usize,
     /// Hardware threads.
     pub threads: Vec<Thread>,
     /// LSU + GSU behind the L1 port.
@@ -99,7 +99,6 @@ impl Core {
     pub fn new(id: usize, cfg: &MachineConfig) -> Self {
         let n = cfg.threads_per_core;
         Self {
-            id,
             threads: (0..n).map(|_| Thread::new(cfg.simd_width)).collect(),
             memunit: CoreMemUnit::with_order(
                 id,
@@ -533,7 +532,7 @@ impl Core {
                     self.memunit.lsu_stage_vector_store(tid, th.arch.vreg(vd));
                 }
                 let mut parts = 0;
-                for (addr, lanes) in line_parts(base_addr, m, cfg.mem.line_bytes) {
+                for (addr, lanes) in line_parts(base_addr, m) {
                     let action = if is_load {
                         LsuAction::VLoadLanes { lanes }
                     } else {
@@ -646,7 +645,7 @@ impl Core {
             }
             _ => {
                 let th = &mut self.threads[t];
-                let outcome = exec::step_compute(&mut th.arch, &instr, program, &cfg.lat);
+                let outcome = exec::step_compute(&mut th.arch, &instr, program);
                 match outcome {
                     StepOutcome::Compute {
                         dst,
@@ -659,7 +658,7 @@ impl Core {
                         th.next_issue_at = if serialize { now + latency } else { now + 1 };
                     }
                     StepOutcome::Taken => {
-                        th.next_issue_at = now + 1 + cfg.branch_penalty;
+                        th.next_issue_at = now + 1 + BRANCH_PENALTY;
                     }
                     StepOutcome::NotTaken => {
                         th.next_issue_at = now + 1;
@@ -925,12 +924,12 @@ impl Core {
 /// lanes of `mask`, in line order: each part's lowest element address and
 /// its lanes. Consecutive lanes are consecutive elements, so each line
 /// holds a run of the active lanes.
-fn line_parts(base: u64, mask: u32, line_bytes: u64) -> impl Iterator<Item = (u64, u32)> {
+fn line_parts(base: u64, mask: u32) -> impl Iterator<Item = (u64, u32)> {
     let mut rest = mask;
     std::iter::from_fn(move || {
         let addr = base + ELEM_BYTES * u64::from(rest.trailing_zeros());
         // The first lane whose element starts past this part's line.
-        let end = (line_of(addr, line_bytes) + line_bytes - base).div_ceil(ELEM_BYTES);
+        let end = (line_of(addr) + LINE_BYTES - base).div_ceil(ELEM_BYTES);
         let lanes = rest & if end < 32 { (1 << end) - 1 } else { u32::MAX };
         rest &= !lanes;
         (lanes != 0).then_some((addr, lanes))
@@ -962,7 +961,7 @@ mod tests {
 
     #[test]
     fn unit_stride_parts_split_at_line_boundaries() {
-        let parts = |base, mask| line_parts(base, mask, 64).collect::<Vec<_>>();
+        let parts = |base, mask| line_parts(base, mask).collect::<Vec<_>>();
         // 32 lanes from 8 bytes into a line: 14, 16 and 2 lanes.
         assert_eq!(
             parts(0x1008, u32::MAX),

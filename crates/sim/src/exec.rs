@@ -6,8 +6,47 @@
 //! dispatched by the pipeline (`cpu.rs`) to the LSU/GSU models instead.
 
 use crate::arch::ThreadArch;
-use crate::config::LatencyTable;
 use glsc_isa::{AluOp, CmpOp, FenceKind, FpOp, Instr, LaneSel, Operand, Program, Reg, VSrc};
+
+/// Functional-unit result latencies in cycles.
+mod lat {
+    use glsc_isa::{AluOp, FpOp};
+
+    /// Simple integer ALU (add/sub/logic/shift/compare/move).
+    pub const INT_ALU: u64 = 1;
+    /// Integer multiply.
+    const INT_MUL: u64 = 3;
+    /// Integer divide / remainder.
+    const INT_DIV: u64 = 10;
+    /// Floating add/sub/min/max.
+    pub const FP_ADD: u64 = 4;
+    /// Floating multiply.
+    const FP_MUL: u64 = 4;
+    /// Floating divide.
+    const FP_DIV: u64 = 12;
+    /// Int<->float conversions.
+    pub const CVT: u64 = 2;
+    /// Mask-register operations.
+    pub const MASK_OP: u64 = 1;
+
+    /// Latency of an integer ALU op.
+    pub fn alu(op: AluOp) -> u64 {
+        match op {
+            AluOp::Mul => INT_MUL,
+            AluOp::Div | AluOp::Rem => INT_DIV,
+            _ => INT_ALU,
+        }
+    }
+
+    /// Latency of a floating-point op.
+    pub fn fp(op: FpOp) -> u64 {
+        match op {
+            FpOp::Div => FP_DIV,
+            FpOp::Mul => FP_MUL,
+            _ => FP_ADD,
+        }
+    }
+}
 
 /// Outcome of executing one compute instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,12 +174,7 @@ fn lane_index(arch: &ThreadArch, sel: LaneSel) -> usize {
 /// Executes one compute or control instruction; returns [`StepOutcome`].
 /// The PC is advanced (or redirected for control flow). Memory
 /// instructions are left untouched and flagged [`StepOutcome::Memory`].
-pub fn step_compute(
-    arch: &mut ThreadArch,
-    instr: &Instr,
-    program: &Program,
-    lat: &LatencyTable,
-) -> StepOutcome {
+pub fn step_compute(arch: &mut ThreadArch, instr: &Instr, program: &Program) -> StepOutcome {
     use Instr::*;
     let width = arch.width();
     match *instr {
@@ -149,7 +183,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: false,
             }
         }
@@ -159,7 +193,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.for_alu(op),
+                latency: lat::alu(op),
                 serialize: false,
             }
         }
@@ -170,7 +204,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.for_fp(op),
+                latency: lat::fp(op),
                 serialize: false,
             }
         }
@@ -180,7 +214,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: false,
             }
         }
@@ -191,7 +225,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: false,
             }
         }
@@ -201,7 +235,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.cvt,
+                latency: lat::CVT,
                 serialize: false,
             }
         }
@@ -211,7 +245,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.cvt,
+                latency: lat::CVT,
                 serialize: false,
             }
         }
@@ -260,7 +294,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: false,
             }
         }
@@ -271,7 +305,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: false,
             }
         }
@@ -293,7 +327,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: true,
             }
         }
@@ -315,7 +349,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.for_fp(op),
+                latency: lat::fp(op),
                 serialize: true,
             }
         }
@@ -341,7 +375,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: true,
             }
         }
@@ -367,7 +401,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.fp_add,
+                latency: lat::FP_ADD,
                 serialize: true,
             }
         }
@@ -379,7 +413,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: true,
             }
         }
@@ -390,7 +424,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: true,
             }
         }
@@ -405,7 +439,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: false,
             }
         }
@@ -417,7 +451,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.int_alu,
+                latency: lat::INT_ALU,
                 serialize: true,
             }
         }
@@ -427,7 +461,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -436,7 +470,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -446,7 +480,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -456,7 +490,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -466,7 +500,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -476,7 +510,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -486,7 +520,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -496,7 +530,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -506,7 +540,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: None,
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -516,7 +550,7 @@ pub fn step_compute(
             arch.pc += 1;
             StepOutcome::Compute {
                 dst: Some(rd),
-                latency: lat.mask_op,
+                latency: lat::MASK_OP,
                 serialize: false,
             }
         }
@@ -714,6 +748,15 @@ mod tests {
     }
 
     #[test]
+    fn latency_selectors() {
+        assert_eq!(lat::alu(AluOp::Add), 1);
+        assert_eq!(lat::alu(AluOp::Mul), 3);
+        assert_eq!(lat::alu(AluOp::Rem), 10);
+        assert_eq!(lat::fp(FpOp::Add), 4);
+        assert_eq!(lat::fp(FpOp::Div), 12);
+    }
+
+    #[test]
     fn lane_alu_wraps_at_32_bits() {
         assert_eq!(lane_alu(AluOp::Add, u32::MAX, 1), 0);
         assert_eq!(lane_alu(AluOp::Rem, 10, 3), 1);
@@ -724,7 +767,6 @@ mod tests {
     fn masked_vadd_preserves_inactive_lanes() {
         let mut a = ThreadArch::new(4);
         let p = empty_program();
-        let lat = LatencyTable::default();
         a.set_vreg(VReg::new(1), &[10, 20, 30, 40]);
         a.set_mreg(MReg::new(0), 0b0101);
         let i = Instr::VAlu {
@@ -734,7 +776,7 @@ mod tests {
             src2: VSrc::Imm(1),
             mask: Some(MReg::new(0)),
         };
-        let out = step_compute(&mut a, &i, &p, &lat);
+        let out = step_compute(&mut a, &i, &p);
         assert!(matches!(
             out,
             StepOutcome::Compute {
@@ -749,7 +791,6 @@ mod tests {
     fn vcmp_restricted_to_input_mask() {
         let mut a = ThreadArch::new(4);
         let p = empty_program();
-        let lat = LatencyTable::default();
         a.set_vreg(VReg::new(2), &[0, 0, 5, 0]);
         a.set_mreg(MReg::new(1), 0b0110);
         let i = Instr::VCmp {
@@ -759,7 +800,7 @@ mod tests {
             src2: VSrc::Imm(0),
             mask: Some(MReg::new(1)),
         };
-        step_compute(&mut a, &i, &p, &lat);
+        step_compute(&mut a, &i, &p);
         // Lane 0 equals 0 but is masked off; lane 1 equals 0 and is active;
         // lane 2 is 5 (no match); lane 3 masked off.
         assert_eq!(a.mreg(MReg::new(2)), 0b0010);
@@ -775,15 +816,14 @@ mod tests {
         b.bind(l).unwrap();
         b.halt(); // pc 2
         let p = b.build().unwrap();
-        let lat = LatencyTable::default();
         let mut a = ThreadArch::new(1);
-        let out = step_compute(&mut a, p.fetch(0).unwrap(), &p, &lat);
+        let out = step_compute(&mut a, p.fetch(0).unwrap(), &p);
         assert_eq!(out, StepOutcome::Taken);
         assert_eq!(a.pc, 2);
 
         let mut a2 = ThreadArch::new(1);
         a2.set_reg(r, 1);
-        let out2 = step_compute(&mut a2, p.fetch(0).unwrap(), &p, &lat);
+        let out2 = step_compute(&mut a2, p.fetch(0).unwrap(), &p);
         assert_eq!(out2, StepOutcome::NotTaken);
         assert_eq!(a2.pc, 1);
     }
@@ -792,8 +832,7 @@ mod tests {
     fn mask_algebra() {
         let mut a = ThreadArch::new(4);
         let p = empty_program();
-        let lat = LatencyTable::default();
-        step_compute(&mut a, &Instr::MSetAll { f: MReg::new(0) }, &p, &lat);
+        step_compute(&mut a, &Instr::MSetAll { f: MReg::new(0) }, &p);
         assert_eq!(a.mreg(MReg::new(0)), 0b1111);
         step_compute(
             &mut a,
@@ -802,7 +841,6 @@ mod tests {
                 fs: MReg::new(0),
             },
             &p,
-            &lat,
         );
         assert_eq!(a.mreg(MReg::new(1)), 0, "complement truncated to width");
         step_compute(
@@ -812,7 +850,6 @@ mod tests {
                 f: MReg::new(0),
             },
             &p,
-            &lat,
         );
         assert_eq!(a.reg(Reg::new(3)), 4);
     }
@@ -821,7 +858,6 @@ mod tests {
     fn extract_insert_round_trip() {
         let mut a = ThreadArch::new(4);
         let p = empty_program();
-        let lat = LatencyTable::default();
         a.set_vreg(VReg::new(0), &[7, 8, 9, 10]);
         step_compute(
             &mut a,
@@ -831,7 +867,6 @@ mod tests {
                 lane: LaneSel::Imm(2),
             },
             &p,
-            &lat,
         );
         assert_eq!(a.reg(Reg::new(1)), 9);
         a.set_reg(Reg::new(2), 3); // dynamic lane select
@@ -843,7 +878,6 @@ mod tests {
                 lane: LaneSel::Reg(Reg::new(2)),
             },
             &p,
-            &lat,
         );
         assert_eq!(a.vreg(VReg::new(0)), &[7, 8, 9, 9]);
     }
@@ -852,13 +886,12 @@ mod tests {
     fn memory_instructions_flagged() {
         let mut a = ThreadArch::new(4);
         let p = empty_program();
-        let lat = LatencyTable::default();
         let i = Instr::Load {
             rd: Reg::new(1),
             base: Reg::new(2),
             offset: 0,
         };
-        assert_eq!(step_compute(&mut a, &i, &p, &lat), StepOutcome::Memory);
+        assert_eq!(step_compute(&mut a, &i, &p), StepOutcome::Memory);
         assert_eq!(a.pc, 0, "memory ops leave the pc for the pipeline");
     }
 
@@ -906,7 +939,6 @@ mod tests {
     fn fp_semantics_on_bits() {
         let mut a = ThreadArch::new(1);
         let p = empty_program();
-        let lat = LatencyTable::default();
         a.set_reg(Reg::new(1), 2.5f32.to_bits() as u64);
         a.set_reg(Reg::new(2), 0.5f32.to_bits() as u64);
         step_compute(
@@ -918,7 +950,6 @@ mod tests {
                 rt: Reg::new(2),
             },
             &p,
-            &lat,
         );
         assert_eq!(f32::from_bits(a.reg(Reg::new(3)) as u32), 3.0);
         step_compute(
@@ -928,7 +959,6 @@ mod tests {
                 rs: Reg::new(3),
             },
             &p,
-            &lat,
         );
         assert_eq!(a.reg(Reg::new(4)), 3);
         a.set_reg(Reg::new(5), (-7i64) as u64);
@@ -939,7 +969,6 @@ mod tests {
                 rs: Reg::new(5),
             },
             &p,
-            &lat,
         );
         assert_eq!(f32::from_bits(a.reg(Reg::new(6)) as u32), -7.0);
     }

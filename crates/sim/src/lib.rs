@@ -55,7 +55,7 @@ mod report;
 mod thread;
 
 pub use arch::ThreadArch;
-pub use config::{ConfigError, LatencyTable, MachineConfig};
+pub use config::{ConfigError, MachineConfig};
 pub use fleet::{Fleet, FleetFailure, FleetJob, PauseCtl};
 pub use machine::{Machine, MachineSnapshot, SimError, SlicedRun};
 pub use report::{jain_fairness, RunReport, StallTotals, ThreadStats};

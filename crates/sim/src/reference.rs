@@ -5,14 +5,14 @@
 //! interpreter must produce identical architectural and memory state for
 //! any single-threaded program (the timing model may reorder nothing —
 //! one thread's operations are program-ordered). Reservations are modeled
-//! functionally: `ll`/`vgatherlink` link lines, any store to a line clears
-//! its links, `sc`/`vscattercond` succeed iff the link survived (plus
+//! functionally: `ll`/`vgatherlink` link lines of the machine's one line
+//! size ([`glsc_mem::LINE_BYTES`]), any store to a line clears its links,
+//! `sc`/`vscattercond` succeed iff the link survived (plus
 //! lowest-lane-wins alias resolution, as in the GSU).
 //!
 //! [`Machine`]: crate::Machine
 
 use crate::arch::ThreadArch;
-use crate::config::LatencyTable;
 use crate::exec::{self, StepOutcome};
 use glsc_isa::{Instr, Program, Reg, ELEM_BYTES};
 use glsc_mem::{line_of, Backing};
@@ -38,8 +38,6 @@ impl std::fmt::Display for RefError {
 
 impl std::error::Error for RefError {}
 
-const LINE_BYTES: u64 = 64;
-
 /// Runs `program` functionally on one thread until `Halt`, mutating
 /// `backing`. `r0`/`r1` are set to 0/1 (single thread). Returns the final
 /// architectural state.
@@ -54,7 +52,6 @@ pub fn run_functional(
     width: usize,
     max_steps: u64,
 ) -> Result<ThreadArch, RefError> {
-    let lat = LatencyTable::default();
     let mut arch = ThreadArch::new(width);
     arch.set_reg(Reg::new(0), 0);
     arch.set_reg(Reg::new(1), 1);
@@ -69,7 +66,7 @@ pub fn run_functional(
             return Ok(arch);
         };
         let instr = *instr;
-        match exec::step_compute(&mut arch, &instr, program, &lat) {
+        match exec::step_compute(&mut arch, &instr, program) {
             StepOutcome::Halt => return Ok(arch),
             StepOutcome::Barrier => return Err(RefError::Barrier),
             StepOutcome::Memory => {
@@ -81,7 +78,7 @@ pub fn run_functional(
 }
 
 fn clear_links(links: &mut HashSet<u64>, addr: u64) {
-    links.remove(&line_of(addr, LINE_BYTES));
+    links.remove(&line_of(addr));
 }
 
 fn step_memory(
@@ -107,7 +104,7 @@ fn step_memory(
             let addr = arch.reg(base).wrapping_add(offset as u64);
             let v = backing.read_u32(addr);
             arch.set_reg(rd, v as u64);
-            links.insert(line_of(addr, LINE_BYTES));
+            links.insert(line_of(addr));
         }
         StoreCond {
             rd,
@@ -116,7 +113,7 @@ fn step_memory(
             offset,
         } => {
             let addr = arch.reg(base).wrapping_add(offset as u64);
-            let line = line_of(addr, LINE_BYTES);
+            let line = line_of(addr);
             if links.remove(&line) {
                 backing.write_u32(addr, arch.reg(rs) as u32);
                 arch.set_reg(rd, 1);
@@ -204,7 +201,7 @@ fn step_memory(
                     let addr = base_addr.wrapping_add(ELEM_BYTES * arch.vreg(vidx)[lane] as u64);
                     let v = backing.read_u32(addr);
                     arch.set_vlane(vd, lane, v);
-                    links.insert(line_of(addr, LINE_BYTES));
+                    links.insert(line_of(addr));
                     out |= 1 << lane;
                 }
             }
@@ -237,7 +234,7 @@ fn step_memory(
             for lane in 0..width {
                 if winners & (1 << lane) != 0 {
                     let addr = base_addr.wrapping_add(ELEM_BYTES * arch.vreg(vidx)[lane] as u64);
-                    let line = line_of(addr, LINE_BYTES);
+                    let line = line_of(addr);
                     if links.contains(&line) {
                         backing.write_u32(addr, arch.vreg(vs)[lane]);
                         out |= 1 << lane;
@@ -247,7 +244,7 @@ fn step_memory(
             for lane in 0..width {
                 if out & (1 << lane) != 0 {
                     let addr = base_addr.wrapping_add(ELEM_BYTES * arch.vreg(vidx)[lane] as u64);
-                    links.remove(&line_of(addr, LINE_BYTES));
+                    links.remove(&line_of(addr));
                 }
             }
             arch.set_mreg(fd, out);

@@ -228,15 +228,6 @@ fn try_new_rejects_bad_configs() {
         other => panic!("expected width rejection, got {other:?}"),
     }
 
-    let mut bad = cfg.clone();
-    bad.mem.line_bytes = 48;
-    match Machine::try_new(bad) {
-        Err(SimError::InvalidConfig(ConfigError::Mem(
-            glsc_mem::ConfigError::LineBytesNotPowerOfTwo { line_bytes: 48 },
-        ))) => {}
-        other => panic!("expected mem rejection, got {other:?}"),
-    }
-
     // Twelve banks of 2,048 sets: banks are picked by a mask, so the
     // count must be a power of two.
     let mut bad = cfg;
