@@ -296,12 +296,12 @@ impl WireJobSpec {
         if self.variant > 1 {
             return Err(SpecError::BadVariant(self.variant));
         }
-        let max_width = glsc_isa::MAX_SIMD_WIDTH as u32;
         for (field, value, max) in [
-            ("cores", self.cores, 32),
-            ("threads/core", self.tpc, 8),
-            ("SIMD width", self.width, max_width),
+            ("cores", self.cores, glsc_mem::MAX_CORES),
+            ("threads/core", self.tpc, glsc_mem::MAX_THREADS_PER_CORE),
+            ("SIMD width", self.width, glsc_isa::MAX_SIMD_WIDTH),
         ] {
+            let max = max as u32;
             if value == 0 || value > max {
                 return Err(SpecError::ShapeOutOfRange { field, value, max });
             }

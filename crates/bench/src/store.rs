@@ -1,12 +1,13 @@
 //! Durable job store: completed simulation results persisted to disk so
 //! an interrupted figure run resumes instead of restarting.
 //!
-//! Every figure/table job has a stable key built from its parameters
-//! (kernel, dataset, variant, machine shape, SIMD width) plus two content
-//! fingerprints: the workload's (program listing, label pcs and initial
-//! memory image) and the machine configuration's. Editing a kernel,
-//! dataset generator, or config changes the key, so the old cache entry
-//! is simply never matched; a change to the simulator itself does not
+//! Every figure/table job and every `glsc-serve` job has a stable key,
+//! [`job_key`], built from its parameters (for a kernel job its wire id:
+//! kernel, dataset, variant, machine shape, SIMD width) plus two content
+//! fingerprints: the workload's (initial memory image and the program's
+//! structure) and the machine configuration's. Editing a kernel, dataset
+//! generator, or config changes the key, so the old cache entry is
+//! simply never matched; a change to the simulator itself does not
 //! (DESIGN.md §10). The codec's format version rides in the filename
 //! (`{key}.v5.bin`) for the same reason.
 //!
@@ -48,12 +49,7 @@ pub fn job_key(parts: &[&str], workload_fp: u64, cfg_fp: u64) -> String {
 /// into job keys so two jobs differing only in config knobs (e.g. the
 /// ablation sweep's buffer mode or prefetcher setting) never collide.
 pub fn cfg_fingerprint(cfg: &glsc_sim::MachineConfig) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{cfg:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    glsc_wire::fnv64(format!("{cfg:?}").as_bytes())
 }
 
 /// The per-bench result cache. See the module docs for the on-disk

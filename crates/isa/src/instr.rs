@@ -9,7 +9,7 @@ use crate::reg::{MReg, Reg, VReg};
 
 /// Second source operand of scalar ALU/compare instructions: a register or
 /// a 64-bit immediate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Operand {
     /// Register operand.
     Reg(Reg),
@@ -43,7 +43,7 @@ impl From<i32> for Operand {
 
 /// Second source operand of vector ALU instructions: a vector register, a
 /// broadcast scalar register, or a broadcast immediate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum VSrc {
     /// Element-wise vector operand.
     Vec(VReg),
@@ -79,7 +79,7 @@ impl From<i32> for VSrc {
 
 /// Lane selector for `VExtract`/`VInsert`: a compile-time lane number or a
 /// scalar register holding the lane number.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LaneSel {
     /// Fixed lane index.
     Imm(u8),
@@ -188,7 +188,7 @@ pub enum CmpOp {
 /// Memory addressing: scalar accesses use `base + offset` byte addresses;
 /// vector indexed accesses use `base + ELEM_BYTES * Vindx[lane]`, matching
 /// the paper's `base[Vindx[i]]` form (§3.1). All memory data is 32 bits.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Instr {
     // ---- scalar arithmetic ----
     /// `rd <- imm`

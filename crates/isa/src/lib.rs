@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod builder;
-mod disasm;
 mod instr;
 mod program;
 mod reg;

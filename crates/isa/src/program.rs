@@ -21,7 +21,10 @@ impl fmt::Display for Label {
 ///
 /// In the simulator every hardware thread runs a `Program` (usually the same
 /// SPMD program, with the thread id supplied in a register by convention).
-#[derive(Clone, Debug, Default)]
+/// Equality and hashing cover everything the simulator reads: the
+/// instructions, their sync flags and the pc each label binds to, so two
+/// programs that differ only in where a loop label binds are not equal.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Program {
     pub(crate) instrs: Vec<Instr>,
     /// `sync[i]` is true when instruction `i` was emitted inside a
@@ -63,13 +66,6 @@ impl Program {
     /// Panics if the label does not belong to this program.
     pub fn target(&self, label: Label) -> usize {
         self.label_targets[label.0 as usize] as usize
-    }
-
-    /// The instruction index each label binds to, in the order the
-    /// builder created the labels. A listing names a branch target by its
-    /// label, so two programs with the same listing can differ only here.
-    pub fn label_targets(&self) -> &[u32] {
-        &self.label_targets
     }
 
     /// Iterates over the instructions in program order.

@@ -4,8 +4,6 @@
 //! paper (§2): scalar registers, SIMD vector registers, and the dedicated
 //! mask registers used for conditional SIMD execution (§2.1).
 
-use std::fmt;
-
 /// Number of scalar (64-bit) registers.
 pub const NUM_SCALAR_REGS: usize = 32;
 /// Number of vector registers. Each holds `simd_width` 32-bit elements.
@@ -14,7 +12,7 @@ pub const NUM_VECTOR_REGS: usize = 32;
 pub const NUM_MASK_REGS: usize = 8;
 
 macro_rules! reg_newtype {
-    ($(#[$meta:meta])* $name:ident, $limit:expr, $prefix:literal) => {
+    ($(#[$meta:meta])* $name:ident, $limit:expr) => {
         $(#[$meta])*
         #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(u8);
@@ -40,12 +38,6 @@ macro_rules! reg_newtype {
                 self.0 as usize
             }
         }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}{}", $prefix, self.0)
-            }
-        }
     };
 }
 
@@ -53,21 +45,18 @@ reg_newtype!(
     /// A scalar register name (`r0`–`r31`). Scalar registers hold 64-bit
     /// values; 32-bit memory data is zero-extended on load.
     Reg,
-    NUM_SCALAR_REGS,
-    "r"
+    NUM_SCALAR_REGS
 );
 reg_newtype!(
     /// A vector register name (`v0`–`v31`). Each vector register holds
     /// `simd_width` 32-bit elements (integers or IEEE-754 single floats).
     VReg,
-    NUM_VECTOR_REGS,
-    "v"
+    NUM_VECTOR_REGS
 );
 reg_newtype!(
     /// A mask register name (`f0`–`f7`), one bit per SIMD lane (§2.1).
     MReg,
-    NUM_MASK_REGS,
-    "f"
+    NUM_MASK_REGS
 );
 
 #[cfg(test)]
@@ -75,11 +64,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_and_display() {
-        assert_eq!(Reg::new(0).to_string(), "r0");
+    fn construction_keeps_the_index() {
+        assert_eq!(Reg::new(0).index(), 0);
         assert_eq!(Reg::new(31).index(), 31);
-        assert_eq!(VReg::new(7).to_string(), "v7");
-        assert_eq!(MReg::new(3).to_string(), "f3");
+        assert_eq!(VReg::new(7).index(), 7);
+        assert_eq!(MReg::new(3).index(), 3);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use glsc_isa::{CmpOp, MReg, Program, ProgramBuilder, Reg, VReg, ELEM_BYTES};
 use glsc_mem::{Backing, LINE_BYTES};
 use glsc_sim::{ChaosConfig, ChaosStats, FaultPlan, Machine, MachineConfig, RunReport};
+use std::hash::{Hash, Hasher};
 
 /// The seven benchmark names, in the paper's order.
 pub const KERNEL_NAMES: [&str; 7] = ["GBC", "FS", "GPS", "HIP", "SMC", "MFP", "TMS"];
@@ -101,32 +102,63 @@ impl MemImage {
         staging.freeze()
     }
 
-    /// Order-sensitive hash of the image layout and contents: FNV-1a
-    /// steps that fold in a whole word each (every base, length and 32-bit
-    /// image word) rather than a byte, so a word costs one multiply.
+    /// Order-sensitive hash of the image layout and contents, one
+    /// multiply per word.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = WORD_FNV;
+        self.fold_into(&mut h);
+        h.finish()
+    }
+
+    /// Folds every region's base, length and 32-bit words into `h`, one
+    /// integer write each.
+    fn fold_into(&self, h: &mut WordFnv) {
         for (base, words) in &self.chunks {
-            fnv_word(&mut h, *base);
-            fnv_word(&mut h, words.len() as u64);
+            h.write_u64(*base);
+            h.write_u64(words.len() as u64);
             for &w in words {
-                fnv_word(&mut h, u64::from(w));
+                h.write_u32(w);
             }
         }
-        h
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// FNV-1a with whole-integer steps: each integer write folds its value in
+/// with one xor and one multiply; a byte slice folds per byte.
+struct WordFnv(u64);
 
-fn fnv_word(h: &mut u64, word: u64) {
-    *h = (*h ^ word).wrapping_mul(FNV_PRIME);
-}
+/// A fresh [`WordFnv`] at the FNV-1a offset basis.
+const WORD_FNV: WordFnv = WordFnv(0xcbf2_9ce4_8422_2325);
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        fnv_word(h, u64::from(b));
+impl Hasher for WordFnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 }
 
@@ -147,21 +179,16 @@ pub struct Workload {
 
 impl Workload {
     /// Content fingerprint of everything that determines this workload's
-    /// simulated behavior: the program text (instructions and sync
-    /// regions, via the disassembly listing), the pc each label binds to
-    /// (the listing prints a branch target as its label, `jmp L0`, not as
-    /// a pc) and the initial memory image. The benchmark harness and
-    /// `glsc-serve` fold this into their store keys, so editing a kernel's
-    /// code or dataset generator invalidates its stored results.
+    /// simulated behavior: the initial memory image, then the program's
+    /// structure (every instruction, sync flag and label target; see
+    /// [`Program`]'s `Hash`). The benchmark harness and `glsc-serve` fold
+    /// this into their store keys, so editing a kernel's code or dataset
+    /// generator invalidates its stored results.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = self.image.fingerprint();
-        fnv1a(&mut h, self.program.to_string().as_bytes());
-        let targets = self.program.label_targets();
-        fnv_word(&mut h, targets.len() as u64);
-        for &pc in targets {
-            fnv_word(&mut h, u64::from(pc));
-        }
-        h
+        let mut h = WORD_FNV;
+        self.image.fold_into(&mut h);
+        self.program.hash(&mut h);
+        h.finish()
     }
 }
 
@@ -445,11 +472,20 @@ mod tests {
         assert_eq!(back.read_u32(b), 0);
     }
 
+    fn workload(program: Program) -> Workload {
+        Workload {
+            name: "probe".into(),
+            program,
+            image: MemImage::new(),
+            validate: Box::new(|_| Ok(())),
+        }
+    }
+
     #[test]
     fn workload_fingerprint_sees_where_a_label_binds() {
-        // Both programs list as `nop; nop; jmp L0; halt`: only the pc
-        // that L0 binds to differs.
-        let workload = |label_first: bool| {
+        // Both programs run `nop; nop; jmp; halt`: only the pc the loop
+        // label binds to differs.
+        let program = |label_first: bool| {
             let mut b = ProgramBuilder::new();
             let l = b.label();
             if !label_first {
@@ -462,17 +498,35 @@ mod tests {
             b.nop();
             b.jmp(l);
             b.halt();
-            Workload {
-                name: "loop".into(),
-                program: b.build().unwrap(),
-                image: MemImage::new(),
-                validate: Box::new(|_| Ok(())),
-            }
+            b.build().unwrap()
         };
-        let (early, late) = (workload(true), workload(false));
-        assert_eq!(early.program.to_string(), late.program.to_string());
+        let (early, late) = (program(true), program(false));
+        assert!(early.iter().eq(late.iter()), "same instruction stream");
+        assert_ne!(early, late);
+        let (early, late) = (workload(early), workload(late));
         assert_ne!(early.fingerprint(), late.fingerprint());
-        assert_eq!(early.fingerprint(), workload(true).fingerprint());
+        assert_eq!(early.fingerprint(), workload(program(true)).fingerprint());
+    }
+
+    #[test]
+    fn workload_fingerprint_sees_immediates_registers_and_sync_flags() {
+        // `li r2, imm; [sync] addi r3, r2, 1; halt`, one field at a time.
+        let program = |imm: i64, rd: u8, sync: bool| {
+            let mut b = ProgramBuilder::new();
+            b.li(Reg::new(2), imm);
+            if sync {
+                b.sync_on();
+            }
+            b.addi(Reg::new(rd), Reg::new(2), 1);
+            b.sync_off();
+            b.halt();
+            workload(b.build().unwrap())
+        };
+        let base = program(7, 3, false).fingerprint();
+        assert_eq!(program(7, 3, false).fingerprint(), base);
+        assert_ne!(program(8, 3, false).fingerprint(), base, "immediate");
+        assert_ne!(program(7, 4, false).fingerprint(), base, "register");
+        assert_ne!(program(7, 3, true).fingerprint(), base, "sync flag");
     }
 
     #[test]

@@ -190,39 +190,6 @@ impl Micro {
     pub fn build(&self, variant: Variant, cfg: &MachineConfig) -> Workload {
         let width = cfg.simd_width;
         let threads = cfg.total_threads();
-        let indices = self.gen_indices(threads, width);
-        let counters = self.counter_words(threads);
-
-        // Expected final counter values.
-        let mut expected: HashMap<u32, u32> = HashMap::new();
-        for seq in &indices {
-            for i in seq {
-                *expected.entry(*i).or_default() += 1;
-            }
-        }
-
-        let mut image = MemImage::new();
-        let a_counters = image.alloc_zeroed(counters);
-        // One flat index array: thread t's sequence at t * iters * width.
-        let per_thread = self.params.iters * width;
-        let mut flat = Vec::with_capacity(threads * per_thread);
-        for seq in &indices {
-            flat.extend_from_slice(seq);
-        }
-        let a_idx = image.alloc_u32(&flat);
-
-        let program = emit_update_loop(&UpdateLoop {
-            variant,
-            width,
-            iters: self.params.iters,
-            per_thread,
-            a_idx,
-            a_counters,
-            backoff: self.backoff,
-            add: 1,
-            reads: 0,
-        });
-
         let name = format!(
             "micro{}{}/{}/w{}",
             self.scenario.label(),
@@ -230,21 +197,19 @@ impl Micro {
             variant.label(),
             width
         );
-        Workload {
+        counter_table_workload(
             name,
-            program,
-            image,
-            validate: Box::new(move |backing| {
-                for w in 0..counters as u32 {
-                    let got = backing.read_u32(a_counters + 4 * w as u64);
-                    let expect = expected.get(&w).copied().unwrap_or(0);
-                    if got != expect {
-                        return Err(format!("counter {w}: got {got}, expected {expect}"));
-                    }
-                }
-                Ok(())
-            }),
-        }
+            &UpdateLoop {
+                variant,
+                width,
+                iters: self.params.iters,
+                backoff: self.backoff,
+                add: 1,
+                reads: 0,
+            },
+            &self.gen_indices(threads, width),
+            self.counter_words(threads),
+        )
     }
 }
 
@@ -259,38 +224,71 @@ pub(crate) struct UpdateLoop {
     pub width: usize,
     /// Iterations per thread.
     pub iters: usize,
-    /// Index words per thread in the flat index array.
-    pub per_thread: usize,
-    /// Address of the flat index array.
-    pub a_idx: u64,
-    /// Address of the counter table.
-    pub a_counters: u64,
     /// Emit the LCG software-backoff delay on every retry path.
     pub backoff: bool,
-    /// Immediate added to each touched counter (1 for plain increment).
-    pub add: i64,
+    /// Amount added to each touched counter (1 for plain increment).
+    pub add: u32,
     /// Extra plain (non-atomic) gathers of the indexed words per
     /// iteration — the pattern engine's read/write-mix knob.
     pub reads: usize,
 }
 
-/// Emits the shared update loop: per iteration, load a vector of word
-/// indices, optionally gather them `reads` times (plain loads), then
+/// Builds a counter-table workload, the shape the microbenchmark and
+/// every pattern share: a zeroed table of `table_words` counters
+/// allocated first, then one flat index array holding thread `t`'s
+/// `indices[t]` (`iters * width` words each) at `t * iters * width`, the
+/// update loop over them, and a validator expecting each counter to have
+/// gained `add` per index that names it.
+pub(crate) fn counter_table_workload(
+    name: String,
+    shape: &UpdateLoop,
+    indices: &[Vec<u32>],
+    table_words: usize,
+) -> Workload {
+    let mut expected: HashMap<u32, u32> = HashMap::new();
+    for &i in indices.iter().flatten() {
+        *expected.entry(i).or_default() += shape.add;
+    }
+
+    let mut image = MemImage::new();
+    let a_counters = image.alloc_zeroed(table_words);
+    let a_idx = image.alloc_u32(&indices.concat());
+    let program = emit_update_loop(shape, a_idx, a_counters);
+
+    Workload {
+        name,
+        program,
+        image,
+        validate: Box::new(move |backing| {
+            for w in 0..table_words as u32 {
+                let got = backing.read_u32(a_counters + 4 * w as u64);
+                let expect = expected.get(&w).copied().unwrap_or(0);
+                if got != expect {
+                    return Err(format!("counter {w}: got {got}, expected {expect}"));
+                }
+            }
+            Ok(())
+        }),
+    }
+}
+
+/// Emits the shared update loop over the flat index array at `a_idx` and
+/// the counter table at `a_counters`: per iteration, load a vector of
+/// word indices, optionally gather them `reads` times (plain loads), then
 /// atomically add `add` to `counters[idx]` for every lane — with a
 /// gather-link/scatter-conditional retry loop (GLSC) or a per-lane
 /// ll/sc loop (Base).
-pub(crate) fn emit_update_loop(p: &UpdateLoop) -> glsc_isa::Program {
+fn emit_update_loop(p: &UpdateLoop, a_idx: u64, a_counters: u64) -> glsc_isa::Program {
     let UpdateLoop {
         variant,
         width,
         iters,
-        per_thread,
-        a_idx,
-        a_counters,
         backoff,
         add,
         reads,
     } = *p;
+    let per_thread = iters * width;
+    let add = i64::from(add);
     let mut b = ProgramBuilder::new();
     let r = Reg::new;
     let v = VReg::new;

@@ -5,9 +5,9 @@
 //! owns the data side — taxonomy, grammar, bounds, deterministic index
 //! generation — and this module turns a checked [`PatternSpec`] into a
 //! runnable [`Workload`] with the same shape as the §5.2
-//! microbenchmark: a flat precomputed index array, a zeroed counter
-//! table, and the shared atomic-update loop emitted by
-//! [`crate::micro`]'s `emit_update_loop`. A spec that reproduces the
+//! microbenchmark: a zeroed counter table, a flat precomputed index
+//! array, and the shared atomic-update loop, all built by
+//! [`crate::micro`]'s `counter_table_workload`. A spec that reproduces the
 //! microbenchmark's indices therefore reproduces its *program and
 //! image bit-for-bit* (see `tests/pattern_differential.rs`).
 //!
@@ -16,11 +16,10 @@
 //! model of "each touched word gains `update.amount()` per touch" —
 //! lost updates from broken atomicity fail validation immediately.
 
-use crate::common::{Dataset, MemImage, Variant, Workload};
-use crate::micro::{emit_update_loop, UpdateLoop};
+use crate::common::{Dataset, Variant, Workload};
+use crate::micro::{counter_table_workload, UpdateLoop};
 use glsc_patterns::PatternSpec;
 use glsc_sim::MachineConfig;
-use std::collections::HashMap;
 
 /// A pattern-spec workload generator, analogous to [`crate::micro::Micro`]
 /// but driven entirely by data.
@@ -56,61 +55,25 @@ impl Pattern {
         self
     }
 
-    /// Builds the runnable workload for a machine configuration —
-    /// same layout discipline as the microbenchmark: counter table
-    /// allocated first, then one flat index array with thread `t`'s
-    /// sequence at `t * iters * width`.
+    /// Builds the runnable workload for a machine configuration — the
+    /// microbenchmark's counter-table layout, with the table the spec's
+    /// index pattern ranges over.
     pub fn build(&self, variant: Variant, cfg: &MachineConfig) -> Workload {
         let width = cfg.simd_width;
-        let threads = cfg.total_threads();
-        let indices = self.spec.gen_indices(threads, width);
-        let counters = self.spec.index.table_words() as usize;
-        let amount = self.spec.update.amount();
-
-        let mut expected: HashMap<u32, u32> = HashMap::new();
-        for seq in &indices {
-            for i in seq {
-                *expected.entry(*i).or_default() += amount;
-            }
-        }
-
-        let mut image = MemImage::new();
-        let a_counters = image.alloc_zeroed(counters);
-        let per_thread = self.spec.iters as usize * width;
-        let mut flat = Vec::with_capacity(threads * per_thread);
-        for seq in &indices {
-            flat.extend_from_slice(seq);
-        }
-        let a_idx = image.alloc_u32(&flat);
-
-        let program = emit_update_loop(&UpdateLoop {
-            variant,
-            width,
-            iters: self.spec.iters as usize,
-            per_thread,
-            a_idx,
-            a_counters,
-            backoff: false,
-            add: amount as i64,
-            reads: self.spec.reads as usize,
-        });
-
         let name = format!("pattern:{}/{}/w{}", self.spec, variant.label(), width);
-        Workload {
+        counter_table_workload(
             name,
-            program,
-            image,
-            validate: Box::new(move |backing| {
-                for w in 0..counters as u32 {
-                    let got = backing.read_u32(a_counters + 4 * w as u64);
-                    let expect = expected.get(&w).copied().unwrap_or(0);
-                    if got != expect {
-                        return Err(format!("counter {w}: got {got}, expected {expect}"));
-                    }
-                }
-                Ok(())
-            }),
-        }
+            &UpdateLoop {
+                variant,
+                width,
+                iters: self.spec.iters as usize,
+                backoff: false,
+                add: self.spec.update.amount(),
+                reads: self.spec.reads as usize,
+            },
+            &self.spec.gen_indices(cfg.total_threads(), width),
+            self.spec.index.table_words() as usize,
+        )
     }
 }
 

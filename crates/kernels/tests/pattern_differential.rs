@@ -58,8 +58,7 @@ fn assert_twin_bit_identical(
     let pat_w = Pattern::new(spec).build(variant, &cfg);
 
     assert_eq!(
-        pat_w.program.to_string(),
-        micro_w.program.to_string(),
+        pat_w.program, micro_w.program,
         "{scenario:?}/{variant:?}: programs diverged"
     );
     assert_eq!(
@@ -94,12 +93,12 @@ fn trace_twin_survives_multicore_and_other_scenarios() {
 }
 
 #[test]
-fn stride_one_spec_compiles_to_the_micro_program_text() {
+fn stride_one_spec_compiles_to_the_micro_program() {
     // A `stride:1` spec over the micro scenario's exact geometry (512
     // counter words, 40 iterations) allocates the same addresses and
-    // flows through the same emitter, so the *program text* must match
-    // the hand-coded kernel instruction for instruction — only the
-    // index array contents (and hence timing) differ.
+    // flows through the same emitter, so the *program* must equal the
+    // hand-coded kernel's instruction for instruction — only the index
+    // array contents (and hence timing) differ.
     let cfg = MachineConfig::paper(1, 2, 4);
     for variant in [Variant::Glsc, Variant::Base] {
         let micro_w = Micro::new(Scenario::A, Dataset::Tiny).build(variant, &cfg);
@@ -107,9 +106,8 @@ fn stride_one_spec_compiles_to_the_micro_program_text() {
             .expect("spec parses")
             .build(variant, &cfg);
         assert_eq!(
-            pat_w.program.to_string(),
-            micro_w.program.to_string(),
-            "{variant:?}: stride:1 program text diverged from micro"
+            pat_w.program, micro_w.program,
+            "{variant:?}: stride:1 program diverged from micro"
         );
     }
 }

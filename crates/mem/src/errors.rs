@@ -13,10 +13,8 @@
 use std::error::Error;
 use std::fmt;
 
-/// A rejected memory-system or machine-shape parameter.
-///
-/// Produced by [`MemConfig::check`](crate::MemConfig::check) and
-/// [`MemorySystem::try_new`](crate::MemorySystem::try_new).
+/// A rejected memory-system parameter, produced by
+/// [`MemConfig::check`](crate::MemConfig::check).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
     /// L1 or L2 associativity is zero.
@@ -49,18 +47,6 @@ pub enum ConfigError {
     /// window (use [`ArbitrationPolicy::Free`](crate::ArbitrationPolicy)
     /// for no holdoff instead).
     ZeroHoldoffWindow,
-    /// Core count outside the supported 1..=32 range (the directory's
-    /// sharer vector is a `u32` bitmask).
-    CoresOutOfRange {
-        /// The offending core count.
-        cores: usize,
-    },
-    /// SMT thread count per core is zero (or beyond the 8-bit reservation
-    /// mask when checked by the machine layer).
-    ThreadsPerCoreOutOfRange {
-        /// The offending thread count.
-        threads_per_core: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -87,15 +73,6 @@ impl fmt::Display for ConfigError {
                     f,
                     "NACK-holdoff arbitration needs a non-zero window (use the Free \
                      policy for no holdoff)"
-                )
-            }
-            ConfigError::CoresOutOfRange { cores } => {
-                write!(f, "1..=32 cores supported (got {cores})")
-            }
-            ConfigError::ThreadsPerCoreOutOfRange { threads_per_core } => {
-                write!(
-                    f,
-                    "need at least one thread per core (1..=8, got {threads_per_core})"
                 )
             }
         }

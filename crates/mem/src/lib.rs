@@ -87,6 +87,14 @@ pub const LINE_BYTES: u64 = 64;
 /// for its L1 probe.
 pub const L1_HIT_LATENCY: u64 = 3;
 
+/// Most cores a machine can have: the directory's sharer vector is a
+/// `u32` bitmask, one bit per core.
+pub const MAX_CORES: usize = 32;
+
+/// Most SMT threads per core: the L1's reservation masks are `u8`, one
+/// bit per thread.
+pub const MAX_THREADS_PER_CORE: usize = 8;
+
 /// Returns the line-aligned address containing `addr`.
 #[inline]
 pub fn line_of(addr: u64) -> u64 {
@@ -103,5 +111,17 @@ mod tests {
         assert_eq!(line_of(63), 0);
         assert_eq!(line_of(64), 64);
         assert_eq!(line_of(0x12345), 0x12340);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=32 cores supported (got 33)")]
+    fn memory_system_rejects_more_cores_than_sharer_bits() {
+        MemorySystem::new(MemConfig::default(), MAX_CORES + 1, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one thread per core (1..=8, got 9)")]
+    fn memory_system_rejects_more_threads_than_mask_bits() {
+        MemorySystem::new(MemConfig::default(), 1, MAX_THREADS_PER_CORE + 1);
     }
 }

@@ -19,14 +19,14 @@ use crate::arbitration::{Arbiter, ArbitrationPolicy};
 use crate::backing::Backing;
 use crate::chaos::{ChaosStats, FaultPlan};
 use crate::config::MemConfig;
-use crate::errors::{ConfigError, InvariantViolation};
+use crate::errors::InvariantViolation;
 use crate::l1::{L1Cache, L1State, LinePayload};
 use crate::l2::{L2Bank, L2Payload};
 use crate::noc::{MsgClass, Noc};
 use crate::oracle::{AtomicityOracle, AtomicityViolation};
 use crate::prefetch::StridePrefetcher;
 use crate::stats::{MemStats, ThreadScStats};
-use crate::{line_of, L1_HIT_LATENCY};
+use crate::{line_of, L1_HIT_LATENCY, MAX_CORES, MAX_THREADS_PER_CORE};
 use glsc_rng::Rng;
 
 /// Minimum L2 access latency in cycles, interconnect included (Table 1).
@@ -95,40 +95,23 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Builds a memory system for `num_cores` cores with `threads_per_core`
     /// SMT threads each (the prefetcher tracks one stream per thread).
+    /// `Machine::try_new` checks the same bounds as typed errors first.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (see
-    /// [`MemConfig::check`]) or `num_cores` is 0 or exceeds 32. Use
-    /// [`MemorySystem::try_new`] for a non-panicking alternative.
+    /// [`MemConfig::check`]), `num_cores` is outside 1..=[`MAX_CORES`] or
+    /// `threads_per_core` is outside 1..=[`MAX_THREADS_PER_CORE`].
     pub fn new(cfg: MemConfig, num_cores: usize, threads_per_core: usize) -> Self {
-        match Self::try_new(cfg, num_cores, threads_per_core) {
-            Ok(sys) => sys,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Builds a memory system, rejecting inconsistent shapes as a typed
-    /// [`ConfigError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`MemConfig::check`] rejects, plus
-    /// [`ConfigError::CoresOutOfRange`] (the directory sharer vector is a
-    /// `u32` bitmask) and [`ConfigError::ThreadsPerCoreOutOfRange`] (the
-    /// reservation masks are 8-bit).
-    pub fn try_new(
-        cfg: MemConfig,
-        num_cores: usize,
-        threads_per_core: usize,
-    ) -> Result<Self, ConfigError> {
-        cfg.check()?;
-        if num_cores == 0 || num_cores > 32 {
-            return Err(ConfigError::CoresOutOfRange { cores: num_cores });
-        }
-        if threads_per_core == 0 || threads_per_core > 8 {
-            return Err(ConfigError::ThreadsPerCoreOutOfRange { threads_per_core });
-        }
+        cfg.check().unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            (1..=MAX_CORES).contains(&num_cores),
+            "1..={MAX_CORES} cores supported (got {num_cores})"
+        );
+        assert!(
+            (1..=MAX_THREADS_PER_CORE).contains(&threads_per_core),
+            "need at least one thread per core (1..={MAX_THREADS_PER_CORE}, got {threads_per_core})"
+        );
         let l1s: Vec<L1Cache> = (0..num_cores)
             .map(|_| match cfg.glsc_buffer_entries {
                 None => L1Cache::new(cfg.l1_sets(), cfg.l1_assoc),
@@ -145,7 +128,7 @@ impl MemorySystem {
         let mut stats = MemStats::default();
         stats.noc.link_msgs = vec![0; noc.num_links()];
         stats.sc_threads = vec![ThreadScStats::default(); num_cores * threads_per_core];
-        Ok(Self {
+        Self {
             cfg,
             backing: Backing::new(),
             l1s,
@@ -158,7 +141,7 @@ impl MemorySystem {
             chaos: None,
             jitter_next_fill: 0,
             oracle: None,
-        })
+        }
     }
 
     /// Installs a seeded fault-injection plan; subsequent accesses are

@@ -106,10 +106,12 @@ pub(crate) struct JobSpec {
 }
 
 impl JobSpec {
+    /// The job's result-store key, by the harness's rule: the id (which
+    /// ends in `-chaos<seed>` for a chaos job) and the two fingerprints.
     fn cache_key(&self) -> String {
         job_key(
             &[&self.id],
-            self.workload.fingerprint() ^ self.chaos.map_or(0, |s| s.wrapping_mul(0x9E37_79B9)),
+            self.workload.fingerprint(),
             cfg_fingerprint(&self.cfg),
         )
     }

@@ -849,6 +849,47 @@ mod tests {
     }
 
     #[test]
+    fn every_job_is_stored_under_the_harness_key_rule() {
+        // A plain and a chaos job: each report lands under the key a
+        // figure would compute from the same spec, `job_key(&[id],
+        // workload fingerprint, config fingerprint)`, with nothing folded
+        // in for the chaos seed (the id and the armed watchdog carry it).
+        use glsc_bench::store::{cfg_fingerprint, job_key};
+        let _flag = crate::signal::term_flag_shared();
+        let dir = tmp_dir("keys");
+        let cfg = small_cfg(&dir);
+        let specs = [
+            hip_spec(),
+            WireJobSpec {
+                chaos: Some(5),
+                ..hip_spec()
+            },
+        ];
+        let mut input = Vec::new();
+        for spec in &specs {
+            submit(&mut input, 0, spec.clone());
+        }
+        crate::proto::write_message(&mut input, &Request::Run).unwrap();
+        let mut output = Vec::new();
+        run_session(&cfg, &mut &input[..], &mut output).unwrap();
+        let store = JobStore::at(cfg.state_dir.join("cache"), true);
+        let mut done = 0;
+        for reply in read_replies(&output) {
+            let Reply::JobDone { id, report, .. } = reply else {
+                continue;
+            };
+            let spec = specs.iter().find(|s| s.id() == id).unwrap();
+            let (machine, workload) = spec.lower().unwrap();
+            let key = job_key(&[&id], workload.fingerprint(), cfg_fingerprint(&machine));
+            let stored = store.load(&key).map(|r| encode_report(&r));
+            assert_eq!(stored, Some(report), "{id}: no report under {key}");
+            done += 1;
+        }
+        assert_eq!(done, specs.len());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn shutdown_leaves_queued_jobs_pending_for_next_start() {
         let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("pending");

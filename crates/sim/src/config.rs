@@ -1,7 +1,7 @@
 //! Whole-machine configuration (Table 1 of the paper).
 
 use glsc_core::GlscConfig;
-use glsc_mem::MemConfig;
+use glsc_mem::{MemConfig, MAX_CORES, MAX_THREADS_PER_CORE};
 use std::fmt;
 
 /// A rejected machine-configuration parameter.
@@ -10,12 +10,12 @@ use std::fmt;
 /// [`Machine::try_new`](crate::Machine::try_new).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// Core count outside 1..=32.
+    /// Core count outside 1..=[`MAX_CORES`].
     CoresOutOfRange {
         /// The offending core count.
         cores: usize,
     },
-    /// SMT threads per core outside 1..=8.
+    /// SMT threads per core outside 1..=[`MAX_THREADS_PER_CORE`].
     ThreadsPerCoreOutOfRange {
         /// The offending thread count.
         threads_per_core: usize,
@@ -50,10 +50,13 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::CoresOutOfRange { cores } => {
-                write!(f, "1..=32 cores (got {cores})")
+                write!(f, "1..={MAX_CORES} cores (got {cores})")
             }
             ConfigError::ThreadsPerCoreOutOfRange { threads_per_core } => {
-                write!(f, "1..=8 threads per core (got {threads_per_core})")
+                write!(
+                    f,
+                    "1..={MAX_THREADS_PER_CORE} threads per core (got {threads_per_core})"
+                )
             }
             ConfigError::SimdWidthOutOfRange { simd_width } => {
                 write!(
@@ -228,10 +231,10 @@ impl MachineConfig {
     /// The first [`ConfigError`] found (machine shape first, then the
     /// embedded [`MemConfig`]).
     pub fn check(&self) -> Result<(), ConfigError> {
-        if self.cores == 0 || self.cores > 32 {
+        if !(1..=MAX_CORES).contains(&self.cores) {
             return Err(ConfigError::CoresOutOfRange { cores: self.cores });
         }
-        if self.threads_per_core == 0 || self.threads_per_core > 8 {
+        if !(1..=MAX_THREADS_PER_CORE).contains(&self.threads_per_core) {
             return Err(ConfigError::ThreadsPerCoreOutOfRange {
                 threads_per_core: self.threads_per_core,
             });

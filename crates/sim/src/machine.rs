@@ -220,8 +220,7 @@ impl Machine {
     /// (see [`MachineConfig::check`]).
     pub fn try_new(cfg: MachineConfig) -> Result<Self, SimError> {
         cfg.check().map_err(SimError::InvalidConfig)?;
-        let mem = MemorySystem::try_new(cfg.mem.clone(), cfg.cores, cfg.threads_per_core)
-            .map_err(|e| SimError::InvalidConfig(ConfigError::Mem(e)))?;
+        let mem = MemorySystem::new(cfg.mem.clone(), cfg.cores, cfg.threads_per_core);
         let cores = (0..cfg.cores).map(|id| Core::new(id, &cfg)).collect();
         Ok(Self {
             cfg,
