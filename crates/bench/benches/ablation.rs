@@ -72,7 +72,6 @@ fn main() {
         let mut cfg = base_cfg.clone();
         cfg.glsc = GlscConfig {
             fail_on_l1_miss: fail_on_miss,
-            ..GlscConfig::default()
         };
         points.push((label.to_string(), cfg));
     }

@@ -37,7 +37,7 @@
 
 use crate::ds_label;
 use glsc_kernels::pattern::Pattern;
-use glsc_kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
+use glsc_kernels::{build_named, supports_width, Dataset, Variant, Workload, KERNEL_NAMES};
 use glsc_mem::MemoryOrder;
 use glsc_sim::MachineConfig;
 use glsc_wire::{Reader, Wire, WireError, Writer};
@@ -150,6 +150,14 @@ pub enum SpecError {
         /// Inclusive upper bound (lower bound is always 1).
         max: u32,
     },
+    /// The kernel does not build at this SIMD width
+    /// ([`glsc_kernels::supports_width`]).
+    UnsupportedWidth {
+        /// The kernel name.
+        kernel: String,
+        /// The refused width.
+        width: u32,
+    },
     /// A deadline of zero can never be met; reject it at the boundary.
     ZeroDeadline,
     /// The pattern job would generate more than
@@ -174,6 +182,9 @@ impl std::fmt::Display for SpecError {
             SpecError::BadVariant(t) => write!(f, "variant tag {t} outside 0..=1"),
             SpecError::ShapeOutOfRange { field, value, max } => {
                 write!(f, "{field} must be 1..={max} (got {value})")
+            }
+            SpecError::UnsupportedWidth { kernel, width } => {
+                write!(f, "{kernel} does not build at SIMD width {width}")
             }
             SpecError::ZeroDeadline => write!(f, "deadline must be non-zero"),
             SpecError::PatternTooLarge { words, max } => write!(
@@ -270,9 +281,11 @@ impl WireJobSpec {
     /// Bounds-checks every field. Passing means the spec can be resolved
     /// into a dataset image and a valid [`glsc_sim::MachineConfig`]
     /// without panicking or allocating absurd amounts of memory — for
-    /// pattern jobs that includes a full parse and bounds check of the
-    /// spec string and the [`MAX_PATTERN_INDEX_WORDS`] bound on the index
-    /// array it would generate at this shape.
+    /// kernel jobs that includes the kernel's width rule
+    /// ([`glsc_kernels::supports_width`]), and for pattern jobs a full
+    /// parse and bounds check of the spec string and the
+    /// [`MAX_PATTERN_INDEX_WORDS`] bound on the index array it would
+    /// generate at this shape.
     pub fn validate(&self) -> Result<(), SpecError> {
         let pattern = match &self.pattern {
             Some(p) => {
@@ -305,6 +318,12 @@ impl WireJobSpec {
             if value == 0 || value > max {
                 return Err(SpecError::ShapeOutOfRange { field, value, max });
             }
+        }
+        if !supports_width(&self.kernel, self.width as usize) {
+            return Err(SpecError::UnsupportedWidth {
+                kernel: self.kernel.clone(),
+                width: self.width,
+            });
         }
         if self.deadline_cycles == Some(0) || self.deadline_wall_ms == Some(0) {
             return Err(SpecError::ZeroDeadline);
@@ -343,7 +362,7 @@ impl WireJobSpec {
     ///
     /// Panics on an unvalidated tag; call [`validate`](Self::validate)
     /// first.
-    pub fn resolve_dataset(&self) -> Dataset {
+    fn resolve_dataset(&self) -> Dataset {
         DATASET_TAGS
             .iter()
             .find(|(t, _)| *t == self.dataset)
@@ -357,7 +376,7 @@ impl WireJobSpec {
     ///
     /// Panics on an unvalidated tag; call [`validate`](Self::validate)
     /// first.
-    pub fn resolve_variant(&self) -> Variant {
+    fn resolve_variant(&self) -> Variant {
         match self.variant {
             0 => Variant::Base,
             1 => Variant::Glsc,
@@ -574,6 +593,23 @@ mod tests {
                 ..
             })
         ));
+
+        // In range, but FS does not build there: refused at admission,
+        // before the build's assert could take the service down.
+        let mut s = good();
+        s.kernel = "FS".into();
+        s.width = 3;
+        assert_eq!(
+            s.validate(),
+            Err(SpecError::UnsupportedWidth {
+                kernel: "FS".into(),
+                width: 3
+            })
+        );
+        assert_eq!(
+            s.lower().err().as_deref(),
+            Some("FS does not build at SIMD width 3")
+        );
 
         let mut s = good();
         s.deadline_wall_ms = Some(0);

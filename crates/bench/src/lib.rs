@@ -262,66 +262,40 @@ pub fn bench_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// One job's terminal failure. The harness reports it (figure row marked
-/// with the typed [`cell`](JobError::cell), error epilogue, nonzero
-/// exit) instead of aborting the whole figure. Every job, in the harness
-/// and in `glsc-serve`, gets one attempt: jobs are deterministic
-/// simulations, so a second attempt could only fail the same way.
+/// One harness job's terminal failure: it panicked (a simulation error,
+/// a failed validation, or an injected drill). The harness reports it
+/// (figure row marked with the typed [`cell`](JobError::cell), error
+/// epilogue, nonzero exit) instead of aborting the whole figure. Every
+/// job gets one attempt: jobs are deterministic simulations, so a second
+/// attempt could only fail the same way.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobError {
-    /// A harness job panicked (simulation error, validation failure, or
-    /// an injected drill).
-    Panicked {
-        /// The job's index in the submitted batch (== its table position).
-        index: usize,
-        /// The panic message.
-        message: String,
-    },
-    /// A `glsc-serve` job failed its run (panic, simulation error,
-    /// rejected or panicking validation, or a tripped deadline) and was
-    /// quarantined: it never runs again in that state dir. The reason
-    /// goes to the service's stderr log, not here, so a row replayed from
-    /// the journal renders exactly as the live one did.
-    Quarantined {
-        /// The job's index in the submitted batch.
-        index: usize,
-    },
+pub struct JobError {
+    index: usize,
+    message: String,
 }
 
 impl JobError {
     /// The job's index in the submitted batch (== its table position).
     pub fn index(&self) -> usize {
-        match self {
-            JobError::Panicked { index, .. } | JobError::Quarantined { index } => *index,
-        }
+        self.index
     }
 
-    /// Human-readable cause: the panic message, or the quarantine.
+    /// Human-readable cause: the panic message.
     pub fn message(&self) -> String {
-        match self {
-            JobError::Panicked { message, .. } => message.clone(),
-            JobError::Quarantined { .. } => "quarantined after a failed run".to_string(),
-        }
+        self.message.clone()
     }
 
-    /// Fixed-width degradation-mode label for figure and sweep cells,
-    /// so operators can tell *what* failed at a glance instead of a
-    /// conflated `ERR`: `PANIC` (a harness job panicked) or `QUAR`
-    /// (quarantined by the `glsc-serve` supervisor).
+    /// Fixed-width degradation-mode label for figure cells, so operators
+    /// can tell a failed job from a cell normalized by one (`ERR`) at a
+    /// glance: `PANIC`.
     pub fn cell(&self) -> &'static str {
-        match self {
-            JobError::Panicked { .. } => "PANIC",
-            JobError::Quarantined { .. } => "QUAR",
-        }
+        "PANIC"
     }
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobError::Panicked { index, message } => write!(f, "job {index} failed: {message}"),
-            JobError::Quarantined { index } => write!(f, "job {index} {}", self.message()),
-        }
+        write!(f, "job {} failed: {}", self.index, self.message)
     }
 }
 
@@ -340,7 +314,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one job once under `catch_unwind`. A panic is logged to stderr
 /// with the job's index and, when the caller supplied one (a
 /// [`run_jobs_fleet`] job's joined key parts), its label, and comes back as
-/// [`JobError::Panicked`]. Jobs are deterministic simulations, so a
+/// a [`JobError`]. Jobs are deterministic simulations, so a
 /// second attempt could only repeat the same panic.
 fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, JobError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).map_err(|payload| {
@@ -351,7 +325,7 @@ fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, Job
             format!(" ({label})")
         };
         eprintln!("[jobs] job {index}{tag} panicked: {message}");
-        JobError::Panicked { index, message }
+        JobError { index, message }
     })
 }
 
@@ -426,7 +400,7 @@ where
             m.into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
                 .unwrap_or_else(|| {
-                    Err(JobError::Panicked {
+                    Err(JobError {
                         index: i,
                         message: "worker exited without storing a result".into(),
                     })
@@ -567,7 +541,7 @@ mod tests {
                     assert_eq!(e.index(), 3);
                     assert!(e.message().contains("cursed"), "message: {}", e.message());
                     assert!(e.to_string().contains("job 3 failed"));
-                    assert!(matches!(e, JobError::Panicked { .. }));
+                    assert_eq!(e.cell(), "PANIC");
                 } else {
                     assert_eq!(r.as_ref().unwrap(), &(i as u64 * 10));
                 }
@@ -590,19 +564,14 @@ mod tests {
 
     #[test]
     fn degradation_cells_are_pinned() {
-        // Operators grep these exact labels out of figure tables and the
-        // CI panic drill greps PANIC; changing one is a breaking change
-        // to the output format.
-        let panicked = JobError::Panicked {
+        // Operators grep this exact label out of figure tables and the
+        // CI panic drill greps PANIC; changing it is a breaking change to
+        // the output format. (glsc-serve pins its own `QUAR` row.)
+        let panicked = JobError {
             index: 0,
             message: "boom".into(),
         };
-        let quar = JobError::Quarantined { index: 2 };
         assert_eq!(panicked.cell(), "PANIC");
         assert_eq!(panicked.to_string(), "job 0 failed: boom");
-        assert_eq!(quar.cell(), "QUAR");
-        assert_eq!(quar.message(), "quarantined after a failed run");
-        assert_eq!(quar.index(), 2);
-        assert_eq!(quar.to_string(), "job 2 quarantined after a failed run");
     }
 }

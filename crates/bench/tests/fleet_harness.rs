@@ -7,7 +7,7 @@
 use glsc_bench::store::{cfg_fingerprint, job_key};
 use glsc_bench::{
     collect_errors, datasets, fleet_kernel_job, fleet_micro_job, run_jobs, run_jobs_fleet,
-    FleetJobSpec, JobError, JobStore,
+    FleetJobSpec, JobStore,
 };
 use glsc_kernels::micro::{MicroParams, Scenario};
 use glsc_kernels::{build_named, run_workload, Dataset, Variant, Workload};
@@ -269,7 +269,7 @@ fn a_panicking_job_runs_exactly_once_through_either_entry_point() {
     }];
     let got = run_jobs(jobs, 1);
     let e = got[0].as_ref().unwrap_err();
-    assert!(matches!(e, JobError::Panicked { .. }));
+    assert!(e.message().contains("deterministic failure"), "{e}");
     assert_eq!(calls.load(Ordering::SeqCst), 1, "run_jobs retried the job");
 
     // Through the batch entry point: a validator that counts its calls
@@ -283,7 +283,6 @@ fn a_panicking_job_runs_exactly_once_through_either_entry_point() {
     });
     let got = run_jobs_fleet(&JobStore::at(scratch("once"), false), vec![job], 1);
     let e = got[0].as_ref().unwrap_err();
-    assert!(matches!(e, JobError::Panicked { .. }));
     assert!(e.message().contains("rejected on every run"), "{e}");
     assert_eq!(
         calls.load(Ordering::SeqCst),

@@ -5,9 +5,10 @@
 //! cache line containing one of the elements, (b) bringing one of the
 //! elements into the cache will evict an already linked line, (c) the
 //! latency for accessing the element is higher than others in the same
-//! set". This struct selects among those designs; the default accepts all
-//! elements (failures then come only from aliasing and lost reservations,
-//! matching the 1×1 failure rates of Table 4).
+//! set". This struct selects design (c), the one the ablation runs both
+//! ways; the default accepts all elements (failures then come only from
+//! aliasing and lost reservations, matching the 1×1 failure rates of
+//! Table 4), and a new link displaces another thread's.
 
 /// Policy choices for the GLSC hardware (paper §3.2). The fixed Table 1
 /// timings of the units are constants: the GSU's `4 + SIMD-width` minimum
@@ -18,10 +19,6 @@ pub struct GlscConfig {
     /// waiting for the fill (design freedom (c) of §3.2). Reduces the
     /// reservation-holding window under contention.
     pub fail_on_l1_miss: bool,
-    /// `vgatherlink` fails elements whose line is currently linked by a
-    /// different SMT thread on the same core (design freedom (a)); by
-    /// default the new link displaces the old one.
-    pub fail_on_remote_link: bool,
 }
 
 #[cfg(test)]
@@ -32,11 +29,7 @@ mod tests {
     fn default_accepts_every_element() {
         let c = GlscConfig::default();
         assert!(!c.fail_on_l1_miss);
-        assert!(!c.fail_on_remote_link);
     }
 }
 
-glsc_wire::wire_struct!(GlscConfig {
-    fail_on_l1_miss,
-    fail_on_remote_link,
-});
+glsc_wire::wire_struct!(GlscConfig { fail_on_l1_miss });

@@ -445,20 +445,16 @@ impl Gsu {
             let kind = slot.kind;
             let line = slot.requests[req_idx].line;
 
-            let mut policy_fail = false;
-            if matches!(kind, GsuKind::GatherLink { .. }) {
-                if self.cfg.fail_on_l1_miss && mem.l1(core).peek(line).is_none() {
-                    policy_fail = true;
-                    // The element fails fast, but the fetch is still
-                    // initiated (as a plain load, no link) so a retry can
-                    // hit — otherwise cold data could never be linked and
-                    // the software retry loop would spin forever.
-                    let _ = mem.access(core, tid, MemOp::Load, line, now);
-                    self.stats.line_requests += 1;
-                }
-                if self.cfg.fail_on_remote_link && mem.l1(core).other_reservations(line, tid) {
-                    policy_fail = true;
-                }
+            let policy_fail = matches!(kind, GsuKind::GatherLink { .. })
+                && self.cfg.fail_on_l1_miss
+                && mem.l1(core).peek(line).is_none();
+            if policy_fail {
+                // The element fails fast, but the fetch is still
+                // initiated (as a plain load, no link) so a retry can
+                // hit — otherwise cold data could never be linked and
+                // the software retry loop would spin forever.
+                let _ = mem.access(core, tid, MemOp::Load, line, now);
+                self.stats.line_requests += 1;
             }
 
             let (done, ok) = if policy_fail {
@@ -780,7 +776,6 @@ mod tests {
         let mut m = mem();
         let cfg = GlscConfig {
             fail_on_l1_miss: true,
-            ..GlscConfig::default()
         };
         let mut g = Gsu::new(4, cfg);
         // Warm one line only.

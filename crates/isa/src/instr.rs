@@ -586,125 +586,9 @@ pub enum Instr {
     },
 }
 
-impl Instr {
-    /// Returns `true` for instructions that access memory (and therefore go
-    /// through the LSU or GSU in the timing model).
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Instr::Load { .. }
-                | Instr::Store { .. }
-                | Instr::LoadLinked { .. }
-                | Instr::StoreCond { .. }
-                | Instr::VLoad { .. }
-                | Instr::VStore { .. }
-                | Instr::VGather { .. }
-                | Instr::VScatter { .. }
-                | Instr::VGatherLink { .. }
-                | Instr::VScatterCond { .. }
-        )
-    }
-
-    /// Returns `true` for the atomic-capable memory instructions (scalar
-    /// ll/sc and the GLSC pair). Used for the "L1 accesses due to atomic
-    /// operations" statistic of Table 4.
-    pub fn is_atomic(&self) -> bool {
-        matches!(
-            self,
-            Instr::LoadLinked { .. }
-                | Instr::StoreCond { .. }
-                | Instr::VGatherLink { .. }
-                | Instr::VScatterCond { .. }
-        )
-    }
-
-    /// Returns `true` for instructions handled by the gather/scatter unit.
-    pub fn uses_gsu(&self) -> bool {
-        matches!(
-            self,
-            Instr::VGather { .. }
-                | Instr::VScatter { .. }
-                | Instr::VGatherLink { .. }
-                | Instr::VScatterCond { .. }
-        )
-    }
-
-    /// Returns `true` for memory fences. Fences are ordering-only: they
-    /// access no data (`is_memory` is `false`) and stall at the issue
-    /// stage until their ordering condition holds.
-    pub fn is_fence(&self) -> bool {
-        matches!(self, Instr::Fence { .. })
-    }
-
-    /// Returns `true` for control-flow instructions.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Instr::Branch { .. }
-                | Instr::Jump { .. }
-                | Instr::BranchMaskZero { .. }
-                | Instr::BranchMaskNotZero { .. }
-                | Instr::Halt
-                | Instr::Barrier
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classification() {
-        let r = Reg::new(1);
-        let v = VReg::new(1);
-        let f = MReg::new(1);
-        assert!(Instr::Load {
-            rd: r,
-            base: r,
-            offset: 0
-        }
-        .is_memory());
-        assert!(!Instr::Li { rd: r, imm: 3 }.is_memory());
-        assert!(Instr::VGatherLink {
-            fd: f,
-            vd: v,
-            base: r,
-            vidx: v,
-            fsrc: f
-        }
-        .is_atomic());
-        assert!(Instr::VGatherLink {
-            fd: f,
-            vd: v,
-            base: r,
-            vidx: v,
-            fsrc: f
-        }
-        .uses_gsu());
-        assert!(!Instr::VLoad {
-            vd: v,
-            base: r,
-            offset: 0,
-            mask: None
-        }
-        .uses_gsu());
-        assert!(Instr::Halt.is_control());
-        for kind in [FenceKind::Full, FenceKind::Acquire, FenceKind::Release] {
-            let fence = Instr::Fence { kind };
-            assert!(fence.is_fence());
-            assert!(!fence.is_memory());
-            assert!(!fence.is_control());
-            assert!(!fence.uses_gsu());
-        }
-        assert!(Instr::StoreCond {
-            rd: r,
-            rs: r,
-            base: r,
-            offset: 0
-        }
-        .is_atomic());
-    }
 
     #[test]
     fn operand_conversions() {

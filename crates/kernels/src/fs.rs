@@ -158,10 +158,15 @@ impl Fs {
     }
 
     /// Builds the runnable workload for a machine configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics at a SIMD width [`crate::supports_width`] refuses;
+    /// [`crate::build_named`] returns a typed error there instead.
     pub fn build(&self, variant: Variant, cfg: &MachineConfig) -> Workload {
         let width = cfg.simd_width;
         assert!(
-            BLOCK.is_multiple_of(width) || width > BLOCK,
+            crate::supports_width("FS", width),
             "width must divide the block side"
         );
         let threads = cfg.total_threads();

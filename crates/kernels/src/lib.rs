@@ -66,6 +66,14 @@ pub enum KernelError {
     Unknown(String),
     /// A `pattern:` spec that failed to parse or bounds-check.
     Pattern(glsc_patterns::ParseError),
+    /// The kernel does not build at this SIMD width
+    /// ([`supports_width`]).
+    UnsupportedWidth {
+        /// The kernel name.
+        kernel: String,
+        /// The refused width.
+        width: usize,
+    },
 }
 
 impl std::fmt::Display for KernelError {
@@ -73,6 +81,9 @@ impl std::fmt::Display for KernelError {
         match self {
             KernelError::Unknown(name) => write!(f, "unknown kernel {name:?}"),
             KernelError::Pattern(e) => write!(f, "bad pattern spec: {e}"),
+            KernelError::UnsupportedWidth { kernel, width } => {
+                write!(f, "{kernel} does not build at SIMD width {width}")
+            }
         }
     }
 }
@@ -83,6 +94,15 @@ impl From<glsc_patterns::ParseError> for KernelError {
     fn from(e: glsc_patterns::ParseError) -> Self {
         KernelError::Pattern(e)
     }
+}
+
+/// Whether kernel `name` builds at SIMD `width`: the one width rule of
+/// [`build_named`] and of the service's admission check. Only FS
+/// restricts it: its block rows split into equal vector chunks, so the
+/// width must divide the 8-element block side ([`fs::BLOCK`]) or exceed
+/// it (one masked vector then covers a row).
+pub fn supports_width(name: &str, width: usize) -> bool {
+    name != "FS" || fs::BLOCK.is_multiple_of(width) || width > fs::BLOCK
 }
 
 /// Builds a named kernel's workload: convenience dispatcher for the
@@ -102,6 +122,12 @@ pub fn build_named(
         let p = pattern::Pattern::parse(spec)?.for_dataset(dataset);
         return Ok(p.build(variant, cfg));
     }
+    if !supports_width(name, cfg.simd_width) {
+        return Err(KernelError::UnsupportedWidth {
+            kernel: name.to_string(),
+            width: cfg.simd_width,
+        });
+    }
     Ok(match name {
         "GBC" => gbc::Gbc::new(dataset).build(variant, cfg),
         "FS" => fs::Fs::new(dataset).build(variant, cfg),
@@ -112,4 +138,37 @@ pub fn build_named(
         "TMS" => tms::Tms::new(dataset).build(variant, cfg),
         other => return Err(KernelError::Unknown(other.to_string())),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use glsc_sim::MachineConfig;
+
+    #[test]
+    fn fs_widths_that_split_no_block_row_are_typed_errors() {
+        let build = |width| {
+            let cfg = MachineConfig::paper(1, 1, width);
+            build_named("FS", Dataset::Tiny, Variant::Glsc, &cfg)
+        };
+        for width in [3, 5, 6, 7] {
+            assert!(!supports_width("FS", width));
+            assert_eq!(
+                build(width).err(),
+                Some(KernelError::UnsupportedWidth {
+                    kernel: "FS".into(),
+                    width
+                })
+            );
+        }
+        for width in [1, 2, 4, 8, 9, 16, 32] {
+            assert!(supports_width("FS", width));
+            assert!(build(width).is_ok(), "FS at width {width}");
+        }
+        // No other kernel restricts the width.
+        assert!(KERNEL_NAMES
+            .iter()
+            .filter(|k| **k != "FS")
+            .all(|k| (1..=32).all(|w| supports_width(k, w))));
+    }
 }

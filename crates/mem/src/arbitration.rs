@@ -201,8 +201,9 @@ impl Arbiter {
         self.holdoffs.is_empty() && self.streaks.is_empty()
     }
 
-    /// Active streaks as `(gid, line, start)` tuples, for diagnostics.
-    pub fn streak_entries(&self) -> Vec<(usize, u64, u64)> {
+    /// Active streaks as `(gid, line, start)` tuples.
+    #[cfg(test)]
+    fn streak_entries(&self) -> Vec<(usize, u64, u64)> {
         self.streaks
             .iter()
             .map(|s| (s.gid, s.line, s.start))

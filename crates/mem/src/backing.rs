@@ -194,11 +194,6 @@ impl Backing {
         f32::from_bits(self.read_u32(addr))
     }
 
-    /// Writes a 32-bit float.
-    pub fn write_f32(&mut self, addr: u64, value: f32) {
-        self.write_u32(addr, value.to_bits());
-    }
-
     /// Copies a slice of words into memory starting at `addr`.
     pub fn write_u32_slice(&mut self, addr: u64, values: &[u32]) {
         for (i, v) in values.iter().enumerate() {
@@ -206,21 +201,9 @@ impl Backing {
         }
     }
 
-    /// Copies a slice of floats into memory starting at `addr`.
-    pub fn write_f32_slice(&mut self, addr: u64, values: &[f32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u64, *v);
-        }
-    }
-
     /// Reads `n` consecutive words starting at `addr`.
     pub fn read_u32_vec(&self, addr: u64, n: usize) -> Vec<u32> {
         (0..n).map(|i| self.read_u32(addr + 4 * i as u64)).collect()
-    }
-
-    /// Reads `n` consecutive floats starting at `addr`.
-    pub fn read_f32_vec(&self, addr: u64, n: usize) -> Vec<f32> {
-        (0..n).map(|i| self.read_f32(addr + 4 * i as u64)).collect()
     }
 }
 
@@ -326,7 +309,7 @@ mod tests {
         let mut b = Backing::new();
         b.write_u32(0x2000, 0xdead_beef);
         assert_eq!(b.read_u32(0x2000), 0xdead_beef);
-        b.write_f32(0x2004, 1.5);
+        b.write_u32(0x2004, 1.5f32.to_bits());
         assert_eq!(b.read_f32(0x2004), 1.5);
         assert_eq!(b.resident_pages(), 1);
     }
@@ -346,8 +329,6 @@ mod tests {
         let mut b = Backing::new();
         b.write_u32_slice(0x3000, &[1, 2, 3, 4]);
         assert_eq!(b.read_u32_vec(0x3000, 4), vec![1, 2, 3, 4]);
-        b.write_f32_slice(0x4000, &[0.5, -2.0]);
-        assert_eq!(b.read_f32_vec(0x4000, 2), vec![0.5, -2.0]);
     }
 
     #[test]

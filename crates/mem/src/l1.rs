@@ -278,19 +278,6 @@ impl L1Cache {
         }
     }
 
-    /// Whether any thread holds a reservation on `line` (other than
-    /// possibly `except_tid`).
-    pub fn other_reservations(&self, line: u64, except_tid: u8) -> bool {
-        match &self.reservations {
-            ReservationStore::PerLine => self
-                .peek(line)
-                .is_some_and(|p| p.reservation & !(1 << except_tid) != 0),
-            ReservationStore::Buffer { entries, .. } => entries
-                .iter()
-                .any(|(l, m)| *l == line && m & !(1 << except_tid) != 0),
-        }
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.tags.len()

@@ -35,16 +35,6 @@ impl L2Payload {
             ready_at,
         }
     }
-
-    /// Whether any L1 holds this line (sharer or owner).
-    pub fn has_private_copies(&self) -> bool {
-        self.sharers != 0 || self.owner.is_some()
-    }
-
-    /// Iterates over sharer core ids.
-    pub fn sharer_cores(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..32).filter(|c| self.sharers & (1 << c) != 0)
-    }
 }
 
 /// One bank of the shared L2: a tag array plus a busy horizon for
@@ -77,18 +67,6 @@ impl L2Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn payload_helpers() {
-        let mut p = L2Payload::clean(5);
-        assert!(!p.has_private_copies());
-        p.sharers = 0b101;
-        assert!(p.has_private_copies());
-        assert_eq!(p.sharer_cores().collect::<Vec<_>>(), vec![0, 2]);
-        p.sharers = 0;
-        p.owner = Some(3);
-        assert!(p.has_private_copies());
-    }
 
     #[test]
     fn bank_serializes_requests() {

@@ -250,7 +250,7 @@ impl Noc {
     }
 
     /// Number of fabric stops (`cores + banks`).
-    pub fn num_nodes(&self) -> usize {
+    fn num_nodes(&self) -> usize {
         self.cores + self.banks
     }
 
@@ -278,7 +278,8 @@ impl Noc {
     }
 
     /// Pending link jitter not yet absorbed by a message.
-    pub fn pending_jitter(&self) -> u64 {
+    #[cfg(test)]
+    fn pending_jitter(&self) -> u64 {
         self.jitter_next_msg
     }
 

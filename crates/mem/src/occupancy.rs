@@ -32,7 +32,8 @@ impl BusyHorizon {
     }
 
     /// The first cycle at which the resource is free again.
-    pub fn next_free(&self) -> u64 {
+    #[cfg(test)]
+    fn next_free(&self) -> u64 {
         self.next_free
     }
 }

@@ -97,16 +97,6 @@ impl MemStats {
     pub fn l1_accesses(&self) -> u64 {
         self.l1_hits + self.l1_misses
     }
-
-    /// L1 hit rate in [0, 1]; 1.0 when there were no accesses.
-    pub fn l1_hit_rate(&self) -> f64 {
-        let total = self.l1_accesses();
-        if total == 0 {
-            1.0
-        } else {
-            self.l1_hits as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +118,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_edges() {
+    fn l1_accesses_count_hits_and_misses() {
         let mut s = MemStats::default();
-        assert_eq!(s.l1_hit_rate(), 1.0);
+        assert_eq!(s.l1_accesses(), 0);
         s.l1_hits = 3;
         s.l1_misses = 1;
         assert_eq!(s.l1_accesses(), 4);
-        assert!((s.l1_hit_rate() - 0.75).abs() < 1e-12);
     }
 }
 

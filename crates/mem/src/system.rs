@@ -306,7 +306,7 @@ impl MemorySystem {
         if self.chaos.is_some() {
             self.inject_faults(now);
         }
-        let result = self.access_line(core, tid, op, line, now, true);
+        let result = self.access_line(core, tid, op, line, now);
         if self.cfg.prefetch && !matches!(op, MemOp::StoreCond) {
             for pf_line in self.prefetchers[core].observe(tid as usize, line) {
                 self.prefetch_line(core, pf_line, now);
@@ -424,9 +424,7 @@ impl MemorySystem {
         op: MemOp,
         line: u64,
         now: u64,
-        demand: bool,
     ) -> AccessResult {
-        debug_assert!(demand, "demand-only entry point");
         match op {
             MemOp::Load | MemOp::LoadLinked => {
                 if let Some(p) = self.l1s[core].lookup_mut(line) {

@@ -253,7 +253,7 @@ pub fn replay(records: &[JournalRecord]) -> HashMap<String, JobLedger> {
 }
 
 /// Appends one record durably and folds it into `ledgers` by the rule
-/// [`replay`] uses. The session and the supervisor append every record
+/// [`replay`] uses. The session and its run loop append every record
 /// through here, so their in-memory view is always what a restart would
 /// replay.
 pub(crate) fn journal_apply(

@@ -18,18 +18,17 @@
 //! Layers (DESIGN.md §14, §15):
 //!
 //! * [`session`] — admission: validates and journals each submitted
-//!   `WireJobSpec`, lowers it into a supervised job, runs the queue, and
-//!   streams one result frame per job.
+//!   `WireJobSpec`, replays pending submissions at boot, and hands the
+//!   queue to the run loop on `Run`.
 //! * [`journal`] — append-only WAL with per-record checksums; a torn
 //!   tail decodes as "the append never happened".
-//! * [`service`] — the supervisor: one loop that runs one job at a
-//!   time on a fresh machine, in slices, in submission order, one
-//!   attempt per job, wall/cycle deadlines per job, quarantine on the
-//!   first failure ([`glsc_bench::JobError::Quarantined`]), SIGTERM
-//!   drain.
-//! * [`queue`] — bounded, priority-aware admission in front of the
-//!   supervisor; overload becomes typed `SHED` decisions, not memory
-//!   growth.
+//! * [`service`] — the run loop: answers what the journal settled, then
+//!   lowers and runs one job at a time on a fresh machine, in slices, in
+//!   submission order, and streams one result frame per job once it is
+//!   durable; one attempt per job, wall/cycle deadlines per job, a
+//!   journaled `QUAR` row on the first failure, SIGTERM drain.
+//! * [`queue`] — bounded, priority-aware admission in front of the run
+//!   loop; overload becomes typed `SHED` decisions, not memory growth.
 //! * [`proto`] — the framed request/reply protocol `serve` speaks over
 //!   stdin or a Unix socket; hostile frames map to typed errors.
 //! * [`kill`] — deterministic crash injection (`GLSC_SERVE_KILL`) for the

@@ -292,9 +292,8 @@ fn cmd_sweep(args: &Args) -> ! {
     let mut ids = Vec::new();
     let mut input = Vec::new();
     for spec in sweep_specs(args) {
-        if let Err(e) = spec.validate() {
-            usage(&format!("{}: {e}", spec.kernel_name()));
-        }
+        // Admission validates each spec; one it refuses prints as a
+        // `REJ` row, as it does for `client`.
         ids.push(spec.id());
         let submit = Request::Submit { priority: 0, spec };
         write_message(&mut input, &submit).expect("writing to a Vec cannot fail");

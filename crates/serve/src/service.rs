@@ -1,17 +1,23 @@
-//! The supervisor behind the session: runs admitted jobs durably.
+//! The run half of a session: one loop from each queued spec to its
+//! reply frame.
 //!
 //! Every job reaches it through the one front door, a protocol session
-//! ([`crate::session`]): a `JobSpec` is the lowering of an admitted
-//! `WireJobSpec`. The supervisor is one loop over the jobs the journal
-//! has not settled, in submission order. Each runs on a fresh
-//! [`Machine`], mounted as the figure harness mounts a job (image,
-//! program, and a fault plan for a chaos job), and advances in
-//! `SLICE_CYCLES` (1,024-cycle) slices with a supervision pause between
-//! slices. Every outcome is write-ahead journaled (`done | quarantined`;
-//! the session journals `submitted`) through `journal::journal_apply`,
-//! which folds the record into the session's ledgers by the rule replay
-//! uses; a finished report goes to the result store before its `done`
-//! record is appended.
+//! ([`crate::session`]), which admits and journals each `WireJobSpec`
+//! and hands its drained queue to `run_queue`. The loop makes two
+//! passes in submission order. The first answers what the journal
+//! already settled: a quarantined job streams its `QUAR` row, and a done
+//! job streams its stored report with the journaled chaos line. The
+//! second lowers each remaining spec through [`WireJobSpec::lower`], keys
+//! it by the harness rule, and runs it on a fresh [`Machine`], mounted
+//! as the figure harness mounts a job (image, program, and a fault plan
+//! for a chaos job), in `SLICE_CYCLES` (1,024-cycle) slices with a
+//! supervision pause between slices. A job's workload is dropped before
+//! the next spec is lowered, so the service holds one job at a time.
+//! Every outcome is write-ahead journaled (`done | quarantined`; the
+//! session journals `submitted`) through `journal::journal_apply`, which
+//! folds the record into the session's ledgers by the rule replay uses;
+//! a finished report goes to the result store before its `done` record
+//! is appended, and the reply frame leaves after both.
 //!
 //! Recovery is a rerun. A restart — crash or drain — replays the
 //! journal, serves every `done` job from the result store, and reruns
@@ -25,21 +31,30 @@
 //! Failure policy: one attempt. A panic, a simulator error, a rejecting
 //! or panicking validator, or a tripped cycle or wall-clock deadline
 //! appends one `Quarantined` record, and the job streams a `QUAR` row
-//! while the rest of the sweep completes, with a nonzero exit. A panic
-//! is contained to its job (machine dropped, the loop goes on to the
-//! next job). Jobs are deterministic, so a second attempt would fail the
-//! same way; only a wall-clock trip depends on the host, and it is
-//! quarantined on its first occurrence too. A quarantined job never runs
-//! again in that state dir: a restart or a resubmission is answered from
-//! the journal, and only a fresh state dir runs it again.
+//! (`QUARANTINED`) while the rest of the sweep completes, with a
+//! nonzero exit. A panic is contained to its job (machine dropped, the
+//! loop goes on to the next job). Jobs are deterministic, so a second
+//! attempt would fail the same way; only a wall-clock trip depends on
+//! the host, and it is quarantined on its first occurrence too. A
+//! quarantined job never runs again in that state dir: a restart or a
+//! resubmission is answered from the journal, and only a fresh state dir
+//! runs it again. A spec that no longer lowers (one an older, looser
+//! build journaled) streams a `REJ` row and is closed out with a `Shed`
+//! record.
 
 use crate::journal::{journal_apply, JobLedger, Journal, JournalRecord};
+use crate::proto::Reply;
+use crate::queue::QueueEntry;
+use crate::session::Client;
 use crate::{kill, signal};
+use glsc_bench::codec::encode_report;
+use glsc_bench::jobspec::WireJobSpec;
 use glsc_bench::store::{cfg_fingerprint, job_key};
-use glsc_bench::{JobError, JobStore};
+use glsc_bench::JobStore;
 use glsc_kernels::Workload;
 use glsc_sim::{ChaosConfig, FaultPlan, Machine, MachineConfig, RunReport, SlicedRun};
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -49,6 +64,11 @@ use std::time::Instant;
 /// enough to land inside the shortest tiny job, long enough that the
 /// pause costs nothing measurable.
 const SLICE_CYCLES: u64 = 1_024;
+
+/// The label and detail of a quarantined job's `JobFailed` row. The
+/// failure's reason goes to the log only, so a row answered from the
+/// journal renders exactly as the live one did.
+pub(crate) const QUARANTINED: (&str, &str) = ("QUAR", "quarantined after a failed run");
 
 /// Service-wide knobs.
 #[derive(Debug)]
@@ -78,91 +98,87 @@ impl ServiceConfig {
     }
 }
 
-/// Writes one supervisor log line to stderr. Unit tests also keep the
+#[cfg(test)]
+thread_local! {
+    /// The service log lines written on this test's thread.
+    static LOG: std::cell::RefCell<Vec<String>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Writes one service log line to stderr. Unit tests also keep the
 /// lines their own thread logs, to count what an operator would see.
-fn log(line: String) {
+pub(crate) fn log(line: String) {
     #[cfg(test)]
-    tests::LOG.with(|log| log.borrow_mut().push(line.clone()));
+    LOG.with(|log| log.borrow_mut().push(line.clone()));
     eprintln!("[serve] {line}");
 }
 
-/// One supervised simulation: the lowering of an admitted wire spec
-/// (`session::spec_to_job` is its only constructor).
-pub(crate) struct JobSpec {
-    /// Stable, filesystem-safe id (the wire spec's); names the job in the
-    /// journal, the result cache, and reply frames.
-    pub id: String,
-    /// What to simulate and how to validate it.
-    pub workload: Workload,
-    /// Machine to run it on.
-    pub cfg: MachineConfig,
-    /// Fault-plan seed: `Some` runs the job under seeded chaos and
-    /// reports the injection counters alongside the result.
-    pub chaos: Option<u64>,
-    /// Per-job cycle deadline, overriding the service-wide one.
-    pub deadline_cycles: Option<u64>,
-    /// Per-job wall-clock deadline, overriding the service-wide one.
-    pub deadline_wall_ms: Option<u64>,
+/// Takes the service log lines this thread has written so far.
+#[cfg(test)]
+pub(crate) fn take_log() -> Vec<String> {
+    LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
 }
 
-impl JobSpec {
-    /// The job's result-store key, by the harness's rule: the id (which
-    /// ends in `-chaos<seed>` for a chaos job) and the two fingerprints.
-    fn cache_key(&self) -> String {
-        job_key(
-            &[&self.id],
-            self.workload.fingerprint(),
-            cfg_fingerprint(&self.cfg),
-        )
+/// A finished job's reply frame.
+fn done_reply(id: String, report: &RunReport, chaos: Option<String>) -> Reply {
+    Reply::JobDone {
+        id,
+        cycles: report.cycles,
+        report: encode_report(report),
+        chaos,
     }
 }
 
-/// One finished job's durable result.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct JobResult {
-    /// The simulation report (bit-identical to an unsupervised run).
-    pub report: RunReport,
-    /// Rendered chaos counters when the job ran under a fault plan.
-    pub chaos: Option<String>,
+/// A quarantined job's reply frame.
+fn quarantined_reply(id: String) -> Reply {
+    let (label, detail) = QUARANTINED;
+    Reply::JobFailed {
+        id,
+        label: label.to_string(),
+        detail: detail.to_string(),
+    }
 }
 
-/// The supervision loop behind a session's `Run`: one pass of the jobs
-/// the journal has not settled, one at a time, in submission order, each
-/// from the start of its spec. Each ends done, quarantined, or — on a
-/// drain — unsettled, and every settling record goes through
-/// [`journal_apply`], so `ledgers` always says what a restart would
-/// replay.
+/// Runs a session's drained queue: one job at a time, in submission
+/// order, each from the start of its spec, streaming each outcome's
+/// reply frame the moment it is durable (journaled and stored), then the
+/// sweep summary, which counts the session's `shed` submissions too.
+/// Each job ends done, quarantined, rejected, or — on a drain —
+/// unsettled, and every settling record goes through [`journal_apply`],
+/// so `ledgers` always says what a restart would replay.
 ///
-/// `on_result(index, outcome)` streams each job's final outcome the
-/// moment it is durable (journaled + cached), in completion order — the
-/// protocol session forwards these as result frames so a client sees
-/// results as they land, not at the sweep barrier. Jobs resolved from
-/// the journal/cache stream immediately.
-///
-/// Returns how many jobs a drain left unsettled: 0 when the pass ran
-/// every job to an outcome.
-pub(crate) fn run_supervised<F>(
+/// Returns whether a drain interrupted the run: the unsettled jobs stay
+/// pending in the journal, and no summary is sent.
+pub(crate) fn run_queue(
     svc: &ServiceConfig,
     store: &JobStore,
     journal: &mut Journal,
     ledgers: &mut HashMap<String, JobLedger>,
-    jobs: &[JobSpec],
-    mut on_result: F,
-) -> std::io::Result<usize>
-where
-    F: FnMut(usize, &Result<JobResult, JobError>),
-{
-    // Stream what the journal already settled; the rest run.
+    entries: Vec<QueueEntry>,
+    client: &mut Client<'_, impl Write>,
+    shed: u32,
+) -> io::Result<bool> {
+    let (mut ok, mut failed) = (0u32, 0u32);
+    // Pass 1: answer what the journal already settled.
     let mut pending = Vec::new();
-    for (gi, job) in jobs.iter().enumerate() {
-        let ledger = ledgers.get(&job.id);
+    for entry in entries {
+        let ledger = ledgers.get(&entry.id);
         if ledger.is_some_and(|l| l.quarantined) {
-            on_result(gi, &Err(JobError::Quarantined { index: gi }));
+            failed += 1;
+            client.send(&quarantined_reply(entry.id));
             continue;
         }
         if let Some(chaos) = ledger.and_then(|l| l.done.clone()) {
-            if let Some(report) = store.load(&job.cache_key()) {
-                on_result(gi, &Ok(JobResult { report, chaos }));
+            // Lowered only for its key.
+            let stored = entry.spec.lower().ok().and_then(|(cfg, workload)| {
+                store.load(&job_key(
+                    &[&entry.id],
+                    workload.fingerprint(),
+                    cfg_fingerprint(&cfg),
+                ))
+            });
+            if let Some(report) = stored {
+                ok += 1;
+                client.send(&done_reply(entry.id, &report, chaos));
                 continue;
             }
             // Done in the journal but the cached report is gone or
@@ -170,70 +186,119 @@ where
             // surviving.
             log(format!(
                 "{}: done in journal but report missing; re-running",
-                job.id
+                entry.id
             ));
         }
-        pending.push(gi);
-    }
-    // A drain before the run starts leaves every pending job unsettled.
-    if signal::term_requested() {
-        return Ok(pending.len());
+        pending.push(entry);
     }
 
-    for (ran, &gi) in pending.iter().enumerate() {
-        let job = &jobs[gi];
-        let Some(run) = run_job(svc, job) else {
+    // Pass 2: run the rest, unless a drain is pending.
+    let unsettled = pending.len();
+    if unsettled > 0 && signal::term_requested() {
+        log(format!(
+            "drained: {unsettled} queued job(s) left pending in the journal"
+        ));
+        return Ok(true);
+    }
+    for (ran, entry) in pending.into_iter().enumerate() {
+        let (cfg, workload) = match entry.spec.lower() {
+            Ok(lowered) => lowered,
+            Err(detail) => {
+                // Admission refuses such a spec, but the journal may hold
+                // one a looser build admitted: a typed failure, closed
+                // out so it does not replay as pending forever.
+                log(format!(
+                    "{}: spec no longer lowers ({detail}); failing",
+                    entry.id
+                ));
+                let closed = JournalRecord::Shed {
+                    job: entry.id.clone(),
+                };
+                journal_apply(journal, ledgers, closed)?;
+                failed += 1;
+                let reply = Reply::JobFailed {
+                    id: entry.id,
+                    label: "REJ".to_string(),
+                    detail,
+                };
+                client.send(&reply);
+                continue;
+            }
+        };
+        let key = job_key(&[&entry.id], workload.fingerprint(), cfg_fingerprint(&cfg));
+        let Some(run) = run_job(svc, &entry.spec, cfg, workload) else {
             // A drain dropped the run in flight: the journal still holds
             // it and every later job as not done, so the next start
             // reruns them from their specs.
-            return Ok(pending.len() - ran);
+            log(format!(
+                "drained: {} queued job(s) left pending in the journal",
+                unsettled - ran
+            ));
+            return Ok(true);
         };
-        let outcome = match run {
-            Ok(result) => {
-                store.save(&job.cache_key(), &result.report);
-                let done = JournalRecord::Done {
-                    job: job.id.clone(),
-                    chaos: result.chaos.clone(),
+        let reply = match run {
+            Ok((report, chaos)) => {
+                store.save(&key, &report);
+                let record = JournalRecord::Done {
+                    job: entry.id.clone(),
+                    chaos: chaos.clone(),
                 };
-                journal_apply(journal, ledgers, done)?;
-                Ok(result)
+                journal_apply(journal, ledgers, record)?;
+                ok += 1;
+                done_reply(entry.id, &report, chaos)
             }
             Err(reason) => {
                 // The reason goes to the log only; the row renders from
                 // the record, so a replayed row matches the live one.
-                log(format!("{}: quarantined: {reason}", job.id));
-                let quarantined = JournalRecord::Quarantined {
-                    job: job.id.clone(),
+                log(format!("{}: quarantined: {reason}", entry.id));
+                let record = JournalRecord::Quarantined {
+                    job: entry.id.clone(),
                     failures: 1,
                 };
-                journal_apply(journal, ledgers, quarantined)?;
-                Err(JobError::Quarantined { index: gi })
+                journal_apply(journal, ledgers, record)?;
+                failed += 1;
+                quarantined_reply(entry.id)
             }
         };
-        on_result(gi, &outcome);
+        client.send(&reply);
     }
-    Ok(0)
+    client.send(&Reply::SweepDone { ok, failed, shed });
+    Ok(false)
 }
 
-/// Runs one job on a fresh machine, mounted as the figure harness mounts
-/// it, in `SLICE_CYCLES` slices. Between slices it checks, in order: an
-/// injected `cycles:` kill, the drain flag, the cycle deadline, and the
-/// wall deadline, whose clock starts at the first pause. One
-/// `catch_unwind` covers the slices and the validator, so a panic in
-/// either fails the job, not the service.
+/// Runs one lowered job on a fresh machine, mounted as the figure
+/// harness mounts it, in `SLICE_CYCLES` slices. Between slices it
+/// checks, in order: an injected `cycles:` kill, the drain flag, the
+/// cycle deadline, and the wall deadline, whose clock starts at the
+/// first pause. One `catch_unwind` covers the slices and the validator,
+/// so a panic in either fails the job, not the service.
 ///
-/// Returns `None` when a drain dropped the run, and otherwise the result
-/// or the reason the run failed.
-fn run_job(svc: &ServiceConfig, job: &JobSpec) -> Option<Result<JobResult, String>> {
-    let mut machine = Machine::new(job.cfg.clone());
-    job.workload.image.apply(machine.mem_mut().backing_mut());
-    machine.load_program(job.workload.program.clone());
-    if let Some(seed) = job.chaos {
+/// Returns `None` when a drain dropped the run, and otherwise the report
+/// with its rendered chaos counters (for a chaos job), or the reason the
+/// run failed.
+fn run_job(
+    svc: &ServiceConfig,
+    spec: &WireJobSpec,
+    cfg: MachineConfig,
+    workload: Workload,
+) -> Option<Result<(RunReport, Option<String>), String>> {
+    let Workload {
+        program,
+        image,
+        validate,
+        ..
+    } = workload;
+    let mut machine = Machine::new(cfg);
+    image.apply(machine.mem_mut().backing_mut());
+    // The machine's memory holds the image now; free the copy.
+    drop(image);
+    machine.load_program(program);
+    if let Some(seed) = spec.chaos {
         let plan = FaultPlan::new(ChaosConfig::from_seed(seed));
         machine.mem_mut().install_fault_plan(plan);
     }
-    let cycle_limit = job.deadline_cycles.or(svc.deadline_cycles);
-    let wall_limit = job.deadline_wall_ms.or(svc.deadline_wall_ms);
+    let cycle_limit = spec.deadline_cycles.or(svc.deadline_cycles);
+    let wall_limit = spec.deadline_wall_ms.or(svc.deadline_wall_ms);
     let supervised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut run = SlicedRun::new(&machine);
         let mut started = None;
@@ -260,14 +325,14 @@ fn run_job(svc: &ServiceConfig, job: &JobSpec) -> Option<Result<JobResult, Strin
             };
             return Some(Err(format!("{trip} (stopped at cycle {cycle})")));
         };
-        Some(match (job.workload.validate)(machine.mem().backing()) {
-            Ok(()) => Ok(JobResult {
-                report,
-                chaos: machine
+        Some(match validate(machine.mem().backing()) {
+            Ok(()) => {
+                let chaos = machine
                     .mem()
                     .chaos_stats()
-                    .map(|stats| format!("{stats:?}")),
-            }),
+                    .map(|stats| format!("{stats:?}"));
+                Ok((report, chaos))
+            }
             Err(e) => Err(format!("validation failed: {e}")),
         })
     }));
@@ -284,24 +349,12 @@ fn run_job(svc: &ServiceConfig, job: &JobSpec) -> Option<Result<JobResult, Strin
 mod tests {
     use super::*;
     use crate::journal::replay;
-    use crate::proto::{print_table, read_message, write_message, Reply, Request};
-    use crate::session::{run_session, spec_to_job, SessionEnd};
+    use crate::proto::{print_table, read_message, write_message, Request};
+    use crate::session::{run_session, SessionEnd};
     use glsc_bench::codec::decode_report;
-    use glsc_bench::jobspec::WireJobSpec;
     use glsc_kernels::{Dataset, Variant};
-    use std::cell::RefCell;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-
-    thread_local! {
-        /// The supervisor's log lines written on this test's thread.
-        pub(super) static LOG: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Takes the supervisor log lines this thread has written so far.
-    fn take_log() -> Vec<String> {
-        LOG.with(|log| std::mem::take(&mut *log.borrow_mut()))
-    }
 
     /// The cycle at which each deadline trip in `log` stopped job `id`.
     fn deadline_stops(log: &[String], id: &str) -> Vec<u64> {
@@ -332,8 +385,10 @@ mod tests {
         WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Glsc, shape, 4)
     }
 
-    fn fig6_job() -> JobSpec {
-        spec_to_job(&hip((1, 2))).unwrap()
+    /// The report `spec` gives when run outside the service.
+    fn solo(spec: &WireJobSpec) -> RunReport {
+        let (cfg, workload) = spec.lower().unwrap();
+        glsc_kernels::run_workload(&workload, &cfg).unwrap().report
     }
 
     /// The request frames a sweep of `specs` sends: one `Submit` each,
@@ -351,21 +406,56 @@ mod tests {
         input
     }
 
+    /// Every reply frame in `output`.
+    fn frames(mut output: &[u8]) -> Vec<Reply> {
+        let mut replies = Vec::new();
+        while let Some(reply) = read_message::<Reply>(&mut output).unwrap() {
+            replies.push(reply);
+        }
+        replies
+    }
+
     /// One session over `input`: how it ended, and every reply frame.
     fn session(cfg: &ServiceConfig, input: &mut impl std::io::Read) -> (SessionEnd, Vec<Reply>) {
         let mut output = Vec::new();
         let end = run_session(cfg, input, &mut output).unwrap();
-        let mut frames = &output[..];
-        let mut replies = Vec::new();
-        while let Some(reply) = read_message::<Reply>(&mut frames).unwrap() {
-            replies.push(reply);
-        }
-        (end, replies)
+        (end, frames(&output))
     }
 
     /// A sweep through the front door, as the `sweep` command runs it.
     fn sweep(cfg: &ServiceConfig, specs: &[WireJobSpec]) -> (SessionEnd, Vec<Reply>) {
         session(cfg, &mut &requests(specs)[..])
+    }
+
+    /// The queue entry a session would admit for `spec`.
+    fn entry(spec: WireJobSpec) -> QueueEntry {
+        QueueEntry {
+            id: spec.id(),
+            priority: 0,
+            spec,
+        }
+    }
+
+    /// Runs `entries` as a session's `Run` would, over `cfg`'s state
+    /// dir: whether a drain interrupted it, and every reply frame.
+    fn run(cfg: &ServiceConfig, entries: Vec<QueueEntry>) -> (bool, Vec<Reply>) {
+        std::fs::create_dir_all(&cfg.state_dir).unwrap();
+        let store = JobStore::at(cfg.state_dir.join("cache"), true);
+        let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
+        let mut ledgers = replay(&records);
+        let mut output = Vec::new();
+        let mut client = Client::new(&mut output);
+        let drained = run_queue(
+            cfg,
+            &store,
+            &mut journal,
+            &mut ledgers,
+            entries,
+            &mut client,
+            0,
+        )
+        .unwrap();
+        (drained, frames(&output))
     }
 
     /// The sweep table and its failed-row count (the `sweep` command
@@ -402,6 +492,24 @@ mod tests {
         }
     }
 
+    /// The ids of the result frames in `replies`, in stream order.
+    fn stream_order(replies: &[Reply]) -> Vec<&str> {
+        replies
+            .iter()
+            .filter_map(|r| match r {
+                Reply::JobDone { id, .. } | Reply::JobFailed { id, .. } => Some(id.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn quarantine_row_is_pinned() {
+        // Operators grep this exact row out of sweep tables; changing it
+        // is a breaking change to the output format.
+        assert_eq!(QUARANTINED, ("QUAR", "quarantined after a failed run"));
+    }
+
     #[test]
     fn sweep_matches_unsupervised_run() {
         let _flag = signal::term_flag_shared();
@@ -410,10 +518,8 @@ mod tests {
         let specs = [hip((1, 2))];
         let (end, replies) = sweep(&cfg, &specs);
         assert_eq!(end, SessionEnd::Closed);
-        let job = fig6_job();
-        let solo = glsc_kernels::run_workload(&job.workload, &job.cfg).unwrap();
-        let (report, chaos) = done(&replies, &job.id);
-        assert_eq!(report, solo.report);
+        let (report, chaos) = done(&replies, &specs[0].id());
+        assert_eq!(report, solo(&specs[0]));
         assert_eq!(chaos, None);
         let (first, failed) = table(&specs, &replies);
         assert_eq!(failed, 0);
@@ -494,98 +600,80 @@ mod tests {
 
     #[test]
     fn every_failure_kind_is_quarantined_on_its_first_occurrence() {
-        // Beside a healthy job: a cycle-deadline trip (HIP Tiny GLSC needs
-        // 32,402 cycles at 1x1), a validator that always rejects, and one
-        // that panics. Each failing job simulates once (one log line, one
-        // validator call, one pause past the deadline) and is settled by
-        // one `Quarantined` record, and a second pass over the same state
-        // dir answers it from the journal with the same row.
+        // A validator that always rejects and one that panics each fail
+        // the run once (one validator call) with the reason the log
+        // shows. Through the loop, beside a healthy job, a cycle-deadline
+        // trip (HIP Tiny GLSC needs 32,402 cycles at 1x1) simulates once
+        // (one log line), is settled by one `Quarantined` record, and a
+        // second pass over the same state dir answers it from the journal
+        // with the same row; every failure reaches that record through
+        // the same branch.
         let _flag = signal::term_flag_shared();
+        let svc = ServiceConfig::new(PathBuf::new());
+        let spec = hip((1, 2));
+        let calls = Arc::new(AtomicU32::new(0));
+        for (why, panics) in [("rejects every run", false), ("validator panicked", true)] {
+            let (cfg, mut workload) = spec.lower().unwrap();
+            let counted = Arc::clone(&calls);
+            workload.validate = Box::new(move |_| {
+                counted.fetch_add(1, Ordering::SeqCst);
+                if panics {
+                    panic!("validator panicked");
+                }
+                Err("rejects every run".into())
+            });
+            let before = calls.load(Ordering::SeqCst);
+            match run_job(&svc, &spec, cfg, workload) {
+                Some(Err(reason)) => assert!(reason.contains(why), "{reason}"),
+                other => panic!("{why}: {other:?}"),
+            }
+            assert_eq!(calls.load(Ordering::SeqCst), before + 1, "{why}");
+        }
+
         let dir = tmp_dir("first-failure");
+        std::fs::create_dir_all(&dir).unwrap();
         let cfg = ServiceConfig::new(dir.clone());
         let specs = [
             WireJobSpec {
                 deadline_cycles: Some(20_000),
                 ..hip((1, 1))
             },
-            hip((1, 2)),
-            hip((1, 4)),
             hip((4, 4)),
         ];
         let ids: Vec<String> = specs.iter().map(WireJobSpec::id).collect();
-        let rejects = Arc::new(AtomicU32::new(0));
-        let panics = Arc::new(AtomicU32::new(0));
-        let jobs = || {
-            let mut jobs: Vec<JobSpec> = specs.iter().map(|s| spec_to_job(s).unwrap()).collect();
-            let calls = Arc::clone(&rejects);
-            jobs[1].workload.validate = Box::new(move |_| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Err("rejects every run".into())
-            });
-            let calls = Arc::clone(&panics);
-            jobs[2].workload.validate = Box::new(move |_| {
-                calls.fetch_add(1, Ordering::SeqCst);
-                panic!("validator panicked")
-            });
-            jobs
-        };
-        // One supervised pass: each job's row as the sweep table renders
-        // it, and the records the pass appended.
+        // One pass: each job's row as the sweep table renders it, and the
+        // records the pass appended.
         let pass = || {
-            std::fs::create_dir_all(&cfg.state_dir).unwrap();
-            let store = JobStore::at(cfg.state_dir.join("cache"), true);
-            let path = cfg.state_dir.join("journal.log");
-            let (mut journal, records) = Journal::open(&path).unwrap();
-            let mut rows = vec![String::new(); specs.len()];
-            let unsettled = run_supervised(
-                &cfg,
-                &store,
-                &mut journal,
-                &mut replay(&records),
-                &jobs(),
-                |gi, o| {
-                    rows[gi] = match o {
-                        Ok(result) => format!("{} cycles", result.report.cycles),
-                        Err(e) => format!("{} {}", e.cell(), e.message()),
-                    };
-                },
-            )
-            .unwrap();
-            assert_eq!(unsettled, 0);
-            drop(journal);
+            let path = dir.join("journal.log");
+            let before = Journal::open(&path).unwrap().1.len();
+            let (_, replies) = run(&cfg, specs.iter().cloned().map(entry).collect());
             let (_, after) = Journal::open(&path).unwrap();
-            (rows, after[records.len()..].to_vec())
+            (table(&specs, &replies).0, after[before..].to_vec())
         };
-
         take_log();
         let (rows, appended) = pass();
         let log = take_log();
-        assert_eq!(rows[..3], ["QUAR quarantined after a failed run"; 3]);
-        assert!(rows[3].ends_with(" cycles"), "{rows:?}");
-        assert_eq!(rejects.load(Ordering::SeqCst), 1);
-        assert_eq!(panics.load(Ordering::SeqCst), 1);
-        for (id, why) in
-            ids.iter()
-                .zip(["cycle deadline", "rejects every run", "validator panicked"])
-        {
-            let lines: Vec<&String> = log
-                .iter()
-                .filter(|l| l.starts_with(&format!("{id}: ")))
-                .collect();
-            assert!(
-                lines.len() == 1 && lines[0].contains(why),
-                "{id}: {lines:?}"
-            );
-            assert_eq!(
-                settling(&appended, id),
-                [&JournalRecord::Quarantined {
-                    job: id.clone(),
-                    failures: 1
-                }]
-            );
-        }
+        assert!(
+            rows.contains(&format!("{}  QUAR quarantined after a failed run", ids[0])),
+            "{rows}"
+        );
+        let lines: Vec<&String> = log
+            .iter()
+            .filter(|l| l.starts_with(&format!("{}: ", ids[0])))
+            .collect();
+        assert!(
+            lines.len() == 1 && lines[0].contains("cycle deadline"),
+            "{lines:?}"
+        );
+        assert_eq!(
+            settling(&appended, &ids[0]),
+            [&JournalRecord::Quarantined {
+                job: ids[0].clone(),
+                failures: 1
+            }]
+        );
         assert!(matches!(
-            settling(&appended, &ids[3])[..],
+            settling(&appended, &ids[1])[..],
             [JournalRecord::Done { .. }]
         ));
 
@@ -594,8 +682,6 @@ mod tests {
         assert_eq!(rows2, rows);
         assert!(appended2.is_empty(), "{appended2:?}");
         assert!(take_log().is_empty());
-        assert_eq!(rejects.load(Ordering::SeqCst), 1);
-        assert_eq!(panics.load(Ordering::SeqCst), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -681,11 +767,9 @@ mod tests {
         // Clear the flag (tests share the process-global) and finish.
         super::signal::clear_term_for_tests();
         let (_, replies) = sweep(&cfg, &specs);
-        let job = fig6_job();
-        let solo = glsc_kernels::run_workload(&job.workload, &job.cfg).unwrap();
         assert_eq!(
             done(&replies, &id).0,
-            solo.report,
+            solo(&specs[0]),
             "rerun after the drain diverged"
         );
         let _ = std::fs::remove_dir_all(&dir);
@@ -715,21 +799,28 @@ mod tests {
 
     #[test]
     fn results_stream_as_they_become_durable() {
+        // Each reply frame leaves after its job's record is journaled and
+        // its report stored: a client that has seen `JobDone` can
+        // reconnect to a restarted service and be served from the store.
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("stream");
         let cfg = ServiceConfig::new(dir.clone());
-        let jobs = vec![fig6_job()];
-        std::fs::create_dir_all(&cfg.state_dir).unwrap();
-        let store = JobStore::at(cfg.state_dir.join("cache"), true);
-        let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
-        let mut ledgers = replay(&records);
-        let mut streamed = Vec::new();
-        let unsettled = run_supervised(&cfg, &store, &mut journal, &mut ledgers, &jobs, |gi, o| {
-            streamed.push((gi, o.is_ok()));
-        })
-        .unwrap();
-        assert_eq!(unsettled, 0);
-        assert_eq!(streamed, vec![(0, true)]);
+        let spec = hip((1, 2));
+        let (drained, replies) = run(&cfg, vec![entry(spec.clone())]);
+        assert!(!drained);
+        assert_eq!(stream_order(&replies), [spec.id()]);
+        assert!(matches!(
+            replies.last(),
+            Some(Reply::SweepDone {
+                ok: 1,
+                failed: 0,
+                shed: 0
+            })
+        ));
+        let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
+        assert!(replay(&records)[&spec.id()].done.is_some());
+        let (_, again) = run(&cfg, vec![entry(spec.clone())]);
+        assert_eq!(again, replies, "served from the store, frame for frame");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -741,33 +832,93 @@ mod tests {
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("order");
         let cfg = ServiceConfig::new(dir.clone());
-        let jobs: Vec<JobSpec> = [
+        let specs = [
             hip((1, 1)),
             WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Base, (4, 4), 4),
             hip((4, 4)),
-        ]
-        .iter()
-        .map(|spec| spec_to_job(spec).unwrap())
-        .collect();
-        std::fs::create_dir_all(&cfg.state_dir).unwrap();
-        let store = JobStore::at(cfg.state_dir.join("cache"), true);
-        let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
-        let mut ledgers = replay(&records);
-        let (mut order, mut cycles) = (Vec::new(), Vec::new());
-        let unsettled = run_supervised(&cfg, &store, &mut journal, &mut ledgers, &jobs, |gi, o| {
-            let result = o
-                .as_ref()
-                .unwrap_or_else(|e| panic!("job {gi} failed: {e:?}"));
-            order.push(gi);
-            cycles.push(result.report.cycles);
-        })
-        .unwrap();
-        assert_eq!(unsettled, 0);
+        ];
+        let (_, replies) = sweep(&cfg, &specs);
+        let ids: Vec<String> = specs.iter().map(WireJobSpec::id).collect();
+        assert_eq!(stream_order(&replies), ids);
+        let cycles: Vec<u64> = ids.iter().map(|id| done(&replies, id).0.cycles).collect();
         assert!(
             cycles[0] > 4 * (cycles[1] + cycles[2]),
             "the first job must be the long one: {cycles:?}"
         );
-        assert_eq!(order, [0, 1, 2]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn settled_jobs_answer_before_the_rest_run() {
+        // Pass 1 streams what the journal settled ahead of every run: a
+        // job done in an earlier session answers before one submitted
+        // ahead of it runs. A drain raised before pass 2 still answers
+        // the settled job and leaves the pending one journaled pending.
+        let dir = tmp_dir("settled");
+        let cfg = ServiceConfig::new(dir.clone());
+        let (settled, fresh, late) = (hip((1, 2)), hip((1, 4)), hip((2, 2)));
+        {
+            let _flag = signal::term_flag_shared();
+            sweep(&cfg, std::slice::from_ref(&settled));
+            let (_, replies) = run(&cfg, vec![entry(fresh.clone()), entry(settled.clone())]);
+            assert_eq!(stream_order(&replies), [settled.id(), fresh.id()]);
+        }
+
+        let _flag = signal::term_flag_exclusive();
+        let input = requests(&[late.clone(), settled.clone()]);
+        let (end, replies) = session(&cfg, &mut TermAtEnd(&input));
+        signal::clear_term_for_tests();
+        assert_eq!(end, SessionEnd::Drained);
+        assert_eq!(stream_order(&replies), [settled.id()]);
+        assert!(
+            !replies.iter().any(|r| matches!(r, Reply::SweepDone { .. })),
+            "{replies:?}"
+        );
+        let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
+        let ledgers = replay(&records);
+        assert!(ledgers[&late.id()].pending.is_some());
+        assert!(ledgers[&late.id()].done.is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queue_entry_that_no_longer_lowers_streams_a_typed_failure_in_turn() {
+        // A hostile entry forced past admission, as a drifted validator
+        // would have, behind a good job: the good job runs first, and the
+        // hostile one fails typed when its turn comes, closed out with a
+        // `Shed` record.
+        let _flag = signal::term_flag_shared();
+        let dir = tmp_dir("lower");
+        let cfg = ServiceConfig::new(dir.clone());
+        let good = hip((1, 2));
+        let bad = WireJobSpec {
+            kernel: "EVIL".into(),
+            ..hip((1, 2))
+        };
+        let (drained, replies) = run(&cfg, vec![entry(good.clone()), entry(bad.clone())]);
+        assert!(!drained);
+        assert_eq!(stream_order(&replies), [good.id(), bad.id()]);
+        assert!(
+            matches!(outcome(&replies, &bad.id()), Some(Reply::JobFailed { label, detail, .. })
+                if label == "REJ" && detail.contains("EVIL")),
+            "{replies:?}"
+        );
+        assert!(
+            matches!(
+                replies.last(),
+                Some(Reply::SweepDone {
+                    ok: 1,
+                    failed: 1,
+                    ..
+                })
+            ),
+            "{replies:?}"
+        );
+        let (_, records) = Journal::open(&dir.join("journal.log")).unwrap();
+        assert_eq!(
+            settling(&records, &bad.id()),
+            [&JournalRecord::Shed { job: bad.id() }]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

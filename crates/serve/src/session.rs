@@ -4,9 +4,9 @@
 //! This is the service's one front door: every job `glsc-serve` runs
 //! enters here as a [`WireJobSpec`], whether a client sent it over
 //! stdin or a socket or the `sweep` command wrote it into an in-memory
-//! request buffer, and `spec_to_job` turns it into a supervised job
+//! request buffer. The run loop ([`crate::service`]) lowers each one
 //! through [`WireJobSpec::lower`], the lowering the figure harness's
-//! kernel jobs share.
+//! kernel jobs share, when its turn comes.
 //!
 //! A session opens by replaying the journal and re-queueing every
 //! pending submission; a pending spec that no longer decodes or
@@ -15,9 +15,9 @@
 //! frames, applying the [`AdmissionQueue`] policy, and journaling every
 //! decision (`Submitted` / `Shed`) before the reply frame leaves — and a
 //! **run phase**, entered on [`Request::Run`] (or end of stream with
-//! work queued), which runs the queue through the supervisor's loop, one
-//! job at a time, and streams a result frame per job as it becomes
-//! durable. The session and the supervisor append every record through
+//! work queued), which hands the drained queue to the run loop, one job
+//! at a time, and streams a result frame per job as it becomes durable.
+//! The session and the run loop append every record through
 //! `journal::journal_apply`, so the session's ledgers always say what a
 //! restart would replay.
 //!
@@ -41,10 +41,10 @@
 use crate::journal::{journal_apply, replay, JobLedger, Journal, JournalRecord};
 use crate::proto::{read_message, write_message, FrameError, Reply, Request};
 use crate::queue::{Admission, AdmissionQueue, QueueEntry};
-use crate::service::{run_supervised, JobSpec, ServiceConfig};
+use crate::service::{log, run_queue, ServiceConfig};
 use crate::signal;
 use glsc_bench::jobspec::WireJobSpec;
-use glsc_bench::{codec::encode_report, JobStore};
+use glsc_bench::JobStore;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
@@ -79,15 +79,8 @@ pub fn run_session(
     let mut queue = AdmissionQueue::new(cfg.queue_capacity);
     restore_pending(&records, &mut journal, &mut ledgers, &mut queue)?;
 
-    // Client liveness is best-effort: once a write fails the session
-    // stops talking but keeps working.
-    let mut client_gone = false;
+    let mut client = Client::new(output);
     let mut shed: u32 = 0;
-    let send = |output: &mut dyn Write, gone: &mut bool, reply: &Reply| {
-        if !*gone && write_message(output, reply).is_err() {
-            *gone = true;
-        }
-    };
 
     loop {
         if signal::term_requested() {
@@ -95,85 +88,37 @@ pub fn run_session(
         }
         let request = match read_message::<Request>(input) {
             Ok(Some(req)) => req,
-            Ok(None) => {
-                // Clean EOF: run whatever was queued, then close.
-                if queue.is_empty() {
-                    return Ok(SessionEnd::Closed);
-                }
-                let drained = run_queue(
-                    cfg,
-                    &store,
-                    &mut journal,
-                    &mut ledgers,
-                    &mut queue,
-                    output,
-                    &mut client_gone,
-                    &mut shed,
-                )?;
-                return Ok(if drained {
-                    SessionEnd::Drained
-                } else {
-                    SessionEnd::Closed
-                });
-            }
+            // Clean EOF: run whatever was queued, then close.
+            Ok(None) => break,
             Err(e) if e.is_resyncable() => {
                 // One bad frame; framing is still in sync. Typed reply,
                 // keep reading.
-                send(
-                    output,
-                    &mut client_gone,
-                    &Reply::FrameError {
-                        detail: e.to_string(),
-                    },
-                );
+                client.send(&Reply::FrameError {
+                    detail: e.to_string(),
+                });
                 continue;
             }
             Err(e) => {
                 // Frame boundaries are gone (oversized/truncated) or the
                 // transport died. Stop reading, but accepted jobs still
                 // run durably.
-                if !matches!(e, FrameError::Io(_)) {
-                    send(
-                        output,
-                        &mut client_gone,
-                        &Reply::FrameError {
-                            detail: e.to_string(),
-                        },
-                    );
+                if matches!(e, FrameError::Io(_)) {
+                    client.gone = true;
                 } else {
-                    client_gone = true;
+                    client.send(&Reply::FrameError {
+                        detail: e.to_string(),
+                    });
                 }
-                if queue.is_empty() {
-                    return Ok(SessionEnd::Closed);
-                }
-                let drained = run_queue(
-                    cfg,
-                    &store,
-                    &mut journal,
-                    &mut ledgers,
-                    &mut queue,
-                    output,
-                    &mut client_gone,
-                    &mut shed,
-                )?;
-                return Ok(if drained {
-                    SessionEnd::Drained
-                } else {
-                    SessionEnd::Closed
-                });
+                break;
             }
         };
         match request {
             Request::Submit { priority, spec } => {
                 if let Err(e) = spec.validate() {
-                    send(
-                        output,
-                        &mut client_gone,
-                        &Reply::Rejected {
-                            id: spec.id(),
-                            reason: e.to_string(),
-                        },
-                    );
+                    client.send(&Reply::Rejected {
+                        id: spec.id(),
+                        reason: e.to_string(),
+                    });
                     continue;
                 }
                 let id = spec.id();
@@ -182,25 +127,19 @@ pub fn run_session(
                     priority,
                     spec: spec.clone(),
                 }) {
-                    Admission::Duplicate => {
-                        send(output, &mut client_gone, &Reply::Accepted { id });
-                    }
+                    Admission::Duplicate => client.send(&Reply::Accepted { id }),
                     Admission::Enqueued => {
                         journal_submit(&mut journal, &mut ledgers, &id, priority, &spec)?;
-                        send(output, &mut client_gone, &Reply::Accepted { id });
+                        client.send(&Reply::Accepted { id });
                     }
                     Admission::Shed { queued, capacity } => {
                         journal_shed(&mut journal, &mut ledgers, &id)?;
                         shed += 1;
-                        send(
-                            output,
-                            &mut client_gone,
-                            &Reply::Shed {
-                                id,
-                                queued: queued as u32,
-                                capacity: capacity as u32,
-                            },
-                        );
+                        client.send(&Reply::Shed {
+                            id,
+                            queued: queued as u32,
+                            capacity: capacity as u32,
+                        });
                     }
                     Admission::Evicted { victim } => {
                         // The victim's late shed and the incoming job's
@@ -209,29 +148,25 @@ pub fn run_session(
                         journal_shed(&mut journal, &mut ledgers, &victim.id)?;
                         journal_submit(&mut journal, &mut ledgers, &id, priority, &spec)?;
                         shed += 1;
-                        send(
-                            output,
-                            &mut client_gone,
-                            &Reply::Shed {
-                                id: victim.id,
-                                queued: queue.len() as u32,
-                                capacity: queue.capacity() as u32,
-                            },
-                        );
-                        send(output, &mut client_gone, &Reply::Accepted { id });
+                        client.send(&Reply::Shed {
+                            id: victim.id,
+                            queued: queue.len() as u32,
+                            capacity: queue.capacity() as u32,
+                        });
+                        client.send(&Reply::Accepted { id });
                     }
                 }
             }
             Request::Run => {
+                let entries = queue.drain();
                 let drained = run_queue(
                     cfg,
                     &store,
                     &mut journal,
                     &mut ledgers,
-                    &mut queue,
-                    output,
-                    &mut client_gone,
-                    &mut shed,
+                    entries,
+                    &mut client,
+                    shed,
                 )?;
                 if drained {
                     return Ok(SessionEnd::Drained);
@@ -240,6 +175,24 @@ pub fn run_session(
             Request::Shutdown => return Ok(SessionEnd::Shutdown),
         }
     }
+    if queue.is_empty() {
+        return Ok(SessionEnd::Closed);
+    }
+    let entries = queue.drain();
+    let drained = run_queue(
+        cfg,
+        &store,
+        &mut journal,
+        &mut ledgers,
+        entries,
+        &mut client,
+        shed,
+    )?;
+    Ok(if drained {
+        SessionEnd::Drained
+    } else {
+        SessionEnd::Closed
+    })
 }
 
 /// Journals one admission. A resubmission of a job the journal already
@@ -302,7 +255,7 @@ fn restore_pending(
             // trusting them enough to build workloads.
             Ok(spec) => match spec.validate() {
                 Ok(()) => {
-                    eprintln!("[serve] {id}: re-queued from journal (pending submission)");
+                    log(format!("{id}: re-queued from journal (pending submission)"));
                     queue.restore(QueueEntry {
                         id: (*id).to_string(),
                         priority,
@@ -317,121 +270,36 @@ fn restore_pending(
             // than crash the boot.
             Err(e) => format!("journaled spec undecodable ({e})"),
         };
-        eprintln!("[serve] {id}: {problem}; dropping");
+        log(format!("{id}: {problem}; dropping"));
         journal_shed(journal, ledgers, id)?;
     }
     Ok(())
 }
 
-/// Lowers one wire spec into a supervised job: the only constructor of
-/// [`JobSpec`]. The job id is the wire spec's id, so reply frames,
-/// ledgers, and journal entries all key identically (pattern jobs hash
-/// their spec string into the id, so no `:*@` reaches a filename).
-///
-/// Total, not panicking: specs normally validated at admission, but the
-/// queue can also hold journal-replayed bytes an older (looser) build
-/// admitted, and the validator and the workload builder can drift — a
-/// spec that no longer lowers is a typed failure the session reports,
-/// never a dead service.
-pub(crate) fn spec_to_job(spec: &WireJobSpec) -> Result<JobSpec, String> {
-    // The consistency model reaches the machine through the lowered
-    // config; the wire id already carries the `-tso`/`-relaxed` suffix,
-    // so relaxed jobs key their own journal ledgers and cache rows.
-    let (cfg, workload) = spec.lower()?;
-    Ok(JobSpec {
-        id: spec.id(),
-        workload,
-        cfg,
-        chaos: spec.chaos,
-        deadline_cycles: spec.deadline_cycles,
-        deadline_wall_ms: spec.deadline_wall_ms,
-    })
+/// The reply side of a session. Liveness is best-effort: once a write
+/// fails the session stops talking but keeps working, so accepted jobs
+/// still run to durability.
+pub(crate) struct Client<'a, W: Write> {
+    output: &'a mut W,
+    /// A write failed or the transport died; nothing more is sent.
+    pub(crate) gone: bool,
 }
 
-/// Runs everything queued through the supervisor, one job at a time,
-/// streaming one result frame per job as it lands, then the sweep
-/// summary. Returns whether a drain interrupted the run.
-#[allow(clippy::too_many_arguments)]
-fn run_queue(
-    cfg: &ServiceConfig,
-    store: &JobStore,
-    journal: &mut Journal,
-    ledgers: &mut HashMap<String, JobLedger>,
-    queue: &mut AdmissionQueue,
-    output: &mut impl Write,
-    client_gone: &mut bool,
-    shed: &mut u32,
-) -> io::Result<bool> {
-    let entries = queue.drain();
-    let mut ok: u32 = 0;
-    let mut failed: u32 = 0;
-    // Lower each spec; one that no longer builds (validator drift, a
-    // journal entry from a looser build) fails typed and is closed out
-    // in the journal so it does not replay as pending forever.
-    let mut jobs: Vec<JobSpec> = Vec::with_capacity(entries.len());
-    for entry in entries {
-        match spec_to_job(&entry.spec) {
-            Ok(job) => jobs.push(job),
-            Err(detail) => {
-                eprintln!(
-                    "[serve] {}: spec no longer lowers ({detail}); failing",
-                    entry.id
-                );
-                journal_shed(journal, ledgers, &entry.id)?;
-                failed += 1;
-                let reply = Reply::JobFailed {
-                    id: entry.id.clone(),
-                    label: "REJ".to_string(),
-                    detail,
-                };
-                if !*client_gone && write_message(output, &reply).is_err() {
-                    *client_gone = true;
-                }
-            }
-        }
-    }
-    let unsettled = run_supervised(cfg, store, journal, ledgers, &jobs, |gi, outcome| {
-        let reply = match outcome {
-            Ok(result) => {
-                ok += 1;
-                Reply::JobDone {
-                    id: jobs[gi].id.clone(),
-                    cycles: result.report.cycles,
-                    report: encode_report(&result.report),
-                    chaos: result.chaos.clone(),
-                }
-            }
-            Err(e) => {
-                failed += 1;
-                Reply::JobFailed {
-                    id: jobs[gi].id.clone(),
-                    label: e.cell().to_string(),
-                    detail: e.message(),
-                }
-            }
-        };
-        if !*client_gone && write_message(output, &reply).is_err() {
-            *client_gone = true;
-        }
-    })?;
-    if unsettled > 0 {
-        eprintln!("[serve] drained: {unsettled} queued job(s) left pending in the journal");
-        return Ok(true);
-    }
-    if !*client_gone
-        && write_message(
+impl<'a, W: Write> Client<'a, W> {
+    /// A client that has not gone away.
+    pub(crate) fn new(output: &'a mut W) -> Self {
+        Self {
             output,
-            &Reply::SweepDone {
-                ok,
-                failed,
-                shed: *shed,
-            },
-        )
-        .is_err()
-    {
-        *client_gone = true;
+            gone: false,
+        }
     }
-    Ok(false)
+
+    /// Writes one reply frame unless the client is gone.
+    pub(crate) fn send(&mut self, reply: &Reply) {
+        if !self.gone && write_message(self.output, reply).is_err() {
+            self.gone = true;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -635,63 +503,72 @@ mod tests {
         // looser build) must lower to a typed error, never a panic.
         let mut hostile = hip_spec();
         hostile.kernel = "EVIL".into();
-        let err = spec_to_job(&hostile).err().expect("EVIL must not lower");
+        let err = hostile.lower().expect_err("EVIL must not lower");
         assert!(err.contains("EVIL"), "{err}");
 
         let mut hostile = hip_spec();
         hostile.dataset = 9;
-        assert!(spec_to_job(&hostile).is_err());
+        assert!(hostile.lower().is_err());
     }
 
     #[test]
-    fn queue_entry_that_no_longer_lowers_streams_a_typed_failure() {
+    fn journaled_fs_width_three_is_shed_once_and_the_rest_runs() {
+        // A pending FS job at SIMD width 3, journaled with the bytes a
+        // build that admitted it writes, ahead of a HIP job: the first
+        // boot sheds FS once (its build would have panicked) and runs
+        // HIP, and a second boot finds nothing to run or log.
         let _flag = crate::signal::term_flag_shared();
-        let dir = tmp_dir("lower");
+        let dir = tmp_dir("fs-w3");
         let cfg = small_cfg(&dir);
-        std::fs::create_dir_all(&cfg.state_dir).unwrap();
-        let store = JobStore::at(cfg.state_dir.join("cache"), true);
-        let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
-        let mut ledgers = replay(&records);
-        // Force a hostile entry past admission, as a drifted validator
-        // would have.
-        let mut queue = AdmissionQueue::new(4);
-        let mut bad = hip_spec();
-        bad.kernel = "EVIL".into();
-        queue.offer(QueueEntry {
-            id: bad.id(),
-            priority: 0,
-            spec: bad,
-        });
+        let fs = WireJobSpec::kernel("FS", Dataset::Tiny, Variant::Glsc, (1, 1), 3);
+        let submitted: Vec<JournalRecord> = [fs.clone(), hip_spec()]
+            .iter()
+            .map(|spec| JournalRecord::Submitted {
+                job: spec.id(),
+                priority: 0,
+                spec: spec.to_bytes(),
+            })
+            .collect();
+        let path = dir.join("journal.log");
+        let (mut journal, _) = Journal::open(&path).unwrap();
+        for rec in &submitted {
+            journal.append(rec).unwrap();
+        }
+        drop(journal);
+
+        crate::service::take_log();
         let mut output = Vec::new();
-        let (mut gone, mut shed) = (false, 0u32);
-        let drained = run_queue(
-            &cfg,
-            &store,
-            &mut journal,
-            &mut ledgers,
-            &mut queue,
-            &mut output,
-            &mut gone,
-            &mut shed,
-        )
-        .unwrap();
-        assert!(!drained);
+        let end = run_session(&cfg, &mut &[][..], &mut output).unwrap();
+        assert_eq!(end, SessionEnd::Closed);
         let replies = read_replies(&output);
         assert!(
-            matches!(&replies[0], Reply::JobFailed { label, .. } if label == "REJ"),
+            matches!(&replies[..], [Reply::JobDone { id, .. }, Reply::SweepDone { ok: 1, failed: 0, .. }]
+                if *id == hip_spec().id()),
             "{replies:?}"
         );
+        let log = crate::service::take_log();
+        let dropped: Vec<&String> = log.iter().filter(|l| l.starts_with(&fs.id())).collect();
         assert!(
-            matches!(
-                replies.last(),
-                Some(Reply::SweepDone {
-                    ok: 0,
-                    failed: 1,
-                    ..
-                })
-            ),
-            "{replies:?}"
+            matches!(&dropped[..], [line] if line.contains("does not build at SIMD width 3")),
+            "{log:?}"
         );
+        let (_, records) = Journal::open(&path).unwrap();
+        assert_eq!(
+            records[..3],
+            [
+                submitted[0].clone(),
+                submitted[1].clone(),
+                JournalRecord::Shed { job: fs.id() }
+            ]
+        );
+        assert!(matches!(&records[3..], [JournalRecord::Done { .. }]));
+
+        let mut output = Vec::new();
+        let end = run_session(&cfg, &mut &[][..], &mut output).unwrap();
+        assert_eq!(end, SessionEnd::Closed);
+        assert!(read_replies(&output).is_empty());
+        assert_eq!(crate::service::take_log(), Vec::<String>::new());
+        assert_eq!(Journal::open(&path).unwrap().1, records);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -854,6 +731,7 @@ mod tests {
         // figure would compute from the same spec, `job_key(&[id],
         // workload fingerprint, config fingerprint)`, with nothing folded
         // in for the chaos seed (the id and the armed watchdog carry it).
+        use glsc_bench::codec::encode_report;
         use glsc_bench::store::{cfg_fingerprint, job_key};
         let _flag = crate::signal::term_flag_shared();
         let dir = tmp_dir("keys");

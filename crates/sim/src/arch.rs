@@ -82,11 +82,6 @@ impl ThreadArch {
     pub fn set_mreg(&mut self, m: MReg, v: u32) {
         self.mregs[m.index()] = v & self.full_mask();
     }
-
-    /// Iterates over the lanes selected by `mask`.
-    pub fn active_lanes(&self, mask: u32) -> impl Iterator<Item = usize> + '_ {
-        (0..self.width).filter(move |l| mask & (1 << l) != 0)
-    }
 }
 
 #[cfg(test)]
@@ -123,13 +118,6 @@ mod tests {
         assert_eq!(a.vreg(VReg::new(1)), &[0, 0, 99, 0]);
         a.set_vreg(VReg::new(1), &[1, 2, 3, 4]);
         assert_eq!(a.vreg(VReg::new(1)), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn active_lanes_follow_mask() {
-        let a = ThreadArch::new(8);
-        let lanes: Vec<usize> = a.active_lanes(0b1010_0001).collect();
-        assert_eq!(lanes, vec![0, 5, 7]);
     }
 }
 

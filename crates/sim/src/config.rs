@@ -25,8 +25,6 @@ pub enum ConfigError {
         /// The offending width.
         simd_width: usize,
     },
-    /// Issue width is zero.
-    IssueWidthZero,
     /// Cycle budget (`max_cycles`) is zero — the machine could never step.
     ZeroCycleBudget,
     /// Watchdog window is zero — the watchdog would fire on cycle 0.
@@ -65,7 +63,6 @@ impl fmt::Display for ConfigError {
                     glsc_isa::MAX_SIMD_WIDTH
                 )
             }
-            ConfigError::IssueWidthZero => write!(f, "issue width >= 1"),
             ConfigError::ZeroCycleBudget => write!(f, "cycle budget must be non-zero"),
             ConfigError::ZeroWatchdogWindow => write!(f, "watchdog window must be non-zero"),
             ConfigError::ZeroInvariantCheckPeriod => {
@@ -91,7 +88,8 @@ impl std::error::Error for ConfigError {
 /// Full machine configuration: the parameters runs vary. The Table 1
 /// values no run varies are constants of the crate that uses them
 /// (DESIGN.md §3): functional-unit latencies and the 1-cycle taken-branch
-/// penalty here, the GSU and LSU timings in `glsc-core`, the line size
+/// penalty and the 2-wide issue here, the GSU and LSU timings in
+/// `glsc-core`, the line size
 /// and cache and link timings in `glsc-mem`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -101,9 +99,6 @@ pub struct MachineConfig {
     pub threads_per_core: usize,
     /// SIMD width in 32-bit elements (paper: 1, 4, 16).
     pub simd_width: usize,
-    /// Core issue width across its SMT threads (paper: 2). Each thread
-    /// issues at most one instruction per cycle.
-    pub issue_width: usize,
     /// Memory hierarchy parameters.
     pub mem: MemConfig,
     /// GLSC policy knobs.
@@ -138,13 +133,12 @@ pub struct MachineConfig {
 
 impl MachineConfig {
     /// The paper's configuration `cores`×`threads` with the given SIMD
-    /// width (Table 1 memory parameters, 2-wide issue).
+    /// width (Table 1 memory parameters).
     pub fn paper(cores: usize, threads_per_core: usize, simd_width: usize) -> Self {
         Self {
             cores,
             threads_per_core,
             simd_width,
-            issue_width: 2,
             mem: MemConfig::default(),
             glsc: GlscConfig::default(),
             max_cycles: 2_000_000_000,
@@ -244,9 +238,6 @@ impl MachineConfig {
                 simd_width: self.simd_width,
             });
         }
-        if self.issue_width == 0 {
-            return Err(ConfigError::IssueWidthZero);
-        }
         if self.max_cycles == 0 {
             return Err(ConfigError::ZeroCycleBudget);
         }
@@ -279,7 +270,6 @@ mod tests {
         let c = MachineConfig::paper(4, 4, 4);
         assert_eq!(c.check(), Ok(()));
         assert_eq!(c.total_threads(), 16);
-        assert_eq!(c.issue_width, 2);
         assert_eq!(c.mem, MemConfig::default());
     }
 
@@ -309,11 +299,6 @@ mod tests {
             MachineConfig::paper(1, 1, 64).check(),
             Err(ConfigError::SimdWidthOutOfRange { simd_width: 64 })
         );
-        let c = MachineConfig {
-            issue_width: 0,
-            ..MachineConfig::paper(1, 1, 4)
-        };
-        assert_eq!(c.check(), Err(ConfigError::IssueWidthZero));
         let c = MachineConfig::paper(1, 1, 4).with_max_cycles(0);
         assert_eq!(c.check(), Err(ConfigError::ZeroCycleBudget));
         let c = MachineConfig::paper(1, 1, 4).with_watchdog_window(Some(0));
@@ -355,7 +340,6 @@ glsc_wire::wire_struct!(MachineConfig {
     cores,
     threads_per_core,
     simd_width,
-    issue_width,
     mem,
     glsc,
     max_cycles,

@@ -1,7 +1,7 @@
 //! The in-order SMT core model: issue stage, memory-op dispatch, stall
 //! classification.
 //!
-//! Each core issues up to `issue_width` instructions per cycle, at most one
+//! Each core issues up to `ISSUE_WIDTH` instructions per cycle, at most one
 //! per SMT thread, in round-robin thread order (rotating priority). Scalar
 //! loads are non-blocking with stall-on-use via a register scoreboard;
 //! vector memory operations block the issuing thread (§4.1: gather/scatter
@@ -19,6 +19,10 @@ use glsc_mem::{line_of, LINE_BYTES};
 
 /// Extra cycles charged after a taken branch (fetch redirect).
 const BRANCH_PENALTY: u64 = 1;
+
+/// Instructions a core issues per cycle across its SMT threads (Table 1:
+/// 2-wide issue); each thread issues at most one.
+const ISSUE_WIDTH: usize = 2;
 
 /// Why a running thread failed to issue this cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -276,7 +280,7 @@ impl Core {
         }
     }
 
-    /// The issue stage for cycle `now`: selects up to `issue_width` ready
+    /// The issue stage for cycle `now`: selects up to `ISSUE_WIDTH` ready
     /// threads (round-robin), executes one instruction each, and
     /// attributes the cycle of every stepped thread on the same visit
     /// (Fig. 5(a) sync attribution and Table 4 memory-stall accounting),
@@ -306,7 +310,7 @@ impl Core {
         mask: u32,
         park: bool,
     ) {
-        let mut slots = cfg.issue_width;
+        let mut slots = ISSUE_WIDTH;
         self.issued_any = false;
         // The stepped threads in round-robin order from `rr`, wrapping,
         // without a division per thread.

@@ -81,7 +81,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             width,
             GlscConfig {
                 fail_on_l1_miss: true,
-                ..GlscConfig::default()
             },
         )?;
         println!(
