@@ -28,10 +28,11 @@
 //! durable job [`store`], simulates each miss on a fresh machine and
 //! contains a failing job to its own [`JobError`] row. The uncached
 //! targets (`chaos`, `simperf`) run closures through [`run_jobs`] over
-//! [`run`] and [`run_chaos`]. Both fan jobs across host threads; set
-//! `GLSC_BENCH_THREADS` to control the worker count
+//! [`run`] and [`run_chaos`]. Both run on [`run_ordered`], the job
+//! executor `glsc-serve` shares, which fans jobs across host threads;
+//! set `GLSC_BENCH_THREADS` to control the worker count
 //! (`GLSC_BENCH_THREADS=1` forces the serial path). Results are always
-//! collected in job order, so the printed tables are identical at any
+//! handed back in job order, so the printed tables are identical at any
 //! thread count.
 
 #![forbid(unsafe_code)]
@@ -50,8 +51,10 @@ use glsc_kernels::{
 };
 use glsc_sim::{ChaosConfig, ChaosStats, MachineConfig};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
+use std::sync::Mutex;
 
 /// The `m x n` machine shapes of Fig. 6.
 pub const CONFIGS: [(usize, usize); 4] = [(1, 1), (1, 4), (4, 1), (4, 4)];
@@ -206,11 +209,10 @@ pub fn run_jobs_fleet(
     jobs: Vec<FleetJobSpec>,
     threads: usize,
 ) -> Vec<Result<KernelOutcome, JobError>> {
-    let runs = jobs
-        .iter()
-        .map(|spec| (spec.key_parts.join("-"), move || run_spec(store, spec)))
-        .collect();
-    run_jobs_labeled(runs, threads)
+    let labels: Vec<String> = jobs.iter().map(|spec| spec.key_parts.join("-")).collect();
+    collect_ordered(jobs.len(), threads, |i| {
+        run_one(i, &labels[i], || run_spec(store, &jobs[i]))
+    })
 }
 
 /// One [`run_jobs_fleet`] job: builds its key, tries the store,
@@ -316,7 +318,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`run_jobs_fleet`] job's joined key parts), its label, and comes back as
 /// a [`JobError`]. Jobs are deterministic simulations, so a
 /// second attempt could only repeat the same panic.
-fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, JobError> {
+fn run_one<T>(index: usize, label: &str, job: impl FnOnce() -> T) -> Result<T, JobError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).map_err(|payload| {
         let message = panic_message(payload.as_ref());
         let tag = if label.is_empty() {
@@ -336,77 +338,137 @@ fn run_one<T, F: Fn() -> T>(index: usize, label: &str, job: &F) -> Result<T, Job
 ///
 /// Each job runs once under `catch_unwind`: a poisoned job degrades to a
 /// per-slot [`JobError`] while every other job completes normally.
-/// Workers hold no lock while a job runs, and result-slot locking
-/// tolerates poisoning, so a panicking job can neither wedge a slot nor
-/// cascade-abort the harness.
 ///
-/// Uses scoped threads with an atomic work index (no new dependencies);
-/// with `threads <= 1` or a single job the jobs run inline on the calling
-/// thread. This is the uncached runner (the `chaos` and `simperf`
-/// targets); cached figures go through [`run_jobs_fleet`], which runs
-/// on it.
+/// This is the uncached runner (the `chaos` and `simperf` targets);
+/// cached figures go through [`run_jobs_fleet`]. Both collect through
+/// [`run_ordered`].
 pub fn run_jobs<T, F>(jobs: Vec<F>, threads: usize) -> Vec<Result<T, JobError>>
 where
     T: Send,
     F: Fn() -> T + Send + Sync,
 {
-    run_jobs_labeled(
-        jobs.into_iter().map(|j| (String::new(), j)).collect(),
-        threads,
-    )
+    collect_ordered(jobs.len(), threads, |i| run_one(i, "", &jobs[i]))
 }
 
-/// [`run_jobs`] with a label per job (empty for none) that failure
-/// logging includes, so a failed job on a long figure run can be
-/// identified from stderr alone.
-fn run_jobs_labeled<T, F>(jobs: Vec<(String, F)>, threads: usize) -> Vec<Result<T, JobError>>
-where
-    T: Send,
-    F: Fn() -> T + Send + Sync,
-{
-    let n = jobs.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return jobs
-            .iter()
-            .enumerate()
-            .map(|(i, (label, job))| run_one(i, label, job))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<Result<T, JobError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // The job runs before the slot lock is taken: a panicking
-                // job (already contained by run_one) can never poison a
-                // result slot, and lock acquisition stays poison-tolerant
-                // anyway for defense in depth.
-                let (label, job) = &jobs[i];
-                let result = run_one(i, label, job);
-                *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
-        }
+/// [`run_ordered`] into a vector: every job's result, in job order.
+fn collect_ordered<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut results = Vec::with_capacity(n);
+    run_ordered(n, threads, job, |_, result| {
+        results.push(result);
+        ControlFlow::Continue(())
     });
     results
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    Err(JobError {
-                        index: i,
-                        message: "worker exited without storing a result".into(),
-                    })
+}
+
+/// The job executor of both job stacks, the figure harness and
+/// `glsc-serve`: runs jobs `0..n` (`job(i)`) on `threads` scoped worker
+/// threads and hands each result to `sink` on the calling thread **in
+/// job order**, as soon as it and every earlier job have settled, so
+/// whatever the sink writes is byte-identical at any worker count.
+///
+/// Workers take job indices the calling thread releases: `2 × threads`
+/// at the start and one more per result it receives, so a worker always
+/// has a job waiting while the sink works, and a job the caller has not
+/// released cannot start. When the sink returns
+/// [`ControlFlow::Break`], nothing more is released, no released job
+/// that has not started starts, the results of jobs in flight are
+/// dropped once they finish, and the sink is not called again.
+///
+/// With `threads <= 1` (or a single job) the jobs run inline on the
+/// calling thread, each handed to the sink before the next starts.
+///
+/// The executor catches no panic: a job that may panic catches its own,
+/// as [`run_jobs`] does. A panic that escapes a job stops the release of
+/// further jobs and resumes on the calling thread once every worker has
+/// exited.
+pub fn run_ordered<T, J, S>(n: usize, threads: usize, job: J, mut sink: S)
+where
+    T: Send,
+    J: Fn(usize) -> T + Sync,
+    S: FnMut(usize, T) -> ControlFlow<()>,
+{
+    let threads = threads.clamp(1, n.max(1));
+    if threads == 1 {
+        for i in 0..n {
+            if sink(i, job(i)).is_break() {
+                return;
+            }
+        }
+        return;
+    }
+    let (release, released) = mpsc::channel::<usize>();
+    let released = Mutex::new(released);
+    let stopped = AtomicBool::new(false);
+    // `None` says a worker is unwinding from a job's panic.
+    let (done, results) = mpsc::channel::<Option<(usize, T)>>();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                let done = done.clone();
+                let (released, stopped, job) = (&released, &stopped, &job);
+                s.spawn(move || {
+                    let _unwinding = Unwinding(&done);
+                    loop {
+                        let next = released
+                            .lock()
+                            .expect("the lock is held to take an index, never across a job")
+                            .recv();
+                        let Ok(i) = next else { break };
+                        if stopped.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let _ = done.send(Some((i, job(i))));
+                    }
                 })
-        })
-        .collect()
+            })
+            .collect();
+        drop(done);
+        let mut unreleased = 0..n;
+        let mut release_more = |count| {
+            for i in unreleased.by_ref().take(count) {
+                let _ = release.send(i);
+            }
+        };
+        release_more(2 * threads);
+        let mut settled: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut due = 0;
+        'run: while due < n {
+            // `None`: a worker unwound, and its job will never settle.
+            let Ok(Some((i, result))) = results.recv() else {
+                break;
+            };
+            release_more(1);
+            settled[i] = Some(result);
+            while let Some(result) = settled.get_mut(due).and_then(Option::take) {
+                due += 1;
+                if sink(due - 1, result).is_break() {
+                    break 'run;
+                }
+            }
+        }
+        // Every job settled, the sink stopped, or a worker unwound:
+        // workers exit without starting what is still released.
+        stopped.store(true, Ordering::SeqCst);
+        drop(release);
+        drop(results);
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// Tells the executor's calling thread that a worker is unwinding, so it
+/// stops waiting for the job that panicked.
+struct Unwinding<'a, T>(&'a mpsc::Sender<Option<T>>);
+
+impl<T> Drop for Unwinding<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(None);
+        }
+    }
 }
 
 /// Clones the failures out of a [`run_jobs`] result batch.
@@ -550,6 +612,115 @@ mod tests {
             assert_eq!(errs.len(), 1);
             assert_eq!(errs[0].index(), 3);
         }
+    }
+
+    #[test]
+    fn run_ordered_runs_jobs_at_once_on_two_workers() {
+        // Two jobs that wait for each other at a barrier can both finish
+        // only if they run at the same time (one worker would hang).
+        let barrier = std::sync::Barrier::new(2);
+        let mut seen = Vec::new();
+        run_ordered(
+            2,
+            2,
+            |i| {
+                barrier.wait();
+                i
+            },
+            |i, out| {
+                seen.push((i, out));
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(seen, [(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn run_ordered_hands_results_over_in_job_order() {
+        // Job 0 finishes only after job 1 has: the sink still sees 0, 1,
+        // 2, ... in order, each on the calling thread.
+        let (job1_done, wait_for_job1) = mpsc::channel();
+        let wait_for_job1 = Mutex::new(wait_for_job1);
+        let finished = Mutex::new(Vec::new());
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        run_ordered(
+            8,
+            2,
+            |i| {
+                if i == 0 {
+                    wait_for_job1.lock().unwrap().recv().unwrap();
+                }
+                finished.lock().unwrap().push(i);
+                if i == 1 {
+                    job1_done.send(()).unwrap();
+                }
+                i * 10
+            },
+            |i, out| {
+                assert_eq!(std::thread::current().id(), caller);
+                seen.push((i, out));
+                ControlFlow::Continue(())
+            },
+        );
+        let finished = finished.into_inner().unwrap();
+        assert_eq!(finished[0], 1, "job 1 finishes first: {finished:?}");
+        let want: Vec<(usize, usize)> = (0..8).map(|i| (i, i * 10)).collect();
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn a_stop_from_the_sink_leaves_later_jobs_unstarted() {
+        // Jobs after the first wait until the sink has seen job 0, and the
+        // sink stops there. Two workers get four jobs released up front and
+        // one more for job 0's result; no later job may start, and the sink
+        // is not called again.
+        for threads in [1, 2] {
+            let (open, gate) = mpsc::channel::<()>();
+            let gate = Mutex::new(gate);
+            let started = Mutex::new(Vec::new());
+            let mut calls = 0;
+            let mut open = Some(open);
+            run_ordered(
+                12,
+                threads,
+                |i| {
+                    started.lock().unwrap().push(i);
+                    if i > 0 {
+                        // Err once the sink has dropped the sender.
+                        let _ = gate.lock().unwrap().recv();
+                    }
+                },
+                |_, ()| {
+                    calls += 1;
+                    open.take();
+                    ControlFlow::Break(())
+                },
+            );
+            let mut started = started.into_inner().unwrap();
+            started.sort_unstable();
+            assert_eq!(calls, 1);
+            let released = if threads == 1 { 1 } else { 2 * threads + 1 };
+            assert!(
+                started[0] == 0 && started.iter().all(|&i| i < released),
+                "{threads} worker(s) started {started:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 5 escaped")]
+    fn a_panic_that_escapes_a_job_resumes_on_the_calling_thread() {
+        run_ordered(
+            64,
+            2,
+            |i| {
+                if i == 5 {
+                    panic!("job {i} escaped");
+                }
+            },
+            |_, ()| ControlFlow::Continue(()),
+        );
     }
 
     #[test]

@@ -206,11 +206,6 @@ impl ProgramBuilder {
         self.alu(AluOp::Div, rd, rs, src2)
     }
 
-    /// `rd <- rs % src2` (unsigned).
-    pub fn remu(&mut self, rd: Reg, rs: Reg, src2: impl Into<Operand>) -> &mut Self {
-        self.alu(AluOp::Rem, rd, rs, src2)
-    }
-
     /// `rd <- rs & src2`
     pub fn and(&mut self, rd: Reg, rs: Reg, src2: impl Into<Operand>) -> &mut Self {
         self.alu(AluOp::And, rd, rs, src2)
@@ -271,16 +266,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// `rd <- f32(rs) / f32(rt)`
-    pub fn fdiv(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Self {
-        self.emit(Instr::Fp {
-            op: FpOp::Div,
-            rd,
-            rs,
-            rt,
-        })
-    }
-
     /// Scalar compare producing 0/1.
     pub fn cmp(&mut self, op: CmpOp, rd: Reg, rs: Reg, src2: impl Into<Operand>) -> &mut Self {
         self.emit(Instr::Cmp {
@@ -289,21 +274,6 @@ impl ProgramBuilder {
             rs,
             src2: src2.into(),
         })
-    }
-
-    /// Scalar float compare producing 0/1.
-    pub fn fcmp(&mut self, op: CmpOp, rd: Reg, rs: Reg, rt: Reg) -> &mut Self {
-        self.emit(Instr::FCmp { op, rd, rs, rt })
-    }
-
-    /// Signed int -> f32 conversion.
-    pub fn cvt_i2f(&mut self, rd: Reg, rs: Reg) -> &mut Self {
-        self.emit(Instr::CvtIntToF32 { rd, rs })
-    }
-
-    /// f32 -> truncated signed int conversion.
-    pub fn cvt_f2i(&mut self, rd: Reg, rs: Reg) -> &mut Self {
-        self.emit(Instr::CvtF32ToInt { rd, rs })
     }
 
     // ---- control flow ----
@@ -337,11 +307,6 @@ impl ProgramBuilder {
     /// Branch if signed less-than.
     pub fn blt(&mut self, rs: Reg, src2: impl Into<Operand>, target: Label) -> &mut Self {
         self.branch(CmpOp::Lt, rs, src2, target)
-    }
-
-    /// Branch if signed less-or-equal.
-    pub fn ble(&mut self, rs: Reg, src2: impl Into<Operand>, target: Label) -> &mut Self {
-        self.branch(CmpOp::Le, rs, src2, target)
     }
 
     /// Branch if signed greater-than.
@@ -496,17 +461,6 @@ impl ProgramBuilder {
         self.valu(AluOp::Rem, vd, vs, src2, mask)
     }
 
-    /// Vector logical shift left.
-    pub fn vshl(
-        &mut self,
-        vd: VReg,
-        vs: VReg,
-        src2: impl Into<VSrc>,
-        mask: Option<MReg>,
-    ) -> &mut Self {
-        self.valu(AluOp::Shl, vd, vs, src2, mask)
-    }
-
     /// Vector logical shift right.
     pub fn vshr(
         &mut self,
@@ -573,24 +527,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// Vector f32 compare into a mask.
-    pub fn vfcmp(
-        &mut self,
-        op: CmpOp,
-        fd: MReg,
-        vs: VReg,
-        vt: VReg,
-        mask: Option<MReg>,
-    ) -> &mut Self {
-        self.emit(Instr::VFCmp {
-            op,
-            fd,
-            vs,
-            vt,
-            mask,
-        })
-    }
-
     /// Broadcast scalar to vector.
     pub fn vsplat(&mut self, vd: VReg, rs: Reg) -> &mut Self {
         self.emit(Instr::VSplat { vd, rs })
@@ -626,11 +562,6 @@ impl ProgramBuilder {
         self.emit(Instr::MSetAll { f })
     }
 
-    /// Clear a mask.
-    pub fn mclear(&mut self, f: MReg) -> &mut Self {
-        self.emit(Instr::MClear { f })
-    }
-
     /// Mask complement.
     pub fn mnot(&mut self, fd: MReg, fs: MReg) -> &mut Self {
         self.emit(Instr::MNot { fd, fs })
@@ -654,11 +585,6 @@ impl ProgramBuilder {
     /// Mask move.
     pub fn mmov(&mut self, fd: MReg, fs: MReg) -> &mut Self {
         self.emit(Instr::MMov { fd, fs })
-    }
-
-    /// Mask population count into a scalar.
-    pub fn mpop(&mut self, rd: Reg, f: MReg) -> &mut Self {
-        self.emit(Instr::MPopcount { rd, f })
     }
 
     /// Scalar -> mask.

@@ -150,18 +150,6 @@ impl Backing {
         })
     }
 
-    /// Reads one byte.
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        let (page, off) = Self::split(addr);
-        self.page(page).map_or(0, |p| p[off])
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let (page, off) = Self::split(addr);
-        self.page_mut(page)[off] = value;
-    }
-
     /// Reads a 32-bit word.
     ///
     /// # Panics
@@ -299,7 +287,7 @@ mod tests {
     fn zero_initialized() {
         let b = Backing::new();
         assert_eq!(b.read_u32(0x1000), 0);
-        assert_eq!(b.read_u8(7), 0);
+        assert_eq!(b.read_u32(4), 0);
         assert_eq!(b.resident_pages(), 0);
         assert_eq!(b.base_pages(), 0);
     }
@@ -332,12 +320,13 @@ mod tests {
     }
 
     #[test]
-    fn word_straddling_page_boundary_is_not_needed_but_bytes_work() {
+    fn words_either_side_of_a_page_boundary_are_independent() {
         let mut b = Backing::new();
-        b.write_u8(4095, 0xab);
-        b.write_u8(4096, 0xcd);
-        assert_eq!(b.read_u8(4095), 0xab);
-        assert_eq!(b.read_u8(4096), 0xcd);
+        b.write_u32(4092, 0xab);
+        b.write_u32(4096, 0xcd);
+        assert_eq!(b.read_u32(4092), 0xab);
+        assert_eq!(b.read_u32(4096), 0xcd);
+        assert_eq!(b.resident_pages(), 2);
     }
 
     #[test]
@@ -404,9 +393,9 @@ mod tests {
         let base = base_with(&[(0x1000, 7)]);
         let mut b = Backing::new();
         b.set_base(base);
-        b.write_u8(0x8001, 0xee);
-        assert_eq!(b.read_u8(0x8001), 0xee);
-        assert_eq!(b.read_u8(0x8000), 0);
+        b.write_u32(0x8004, 0xee);
+        assert_eq!(b.read_u32(0x8004), 0xee);
+        assert_eq!(b.read_u32(0x8000), 0);
         assert_eq!(b.resident_pages(), 1);
     }
 
@@ -420,15 +409,6 @@ mod tests {
         c.write_u32(0x1000, 9);
         assert_eq!(b.read_u32(0x1000), 8);
         assert_eq!(c.read_u32(0x1000), 9);
-    }
-
-    #[test]
-    fn byte_reads_fall_through_to_base() {
-        let base = base_with(&[(0x1000, 0x0403_0201)]);
-        let mut b = Backing::new();
-        b.set_base(base);
-        assert_eq!(b.read_u8(0x1000), 0x01);
-        assert_eq!(b.read_u8(0x1003), 0x04);
     }
 
     #[test]

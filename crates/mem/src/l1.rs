@@ -214,12 +214,12 @@ impl L1Cache {
         match &mut self.reservations {
             ReservationStore::PerLine => {
                 let mut cleared = 0;
-                for (_, p) in self.tags.iter_mut() {
+                self.tags.for_each_mut(|_, p| {
                     if p.reservation != 0 {
                         p.reservation = 0;
                         cleared += 1;
                     }
-                }
+                });
                 cleared
             }
             ReservationStore::Buffer { entries, .. } => {

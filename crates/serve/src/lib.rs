@@ -23,8 +23,9 @@
 //! * [`journal`] — append-only WAL with per-record checksums; a torn
 //!   tail decodes as "the append never happened".
 //! * [`service`] — the run loop: answers what the journal settled, then
-//!   lowers and runs one job at a time on a fresh machine, in slices, in
-//!   submission order, and streams one result frame per job once it is
+//!   lowers and runs the other jobs, each on a fresh machine, in slices,
+//!   on the harness's job executor (one worker per host core), and
+//!   streams one result frame per job, in submission order, once it is
 //!   durable; one attempt per job, wall/cycle deadlines per job, a
 //!   journaled `QUAR` row on the first failure, SIGTERM drain.
 //! * [`queue`] — bounded, priority-aware admission in front of the run

@@ -7,17 +7,22 @@
 //! passes in submission order. The first answers what the journal
 //! already settled: a quarantined job streams its `QUAR` row, and a done
 //! job streams its stored report with the journaled chaos line. The
-//! second lowers each remaining spec through [`WireJobSpec::lower`], keys
-//! it by the harness rule, and runs it on a fresh [`Machine`], mounted
-//! as the figure harness mounts a job (image, program, and a fault plan
-//! for a chaos job), in `SLICE_CYCLES` (1,024-cycle) slices with a
-//! supervision pause between slices. A job's workload is dropped before
-//! the next spec is lowered, so the service holds one job at a time.
-//! Every outcome is write-ahead journaled (`done | quarantined`; the
-//! session journals `submitted`) through `journal::journal_apply`, which
-//! folds the record into the session's ledgers by the rule replay uses;
-//! a finished report goes to the result store before its `done` record
-//! is appended, and the reply frame leaves after both.
+//! second runs the remaining specs on the figure harness's job executor
+//! ([`glsc_bench::run_ordered`]), one worker per host core
+//! ([`glsc_bench::bench_threads`]). A worker lowers its spec through
+//! [`WireJobSpec::lower`], keys it by the harness rule, and runs it on a
+//! fresh [`Machine`], mounted as the figure harness mounts a job (image,
+//! program, and a fault plan for a chaos job), in `SLICE_CYCLES`
+//! (1,024-cycle) slices with a supervision pause between slices; the
+//! workload is dropped when the run ends, so the service holds one job
+//! per worker. The calling thread settles the outcomes in submission
+//! order: every outcome is write-ahead journaled (`done | quarantined`;
+//! the session journals `submitted`) through `journal::journal_apply`,
+//! which folds the record into the session's ledgers by the rule replay
+//! uses; a finished report goes to the result store before its `done`
+//! record is appended, and the reply frame leaves after both. Reply
+//! frames, journal bytes and sweep tables are therefore the same at any
+//! worker count.
 //!
 //! Recovery is a rerun. A restart — crash or drain — replays the
 //! journal, serves every `done` job from the result store, and reruns
@@ -33,7 +38,7 @@
 //! appends one `Quarantined` record, and the job streams a `QUAR` row
 //! (`QUARANTINED`) while the rest of the sweep completes, with a
 //! nonzero exit. A panic is contained to its job (machine dropped, the
-//! loop goes on to the next job). Jobs are deterministic, so a second
+//! worker goes on to its next job). Jobs are deterministic, so a second
 //! attempt would fail the same way; only a wall-clock trip depends on
 //! the host, and it is quarantined on its first occurrence too. A
 //! quarantined job never runs again in that state dir: a restart or a
@@ -55,6 +60,7 @@ use glsc_kernels::Workload;
 use glsc_sim::{ChaosConfig, FaultPlan, Machine, MachineConfig, RunReport, SlicedRun};
 use std::collections::HashMap;
 use std::io::{self, Write};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -138,16 +144,19 @@ fn quarantined_reply(id: String) -> Reply {
     }
 }
 
-/// Runs a session's drained queue: one job at a time, in submission
-/// order, each from the start of its spec, streaming each outcome's
-/// reply frame the moment it is durable (journaled and stored), then the
-/// sweep summary, which counts the session's `shed` submissions too.
-/// Each job ends done, quarantined, rejected, or — on a drain —
-/// unsettled, and every settling record goes through [`journal_apply`],
-/// so `ledgers` always says what a restart would replay.
+/// Runs a session's drained queue, each job from the start of its spec,
+/// on `workers` host threads through the harness's job executor
+/// ([`glsc_bench::run_ordered`]), streaming each outcome's reply frame in
+/// submission order the moment it and every earlier outcome are durable
+/// (journaled and stored). Each job ends done, quarantined, rejected,
+/// or — on a drain — unsettled, and every settling record goes through
+/// [`journal_apply`] on the calling thread, so `ledgers` always says what
+/// a restart would replay and the journal's bytes do not depend on
+/// `workers`.
 ///
-/// Returns whether a drain interrupted the run: the unsettled jobs stay
-/// pending in the journal, and no summary is sent.
+/// Returns the run's `(ok, failed)` counts for the session's sweep
+/// summary, or `None` when a drain interrupted the run: the unsettled
+/// jobs stay pending in the journal.
 pub(crate) fn run_queue(
     svc: &ServiceConfig,
     store: &JobStore,
@@ -155,8 +164,8 @@ pub(crate) fn run_queue(
     ledgers: &mut HashMap<String, JobLedger>,
     entries: Vec<QueueEntry>,
     client: &mut Client<'_, impl Write>,
-    shed: u32,
-) -> io::Result<bool> {
+    workers: usize,
+) -> io::Result<Option<(u32, u32)>> {
     let (mut ok, mut failed) = (0u32, 0u32);
     // Pass 1: answer what the journal already settled.
     let mut pending = Vec::new();
@@ -192,78 +201,89 @@ pub(crate) fn run_queue(
         pending.push(entry);
     }
 
-    // Pass 2: run the rest, unless a drain is pending.
+    // Pass 2: run the rest, unless a drain is pending. Workers lower and
+    // run; this thread settles each outcome in submission order.
     let unsettled = pending.len();
     if unsettled > 0 && signal::term_requested() {
         log(format!(
             "drained: {unsettled} queued job(s) left pending in the journal"
         ));
-        return Ok(true);
+        return Ok(None);
     }
-    for (ran, entry) in pending.into_iter().enumerate() {
-        let (cfg, workload) = match entry.spec.lower() {
-            Ok(lowered) => lowered,
-            Err(detail) => {
-                // Admission refuses such a spec, but the journal may hold
-                // one a looser build admitted: a typed failure, closed
-                // out so it does not replay as pending forever.
-                log(format!(
-                    "{}: spec no longer lowers ({detail}); failing",
-                    entry.id
-                ));
-                let closed = JournalRecord::Shed {
-                    job: entry.id.clone(),
-                };
-                journal_apply(journal, ledgers, closed)?;
-                failed += 1;
-                let reply = Reply::JobFailed {
-                    id: entry.id,
-                    label: "REJ".to_string(),
-                    detail,
-                };
-                client.send(&reply);
-                continue;
+    let (mut drained, mut error) = (false, None);
+    glsc_bench::run_ordered(
+        unsettled,
+        workers,
+        |i| {
+            let spec = &pending[i].spec;
+            spec.lower().map(|(cfg, workload)| {
+                let key = job_key(
+                    &[&pending[i].id],
+                    workload.fingerprint(),
+                    cfg_fingerprint(&cfg),
+                );
+                (key, run_job(svc, spec, cfg, workload))
+            })
+        },
+        |i, outcome| {
+            let id = pending[i].id.clone();
+            let (record, reply) = match outcome {
+                Err(detail) => {
+                    // Admission refuses such a spec, but the journal may
+                    // hold one a looser build admitted: a typed failure,
+                    // closed out so it does not replay as pending forever.
+                    log(format!("{id}: spec no longer lowers ({detail}); failing"));
+                    failed += 1;
+                    let reply = Reply::JobFailed {
+                        id: id.clone(),
+                        label: "REJ".to_string(),
+                        detail,
+                    };
+                    (JournalRecord::Shed { job: id }, reply)
+                }
+                Ok((_, None)) => {
+                    // A drain dropped the run in flight: the journal still
+                    // holds it and every later job as not done, so the
+                    // next start reruns them from their specs.
+                    log(format!(
+                        "drained: {} queued job(s) left pending in the journal",
+                        unsettled - i
+                    ));
+                    drained = true;
+                    return ControlFlow::Break(());
+                }
+                Ok((key, Some(Ok((report, chaos))))) => {
+                    store.save(&key, &report);
+                    ok += 1;
+                    let reply = done_reply(id.clone(), &report, chaos.clone());
+                    (JournalRecord::Done { job: id, chaos }, reply)
+                }
+                Ok((_, Some(Err(reason)))) => {
+                    // The reason goes to the log only; the row renders
+                    // from the record, so a replayed row matches the live
+                    // one.
+                    log(format!("{id}: quarantined: {reason}"));
+                    failed += 1;
+                    let reply = quarantined_reply(id.clone());
+                    let record = JournalRecord::Quarantined {
+                        job: id,
+                        failures: 1,
+                    };
+                    (record, reply)
+                }
+            };
+            if let Err(e) = journal_apply(journal, ledgers, record) {
+                error = Some(e);
+                return ControlFlow::Break(());
             }
-        };
-        let key = job_key(&[&entry.id], workload.fingerprint(), cfg_fingerprint(&cfg));
-        let Some(run) = run_job(svc, &entry.spec, cfg, workload) else {
-            // A drain dropped the run in flight: the journal still holds
-            // it and every later job as not done, so the next start
-            // reruns them from their specs.
-            log(format!(
-                "drained: {} queued job(s) left pending in the journal",
-                unsettled - ran
-            ));
-            return Ok(true);
-        };
-        let reply = match run {
-            Ok((report, chaos)) => {
-                store.save(&key, &report);
-                let record = JournalRecord::Done {
-                    job: entry.id.clone(),
-                    chaos: chaos.clone(),
-                };
-                journal_apply(journal, ledgers, record)?;
-                ok += 1;
-                done_reply(entry.id, &report, chaos)
-            }
-            Err(reason) => {
-                // The reason goes to the log only; the row renders from
-                // the record, so a replayed row matches the live one.
-                log(format!("{}: quarantined: {reason}", entry.id));
-                let record = JournalRecord::Quarantined {
-                    job: entry.id.clone(),
-                    failures: 1,
-                };
-                journal_apply(journal, ledgers, record)?;
-                failed += 1;
-                quarantined_reply(entry.id)
-            }
-        };
-        client.send(&reply);
+            client.send(&reply);
+            ControlFlow::Continue(())
+        },
+    );
+    match error {
+        Some(e) => Err(e),
+        None => Ok((!drained).then_some((ok, failed))),
     }
-    client.send(&Reply::SweepDone { ok, failed, shed });
-    Ok(false)
 }
 
 /// Runs one lowered job on a fresh machine, mounted as the figure
@@ -439,23 +459,35 @@ mod tests {
     /// Runs `entries` as a session's `Run` would, over `cfg`'s state
     /// dir: whether a drain interrupted it, and every reply frame.
     fn run(cfg: &ServiceConfig, entries: Vec<QueueEntry>) -> (bool, Vec<Reply>) {
+        run_on(cfg, entries, 1)
+    }
+
+    /// [`run`] on `workers` host threads.
+    fn run_on(cfg: &ServiceConfig, entries: Vec<QueueEntry>, workers: usize) -> (bool, Vec<Reply>) {
         std::fs::create_dir_all(&cfg.state_dir).unwrap();
         let store = JobStore::at(cfg.state_dir.join("cache"), true);
         let (mut journal, records) = Journal::open(&cfg.state_dir.join("journal.log")).unwrap();
         let mut ledgers = replay(&records);
         let mut output = Vec::new();
         let mut client = Client::new(&mut output);
-        let drained = run_queue(
+        let summary = run_queue(
             cfg,
             &store,
             &mut journal,
             &mut ledgers,
             entries,
             &mut client,
-            0,
+            workers,
         )
         .unwrap();
-        (drained, frames(&output))
+        if let Some((ok, failed)) = summary {
+            client.send(&Reply::SweepDone {
+                ok,
+                failed,
+                shed: 0,
+            });
+        }
+        (summary.is_none(), frames(&output))
     }
 
     /// The sweep table and its failed-row count (the `sweep` command
@@ -825,10 +857,10 @@ mod tests {
     }
 
     #[test]
-    fn jobs_run_one_at_a_time_in_submission_order() {
-        // A long 1x1 job ahead of two short 4x4 jobs: each job runs to its
-        // outcome before the next starts, so results stream in submission
-        // order although the later jobs need a tenth of the cycles.
+    fn results_stream_in_submission_order() {
+        // A long 1x1 job ahead of two short 4x4 jobs: results stream in
+        // submission order although the later jobs need a tenth of the
+        // cycles and, with more than one worker, finish first.
         let _flag = signal::term_flag_shared();
         let dir = tmp_dir("order");
         let cfg = ServiceConfig::new(dir.clone());
@@ -846,6 +878,57 @@ mod tests {
             "the first job must be the long one: {cycles:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_and_two_workers_give_identical_frames_and_journals() {
+        // Done, chaos, quarantined (a cycle-deadline trip) and rejected
+        // jobs, long ones ahead of short ones: the calling thread settles
+        // every outcome in submission order, so the reply frames and the
+        // journal's bytes do not depend on the worker count.
+        let _flag = signal::term_flag_shared();
+        let specs = [
+            hip((1, 1)),
+            WireJobSpec {
+                deadline_cycles: Some(20_000),
+                ..WireJobSpec::kernel("GBC", Dataset::Tiny, Variant::Glsc, (1, 1), 4)
+            },
+            WireJobSpec {
+                kernel: "EVIL".into(),
+                ..hip((1, 2))
+            },
+            hip((4, 4)),
+            WireJobSpec {
+                chaos: Some(5),
+                ..WireJobSpec::kernel("GBC", Dataset::Tiny, Variant::Glsc, (2, 2), 4)
+            },
+            WireJobSpec::kernel("HIP", Dataset::Tiny, Variant::Base, (4, 4), 4),
+        ];
+        let outputs: Vec<(Vec<Reply>, Vec<u8>)> = [1, 2]
+            .into_iter()
+            .map(|workers| {
+                let dir = tmp_dir(&format!("workers-{workers}"));
+                let cfg = ServiceConfig::new(dir.clone());
+                let (drained, replies) =
+                    run_on(&cfg, specs.iter().cloned().map(entry).collect(), workers);
+                assert!(!drained);
+                let journal = std::fs::read(dir.join("journal.log")).unwrap();
+                let _ = std::fs::remove_dir_all(&dir);
+                (replies, journal)
+            })
+            .collect();
+        let ids: Vec<String> = specs.iter().map(WireJobSpec::id).collect();
+        assert_eq!(stream_order(&outputs[0].0), ids);
+        assert!(matches!(
+            outputs[0].0.last(),
+            Some(Reply::SweepDone {
+                ok: 4,
+                failed: 2,
+                shed: 0
+            })
+        ));
+        assert_eq!(outputs[1].0, outputs[0].0, "reply frames");
+        assert_eq!(outputs[1].1, outputs[0].1, "journal bytes");
     }
 
     #[test]

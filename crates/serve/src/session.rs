@@ -15,8 +15,9 @@
 //! frames, applying the [`AdmissionQueue`] policy, and journaling every
 //! decision (`Submitted` / `Shed`) before the reply frame leaves — and a
 //! **run phase**, entered on [`Request::Run`] (or end of stream with
-//! work queued), which hands the drained queue to the run loop, one job
-//! at a time, and streams a result frame per job as it becomes durable.
+//! work queued), which hands the drained queue to the run loop and
+//! streams a result frame per job, in submission order, as it becomes
+//! durable, then the sweep summary.
 //! The session and the run loop append every record through
 //! `journal::journal_apply`, so the session's ledgers always say what a
 //! restart would replay.
@@ -159,18 +160,19 @@ pub fn run_session(
             }
             Request::Run => {
                 let entries = queue.drain();
-                let drained = run_queue(
+                let summary = run_queue(
                     cfg,
                     &store,
                     &mut journal,
                     &mut ledgers,
                     entries,
                     &mut client,
-                    shed,
+                    glsc_bench::bench_threads(),
                 )?;
-                if drained {
+                let Some((ok, failed)) = summary else {
                     return Ok(SessionEnd::Drained);
-                }
+                };
+                client.send(&Reply::SweepDone { ok, failed, shed });
             }
             Request::Shutdown => return Ok(SessionEnd::Shutdown),
         }
@@ -179,20 +181,20 @@ pub fn run_session(
         return Ok(SessionEnd::Closed);
     }
     let entries = queue.drain();
-    let drained = run_queue(
+    let summary = run_queue(
         cfg,
         &store,
         &mut journal,
         &mut ledgers,
         entries,
         &mut client,
-        shed,
+        glsc_bench::bench_threads(),
     )?;
-    Ok(if drained {
-        SessionEnd::Drained
-    } else {
-        SessionEnd::Closed
-    })
+    let Some((ok, failed)) = summary else {
+        return Ok(SessionEnd::Drained);
+    };
+    client.send(&Reply::SweepDone { ok, failed, shed });
+    Ok(SessionEnd::Closed)
 }
 
 /// Journals one admission. A resubmission of a job the journal already

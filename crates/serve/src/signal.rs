@@ -1,9 +1,10 @@
 //! SIGTERM handling for clean shutdown.
 //!
-//! The handler only sets an atomic flag; the supervisor polls it at
-//! every pause between slices and drains: it drops the run in flight (the
-//! journal still holds them as not done, so the next start reruns them)
-//! and exits 0. No allocation, locking, or IO happens in signal context.
+//! The handler only sets an atomic flag; every worker of the run loop
+//! polls it at every pause between slices and drains: it drops its run
+//! in flight, and the run loop streams nothing more (the journal still
+//! holds every unstreamed job as not done, so the next start reruns
+//! them) and exits 0. No allocation, locking, or IO happens in signal context.
 //!
 //! Raw `signal(2)` FFI keeps the crate dependency-free: the function is
 //! in the C library every Rust binary on this platform already links.

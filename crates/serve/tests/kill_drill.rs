@@ -44,7 +44,7 @@ fn kernels() -> Vec<String> {
     }
 }
 
-/// One worker invocation: a sweep of `kernels` × `shapes` (the CLI's
+/// One service invocation: a sweep of `kernels` × `shapes` (the CLI's
 /// comma lists) over `state`, optionally with an injected kill.
 fn invoke_sweep(
     state: &Path,
@@ -52,6 +52,19 @@ fn invoke_sweep(
     shapes: &str,
     extra: &[&str],
     kill: Option<&str>,
+) -> Output {
+    invoke_sweep_on(state, kernels, shapes, extra, kill, None)
+}
+
+/// [`invoke_sweep`] with `GLSC_BENCH_THREADS` set to `workers`, when
+/// given (the service's worker count; the host's cores otherwise).
+fn invoke_sweep_on(
+    state: &Path,
+    kernels: &str,
+    shapes: &str,
+    extra: &[&str],
+    kill: Option<&str>,
+    workers: Option<&str>,
 ) -> Output {
     let mut cmd = Command::new(bin());
     cmd.arg("sweep")
@@ -65,6 +78,9 @@ fn invoke_sweep(
         .env_remove("GLSC_SERVE_KILL");
     if let Some(kill) = kill {
         cmd.env("GLSC_SERVE_KILL", kill);
+    }
+    if let Some(workers) = workers {
+        cmd.env("GLSC_BENCH_THREADS", workers);
     }
     cmd.output().expect("spawn glsc-serve")
 }
@@ -237,27 +253,25 @@ fn randomized_kill_points_converge() {
     let _ = std::fs::remove_dir_all(&drill_dir);
 }
 
-#[test]
-fn sweep_drill_never_resimulates_finished_jobs() {
-    // Four jobs, run one at a time in this order: HIP 4x4 (3k cycles),
-    // HIP 1x1 (32k), GBC 4x4 (7k), GBC 1x1 (39k); a later life runs the
-    // jobs the journal left pending first, in that order, and serves the
-    // finished ones it resubmits from the store. Each `cycles:` kill
-    // lands in a 1x1 job after some jobs are done (20000: in HIP 1x1;
-    // 35000: in GBC 1x1); the journal must end with exactly one `Done`
-    // per job across every life, so no finished job was simulated twice.
+/// Kills a four-job sweep (HIP,GBC × 4x4,1x1) on `workers` host threads
+/// at each of `kills` in turn, then recovers it: after every death some
+/// but not all jobs are done, and the journal ends with exactly one
+/// `Done` per job across every life, so no finished job was simulated
+/// twice, and the recovered table matches an uninterrupted run's.
+fn sweep_drill(workers: &str, kills: [&str; 2], tag: &str) {
     let (kernels, shapes) = ("HIP,GBC", "4x4,1x1");
-    let solo_dir = tmp_dir("sweep-solo");
-    let solo = invoke_sweep(&solo_dir, kernels, shapes, &[], None);
+    let sweep = |dir: &Path, kill| invoke_sweep_on(dir, kernels, shapes, &[], kill, Some(workers));
+    let solo_dir = tmp_dir(&format!("{tag}-solo"));
+    let solo = sweep(&solo_dir, None);
     assert!(solo.status.success(), "{}", stderr_of(&solo));
     let solo_out = stdout_of(&solo);
     assert!(solo_out.contains("== 4 ok, 0 failed =="), "{solo_out}");
 
-    let dir = tmp_dir("sweep-drill");
+    let dir = tmp_dir(&format!("{tag}-drill"));
     let mut finished = 0;
-    for kill in ["cycles:20000", "cycles:35000"] {
-        let out = invoke_sweep(&dir, kernels, shapes, &[], Some(kill));
-        assert_killed(&out, kill, "sweep");
+    for kill in kills {
+        let out = sweep(&dir, Some(kill));
+        assert_killed(&out, kill, tag);
         let done = done_counts(&dir);
         assert!(
             done.values().all(|&n| n == 1),
@@ -269,7 +283,7 @@ fn sweep_drill_never_resimulates_finished_jobs() {
         );
         finished = done.len();
     }
-    let recovered = invoke_sweep(&dir, kernels, shapes, &[], None);
+    let recovered = sweep(&dir, None);
     assert!(recovered.status.success(), "{}", stderr_of(&recovered));
     assert_eq!(stdout_of(&recovered), solo_out);
     let done = done_counts(&dir);
@@ -280,6 +294,30 @@ fn sweep_drill_never_resimulates_finished_jobs() {
     );
     let _ = std::fs::remove_dir_all(&solo_dir);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sweep_drill_never_resimulates_finished_jobs() {
+    // One worker runs the jobs one at a time in this order: HIP 4x4 (3k
+    // cycles), HIP 1x1 (32k), GBC 4x4 (7k), GBC 1x1 (39k); a later life
+    // runs the jobs the journal left pending first, in that order, and
+    // serves the finished ones it resubmits from the store. Each
+    // `cycles:` kill lands in a 1x1 job after some jobs are done (20000:
+    // in HIP 1x1; 35000: in GBC 1x1). Which jobs are done at a `cycles:`
+    // kill depends on the schedule, so this drill pins one worker.
+    sweep_drill("1", ["cycles:20000", "cycles:35000"], "sweep");
+}
+
+#[test]
+fn two_worker_sweep_drill_never_resimulates_finished_jobs() {
+    // Two workers run jobs at once, but the calling thread journals their
+    // outcomes in submission order, so the n-th journal append of a life
+    // is the same record at any worker count. The first life appends
+    // four `Submitted` records and then one `Done` per job: `journal:6`
+    // tears HIP 1x1's `Done` after HIP 4x4's. The second life journals
+    // HIP 4x4's resubmission, then the `Done`s of the three jobs the
+    // journal left pending: `journal:3` tears GBC 4x4's after HIP 1x1's.
+    sweep_drill("2", ["journal:6", "journal:3"], "sweep-two-workers");
 }
 
 /// Encoded snapshot of `kernel` (Tiny, GLSC, 4x4) after `cycles`

@@ -10,7 +10,8 @@
 //!
 //! `cargo test --release --test alloc_free -- --ignored --nocapture`
 //! prints the allocations `Machine::run` makes over the whole Fig. 6 and
-//! contention job sets.
+//! contention job sets. The same allocator bounds the heap a fresh paper
+//! machine holds before it runs.
 
 use glsc::kernels::pattern::Pattern;
 use glsc::kernels::{build_named, Dataset, Variant, Workload, KERNEL_NAMES};
@@ -22,16 +23,21 @@ use std::cell::Cell;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static COUNT: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed while counting.
+    static HELD: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting the calls of a thread that counts.
 struct Counting;
 
-fn note() {
+/// Counts one call that changes this thread's heap by `grown` bytes
+/// (`alloc` is false for a free).
+fn note(alloc: bool, grown: i64) {
     // `try_with`: an allocation during thread teardown must not panic.
     let _ = COUNTING.try_with(|on| {
         if on.get() {
-            COUNT.with(|n| n.set(n.get() + 1));
+            COUNT.with(|n| n.set(n.get() + u64::from(alloc)));
+            HELD.with(|n| n.set(n.get() + grown));
         }
     });
 }
@@ -40,21 +46,22 @@ fn note() {
 // only const-initialized thread-locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(true, layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(true, new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -64,11 +71,34 @@ static ALLOCATOR: Counting = Counting;
 
 /// Runs `f`, returning its result and the allocations this thread made.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, allocations, _) = counted_bytes(f);
+    (out, allocations)
+}
+
+/// [`counted`], with the bytes of heap the thread holds afterwards that
+/// it did not hold before.
+fn counted_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, i64) {
     COUNT.with(|n| n.set(0));
+    HELD.with(|n| n.set(0));
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
-    (out, COUNT.with(Cell::get))
+    (out, COUNT.with(Cell::get), HELD.with(Cell::get))
+}
+
+/// A fresh paper machine holds its tag arrays' set heads, not their
+/// ways: 4 bytes per set, so the 16-bank, 8-way, 16 MB L2's 32,768 sets
+/// cost 128 KiB before any line is filled. A two-worker service holds
+/// two machines at once.
+#[test]
+fn a_fresh_paper_machine_holds_a_small_heap() {
+    let cfg = MachineConfig::paper(4, 4, 4);
+    let (machine, _, held) = counted_bytes(|| Machine::new(cfg));
+    assert!(
+        held < 256 * 1024,
+        "Machine::new(paper(4, 4, 4)) holds {held} bytes of heap"
+    );
+    drop(machine);
 }
 
 /// A machine with `w` mounted as `run_workload` mounts it, or with the
